@@ -40,6 +40,7 @@ from .ledger import (
     TxOutput,
     apply_block,
     apply_transaction,
+    body_digest,
     header_hash,
     make_genesis,
     make_transaction,
@@ -127,6 +128,9 @@ class ScenarioConfig:
 
     @classmethod
     def from_mapping(cls, raw: Mapping) -> "ScenarioConfig":
+        """Parse a config mapping; every malformed input raises ConfigError."""
+        if not isinstance(raw, Mapping):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         data = dict(raw)
         version = data.pop("schema_version", None)
         if version != SCHEMA_VERSION:
@@ -135,33 +139,40 @@ class ScenarioConfig:
             genesis = tuple(
                 (int(g["count"]), int(g["stake"])) for g in data.pop("genesis")
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad genesis spec: {exc}") from exc
         adversary = data.pop("adversary", {})
+        if not isinstance(adversary, Mapping):
+            raise ConfigError("adversary must be a JSON object")
         corrupt = adversary.get("corrupt_fraction")
-        kwargs = dict(
-            master_seed=str(data.pop("master_seed")),
-            epoch_length=int(data.pop("epoch_length")),
-            heights=int(data.pop("heights")),
-            s_min=int(data.pop("s_min")),
-            s_max=int(data.pop("s_max")),
-            mu_core=parse_ratio(data.pop("mu_core")),
-            mu_corrupted=parse_ratio(data.pop("mu_corrupted")),
-            mu=parse_ratio(data.pop("mu")),
-            stake_cap=int(data.pop("stake_cap")),
-            kappa=float(data.pop("kappa")),
-            f_shard=int(data.pop("f_shard")),
-            genesis=genesis,
-            tx_rate=int(data.pop("tx_rate", 0)),
-            adversary_strategy=str(adversary.get("strategy", "passive")),
-            adversary_params=dict(adversary.get("params", {})),
-            corrupt_fraction=parse_ratio(corrupt) if corrupt is not None else None,
-            force_corrupt_shards=int(adversary.get("force_corrupt_shards", 0)),
-            participation=str(data.pop("participation", "all")),
-            observers=int(data.pop("observers", 3)),
-            unsafe_params=bool(data.pop("unsafe_params", False)),
-            name=str(data.pop("name", "")),
-        )
+        try:
+            kwargs = dict(
+                master_seed=str(data.pop("master_seed")),
+                epoch_length=int(data.pop("epoch_length")),
+                heights=int(data.pop("heights")),
+                s_min=int(data.pop("s_min")),
+                s_max=int(data.pop("s_max")),
+                mu_core=parse_ratio(data.pop("mu_core")),
+                mu_corrupted=parse_ratio(data.pop("mu_corrupted")),
+                mu=parse_ratio(data.pop("mu")),
+                stake_cap=int(data.pop("stake_cap")),
+                kappa=float(data.pop("kappa")),
+                f_shard=int(data.pop("f_shard")),
+                genesis=genesis,
+                tx_rate=int(data.pop("tx_rate", 0)),
+                adversary_strategy=str(adversary.get("strategy", "passive")),
+                adversary_params=dict(adversary.get("params", {})),
+                corrupt_fraction=parse_ratio(corrupt) if corrupt is not None else None,
+                force_corrupt_shards=int(adversary.get("force_corrupt_shards", 0)),
+                participation=str(data.pop("participation", "all")),
+                observers=int(data.pop("observers", 3)),
+                unsafe_params=bool(data.pop("unsafe_params", False)),
+                name=str(data.pop("name", "")),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"missing config field {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config field: {exc}") from exc
         if data:
             raise ConfigError(f"unknown config fields: {sorted(data)}")
         return cls(**kwargs)
@@ -169,7 +180,11 @@ class ScenarioConfig:
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_mapping(json.load(fh))
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"not valid JSON: {exc}") from exc
+        return cls.from_mapping(raw)
 
     def to_mapping(self) -> dict:
         return {
@@ -714,10 +729,10 @@ class Simulation:
         # the same decided inputs; any divergence is a view-agreement
         # violation.
         replica = update_view(old_view, vector, expiring, beacon_seed, cfg.s_min, newcomer_valid)
-        digest = view_digest(upd.view)
-        if view_digest(replica.view) != digest:
+        if replica.view != upd.view:
             self.metrics.view_violations += 1
             self.metrics.incident(height, "view-divergence", label=rt.label)
+        digest = view_digest(upd.view)
 
         signers = []
         byz_signs = self.strategy.signs()
@@ -1118,7 +1133,7 @@ class Simulation:
             body = tuple(base.body) + (extra,)
             altered = replace(
                 base,
-                header=replace(base.header, body_hash=_body_hash(body)),
+                header=replace(base.header, body_hash=body_digest(body)),
                 body=body,
             )
             return certify_by_corrupted(altered)
@@ -1190,8 +1205,28 @@ class Simulation:
 
     # -- renewals and workload ----------------------------------------------
 
+    def _join_receivers(self, rt: ShardRuntime) -> list[set]:
+        """Distinct buffers a join to this shard lands in: the shared honest
+        set, plus each corrupted member's own set when the strategy buffers
+        joins."""
+        byz_buffer = self.strategy.buffers_joins()
+        receivers = []
+        seen = set()
+        for c in rt.view.core:
+            if c.pk in self.adv.corrupted and not byz_buffer:
+                continue
+            buf = rt.buffers.get(c.pk)
+            if buf is None or id(buf) in seen:
+                continue
+            seen.add(id(buf))
+            receivers.append(buf)
+        return receivers
+
     def _renewals_and_workload(self, height: int):
         cfg = self.cfg
+        # Views, buffers and corruption stay fixed for the whole phase, so
+        # each shard's receivers are worked out once.
+        receivers: dict[str, list[set]] = {}
         for pk in sorted(self.participation):
             if not self.participation[pk]:
                 continue
@@ -1204,22 +1239,16 @@ class Simulation:
             cred = self._credential(pk, height)
             if cred is None:
                 continue
-            target = route(self.directory, cred.value)
-            rt = self.runtimes[target]
-            byz_buffer = self.strategy.buffers_joins()
-            seen_buffers = set()
-            for c in rt.view.core:
-                if c.pk in self.adv.corrupted and not byz_buffer:
-                    continue
-                buf = rt.buffers.get(c.pk)
-                if buf is None or id(buf) in seen_buffers:
-                    continue
-                seen_buffers.add(id(buf))
+            rt = self.runtimes[route(self.directory, cred.value)]
+            bufs = receivers.get(rt.label)
+            if bufs is None:
+                bufs = receivers[rt.label] = self._join_receivers(rt)
+            for buf in bufs:
                 buf.add(cred)
             self.meter.charge(len(rt.view.core))
             self.joins_submitted += 1
             self.events.emit(
-                "join", height, label=target, pk=pk.hex(), anchor=cred.anchor_height
+                "join", height, label=rt.label, pk=pk.hex(), anchor=cred.anchor_height
             )
 
         for tx in self.strategy.issue_transactions(
@@ -1294,12 +1323,6 @@ class Simulation:
             liveness_ok=liveness.all_included,
             efficiency_ok=liveness.all_within_window,
         )
-
-
-def _body_hash(body: Sequence[Transaction]) -> bytes:
-    from .ledger import body_digest
-
-    return body_digest(body)
 
 
 def run_scenario(config: ScenarioConfig, strict_params: bool = False) -> tuple[Metrics, EventLog]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .credentials import Credential, credential_blob
@@ -28,14 +29,20 @@ class ShardView:
     def members(self) -> tuple[Credential, ...]:
         return self.core + self.spare
 
+    @cached_property
+    def digest(self) -> bytes:
+        """Digest of the canonical encoding, computed once: the view is
+        frozen, and a ``replace``d copy starts without the cached value."""
+        parts = [encode_str(self.label), encode_int(self.height)]
+        parts.append(encode_int(len(self.core)))
+        parts.extend(credential_blob(c) for c in self.core)
+        parts.append(encode_int(len(self.spare)))
+        parts.extend(credential_blob(c) for c in self.spare)
+        return tagged_hash(b"view", *parts)
+
 
 def view_digest(view: ShardView) -> bytes:
-    parts = [encode_str(view.label), encode_int(view.height)]
-    parts.append(encode_int(len(view.core)))
-    parts.extend(credential_blob(c) for c in view.core)
-    parts.append(encode_int(len(view.spare)))
-    parts.extend(credential_blob(c) for c in view.spare)
-    return tagged_hash(b"view", *parts)
+    return view.digest
 
 
 def sign_view(sk: bytes, view: ShardView) -> Signature:

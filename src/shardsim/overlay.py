@@ -2,9 +2,12 @@
 
 Shard labels are binary prefixes; together they must stay prefix-free and
 cover the whole credential space, so every credential routes to exactly one
-shard.  Size bounds drive topology: a shard splits on the next bit of its
-label when it outgrows s_max and merges into its sibling prefix when it
-falls under s_min.
+shard.  Routing relies on that cover invariant: it is a prefix lookup that
+walks the value's bits and stops at the first prefix registered in the
+directory, so it costs the depth of the label trie, not the shard count.
+Size bounds drive topology: a shard splits on the next bit of its label when
+it outgrows s_max and merges into its sibling prefix when it falls under
+s_min.
 """
 
 from __future__ import annotations
@@ -43,7 +46,15 @@ def digest_bit(value: bytes, index: int) -> int:
 
 
 def label_matches(label: str, value: bytes) -> bool:
-    return all(digest_bit(value, i) == int(bit) for i, bit in enumerate(label))
+    """True iff the label is a prefix of the value's MSB-first bit string."""
+    n = len(label)
+    if n == 0:
+        return True
+    if n > 8 * len(value):
+        raise IndexError("bit index outside digest")
+    nbytes = (n + 7) // 8
+    prefix = int.from_bytes(value[:nbytes], "big") >> (8 * nbytes - n)
+    return prefix == int(label, 2)
 
 
 def check_prefix_free_cover(labels: Iterable[str]) -> Validity:
@@ -76,10 +87,17 @@ def check_prefix_free_cover(labels: Iterable[str]) -> Validity:
 
 
 def route(directory: Mapping[str, ShardView], value: bytes) -> str:
-    """Label of the unique shard whose prefix matches the credential value."""
-    for label in directory:
-        if label_matches(label, value):
-            return label
+    """Label of the unique shard whose prefix matches the credential value.
+
+    Under a prefix-free cover exactly one prefix of the value is a label,
+    so the shortest registered prefix is the answer.
+    """
+    # A leading 0x01 sentinel keeps the value's leading zero bits.
+    bits = bin(int.from_bytes(b"\x01" + value, "big"))[3:]
+    for depth in range(len(bits) + 1):
+        prefix = bits[:depth]
+        if prefix in directory:
+            return prefix
     raise LookupError("no shard label matches the value: broken cover")
 
 

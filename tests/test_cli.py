@@ -66,6 +66,26 @@ def test_run_rejects_bad_config(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        "[1, 2]",
+        json.dumps({k: v for k, v in json.loads(Path(SMOKE).read_text()).items()
+                    if k != "master_seed"}),
+        "{not json",
+    ],
+    ids=["array", "missing-master-seed", "invalid-json"],
+)
+def test_run_malformed_config_exits_2(capsys, tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config rejected:")
+    assert "Traceback" not in err
+
+
 def test_run_strict_rejects_stress_config(capsys):
     code, _, err = run_cli(capsys, "run", SMOKE, "--strict-params")
     assert code == 2

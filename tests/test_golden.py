@@ -1,0 +1,98 @@
+"""Golden digests: what a config and seed produce, pinned byte for byte.
+
+Determinism within one process is tested elsewhere; these pins catch a
+change that alters the outputs consistently.  A change that moves a digest
+on purpose updates the pin here and says why.  The three corpus entries
+are acceptance-corpus scenarios (same names and master seeds); their pins
+equal the seed-0 pins of the benchmark.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from shardsim.harness import ScenarioConfig, run_scenario
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _corpus_mapping(idx: int, strategy: str, epoch_length: int) -> dict:
+    # mu 1/100, N 256: the solver's core size is 169.
+    return {
+        "schema_version": 1,
+        "name": f"suite-{idx:03d}-{strategy}-n256-t{epoch_length}",
+        "master_seed": f"suite-{idx:03d}",
+        "epoch_length": epoch_length,
+        "heights": 30,
+        "s_min": 169,
+        "s_max": 338,
+        "mu_core": "1/2",
+        "mu_corrupted": "1/2",
+        "mu": "1/100",
+        "stake_cap": 1,
+        "kappa": 20.0,
+        "f_shard": 0,
+        "genesis": [{"count": 256, "stake": 1}],
+        "tx_rate": 2,
+        "adversary": {"strategy": strategy},
+    }
+
+
+# name -> (config, events digest, metrics digest, blocks, safety_ok)
+GOLDEN = {
+    "smoke": (
+        lambda: ScenarioConfig.from_file(CONFIG_DIR / "smoke.json"),
+        "f1730b204706f0b756cd5c1bae3459e45ff75805e9c744e42fa5c1bc2893a9c8",
+        "743cf2de64715aaf42acd41598abda84dd16eac7eec2f1c51377fec38bee2020",
+        10,
+        True,
+    ),
+    "stress-equivocate": (
+        lambda: ScenarioConfig.from_file(CONFIG_DIR / "stress-equivocate.json"),
+        "95d9b624b18c07f5487614ef32bf00aca8b25c5f221dc01af6d31ab3b173a54d",
+        "39884ea747e442180cf99241f619ad547cc5a2633c252ed60af65f43eb9d2e12",
+        3,
+        False,
+    ),
+    "suite-example": (
+        lambda: ScenarioConfig.from_file(CONFIG_DIR / "suite-example.json"),
+        "23887b428adaf55ee9196c79971cd11e5d962e14a12c8837f4790d2f4dfa0bde",
+        "8b4b7dcf2d3b98235c475de884570afd9d4b206bb9022299120fc260f6095021",
+        30,
+        True,
+    ),
+    "suite-000-passive-n256-t3": (
+        lambda: ScenarioConfig.from_mapping(_corpus_mapping(0, "passive", 3)),
+        "0a0140843cb40d8b1434bf5037f6ae1f4a85851a2bd10ac8cf8dcb0bdddc0746",
+        "6affcd09fbf5b2639b24e8e1c68be517644089d4a2824b9598caddc3a3338469",
+        30,
+        True,
+    ),
+    "suite-007-equivocate-n256-t5": (
+        lambda: ScenarioConfig.from_mapping(_corpus_mapping(7, "equivocate", 5)),
+        "3d2a678a67f87cb77aeef18df4f3fae6052be0aeee4d2329496d8a0130c16ffd",
+        "b09e8d7e9bbfc1be716bcdcd64e06749c5f9d7dc44382c56bf5669be59361e60",
+        30,
+        True,
+    ),
+    "suite-014-worst-case-seed-n256-t10": (
+        lambda: ScenarioConfig.from_mapping(_corpus_mapping(14, "worst-case-seed", 10)),
+        "b4d2c7543aaf1a33b6ccaf2d85b5e1b43ae8b1f4046ca10c690ec23db95b2b7f",
+        "8b2dfdd3452e5d9a4c75b000a64a9d00420cff726844633e956f5e8c24bac0db",
+        30,
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digests(name):
+    make_config, events_digest, metrics_digest, blocks, safety_ok = GOLDEN[name]
+    config = make_config()
+    assert config.name == name
+    metrics, events = run_scenario(config)
+    assert metrics.summary["blocks"] == blocks
+    assert metrics.summary["safety_ok"] is safety_ok
+    assert metrics.summary["view_violations"] == 0
+    assert events.digest() == events_digest
+    assert metrics.digest() == metrics_digest

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from shardsim.adversary import make_strategy
 from shardsim.harness import (
     ConfigError,
     EventLog,
     Metrics,
     ScenarioConfig,
+    Simulation,
     check_liveness,
     check_safety,
     load_config,
@@ -317,3 +319,81 @@ def test_message_scaling_report_shape():
         assert row["per_user_messages"] == pytest.approx(
             row["messages_total"] / row["n_credentials"]
         )
+
+
+@pytest.mark.parametrize(
+    "raw,needle",
+    [
+        ([base_mapping()], "JSON object"),
+        ({k: v for k, v in base_mapping().items() if k != "master_seed"}, "master_seed"),
+        (base_mapping(heights="many"), "bad config field"),
+        (base_mapping(adversary=["passive"]), "adversary"),
+        (base_mapping(genesis=7), "genesis"),
+    ],
+)
+def test_malformed_configs_raise_config_error(raw, needle, tmp_path):
+    with pytest.raises(ConfigError, match=needle):
+        ScenarioConfig.from_mapping(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match=needle):
+        load_config(path)
+
+
+def test_invalid_json_raises_config_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    with pytest.raises(ConfigError, match="JSON"):
+        load_config(path)
+
+
+class CountingSet(set):
+    """A join buffer that records how often each join was added."""
+
+    def __init__(self):
+        super().__init__()
+        self.adds = {}
+
+    def add(self, item):
+        self.adds[item] = self.adds.get(item, 0) + 1
+        super().add(item)
+
+
+@pytest.mark.parametrize("strategy,corrupted_buffer", [("passive", True), ("silent", False)])
+def test_join_lands_once_in_each_receiving_buffer(strategy, corrupted_buffer):
+    # Genesis UTXOs are pre-aged by one epoch, so every genesis key renews
+    # at height epoch_length.
+    sim = Simulation(config(heights=3, tx_rate=0))
+    height = sim.cfg.epoch_length
+    for target in range(1, height + 1):
+        sim._activate_corruptions(target)
+        sim._update_views(target)
+        sim._apply_topology(target)
+        assert sim._produce_block(target)
+        if target < height:
+            sim._renewals_and_workload(target)
+
+    sim.strategy = make_strategy(strategy, {})
+    corrupted = {}
+    shared = {}
+    for label, rt in sim.runtimes.items():
+        shared[label] = CountingSet()
+        for i, cred in enumerate(rt.view.core):
+            if i < 2:
+                sim.adv.corrupted.add(cred.pk)
+                corrupted[cred.pk] = rt.buffers[cred.pk] = CountingSet()
+            else:
+                rt.buffers[cred.pk] = shared[label]
+
+    first_event = len(sim.events)
+    sim._renewals_and_workload(height)
+    joins = [rec for rec in list(sim.events)[first_event:] if rec["kind"] == "join"]
+    assert joins
+    for rec in joins:
+        rt = sim.runtimes[rec["label"]]
+        cred = next(c for c in shared[rec["label"]] if c.pk.hex() == rec["pk"])
+        assert shared[rec["label"]].adds[cred] == 1
+        for member in rt.view.core[:2]:
+            assert corrupted[member.pk].adds.get(cred, 0) == int(corrupted_buffer)
+    delivered = sum(len(buf) for buf in shared.values())
+    assert delivered == len(joins) == len({rec["pk"] for rec in joins})

@@ -1,11 +1,12 @@
 """View construction, join intake, expiry handling and core elections."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from shardsim.credentials import Credential
-from shardsim.crypto import Prg, keygen, tagged_hash
+from shardsim.credentials import Credential, credential_blob
+from shardsim.crypto import Prg, encode_int, encode_str, keygen, tagged_hash
 from shardsim.membership import (
     ShardRuntime,
     ShardView,
@@ -54,6 +55,48 @@ def test_view_digest_sensitivity():
     )
     digests.add(view_digest(shuffled))
     assert len(digests) == 5
+
+
+def canonical_digest(view):
+    """The view encoding, written out independently of ``view_digest``."""
+    return tagged_hash(
+        b"view",
+        encode_str(view.label),
+        encode_int(view.height),
+        encode_int(len(view.core)),
+        *(credential_blob(c) for c in view.core),
+        encode_int(len(view.spare)),
+        *(credential_blob(c) for c in view.spare),
+    )
+
+
+def test_view_digest_is_the_canonical_encoding():
+    view = make_view()
+    assert view_digest(view) == canonical_digest(view)
+    # Asking again returns the cached value, unchanged.
+    assert view_digest(view) == canonical_digest(view)
+
+
+def test_derived_views_get_fresh_digests():
+    view = make_view()
+    first = view_digest(view)
+    bumped = bump_height(view)
+    assert view_digest(bumped) == canonical_digest(bumped) != first
+    relabeled = replace(view, label="1")
+    assert view_digest(relabeled) == canonical_digest(relabeled) != first
+    trimmed = replace(view, core=view.core[:2])
+    assert view_digest(trimmed) == canonical_digest(trimmed) != first
+    assert view_digest(view) == first
+
+
+def test_view_equality_ignores_cached_digest():
+    hashed, fresh = make_view(), make_view()
+    view_digest(hashed)
+    assert hashed == fresh and fresh == hashed
+    assert hash(hashed) == hash(fresh)
+    assert len({hashed, fresh}) == 1
+    assert repr(hashed) == repr(fresh)
+    assert hashed != bump_height(fresh)
 
 
 def test_install_threshold_exact_fraction_arithmetic():

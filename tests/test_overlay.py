@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shardsim.credentials import Credential
 from shardsim.crypto import keygen, sign
@@ -261,3 +262,99 @@ class TestViewTransition:
             self.old, self.new, 2, set(), self.mu_core, self.s_min, sigs
         )
         assert verdict.reason == "quorum"
+
+
+# -- properties --------------------------------------------------------------
+
+
+def reference_matches(label, value):
+    """Bit-by-bit reference for ``label_matches``."""
+    return all(digest_bit(value, i) == int(bit) for i, bit in enumerate(label))
+
+
+def value_bits(value):
+    return "".join(str(digest_bit(value, i)) for i in range(8 * len(value)))
+
+
+def with_prefix(bits, value):
+    """The value with its leading bits replaced by ``bits``."""
+    rest = value_bits(value)[len(bits):]
+    return int(bits + rest, 2).to_bytes(len(value), "big")
+
+
+def apply_ops(ops):
+    """Directories after each step of a split/merge sequence.
+
+    A split replaces a label by its two children; a merge folds every
+    label under a non-root label's parent into the parent, as
+    ``maybe_merge`` plans it.
+    """
+    labels = {ROOT_LABEL}
+    history = [set(labels)]
+    for is_split, pick in ops:
+        ordered = sorted(labels)
+        label = ordered[pick % len(ordered)]
+        if is_split:
+            labels.discard(label)
+            labels.update((label + "0", label + "1"))
+        elif label != ROOT_LABEL:
+            parent = label[:-1]
+            labels = {l for l in labels if not l.startswith(parent)} | {parent}
+        history.append(set(labels))
+    return history
+
+
+ops_strategy = st.lists(
+    st.tuples(st.booleans(), st.integers(min_value=0, max_value=10**6)), max_size=60
+)
+values = st.binary(min_size=32, max_size=32)
+
+
+@settings(deadline=None)
+@given(ops_strategy)
+def test_split_merge_sequences_keep_prefix_free_cover(ops):
+    for labels in apply_ops(ops):
+        verdict = check_prefix_free_cover(labels)
+        assert verdict, (verdict.reason, sorted(labels))
+
+
+@settings(deadline=None)
+@given(ops_strategy, st.lists(st.tuples(values, st.integers(0, 10**6)), max_size=8))
+def test_route_returns_the_one_matching_label(ops, probes):
+    directory = {label: None for label in apply_ops(ops)[-1]}
+    ordered = sorted(directory)
+    for value, pick in probes:
+        # Half the probes are steered under a chosen label so deep labels
+        # get routed to, not only the shallow ones random values hit.
+        for probe in (value, with_prefix(ordered[pick % len(ordered)], value)):
+            matching = [l for l in directory if reference_matches(l, probe)]
+            assert len(matching) == 1
+            assert route(directory, probe) == matching[0]
+
+
+@settings(deadline=None)
+@given(values, st.integers(0, 256), st.integers(0, 255), st.booleans())
+def test_label_matches_agrees_with_reference(value, length, flip_at, flip):
+    label = value_bits(value)[:length]
+    if flip and length:
+        i = flip_at % length
+        label = label[:i] + ("1" if label[i] == "0" else "0") + label[i + 1 :]
+    assert label_matches(label, value) == reference_matches(label, value)
+    assert label_matches(label, value) == (not flip or not length)
+
+
+@settings(deadline=None)
+@given(values, st.binary(min_size=1, max_size=4))
+def test_label_matches_random_labels(value, raw):
+    for length in range(0, 8 * len(raw) + 1):
+        label = value_bits(raw)[:length]
+        assert label_matches(label, value) == reference_matches(label, value)
+
+
+@given(values, st.sampled_from("01"))
+def test_label_longer_than_digest_raises(value, extra):
+    label = value_bits(value) + extra
+    with pytest.raises(IndexError):
+        reference_matches(label, value)
+    with pytest.raises(IndexError):
+        label_matches(label, value)
