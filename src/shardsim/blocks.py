@@ -26,10 +26,11 @@ from .ledger import (
     block_seed,
     body_digest,
     header_hash,
+    shard_quorum,
     shard_signature_digest,
     validate_transaction,
 )
-from .membership import ShardView, install_threshold
+from .membership import ShardView
 from .protocols import MessageMeter, ParticipantSet, VectorDecision, vector_consensus
 from .sampling import sample_without_replacement
 
@@ -152,7 +153,7 @@ def shard_sign_block(
     default to core order.  Returns None if the willing signers cannot
     reach the quorum.
     """
-    quorum = install_threshold(mu_core, s_min if len(view.core) >= s_min else len(view.core))
+    quorum = shard_quorum(mu_core, s_min, len(view.core))
     msg = shard_signature_digest(label, block_core_digest(block.header))
     pks = signer_pks if signer_pks is not None else [c.pk for c in view.core]
     sigs: list[tuple[bytes, Signature]] = []

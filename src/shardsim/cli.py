@@ -82,10 +82,13 @@ def _cmd_run(args) -> int:
             }
         )
 
+    # A run without blocks has included nothing, so its liveness verdict
+    # is vacuous.
     ok = (
         metrics.summary.get("safety_ok")
         and metrics.summary.get("liveness_ok")
         and metrics.summary.get("view_violations") == 0
+        and metrics.summary.get("blocks", 0) > 0
     )
     return 0 if ok else 1
 

@@ -93,27 +93,3 @@ def verify_credential(
         return False
     return expected == cred
 
-
-def active_credentials(
-    h: int,
-    participation: Mapping[bytes, bool],
-    chain: Sequence,
-    utxos: Mapping[bytes, Utxo],
-    epoch_length: int,
-) -> list[Credential]:
-    """Credentials of users opting in at height ``h``.
-
-    UTXOs younger than one epoch have nothing to derive yet and are
-    skipped.  Output order follows the credential value so the list is
-    deterministic regardless of map ordering.
-    """
-    creds = []
-    for pk, joined in participation.items():
-        if not joined or pk not in utxos:
-            continue
-        h0 = utxos[pk].created_height
-        if h < h0 + epoch_length:
-            continue
-        creds.append(derive_credential(pk, h0, h, chain, epoch_length))
-    creds.sort(key=lambda c: c.value)
-    return creds

@@ -163,11 +163,3 @@ class Prg:
             word = self._next_word()
             if word < limit:
                 return 1 + (word % n)
-
-
-def prg_new(seed: bytes) -> Prg:
-    return Prg(seed)
-
-
-def prg_draw(prg: Prg, n: int) -> int:
-    return prg.draw(n)

@@ -6,6 +6,12 @@ One height is one macro-round: view updates, then topology changes, then
 committee election plus block agreement, then credential renewals and the
 transaction workload.  Every source of randomness is a tagged substream of
 the scenario seed, so a config replays to byte-identical outputs.
+
+View agreement: each updated view is checked against the registered one
+(``verify_view_transition``: label, height, core size, expiry, credential
+windows and routing of every member) before the previous core signs it.  A
+view that fails is never installed; it counts as a view-agreement violation
+and stalls the shard.  The signature quorum is counted once, at install.
 """
 
 from __future__ import annotations
@@ -562,21 +568,22 @@ class Simulation:
             self.events.emit("corruption-active", 0, pk=pk.hex())
 
     def _bootstrap_splits(self):
-        changed = True
-        while changed:
-            changed = False
-            for label in sorted(self.directory):
-                plan = maybe_split(label, self.directory[label], self.bounds)
-                if plan is None:
-                    continue
-                del self.directory[label]
-                for child_label, members in plan.children:
-                    seed = shard_entropy(self.master, child_label, 0, b"bootstrap")
-                    self.directory[child_label] = form_view(
-                        child_label, members, 0, seed, self.cfg.s_min
-                    )
-                changed = True
-                break
+        # Child seeds depend only on the label and a label's members do not
+        # depend on split order, so a worklist gives the same directory as
+        # any other order.
+        pending = list(self.directory)
+        while pending:
+            label = pending.pop()
+            plan = maybe_split(label, self.directory[label], self.bounds)
+            if plan is None:
+                continue
+            del self.directory[label]
+            for child_label, members in plan.children:
+                seed = shard_entropy(self.master, child_label, 0, b"bootstrap")
+                self.directory[child_label] = form_view(
+                    child_label, members, 0, seed, self.cfg.s_min
+                )
+                pending.append(child_label)
         cover = check_prefix_free_cover(self.directory)
         if not cover:
             raise RuntimeError(f"bootstrap directory invalid: {cover.reason}")
@@ -637,6 +644,12 @@ class Simulation:
     def _core_byzantine(self, view: ShardView) -> frozenset:
         return frozenset(c.pk for c in view.core if c.pk in self.adv.corrupted)
 
+    def _core_parts(self, view: ShardView) -> ParticipantSet:
+        """The view's core as a protocol membership, in core order."""
+        return ParticipantSet(
+            members=tuple(c.pk for c in view.core), byzantine=self._core_byzantine(view)
+        )
+
     def _shard_corrupted(self, view: ShardView) -> bool:
         if not view.core:
             return False
@@ -684,10 +697,8 @@ class Simulation:
     def _update_one_view(self, rt: ShardRuntime, height: int):
         cfg = self.cfg
         old_view = rt.view
-        core_pks = tuple(c.pk for c in old_view.core)
-        byz = frozenset(pk for pk in core_pks if pk in self.adv.corrupted)
-        parts = ParticipantSet(members=core_pks, byzantine=byz)
-        contract_holds = len(byz) <= (len(core_pks) - 1) // 3
+        parts = self._core_parts(old_view)
+        core_pks = parts.members
 
         # Honest members alias one buffer set; freeze each distinct buffer
         # once so identical slots stay one object (and hash once).
@@ -700,7 +711,7 @@ class Simulation:
                 frozen_by_id[key] = frozenset(buf)
             honest_inputs[pk] = frozen_by_id[key]
         decision = self.strategy.vector_decision(
-            core_pks, byz, honest_inputs, contract_holds, purpose="joins"
+            core_pks, parts.byzantine, honest_inputs, parts.bft_contract_holds, purpose="joins"
         )
         vector = vector_consensus(parts, honest_inputs, decision, self.meter)
 
@@ -725,13 +736,14 @@ class Simulation:
             )
 
         upd = update_view(old_view, vector, expiring, beacon_seed, cfg.s_min, newcomer_valid)
-        # Replica check: every honest member recomputes the same update from
-        # the same decided inputs; any divergence is a view-agreement
-        # violation.
-        replica = update_view(old_view, vector, expiring, beacon_seed, cfg.s_min, newcomer_valid)
-        if replica.view != upd.view:
+        # The network checks the diffused view against the registered one;
+        # a view that fails is a view-agreement violation and never installs.
+        transition = verify_view_transition(old_view, upd.view, height, expiring, cfg.s_min)
+        if not transition:
             self.metrics.view_violations += 1
-            self.metrics.incident(height, "view-divergence", label=rt.label)
+            self._reject_view(rt, height, "view-divergence", reason=transition.reason)
+            return
+
         digest = view_digest(upd.view)
 
         signers = []
@@ -743,22 +755,10 @@ class Simulation:
             if kp is not None:
                 signers.append((cred.pk, sign(kp.sk, digest)))
 
-        transition = verify_view_transition(
-            old_view, upd.view, height, expiring, cfg.mu_core, cfg.s_min, signers
-        )
-        installed = install_and_diffuse(
+        if not install_and_diffuse(
             upd.view, signers, set(core_pks), self.directory, cfg.mu_core, cfg.s_min
-        )
-        if installed != bool(transition):
-            # Same quorum rule on both paths; disagreement is a bug surface
-            # worth flagging loudly in the log.
-            self.metrics.incident(
-                height, "transition-check-mismatch", label=rt.label, reason=transition.reason
-            )
-        if not installed:
-            rt.stalled = True
-            self.metrics.incident(height, "view-install-failed", label=rt.label)
-            self.events.emit("view-rejected", height, label=rt.label)
+        ):
+            self._reject_view(rt, height, "view-install-failed")
             return
 
         rt.view = upd.view
@@ -782,6 +782,12 @@ class Simulation:
         )
         if corrupted:
             self.metrics.incident(height, "corrupted-shard", label=rt.label)
+
+    def _reject_view(self, rt: ShardRuntime, height: int, kind: str, **fields):
+        """Keep the registered view and stall the shard until it catches up."""
+        rt.stalled = True
+        self.metrics.incident(height, kind, label=rt.label, **fields)
+        self.events.emit("view-rejected", height, label=rt.label)
 
     def _score_promotions(self, old_view, vector, expiring, seed, newcomer_valid) -> float:
         """Objective for a seed-grinding beacon quorum: corrupted members
@@ -825,12 +831,8 @@ class Simulation:
             plan = maybe_split(label, view, self.bounds)
             if plan is None:
                 continue
-            parts = ParticipantSet(
-                members=tuple(c.pk for c in view.core),
-                byzantine=self._core_byzantine(view),
-            )
             beacon = self._run_beacon(
-                label, parts, height, b"split", evaluate=lambda seed: 0.0
+                label, self._core_parts(view), height, b"split", evaluate=lambda seed: 0.0
             )
             del self.directory[label]
             del self.runtimes[label]
@@ -854,12 +856,8 @@ class Simulation:
                     if label == ROOT_LABEL and len(view.members()) < self.cfg.s_min:
                         self.runtimes[label].degraded = True
                     continue
-                parts = ParticipantSet(
-                    members=tuple(c.pk for c in view.core),
-                    byzantine=self._core_byzantine(view),
-                )
                 beacon = self._run_beacon(
-                    label, parts, height, b"merge", evaluate=lambda seed: 0.0
+                    label, self._core_parts(view), height, b"merge", evaluate=lambda seed: 0.0
                 )
                 for absorbed in plan.absorbed:
                     del self.directory[absorbed]
@@ -930,36 +928,24 @@ class Simulation:
             )
             accepted_block, outcome_rounds = self._agree_block(height, prev, committee)
 
-        nu = sum(1 for rt in self.runtimes.values() if self._shard_corrupted(rt.view))
-        if accepted_block is None:
+        accepted = accepted_block is not None
+        if not accepted:
             self.attempts[height] = self.attempts.get(height, 0) + 1
-            self.metrics.record_height(
-                height=height,
-                block="",
-                committee=committee_record,
-                leader_rounds=outcome_rounds,
-                corrupted_shards=nu,
-                shards=len(self.directory),
-                members=sum(len(v.members()) for v in self.directory.values()),
-                joins=joins,
-                txs_included=0,
-                messages_total=self.meter.total,
-            )
-            return False
-
         self.metrics.record_height(
             height=height,
-            block=header_hash(accepted_block.header).hex(),
+            block=header_hash(accepted_block.header).hex() if accepted else "",
             committee=committee_record,
             leader_rounds=outcome_rounds,
-            corrupted_shards=nu,
+            corrupted_shards=sum(
+                1 for rt in self.runtimes.values() if self._shard_corrupted(rt.view)
+            ),
             shards=len(self.directory),
             members=sum(len(v.members()) for v in self.directory.values()),
             joins=joins,
-            txs_included=len(accepted_block.body),
+            txs_included=len(accepted_block.body) if accepted else 0,
             messages_total=self.meter.total,
         )
-        return True
+        return accepted
 
     def _agree_block(self, height: int, prev, committee) -> tuple[Block | None, int]:
         cfg = self.cfg
@@ -968,19 +954,21 @@ class Simulation:
         corrupted_labels = set()
         for label in committee.labels:
             view = self.runtimes[label].view
-            core_pks = tuple(c.pk for c in view.core)
-            byz = frozenset(pk for pk in core_pks if pk in self.adv.corrupted)
+            core = self._core_parts(view)
             if self._shard_corrupted(view):
                 corrupted_labels.add(label)
             honest_inputs = {}
-            for pk in core_pks:
+            for pk in core.members:
                 kp = self.keyring.get(pk)
                 if kp is None:
                     continue
                 honest_inputs[pk] = (pending_txs, vrf_eval(kp.sk, prev.seed))
-            contract_holds = len(byz) <= (len(core_pks) - 1) // 3
             decision = self.strategy.vector_decision(
-                core_pks, byz, honest_inputs, contract_holds, purpose="proposal"
+                core.members,
+                core.byzantine,
+                honest_inputs,
+                core.bft_contract_holds,
+                purpose="proposal",
             )
             proposal = build_proposal(
                 label,
@@ -989,7 +977,7 @@ class Simulation:
                 self.state,
                 honest_inputs,
                 cfg.stake_cap,
-                byzantine=byz,
+                byzantine=core.byzantine,
                 decision=decision,
                 meter=self.meter,
             )
@@ -1037,7 +1025,10 @@ class Simulation:
             self.events.emit("no-block", height, rounds=outcome.rounds)
             return None, outcome.rounds
 
-        certified = self._certify(decided, committee, block_valid)
+        # Within its contract the BA only decides a block that passed
+        # block_valid; only a dictated block needs validating again.
+        valid = outcome.contract_held or block_valid(decided)
+        certified = self._certify(decided, committee, valid)
         if certified is None:
             self.metrics.incident(height, "certificate-shortfall")
             self.events.emit("no-block", height, rounds=outcome.rounds)
@@ -1054,16 +1045,13 @@ class Simulation:
         self._accept(certified, height, leader=outcome.leader)
         return certified, outcome.rounds
 
-    def _certify(
-        self, decided: Block, committee, block_valid: Callable[[Block], bool]
-    ) -> Block | None:
+    def _certify(self, decided: Block, committee, valid: bool) -> Block | None:
         """Collect per-shard endorsement signatures over the decided block.
 
-        Honest members only sign blocks they validated; corrupted members
-        follow the strategy.
+        Honest members only sign a block that is ``valid``; corrupted
+        members follow the strategy.
         """
         cfg = self.cfg
-        valid = block_valid(decided)
         byz_signs = self.strategy.signs()
         shard_sigs = []
         for label in committee.labels:

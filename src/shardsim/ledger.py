@@ -9,6 +9,7 @@ burned, never redistributed, so total stake can only shrink.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .crypto import (
@@ -240,7 +241,7 @@ class BlockRules:
 
     stake_cap: int
     f_shard: int
-    mu_core: object  # Fraction
+    mu_core: Fraction
     s_min: int
 
 
@@ -248,16 +249,43 @@ def shard_signature_digest(label: str, core_digest: bytes) -> bytes:
     return tagged_hash(b"block-sig", encode_str(label), core_digest)
 
 
+def install_threshold(mu_core: Fraction, core_size: int) -> int:
+    """Signatures needed before a view or a block endorsement counts.
+
+    Strictly more than mu_core * core_size, so at least one signer is
+    honest whenever the shard is within its corruption bound.
+    """
+    return int(mu_core * core_size) + 1
+
+
+def shard_quorum(mu_core: Fraction, s_min: int, core_size: int) -> int:
+    """Quorum of a shard's core: measured against s_min for full-size
+    shards and against the actual core size for degraded ones, so an
+    undersized shard can still track its membership."""
+    return install_threshold(mu_core, min(s_min, core_size))
+
+
+def count_signers(
+    signatures: Iterable[tuple[bytes, Signature]], allowed_pks, msg: bytes
+) -> int:
+    """Distinct allowed pks with a valid signature over ``msg``; repeated
+    and outside signers count for nothing."""
+    signers = set()
+    for pk, sig in signatures:
+        if pk in allowed_pks and pk not in signers and verify_sig(pk, msg, sig):
+            signers.add(pk)
+    return len(signers)
+
+
 def _shard_signature_valid(
     ss: ShardSignature, core_digest: bytes, core_pks: set[bytes], rules: BlockRules
 ) -> bool:
-    threshold = int(rules.mu_core * rules.s_min) + 1
+    # s_min rather than shard_quorum's core-size reference: committee
+    # eligibility excludes degraded shards, so the two rules agree on every
+    # reachable input.
+    quorum = install_threshold(rules.mu_core, rules.s_min)
     msg = shard_signature_digest(ss.label, core_digest)
-    signers = set()
-    for pk, sig in ss.member_sigs:
-        if pk in core_pks and pk not in signers and verify_sig(pk, msg, sig):
-            signers.add(pk)
-    return len(signers) >= threshold
+    return count_signers(ss.member_sigs, core_pks, msg) >= quorum
 
 
 def validate_block(

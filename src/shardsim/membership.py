@@ -9,13 +9,14 @@ sampling code the analysis module uses for its Monte Carlo estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .credentials import Credential, credential_blob
-from .crypto import Prg, Signature, encode_int, encode_str, sign, tagged_hash, verify_sig
+from .crypto import Prg, Signature, encode_int, encode_str, sign, tagged_hash
+from .ledger import count_signers, shard_quorum
 from .sampling import sample_without_replacement
 
 
@@ -54,15 +55,6 @@ def order_spare(creds: Iterable[Credential]) -> tuple[Credential, ...]:
     return tuple(sorted(creds, key=lambda c: c.value))
 
 
-def install_threshold(mu_core: Fraction, core_size: int) -> int:
-    """Signatures needed before a view (or block endorsement) counts.
-
-    Strictly more than mu_core * core_size, so at least one signer is
-    honest whenever the shard is within its corruption bound.
-    """
-    return int(mu_core * core_size) + 1
-
-
 @dataclass
 class ShardRuntime:
     """Mutable per-shard simulation state."""
@@ -75,18 +67,6 @@ class ShardRuntime:
 
     def reset_buffers(self):
         self.buffers = {c.pk: set() for c in self.view.core}
-
-
-def submit_join(shard: ShardRuntime, cred: Credential, receivers: Iterable[bytes] | None = None):
-    """Buffer a join request at the shard's core members.
-
-    ``receivers`` restricts delivery (an adversary may drop requests at
-    corrupted members); by default every core member buffers it.
-    """
-    targets = set(receivers) if receivers is not None else {c.pk for c in shard.view.core}
-    for pk in targets:
-        if pk in shard.buffers:
-            shard.buffers[pk].add(cred)
 
 
 @dataclass(frozen=True)
@@ -208,25 +188,15 @@ def install_and_diffuse(
     mu_core: Fraction,
     s_min: int,
 ) -> bool:
-    """Install a signed view into the directory if enough previous-core
-    members endorsed it; otherwise leave the old view registered.
+    """Install a signed view into the directory if a quorum of the previous
+    core endorsed it; otherwise leave the old view registered.
 
-    The threshold is evaluated against s_min for full-size shards and
-    against the actual core size for degraded ones, so an undersized shard
-    can still track membership while barred from block production.
+    This is the only place a view's signature quorum is counted.  The quorum
+    is ``shard_quorum`` of the previous core, so an undersized shard can
+    still track membership while barred from block production.
     """
-    reference = s_min if len(old_core_pks) >= s_min else len(old_core_pks)
-    threshold = install_threshold(mu_core, reference)
-    digest = view_digest(new_view)
-    signers = set()
-    for pk, sig in signatures:
-        if pk in old_core_pks and pk not in signers and verify_sig(pk, digest, sig):
-            signers.add(pk)
-    if len(signers) < threshold:
+    quorum = shard_quorum(mu_core, s_min, len(old_core_pks))
+    if count_signers(signatures, old_core_pks, view_digest(new_view)) < quorum:
         return False
     directory[new_view.label] = new_view
     return True
-
-
-def bump_height(view: ShardView) -> ShardView:
-    return replace(view, height=view.height + 1)

@@ -48,6 +48,11 @@ class ParticipantSet:
     def n(self) -> int:
         return len(self.members)
 
+    @property
+    def bft_contract_holds(self) -> bool:
+        """n >= 3f + 1: at most floor((n - 1) / 3) members are corrupted."""
+        return len(self.byzantine) <= (self.n - 1) // 3
+
     def within(self, bound: Fraction) -> bool:
         """True while the corrupted count stays within bound * n."""
         return len(self.byzantine) <= bound * self.n
@@ -86,7 +91,7 @@ def vector_consensus(
         meter.charge_instance(parts.n)
     decision = decision or VectorDecision()
 
-    if len(parts.byzantine) > (parts.n - 1) // 3:
+    if not parts.bft_contract_holds:
         if decision.dictated is None:
             return [None] * parts.n
         if len(decision.dictated) != parts.n:

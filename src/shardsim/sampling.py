@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence, TypeVar
 
-from .crypto import Prg, prg_draw
+from .crypto import Prg
 
 T = TypeVar("T")
 
@@ -26,6 +26,6 @@ def sample_without_replacement(prg: Prg, items: Sequence[T], count: int) -> list
         raise ValueError("cannot sample more items than the pool holds")
     picked: list[T] = []
     for _ in range(count):
-        j = prg_draw(prg, len(pool))
+        j = prg.draw(len(pool))
         picked.append(pool.pop(j - 1))
     return picked

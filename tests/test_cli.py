@@ -29,6 +29,22 @@ def test_run_summary_and_exit_code(capsys):
     assert len(payload["events_digest"]) == 64
 
 
+def test_run_without_blocks_exits_1(capsys, tmp_path):
+    # f_shard=3 asks for 2f+1 = 7 endorsing shards; the smoke population
+    # forms one, so no block is ever certified.
+    config = json.loads(Path(SMOKE).read_text())
+    config["f_shard"] = 3
+    path = tmp_path / "no-blocks.json"
+    path.write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, "run", str(path))
+    summary = json.loads(out)["summary"]
+    assert summary["blocks"] == 0
+    # The summary itself is unchanged: nothing delivered, nothing pending.
+    assert summary["liveness_ok"] and summary["safety_ok"]
+    assert summary["view_violations"] == 0
+    assert code == 1
+
+
 def test_run_formats(capsys):
     code, out, _ = run_cli(capsys, "run", SMOKE, "--format", "csv")
     assert code == 0

@@ -6,7 +6,6 @@ import pytest
 
 from shardsim.credentials import (
     Credential,
-    active_credentials,
     credential_blob,
     derive_credential,
     epoch_anchor,
@@ -129,28 +128,6 @@ def test_verify_credential_rejections():
     # Snapshot disagrees on the creation height: recomputed anchor moves.
     wrong_h0 = {3: {kp.pk: Utxo(pk=kp.pk, stake=1, created_height=1)}}
     assert not verify_credential(cred, 4, chain, wrong_h0)
-
-
-def test_active_credentials_filtering_and_order():
-    chain = fake_chain(10)
-    epoch_length = 3
-    keys = [keygen(b"user-%d" % i) for i in range(4)]
-    utxos = {
-        keys[0].pk: Utxo(keys[0].pk, 1, 0),
-        keys[1].pk: Utxo(keys[1].pk, 1, 0),
-        keys[2].pk: Utxo(keys[2].pk, 1, 4),  # too young at h=5
-        keys[3].pk: Utxo(keys[3].pk, 1, 0),
-    }
-    participation = {
-        keys[0].pk: True,
-        keys[1].pk: False,  # opted out
-        keys[2].pk: True,
-        keys[3].pk: True,
-        keygen(b"ghost").pk: True,  # no UTXO
-    }
-    creds = active_credentials(5, participation, chain, utxos, epoch_length)
-    assert {c.pk for c in creds} == {keys[0].pk, keys[3].pk}
-    assert creds == sorted(creds, key=lambda c: c.value)
 
 
 def test_credential_blob_is_injective_on_fields():

@@ -15,8 +15,6 @@ from shardsim.crypto import (
     hash_digest,
     keygen,
     pk_from_sk,
-    prg_draw,
-    prg_new,
     sign,
     tagged_hash,
     verify_sig,
@@ -123,26 +121,26 @@ def test_prg_seed_normalization():
 
 
 def test_prg_deterministic_stream():
-    a = prg_new(b"stream")
-    b = prg_new(b"stream")
+    a = Prg(b"stream")
+    b = Prg(b"stream")
     assert [a.draw(1000) for _ in range(64)] == [b.draw(1000) for _ in range(64)]
 
 
 def test_prg_draw_bounds():
-    prg = prg_new(b"bounds")
+    prg = Prg(b"bounds")
     with pytest.raises(ValueError):
         prg.draw(0)
     assert prg.draw(1) == 1
     for n in (2, 3, 7, 1000):
         for _ in range(200):
-            v = prg_draw(prg, n)
+            v = prg.draw(n)
             assert 1 <= v <= n
 
 
 def test_prg_draw_one_consumes_nothing():
-    a = prg_new(b"lazy")
+    a = Prg(b"lazy")
     a.draw(1)
-    b = prg_new(b"lazy")
+    b = Prg(b"lazy")
     assert a.draw(10**6) == b.draw(10**6)
 
 
@@ -150,7 +148,7 @@ def test_prg_uniformity_chi_square():
     # 1e5 draws over [1, 8]; chi-square with 7 dof should not reject at 0.001.
     from scipy.stats import chi2
 
-    prg = prg_new(b"uniformity-check")
+    prg = Prg(b"uniformity-check")
     n, cells = 100_000, 8
     counts = [0] * cells
     for _ in range(n):
@@ -161,7 +159,7 @@ def test_prg_uniformity_chi_square():
 
 
 def test_sampler_is_a_permutation_when_exhaustive():
-    prg = prg_new(b"perm")
+    prg = Prg(b"perm")
     items = list(range(20))
     picked = sample_without_replacement(prg, items, 20)
     assert sorted(picked) == items
@@ -170,14 +168,14 @@ def test_sampler_is_a_permutation_when_exhaustive():
 
 def test_sampler_deterministic_and_prefix_consistent():
     # Drawing k items is the prefix of drawing k+1 with the same seed.
-    first = sample_without_replacement(prg_new(b"prefix"), list(range(50)), 5)
-    longer = sample_without_replacement(prg_new(b"prefix"), list(range(50)), 6)
+    first = sample_without_replacement(Prg(b"prefix"), list(range(50)), 5)
+    longer = sample_without_replacement(Prg(b"prefix"), list(range(50)), 6)
     assert longer[:5] == first
 
 
 def test_sampler_overdraw_raises():
     with pytest.raises(ValueError):
-        sample_without_replacement(prg_new(b"x"), [1, 2, 3], 4)
+        sample_without_replacement(Prg(b"x"), [1, 2, 3], 4)
 
 
 def test_sampler_matches_pop_rule():
@@ -185,13 +183,13 @@ def test_sampler_matches_pop_rule():
     # remove the j-th remaining element.
     seed = b"replay"
     items = ["a", "b", "c", "d", "e", "f", "g"]
-    expected_prg = prg_new(seed)
+    expected_prg = Prg(seed)
     pool = list(items)
     expected = []
     for _ in range(4):
         j = expected_prg.draw(len(pool))
         expected.append(pool.pop(j - 1))
-    assert sample_without_replacement(prg_new(seed), items, 4) == expected
+    assert sample_without_replacement(Prg(seed), items, 4) == expected
 
 
 def test_sampler_unbiased_first_pick():
@@ -200,7 +198,7 @@ def test_sampler_unbiased_first_pick():
 
     counts = [0] * 5
     for i in range(20_000):
-        prg = prg_new(b"first-pick-%d" % i)
+        prg = Prg(b"first-pick-%d" % i)
         counts[sample_without_replacement(prg, range(5), 1)[0]] += 1
     expected = 20_000 / 5
     stat = sum((c - expected) ** 2 / expected for c in counts)
@@ -210,7 +208,7 @@ def test_sampler_unbiased_first_pick():
 def test_word_stream_rejection_keeps_uniformity_near_boundary():
     # n just below a power of two exercises the rejection path; mean of
     # many draws should sit near (n+1)/2 within a loose CLT band.
-    prg = prg_new(b"rejection")
+    prg = Prg(b"rejection")
     n = (1 << 63) - 25
     draws = [prg.draw(n) for _ in range(2000)]
     mean = sum(draws) / len(draws)

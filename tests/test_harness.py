@@ -1,12 +1,17 @@
 """Scenario configs, end-to-end runs, run oracles and serialization."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from shardsim import harness
 from shardsim.adversary import make_strategy
+from shardsim.cli import main
+from shardsim.credentials import Credential
+from shardsim.crypto import keygen
 from shardsim.harness import (
     ConfigError,
     EventLog,
@@ -397,3 +402,52 @@ def test_join_lands_once_in_each_receiving_buffer(strategy, corrupted_buffer):
             assert corrupted[member.pk].adds.get(cred, 0) == int(corrupted_buffer)
     delivered = sum(len(buf) for buf in shared.values())
     assert delivered == len(joins) == len({rec["pk"] for rec in joins})
+
+
+def keep_expired_member(update_view, label):
+    """``update_view``, except that the update of shard ``label`` to height
+    2 keeps a member whose credential has expired.  The fault is a pure
+    function of the inputs, so recomputing the update repeats it."""
+    stale_pk = keygen(b"stale-member").pk
+    stale = Credential(value=stale_pk, pk=stale_pk, anchor_height=-3, expiry_height=0)
+
+    def faulty(prev_view, *args, **kwargs):
+        upd = update_view(prev_view, *args, **kwargs)
+        if prev_view.label != label or upd.view.height != 2:
+            return upd
+        return replace(upd, view=replace(upd.view, spare=upd.view.spare + (stale,)))
+
+    return faulty
+
+
+def test_view_agreement_oracle_rejects_a_faulty_view(monkeypatch, tmp_path, capsys):
+    mapping = base_mapping(genesis=[{"count": 256, "stake": 1}])
+    sim = Simulation(ScenarioConfig.from_mapping(mapping))
+    assert len(sim.runtimes) > 1
+    label = sorted(sim.runtimes)[0]
+    monkeypatch.setattr(harness, "update_view", keep_expired_member(harness.update_view, label))
+
+    metrics, events = sim.run()
+    assert metrics.view_violations >= 1
+    assert metrics.summary["view_violations"] == metrics.view_violations
+    divergences = [rec for rec in metrics.incidents if rec["kind"] == "view-divergence"]
+    assert divergences and divergences[0] == {
+        "height": 2, "kind": "view-divergence", "label": label, "reason": "expired-member"
+    }
+    # The shard stays on its height-1 view, which is the registered one.
+    assert sim.runtimes[label].view.height == 1
+    assert sim.directory[label] is sim.runtimes[label].view
+    assert not any(
+        rec["kind"] == "view-installed" and rec["label"] == label and rec["height"] >= 2
+        for rec in events
+    )
+    assert any(rec["kind"] == "view-rejected" and rec["label"] == label for rec in events)
+    # The other shards keep producing, so only the view oracle fails.
+    assert metrics.summary["blocks"] > 1
+    assert metrics.summary["safety_ok"] and metrics.summary["liveness_ok"]
+
+    path = tmp_path / "faulty.json"
+    path.write_text(json.dumps(mapping))
+    assert main(["run", str(path)]) == 1
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["view_violations"] == metrics.view_violations

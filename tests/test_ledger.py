@@ -26,9 +26,12 @@ from shardsim.ledger import (
     block_core_digest,
     block_seed,
     body_digest,
+    count_signers,
     header_hash,
+    install_threshold,
     make_genesis,
     make_transaction,
+    shard_quorum,
     shard_signature_digest,
     total_stake,
     tx_signing_digest,
@@ -373,3 +376,27 @@ def test_certificate_threshold_and_dedup():
         [""],
     )
     assert verdict.reason == "certificate"
+
+
+def test_shard_quorum_measures_against_the_smaller_of_s_min_and_core():
+    third = Fraction(1, 3)
+    assert shard_quorum(third, 9, 9) == install_threshold(third, 9) == 4
+    # A degraded core of two needs int(2/3) + 1 = 1 signature.
+    assert shard_quorum(third, 3, 2) == 1
+    # A core never counts for more than s_min.
+    assert shard_quorum(third, 3, 12) == install_threshold(third, 3) == 2
+
+
+def test_count_signers_counts_distinct_allowed_valid_signers():
+    msg = b"payload"
+    allowed = {KEYS[0].pk, KEYS[1].pk, KEYS[2].pk}
+    sigs = [
+        (KEYS[0].pk, sign(KEYS[0].sk, msg)),
+        (KEYS[0].pk, sign(KEYS[0].sk, msg)),  # repeat
+        (KEYS[1].pk, sign(KEYS[1].sk, b"other")),  # wrong payload
+        (KEYS[3].pk, sign(KEYS[3].sk, msg)),  # outsider
+        (KEYS[2].pk, sign(KEYS[0].sk, msg)),  # someone else's signature
+    ]
+    assert count_signers(sigs, allowed, msg) == 1
+    assert count_signers(sigs + [(KEYS[1].pk, sign(KEYS[1].sk, msg))], allowed, msg) == 2
+    assert count_signers([], allowed, msg) == 0

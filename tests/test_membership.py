@@ -7,18 +7,15 @@ import pytest
 
 from shardsim.credentials import Credential, credential_blob
 from shardsim.crypto import Prg, encode_int, encode_str, keygen, tagged_hash
+from shardsim.ledger import install_threshold
 from shardsim.membership import (
-    ShardRuntime,
     ShardView,
-    bump_height,
     expiring_members,
     form_view,
     install_and_diffuse,
-    install_threshold,
     order_spare,
     refill_needed,
     sign_view,
-    submit_join,
     update_view,
     view_digest,
 )
@@ -80,7 +77,7 @@ def test_view_digest_is_the_canonical_encoding():
 def test_derived_views_get_fresh_digests():
     view = make_view()
     first = view_digest(view)
-    bumped = bump_height(view)
+    bumped = replace(view, height=view.height + 1)
     assert view_digest(bumped) == canonical_digest(bumped) != first
     relabeled = replace(view, label="1")
     assert view_digest(relabeled) == canonical_digest(relabeled) != first
@@ -96,7 +93,7 @@ def test_view_equality_ignores_cached_digest():
     assert hash(hashed) == hash(fresh)
     assert len({hashed, fresh}) == 1
     assert repr(hashed) == repr(fresh)
-    assert hashed != bump_height(fresh)
+    assert hashed != replace(fresh, height=fresh.height + 1)
 
 
 def test_install_threshold_exact_fraction_arithmetic():
@@ -124,21 +121,6 @@ def test_sign_view_roundtrip():
     from shardsim.crypto import verify_sig
 
     assert verify_sig(kp.pk, view_digest(view), sig)
-
-
-def test_submit_join_targets_core_buffers():
-    view = make_view(core_n=3)
-    shard = ShardRuntime(label="", view=view)
-    shard.reset_buffers()
-    newcomer = cred(b"new")
-    submit_join(shard, newcomer)
-    assert all(newcomer in buf for buf in shard.buffers.values())
-
-    shard.reset_buffers()
-    only = view.core[0].pk
-    submit_join(shard, newcomer, receivers=[only, b"not-a-core-pk"])
-    assert newcomer in shard.buffers[only]
-    assert all(not buf for pk, buf in shard.buffers.items() if pk != only)
 
 
 def test_expiring_and_refill_predicates():
@@ -306,9 +288,3 @@ class TestInstallAndDiffuse:
         )
         assert ok
 
-
-def test_bump_height_only_touches_height():
-    view = make_view(height=4)
-    bumped = bump_height(view)
-    assert bumped.height == 5
-    assert (bumped.label, bumped.core, bumped.spare) == (view.label, view.core, view.spare)

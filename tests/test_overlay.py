@@ -1,13 +1,11 @@
 """Prefix cover, routing, split/merge plans and view-transition checks."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shardsim.credentials import Credential
-from shardsim.crypto import keygen, sign
-from shardsim.membership import ShardView, view_digest
+from shardsim.crypto import keygen
+from shardsim.membership import ShardView
 from shardsim.overlay import (
     ROOT_LABEL,
     MergePlan,
@@ -19,7 +17,6 @@ from shardsim.overlay import (
     maybe_merge,
     maybe_split,
     route,
-    shard_count_bounds,
     verify_view_transition,
 )
 
@@ -160,14 +157,7 @@ def test_maybe_merge_skips_root_and_healthy_shards():
     assert maybe_merge(ROOT_LABEL, tiny_root, {ROOT_LABEL: tiny_root}, bounds) is None
 
 
-def test_shard_count_bounds():
-    assert shard_count_bounds(256, SizeBounds(16, 64)) == (4, 18)
-    assert shard_count_bounds(1, SizeBounds(1, 2)) == (1, 2)
-    assert shard_count_bounds(100, SizeBounds(5, 10)) == (10, 26)
-
-
 class TestViewTransition:
-    mu_core = Fraction(1, 3)
     s_min = 3
 
     def setup_method(self):
@@ -183,21 +173,8 @@ class TestViewTransition:
             label=ROOT_LABEL, height=2, core=tuple(self.creds[:3]), spare=(self.creds[3],)
         )
 
-    def _sigs(self, view, signers):
-        digest = view_digest(view)
-        return [(kp.pk, sign(kp.sk, digest)) for kp in signers]
-
-    def _check(self, new_view, expiries=frozenset(), signers=None):
-        signers = self.keys[:2] if signers is None else signers
-        return verify_view_transition(
-            self.old,
-            new_view,
-            2,
-            set(expiries),
-            self.mu_core,
-            self.s_min,
-            self._sigs(new_view, signers),
-        )
+    def _check(self, new_view, expiries=frozenset()):
+        return verify_view_transition(self.old, new_view, 2, set(expiries), self.s_min)
 
     def test_valid_transition(self):
         verdict = self._check(self.new)
@@ -241,27 +218,8 @@ class TestViewTransition:
         stray = Credential(value=stray_val, pk=self.keys[4].pk,
                            anchor_height=0, expiry_height=10)
         new = ShardView("1", 2, tuple(self.creds[:2]) + (stray,), ())
-        digest = view_digest(new)
-        sigs = [(kp.pk, sign(kp.sk, digest)) for kp in self.keys[:2]]
-        verdict = verify_view_transition(old, new, 2, set(), self.mu_core, self.s_min, sigs)
+        verdict = verify_view_transition(old, new, 2, set(), self.s_min)
         assert verdict.reason == "routing"
-
-    def test_quorum(self):
-        # Threshold over a 3-member core at mu_core=1/3 is two signatures.
-        assert self._check(self.new, signers=[self.keys[0]]).reason == "quorum"
-        assert self._check(self.new, signers=[self.keys[0], self.keys[0]]).reason == "quorum"
-        # A spare member's signature does not count toward the old-core quorum.
-        assert self._check(self.new, signers=[self.keys[0], self.keys[3]]).reason == "quorum"
-        ok = self._check(self.new, signers=[self.keys[0], self.keys[2]])
-        assert ok, ok.reason
-
-    def test_quorum_checks_signature_payload(self):
-        wrong_digest = view_digest(self.old)
-        sigs = [(kp.pk, sign(kp.sk, wrong_digest)) for kp in self.keys[:2]]
-        verdict = verify_view_transition(
-            self.old, self.new, 2, set(), self.mu_core, self.s_min, sigs
-        )
-        assert verdict.reason == "quorum"
 
 
 # -- properties --------------------------------------------------------------

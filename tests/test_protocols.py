@@ -49,6 +49,16 @@ def test_participant_set_validation_and_within():
     assert ps.n == 9
 
 
+def test_bft_contract_holds_up_to_a_third():
+    # n >= 3f + 1: four members tolerate one corrupted, three tolerate none.
+    assert parts(4, byz=["m0"]).bft_contract_holds
+    assert not parts(4, byz=["m0", "m1"]).bft_contract_holds
+    assert parts(3).bft_contract_holds
+    assert not parts(3, byz=["m0"]).bft_contract_holds
+    assert parts(7, byz=["m0", "m1"]).bft_contract_holds
+    assert not parts(7, byz=["m0", "m1", "m2"]).bft_contract_holds
+
+
 class TestVectorConsensus:
     def test_echoes_honest_inputs(self):
         ps = parts(4)
