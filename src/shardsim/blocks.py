@@ -21,13 +21,13 @@ from .ledger import (
     BlockHeader,
     ShardSignature,
     Transaction,
-    apply_transaction,
     block_core_digest,
     block_seed,
     body_digest,
     header_hash,
     shard_quorum,
     shard_signature_digest,
+    spend,
     validate_transaction,
 )
 from .membership import ShardView
@@ -92,8 +92,9 @@ def build_proposal(
     honestly propose.  The body is the union of the decided transaction
     lists: duplicates collapse by id and the union is validated
     sequentially in id order, so of two conflicting spends exactly the one
-    with the lexicographically smallest id survives.  Returns None when the
-    decided vector carries no VRF value at all (no seed can be formed).
+    with the lexicographically smallest id survives; ``state`` is replayed
+    on one private copy and never mutated.  Returns None when the decided
+    vector carries no VRF value at all (no seed can be formed).
     """
     parts = ParticipantSet(
         members=tuple(c.pk for c in view.core),
@@ -118,7 +119,7 @@ def build_proposal(
     for tx_id in sorted(union):
         tx = union[tx_id]
         if validate_transaction(running, tx, stake_cap):
-            running = apply_transaction(running, tx, prev_header.height + 1)
+            spend(running, tx, prev_header.height + 1)
             body.append(tx)
 
     body_tuple = tuple(body)

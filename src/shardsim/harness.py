@@ -50,6 +50,7 @@ from .ledger import (
     header_hash,
     make_genesis,
     make_transaction,
+    shard_quorum,
     validate_block,
 )
 from .membership import (
@@ -746,17 +747,24 @@ class Simulation:
 
         digest = view_digest(upd.view)
 
-        signers = []
+        # Willing members sign in core order until the quorum is reached, as
+        # blocks.shard_sign_block does: each signs the same digest with its
+        # own key, so further signatures cannot change the install verdict.
+        old_pks = set(core_pks)
+        quorum = shard_quorum(cfg.mu_core, cfg.s_min, len(old_pks))
+        signers = {}
         byz_signs = self.strategy.signs()
         for cred in old_view.core:
-            if cred.pk in self.adv.corrupted and not byz_signs:
+            if len(signers) == quorum:
+                break
+            if cred.pk in signers or (cred.pk in self.adv.corrupted and not byz_signs):
                 continue
             kp = self.keyring.get(cred.pk)
             if kp is not None:
-                signers.append((cred.pk, sign(kp.sk, digest)))
+                signers[cred.pk] = sign(kp.sk, digest)
 
         if not install_and_diffuse(
-            upd.view, signers, set(core_pks), self.directory, cfg.mu_core, cfg.s_min
+            upd.view, signers.items(), old_pks, self.directory, cfg.mu_core, cfg.s_min
         ):
             self._reject_view(rt, height, "view-install-failed")
             return

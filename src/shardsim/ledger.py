@@ -1,9 +1,16 @@
 """UTXO ledger: transactions, blocks, validation and state transitions.
 
-State updates are pure: ``apply_block`` returns a fresh UtxoSet.  All
-encodings are canonical (length-prefixed fields, big-endian integers) so
-identical objects always hash to identical digests.  Transaction fees are
-burned, never redistributed, so total stake can only shrink.
+State updates are pure.  ``apply_transaction`` copies its input once;
+``apply_block`` copies it once per block, whatever the number of
+transactions, and returns that copy compacted; ``validate_block`` and
+``blocks.build_proposal`` replay a body on one private copy.  All of them
+apply transactions with the in-place ``spend`` step, the only function
+that mutates a state, and only a copy its caller owns: per-height
+snapshots share dicts, so no function may mutate a state it was given.
+
+All encodings are canonical (length-prefixed fields, big-endian integers)
+so identical objects always hash to identical digests.  Transaction fees
+are burned, never redistributed, so total stake can only shrink.
 """
 
 from __future__ import annotations
@@ -218,21 +225,37 @@ def validate_transaction(
     return VALID
 
 
-def apply_transaction(state: UtxoSet, tx: Transaction, height: int) -> UtxoSet:
-    """Pure state update; caller must have validated the transaction."""
-    new_state = dict(state)
+def spend(running: UtxoSet, tx: Transaction, height: int) -> None:
+    """Apply a validated transaction in place to a state the caller owns:
+    delete its inputs, add its outputs."""
     for pk in tx.inputs:
-        del new_state[pk]
+        del running[pk]
     for out in tx.outputs:
-        new_state[out.pk] = Utxo(pk=out.pk, stake=out.stake, created_height=height)
+        running[out.pk] = Utxo(pk=out.pk, stake=out.stake, created_height=height)
+
+
+def apply_transaction(state: UtxoSet, tx: Transaction, height: int) -> UtxoSet:
+    """Pure state update (one copy of ``state``); caller must have
+    validated the transaction."""
+    new_state = dict(state)
+    spend(new_state, tx, height)
     return new_state
 
 
 def apply_block(state: UtxoSet, block: Block) -> UtxoSet:
-    new_state = state
+    """Pure state update: ``state`` itself for an empty body, otherwise
+    one copy of ``state`` with the whole body spent on it.  Caller must
+    have validated the block."""
+    if not block.body:
+        return state
+    running = dict(state)
     for tx in block.body:
-        new_state = apply_transaction(new_state, tx, block.header.height)
-    return new_state
+        spend(running, tx, block.header.height)
+    # The result is kept as a snapshot and copied by every later replay.
+    # Rebuilt without the slots its deletions left, it is copied by cloning
+    # its table instead of reinserting entry by entry, and holds no dead
+    # slots for the rest of the run.
+    return dict(running)
 
 
 @dataclass(frozen=True)
@@ -303,7 +326,8 @@ def validate_block(
     is the elected shard list for this height (recomputable by anyone from
     the previous seed).  ``require_certificate=False`` is the pre-agreement
     mode: committee members vote on candidates before endorsement
-    signatures exist, so only the certificate count is waived.
+    signatures exist, so only the certificate count is waived.  The body is
+    replayed on one private copy of ``state``, which is never mutated.
     """
     hdr = block.header
     if hdr.height != prev.height + 1:
@@ -355,7 +379,7 @@ def validate_block(
         check = validate_transaction(running, tx, rules.stake_cap)
         if not check:
             return Validity(False, check.reason)
-        running = apply_transaction(running, tx, hdr.height)
+        spend(running, tx, hdr.height)
     return VALID
 
 

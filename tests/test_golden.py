@@ -38,6 +38,29 @@ def _corpus_mapping(idx: int, strategy: str, epoch_length: int) -> dict:
     }
 
 
+def _txheavy_mapping() -> dict:
+    # 50 transactions per height: blocks 2-7 each carry 50, so every block
+    # replays a long body (the other pins issue 2 per height).
+    return {
+        "schema_version": 1,
+        "name": "txheavy-n512",
+        "master_seed": "txheavy-n512",
+        "epoch_length": 3,
+        "heights": 8,
+        "s_min": 64,
+        "s_max": 128,
+        "mu_core": "1/3",
+        "mu_corrupted": "1/3",
+        "mu": "1/10",
+        "stake_cap": 1,
+        "kappa": 20.0,
+        "f_shard": 0,
+        "genesis": [{"count": 512, "stake": 1}],
+        "tx_rate": 50,
+        "unsafe_params": True,
+    }
+
+
 # name -> (config, events digest, metrics digest, blocks, safety_ok)
 GOLDEN = {
     "smoke": (
@@ -80,6 +103,13 @@ GOLDEN = {
         "b4d2c7543aaf1a33b6ccaf2d85b5e1b43ae8b1f4046ca10c690ec23db95b2b7f",
         "8b2dfdd3452e5d9a4c75b000a64a9d00420cff726844633e956f5e8c24bac0db",
         30,
+        True,
+    ),
+    "txheavy-n512": (
+        lambda: ScenarioConfig.from_mapping(_txheavy_mapping()),
+        "e3ef4c1ed33ce365c650cfa203170c2b11a548843836ae2a2a91ffd320d32241",
+        "4278152e1fa90abb1631ac6620bcff5ec7ab1eeee3d1dca635159866b4da9414",
+        8,
         True,
     ),
 }

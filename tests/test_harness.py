@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from shardsim import harness
-from shardsim.adversary import make_strategy
+from shardsim.adversary import PassiveStrategy, make_strategy
 from shardsim.cli import main
 from shardsim.credentials import Credential
-from shardsim.crypto import keygen
+from shardsim.crypto import keygen, tagged_hash
 from shardsim.harness import (
     ConfigError,
     EventLog,
@@ -25,7 +25,14 @@ from shardsim.harness import (
     parse_ratio,
     run_scenario,
 )
-from shardsim.ledger import make_genesis
+from shardsim.ledger import (
+    TxOutput,
+    block_core_digest,
+    body_digest,
+    make_genesis,
+    make_transaction,
+)
+from shardsim.protocols import BaDecision
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -451,3 +458,70 @@ def test_view_agreement_oracle_rejects_a_faulty_view(monkeypatch, tmp_path, caps
     assert main(["run", str(path)]) == 1
     summary = json.loads(capsys.readouterr().out)["summary"]
     assert summary["view_violations"] == metrics.view_violations
+
+
+class DictateForgedBlock(PassiveStrategy):
+    """A committee beyond its corruption bound dictates a forged copy of
+    the first proposal: a wrong ``body_hash``, or an extra transaction that
+    spends the first transaction's input again."""
+
+    def __init__(self, sim, forgery):
+        super().__init__()
+        self.sim = sim
+        self.forgery = forgery
+        self.dictated = []
+
+    def ba_decision(self, corrupted_labels, proposals):
+        for label in sorted(proposals):
+            block = proposals[label]
+            if self.forgery == "body-hash":
+                header = replace(
+                    block.header, body_hash=tagged_hash(b"forged", block.header.body_hash)
+                )
+                forged = replace(block, header=header)
+            elif block.body:
+                spent = block.body[0].inputs[0]
+                again = make_transaction(
+                    [self.sim.keyring[spent]], [TxOutput(keygen(b"double-spend").pk, 1)]
+                )
+                body = block.body + (again,)
+                forged = replace(
+                    block, header=replace(block.header, body_hash=body_digest(body)), body=body
+                )
+            else:
+                continue
+            self.dictated.append(forged)
+            return BaDecision(dictated=forged)
+        return BaDecision()
+
+
+@pytest.mark.parametrize("forgery", ["body-hash", "double-spend"])
+def test_dictated_invalid_block_is_not_certified(forgery):
+    # f_shard 1: a committee of 4 needs 3 endorsing shards.  Two corrupted
+    # shards in it void the committee's contract, so the block is dictated,
+    # yet one honest shard must still endorse it.
+    mapping = base_mapping(
+        genesis=[{"count": 256, "stake": 1}],
+        heights=6,
+        f_shard=1,
+        mu="1/3",
+        adversary={"strategy": "passive", "force_corrupt_shards": 2},
+    )
+    sim = Simulation(ScenarioConfig.from_mapping(mapping))
+    assert sim.s_c == 4
+    strategy = DictateForgedBlock(sim, forgery)
+    sim.strategy = sim.adv.strategy = strategy
+
+    metrics, _ = sim.run()
+    void = {rec["height"] for rec in metrics.incidents if rec["kind"] == "corrupted-committee"}
+    shortfall = {
+        rec["height"] for rec in metrics.incidents if rec["kind"] == "certificate-shortfall"
+    }
+    forged = [b for b in strategy.dictated if b.header.height in void]
+    assert forged
+    assert {b.header.height for b in forged} <= shortfall
+    held = {
+        block_core_digest(b.header) for chain in sim.observer_chains for b in chain
+    }
+    assert not any(block_core_digest(b.header) in held for b in forged)
+    assert metrics.summary["safety_ok"]

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from shardsim.blocks import build_proposal
 from shardsim.credentials import Credential
 from shardsim.crypto import (
     ZERO_DIGEST,
@@ -400,3 +402,159 @@ def test_count_signers_counts_distinct_allowed_valid_signers():
     assert count_signers(sigs, allowed, msg) == 1
     assert count_signers(sigs + [(KEYS[1].pk, sign(KEYS[1].sk, msg))], allowed, msg) == 2
     assert count_signers([], allowed, msg) == 0
+
+
+# -- replaying a body on a running state --------------------------------------
+
+REPLAY_CAP = 3
+REPLAY_POOL = [keygen(b"replay-user-%d" % i) for i in range(10)]
+REPLAY_KEYS = {kp.pk: kp for kp in REPLAY_POOL}
+REPLAY_CORE = [keygen(b"replay-core-%d" % i) for i in range(2)]
+REPLAY_PREV = BlockHeader(
+    prev_hash=ZERO_DIGEST,
+    height=0,
+    seed=tagged_hash(b"test-seed", b"replay"),
+    body_hash=ZERO_DIGEST,
+    vrf_proofs=(),
+    proposer_label="",
+    certificate=(),
+)
+REPLAY_VIEW = ShardView(
+    label="", height=1, core=tuple(_cred(kp) for kp in REPLAY_CORE), spare=()
+)
+REPLAY_DIRECTORY = {"": REPLAY_VIEW}
+REPLAY_RULES = BlockRules(
+    stake_cap=REPLAY_CAP, f_shard=0, mu_core=Fraction(1, 3), s_min=2
+)
+REPLAY_PROOFS = tuple(
+    (kp.pk, vrf_eval(kp.sk, REPLAY_PREV.seed)) for kp in REPLAY_CORE
+)
+
+
+def _replay_block(body):
+    """Uncertified height-1 block over ``body``, proposed by the root shard."""
+    header = BlockHeader(
+        prev_hash=header_hash(REPLAY_PREV),
+        height=1,
+        seed=block_seed([out.value for _, out in REPLAY_PROOFS]),
+        body_hash=body_digest(body),
+        vrf_proofs=REPLAY_PROOFS,
+        proposer_label="",
+        certificate=(),
+    )
+    return Block(header=header, body=tuple(body))
+
+
+def _replay_verdict(state, block):
+    return validate_block(
+        state, REPLAY_DIRECTORY, block, REPLAY_PREV, REPLAY_RULES, [""],
+        require_certificate=False,
+    )
+
+
+def _replay_proposal(state, txs):
+    member_inputs = {
+        pk: (tuple(txs), out) for pk, out in REPLAY_PROOFS
+    }
+    return build_proposal(
+        "", REPLAY_VIEW, REPLAY_PREV, state, member_inputs, REPLAY_CAP
+    )
+
+
+@st.composite
+def replay_cases(draw):
+    """A state and a body that is valid in order, with the stake it burns.
+
+    Inputs are drawn from the running state, so later transactions may
+    spend earlier outputs; outputs go back to an input's own key (a
+    self-transfer) or to a key holding no coin, and may total less than
+    the inputs (a fee burn)."""
+    stakes = draw(st.lists(st.integers(1, REPLAY_CAP), min_size=1, max_size=6))
+    state = {
+        kp.pk: Utxo(pk=kp.pk, stake=stake, created_height=0)
+        for kp, stake in zip(REPLAY_POOL, stakes)
+    }
+    running = dict(state)
+    body, seen, burned = [], set(), 0
+    for _ in range(draw(st.integers(0, 8))):
+        inputs = draw(
+            st.lists(st.sampled_from(sorted(running)), min_size=1, max_size=2, unique=True)
+        )
+        in_stake = sum(running[pk].stake for pk in inputs)
+        free = [kp.pk for kp in REPLAY_POOL if kp.pk not in running or kp.pk in inputs]
+        n_out = draw(st.integers(1, min(2, in_stake, len(free))))
+        out_pks = draw(
+            st.lists(st.sampled_from(free), min_size=n_out, max_size=n_out, unique=True)
+        )
+        outputs, left = [], in_stake
+        for i, pk in enumerate(out_pks):
+            stake = draw(st.integers(1, min(REPLAY_CAP, left - (n_out - 1 - i))))
+            outputs.append(TxOutput(pk=pk, stake=stake))
+            left -= stake
+        tx = make_transaction([REPLAY_KEYS[pk] for pk in inputs], outputs)
+        if tx.tx_id in seen:
+            continue  # a repeated transaction is a duplicate, not a spend
+        assert validate_transaction(running, tx, REPLAY_CAP)
+        running = apply_transaction(running, tx, 1)
+        seen.add(tx.tx_id)
+        body.append(tx)
+        burned += left
+    return state, tuple(body), burned
+
+
+@settings(deadline=None)
+@given(replay_cases())
+def test_block_replay_matches_the_per_transaction_fold(case):
+    state, body, burned = case
+    before = dict(state)
+    block = _replay_block(body)
+
+    applied = apply_block(state, block)
+    assert state == before
+    folded = state
+    for tx in body:
+        folded = apply_transaction(folded, tx, 1)
+    assert applied == folded
+    # Stake conservation: fees are burned, nothing else is created or lost.
+    assert total_stake(applied) == total_stake(state) - burned
+
+    verdict = _replay_verdict(state, block)
+    assert verdict, verdict.reason
+    assert state == before
+
+    proposal = _replay_proposal(state, body)
+    assert state == before
+    verdict = _replay_verdict(state, proposal.block)
+    assert verdict, verdict.reason
+
+
+def test_block_spending_an_earlier_output_of_the_same_block_validates():
+    payer, middle, payee = REPLAY_POOL[:3]
+    state = {payer.pk: Utxo(pk=payer.pk, stake=1, created_height=0)}
+    first = make_transaction([payer], [TxOutput(middle.pk, 1)])
+    second = make_transaction([middle], [TxOutput(payee.pk, 1)])
+
+    verdict = _replay_verdict(state, _replay_block((first, second)))
+    assert verdict, verdict.reason
+    assert apply_block(state, _replay_block((first, second))) == {
+        payee.pk: Utxo(pk=payee.pk, stake=1, created_height=1)
+    }
+    # In the other order the second coin does not exist yet.
+    assert _replay_verdict(state, _replay_block((second, first))).reason == "missing-input"
+    assert state == {payer.pk: Utxo(pk=payer.pk, stake=1, created_height=0)}
+
+
+def test_two_spends_of_one_input_are_rejected_and_filtered():
+    payer, left, right = REPLAY_POOL[:3]
+    state = {payer.pk: Utxo(pk=payer.pk, stake=1, created_height=0)}
+    spends = [
+        make_transaction([payer], [TxOutput(left.pk, 1)]),
+        make_transaction([payer], [TxOutput(right.pk, 1)]),
+    ]
+    spends.sort(key=lambda tx: tx.tx_id)
+
+    verdict = _replay_verdict(state, _replay_block(spends))
+    assert not verdict and verdict.reason == "missing-input"
+    proposal = _replay_proposal(state, spends)
+    assert proposal.block.body == (spends[0],)
+    assert _replay_verdict(state, proposal.block)
