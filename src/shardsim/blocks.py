@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .crypto import Prg, Signature, VrfOutput, sign
+from .crypto import Prg, VrfOutput
 from .ledger import (
     Block,
     BlockHeader,
@@ -27,6 +27,7 @@ from .ledger import (
     header_hash,
     shard_quorum,
     shard_signature_digest,
+    sign_until_quorum,
     spend,
     validate_transaction,
 )
@@ -68,26 +69,19 @@ def elect_committee(eligible: Iterable[str], prev_seed: bytes, s_c: int) -> Comm
     return Committee(labels=tuple(picked), size=s_c, shortfall=False)
 
 
-@dataclass(frozen=True)
-class Proposal:
-    block: Block
-    shard: str
-    decided_vector: tuple
-
-
 def build_proposal(
     label: str,
-    view: ShardView,
+    core: ParticipantSet,
     prev_header: BlockHeader,
     state: Mapping,
     member_inputs: Mapping[bytes, tuple[tuple[Transaction, ...], VrfOutput]],
     stake_cap: int,
-    byzantine: frozenset = frozenset(),
     decision: VectorDecision | None = None,
     meter: MessageMeter | None = None,
-) -> Proposal | None:
+) -> Block | None:
     """Run a shard's internal proposal agreement and assemble the block.
 
+    ``core`` is the shard's core in core order with its corrupted members;
     ``member_inputs`` holds, per core member, what that member would
     honestly propose.  The body is the union of the decided transaction
     lists: duplicates collapse by id and the union is validated
@@ -96,19 +90,21 @@ def build_proposal(
     on one private copy and never mutated.  Returns None when the decided
     vector carries no VRF value at all (no seed can be formed).
     """
-    parts = ParticipantSet(
-        members=tuple(c.pk for c in view.core),
-        byzantine=frozenset(pk for pk in byzantine if pk in {c.pk for c in view.core}),
-    )
-    vector = vector_consensus(parts, dict(member_inputs), decision, meter)
+    vector = vector_consensus(core, dict(member_inputs), decision, meter)
 
     vrf_proofs = []
     union: dict[bytes, Transaction] = {}
-    for pk, slot in zip(parts.members, vector):
+    # Honest members propose the same transaction tuple, so each distinct
+    # list is walked once; the slots keep every list alive, so ids are unique.
+    walked = set()
+    for pk, slot in zip(core.members, vector):
         if slot is None:
             continue
         txs, vrf_out = slot
         vrf_proofs.append((pk, vrf_out))
+        if id(txs) in walked:
+            continue
+        walked.add(id(txs))
         for tx in txs:
             union.setdefault(tx.tx_id, tx)
     if not vrf_proofs:
@@ -132,11 +128,7 @@ def build_proposal(
         proposer_label=label,
         certificate=(),
     )
-    return Proposal(
-        block=Block(header=header, body=body_tuple),
-        shard=label,
-        decided_vector=tuple(vector),
-    )
+    return Block(header=header, body=body_tuple)
 
 
 def shard_sign_block(
@@ -146,26 +138,19 @@ def shard_sign_block(
     keyring: Mapping[bytes, bytes],
     mu_core: Fraction,
     s_min: int,
-    signer_pks: Sequence[bytes] | None = None,
 ) -> ShardSignature | None:
-    """Endorse a decided block with enough core-member signatures.
+    """Endorse a decided block with a quorum of core-member signatures.
 
-    ``keyring`` maps pk to sk for the members willing to sign; signers
-    default to core order.  Returns None if the willing signers cannot
-    reach the quorum.
+    ``keyring`` maps pk to sk for the members willing to sign; they sign in
+    core order.  Returns None if the willing signers cannot reach the
+    quorum.
     """
     quorum = shard_quorum(mu_core, s_min, len(view.core))
     msg = shard_signature_digest(label, block_core_digest(block.header))
-    pks = signer_pks if signer_pks is not None else [c.pk for c in view.core]
-    sigs: list[tuple[bytes, Signature]] = []
-    for pk in pks:
-        sk = keyring.get(pk)
-        if sk is None:
-            continue
-        sigs.append((pk, sign(sk, msg)))
-        if len(sigs) == quorum:
-            return ShardSignature(label=label, view_height=view.height, member_sigs=tuple(sigs))
-    return None
+    sigs = sign_until_quorum([c.pk for c in view.core], keyring, msg, quorum)
+    if len(sigs) < quorum:
+        return None
+    return ShardSignature(label=label, view_height=view.height, member_sigs=tuple(sigs))
 
 
 def attach_certificate(block: Block, shard_sigs: Sequence[ShardSignature]) -> Block:

@@ -62,16 +62,11 @@ def _cmd_run(args) -> int:
             fh.write(metrics.to_json() + "\n")
         with open(os.path.join(args.out_dir, "events.jsonl"), "w", encoding="utf-8") as fh:
             fh.write(events.to_jsonl())
-        _print(
-            {
-                "summary": metrics.summary,
-                "metrics_digest": metrics.digest(),
-                "events_digest": events.digest(),
-            }
-        )
-    elif args.format == "csv":
+    # With --out-dir the full outputs are on disk and stdout gets the summary.
+    fmt = "summary" if args.out_dir else args.format
+    if fmt == "csv":
         sys.stdout.write(metrics.to_csv())
-    elif args.format == "jsonl":
+    elif fmt == "jsonl":
         sys.stdout.write(events.to_jsonl())
     else:
         _print(
@@ -147,6 +142,15 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _check_estimate(estimate: float, bound: float, trials: int) -> int:
+    """Print a Monte Carlo estimate against its bound; it passes while it
+    stays within three binomial standard deviations above the bound."""
+    sigma = math.sqrt(max(bound * (1 - bound), 1e-12) / trials)
+    within = estimate <= bound + 3 * sigma
+    _print({"estimate": estimate, "bound": bound, "three_sigma": 3 * sigma, "within": within})
+    return 0 if within else 1
+
+
 def _cmd_montecarlo(args) -> int:
     if args.kind == "core":
         estimate = monte_carlo_core(
@@ -154,16 +158,7 @@ def _cmd_montecarlo(args) -> int:
         )
         mu_shard = Fraction(args.m, args.s)
         bound = core_corruption_bound(_ratio(args.mu_core), mu_shard, args.s_min)
-        sigma = math.sqrt(max(bound * (1 - bound), 1e-12) / args.trials)
-        _print(
-            {
-                "estimate": estimate,
-                "bound": bound,
-                "three_sigma": 3 * sigma,
-                "within": estimate <= bound + 3 * sigma,
-            }
-        )
-        return 0 if estimate <= bound + 3 * sigma else 1
+        return _check_estimate(estimate, bound, args.trials)
     if args.kind == "assignment":
         estimate = monte_carlo_assignment(
             args.n,
@@ -178,16 +173,7 @@ def _cmd_montecarlo(args) -> int:
         bound = shard_tail_bound(
             _ratio(args.mu_shard), _ratio(args.mu_cred), args.shard_size, args.k
         )
-        sigma = math.sqrt(max(bound * (1 - bound), 1e-12) / args.trials)
-        _print(
-            {
-                "estimate": estimate,
-                "bound": bound,
-                "three_sigma": 3 * sigma,
-                "within": estimate <= bound + 3 * sigma,
-            }
-        )
-        return 0 if estimate <= bound + 3 * sigma else 1
+        return _check_estimate(estimate, bound, args.trials)
     comparison = compare_grind_passive(
         args.adversaries, args.shard_bits, args.epochs, args.seed
     )

@@ -37,11 +37,12 @@ from .blocks import (
     shard_sign_block,
 )
 from .credentials import Credential, derive_credential, epoch_anchor, verify_credential
-from .crypto import Prg, encode_int, hash_digest, keygen, sign, tagged_hash, vrf_eval
+from .crypto import Prg, encode_int, hash_digest, keygen, tagged_hash, vrf_eval
 from .ledger import (
     Block,
     BlockHeader,
     BlockRules,
+    ShardSignature,
     Transaction,
     TxOutput,
     apply_block,
@@ -51,7 +52,9 @@ from .ledger import (
     make_genesis,
     make_transaction,
     shard_quorum,
+    sign_until_quorum,
     validate_block,
+    validate_certificate,
 )
 from .membership import (
     ShardRuntime,
@@ -530,8 +533,7 @@ class Simulation:
         self._bootstrap_splits()
         for label, view in sorted(self.directory.items()):
             rt = ShardRuntime(label=label, view=view)
-            rt.reset_buffers()
-            self._share_honest_buffers(rt)
+            rt.reset_buffers(self.adv.corrupted)
             self.runtimes[label] = rt
             self.events.emit(
                 "view-installed",
@@ -617,14 +619,6 @@ class Simulation:
     def _controlled(self, pk: bytes) -> bool:
         return pk in self.adv.corrupted or pk in self.adv.pending
 
-    def _share_honest_buffers(self, rt: ShardRuntime):
-        """Honest core members all receive the same join stream; aliasing
-        their buffers to one set keeps mass renewals linear."""
-        shared: set = set()
-        for cred in rt.view.core:
-            if cred.pk not in self.adv.corrupted:
-                rt.buffers[cred.pk] = shared
-
     # -- helpers -----------------------------------------------------------
 
     def _credential(self, pk: bytes, h: int) -> Credential | None:
@@ -657,14 +651,15 @@ class Simulation:
         byz = len(self._core_byzantine(view))
         return Fraction(byz, len(view.core)) > self.cfg.mu_core
 
-    def _honest_view_keyring(self, view: ShardView, include_byzantine: bool) -> dict:
+    def _signing_keys(self, pks: Iterable[bytes], honest_sign: bool, byz_sign: bool) -> dict:
+        """Secret keys of the members of ``pks`` willing to sign: honest ones
+        iff ``honest_sign``, corrupted ones iff ``byz_sign``."""
         keys = {}
-        for cred in view.core:
-            if cred.pk in self.adv.corrupted and not include_byzantine:
-                continue
-            kp = self.keyring.get(cred.pk)
-            if kp is not None:
-                keys[cred.pk] = kp.sk
+        for pk in pks:
+            if byz_sign if pk in self.adv.corrupted else honest_sign:
+                kp = self.keyring.get(pk)
+                if kp is not None:
+                    keys[pk] = kp.sk
         return keys
 
     # -- per-height phases ---------------------------------------------------
@@ -746,25 +741,17 @@ class Simulation:
             return
 
         digest = view_digest(upd.view)
-
-        # Willing members sign in core order until the quorum is reached, as
-        # blocks.shard_sign_block does: each signs the same digest with its
-        # own key, so further signatures cannot change the install verdict.
+        # Whatever was collected goes to the install, which alone counts the
+        # quorum; corrupted members sign as the strategy says.
         old_pks = set(core_pks)
-        quorum = shard_quorum(cfg.mu_core, cfg.s_min, len(old_pks))
-        signers = {}
-        byz_signs = self.strategy.signs()
-        for cred in old_view.core:
-            if len(signers) == quorum:
-                break
-            if cred.pk in signers or (cred.pk in self.adv.corrupted and not byz_signs):
-                continue
-            kp = self.keyring.get(cred.pk)
-            if kp is not None:
-                signers[cred.pk] = sign(kp.sk, digest)
-
+        signatures = sign_until_quorum(
+            core_pks,
+            self._signing_keys(core_pks, True, self.strategy.signs()),
+            digest,
+            shard_quorum(cfg.mu_core, cfg.s_min, len(old_pks)),
+        )
         if not install_and_diffuse(
-            upd.view, signers.items(), old_pks, self.directory, cfg.mu_core, cfg.s_min
+            upd.view, signatures, old_pks, self.directory, cfg.mu_core, cfg.s_min
         ):
             self._reject_view(rt, height, "view-install-failed")
             return
@@ -772,8 +759,7 @@ class Simulation:
         rt.view = upd.view
         rt.degraded = upd.degraded
         rt.stalled = False
-        rt.reset_buffers()
-        self._share_honest_buffers(rt)
+        rt.reset_buffers(self.adv.corrupted)
         self.meter.charge(self.n_users)  # network-wide view notification
         corrupted = self._shard_corrupted(upd.view)
         self.events.emit(
@@ -888,8 +874,7 @@ class Simulation:
         self.directory[view.label] = view
         rt = ShardRuntime(label=view.label, view=view)
         rt.degraded = len(view.core) < self.cfg.s_min
-        rt.reset_buffers()
-        self._share_honest_buffers(rt)
+        rt.reset_buffers(self.adv.corrupted)
         self.runtimes[view.label] = rt
         self.meter.charge(self.n_users)
         self.events.emit(
@@ -980,17 +965,16 @@ class Simulation:
             )
             proposal = build_proposal(
                 label,
-                view,
+                core,
                 prev,
                 self.state,
                 honest_inputs,
                 cfg.stake_cap,
-                byzantine=core.byzantine,
                 decision=decision,
                 meter=self.meter,
             )
             if proposal is not None:
-                proposals[label] = proposal.block
+                proposals[label] = proposal
 
         byz_labels = frozenset(corrupted_labels)
         parts = ParticipantSet(members=tuple(committee.labels), byzantine=byz_labels)
@@ -1029,62 +1013,56 @@ class Simulation:
         if decided is None and not outcome.contract_held:
             return self._try_equivocation(height, prev, committee, proposals, byz_labels, outcome.rounds)
         if decided is None:
-            self.metrics.incident(height, "no-decision")
-            self.events.emit("no-block", height, rounds=outcome.rounds)
-            return None, outcome.rounds
+            return self._no_block(height, "no-decision", outcome.rounds)
 
         # Within its contract the BA only decides a block that passed
         # block_valid; only a dictated block needs validating again.
         valid = outcome.contract_held or block_valid(decided)
-        certified = self._certify(decided, committee, valid)
+        certified, shard_sigs = self._endorse(decided, committee, valid, self.strategy.signs())
+        self.meter.charge(sum(len(ss.member_sigs) for ss in shard_sigs))
         if certified is None:
-            self.metrics.incident(height, "certificate-shortfall")
-            self.events.emit("no-block", height, rounds=outcome.rounds)
-            return None, outcome.rounds
+            return self._no_block(height, "certificate-shortfall", outcome.rounds)
 
+        # Header and body passed block_valid; only the certificate is new.
         if outcome.contract_held:
-            final = validate_block(
-                self.state, self.directory, certified, prev, self.rules, committee.labels
-            )
+            final = validate_certificate(certified, self.directory, self.rules, committee.labels)
             if not final:
-                raise RuntimeError(
-                    f"certified block failed full validation: {final.reason}"
-                )
+                raise RuntimeError(f"certified block failed validation: {final.reason}")
         self._accept(certified, height, leader=outcome.leader)
         return certified, outcome.rounds
 
-    def _certify(self, decided: Block, committee, valid: bool) -> Block | None:
-        """Collect per-shard endorsement signatures over the decided block.
+    def _endorse(
+        self, block: Block, committee, honest_sign: bool, byz_sign: bool
+    ) -> tuple[Block | None, list[ShardSignature]]:
+        """Collect each committee shard's endorsement of ``block`` and, with
+        at least 2 f_shard + 1 of them, attach the certificate.
 
-        Honest members only sign a block that is ``valid``; corrupted
-        members follow the strategy.
+        An honest member signs iff ``honest_sign``; a corrupted member signs
+        iff ``byz_sign`` or its shard is past mu_core, since a corrupted
+        quorum certifies anything the adversary wants.  Returns the
+        certified block (None on a shortfall) and the shard signatures
+        collected either way.
         """
-        cfg = self.cfg
-        byz_signs = self.strategy.signs()
         shard_sigs = []
         for label in committee.labels:
             view = self.runtimes[label].view
-            willing = {}
-            shard_is_corrupted = self._shard_corrupted(view)
-            for cred in view.core:
-                corrupted = cred.pk in self.adv.corrupted
-                if corrupted:
-                    # A corrupted quorum certifies anything the adversary
-                    # wants; a minority follows the signing policy.
-                    if shard_is_corrupted or byz_signs:
-                        willing[cred.pk] = self.keyring[cred.pk].sk
-                elif valid:
-                    willing[cred.pk] = self.keyring[cred.pk].sk
-            signer_order = [c.pk for c in view.core if c.pk in willing]
-            ss = shard_sign_block(
-                label, view, decided, willing, cfg.mu_core, cfg.s_min, signer_order
+            keys = self._signing_keys(
+                (c.pk for c in view.core),
+                honest_sign,
+                byz_sign or self._shard_corrupted(view),
             )
+            ss = shard_sign_block(label, view, block, keys, self.cfg.mu_core, self.cfg.s_min)
             if ss is not None:
                 shard_sigs.append(ss)
-                self.meter.charge(len(ss.member_sigs))
-        if len(shard_sigs) < 2 * cfg.f_shard + 1:
-            return None
-        return attach_certificate(decided, shard_sigs)
+        if len(shard_sigs) < 2 * self.cfg.f_shard + 1:
+            return None, shard_sigs
+        return attach_certificate(block, shard_sigs), shard_sigs
+
+    def _no_block(self, height: int, kind: str, rounds: int) -> tuple[None, int]:
+        """A height that ends without a block: record why."""
+        self.metrics.incident(height, kind)
+        self.events.emit("no-block", height, rounds=rounds)
+        return None, rounds
 
     def _try_equivocation(
         self, height, prev, committee, proposals, byz_labels, rounds
@@ -1097,50 +1075,29 @@ class Simulation:
                 base = proposals[label]
                 break
         if base is None:
-            self.metrics.incident(height, "no-decision")
-            self.events.emit("no-block", height, rounds=rounds)
-            return None, rounds
-
-        def certify_by_corrupted(block: Block) -> Block | None:
-            sigs = []
-            for label in committee.labels:
-                view = self.runtimes[label].view
-                willing = {
-                    c.pk: self.keyring[c.pk].sk
-                    for c in view.core
-                    if c.pk in self.adv.corrupted
-                }
-                order = [c.pk for c in view.core if c.pk in willing]
-                ss = shard_sign_block(
-                    label, view, block, willing, self.cfg.mu_core, self.cfg.s_min, order
-                )
-                if ss is not None:
-                    sigs.append(ss)
-            if len(sigs) < 2 * self.cfg.f_shard + 1:
-                return None
-            return attach_certificate(block, sigs)
+            return self._no_block(height, "no-decision", rounds)
 
         def craft(variant: int) -> Block | None:
-            if variant == 0:
-                return certify_by_corrupted(base)
-            extra = self._adversary_marker_tx()
-            if extra is None:
-                return None
-            body = tuple(base.body) + (extra,)
-            altered = replace(
-                base,
-                header=replace(base.header, body_hash=body_digest(body)),
-                body=body,
-            )
-            return certify_by_corrupted(altered)
+            """Variant 0 is the base block, any other one the base block plus
+            a marker transaction; corrupted members certify it alone."""
+            block = base
+            if variant != 0:
+                extra = self._adversary_marker_tx()
+                if extra is None:
+                    return None
+                body = tuple(base.body) + (extra,)
+                block = replace(
+                    base,
+                    header=replace(base.header, body_hash=body_digest(body)),
+                    body=body,
+                )
+            return self._endorse(block, committee, False, True)[0]
 
         variants = self.strategy.equivocate_blocks(craft, self.cfg.observers)
         if not variants:
-            single = certify_by_corrupted(base)
+            single = craft(0)
             if single is None:
-                self.metrics.incident(height, "no-decision")
-                self.events.emit("no-block", height, rounds=rounds)
-                return None, rounds
+                return self._no_block(height, "no-decision", rounds)
             self._accept(single, height, leader=None)
             return single, rounds
 

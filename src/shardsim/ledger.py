@@ -288,6 +288,27 @@ def shard_quorum(mu_core: Fraction, s_min: int, core_size: int) -> int:
     return install_threshold(mu_core, min(s_min, core_size))
 
 
+def sign_until_quorum(
+    pks: Iterable[bytes], keys: Mapping[bytes, bytes], msg: bytes, quorum: int
+) -> list[tuple[bytes, Signature]]:
+    """Willing members sign ``msg`` in the order of ``pks`` until ``quorum``
+    distinct signatures are collected.
+
+    ``keys`` maps each willing member's pk to its secret key; a pk without
+    one does not sign.  Returns the signatures collected, fewer than
+    ``quorum`` when the willing members run out.  Every signer signs the
+    same message, so a further signature could not change a quorum verdict.
+    """
+    sigs: dict[bytes, Signature] = {}
+    for pk in pks:
+        if len(sigs) == quorum:
+            break
+        sk = keys.get(pk)
+        if sk is not None and pk not in sigs:
+            sigs[pk] = sign(sk, msg)
+    return list(sigs.items())
+
+
 def count_signers(
     signatures: Iterable[tuple[bytes, Signature]], allowed_pks, msg: bytes
 ) -> int:
@@ -309,6 +330,32 @@ def _shard_signature_valid(
     quorum = install_threshold(rules.mu_core, rules.s_min)
     msg = shard_signature_digest(ss.label, core_digest)
     return count_signers(ss.member_sigs, core_pks, msg) >= quorum
+
+
+def validate_certificate(
+    block: Block, directory, rules: BlockRules, committee: Sequence[str]
+) -> Validity:
+    """Check that at least 2 f_shard + 1 committee shards endorse the
+    block's core digest, each with a quorum of its registered core.
+
+    A shard signature from outside ``committee``, a repeated shard and a
+    shard with no view in ``directory`` count for nothing.  Only the
+    certificate is checked: the header and body are ``validate_block``'s.
+    """
+    core_digest = block_core_digest(block.header)
+    endorsers = set()
+    for ss in block.header.certificate:
+        if ss.label not in committee or ss.label in endorsers:
+            continue
+        signer_view = directory.get(ss.label)
+        if signer_view is None:
+            continue
+        signer_core = {c.pk for c in signer_view.core}
+        if _shard_signature_valid(ss, core_digest, signer_core, rules):
+            endorsers.add(ss.label)
+    if len(endorsers) < 2 * rules.f_shard + 1:
+        return Validity(False, "certificate")
+    return VALID
 
 
 def validate_block(
@@ -356,19 +403,9 @@ def validate_block(
         return Validity(False, "seed")
 
     if require_certificate:
-        core_digest = block_core_digest(hdr)
-        endorsers = set()
-        for ss in hdr.certificate:
-            if ss.label not in committee or ss.label in endorsers:
-                continue
-            signer_view = directory.get(ss.label)
-            if signer_view is None:
-                continue
-            signer_core = {c.pk for c in signer_view.core}
-            if _shard_signature_valid(ss, core_digest, signer_core, rules):
-                endorsers.add(ss.label)
-        if len(endorsers) < 2 * rules.f_shard + 1:
-            return Validity(False, "certificate")
+        check = validate_certificate(block, directory, rules, committee)
+        if not check:
+            return check
 
     running = dict(state)
     seen_tx = set()

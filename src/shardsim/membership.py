@@ -65,8 +65,14 @@ class ShardRuntime:
     degraded: bool = False
     stalled: bool = False
 
-    def reset_buffers(self):
-        self.buffers = {c.pk: set() for c in self.view.core}
+    def reset_buffers(self, corrupted):
+        """Fresh join buffers for the current core.  Honest members all
+        receive the same join stream, so they share one set, which keeps
+        mass renewals linear; each member in ``corrupted`` gets its own."""
+        shared: set = set()
+        self.buffers = {
+            c.pk: set() if c.pk in corrupted else shared for c in self.view.core
+        }
 
 
 @dataclass(frozen=True)

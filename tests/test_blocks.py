@@ -25,7 +25,7 @@ from shardsim.ledger import (
     validate_transaction,
 )
 from shardsim.membership import ShardView
-from shardsim.protocols import VectorDecision
+from shardsim.protocols import ParticipantSet, VectorDecision
 from shardsim.sampling import sample_without_replacement
 
 
@@ -62,11 +62,9 @@ def test_elect_committee_shortfall():
 class TestBuildProposal:
     def setup_method(self):
         self.keys = [keygen(b"blk-%d" % i) for i in range(6)]
-        self.core = tuple(
-            Credential(value=kp.pk, pk=kp.pk, anchor_height=0, expiry_height=10)
-            for kp in self.keys[:3]
+        self.parts = ParticipantSet(
+            members=tuple(kp.pk for kp in self.keys[:3]), byzantine=frozenset()
         )
-        self.view = ShardView(label="1", height=3, core=self.core, spare=())
         self.prev = BlockHeader(
             prev_hash=b"\x00" * 32,
             height=2,
@@ -95,11 +93,10 @@ class TestBuildProposal:
             self.keys[0].pk: (tx_a,),
             self.keys[1].pk: (tx_a, tx_b),  # tx_a seen twice: collapses by id
         })
-        proposal = build_proposal(
-            "1", self.view, self.prev, self.state, member_inputs, stake_cap=1
+        block = build_proposal(
+            "1", self.parts, self.prev, self.state, member_inputs, stake_cap=1
         )
-        assert proposal is not None
-        block = proposal.block
+        assert block is not None
         assert block.header.height == 3
         assert block.header.proposer_label == "1"
         assert {tx.tx_id for tx in block.body} == {tx_a.tx_id, tx_b.tx_id}
@@ -116,11 +113,11 @@ class TestBuildProposal:
             self.keys[0].pk: (tx_x,),
             self.keys[1].pk: (tx_y,),
         })
-        proposal = build_proposal(
-            "1", self.view, self.prev, self.state, member_inputs, stake_cap=1
+        block = build_proposal(
+            "1", self.parts, self.prev, self.state, member_inputs, stake_cap=1
         )
         winner = min([tx_x, tx_y], key=lambda t: t.tx_id)
-        assert [tx.tx_id for tx in proposal.block.body] == [winner.tx_id]
+        assert [tx.tx_id for tx in block.body] == [winner.tx_id]
 
         # Oracle replay of the documented rule: validate in id order against
         # a running state, keep what validates.
@@ -130,25 +127,25 @@ class TestBuildProposal:
             if validate_transaction(running, tx, 1):
                 running = apply_transaction(running, tx, 3)
                 survivors.append(tx.tx_id)
-        assert [tx.tx_id for tx in proposal.block.body] == survivors
+        assert [tx.tx_id for tx in block.body] == survivors
 
     def test_invalid_transactions_filtered(self):
         bad = make_transaction([self.keys[5]], [TxOutput(keygen(b"pay-z").pk, 1)])
         member_inputs = self._inputs({self.keys[0].pk: (bad,)})
-        proposal = build_proposal(
-            "1", self.view, self.prev, self.state, member_inputs, stake_cap=1
+        block = build_proposal(
+            "1", self.parts, self.prev, self.state, member_inputs, stake_cap=1
         )
-        assert proposal.block.body == ()
+        assert block.body == ()
 
     def test_nulled_slots_drop_their_contribution(self):
         decision = VectorDecision(null_honest=frozenset({self.keys[0].pk}))
-        proposal = build_proposal(
-            "1", self.view, self.prev, self.state, self._inputs({}), 1,
+        block = build_proposal(
+            "1", self.parts, self.prev, self.state, self._inputs({}), 1,
             decision=decision,
         )
-        proof_pks = [pk for pk, _ in proposal.block.header.vrf_proofs]
+        proof_pks = [pk for pk, _ in block.header.vrf_proofs]
         assert proof_pks == [self.keys[1].pk, self.keys[2].pk]
-        assert proposal.block.header.seed == block_seed(
+        assert block.header.seed == block_seed(
             [self.vrfs[pk].value for pk in proof_pks]
         )
 
@@ -156,10 +153,8 @@ class TestBuildProposal:
         # Two of three corrupted voids the vector contract; the dictated
         # all-null vector leaves nothing to seed the next block with.
         byz = frozenset({self.keys[0].pk, self.keys[1].pk})
-        proposal = build_proposal(
-            "1", self.view, self.prev, self.state, self._inputs({}), 1, byzantine=byz
-        )
-        assert proposal is None
+        parts = ParticipantSet(members=self.parts.members, byzantine=byz)
+        assert build_proposal("1", parts, self.prev, self.state, self._inputs({}), 1) is None
 
 
 class TestShardSignBlock:
@@ -180,7 +175,8 @@ class TestShardSignBlock:
         inputs = {
             kp.pk: ((), vrf_eval(kp.sk, prev.seed)) for kp in self.keys[:3]
         }
-        self.block = build_proposal("0", self.view, prev, {}, inputs, 1).block
+        parts = ParticipantSet(members=tuple(inputs), byzantine=frozenset())
+        self.block = build_proposal("0", parts, prev, {}, inputs, 1)
 
     def test_stops_at_exact_quorum(self):
         ss = shard_sign_block(
@@ -197,13 +193,6 @@ class TestShardSignBlock:
             "0", self.view, self.block, only_one, self.mu_core, 3
         ) is None
 
-    def test_signer_order_override(self):
-        order = [self.keys[2].pk, self.keys[0].pk]
-        ss = shard_sign_block(
-            "0", self.view, self.block, self.keyring, self.mu_core, 3, signer_pks=order
-        )
-        assert [pk for pk, _ in ss.member_sigs] == order
-
     def test_degraded_core_quorum_is_proportional(self):
         degraded = ShardView(label="0", height=4, core=self.core[:2], spare=())
         ss = shard_sign_block(
@@ -214,17 +203,13 @@ class TestShardSignBlock:
 
 def test_attach_certificate_sorts_by_label():
     keys = [keygen(b"att-%d" % i) for i in range(3)]
-    core = tuple(
-        Credential(value=kp.pk, pk=kp.pk, anchor_height=0, expiry_height=10)
-        for kp in keys
-    )
-    view = ShardView(label="0", height=2, core=core, spare=())
     prev = BlockHeader(
         prev_hash=b"\x00" * 32, height=1, seed=tagged_hash(b"test-seed", b"a"),
         body_hash=b"\x00" * 32, vrf_proofs=(), proposer_label="", certificate=(),
     )
     inputs = {kp.pk: ((), vrf_eval(kp.sk, prev.seed)) for kp in keys}
-    block = build_proposal("0", view, prev, {}, inputs, 1).block
+    parts = ParticipantSet(members=tuple(inputs), byzantine=frozenset())
+    block = build_proposal("0", parts, prev, {}, inputs, 1)
 
     sig_b = ShardSignature(label="1", view_height=2, member_sigs=())
     sig_a = ShardSignature(label="0", view_height=2, member_sigs=())

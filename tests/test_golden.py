@@ -2,9 +2,9 @@
 
 Determinism within one process is tested elsewhere; these pins catch a
 change that alters the outputs consistently.  A change that moves a digest
-on purpose updates the pin here and says why.  The three corpus entries
-are acceptance-corpus scenarios (same names and master seeds); their pins
-equal the seed-0 pins of the benchmark.
+on purpose updates the pin here and says why.  The ``suite-`` entries are
+acceptance-corpus scenarios (same names and master seeds); the pins of
+suite-000, -007 and -014 equal the seed-0 pins of the benchmark.
 """
 
 from pathlib import Path
@@ -61,6 +61,30 @@ def _txheavy_mapping() -> dict:
     }
 
 
+def _fshard1_mapping(name: str, **overrides) -> dict:
+    # f_shard 1: committees of four shards, three of which must endorse.
+    mapping = {
+        "schema_version": 1,
+        "name": name,
+        "master_seed": name,
+        "epoch_length": 3,
+        "heights": 10,
+        "s_min": 32,
+        "s_max": 64,
+        "mu_core": "1/3",
+        "mu_corrupted": "1/3",
+        "mu": "1/10",
+        "stake_cap": 1,
+        "kappa": 20.0,
+        "f_shard": 1,
+        "genesis": [{"count": 1024, "stake": 1}],
+        "tx_rate": 10,
+        "unsafe_params": True,
+    }
+    mapping.update(overrides)
+    return mapping
+
+
 # name -> (config, events digest, metrics digest, blocks, safety_ok)
 GOLDEN = {
     "smoke": (
@@ -98,6 +122,20 @@ GOLDEN = {
         30,
         True,
     ),
+    "suite-001-silent-n256-t3": (
+        lambda: ScenarioConfig.from_mapping(_corpus_mapping(1, "silent", 3)),
+        "513a449236deff91c21b29b494e20cc2561ae0c36d2b05a9a47b5e94671cf26a",
+        "5977498e9542705aae6af74a95468c7c8054e30f639ac90c9c451134f3fbaed7",
+        30,
+        True,
+    ),
+    "suite-003-grind-n256-t3": (
+        lambda: ScenarioConfig.from_mapping(_corpus_mapping(3, "grind", 3)),
+        "176d16bd5202662044f6cc3efd9192752980fe1fa4022ca9f53bbcc827f1e8dc",
+        "88e20b81fb31baf5defe11ef5f77454cc5f303d10839235b297fe949fb631285",
+        30,
+        True,
+    ),
     "suite-014-worst-case-seed-n256-t10": (
         lambda: ScenarioConfig.from_mapping(_corpus_mapping(14, "worst-case-seed", 10)),
         "b4d2c7543aaf1a33b6ccaf2d85b5e1b43ae8b1f4046ca10c690ec23db95b2b7f",
@@ -110,6 +148,33 @@ GOLDEN = {
         "e3ef4c1ed33ce365c650cfa203170c2b11a548843836ae2a2a91ffd320d32241",
         "4278152e1fa90abb1631ac6620bcff5ec7ab1eeee3d1dca635159866b4da9414",
         8,
+        True,
+    ),
+    "fshard1-passive-n1024": (
+        lambda: ScenarioConfig.from_mapping(_fshard1_mapping("fshard1-passive-n1024")),
+        "c275885af57697b50ac6d442505f0464a01f0009815de7569925cc4c243b665c",
+        "eb56b83c7084a0c07e8ed00a7791dc91fcf18e569decbea3bfd80f02020ae0fc",
+        10,
+        True,
+    ),
+    # Two forced-corrupt shards void some committees: the run records
+    # corrupted-committee, no-decision, committee-shortfall and
+    # certificate-shortfall incidents.
+    "fshard1-equivocate-n256": (
+        lambda: ScenarioConfig.from_mapping(
+            _fshard1_mapping(
+                "fshard1-equivocate-n256",
+                master_seed="unit-seed",
+                heights=8,
+                mu="1/3",
+                genesis=[{"count": 256, "stake": 1}],
+                tx_rate=2,
+                adversary={"strategy": "equivocate", "force_corrupt_shards": 2},
+            )
+        ),
+        "6120cb07f4dc65139e9182c01c8a1204914e88570857115f72536d5961f1be29",
+        "8d98eb537db8f1e4e652ab687f76968fcc7666664311315a54a74c6c0cc17e9b",
+        3,
         True,
     ),
 }

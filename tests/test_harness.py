@@ -525,3 +525,18 @@ def test_dictated_invalid_block_is_not_certified(forgery):
     }
     assert not any(block_core_digest(b.header) in held for b in forged)
     assert metrics.summary["safety_ok"]
+
+
+def test_short_certificate_trips_the_post_certification_check(monkeypatch):
+    # Every shard signature comes out one member short of its quorum, so the
+    # certificate of the decided block cannot pass; the simulation must stop
+    # rather than accept the block.
+    sign_block = harness.shard_sign_block
+
+    def one_short(*args, **kwargs):
+        ss = sign_block(*args, **kwargs)
+        return None if ss is None else replace(ss, member_sigs=ss.member_sigs[:-1])
+
+    monkeypatch.setattr(harness, "shard_sign_block", one_short)
+    with pytest.raises(RuntimeError, match="certificate"):
+        run_scenario(load_config(CONFIG_DIR / "smoke.json"))

@@ -1,5 +1,6 @@
 """Transaction and block validation over a hand-built micro-chain."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -35,12 +36,15 @@ from shardsim.ledger import (
     make_transaction,
     shard_quorum,
     shard_signature_digest,
+    sign_until_quorum,
     total_stake,
     tx_signing_digest,
     validate_block,
+    validate_certificate,
     validate_transaction,
 )
 from shardsim.membership import ShardView
+from shardsim.protocols import ParticipantSet
 
 KEYS = [keygen(b"ledger-user-%d" % i) for i in range(6)]
 
@@ -380,6 +384,44 @@ def test_certificate_threshold_and_dedup():
     assert verdict.reason == "certificate"
 
 
+def test_validate_certificate_counts_distinct_registered_committee_shards():
+    _, _, directory, rules, block = _micro_chain()
+    directory = {label: replace(directory[""], label=label) for label in ("", "0", "1", "2")}
+    rules = replace(rules, f_shard=1)  # three endorsing shards
+    core_digest = block_core_digest(block.header)
+
+    def endorsement(label):
+        digest = shard_signature_digest(label, core_digest)
+        sigs = tuple((kp.pk, sign(kp.sk, digest)) for kp in KEYS[:2])
+        return ShardSignature(label=label, view_height=1, member_sigs=sigs)
+
+    def verdict(labels):
+        cert = tuple(endorsement(label) for label in labels)
+        certified = Block(_rebuild(block.header, certificate=cert), block.body)
+        return validate_certificate(certified, directory, rules, ("", "0", "1"))
+
+    assert verdict(["", "0", "1"])
+    # A repeated shard counts once; a shard off the committee not at all.
+    assert verdict(["", "0", "0"]).reason == "certificate"
+    assert verdict(["", "0", "2"]).reason == "certificate"
+    # A committee shard without a registered view cannot endorse.
+    del directory["1"]
+    assert verdict(["", "0", "1"]).reason == "certificate"
+
+
+def test_sign_until_quorum_signs_in_order_until_quorum():
+    msg = b"payload"
+    keys = {kp.pk: kp.sk for kp in KEYS[:3]}
+    # KEYS[3] has no key to sign with; KEYS[2] is listed twice.
+    order = [KEYS[2].pk, KEYS[3].pk, KEYS[2].pk, KEYS[0].pk, KEYS[1].pk]
+    sigs = sign_until_quorum(order, keys, msg, 2)
+    assert [pk for pk, _ in sigs] == [KEYS[2].pk, KEYS[0].pk]
+    assert count_signers(sigs, set(keys), msg) == 2
+    # Short of the quorum, every willing member's signature comes back.
+    short = sign_until_quorum(order, keys, msg, 4)
+    assert [pk for pk, _ in short] == [KEYS[2].pk, KEYS[0].pk, KEYS[1].pk]
+
+
 def test_shard_quorum_measures_against_the_smaller_of_s_min_and_core():
     third = Fraction(1, 3)
     assert shard_quorum(third, 9, 9) == install_threshold(third, 9) == 4
@@ -423,6 +465,9 @@ REPLAY_VIEW = ShardView(
     label="", height=1, core=tuple(_cred(kp) for kp in REPLAY_CORE), spare=()
 )
 REPLAY_DIRECTORY = {"": REPLAY_VIEW}
+REPLAY_PARTS = ParticipantSet(
+    members=tuple(kp.pk for kp in REPLAY_CORE), byzantine=frozenset()
+)
 REPLAY_RULES = BlockRules(
     stake_cap=REPLAY_CAP, f_shard=0, mu_core=Fraction(1, 3), s_min=2
 )
@@ -457,7 +502,7 @@ def _replay_proposal(state, txs):
         pk: (tuple(txs), out) for pk, out in REPLAY_PROOFS
     }
     return build_proposal(
-        "", REPLAY_VIEW, REPLAY_PREV, state, member_inputs, REPLAY_CAP
+        "", REPLAY_PARTS, REPLAY_PREV, state, member_inputs, REPLAY_CAP
     )
 
 
@@ -524,7 +569,7 @@ def test_block_replay_matches_the_per_transaction_fold(case):
 
     proposal = _replay_proposal(state, body)
     assert state == before
-    verdict = _replay_verdict(state, proposal.block)
+    verdict = _replay_verdict(state, proposal)
     assert verdict, verdict.reason
 
 
@@ -556,5 +601,5 @@ def test_two_spends_of_one_input_are_rejected_and_filtered():
     verdict = _replay_verdict(state, _replay_block(spends))
     assert not verdict and verdict.reason == "missing-input"
     proposal = _replay_proposal(state, spends)
-    assert proposal.block.body == (spends[0],)
-    assert _replay_verdict(state, proposal.block)
+    assert proposal.body == (spends[0],)
+    assert _replay_verdict(state, proposal)

@@ -9,6 +9,7 @@ from shardsim.credentials import Credential, credential_blob
 from shardsim.crypto import Prg, encode_int, encode_str, keygen, tagged_hash
 from shardsim.ledger import install_threshold
 from shardsim.membership import (
+    ShardRuntime,
     ShardView,
     expiring_members,
     form_view,
@@ -215,6 +216,20 @@ class TestUpdateView:
         )
         assert upd.promoted == (joiner,)
         assert not upd.degraded
+
+
+def test_reset_buffers_shares_one_set_among_honest_members():
+    view = make_view(core_n=4)
+    rt = ShardRuntime(label="", view=view)
+    corrupted = {view.core[1].pk, view.core[3].pk}
+    rt.reset_buffers(corrupted)
+    assert set(rt.buffers) == {c.pk for c in view.core}
+    honest = rt.buffers[view.core[0].pk]
+    assert honest == set() and rt.buffers[view.core[2].pk] is honest
+    # Each corrupted member buffers on its own.
+    first, second = (rt.buffers[pk] for pk in sorted(corrupted))
+    assert first == second == set()
+    assert first is not second and honest is not first and honest is not second
 
 
 def test_form_view_elects_core_from_everyone():
