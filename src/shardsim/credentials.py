@@ -9,11 +9,14 @@ at the anchor height, so a credential stays usable until its expiry.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .crypto import encode_bytes, encode_int, tagged_hash
+from .crypto import tagged_hash
 from .ledger import Utxo
+
+_HEIGHTS = struct.Struct(">qq")
 
 
 @dataclass(frozen=True)
@@ -23,15 +26,22 @@ class Credential:
     anchor_height: int
     expiry_height: int
 
+    def __hash__(self) -> int:
+        # ``value`` is already a digest of the pk and the anchor seed;
+        # equality still compares every field.
+        return hash(self.value)
+
 
 def credential_blob(cred: Credential) -> bytes:
-    return b"".join(
-        (
-            encode_bytes(cred.value),
-            encode_bytes(cred.pk),
-            encode_int(cred.anchor_height),
-            encode_int(cred.expiry_height),
-        )
+    """``encode_bytes(value) + encode_bytes(pk) + encode_int(anchor_height)
+    + encode_int(expiry_height)``, built in one expression."""
+    value, pk = cred.value, cred.pk
+    return (
+        len(value).to_bytes(4, "big")
+        + value
+        + len(pk).to_bytes(4, "big")
+        + pk
+        + _HEIGHTS.pack(cred.anchor_height, cred.expiry_height)
     )
 
 

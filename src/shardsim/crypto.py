@@ -7,14 +7,21 @@ simulation, not of the math: adversary strategy code only ever receives the
 key pairs of corrupted users and never fabricates digests for keys it does
 not hold.
 
-Every hash use site goes through :func:`tagged_hash` with a distinct context
-tag, so independently seeded streams (credentials, seeds, signatures, VRF,
-PRG words) can never collide.
+Every hash use site hashes under a distinct context tag, so independently
+seeded streams (credentials, seeds, signatures, VRF, PRG words) can never
+collide.  :func:`tagged_hash` keeps one SHA-256 state per tag, already fed
+the tag's framing, and copies it per call; :class:`Prg` keeps one state
+already fed everything of its block preimage but the counter.  Copying a
+state fed a constant prefix is the precomputation RFC 2104 section 4
+describes for HMAC keys: the bytes hashed, and so every digest, are the
+ones the unprimed framing gives.  ``tests/test_crypto.py`` freezes the PRG
+stream and a set of tagged digests.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 
 DIGEST_LEN = 32
@@ -43,15 +50,22 @@ def hash_digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+# Tag -> SHA-256 state fed ``len(tag) || tag``.  Every caller passes a byte
+# literal, so this holds one entry per tag in the source.  The states are
+# only ever copied, never updated.
+_TAG_STATES: dict[bytes, "hashlib._Hash"] = {}
+
+
 def tagged_hash(tag: bytes, *parts: bytes) -> bytes:
     """Digest of ``parts`` under a domain-separation ``tag``.
 
     The tag and every part are length-prefixed, so distinct argument lists
     can never produce the same preimage.
     """
-    h = hashlib.sha256()
-    h.update(len(tag).to_bytes(1, "big"))
-    h.update(tag)
+    primed = _TAG_STATES.get(tag)
+    if primed is None:
+        primed = _TAG_STATES[tag] = hashlib.sha256(len(tag).to_bytes(1, "big") + tag)
+    h = primed.copy()
     for part in parts:
         h.update(len(part).to_bytes(4, "big"))
         h.update(part)
@@ -123,15 +137,25 @@ def vrf_verify(pk: bytes, vrf_input: bytes, output: object) -> bool:
     return output.proof == tagged_hash(b"vrf-proof", pk, vrf_input, output.value)
 
 
+_COUNTER_LENGTH_PREFIX = len(encode_int(0)).to_bytes(4, "big")
+_BLOCK_WORDS = struct.Struct(">4Q")
+
+
 class Prg:
     """Deterministic pseudorandom generator over a hash-counter stream.
 
+    Block i of the stream is ``tagged_hash(b"prg", state, encode_int(i))``,
+    read as four big-endian 64-bit words in order.  Each instance hashes the
+    constant 44-byte prefix of that preimage once, at construction, and
+    copies the primed SHA-256 state for every block; the stream is the
+    unprimed one, frozen by ``tests/test_crypto.py``.
+
     Draws are unbiased: 64-bit words are rejection-sampled so that
     ``draw(n)`` is uniform over [1, n] for any n that fits the word space.
-    Instances are cheap; parallel consumers must each own their own.
+    Instances hold one hash state; parallel consumers must each own their own.
     """
 
-    __slots__ = ("state", "counter", "_words")
+    __slots__ = ("state", "counter", "_words", "_prefix")
 
     def __init__(self, seed: bytes):
         if not isinstance(seed, bytes) or len(seed) == 0:
@@ -139,15 +163,17 @@ class Prg:
         self.state = seed if len(seed) == DIGEST_LEN else hash_digest(seed)
         self.counter = 0
         self._words: list[int] = []
+        # tagged_hash(b"prg", state, encode_int(counter)) up to the counter.
+        self._prefix = hashlib.sha256(
+            b"\x03prg" + encode_bytes(self.state) + _COUNTER_LENGTH_PREFIX
+        )
 
     def _next_word(self) -> int:
         if not self._words:
-            block = tagged_hash(b"prg", self.state, encode_int(self.counter))
+            h = self._prefix.copy()
+            h.update(encode_int(self.counter))
             self.counter += 1
-            self._words = [
-                int.from_bytes(block[i : i + _WORD_BYTES], "big")
-                for i in range(0, DIGEST_LEN, _WORD_BYTES)
-            ]
+            self._words = list(_BLOCK_WORDS.unpack(h.digest()))
             self._words.reverse()
         return self._words.pop()
 

@@ -410,12 +410,12 @@ class LivenessReport:
 def check_safety(chains: Sequence[Sequence[Block]]) -> bool:
     """All pairs of honest chains agree at every common height; prefix
     differences (a node lagging behind) are fine."""
-    for i in range(len(chains)):
-        for j in range(i + 1, len(chains)):
-            a, b = chains[i], chains[j]
-            for h in range(min(len(a), len(b))):
-                if header_hash(a[h].header) != header_hash(b[h].header):
-                    return False
+    hashes = [[header_hash(block.header) for block in chain] for chain in chains]
+    for i, a in enumerate(hashes):
+        for b in hashes[i + 1 :]:
+            common = min(len(a), len(b))
+            if a[:common] != b[:common]:
+                return False
     return True
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .credentials import Credential, credential_blob
-from .crypto import Prg, Signature, encode_int, encode_str, sign, tagged_hash
+from .crypto import Prg, Signature, encode_int, encode_str, tagged_hash
 from .ledger import count_signers, shard_quorum
 from .sampling import sample_without_replacement
 
@@ -44,10 +44,6 @@ class ShardView:
 
 def view_digest(view: ShardView) -> bytes:
     return view.digest
-
-
-def sign_view(sk: bytes, view: ShardView) -> Signature:
-    return sign(sk, view_digest(view))
 
 
 def order_spare(creds: Iterable[Credential]) -> tuple[Credential, ...]:

@@ -1,8 +1,10 @@
 """Epoch anchoring and perishable credential checks."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from shardsim.credentials import (
     Credential,
@@ -11,7 +13,7 @@ from shardsim.credentials import (
     epoch_anchor,
     verify_credential,
 )
-from shardsim.crypto import keygen, tagged_hash
+from shardsim.crypto import encode_bytes, encode_int, keygen, tagged_hash
 from shardsim.ledger import Utxo
 
 
@@ -141,3 +143,54 @@ def test_credential_blob_is_injective_on_fields():
     ]
     blobs = {credential_blob(c) for c in [base] + variants}
     assert len(blobs) == len(variants) + 1
+
+
+def encode_fields(cred):
+    # Reference encoding: the four length-prefixed / fixed-width fields.
+    return b"".join(
+        (
+            encode_bytes(cred.value),
+            encode_bytes(cred.pk),
+            encode_int(cred.anchor_height),
+            encode_int(cred.expiry_height),
+        )
+    )
+
+
+HEIGHTS = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+@settings(deadline=None)
+@given(value=st.binary(max_size=300), pk=st.binary(max_size=300), anchor=HEIGHTS, expiry=HEIGHTS)
+@example(value=b"v" * 70_000, pk=b"", anchor=-(2**63), expiry=2**63 - 1)
+def test_credential_blob_is_the_field_encoding(value, pk, anchor, expiry):
+    cred = Credential(value=value, pk=pk, anchor_height=anchor, expiry_height=expiry)
+    assert credential_blob(cred) == encode_fields(cred)
+
+
+def test_equal_credentials_hash_equal():
+    kp = keygen(b"hash")
+    a = derive_credential(kp.pk, 0, 3, fake_chain(8), 3)
+    b = Credential(
+        value=bytes(a.value), pk=bytes(a.pk), anchor_height=3, expiry_height=6
+    )
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_credentials_sharing_a_value_stay_distinct():
+    # Only the value is hashed, so these collide in a hash table; equality
+    # on every field must still keep them apart.
+    base = Credential(value=b"v" * 32, pk=b"p" * 32, anchor_height=3, expiry_height=6)
+    variants = [
+        replace(base, pk=b"q" * 32),
+        replace(base, anchor_height=4),
+        replace(base, expiry_height=7),
+    ]
+    for other in variants:
+        assert other != base
+        assert len({base, other}) == 2
+        table = {base: "base", other: "other"}
+        assert table[base] == "base" and table[other] == "other"
+    assert len({base, *variants}) == 4

@@ -215,3 +215,135 @@ def test_word_stream_rejection_keeps_uniformity_near_boundary():
     center = (n + 1) / 2
     band = 4 * n / math.sqrt(12 * len(draws))
     assert abs(mean - center) < band
+
+
+# Frozen stream.  Every value below was taken from the hash-counter
+# definition of the stream (block i = tagged_hash(b"prg", state,
+# encode_int(i)), four big-endian 64-bit words per block, drawn in order)
+# before the primed-prefix implementation replaced it.  A change to any of
+# them changes every election, every digest and every Monte Carlo estimate.
+
+FROZEN_SEED32 = bytes(range(32))
+FROZEN_SHORT_SEED = b"frozen-stream"
+
+# One 32-byte block per line: the four raw words, draw(2**64) - 1, in order.
+FROZEN_BLOCKS = {
+    FROZEN_SEED32: (
+        "b7e6fae76e1f8fe254c1300d9fb239139ccbdec5763b17eed814365a826017ab",
+        "7d7c94af03c870f740dde32311b4e5428134ed37b19240f83430550903f80bac",
+        "1ed35b411b2b154ee3346b7c501e70f143a07071f6670d2045b35e8c1185b6a8",
+        "92e4cfc4d8f750deae789fae6ac817c746249ec26242d8d150078ddad6d99469",
+        "3d75dbdfc31802a51375b17a9606a48bb7232e9991578b4b87b304d2a38a1bce",
+        "21375ec0f95e107c0e43c131216ebe0990979be11b69039e3974ca8debda7f8f",
+        "9bfad47d3c51c364e066ea211812f2f939a5a453c795275c216a3a7f79af8f40",
+        "63335caeeb78feaf80b7fe217fe32bc4842ad30a86573eb5595e2deb207f8a8a",
+        "0ca6514ad2481ab24512de79ea80947ab11675cd4e03a44cc25298636ac8c514",
+        "564a7d7c83e78df4ecbc91ca6541e5ea0ac366e2d18dd6c46363cc2f20495cfb",
+        "d2799625c4b9f4c488583dcb001fc607e6d500ded0aecf7dc8525639b0101af2",
+        "70a448dab9dd85664d2ffc1c2d47b7a17e121fa7bb77cda3a1c558d59c2cb64b",
+    ),
+    FROZEN_SHORT_SEED: (
+        "71552c67fe9bb61ccc66da92ce19f8813f64220b4b8bf3286cb52de1084f0a8c",
+        "997dcd5e3f33241caba5803cbad960e275373a9985feab941551e492b0ad5558",
+        "e56edd3ad3a52f307f6670e36a1e27a6bbc858ef31d7eb1a43fdf1a4f4073089",
+        "940281681df6098b6a192eb605a2aa3cfbc8a0e9465a14211e232804bcafdee8",
+        "47b2bb0c279aa1a9f5413a8ff733c37be5b8052ce98ae04897cfa089dacaae34",
+        "a3d814ede0e8e9bdf1feed264ca612b16a47aca88310e7668cc21ff6b5046774",
+        "6ab41327d225922e82b05df91e24f5a02232213e9e40ceddcf0d191743a01aaa",
+        "6c04fe1ee34f52c3542c1ad8231588b2d63893deebaddb352c1eefbbd1467a41",
+        "f0b40f1205ea21a12c449b8747f9f5fe7ac62c3cd74d8922d934f47b4dce06de",
+        "dcaa6d999058425793f9ba4239e6239d2ad71f0a3225943ca2e6a33594f79061",
+        "fbb883aa5e24a1a2ea1937183e37a9a17984f78a80b4ca7251ad2736ddd2e04f",
+        "5cdb4856b33d79ce5c4d2795fb345a7b51b154e237ee5ed3d1e1db8971b58ab3",
+    ),
+}
+
+FROZEN_LONG_PART = bytes(range(256)) * 300  # needs three bytes of length prefix
+
+FROZEN_TAGGED = (
+    ((b"prg",), "750dd41ea9dbaa12c14ed743a20607283b7c8ecd0734c7927790c8088d5a21f3"),
+    ((b"cred", b""), "a531f80499d8567aba6d55e972243d55dfe459652f96063af89d2d0be5afb41d"),
+    ((b"view", b"a", b"bc"), "6bd543ba369fcde558b9f970dae1c5cad6c82aac1b41b8e09aca033d04619310"),
+    ((b"sig", FROZEN_LONG_PART), "ec41c62c416bd618c032708c5946b1acc1124494051a424b3d02d817820e8987"),
+    ((b"", b"x"), "2474db85d6031d26cb9a5e99fe5b33320c184bbbda1c1f7e30f9d8d929d23414"),
+    ((b"vrf-proof", b"k", b"", b"v"), "3889a62e776ef3aec313537578e0bb808f507ec8abe5937ab444de6e62dad2e8"),
+)
+
+
+def _raw_word(prg):
+    return prg.draw(2**64) - 1  # n = 2**64 rejects nothing: the word itself
+
+
+def _block_hex(prg):
+    return "".join(f"{_raw_word(prg):016x}" for _ in range(4))
+
+
+@pytest.mark.parametrize("seed", [FROZEN_SEED32, FROZEN_SHORT_SEED], ids=["32-byte", "short"])
+def test_prg_raw_words_are_frozen(seed):
+    prg = Prg(seed)
+    assert [_block_hex(prg) for _ in range(12)] == list(FROZEN_BLOCKS[seed])
+    assert prg.counter == 12
+
+
+def test_prg_rejection_sequence_is_frozen():
+    # n = 2**63 + 1 rejects every word at or above 2**63 + 1: about half.
+    prg = Prg(b"rejection-frozen")
+    assert [prg.draw(2**63 + 1) for _ in range(16)] == [
+        7941037187888499752, 1314184918258023147, 8670118317200653415,
+        7482466225348390732, 4169529337789787684, 4301594123999649097,
+        6235968660900811583, 7825336965563449823, 4095238952875600759,
+        4127336412770920001, 3471536396562946991, 8360443531228833405,
+        8666552507147261389, 1601588329143952246, 6384172086410894462,
+        3446866585744620125,
+    ]
+    assert prg.counter == 8  # 32 words for 16 draws
+
+
+@pytest.mark.parametrize(
+    "counter, block",
+    [
+        # Past 2**32: a 4-byte counter would wrap here.
+        (2**32 + 7, "4ace800b8c0b0be1d76ee6dccd878ff8f2f5c86d63455b3be13d79e5943636d8"),
+        # Unreachable by drawing, but pins the counter as a signed encode_int.
+        (-3, "05444062936df67b98e37a69122080b9309c6b0eb2f574f9dd9b63e6628d464a"),
+    ],
+    ids=["past-2**32", "negative"],
+)
+def test_prg_block_at_counter_is_frozen(counter, block):
+    prg = Prg(FROZEN_SEED32)
+    prg.counter = counter
+    assert _block_hex(prg) == block
+    assert prg.counter == counter + 1
+
+
+def test_sampler_output_is_frozen():
+    assert sample_without_replacement(Prg(b"sample-frozen"), range(100), 12) == [
+        49, 17, 75, 61, 89, 23, 65, 20, 21, 96, 59, 92,
+    ]
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    FROZEN_TAGGED,
+    ids=["zero-parts", "empty-part", "two-parts", "long-part", "empty-tag", "three-parts"],
+)
+def test_tagged_hash_digests_are_frozen(args, digest):
+    assert tagged_hash(*args).hex() == digest
+
+
+def test_interleaved_streams_and_tags_share_no_state():
+    # Two tags and two generators in lockstep: every call must give the
+    # value it gives alone, so no primed hash state is ever updated in place.
+    cred_args, cred_digest = FROZEN_TAGGED[1]
+    sig_args, sig_digest = FROZEN_TAGGED[3]
+    a, b = Prg(FROZEN_SEED32), Prg(FROZEN_SHORT_SEED)
+    blocks_a, blocks_b = [], []
+    for _ in range(12):
+        assert tagged_hash(*cred_args).hex() == cred_digest
+        blocks_a.append(_block_hex(a))
+        assert tagged_hash(*sig_args).hex() == sig_digest
+        blocks_b.append(_block_hex(b))
+    assert blocks_a == list(FROZEN_BLOCKS[FROZEN_SEED32])
+    assert blocks_b == list(FROZEN_BLOCKS[FROZEN_SHORT_SEED])
+    # A second generator on the same seed starts from the top of the stream.
+    assert _block_hex(Prg(FROZEN_SEED32)) == FROZEN_BLOCKS[FROZEN_SEED32][0]

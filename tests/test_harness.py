@@ -226,6 +226,9 @@ def test_check_safety_pairwise_common_prefix():
     # A lagging observer only shortens the common prefix.
     assert check_safety([[g1, g2], [g1]])
     assert check_safety([])
+    # Two observers that fork past a third, lagging one: every pair counts.
+    g3 = make_genesis([(b"p" * 32, 1)], b"u" * 32, 1)
+    assert not check_safety([[g1], [g1, g2], [g1, g3]])
 
 
 def test_check_liveness_windows():

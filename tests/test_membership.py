@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from shardsim.credentials import Credential, credential_blob
-from shardsim.crypto import Prg, encode_int, encode_str, keygen, tagged_hash
+from shardsim.crypto import Prg, encode_int, encode_str, keygen, sign, tagged_hash
 from shardsim.ledger import install_threshold
 from shardsim.membership import (
     ShardRuntime,
@@ -16,7 +16,6 @@ from shardsim.membership import (
     install_and_diffuse,
     order_spare,
     refill_needed,
-    sign_view,
     update_view,
     view_digest,
 )
@@ -113,15 +112,6 @@ def test_order_spare_is_value_sorted():
     ordered = order_spare(creds)
     assert list(ordered) == sorted(creds, key=lambda c: c.value)
     assert order_spare(reversed(ordered)) == ordered
-
-
-def test_sign_view_roundtrip():
-    kp = keygen(b"viewer")
-    view = make_view()
-    sig = sign_view(kp.sk, view)
-    from shardsim.crypto import verify_sig
-
-    assert verify_sig(kp.pk, view_digest(view), sig)
 
 
 def test_expiring_and_refill_predicates():
@@ -263,7 +253,7 @@ class TestInstallAndDiffuse:
 
     def _sigs(self, signers, view=None):
         view = view or self.view
-        return [(kp.pk, sign_view(kp.sk, view)) for kp in signers]
+        return [(kp.pk, sign(kp.sk, view_digest(view))) for kp in signers]
 
     def test_installs_at_threshold(self):
         ok = install_and_diffuse(
