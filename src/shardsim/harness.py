@@ -9,7 +9,7 @@ the scenario seed, so a config replays to byte-identical outputs.
 
 View agreement: each updated view is checked against the registered one
 (``verify_view_transition``: label, height, core size, expiry, credential
-windows and routing of every member) before the previous core signs it.  A
+windows and routing of every newcomer) before the previous core signs it.  A
 view that fails is never installed; it counts as a view-agreement violation
 and stalls the shard.  The signature quorum is counted once, at install.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from .adversary import (
     STRATEGIES,
@@ -90,6 +90,11 @@ SCHEMA_VERSION = 1
 
 class ConfigError(ValueError):
     pass
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant of the simulation broke: a fault in shardsim,
+    not a verdict on the scenario."""
 
 
 def parse_ratio(value) -> Fraction:
@@ -589,7 +594,7 @@ class Simulation:
                 pending.append(child_label)
         cover = check_prefix_free_cover(self.directory)
         if not cover:
-            raise RuntimeError(f"bootstrap directory invalid: {cover.reason}")
+            raise InvariantError(f"bootstrap directory invalid: {cover.reason}")
 
     def _force_corrupt(self, n_shards: int):
         """Stress hook: corrupt enough core members of the first shards to
@@ -651,16 +656,18 @@ class Simulation:
         byz = len(self._core_byzantine(view))
         return Fraction(byz, len(view.core)) > self.cfg.mu_core
 
-    def _signing_keys(self, pks: Iterable[bytes], honest_sign: bool, byz_sign: bool) -> dict:
-        """Secret keys of the members of ``pks`` willing to sign: honest ones
-        iff ``honest_sign``, corrupted ones iff ``byz_sign``."""
-        keys = {}
-        for pk in pks:
-            if byz_sign if pk in self.adv.corrupted else honest_sign:
-                kp = self.keyring.get(pk)
-                if kp is not None:
-                    keys[pk] = kp.sk
-        return keys
+    def _signing_keys(
+        self, view: ShardView, honest_sign: bool, byz_sign: bool
+    ) -> tuple[Mapping, Container[bytes]]:
+        """Keys and withheld pks for ``sign_until_quorum``: of the core of
+        ``view``, honest members sign iff ``honest_sign``, corrupted ones iff
+        ``byz_sign``.  While honest members sign, the keyring goes whole and
+        is looked up only until the quorum."""
+        corrupted, keyring = self.adv.corrupted, self.keyring
+        if honest_sign:
+            return keyring, (() if byz_sign else corrupted)
+        willing = [c.pk for c in view.core if byz_sign and c.pk in corrupted]
+        return {pk: keyring[pk] for pk in willing if pk in keyring}, ()
 
     # -- per-height phases ---------------------------------------------------
 
@@ -744,11 +751,13 @@ class Simulation:
         # Whatever was collected goes to the install, which alone counts the
         # quorum; corrupted members sign as the strategy says.
         old_pks = set(core_pks)
+        keys, withheld = self._signing_keys(old_view, True, self.strategy.signs())
         signatures = sign_until_quorum(
             core_pks,
-            self._signing_keys(core_pks, True, self.strategy.signs()),
+            keys,
             digest,
             shard_quorum(cfg.mu_core, cfg.s_min, len(old_pks)),
+            withheld,
         )
         if not install_and_diffuse(
             upd.view, signatures, old_pks, self.directory, cfg.mu_core, cfg.s_min
@@ -803,7 +812,7 @@ class Simulation:
         chosen = None
         if not parts.within(self.cfg.mu_core):
             chosen = self.strategy.beacon_choice(entropy, evaluate, self.adv.prg())
-        seed, _proof = random_beacon(parts, entropy, self.cfg.mu_core, chosen, self.meter)
+        seed = random_beacon(parts, entropy, self.cfg.mu_core, chosen, self.meter)
         self.events.emit(
             "beacon",
             height,
@@ -868,7 +877,7 @@ class Simulation:
 
         cover = check_prefix_free_cover(self.directory)
         if not cover:
-            raise RuntimeError(f"directory invariant broken at {height}: {cover.reason}")
+            raise InvariantError(f"directory invariant broken at {height}: {cover.reason}")
 
     def _register_shard(self, view: ShardView, height: int):
         self.directory[view.label] = view
@@ -955,7 +964,7 @@ class Simulation:
                 kp = self.keyring.get(pk)
                 if kp is None:
                     continue
-                honest_inputs[pk] = (pending_txs, vrf_eval(kp.sk, prev.seed))
+                honest_inputs[pk] = (pending_txs, vrf_eval(kp, prev.seed))
             decision = self.strategy.vector_decision(
                 core.members,
                 core.byzantine,
@@ -1027,7 +1036,7 @@ class Simulation:
         if outcome.contract_held:
             final = validate_certificate(certified, self.directory, self.rules, committee.labels)
             if not final:
-                raise RuntimeError(f"certified block failed validation: {final.reason}")
+                raise InvariantError(f"certified block failed validation: {final.reason}")
         self._accept(certified, height, leader=outcome.leader)
         return certified, outcome.rounds
 
@@ -1046,12 +1055,12 @@ class Simulation:
         shard_sigs = []
         for label in committee.labels:
             view = self.runtimes[label].view
-            keys = self._signing_keys(
-                (c.pk for c in view.core),
-                honest_sign,
-                byz_sign or self._shard_corrupted(view),
+            keys, withheld = self._signing_keys(
+                view, honest_sign, byz_sign or self._shard_corrupted(view)
             )
-            ss = shard_sign_block(label, view, block, keys, self.cfg.mu_core, self.cfg.s_min)
+            ss = shard_sign_block(
+                label, view, block, keys, self.cfg.mu_core, self.cfg.s_min, withheld
+            )
             if ss is not None:
                 shard_sigs.append(ss)
         if len(shard_sigs) < 2 * self.cfg.f_shard + 1:
@@ -1256,10 +1265,12 @@ class Simulation:
         safety_ok = check_safety(self.observer_chains)
         liveness = check_liveness(self.metrics)
         blocks = len(self.chain) - 1
+        # A run without blocks included nothing: its chain did not grow.
+        liveness_ok = liveness.all_included and blocks > 0
         per_user = self.meter.total / self.n_users if self.n_users else 0.0
         self.metrics.finish(
             safety_ok=safety_ok,
-            liveness_ok=liveness.all_included,
+            liveness_ok=liveness_ok,
             efficiency_ok=liveness.all_within_window,
             fraction_within_window=liveness.fraction_within_window,
             view_violations=self.metrics.view_violations,
@@ -1273,7 +1284,7 @@ class Simulation:
             "run-complete",
             blocks,
             safety_ok=safety_ok,
-            liveness_ok=liveness.all_included,
+            liveness_ok=liveness_ok,
             efficiency_ok=liveness.all_within_window,
         )
 

@@ -9,18 +9,23 @@ that mutates a state, and only a copy its caller owns: per-height
 snapshots share dicts, so no function may mutate a state it was given.
 
 All encodings are canonical (length-prefixed fields, big-endian integers)
-so identical objects always hash to identical digests.  Transaction fees
-are burned, never redistributed, so total stake can only shrink.
+so identical objects always hash to identical digests.  A header is frozen,
+so its two digests, ``block_core_digest`` and ``header_hash``, are computed
+once and cached on it; a ``replace``d or newly built header starts
+uncached.  Transaction fees are burned, never redistributed, so total stake
+can only shrink.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Container, Iterable, Mapping, Sequence
 
 from .crypto import (
     ZERO_DIGEST,
+    KeyPair,
     Signature,
     VrfOutput,
     encode_bytes,
@@ -97,6 +102,25 @@ class BlockHeader:
     proposer_label: str
     certificate: tuple[ShardSignature, ...]
 
+    @cached_property
+    def core_digest(self) -> bytes:
+        """Digest of everything but the certificate, computed once: the
+        header is frozen, and a ``replace``d copy starts without it."""
+        return tagged_hash(
+            b"block-core",
+            encode_bytes(self.prev_hash),
+            encode_int(self.height),
+            encode_bytes(self.seed),
+            encode_bytes(self.body_hash),
+            encode_str(self.proposer_label),
+            _vrf_blob(self.vrf_proofs),
+        )
+
+    @cached_property
+    def digest(self) -> bytes:
+        """Digest of the whole header, computed once like ``core_digest``."""
+        return tagged_hash(b"block", self.core_digest, _certificate_blob(self.certificate))
+
 
 @dataclass(frozen=True)
 class Block:
@@ -125,7 +149,7 @@ def make_transaction(
     """Build a transaction spending ``input_keys`` (KeyPair per input)."""
     inputs = tuple(kp.pk for kp in input_keys)
     msg = tx_signing_digest(inputs, outputs)
-    sigs = tuple(sign(kp.sk, msg) for kp in input_keys)
+    sigs = tuple(sign(kp, msg) for kp in input_keys)
     return Transaction(inputs=inputs, outputs=tuple(outputs), signatures=sigs)
 
 
@@ -143,20 +167,13 @@ def _vrf_blob(vrf_proofs: Sequence[tuple[bytes, VrfOutput]]) -> bytes:
 
 
 def block_core_digest(header: BlockHeader) -> bytes:
-    """Digest of everything in the header except the certificate.
+    """Digest of everything in the header except the certificate, cached
+    on the header.
 
     Shard signatures in the certificate sign this digest; the body is bound
     through ``body_hash``.
     """
-    return tagged_hash(
-        b"block-core",
-        encode_bytes(header.prev_hash),
-        encode_int(header.height),
-        encode_bytes(header.seed),
-        encode_bytes(header.body_hash),
-        encode_str(header.proposer_label),
-        _vrf_blob(header.vrf_proofs),
-    )
+    return header.core_digest
 
 
 def _certificate_blob(certificate: Sequence[ShardSignature]) -> bytes:
@@ -173,11 +190,9 @@ def _certificate_blob(certificate: Sequence[ShardSignature]) -> bytes:
 
 
 def header_hash(header: BlockHeader) -> bytes:
-    """Chain-linkage digest: binds the whole header, certificate included,
-    and the body via ``body_hash``."""
-    return tagged_hash(
-        b"block", block_core_digest(header), _certificate_blob(header.certificate)
-    )
+    """Chain-linkage digest, cached on the header: binds the whole header,
+    certificate included, and the body via ``body_hash``."""
+    return header.digest
 
 
 def block_seed(vrf_values: Sequence[bytes]) -> bytes:
@@ -289,23 +304,30 @@ def shard_quorum(mu_core: Fraction, s_min: int, core_size: int) -> int:
 
 
 def sign_until_quorum(
-    pks: Iterable[bytes], keys: Mapping[bytes, bytes], msg: bytes, quorum: int
+    pks: Iterable[bytes],
+    keys: Mapping[bytes, KeyPair],
+    msg: bytes,
+    quorum: int,
+    withheld: Container[bytes] = (),
 ) -> list[tuple[bytes, Signature]]:
     """Willing members sign ``msg`` in the order of ``pks`` until ``quorum``
     distinct signatures are collected.
 
-    ``keys`` maps each willing member's pk to its secret key; a pk without
-    one does not sign.  Returns the signatures collected, fewer than
-    ``quorum`` when the willing members run out.  Every signer signs the
-    same message, so a further signature could not change a quorum verdict.
+    ``keys`` maps pks to key pairs; a pk without one, or in ``withheld``,
+    does not sign.  Keys are looked up only for the members reached before
+    the quorum.  Returns the signatures collected, fewer than ``quorum``
+    when the willing members run out.  Every signer signs the same
+    message, so a further signature could not change a quorum verdict.
     """
     sigs: dict[bytes, Signature] = {}
     for pk in pks:
         if len(sigs) == quorum:
             break
-        sk = keys.get(pk)
-        if sk is not None and pk not in sigs:
-            sigs[pk] = sign(sk, msg)
+        if pk in withheld or pk in sigs:
+            continue
+        kp = keys.get(pk)
+        if kp is not None:
+            sigs[pk] = sign(kp, msg)
     return list(sigs.items())
 
 

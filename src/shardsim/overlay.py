@@ -171,6 +171,11 @@ def verify_view_transition(
     members, carry credentials outside their window, or claim members
     routed elsewhere.  Signatures are not looked at here: the previous
     core's quorum is counted once, by ``install_and_diffuse``.
+
+    ``old_view`` is registered, so ``form_view`` built it or this check
+    passed it: its members already route to the label and anchor in their
+    window.  Only the members not carried over from it are checked for
+    routing and window; every member is checked for expiry.
     """
     if new_view.label != old_view.label:
         return Validity(False, "label")
@@ -180,12 +185,18 @@ def verify_view_transition(
     # degraded shard promotes everyone it has.
     if len(new_view.core) != min(s_min, len(new_view.members())):
         return Validity(False, "core-size")
+    # Carried-over members are the old view's own objects.  Both views are
+    # alive for the whole call, so an id names one credential, and an id
+    # test is far cheaper than hashing a credential.
+    carried = set(map(id, old_view.members()))
     # Expiry is judged against the last accepted block (height - 1): a
     # credential expiring exactly now still produces this height's block
     # and hands over afterwards.
     for cred in new_view.members():
         if cred in expected_expiries or cred.expiry_height < height:
             return Validity(False, "expired-member")
+        if id(cred) in carried:
+            continue
         if cred.anchor_height > height or cred.anchor_height >= cred.expiry_height:
             return Validity(False, "window")
         if not label_matches(new_view.label, cred.value):

@@ -120,28 +120,20 @@ def vector_consensus(
     return vector
 
 
-def beacon_proof(seed: bytes) -> bytes:
-    return tagged_hash(b"beacon-proof", seed)
-
-
-def verify_beacon(seed: bytes, proof: bytes) -> bool:
-    return proof == beacon_proof(seed)
-
-
 def random_beacon(
     parts: ParticipantSet,
     entropy: bytes,
     mu_core: Fraction,
     chosen: bytes | None = None,
     meter: MessageMeter | None = None,
-) -> tuple[bytes, bytes]:
+) -> bytes:
     """Produce the shard's shared randomness for this height.
 
     ``entropy`` must come from a stream consumed strictly after all earlier
     adversary decisions, which is what makes the honest output unpredictable
     and bias-free.  A corrupted quorum may substitute any digest of its
-    choice (``chosen``); the proof still verifies, which is exactly the
-    modeled threat.
+    choice (``chosen``); nothing tells the substitute from an honest
+    output, which is exactly the modeled threat.
     """
     if meter is not None:
         meter.charge_instance(parts.n)
@@ -149,7 +141,7 @@ def random_beacon(
         seed = chosen
     else:
         seed = tagged_hash(b"beacon", entropy)
-    return seed, beacon_proof(seed)
+    return seed
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from shardsim.adversary import (
     controlled_stake,
     grind_transactions,
     make_strategy,
-    release_corruption,
     schedule_corruption,
 )
 from shardsim.crypto import keygen
@@ -41,8 +40,8 @@ def test_schedule_respects_budget_and_delay():
     assert schedule_corruption(adv, keys[1].pk, 5, utxos, mu, epoch_length=3)
     # Third single-stake target would exceed 1/5 of 10.
     assert not schedule_corruption(adv, keys[2].pk, 5, utxos, mu, epoch_length=3)
-    # Releasing frees the budget again.
-    release_corruption(adv, keys[0].pk)
+    # Dropping a pending corruption frees the budget again.
+    del adv.pending[keys[0].pk]
     assert schedule_corruption(adv, keys[2].pk, 6, utxos, mu, epoch_length=3)
 
 

@@ -78,7 +78,7 @@ class TestBuildProposal:
         self.state = {
             kp.pk: Utxo(pk=kp.pk, stake=1, created_height=0) for kp in self.keys[3:5]
         }
-        self.vrfs = {kp.pk: vrf_eval(kp.sk, self.prev.seed) for kp in self.keys[:3]}
+        self.vrfs = {kp.pk: vrf_eval(kp, self.prev.seed) for kp in self.keys[:3]}
 
     def _inputs(self, txs_by_member):
         return {
@@ -167,13 +167,13 @@ class TestShardSignBlock:
             for kp in self.keys[:3]
         )
         self.view = ShardView(label="0", height=4, core=self.core, spare=())
-        self.keyring = {kp.pk: kp.sk for kp in self.keys}
+        self.keyring = {kp.pk: kp for kp in self.keys}
         prev = BlockHeader(
             prev_hash=b"\x00" * 32, height=3, seed=tagged_hash(b"test-seed", b"p"),
             body_hash=b"\x00" * 32, vrf_proofs=(), proposer_label="", certificate=(),
         )
         inputs = {
-            kp.pk: ((), vrf_eval(kp.sk, prev.seed)) for kp in self.keys[:3]
+            kp.pk: ((), vrf_eval(kp, prev.seed)) for kp in self.keys[:3]
         }
         parts = ParticipantSet(members=tuple(inputs), byzantine=frozenset())
         self.block = build_proposal("0", parts, prev, {}, inputs, 1)
@@ -188,7 +188,7 @@ class TestShardSignBlock:
         assert ss.view_height == 4
 
     def test_unwilling_signers_yield_none(self):
-        only_one = {self.keys[0].pk: self.keys[0].sk}
+        only_one = {self.keys[0].pk: self.keys[0]}
         assert shard_sign_block(
             "0", self.view, self.block, only_one, self.mu_core, 3
         ) is None
@@ -207,7 +207,7 @@ def test_attach_certificate_sorts_by_label():
         prev_hash=b"\x00" * 32, height=1, seed=tagged_hash(b"test-seed", b"a"),
         body_hash=b"\x00" * 32, vrf_proofs=(), proposer_label="", certificate=(),
     )
-    inputs = {kp.pk: ((), vrf_eval(kp.sk, prev.seed)) for kp in keys}
+    inputs = {kp.pk: ((), vrf_eval(kp, prev.seed)) for kp in keys}
     parts = ParticipantSet(members=tuple(inputs), byzantine=frozenset())
     block = build_proposal("0", parts, prev, {}, inputs, 1)
 

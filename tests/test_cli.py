@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from shardsim import harness
 from shardsim.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -39,10 +41,27 @@ def test_run_without_blocks_exits_1(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", str(path))
     summary = json.loads(out)["summary"]
     assert summary["blocks"] == 0
-    # The summary itself is unchanged: nothing delivered, nothing pending.
-    assert summary["liveness_ok"] and summary["safety_ok"]
+    # Nothing was delivered or is pending, yet the chain never grew.
+    assert not summary["liveness_ok"] and summary["safety_ok"]
     assert summary["view_violations"] == 0
     assert code == 1
+
+
+def test_internal_invariant_failure_exits_3(capsys, monkeypatch):
+    # Every shard signature comes out one member short of its quorum, so the
+    # post-certification check fails: a fault in the simulator, reported as
+    # such and not as a failed oracle.
+    sign_block = harness.shard_sign_block
+
+    def one_short(*args, **kwargs):
+        ss = sign_block(*args, **kwargs)
+        return None if ss is None else replace(ss, member_sigs=ss.member_sigs[:-1])
+
+    monkeypatch.setattr(harness, "shard_sign_block", one_short)
+    code, out, err = run_cli(capsys, "run", SMOKE)
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: certified block failed validation: certificate\n"
 
 
 def test_run_formats(capsys):

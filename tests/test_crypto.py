@@ -71,7 +71,7 @@ def test_keygen_deterministic_and_pk_derived():
 
 def test_sign_verify_roundtrip():
     kp = keygen(b"signer")
-    sig = sign(kp.sk, b"msg")
+    sig = sign(kp, b"msg")
     assert sig.signer_pk == kp.pk
     assert verify_sig(kp.pk, b"msg", sig)
     assert not verify_sig(kp.pk, b"other", sig)
@@ -89,7 +89,7 @@ def test_verify_sig_rejects_malformed_input():
 
 def test_vrf_roundtrip_and_rejection():
     kp = keygen(b"vrf")
-    out = vrf_eval(kp.sk, b"input")
+    out = vrf_eval(kp, b"input")
     assert vrf_verify(kp.pk, b"input", out)
     assert not vrf_verify(kp.pk, b"other", out)
     assert not vrf_verify(keygen(b"z").pk, b"input", out)
@@ -99,9 +99,9 @@ def test_vrf_roundtrip_and_rejection():
 
 
 def test_vrf_value_differs_per_key_and_input():
-    a = vrf_eval(keygen(b"a").sk, b"in")
-    b = vrf_eval(keygen(b"b").sk, b"in")
-    c = vrf_eval(keygen(b"a").sk, b"in2")
+    a = vrf_eval(keygen(b"a"), b"in")
+    b = vrf_eval(keygen(b"b"), b"in")
+    c = vrf_eval(keygen(b"a"), b"in2")
     assert len({a.value, b.value, c.value}) == 3
 
 
@@ -347,3 +347,49 @@ def test_interleaved_streams_and_tags_share_no_state():
     assert blocks_b == list(FROZEN_BLOCKS[FROZEN_SHORT_SEED])
     # A second generator on the same seed starts from the top of the stream.
     assert _block_hex(Prg(FROZEN_SEED32)) == FROZEN_BLOCKS[FROZEN_SEED32][0]
+
+
+# (seed material, message): pk, signature, VRF value, VRF proof.
+FROZEN_SIGNING = (
+    (
+        (b"frozen-signer", b"msg"),
+        (
+            "58627188c855c90e1dbf65b297001383df378f630adcbf8e69b7c85241e9ccd3",
+            "a08ac52221a50588ad9f1f6b56196ed683da357e9012ee525382b4242497a0ff",
+            "ba0c2daf0fac0675179258f79fe69b3a83b75bf4d0867cba2ab582fdcc96d251",
+            "58298730e2ed713d299b4195b3f9c82ff4d457298f15cc6b4c3584a21867398a",
+        ),
+    ),
+    (
+        (b"frozen-signer", b""),
+        (
+            "58627188c855c90e1dbf65b297001383df378f630adcbf8e69b7c85241e9ccd3",
+            "e5e893cc0a493c02b918880959a7791aa0f0f3b3c683634fbfa69672adff48ca",
+            "f71ee88ab3445dfd6822ac885508bb25818129f3eefd72f88151dd5d7a5c4141",
+            "fae44855dde18c911f8e15c35d2529673432e877916d75b38ebe19dfcd40e688",
+        ),
+    ),
+    (
+        (b"frozen-other", bytes(range(256)) * 3),
+        (
+            "f44d205e2ec74752930dacc9a6ad14224f41629791aca7eee04dda559b757f88",
+            "23440f0a3acaf940b716d3a95c1188f284977db0b10d9a7295e1f5c668740f3a",
+            "ab28ad431f8e7c5c72a7634f10cb01cdf5e7107873fab67ce128243201108856",
+            "ca2e633f4901c78ca59dd8edc254f2d4c5dd92a0344e15219ebcce0d535adc8e",
+        ),
+    ),
+)
+
+
+@pytest.mark.parametrize("args, frozen", FROZEN_SIGNING, ids=["short", "empty", "long"])
+def test_sign_and_vrf_outputs_are_frozen(args, frozen):
+    seed, msg = args
+    pk, sig_value, vrf_value, vrf_proof = frozen
+    kp = keygen(seed)
+    assert kp.pk.hex() == pk
+    sig = sign(kp, msg)
+    assert (sig.value.hex(), sig.signer_pk.hex()) == (sig_value, pk)
+    assert verify_sig(kp.pk, msg, sig)
+    out = vrf_eval(kp, msg)
+    assert (out.value.hex(), out.proof.hex()) == (vrf_value, vrf_proof)
+    assert vrf_verify(kp.pk, msg, out)

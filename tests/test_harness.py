@@ -543,3 +543,16 @@ def test_short_certificate_trips_the_post_certification_check(monkeypatch):
     monkeypatch.setattr(harness, "shard_sign_block", one_short)
     with pytest.raises(RuntimeError, match="certificate"):
         run_scenario(load_config(CONFIG_DIR / "smoke.json"))
+
+
+def test_run_without_blocks_fails_liveness():
+    # f_shard=3 asks for 7 endorsing shards; the smoke population forms one,
+    # so no block is certified and no transaction is ever delivered.
+    raw = json.loads((CONFIG_DIR / "smoke.json").read_text())
+    metrics, events = run_scenario(ScenarioConfig.from_mapping({**raw, "f_shard": 3}))
+    summary = metrics.summary
+    assert summary["blocks"] == 0
+    assert check_liveness(metrics).all_included
+    assert summary["liveness_ok"] is False
+    done = [rec for rec in events if rec["kind"] == "run-complete"]
+    assert done[-1]["liveness_ok"] is False

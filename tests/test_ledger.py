@@ -6,10 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shardsim.blocks import build_proposal
+from shardsim.blocks import attach_certificate, build_proposal
 from shardsim.credentials import Credential
 from shardsim.crypto import (
     ZERO_DIGEST,
+    Signature,
+    VrfOutput,
+    encode_bytes,
+    encode_int,
+    encode_str,
     keygen,
     sign,
     tagged_hash,
@@ -69,7 +74,7 @@ def test_tx_id_binds_io_and_signatures():
     assert a.tx_id == b.tx_id
     c = Transaction(inputs=(b"j",), outputs=(out,), signatures=())
     assert a.tx_id != c.tx_id
-    sig = sign(KEYS[0].sk, b"m")
+    sig = sign(KEYS[0], b"m")
     d = Transaction(inputs=(b"i",), outputs=(out,), signatures=(sig,))
     assert a.tx_id != d.tx_id
 
@@ -140,7 +145,7 @@ def test_validate_transaction_reason_codes():
     wrong_signer = Transaction(
         inputs=(KEYS[0].pk,),
         outputs=(TxOutput(fresh, 1),),
-        signatures=(sign(KEYS[1].sk, tx_signing_digest((KEYS[0].pk,), (TxOutput(fresh, 1),))),),
+        signatures=(sign(KEYS[1], tx_signing_digest((KEYS[0].pk,), (TxOutput(fresh, 1),))),),
     )
     assert validate_transaction(state, wrong_signer, cap).reason == "bad-signature"
 
@@ -210,7 +215,7 @@ def _micro_chain():
     tx = make_transaction([KEYS[3]], [TxOutput(keygen(b"payee").pk, 1)])
     body = (tx,)
     proofs = tuple(
-        (kp.pk, vrf_eval(kp.sk, genesis.header.seed)) for kp in KEYS[:2]
+        (kp.pk, vrf_eval(kp, genesis.header.seed)) for kp in KEYS[:2]
     )
     header = BlockHeader(
         prev_hash=header_hash(genesis.header),
@@ -226,7 +231,7 @@ def _micro_chain():
         ShardSignature(
             label="",
             view_height=1,
-            member_sigs=tuple((kp.pk, sign(kp.sk, digest)) for kp in KEYS[:2]),
+            member_sigs=tuple((kp.pk, sign(kp, digest)) for kp in KEYS[:2]),
         ),
     )
     certified = BlockHeader(
@@ -297,11 +302,11 @@ def test_validate_block_reason_codes():
     check(block, "proposer", committee=["0"])
 
     check(Block(_rebuild(block.header, vrf_proofs=()), block.body), "vrf")
-    outsider = ((keygen(b"out").pk, vrf_eval(keygen(b"out").sk, prev.seed)),)
+    outsider = ((keygen(b"out").pk, vrf_eval(keygen(b"out"), prev.seed)),)
     check(Block(_rebuild(block.header, vrf_proofs=outsider), block.body), "vrf")
     doubled = block.header.vrf_proofs + (block.header.vrf_proofs[0],)
     check(Block(_rebuild(block.header, vrf_proofs=doubled), block.body), "vrf")
-    stale = tuple((kp.pk, vrf_eval(kp.sk, b"wrong-input")) for kp in KEYS[:2])
+    stale = tuple((kp.pk, vrf_eval(kp, b"wrong-input")) for kp in KEYS[:2])
     check(Block(_rebuild(block.header, vrf_proofs=stale), block.body), "vrf")
 
     check(Block(_rebuild(block.header, seed=tagged_hash(b"x", b"y")), block.body), "seed")
@@ -331,7 +336,7 @@ def test_validate_block_reason_codes():
     bad_tx = Transaction(
         inputs=(KEYS[3].pk,),
         outputs=(TxOutput(keygen(b"payee").pk, 1),),
-        signatures=(sign(KEYS[0].sk, b"junk"),),
+        signatures=(sign(KEYS[0], b"junk"),),
     )
     forged = Block(
         _rebuild(block.header, body_hash=body_digest((bad_tx,))), (bad_tx,)
@@ -348,7 +353,7 @@ def test_certificate_threshold_and_dedup():
         ShardSignature(
             label="",
             view_height=1,
-            member_sigs=((KEYS[0].pk, sign(KEYS[0].sk, digest)),),
+            member_sigs=((KEYS[0].pk, sign(KEYS[0], digest)),),
         ),
     )
     verdict = validate_block(
@@ -367,9 +372,9 @@ def test_certificate_threshold_and_dedup():
             label="",
             view_height=1,
             member_sigs=(
-                (KEYS[0].pk, sign(KEYS[0].sk, digest)),
-                (KEYS[0].pk, sign(KEYS[0].sk, digest)),
-                (KEYS[3].pk, sign(KEYS[3].sk, digest)),
+                (KEYS[0].pk, sign(KEYS[0], digest)),
+                (KEYS[0].pk, sign(KEYS[0], digest)),
+                (KEYS[3].pk, sign(KEYS[3], digest)),
             ),
         ),
     )
@@ -392,7 +397,7 @@ def test_validate_certificate_counts_distinct_registered_committee_shards():
 
     def endorsement(label):
         digest = shard_signature_digest(label, core_digest)
-        sigs = tuple((kp.pk, sign(kp.sk, digest)) for kp in KEYS[:2])
+        sigs = tuple((kp.pk, sign(kp, digest)) for kp in KEYS[:2])
         return ShardSignature(label=label, view_height=1, member_sigs=sigs)
 
     def verdict(labels):
@@ -411,7 +416,7 @@ def test_validate_certificate_counts_distinct_registered_committee_shards():
 
 def test_sign_until_quorum_signs_in_order_until_quorum():
     msg = b"payload"
-    keys = {kp.pk: kp.sk for kp in KEYS[:3]}
+    keys = {kp.pk: kp for kp in KEYS[:3]}
     # KEYS[3] has no key to sign with; KEYS[2] is listed twice.
     order = [KEYS[2].pk, KEYS[3].pk, KEYS[2].pk, KEYS[0].pk, KEYS[1].pk]
     sigs = sign_until_quorum(order, keys, msg, 2)
@@ -420,6 +425,9 @@ def test_sign_until_quorum_signs_in_order_until_quorum():
     # Short of the quorum, every willing member's signature comes back.
     short = sign_until_quorum(order, keys, msg, 4)
     assert [pk for pk, _ in short] == [KEYS[2].pk, KEYS[0].pk, KEYS[1].pk]
+    # A withheld member does not sign although its key is at hand.
+    held = sign_until_quorum(order, keys, msg, 2, withheld={KEYS[2].pk})
+    assert [pk for pk, _ in held] == [KEYS[0].pk, KEYS[1].pk]
 
 
 def test_shard_quorum_measures_against_the_smaller_of_s_min_and_core():
@@ -435,14 +443,14 @@ def test_count_signers_counts_distinct_allowed_valid_signers():
     msg = b"payload"
     allowed = {KEYS[0].pk, KEYS[1].pk, KEYS[2].pk}
     sigs = [
-        (KEYS[0].pk, sign(KEYS[0].sk, msg)),
-        (KEYS[0].pk, sign(KEYS[0].sk, msg)),  # repeat
-        (KEYS[1].pk, sign(KEYS[1].sk, b"other")),  # wrong payload
-        (KEYS[3].pk, sign(KEYS[3].sk, msg)),  # outsider
-        (KEYS[2].pk, sign(KEYS[0].sk, msg)),  # someone else's signature
+        (KEYS[0].pk, sign(KEYS[0], msg)),
+        (KEYS[0].pk, sign(KEYS[0], msg)),  # repeat
+        (KEYS[1].pk, sign(KEYS[1], b"other")),  # wrong payload
+        (KEYS[3].pk, sign(KEYS[3], msg)),  # outsider
+        (KEYS[2].pk, sign(KEYS[0], msg)),  # someone else's signature
     ]
     assert count_signers(sigs, allowed, msg) == 1
-    assert count_signers(sigs + [(KEYS[1].pk, sign(KEYS[1].sk, msg))], allowed, msg) == 2
+    assert count_signers(sigs + [(KEYS[1].pk, sign(KEYS[1], msg))], allowed, msg) == 2
     assert count_signers([], allowed, msg) == 0
 
 
@@ -472,7 +480,7 @@ REPLAY_RULES = BlockRules(
     stake_cap=REPLAY_CAP, f_shard=0, mu_core=Fraction(1, 3), s_min=2
 )
 REPLAY_PROOFS = tuple(
-    (kp.pk, vrf_eval(kp.sk, REPLAY_PREV.seed)) for kp in REPLAY_CORE
+    (kp.pk, vrf_eval(kp, REPLAY_PREV.seed)) for kp in REPLAY_CORE
 )
 
 
@@ -603,3 +611,126 @@ def test_two_spends_of_one_input_are_rejected_and_filtered():
     proposal = _replay_proposal(state, spends)
     assert proposal.body == (spends[0],)
     assert _replay_verdict(state, proposal)
+
+
+# -- header digests ------------------------------------------------------------
+
+
+def reference_core_digest(header):
+    """The field encoding ``block_core_digest`` had before it was cached."""
+    vrf = [encode_int(len(header.vrf_proofs))]
+    for pk, out in header.vrf_proofs:
+        vrf += [encode_bytes(pk), encode_bytes(out.value), encode_bytes(out.proof)]
+    return tagged_hash(
+        b"block-core",
+        encode_bytes(header.prev_hash),
+        encode_int(header.height),
+        encode_bytes(header.seed),
+        encode_bytes(header.body_hash),
+        encode_str(header.proposer_label),
+        b"".join(vrf),
+    )
+
+
+def reference_header_hash(header):
+    """The field encoding ``header_hash`` had before it was cached."""
+    cert = [encode_int(len(header.certificate))]
+    for ss in sorted(header.certificate, key=lambda s: s.label):
+        cert += [encode_str(ss.label), encode_int(ss.view_height), encode_int(len(ss.member_sigs))]
+        for pk, sig in sorted(ss.member_sigs, key=lambda ps: ps[0]):
+            cert += [encode_bytes(pk), encode_bytes(sig.value), encode_bytes(sig.signer_pk)]
+    return tagged_hash(b"block", reference_core_digest(header), b"".join(cert))
+
+
+HEADER_KEYS = [keygen(b"hdr-%d" % i) for i in range(3)]
+
+
+def frozen_header():
+    return BlockHeader(
+        prev_hash=tagged_hash(b"test", b"prev"),
+        height=7,
+        seed=tagged_hash(b"test", b"seed"),
+        body_hash=tagged_hash(b"test", b"body"),
+        vrf_proofs=tuple((kp.pk, vrf_eval(kp, b"prev-seed")) for kp in HEADER_KEYS),
+        proposer_label="01",
+        certificate=(),
+    )
+
+
+def frozen_certificate(core_digest):
+    def endorse(label, view_height, keys):
+        msg = shard_signature_digest(label, core_digest)
+        return ShardSignature(label, view_height, tuple((kp.pk, sign(kp, msg)) for kp in keys))
+
+    # Out of label order: the encoding sorts it.
+    return (endorse("1", 6, HEADER_KEYS[1:]), endorse("01", 7, HEADER_KEYS[:1]))
+
+
+def test_header_digests_are_frozen():
+    header = frozen_header()
+    core = "86922572810222b45d09a631304d7901221fe6ddd60a65620c22f9e1dffe336a"
+    assert block_core_digest(header).hex() == core
+    assert header_hash(header).hex() == (
+        "067f6170dc1b1fb6449325bc0ffeefd87e00d73cf8669f02751443572df735e9"
+    )
+    certified = replace(header, certificate=frozen_certificate(block_core_digest(header)))
+    assert block_core_digest(certified).hex() == core
+    assert header_hash(certified).hex() == (
+        "4aecdf024e92ba525aed7e5fc6d6ac3835c1a463b31ed89f548eab6b09fc10a0"
+    )
+
+
+def test_replaced_header_gets_fresh_digests():
+    header = frozen_header()
+    core, full = block_core_digest(header), header_hash(header)
+    for changed in (
+        replace(header, height=8),
+        replace(header, seed=b"other"),
+        replace(header, vrf_proofs=header.vrf_proofs[:1]),
+        replace(header, proposer_label="1"),
+    ):
+        assert block_core_digest(changed) == reference_core_digest(changed) != core
+        assert header_hash(changed) == reference_header_hash(changed) != full
+    # A certificate binds the header hash alone; attach_certificate builds
+    # a new header, which must not keep the uncertified one's hash.
+    certified = attach_certificate(Block(header, ()), frozen_certificate(core)).header
+    assert block_core_digest(certified) == core
+    assert header_hash(certified) == reference_header_hash(certified) != full
+    # The original keeps its own digests.
+    assert (block_core_digest(header), header_hash(header)) == (core, full)
+
+
+digests = st.binary(max_size=40)
+heights = st.integers(-(2**63), 2**63 - 1)
+labels = st.text(max_size=6)
+vrf_proofs = st.lists(
+    st.tuples(digests, st.builds(VrfOutput, value=digests, proof=digests)), max_size=4
+)
+shard_signatures = st.builds(
+    ShardSignature,
+    label=labels,
+    view_height=heights,
+    member_sigs=st.lists(
+        st.tuples(digests, st.builds(Signature, value=digests, signer_pk=digests)),
+        max_size=3,
+    ).map(tuple),
+)
+headers = st.builds(
+    BlockHeader,
+    prev_hash=digests,
+    height=heights,
+    seed=digests,
+    body_hash=digests,
+    vrf_proofs=vrf_proofs.map(tuple),
+    proposer_label=labels,
+    certificate=st.lists(shard_signatures, max_size=3).map(tuple),
+)
+
+
+@settings(deadline=None)
+@given(headers)
+def test_header_digests_are_the_field_encoding(header):
+    # Twice each: the second call reads the cached value.
+    for _ in range(2):
+        assert block_core_digest(header) == reference_core_digest(header)
+        assert header_hash(header) == reference_header_hash(header)

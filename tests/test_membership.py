@@ -253,7 +253,7 @@ class TestInstallAndDiffuse:
 
     def _sigs(self, signers, view=None):
         view = view or self.view
-        return [(kp.pk, sign(kp.sk, view_digest(view))) for kp in signers]
+        return [(kp.pk, sign(kp, view_digest(view))) for kp in signers]
 
     def test_installs_at_threshold(self):
         ok = install_and_diffuse(

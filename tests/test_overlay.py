@@ -1,10 +1,13 @@
 """Prefix cover, routing, split/merge plans and view-transition checks."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shardsim.credentials import Credential
 from shardsim.crypto import keygen
+from shardsim.ledger import VALID, Validity
 from shardsim.membership import ShardView
 from shardsim.overlay import (
     ROOT_LABEL,
@@ -221,6 +224,33 @@ class TestViewTransition:
         verdict = verify_view_transition(old, new, 2, set(), self.s_min)
         assert verdict.reason == "routing"
 
+    def test_newcomers_are_checked_but_carried_members_expire(self):
+        # A valid registered view under label "1": every member routes there.
+        routed = [
+            Credential(value=b"\x80" + kp.pk[1:], pk=kp.pk, anchor_height=0, expiry_height=10)
+            for kp in self.keys[:3]
+        ]
+        old = ShardView("1", 1, tuple(routed), ())
+
+        def verdict(newcomer):
+            new = ShardView("1", 2, tuple(routed), (newcomer,))
+            return verify_view_transition(old, new, 2, set(), self.s_min)
+
+        pk = self.keys[4].pk
+        fine = Credential(value=b"\xff" + pk[1:], pk=pk, anchor_height=2, expiry_height=9)
+        assert verdict(fine), verdict(fine).reason
+        assert verdict(replace(fine, value=b"\x7f" + pk[1:])).reason == "routing"
+        assert verdict(replace(fine, anchor_height=3)).reason == "window"
+        assert verdict(replace(fine, expiry_height=2)).reason == "window"
+        # An equal copy of a carried member is checked as a newcomer, and
+        # passes as the member does.
+        assert verdict(replace(routed[0]))
+        # Carried members are still checked for expiry.
+        dying = replace(routed[2], expiry_height=1)
+        old = ShardView("1", 1, tuple(routed[:2]) + (dying,), ())
+        new = ShardView("1", 2, old.core, (fine,))
+        assert verify_view_transition(old, new, 2, set(), self.s_min).reason == "expired-member"
+
 
 # -- properties --------------------------------------------------------------
 
@@ -316,3 +346,74 @@ def test_label_longer_than_digest_raises(value, extra):
         reference_matches(label, value)
     with pytest.raises(IndexError):
         label_matches(label, value)
+
+
+def reference_transition(old_view, new_view, height, expected_expiries, s_min):
+    """``verify_view_transition`` with routing and window checked for every
+    member, carried over or not."""
+    if new_view.label != old_view.label:
+        return Validity(False, "label")
+    if new_view.height != height:
+        return Validity(False, "height")
+    if len(new_view.core) != min(s_min, len(new_view.members())):
+        return Validity(False, "core-size")
+    for cred in new_view.members():
+        if cred in expected_expiries or cred.expiry_height < height:
+            return Validity(False, "expired-member")
+        if cred.anchor_height > height or cred.anchor_height >= cred.expiry_height:
+            return Validity(False, "window")
+        if not label_matches(new_view.label, cred.value):
+            return Validity(False, "routing")
+    return VALID
+
+
+# (anchor, window length): a few windows are empty or inverted.
+windows = st.tuples(st.integers(0, 10), st.integers(-1, 12))
+
+
+@st.composite
+def transitions(draw):
+    """A valid registered view, and a next view mixing carried members,
+    equal copies of them and arbitrary newcomers."""
+    label = draw(st.text("01", max_size=3))
+    old_height = draw(st.integers(1, 8))
+    old_members = []
+    for value in draw(st.lists(values, min_size=1, max_size=8)):
+        anchor = draw(st.integers(0, old_height))
+        expiry = draw(st.integers(max(anchor + 1, old_height), anchor + 12))
+        old_members.append(Credential(with_prefix(label, value), value, anchor, expiry))
+    s_min = draw(st.integers(1, 4))
+    core = min(s_min, len(old_members))
+    old = ShardView(label, old_height, tuple(old_members[:core]), tuple(old_members[core:]))
+
+    members = []
+    for c in old_members:
+        kind = draw(st.sampled_from(["carry", "copy", "drop"]))
+        if kind != "drop":
+            members.append(c if kind == "carry" else replace(c))
+    for value, routed, (anchor, length) in draw(
+        st.lists(st.tuples(values, st.booleans(), windows), max_size=3)
+    ):
+        value = with_prefix(label, value) if routed else value
+        members.append(Credential(value, value, anchor, anchor + length))
+    members = draw(st.permutations(members))
+    full = min(s_min, len(members))
+    core = draw(st.sampled_from([full, full, full, max(0, full - 1)]))
+    height = old_height + 1
+    new = ShardView(
+        label,
+        draw(st.sampled_from([height] * 5 + [old_height])),
+        tuple(members[:core]),
+        tuple(members[core:]),
+    )
+    expiries = {draw(st.sampled_from(old_members))} if draw(st.integers(0, 3)) == 0 else set()
+    return old, new, height, expiries, s_min
+
+
+@settings(deadline=None, max_examples=300)
+@given(transitions())
+def test_transition_verdict_equals_the_full_per_member_check(case):
+    old, new, height, expiries, s_min = case
+    assert reference_transition(old, new, height, expiries, s_min) == (
+        verify_view_transition(old, new, height, expiries, s_min)
+    )
