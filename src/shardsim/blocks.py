@@ -11,7 +11,7 @@ define the next seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Container, Iterable, Mapping, Sequence
 
@@ -155,13 +155,15 @@ def shard_sign_block(
 
 
 def attach_certificate(block: Block, shard_sigs: Sequence[ShardSignature]) -> Block:
-    header = BlockHeader(
-        prev_hash=block.header.prev_hash,
-        height=block.header.height,
-        seed=block.header.seed,
-        body_hash=block.header.body_hash,
-        vrf_proofs=block.header.vrf_proofs,
-        proposer_label=block.header.proposer_label,
-        certificate=tuple(sorted(shard_sigs, key=lambda s: s.label)),
+    """``block`` with a certificate of ``shard_sigs`` in label order.
+
+    The core digest leaves the certificate out, so the certified header
+    carries the uncertified one's; its full digest is its own.
+    """
+    header = replace(
+        block.header, certificate=tuple(sorted(shard_sigs, key=lambda s: s.label))
     )
+    # ``core_digest`` is a ``cached_property``, which caches in the
+    # instance dict; the frozen dataclass leaves that dict writable.
+    header.__dict__["core_digest"] = block_core_digest(block.header)
     return Block(header=header, body=block.body)

@@ -17,6 +17,7 @@ and stalls the shard.  The signature quorum is counted once, at install.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Container, Iterable, Mapping, Sequence
@@ -487,6 +488,13 @@ class Simulation:
         self.observer_chains: list[list[Block]] = []
         self.pending: dict[bytes, Transaction] = {}
         self.in_flight: set[bytes] = set()
+        # Written at genesis and then by ``_accept`` alone: the pks of created
+        # UTXOs by ``created_height % epoch_length`` (append-only between
+        # renewal walks, which prune them), the UTXO set's keys in sorted
+        # order, and those of its keys that are outside the keyring.
+        self.renewal_schedule: list[list[bytes]] = [[] for _ in range(config.epoch_length)]
+        self.utxo_keys: list[bytes] = []
+        self.outside_keyring: set[bytes] = set()
         self.cred_cache: dict[tuple[bytes, int], Credential] = {}
         self.attempts: dict[int, int] = {}
         self.workload_prg = Prg(tagged_hash(b"workload", self.master))
@@ -518,13 +526,16 @@ class Simulation:
         self.chain = [genesis]
         self.headers = [genesis.header]
         self.utxo_history[0] = self.state
+        # Genesis pays keyring keys only, so none is outside the keyring.
+        self.utxo_keys = sorted(self.state)
+        self.renewal_schedule[-cfg.epoch_length % cfg.epoch_length].extend(self.utxo_keys)
         self.observer_chains = [[genesis] for _ in range(cfg.observers)]
         self.events.emit(
             "genesis", 0, block=header_hash(genesis.header).hex(), users=self.n_users
         )
 
         creds = [
-            self._credential(pk, 0) for pk in sorted(self.keyring) if self.participation[pk]
+            self._credential(pk, 0) for pk in self.utxo_keys if self.participation[pk]
         ]
         creds = [c for c in creds if c is not None]
         root = form_view(
@@ -642,6 +653,8 @@ class Simulation:
         return cached
 
     def _core_byzantine(self, view: ShardView) -> frozenset:
+        if not self.adv.corrupted:
+            return frozenset()
         return frozenset(c.pk for c in view.core if c.pk in self.adv.corrupted)
 
     def _core_parts(self, view: ShardView) -> ParticipantSet:
@@ -741,7 +754,7 @@ class Simulation:
         upd = update_view(old_view, vector, expiring, beacon_seed, cfg.s_min, newcomer_valid)
         # The network checks the diffused view against the registered one;
         # a view that fails is a view-agreement violation and never installs.
-        transition = verify_view_transition(old_view, upd.view, height, expiring, cfg.s_min)
+        transition = verify_view_transition(old_view, upd.view, height, cfg.s_min)
         if not transition:
             self.metrics.view_violations += 1
             self._reject_view(rt, height, "view-divergence", reason=transition.reason)
@@ -1143,8 +1156,10 @@ class Simulation:
     ):
         self.chain.append(block)
         self.headers.append(block.header)
-        self.state = apply_block(self.state, block)
+        before = self.state
+        self.state = apply_block(before, block)
         self.utxo_history[height] = self.state
+        self._index_utxos(before, block)
         for i, chain in enumerate(self.observer_chains):
             delivered = per_observer.get(i, block) if per_observer else block
             chain.append(delivered)
@@ -1165,6 +1180,32 @@ class Simulation:
             txs=len(block.body),
         )
 
+    def _index_utxos(self, before: Mapping, block: Block):
+        """Bring the renewal schedule, the sorted UTXO keys and the keys
+        outside the keyring up to date with ``block``, applied to ``before``.
+
+        Every UTXO the block leaves under a touched pk was created by it.
+        The keyring only grows, and a key joins it before its first output
+        exists, so a UTXO outside the keyring stays outside for its life.
+        """
+        state, keys = self.state, self.utxo_keys
+        touched = set()
+        for tx in block.body:
+            touched.update(tx.inputs)
+            touched.update(out.pk for out in tx.outputs)
+        for pk in touched:
+            utxo = state.get(pk)
+            if utxo is None:
+                if pk in before:
+                    del keys[bisect_left(keys, pk)]
+                    self.outside_keyring.discard(pk)
+                continue
+            if pk not in before:
+                insort(keys, pk)
+            if pk not in self.keyring:
+                self.outside_keyring.add(pk)
+            self.renewal_schedule[utxo.created_height % self.cfg.epoch_length].append(pk)
+
     # -- renewals and workload ----------------------------------------------
 
     def _join_receivers(self, rt: ShardRuntime) -> list[set]:
@@ -1184,20 +1225,46 @@ class Simulation:
             receivers.append(buf)
         return receivers
 
+    def _due_renewals(self, height: int) -> list[bytes]:
+        """Participating pks whose credential renews at ``height``, sorted.
+
+        A UTXO renews at every multiple of the epoch after its creation, so
+        only the schedule entry of ``height``'s residue is walked; ``_accept``
+        is the only writer of the schedule after genesis, and enters every
+        UTXO it creates under its residue.  The walk drops repeats, spent
+        UTXOs and UTXOs re-created under another residue from the entry.
+        """
+        epoch = self.cfg.epoch_length
+        residue = height % epoch
+        kept: list[bytes] = []
+        due: list[bytes] = []
+        for pk in sorted(self.renewal_schedule[residue]):
+            if kept and kept[-1] == pk:
+                continue
+            utxo = self.state.get(pk)
+            if utxo is None or utxo.created_height % epoch != residue:
+                continue
+            kept.append(pk)
+            if not self.participation.get(pk):
+                continue
+            h0 = utxo.created_height
+            if height < h0 + epoch or (height - h0) % epoch != 0:
+                continue
+            due.append(pk)
+        self.renewal_schedule[residue] = kept
+        return due
+
     def _renewals_and_workload(self, height: int):
+        """Joins of the credentials renewing at ``height``, then adversary
+        and honest transactions.  Only the renewal schedule entry of this
+        height's residue and the sorted UTXO keys are read, and ``_accept``
+        is their only writer after genesis, so the joins, their order and
+        the workload draws are those of a full scan of every key."""
         cfg = self.cfg
         # Views, buffers and corruption stay fixed for the whole phase, so
         # each shard's receivers are worked out once.
         receivers: dict[str, list[set]] = {}
-        for pk in sorted(self.participation):
-            if not self.participation[pk]:
-                continue
-            utxo = self.state.get(pk)
-            if utxo is None:
-                continue
-            h0 = utxo.created_height
-            if height < h0 + cfg.epoch_length or (height - h0) % cfg.epoch_length != 0:
-                continue
+        for pk in self._due_renewals(height):
             cred = self._credential(pk, height)
             if cred is None:
                 continue
@@ -1221,24 +1288,46 @@ class Simulation:
         if cfg.tx_rate and height <= cfg.heights - 2:
             self._issue_workload(height)
 
-    def _issue_workload(self, height: int):
-        cfg = self.cfg
-        # A key whose secret the adversary has ever held is not an honest
-        # user, even after a respend rotates it out of the corrupted set.
-        candidates = [
-            pk
-            for pk in sorted(self.state)
-            if pk not in self.in_flight
-            and pk not in self.adv.corrupted
-            and pk not in self.adv.pending
-            and pk not in self.adv.keys
-            and pk in self.keyring
-        ]
-        for _ in range(cfg.tx_rate):
-            if not candidates:
+    def _draw_senders(self, count: int) -> list[bytes]:
+        """Up to ``count`` distinct honest senders, drawn from the sorted
+        UTXO keys that are not excluded.
+
+        A key whose secret the adversary has ever held is not an honest
+        user, even after a respend rotates it out of the corrupted set;
+        keys in flight and keys outside the keyring are excluded too.  The
+        excluded keys are few, so only their positions in ``utxo_keys``
+        (which ``_accept`` alone writes) are looked up, and each draw over
+        the candidates is mapped to the position of the candidate it picks.
+        """
+        adv, state, keys = self.adv, self.state, self.utxo_keys
+        groups = (self.in_flight, adv.corrupted, adv.pending, adv.keys, self.outside_keyring)
+        excluded = {pk for group in groups for pk in group if pk in state}
+        taken = sorted(bisect_left(keys, pk) for pk in excluded)
+        senders = []
+        for _ in range(count):
+            n_candidates = len(keys) - len(taken)
+            if not n_candidates:
                 break
-            pick = self.workload_prg.draw(len(candidates)) - 1
-            sender = candidates.pop(pick)
+            pick = self.workload_prg.draw(n_candidates) - 1
+            # The candidate at ``pick`` sits at the least position i with
+            # pick + 1 candidates in keys[: i + 1].
+            lo, hi = pick, pick + len(taken)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if mid + 1 - bisect_right(taken, mid) > pick:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            insort(taken, lo)
+            senders.append(keys[lo])
+        return senders
+
+    def _issue_workload(self, height: int):
+        """``cfg.tx_rate`` honest transfers to fresh keys, from senders drawn
+        by ``_draw_senders`` over the UTXO keys that ``_accept`` keeps sorted
+        (it is their only writer after genesis)."""
+        cfg = self.cfg
+        for sender in self._draw_senders(cfg.tx_rate):
             receiver = keygen(
                 tagged_hash(b"wl-recv", self.master, encode_int(self.workload_counter))
             )
@@ -1265,13 +1354,15 @@ class Simulation:
         safety_ok = check_safety(self.observer_chains)
         liveness = check_liveness(self.metrics)
         blocks = len(self.chain) - 1
-        # A run without blocks included nothing: its chain did not grow.
+        # A run without blocks included nothing: its chain did not grow, and
+        # no transaction landed within the window either.
         liveness_ok = liveness.all_included and blocks > 0
+        efficiency_ok = liveness.all_within_window and blocks > 0
         per_user = self.meter.total / self.n_users if self.n_users else 0.0
         self.metrics.finish(
             safety_ok=safety_ok,
             liveness_ok=liveness_ok,
-            efficiency_ok=liveness.all_within_window,
+            efficiency_ok=efficiency_ok,
             fraction_within_window=liveness.fraction_within_window,
             view_violations=self.metrics.view_violations,
             incidents=len(self.metrics.incidents),
@@ -1285,7 +1376,7 @@ class Simulation:
             blocks,
             safety_ok=safety_ok,
             liveness_ok=liveness_ok,
-            efficiency_ok=liveness.all_within_window,
+            efficiency_ok=efficiency_ok,
         )
 
 

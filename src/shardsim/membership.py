@@ -108,7 +108,11 @@ def update_view(
     when no refill is needed.
     """
     height = prev_view.height + 1
-    known = set(prev_view.members())
+    members = prev_view.members()
+    # Member values are hashed by bytes, not by ``Credential.__hash__``; a
+    # value hit falls back to comparing whole credentials, so the test
+    # below is exactly ``cred in set(members)``.
+    known_values = {c.value for c in members}
     newcomers = []
     seen = set()
     # Honest members buffer the same joins, so slots repeat; dedup whole
@@ -126,7 +130,7 @@ def update_view(
         distinct_slots.append(key)
     for slot in distinct_slots:
         for cred in slot:
-            if cred in known or cred in seen:
+            if (cred.value in known_values and cred in members) or cred in seen:
                 continue
             if cred.expiry_height < height:
                 continue

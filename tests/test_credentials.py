@@ -51,6 +51,23 @@ def test_epoch_anchor_errors():
         epoch_anchor(5, 5, 3)
 
 
+@given(
+    h0=st.integers(-(2**40), 2**40),
+    epoch_length=st.integers(1, 2**20),
+    offset=st.integers(0, 2**30),
+)
+def test_epoch_anchor_window(h0, epoch_length, offset):
+    h = h0 + epoch_length + offset
+    anchor = epoch_anchor(h0, h, epoch_length)
+    assert h0 + epoch_length <= anchor <= h < anchor + epoch_length
+    assert anchor % epoch_length == h0 % epoch_length
+    # A renewal is due at h iff h is the anchor, which past the first epoch
+    # is iff h and h0 share a residue: the harness's renewal schedule walks
+    # only the UTXOs created under the residue of h.
+    due = (h - h0) % epoch_length == 0
+    assert due == (anchor == h) == (h % epoch_length == h0 % epoch_length)
+
+
 def fake_chain(n, tag=b"chain"):
     return [SimpleNamespace(seed=tagged_hash(tag, b"%d" % h)) for h in range(n)]
 

@@ -85,6 +85,29 @@ def _fshard1_mapping(name: str, **overrides) -> dict:
     return mapping
 
 
+def _small_mapping(name: str, **overrides) -> dict:
+    mapping = {
+        "schema_version": 1,
+        "name": name,
+        "master_seed": name,
+        "epoch_length": 3,
+        "heights": 12,
+        "s_min": 32,
+        "s_max": 64,
+        "mu_core": "1/3",
+        "mu_corrupted": "1/3",
+        "mu": "1/10",
+        "stake_cap": 1,
+        "kappa": 20.0,
+        "f_shard": 0,
+        "genesis": [{"count": 256, "stake": 1}],
+        "tx_rate": 4,
+        "unsafe_params": True,
+    }
+    mapping.update(overrides)
+    return mapping
+
+
 # name -> (config, events digest, metrics digest, blocks, safety_ok)
 GOLDEN = {
     "smoke": (
@@ -175,6 +198,34 @@ GOLDEN = {
         "6120cb07f4dc65139e9182c01c8a1204914e88570857115f72536d5961f1be29",
         "8d98eb537db8f1e4e652ab687f76968fcc7666664311315a54a74c6c0cc17e9b",
         3,
+        True,
+    ),
+    # Respends split each corrupted 4-stake UTXO into 1-stake UTXOs of fresh
+    # adversary keys outside the keyring, which the honest workload must
+    # never draw as senders.
+    "grind-split-n256": (
+        lambda: ScenarioConfig.from_mapping(
+            _small_mapping(
+                "grind-split-n256",
+                stake_cap=4,
+                genesis=[{"count": 256, "stake": 4}],
+                adversary={"strategy": "grind", "params": {"split": True}},
+            )
+        ),
+        "69e350790fd7b2bbe217729da6d559e69147fe22336f869ff02adc46f299b572",
+        "0a237a1564f298b7c4bb358aad6a47214bca1acd2599c8dc86391aa16dcf53de",
+        12,
+        True,
+    ),
+    # Epochs of 4 and 20 transfers per height: workload receivers are
+    # created under every residue of the epoch and renew twice.
+    "residues-n256-t4": (
+        lambda: ScenarioConfig.from_mapping(
+            _small_mapping("residues-n256-t4", epoch_length=4, tx_rate=20)
+        ),
+        "133f138d3f2ef34f0035db20c1508d5332e40c9ccfb66fccdf1fac7bcbaa6351",
+        "c0379f19e5afde8a2a58f666fecf3ee12bb515a8572ba1015a27ca0cb727323c",
+        12,
         True,
     ),
 }

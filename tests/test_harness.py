@@ -6,12 +6,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shardsim import harness
 from shardsim.adversary import PassiveStrategy, make_strategy
 from shardsim.cli import main
 from shardsim.credentials import Credential
-from shardsim.crypto import keygen, tagged_hash
+from shardsim.crypto import Prg, encode_int, keygen, tagged_hash
 from shardsim.harness import (
     ConfigError,
     EventLog,
@@ -26,11 +27,15 @@ from shardsim.harness import (
     run_scenario,
 )
 from shardsim.ledger import (
+    Block,
+    BlockHeader,
+    Transaction,
     TxOutput,
     block_core_digest,
     body_digest,
     make_genesis,
     make_transaction,
+    spend,
 )
 from shardsim.protocols import BaDecision
 
@@ -556,3 +561,120 @@ def test_run_without_blocks_fails_liveness():
     assert summary["liveness_ok"] is False
     done = [rec for rec in events if rec["kind"] == "run-complete"]
     assert done[-1]["liveness_ok"] is False
+
+
+def test_run_without_blocks_fails_efficiency():
+    # The stalled run above delivers no transaction, so none missed the
+    # window either; without a block the efficiency verdict must still fail.
+    raw = json.loads((CONFIG_DIR / "smoke.json").read_text())
+    metrics, events = run_scenario(ScenarioConfig.from_mapping({**raw, "f_shard": 3}))
+    summary = metrics.summary
+    assert summary["blocks"] == 0
+    assert check_liveness(metrics).all_within_window
+    assert summary["efficiency_ok"] is False
+    done = [rec for rec in events if rec["kind"] == "run-complete"]
+    assert done[-1]["efficiency_ok"] is False
+
+
+BODY_KINDS = ["spend", "self", "chain", "outside", "nonpart"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(epoch_length=st.integers(1, 3), data=st.data())
+def test_schedule_and_sorted_keys_match_full_scans(epoch_length, data):
+    """Drive random accepted bodies through ``_accept`` and compare, at each
+    height, the renewal schedule with a sorted scan of every participating
+    key, and the workload's sender draws with draws over the sorted,
+    filtered UTXO set from the same PRG state."""
+    sim = Simulation(
+        config(
+            epoch_length=epoch_length,
+            genesis=[{"count": 12, "stake": 2}],
+            stake_cap=2,
+            s_min=4,
+            s_max=8,
+            tx_rate=0,
+        )
+    )
+    reference_prg = Prg(tagged_hash(b"workload", sim.master))
+    made = []
+
+    def new_key(in_keyring=True, participating=True):
+        kp = keygen(tagged_hash(b"differential", encode_int(len(made))))
+        made.append(kp)
+        if in_keyring:
+            sim.keyring[kp.pk] = kp
+            sim.participation[kp.pk] = participating
+        return kp.pk
+
+    def transfer(running, pk, out, height):
+        tx = Transaction((pk,), (TxOutput(out, running[pk].stake),), ())
+        spend(running, tx, height)
+        return tx
+
+    for height in range(1, 3 * epoch_length + 3):
+        running = dict(sim.state)
+        body = []
+        for kind in data.draw(st.lists(st.sampled_from(BODY_KINDS), max_size=4)):
+            pk = data.draw(st.sampled_from(sorted(running)))
+            if kind == "self":
+                out = pk
+            elif kind == "outside":
+                out = new_key(in_keyring=False)
+            else:
+                out = new_key(participating=kind != "nonpart")
+            body.append(transfer(running, pk, out, height))
+            if kind == "chain":
+                body.append(transfer(running, out, new_key(), height))
+        header = BlockHeader(
+            prev_hash=b"",
+            height=height,
+            seed=tagged_hash(b"differential-seed", encode_int(height)),
+            body_hash=b"",
+            vrf_proofs=(),
+            proposer_label="",
+            certificate=(),
+        )
+        sim._accept(Block(header, tuple(body)), height, leader=None)
+        live = sorted(sim.state)
+        assert sim.utxo_keys == live
+        # Keys the adversary corrupts, schedules or learns, and keys in flight.
+        for pk in data.draw(st.lists(st.sampled_from(live), max_size=4)):
+            kind = data.draw(st.sampled_from(["corrupted", "pending", "keys", "in-flight"]))
+            if kind == "corrupted":
+                sim.adv.corrupted.add(pk)
+            elif kind == "pending":
+                sim.adv.pending[pk] = height + epoch_length
+            elif kind == "keys":
+                sim.adv.keys[pk] = sim.keyring.get(pk)
+            else:
+                sim.in_flight.add(pk)
+
+        due = [
+            pk
+            for pk in sorted(sim.participation)
+            if sim.participation[pk]
+            and pk in sim.state
+            and height >= sim.state[pk].created_height + epoch_length
+            and (height - sim.state[pk].created_height) % epoch_length == 0
+        ]
+        assert sim._due_renewals(height) == due
+
+        candidates = [
+            pk
+            for pk in live
+            if pk not in sim.in_flight
+            and pk not in sim.adv.corrupted
+            and pk not in sim.adv.pending
+            and pk not in sim.adv.keys
+            and pk in sim.keyring
+        ]
+        count = data.draw(st.integers(0, 4))
+        expected = []
+        for _ in range(count):
+            if not candidates:
+                break
+            expected.append(candidates.pop(reference_prg.draw(len(candidates)) - 1))
+        senders = sim._draw_senders(count)
+        assert senders == expected
+        sim.in_flight.update(pk for pk in senders if data.draw(st.booleans()))

@@ -700,6 +700,19 @@ def test_replaced_header_gets_fresh_digests():
     assert (block_core_digest(header), header_hash(header)) == (core, full)
 
 
+def test_certified_header_carries_the_core_digest_it_would_compute():
+    header = frozen_header()
+    # The uncertified header's full digest is cached too, and must not be
+    # carried into the certified one.
+    full = header_hash(header)
+    certified = attach_certificate(Block(header, ()), frozen_certificate(header.core_digest)).header
+    assert "core_digest" in vars(certified) and "digest" not in vars(certified)
+    fresh = replace(certified)
+    assert "core_digest" not in vars(fresh)
+    assert block_core_digest(certified) == block_core_digest(fresh) == reference_core_digest(fresh)
+    assert header_hash(certified) == reference_header_hash(fresh) != full
+
+
 digests = st.binary(max_size=40)
 heights = st.integers(-(2**63), 2**63 - 1)
 labels = st.text(max_size=6)

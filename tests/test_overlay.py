@@ -176,8 +176,8 @@ class TestViewTransition:
             label=ROOT_LABEL, height=2, core=tuple(self.creds[:3]), spare=(self.creds[3],)
         )
 
-    def _check(self, new_view, expiries=frozenset()):
-        return verify_view_transition(self.old, new_view, 2, set(expiries), self.s_min)
+    def _check(self, new_view):
+        return verify_view_transition(self.old, new_view, 2, self.s_min)
 
     def test_valid_transition(self):
         verdict = self._check(self.new)
@@ -199,7 +199,12 @@ class TestViewTransition:
         assert verdict, verdict.reason
 
     def test_expired_member(self):
-        assert self._check(self.new, expiries=[self.creds[1]]).reason == "expired-member"
+        # A core member whose credential expired with block 1 cannot be
+        # carried into the view for height 2.
+        dying = replace(self.creds[1], expiry_height=1)
+        self.old = replace(self.old, core=(self.creds[0], dying, self.creds[2]))
+        carried = replace(self.new, core=self.old.core)
+        assert self._check(carried).reason == "expired-member"
         dead = Credential(value=self.keys[4].pk, pk=self.keys[4].pk,
                           anchor_height=0, expiry_height=1)
         stale = ShardView(ROOT_LABEL, 2, tuple(self.creds[:3]), (dead,))
@@ -221,7 +226,7 @@ class TestViewTransition:
         stray = Credential(value=stray_val, pk=self.keys[4].pk,
                            anchor_height=0, expiry_height=10)
         new = ShardView("1", 2, tuple(self.creds[:2]) + (stray,), ())
-        verdict = verify_view_transition(old, new, 2, set(), self.s_min)
+        verdict = verify_view_transition(old, new, 2, self.s_min)
         assert verdict.reason == "routing"
 
     def test_newcomers_are_checked_but_carried_members_expire(self):
@@ -234,7 +239,7 @@ class TestViewTransition:
 
         def verdict(newcomer):
             new = ShardView("1", 2, tuple(routed), (newcomer,))
-            return verify_view_transition(old, new, 2, set(), self.s_min)
+            return verify_view_transition(old, new, 2, self.s_min)
 
         pk = self.keys[4].pk
         fine = Credential(value=b"\xff" + pk[1:], pk=pk, anchor_height=2, expiry_height=9)
@@ -249,7 +254,7 @@ class TestViewTransition:
         dying = replace(routed[2], expiry_height=1)
         old = ShardView("1", 1, tuple(routed[:2]) + (dying,), ())
         new = ShardView("1", 2, old.core, (fine,))
-        assert verify_view_transition(old, new, 2, set(), self.s_min).reason == "expired-member"
+        assert verify_view_transition(old, new, 2, self.s_min).reason == "expired-member"
 
 
 # -- properties --------------------------------------------------------------
@@ -348,7 +353,7 @@ def test_label_longer_than_digest_raises(value, extra):
         label_matches(label, value)
 
 
-def reference_transition(old_view, new_view, height, expected_expiries, s_min):
+def reference_transition(old_view, new_view, height, s_min):
     """``verify_view_transition`` with routing and window checked for every
     member, carried over or not."""
     if new_view.label != old_view.label:
@@ -358,7 +363,7 @@ def reference_transition(old_view, new_view, height, expected_expiries, s_min):
     if len(new_view.core) != min(s_min, len(new_view.members())):
         return Validity(False, "core-size")
     for cred in new_view.members():
-        if cred in expected_expiries or cred.expiry_height < height:
+        if cred.expiry_height < height:
             return Validity(False, "expired-member")
         if cred.anchor_height > height or cred.anchor_height >= cred.expiry_height:
             return Validity(False, "window")
@@ -406,14 +411,13 @@ def transitions(draw):
         tuple(members[:core]),
         tuple(members[core:]),
     )
-    expiries = {draw(st.sampled_from(old_members))} if draw(st.integers(0, 3)) == 0 else set()
-    return old, new, height, expiries, s_min
+    return old, new, height, s_min
 
 
 @settings(deadline=None, max_examples=300)
 @given(transitions())
 def test_transition_verdict_equals_the_full_per_member_check(case):
-    old, new, height, expiries, s_min = case
-    assert reference_transition(old, new, height, expiries, s_min) == (
-        verify_view_transition(old, new, height, expiries, s_min)
+    old, new, height, s_min = case
+    assert reference_transition(old, new, height, s_min) == (
+        verify_view_transition(old, new, height, s_min)
     )
