@@ -1,14 +1,17 @@
 """Deterministic simulator and analysis toolkit for a sharded
 proof-of-stake ledger with rotating per-epoch credentials.
 
-The package splits into three layers:
+The package splits into four layers:
 
 - protocol mechanics: ``crypto``, ``ledger``, ``credentials``, ``overlay``,
   ``membership``, ``protocols``, ``blocks``, ``adversary``;
-- the scenario ``harness`` that wires those into a reproducible run with
-  safety/liveness/efficiency oracles;
+- the scenario run: ``config`` parses and checks a scenario, ``harness``
+  runs it height by height on the UTXO state that ``utxo_index`` keeps,
+  ``records`` holds its event log and metrics, and ``oracles`` gives the
+  safety and liveness verdicts;
 - ``analysis`` with the closed-form corruption bounds, exact tail
-  probabilities, the parameter solver, and Monte Carlo validators.
+  probabilities, the parameter solver, and Monte Carlo validators;
+- the ``cli`` front end.
 """
 
 from .analysis import (
@@ -25,18 +28,10 @@ from .analysis import (
     shard_tail_bound,
     solve_params,
 )
-from .harness import (
-    ConfigError,
-    EventLog,
-    LivenessReport,
-    Metrics,
-    ScenarioConfig,
-    check_liveness,
-    check_safety,
-    load_config,
-    message_scaling_report,
-    run_scenario,
-)
+from .config import ConfigError, ScenarioConfig, load_config
+from .harness import message_scaling_report, run_scenario
+from .oracles import LivenessReport, check_liveness, check_safety
+from .records import EventLog, Metrics
 
 __version__ = "0.1.0"
 

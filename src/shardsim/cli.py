@@ -26,14 +26,9 @@ from .analysis import (
     shard_tail_bound,
     solve_params,
 )
-from .harness import (
-    ConfigError,
-    InvariantError,
-    ScenarioConfig,
-    load_config,
-    message_scaling_report,
-    run_scenario,
-)
+from .config import ConfigError, ScenarioConfig, load_config
+from .harness import message_scaling_report, run_scenario
+from .oracles import InvariantError
 
 
 def _print(payload: dict):

@@ -3,15 +3,16 @@
 A UTXO created at height h0 earns its first credential one full epoch
 later, derived from the seed of the anchor block; the credential perishes
 one epoch after its anchor.  Spending the UTXO does not revoke an already
-anchored credential: eligibility is evaluated against the UTXO set snapshot
-at the anchor height, so a credential stays usable until its expiry.
+anchored credential: eligibility is judged by the UTXO the pk held at the
+anchor height, which the caller looks up (no per-height UTXO set is kept),
+so a credential stays usable until its expiry.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Sequence
 
 from .crypto import tagged_hash
 from .ledger import Utxo
@@ -78,23 +79,21 @@ def verify_credential(
     cred: Credential,
     h: int,
     chain: Sequence,
-    utxo_history: Mapping[int, Mapping[bytes, Utxo]],
+    utxo_at: Callable[[bytes, int], Utxo | None],
 ) -> bool:
     """Recompute and check a credential at height ``h``.
 
-    ``utxo_history`` maps heights to UTXO set snapshots; eligibility is
-    judged at the anchor snapshot, which is what keeps an already derived
-    credential alive after its UTXO is spent.
+    ``utxo_at(pk, height)`` is the UTXO ``pk`` held in the set after block
+    ``height``, or None (also for a height that was never accepted).
+    Eligibility is judged by the UTXO held at the anchor, which is what
+    keeps an already derived credential alive after its UTXO is spent.
     """
     if h >= cred.expiry_height:
         return False
     epoch_length = cred.expiry_height - cred.anchor_height
     if epoch_length < 1:
         return False
-    snapshot = utxo_history.get(cred.anchor_height)
-    if snapshot is None:
-        return False
-    utxo = snapshot.get(cred.pk)
+    utxo = utxo_at(cred.pk, cred.anchor_height)
     if utxo is None:
         return False
     try:

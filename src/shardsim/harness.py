@@ -1,6 +1,5 @@
-"""Scenario configuration, the deterministic per-height simulation loop,
-property oracles (safety, liveness, efficiency, message scaling), metrics
-and the replayable event log.
+"""The deterministic per-height simulation loop, and the message-scaling
+grid built from its runs.
 
 One height is one macro-round: view updates, then topology changes, then
 committee election plus block agreement, then credential renewals and the
@@ -16,20 +15,11 @@ and stalls the shard.  The signature quorum is counted once, at install.
 
 from __future__ import annotations
 
-import json
-from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from fractions import Fraction
-from typing import Callable, Container, Iterable, Mapping, Sequence
+from typing import Callable, Container, Mapping, Sequence
 
-from .adversary import (
-    STRATEGIES,
-    AdversaryState,
-    activate_due,
-    make_strategy,
-    schedule_corruption,
-)
-from .analysis import solve_params
+from .adversary import AdversaryState, activate_due, make_strategy, schedule_corruption
 from .blocks import (
     attach_certificate,
     build_proposal,
@@ -37,8 +27,9 @@ from .blocks import (
     elect_committee,
     shard_sign_block,
 )
-from .credentials import Credential, derive_credential, epoch_anchor, verify_credential
-from .crypto import Prg, encode_int, hash_digest, keygen, tagged_hash, vrf_eval
+from .config import ConfigError, ScenarioConfig
+from .credentials import Credential, derive_credential, verify_credential
+from .crypto import Prg, encode_int, keygen, tagged_hash, vrf_eval
 from .ledger import (
     Block,
     BlockHeader,
@@ -46,7 +37,6 @@ from .ledger import (
     ShardSignature,
     Transaction,
     TxOutput,
-    apply_block,
     apply_transaction,
     body_digest,
     header_hash,
@@ -60,13 +50,13 @@ from .ledger import (
 from .membership import (
     ShardRuntime,
     ShardView,
-    expiring_members,
     form_view,
     install_and_diffuse,
     refill_needed,
     update_view,
     view_digest,
 )
+from .oracles import InvariantError, check_liveness, check_safety
 from .overlay import (
     ROOT_LABEL,
     SizeBounds,
@@ -85,372 +75,8 @@ from .protocols import (
     vector_consensus,
     verifiable_ba,
 )
-
-SCHEMA_VERSION = 1
-
-
-class ConfigError(ValueError):
-    pass
-
-
-class InvariantError(RuntimeError):
-    """An internal invariant of the simulation broke: a fault in shardsim,
-    not a verdict on the scenario."""
-
-
-def parse_ratio(value) -> Fraction:
-    """Ratios come in as exact strings ("1/3") or integers; binary floats
-    are rejected so thresholds stay exact."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise ConfigError(f"ratio fields take strings like '1/3' or integers, got {value!r}")
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    master_seed: str
-    epoch_length: int
-    heights: int
-    s_min: int
-    s_max: int
-    mu_core: Fraction
-    mu_corrupted: Fraction
-    mu: Fraction
-    stake_cap: int
-    kappa: float
-    f_shard: int
-    genesis: tuple[tuple[int, int], ...]  # (count, stake) groups
-    tx_rate: int = 0
-    adversary_strategy: str = "passive"
-    adversary_params: Mapping = field(default_factory=dict)
-    corrupt_fraction: Fraction | None = None
-    force_corrupt_shards: int = 0
-    participation: str = "all"
-    observers: int = 3
-    unsafe_params: bool = False
-    name: str = ""
-
-    @property
-    def n_credentials(self) -> int:
-        return sum(count for count, _ in self.genesis)
-
-    @property
-    def corruption_budget(self) -> Fraction:
-        return self.corrupt_fraction if self.corrupt_fraction is not None else self.mu
-
-    @classmethod
-    def from_mapping(cls, raw: Mapping) -> "ScenarioConfig":
-        """Parse a config mapping; every malformed input raises ConfigError."""
-        if not isinstance(raw, Mapping):
-            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-        data = dict(raw)
-        version = data.pop("schema_version", None)
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema_version {version!r}")
-        try:
-            genesis = tuple(
-                (int(g["count"]), int(g["stake"])) for g in data.pop("genesis")
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad genesis spec: {exc}") from exc
-        adversary = data.pop("adversary", {})
-        if not isinstance(adversary, Mapping):
-            raise ConfigError("adversary must be a JSON object")
-        corrupt = adversary.get("corrupt_fraction")
-        try:
-            kwargs = dict(
-                master_seed=str(data.pop("master_seed")),
-                epoch_length=int(data.pop("epoch_length")),
-                heights=int(data.pop("heights")),
-                s_min=int(data.pop("s_min")),
-                s_max=int(data.pop("s_max")),
-                mu_core=parse_ratio(data.pop("mu_core")),
-                mu_corrupted=parse_ratio(data.pop("mu_corrupted")),
-                mu=parse_ratio(data.pop("mu")),
-                stake_cap=int(data.pop("stake_cap")),
-                kappa=float(data.pop("kappa")),
-                f_shard=int(data.pop("f_shard")),
-                genesis=genesis,
-                tx_rate=int(data.pop("tx_rate", 0)),
-                adversary_strategy=str(adversary.get("strategy", "passive")),
-                adversary_params=dict(adversary.get("params", {})),
-                corrupt_fraction=parse_ratio(corrupt) if corrupt is not None else None,
-                force_corrupt_shards=int(adversary.get("force_corrupt_shards", 0)),
-                participation=str(data.pop("participation", "all")),
-                observers=int(data.pop("observers", 3)),
-                unsafe_params=bool(data.pop("unsafe_params", False)),
-                name=str(data.pop("name", "")),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config field: {exc}") from exc
-        if data:
-            raise ConfigError(f"unknown config fields: {sorted(data)}")
-        return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path) -> "ScenarioConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"not valid JSON: {exc}") from exc
-        return cls.from_mapping(raw)
-
-    def to_mapping(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "master_seed": self.master_seed,
-            "epoch_length": self.epoch_length,
-            "heights": self.heights,
-            "s_min": self.s_min,
-            "s_max": self.s_max,
-            "mu_core": str(self.mu_core),
-            "mu_corrupted": str(self.mu_corrupted),
-            "mu": str(self.mu),
-            "stake_cap": self.stake_cap,
-            "kappa": self.kappa,
-            "f_shard": self.f_shard,
-            "genesis": [{"count": c, "stake": s} for c, s in self.genesis],
-            "tx_rate": self.tx_rate,
-            "adversary": {
-                "strategy": self.adversary_strategy,
-                "params": dict(self.adversary_params),
-                "corrupt_fraction": (
-                    str(self.corrupt_fraction) if self.corrupt_fraction is not None else None
-                ),
-                "force_corrupt_shards": self.force_corrupt_shards,
-            },
-            "participation": self.participation,
-            "observers": self.observers,
-            "unsafe_params": self.unsafe_params,
-        }
-
-    def validate(self, strict: bool = False) -> list[str]:
-        errors = []
-        if self.epoch_length < 1:
-            errors.append("epoch_length must be >= 1")
-        if self.heights < 1:
-            errors.append("heights must be >= 1")
-        if self.s_min < 1:
-            errors.append("s_min must be >= 1")
-        if self.s_max < 2 * self.s_min:
-            errors.append("s_max must be >= 2 * s_min")
-        for name in ("mu_core", "mu_corrupted", "mu"):
-            value = getattr(self, name)
-            if not (0 < value < 1):
-                errors.append(f"{name} must lie strictly between 0 and 1")
-        if self.stake_cap < 1:
-            errors.append("stake_cap must be >= 1")
-        if not self.genesis:
-            errors.append("genesis must list at least one UTXO group")
-        for count, stake in self.genesis:
-            if count < 1:
-                errors.append("genesis group count must be >= 1")
-            if not (1 <= stake <= self.stake_cap):
-                errors.append(f"genesis stake {stake} outside [1, {self.stake_cap}]")
-        if self.tx_rate < 0:
-            errors.append("tx_rate must be >= 0")
-        if self.f_shard < 0:
-            errors.append("f_shard must be >= 0")
-        if self.observers < 1:
-            errors.append("observers must be >= 1")
-        if self.adversary_strategy not in STRATEGIES:
-            errors.append(f"unknown adversary strategy {self.adversary_strategy!r}")
-        if self.corrupt_fraction is not None and self.corrupt_fraction > self.mu:
-            errors.append("corrupt_fraction exceeds the adversary stake bound mu")
-        if self.participation not in ("all", "none"):
-            errors.append(f"unknown participation policy {self.participation!r}")
-        if self.force_corrupt_shards < 0:
-            errors.append("force_corrupt_shards must be >= 0")
-
-        if strict and self.unsafe_params:
-            errors.append("unsafe_params configs rejected under strict parameter checking")
-        if not errors and (strict or not self.unsafe_params):
-            solved = solve_params(
-                self.mu, self.kappa, self.n_credentials, self.stake_cap, self.mu_core
-            )
-            if not solved.feasible:
-                errors.append(
-                    "no feasible core size for (mu, kappa, N, stake_cap, mu_core); "
-                    "mark unsafe_params for stress runs"
-                )
-            elif self.s_min < solved.s_min:
-                errors.append(
-                    f"s_min={self.s_min} below the {solved.s_min} required for "
-                    f"kappa={self.kappa}; mark unsafe_params for stress runs"
-                )
-            elif self.n_credentials < self.s_min:
-                errors.append("fewer credentials than s_min: the root shard cannot form")
-        return errors
-
-
-def load_config(path, strict: bool = False) -> ScenarioConfig:
-    config = ScenarioConfig.from_file(path)
-    errors = config.validate(strict=strict)
-    if errors:
-        raise ConfigError("; ".join(errors))
-    return config
-
-
-class EventLog:
-    """Append-only protocol event records, canonically serialized."""
-
-    def __init__(self):
-        self.records: list[dict] = []
-
-    def emit(self, kind: str, height: int, **fields):
-        record = {"seq": len(self.records), "kind": kind, "height": height}
-        record.update(fields)
-        self.records.append(record)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in self.records
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def digest(self) -> str:
-        return hash_digest(self.to_jsonl().encode("utf-8")).hex()
-
-
-_CSV_COLUMNS = (
-    "height",
-    "block",
-    "committee",
-    "leader_rounds",
-    "corrupted_shards",
-    "shards",
-    "members",
-    "joins",
-    "txs_included",
-    "messages_total",
-)
-
-
-class Metrics:
-    """Per-height simulation records plus run verdicts.
-
-    Append-only and a pure function of the scenario config; serialization
-    is canonical so digests can be compared across replays.
-    """
-
-    def __init__(self, name: str, n_users: int):
-        self.name = name
-        self.n_users = n_users
-        self.rows: list[dict] = []
-        self.incidents: list[dict] = []
-        # tx id hex -> {"delivered", "included", "honest"}
-        self.latencies: dict[str, dict] = {}
-        self.view_violations = 0
-        self.summary: dict = {}
-
-    def record_height(self, **fields):
-        self.rows.append({col: fields.get(col) for col in _CSV_COLUMNS})
-
-    def incident(self, height: int, kind: str, **fields):
-        rec = {"height": height, "kind": kind}
-        rec.update(fields)
-        self.incidents.append(rec)
-
-    def tx_delivered(self, tx_id: str, height: int, honest: bool):
-        self.latencies[tx_id] = {"delivered": height, "included": None, "honest": honest}
-
-    def tx_included(self, tx_id: str, height: int):
-        if tx_id in self.latencies:
-            self.latencies[tx_id]["included"] = height
-
-    def finish(self, **verdicts):
-        self.summary = dict(verdicts)
-
-    def to_json(self) -> str:
-        payload = {
-            "name": self.name,
-            "n_users": self.n_users,
-            "rows": self.rows,
-            "incidents": self.incidents,
-            "latencies": self.latencies,
-            "view_violations": self.view_violations,
-            "summary": self.summary,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    def to_csv(self) -> str:
-        lines = [",".join(_CSV_COLUMNS)]
-        for row in self.rows:
-            lines.append(",".join(_csv_cell(row[col]) for col in _CSV_COLUMNS))
-        return "\n".join(lines) + "\n"
-
-    def digest(self) -> str:
-        return hash_digest(self.to_json().encode("utf-8")).hex()
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (list, tuple)):
-        return "|".join(str(v) for v in value)
-    return str(value)
-
-
-@dataclass(frozen=True)
-class LivenessReport:
-    all_included: bool
-    all_within_window: bool
-    fraction_within_window: float
-    pending: tuple[str, ...]
-
-
-def check_safety(chains: Sequence[Sequence[Block]]) -> bool:
-    """All pairs of honest chains agree at every common height; prefix
-    differences (a node lagging behind) are fine."""
-    hashes = [[header_hash(block.header) for block in chain] for chain in chains]
-    for i, a in enumerate(hashes):
-        for b in hashes[i + 1 :]:
-            common = min(len(a), len(b))
-            if a[:common] != b[:common]:
-                return False
-    return True
-
-
-def check_liveness(
-    metrics: Metrics, workload: Iterable[str] | None = None, window: int = 2
-) -> LivenessReport:
-    """Every honest tx delivered during the run must land in an accepted
-    block; landing within ``window`` blocks is the efficiency sub-verdict."""
-    if workload is None:
-        ids = [tx for tx, rec in metrics.latencies.items() if rec["honest"]]
-    else:
-        ids = list(workload)
-    pending = []
-    within = 0
-    for tx in sorted(ids):
-        rec = metrics.latencies.get(tx)
-        if rec is None or rec["included"] is None:
-            pending.append(tx)
-            continue
-        if rec["included"] - rec["delivered"] <= window:
-            within += 1
-    total = len(ids)
-    fraction = (within / total) if total else 1.0
-    return LivenessReport(
-        all_included=not pending,
-        all_within_window=not pending and within == total,
-        fraction_within_window=fraction,
-        pending=tuple(pending),
-    )
+from .records import EventLog, Metrics
+from .utxo_index import UtxoIndex
 
 
 class Simulation:
@@ -481,21 +107,11 @@ class Simulation:
         self.participation: dict[bytes, bool] = {}
         self.chain: list[Block] = []
         self.headers: list[BlockHeader] = []  # credential derivation wants headers
-        self.state: dict = {}
-        self.utxo_history: dict[int, Mapping] = {}
         self.runtimes: dict[str, ShardRuntime] = {}
         self.directory: dict[str, ShardView] = {}
         self.observer_chains: list[list[Block]] = []
         self.pending: dict[bytes, Transaction] = {}
         self.in_flight: set[bytes] = set()
-        # Written at genesis and then by ``_accept`` alone: the pks of created
-        # UTXOs by ``created_height % epoch_length`` (append-only between
-        # renewal walks, which prune them), the UTXO set's keys in sorted
-        # order, and those of its keys that are outside the keyring.
-        self.renewal_schedule: list[list[bytes]] = [[] for _ in range(config.epoch_length)]
-        self.utxo_keys: list[bytes] = []
-        self.outside_keyring: set[bytes] = set()
-        self.cred_cache: dict[tuple[bytes, int], Credential] = {}
         self.attempts: dict[int, int] = {}
         self.workload_prg = Prg(tagged_hash(b"workload", self.master))
         self.workload_counter = 0
@@ -521,31 +137,21 @@ class Simulation:
             genesis_utxos, tagged_hash(b"genesis", self.master), cfg.stake_cap
         )
         # UTXOs are pre-aged by one epoch so first credentials anchor at the
-        # genesis block and shards can produce from height 1.
-        self.state = apply_transaction({}, genesis.body[0], -cfg.epoch_length)
+        # genesis block and shards can produce from height 1.  ``_accept``
+        # is the index's only writer after genesis.
+        self.utxos = UtxoIndex(
+            apply_transaction({}, genesis.body[0], -cfg.epoch_length), cfg.epoch_length
+        )
         self.chain = [genesis]
         self.headers = [genesis.header]
-        self.utxo_history[0] = self.state
-        # Genesis pays keyring keys only, so none is outside the keyring.
-        self.utxo_keys = sorted(self.state)
-        self.renewal_schedule[-cfg.epoch_length % cfg.epoch_length].extend(self.utxo_keys)
         self.observer_chains = [[genesis] for _ in range(cfg.observers)]
         self.events.emit(
             "genesis", 0, block=header_hash(genesis.header).hex(), users=self.n_users
         )
 
-        creds = [
-            self._credential(pk, 0) for pk in self.utxo_keys if self.participation[pk]
-        ]
-        creds = [c for c in creds if c is not None]
-        root = form_view(
-            ROOT_LABEL,
-            creds,
-            0,
-            shard_entropy(self.master, ROOT_LABEL, 0, b"bootstrap"),
-            cfg.s_min,
-        )
-        self.directory = {ROOT_LABEL: root}
+        creds = [self._credential(pk, 0) for pk in self.utxos.sorted_pks if self.participation[pk]]
+        seed = shard_entropy(self.master, ROOT_LABEL, 0, b"bootstrap")
+        self.directory = {ROOT_LABEL: form_view(ROOT_LABEL, creds, 0, seed, cfg.s_min)}
         self._bootstrap_splits()
         for label, view in sorted(self.directory.items()):
             rt = ShardRuntime(label=label, view=view)
@@ -571,20 +177,10 @@ class Simulation:
             for pk in sorted(self.keyring):
                 if self._controlled(pk):
                     continue
-                scheduled = schedule_corruption(
-                    self.adv,
-                    pk,
-                    -cfg.epoch_length,
-                    self.state,
-                    cfg.corruption_budget,
-                    cfg.epoch_length,
-                )
-                if not scheduled:
+                if not self._schedule_corruption(pk):
                     break
                 self.events.emit("corruption-scheduled", 0, pk=pk.hex())
-        activated = activate_due(self.adv, 0, self.keyring)
-        for pk in activated:
-            self.events.emit("corruption-active", 0, pk=pk.hex())
+        self._activate_corruptions(0)
 
     def _bootstrap_splits(self):
         # Child seeds depend only on the label and a label's members do not
@@ -619,14 +215,7 @@ class Simulation:
                     break
                 if self._controlled(cred.pk):
                     continue
-                if schedule_corruption(
-                    self.adv,
-                    cred.pk,
-                    -self.cfg.epoch_length,
-                    self.state,
-                    self.cfg.corruption_budget,
-                    self.cfg.epoch_length,
-                ):
+                if self._schedule_corruption(cred.pk):
                     have += 1
                 else:
                     self.metrics.incident(0, "force-corrupt-budget", label=label)
@@ -635,22 +224,25 @@ class Simulation:
     def _controlled(self, pk: bytes) -> bool:
         return pk in self.adv.corrupted or pk in self.adv.pending
 
+    def _schedule_corruption(self, pk: bytes) -> bool:
+        """Schedule ``pk`` at set-up if the corruption budget allows it."""
+        cfg, live = self.cfg, self.utxos.live
+        return schedule_corruption(
+            self.adv, pk, -cfg.epoch_length, live, cfg.corruption_budget, cfg.epoch_length
+        )
+
     # -- helpers -----------------------------------------------------------
 
-    def _credential(self, pk: bytes, h: int) -> Credential | None:
-        utxo = self.state.get(pk)
-        if utxo is None:
-            return None
-        h0 = utxo.created_height
-        if h < h0 + self.cfg.epoch_length:
-            return None
-        anchor = epoch_anchor(h0, h, self.cfg.epoch_length)
-        key = (pk, anchor)
-        cached = self.cred_cache.get(key)
-        if cached is None:
-            cached = derive_credential(pk, h0, h, self.headers, self.cfg.epoch_length)
-            self.cred_cache[key] = cached
-        return cached
+    @property
+    def utxo_history(self) -> UtxoIndex:
+        """Read-only mapping from each accepted height to its UTXO set."""
+        return self.utxos
+
+    def _credential(self, pk: bytes, h: int) -> Credential:
+        """Credential at ``h`` of ``pk``'s live UTXO, at least an epoch old;
+        each ``(pk, anchor)`` is asked for once, so nothing is cached."""
+        h0 = self.utxos.live[pk].created_height
+        return derive_credential(pk, h0, h, self.headers, self.cfg.epoch_length)
 
     def _core_byzantine(self, view: ShardView) -> frozenset:
         if not self.adv.corrupted:
@@ -732,11 +324,10 @@ class Simulation:
         vector = vector_consensus(parts, honest_inputs, decision, self.meter)
 
         eval_height = height - 1  # validity judged at the last accepted block
-        expiring = expiring_members(old_view, eval_height)
 
         def newcomer_valid(cred: Credential) -> bool:
             return label_matches(rt.label, cred.value) and verify_credential(
-                cred, eval_height, self.headers, self.utxo_history
+                cred, eval_height, self.headers, self.utxos.utxo_at
             )
 
         beacon_seed = None
@@ -747,11 +338,11 @@ class Simulation:
                 height,
                 b"refill",
                 evaluate=lambda seed: self._score_promotions(
-                    old_view, vector, expiring, seed, newcomer_valid
+                    old_view, vector, seed, newcomer_valid
                 ),
             )
 
-        upd = update_view(old_view, vector, expiring, beacon_seed, cfg.s_min, newcomer_valid)
+        upd = update_view(old_view, vector, beacon_seed, cfg.s_min, newcomer_valid)
         # The network checks the diffused view against the registered one;
         # a view that fails is a view-agreement violation and never installs.
         transition = verify_view_transition(old_view, upd.view, height, cfg.s_min)
@@ -805,12 +396,10 @@ class Simulation:
         self.metrics.incident(height, kind, label=rt.label, **fields)
         self.events.emit("view-rejected", height, label=rt.label)
 
-    def _score_promotions(self, old_view, vector, expiring, seed, newcomer_valid) -> float:
+    def _score_promotions(self, old_view, vector, seed, newcomer_valid) -> float:
         """Objective for a seed-grinding beacon quorum: corrupted members
         promoted into the next core."""
-        trial = update_view(
-            old_view, vector, expiring, seed, self.cfg.s_min, newcomer_valid
-        )
+        trial = update_view(old_view, vector, seed, self.cfg.s_min, newcomer_valid)
         return float(sum(1 for c in trial.view.core if c.pk in self.adv.corrupted))
 
     def _run_beacon(
@@ -911,7 +500,6 @@ class Simulation:
         )
 
     def _produce_block(self, height: int) -> bool:
-        cfg = self.cfg
         prev = self.chain[-1].header
         eligible = sorted(
             label
@@ -989,7 +577,7 @@ class Simulation:
                 label,
                 core,
                 prev,
-                self.state,
+                self.utxos.live,
                 honest_inputs,
                 cfg.stake_cap,
                 decision=decision,
@@ -1006,7 +594,7 @@ class Simulation:
             # committee has decided and endorsed.
             return bool(
                 validate_block(
-                    self.state,
+                    self.utxos.live,
                     self.directory,
                     candidate,
                     prev,
@@ -1134,7 +722,7 @@ class Simulation:
 
     def _adversary_marker_tx(self) -> Transaction | None:
         for pk in sorted(self.adv.corrupted):
-            utxo = self.state.get(pk)
+            utxo = self.utxos.live.get(pk)
             if utxo is None or pk in self.in_flight:
                 continue
             fresh = self.adv.fresh_key()
@@ -1156,10 +744,7 @@ class Simulation:
     ):
         self.chain.append(block)
         self.headers.append(block.header)
-        before = self.state
-        self.state = apply_block(before, block)
-        self.utxo_history[height] = self.state
-        self._index_utxos(before, block)
+        self.utxos.apply(block, self.keyring)
         for i, chain in enumerate(self.observer_chains):
             delivered = per_observer.get(i, block) if per_observer else block
             chain.append(delivered)
@@ -1180,32 +765,6 @@ class Simulation:
             txs=len(block.body),
         )
 
-    def _index_utxos(self, before: Mapping, block: Block):
-        """Bring the renewal schedule, the sorted UTXO keys and the keys
-        outside the keyring up to date with ``block``, applied to ``before``.
-
-        Every UTXO the block leaves under a touched pk was created by it.
-        The keyring only grows, and a key joins it before its first output
-        exists, so a UTXO outside the keyring stays outside for its life.
-        """
-        state, keys = self.state, self.utxo_keys
-        touched = set()
-        for tx in block.body:
-            touched.update(tx.inputs)
-            touched.update(out.pk for out in tx.outputs)
-        for pk in touched:
-            utxo = state.get(pk)
-            if utxo is None:
-                if pk in before:
-                    del keys[bisect_left(keys, pk)]
-                    self.outside_keyring.discard(pk)
-                continue
-            if pk not in before:
-                insort(keys, pk)
-            if pk not in self.keyring:
-                self.outside_keyring.add(pk)
-            self.renewal_schedule[utxo.created_height % self.cfg.epoch_length].append(pk)
-
     # -- renewals and workload ----------------------------------------------
 
     def _join_receivers(self, rt: ShardRuntime) -> list[set]:
@@ -1225,49 +784,15 @@ class Simulation:
             receivers.append(buf)
         return receivers
 
-    def _due_renewals(self, height: int) -> list[bytes]:
-        """Participating pks whose credential renews at ``height``, sorted.
-
-        A UTXO renews at every multiple of the epoch after its creation, so
-        only the schedule entry of ``height``'s residue is walked; ``_accept``
-        is the only writer of the schedule after genesis, and enters every
-        UTXO it creates under its residue.  The walk drops repeats, spent
-        UTXOs and UTXOs re-created under another residue from the entry.
-        """
-        epoch = self.cfg.epoch_length
-        residue = height % epoch
-        kept: list[bytes] = []
-        due: list[bytes] = []
-        for pk in sorted(self.renewal_schedule[residue]):
-            if kept and kept[-1] == pk:
-                continue
-            utxo = self.state.get(pk)
-            if utxo is None or utxo.created_height % epoch != residue:
-                continue
-            kept.append(pk)
-            if not self.participation.get(pk):
-                continue
-            h0 = utxo.created_height
-            if height < h0 + epoch or (height - h0) % epoch != 0:
-                continue
-            due.append(pk)
-        self.renewal_schedule[residue] = kept
-        return due
-
     def _renewals_and_workload(self, height: int):
         """Joins of the credentials renewing at ``height``, then adversary
-        and honest transactions.  Only the renewal schedule entry of this
-        height's residue and the sorted UTXO keys are read, and ``_accept``
-        is their only writer after genesis, so the joins, their order and
-        the workload draws are those of a full scan of every key."""
+        and honest transactions."""
         cfg = self.cfg
         # Views, buffers and corruption stay fixed for the whole phase, so
         # each shard's receivers are worked out once.
         receivers: dict[str, list[set]] = {}
-        for pk in self._due_renewals(height):
+        for pk in self.utxos.due_renewals(height, self.participation):
             cred = self._credential(pk, height)
-            if cred is None:
-                continue
             rt = self.runtimes[route(self.directory, cred.value)]
             bufs = receivers.get(rt.label)
             if bufs is None:
@@ -1281,7 +806,7 @@ class Simulation:
             )
 
         for tx in self.strategy.issue_transactions(
-            self.adv, self.state, cfg.stake_cap, height, cfg.epoch_length
+            self.adv, self.utxos.live, cfg.stake_cap, height, cfg.epoch_length
         ):
             self._deliver_tx(tx, height, honest=False)
 
@@ -1289,43 +814,15 @@ class Simulation:
             self._issue_workload(height)
 
     def _draw_senders(self, count: int) -> list[bytes]:
-        """Up to ``count`` distinct honest senders, drawn from the sorted
-        UTXO keys that are not excluded.
-
-        A key whose secret the adversary has ever held is not an honest
-        user, even after a respend rotates it out of the corrupted set;
-        keys in flight and keys outside the keyring are excluded too.  The
-        excluded keys are few, so only their positions in ``utxo_keys``
-        (which ``_accept`` alone writes) are looked up, and each draw over
-        the candidates is mapped to the position of the candidate it picks.
-        """
-        adv, state, keys = self.adv, self.state, self.utxo_keys
-        groups = (self.in_flight, adv.corrupted, adv.pending, adv.keys, self.outside_keyring)
-        excluded = {pk for group in groups for pk in group if pk in state}
-        taken = sorted(bisect_left(keys, pk) for pk in excluded)
-        senders = []
-        for _ in range(count):
-            n_candidates = len(keys) - len(taken)
-            if not n_candidates:
-                break
-            pick = self.workload_prg.draw(n_candidates) - 1
-            # The candidate at ``pick`` sits at the least position i with
-            # pick + 1 candidates in keys[: i + 1].
-            lo, hi = pick, pick + len(taken)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if mid + 1 - bisect_right(taken, mid) > pick:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            insort(taken, lo)
-            senders.append(keys[lo])
-        return senders
+        """Up to ``count`` honest senders.  Keys in flight are none, nor is a
+        key whose secret the adversary has ever held, even after a respend
+        rotated it out of the corrupted set."""
+        adv = self.adv
+        excluded = (self.in_flight, adv.corrupted, adv.pending, adv.keys)
+        return self.utxos.draw_senders(count, self.workload_prg, excluded)
 
     def _issue_workload(self, height: int):
-        """``cfg.tx_rate`` honest transfers to fresh keys, from senders drawn
-        by ``_draw_senders`` over the UTXO keys that ``_accept`` keeps sorted
-        (it is their only writer after genesis)."""
+        """``cfg.tx_rate`` honest transfers to fresh keys."""
         cfg = self.cfg
         for sender in self._draw_senders(cfg.tx_rate):
             receiver = keygen(
@@ -1336,7 +833,7 @@ class Simulation:
             self.participation[receiver.pk] = cfg.participation == "all"
             tx = make_transaction(
                 [self.keyring[sender]],
-                [TxOutput(pk=receiver.pk, stake=self.state[sender].stake)],
+                [TxOutput(pk=receiver.pk, stake=self.utxos.live[sender].stake)],
             )
             self._deliver_tx(tx, height, honest=True)
             self.in_flight.add(sender)

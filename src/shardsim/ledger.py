@@ -2,11 +2,12 @@
 
 State updates are pure.  ``apply_transaction`` copies its input once;
 ``apply_block`` copies it once per block, whatever the number of
-transactions, and returns that copy compacted; ``validate_block`` and
-``blocks.build_proposal`` replay a body on one private copy.  All of them
-apply transactions with the in-place ``spend`` step, the only function
-that mutates a state, and only a copy its caller owns: per-height
-snapshots share dicts, so no function may mutate a state it was given.
+transactions; ``validate_block`` and ``blocks.build_proposal`` replay a
+body on one private copy.  All of them apply transactions with the
+in-place ``spend`` step, the only function that mutates a state, and only
+a state its caller owns; no function here mutates a state it was given.
+The simulation's ``UtxoIndex`` spends each accepted block with ``spend``,
+in place on the live set it owns.
 
 All encodings are canonical (length-prefixed fields, big-endian integers)
 so identical objects always hash to identical digests.  A header is frozen,
@@ -266,11 +267,7 @@ def apply_block(state: UtxoSet, block: Block) -> UtxoSet:
     running = dict(state)
     for tx in block.body:
         spend(running, tx, block.header.height)
-    # The result is kept as a snapshot and copied by every later replay.
-    # Rebuilt without the slots its deletions left, it is copied by cloning
-    # its table instead of reinserting entry by entry, and holds no dead
-    # slots for the rest of the run.
-    return dict(running)
+    return running
 
 
 @dataclass(frozen=True)

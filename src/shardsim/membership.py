@@ -80,11 +80,6 @@ class ViewUpdate:
     degraded: bool
 
 
-def expiring_members(view: ShardView, height: int) -> set[Credential]:
-    """Members whose credentials perish with the block at ``height``."""
-    return {c for c in view.members() if c.expiry_height <= height}
-
-
 def refill_needed(view: ShardView, height: int, s_min: int) -> bool:
     surviving_core = [c for c in view.core if c.expiry_height > height]
     return len(surviving_core) < s_min
@@ -93,7 +88,6 @@ def refill_needed(view: ShardView, height: int, s_min: int) -> bool:
 def update_view(
     prev_view: ShardView,
     decided_buffers: Sequence[frozenset | None],
-    expiring: set[Credential],
     beacon_seed: bytes | None,
     s_min: int,
     newcomer_valid: Callable[[Credential], bool] = lambda c: True,
@@ -102,10 +96,11 @@ def update_view(
 
     ``decided_buffers`` is the agreed vector of join buffers (one slot per
     previous core member, None for nulled slots); every proposed newcomer
-    is re-validated before joining the spare set.  Core vacancies are
-    refilled by PRG draws over the ordered spare set, seeded with the
-    shard's beacon output for this height; ``beacon_seed`` may be None only
-    when no refill is needed.
+    is re-validated before joining the spare set.  Members and newcomers
+    whose credentials perished by the previous view's height drop out.
+    Core vacancies are refilled by PRG draws over the ordered spare set,
+    seeded with the shard's beacon output for this height; ``beacon_seed``
+    may be None only when no refill is needed.
     """
     height = prev_view.height + 1
     members = prev_view.members()
@@ -139,10 +134,9 @@ def update_view(
             seen.add(cred)
             newcomers.append(cred)
 
-    spare_pool = [c for c in prev_view.spare if c not in expiring]
-    spare_pool.extend(c for c in newcomers if c not in expiring)
-    spare = list(order_spare(spare_pool))
-    core = [c for c in prev_view.core if c not in expiring]
+    spare_pool = [c for c in prev_view.spare if c.expiry_height >= height]
+    spare = list(order_spare(spare_pool + newcomers))
+    core = [c for c in prev_view.core if c.expiry_height >= height]
 
     promoted: list[Credential] = []
     needs_refill = len(core) < s_min

@@ -25,12 +25,8 @@ from shardsim.analysis import (
     shard_tail_bound,
     solve_params,
 )
-from shardsim.harness import (
-    ScenarioConfig,
-    check_liveness,
-    message_scaling_report,
-    run_scenario,
-)
+from shardsim.harness import ScenarioConfig, message_scaling_report, run_scenario
+from shardsim.oracles import check_liveness
 
 STRATEGIES = ("passive", "silent", "equivocate", "grind", "worst-case-seed")
 EPOCH_LENGTHS = (3, 5, 10)

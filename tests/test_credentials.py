@@ -97,9 +97,14 @@ def test_derive_credential_stable_within_epoch():
     assert rolled.value not in creds
 
 
+def _lookup(snapshots):
+    """``verify_credential``'s per-pk lookup over UTXO set snapshots by height."""
+    return lambda pk, height: snapshots.get(height, {}).get(pk)
+
+
 def _history(chain, pk, created_height, anchors):
     utxo = Utxo(pk=pk, stake=1, created_height=created_height)
-    return {a: {pk: utxo} for a in anchors}
+    return _lookup({a: {pk: utxo} for a in anchors})
 
 
 def test_verify_credential_window():
@@ -129,8 +134,8 @@ def test_verify_credential_rejections():
     kp = keygen(b"holder")
     cred = derive_credential(kp.pk, 0, 3, chain, 3)
 
-    assert not verify_credential(cred, 4, chain, {})  # no snapshot
-    empty = {3: {}}
+    assert not verify_credential(cred, 4, chain, _lookup({}))  # no snapshot
+    empty = _lookup({3: {}})
     assert not verify_credential(cred, 4, chain, empty)  # pk not eligible
 
     tampered = Credential(
@@ -145,7 +150,7 @@ def test_verify_credential_rejections():
     assert not verify_credential(degenerate, 2, chain, _history(chain, kp.pk, 0, [3]))
 
     # Snapshot disagrees on the creation height: recomputed anchor moves.
-    wrong_h0 = {3: {kp.pk: Utxo(pk=kp.pk, stake=1, created_height=1)}}
+    wrong_h0 = _lookup({3: {kp.pk: Utxo(pk=kp.pk, stake=1, created_height=1)}})
     assert not verify_credential(cred, 4, chain, wrong_h0)
 
 

@@ -1,5 +1,6 @@
 """Hash primitives, deterministic keys, and the Prg/sampler pair."""
 
+import itertools
 import math
 
 import pytest
@@ -192,17 +193,21 @@ def test_sampler_matches_pop_rule():
     assert sample_without_replacement(Prg(seed), items, 4) == expected
 
 
-def test_sampler_unbiased_first_pick():
-    # The first pick should be uniform over the pool: chi-square over 5 slots.
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sampler_unbiased_first_pick(k):
+    # Every ordered k-draw from a pool of 5 should be equally likely:
+    # chi-square over the 5, 20 or 60 outcomes, on fixed seeds.
     from scipy.stats import chi2
 
-    counts = [0] * 5
-    for i in range(20_000):
+    outcomes = list(itertools.permutations(range(5), k))
+    trials = max(20_000, 1_000 * len(outcomes))
+    counts = dict.fromkeys(outcomes, 0)
+    for i in range(trials):
         prg = Prg(b"first-pick-%d" % i)
-        counts[sample_without_replacement(prg, range(5), 1)[0]] += 1
-    expected = 20_000 / 5
-    stat = sum((c - expected) ** 2 / expected for c in counts)
-    assert stat < chi2.ppf(0.999, 4), counts
+        counts[tuple(sample_without_replacement(prg, range(5), k))] += 1
+    expected = trials / len(outcomes)
+    stat = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert stat < chi2.ppf(0.999, len(outcomes) - 1), counts
 
 
 def test_word_stream_rejection_keeps_uniformity_near_boundary():

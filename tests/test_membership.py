@@ -11,7 +11,6 @@ from shardsim.ledger import install_threshold
 from shardsim.membership import (
     ShardRuntime,
     ShardView,
-    expiring_members,
     form_view,
     install_and_diffuse,
     order_spare,
@@ -118,8 +117,6 @@ def test_expiring_and_refill_predicates():
     soon = cred(b"soon", expiry=5)
     later = cred(b"later", expiry=9)
     view = ShardView(label="", height=4, core=(soon, later), spare=())
-    assert expiring_members(view, 5) == {soon}
-    assert expiring_members(view, 4) == set()
     assert refill_needed(view, 5, s_min=2)
     assert not refill_needed(view, 4, s_min=2)
 
@@ -131,18 +128,32 @@ class TestUpdateView:
         self.prev = ShardView(label="", height=3, core=self.core, spare=self.spare)
         self.beacon = tagged_hash(b"test-beacon", b"u")
 
+    @staticmethod
+    def expire(view, *members):
+        """``view`` with ``members`` replaced by copies whose credentials
+        perish with the block at the view's own height."""
+        dying = {c: replace(c, expiry_height=view.height) for c in members}
+        return replace(
+            view,
+            core=tuple(dying.get(c, c) for c in view.core),
+            spare=tuple(dying.get(c, c) for c in view.spare),
+        )
+
     def test_no_churn(self):
-        upd = update_view(self.prev, [frozenset()] * 3, set(), None, s_min=3)
+        upd = update_view(self.prev, [frozenset()] * 3, None, s_min=3)
         assert upd.view.height == 4
         assert upd.view.core == self.core
         assert upd.view.spare == self.spare
         assert upd.promoted == () and upd.newcomers == ()
         assert not upd.needs_refill and not upd.degraded
+        # A credential that perishes with the next block still serves at it.
+        last = replace(self.prev, core=tuple(replace(c, expiry_height=4) for c in self.core))
+        assert update_view(last, [], None, s_min=3).view.core == last.core
 
     def test_newcomers_join_spare_sorted(self):
         joiner = cred(b"uj")
         upd = update_view(
-            self.prev, [frozenset({joiner}), frozenset(), None], set(), None, s_min=3
+            self.prev, [frozenset({joiner}), frozenset(), None], None, s_min=3
         )
         assert upd.newcomers == (joiner,)
         assert joiner in upd.view.spare
@@ -152,7 +163,7 @@ class TestUpdateView:
     def test_duplicate_slots_and_known_members_ignored(self):
         joiner = cred(b"uj")
         slots = [frozenset({joiner, self.core[0]}), frozenset({joiner, self.core[0]})]
-        upd = update_view(self.prev, slots, set(), None, s_min=3)
+        upd = update_view(self.prev, slots, None, s_min=3)
         assert upd.newcomers == (joiner,)
 
     def test_newcomer_filters(self):
@@ -162,7 +173,6 @@ class TestUpdateView:
         upd = update_view(
             self.prev,
             [frozenset({dead, vetoed, fine})],
-            set(),
             None,
             s_min=3,
             newcomer_valid=lambda c: c != vetoed,
@@ -170,8 +180,8 @@ class TestUpdateView:
         assert upd.newcomers == (fine,)
 
     def test_refill_draws_match_sampler(self):
-        expiring = {self.core[0], self.core[1]}
-        upd = update_view(self.prev, [], expiring, self.beacon, s_min=3)
+        prev = self.expire(self.prev, self.core[0], self.core[1])
+        upd = update_view(prev, [], self.beacon, s_min=3)
         assert upd.needs_refill and not upd.degraded
         assert len(upd.view.core) == 3
         # Independent replay: same PRG, same ordered pool, same draw count.
@@ -181,20 +191,21 @@ class TestUpdateView:
         assert set(upd.view.spare) == set(self.spare) - set(expected)
 
     def test_expiring_spare_not_promotable(self):
-        expiring = {self.core[0], self.spare[0]}
-        upd = update_view(self.prev, [], expiring, self.beacon, s_min=3)
-        assert self.spare[0] not in upd.view.members()
+        prev = self.expire(self.prev, self.core[0], self.spare[0])
+        upd = update_view(prev, [], self.beacon, s_min=3)
+        assert prev.spare[0] not in upd.view.members()
+        assert self.spare[0].value not in {c.value for c in upd.view.members()}
         pool = [c for c in self.spare if c != self.spare[0]]
         expected = sample_without_replacement(Prg(self.beacon), pool, 1)
         assert list(upd.promoted) == expected
 
     def test_refill_without_beacon_raises(self):
         with pytest.raises(ValueError):
-            update_view(self.prev, [], {self.core[0]}, None, s_min=3)
+            update_view(self.expire(self.prev, self.core[0]), [], None, s_min=3)
 
     def test_degraded_when_spare_exhausted(self):
         thin = ShardView(label="", height=3, core=self.core, spare=())
-        upd = update_view(thin, [], {self.core[0], self.core[1]}, None, s_min=3)
+        upd = update_view(self.expire(thin, self.core[0], self.core[1]), [], None, s_min=3)
         assert upd.degraded and upd.needs_refill
         assert upd.view.core == (self.core[2],)
 
@@ -202,7 +213,7 @@ class TestUpdateView:
         thin = ShardView(label="", height=3, core=self.core, spare=())
         joiner = cred(b"uj")
         upd = update_view(
-            thin, [frozenset({joiner})], {self.core[0]}, self.beacon, s_min=3
+            self.expire(thin, self.core[0]), [frozenset({joiner})], self.beacon, s_min=3
         )
         assert upd.promoted == (joiner,)
         assert not upd.degraded
