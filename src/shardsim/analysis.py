@@ -292,6 +292,10 @@ def monte_carlo_core(
     them malicious) with the production election sampler."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    if not 0 <= m <= s:
+        raise ValueError("malicious members must lie in [0, s]")
+    if not 1 <= s_min <= s:
+        raise ValueError("core size must lie in [1, s]")
     root = _seed_digest(seed)
     threshold = exceedance_threshold(Fraction(mu_core), s_min)
     jobs = [
@@ -376,6 +380,9 @@ def compare_grind_passive(
     key before each epoch's seed is drawn (the delay rule means the new
     keys commit before the randomness they will be hashed with).
     """
+    if n_adversary < 1 or shard_bits < 1 or epochs < 1:
+        raise ValueError("need at least one adversary, one shard bit and one epoch")
+
     from scipy.stats import chi2_contingency
 
     from .credentials import derive_credential

@@ -50,9 +50,9 @@ from .ledger import (
 from .membership import (
     ShardRuntime,
     ShardView,
+    fill_core,
     form_view,
     install_and_diffuse,
-    refill_needed,
     update_view,
     view_digest,
 )
@@ -330,28 +330,31 @@ class Simulation:
                 cred, eval_height, self.headers, self.utxos.utxo_at
             )
 
-        beacon_seed = None
-        if refill_needed(old_view, eval_height, cfg.s_min):
-            beacon_seed = self._run_beacon(
+        upd = update_view(old_view, vector, newcomer_valid)
+        view, promoted = upd.view, ()
+        if len(view.core) < cfg.s_min:
+            # Objective for a seed-grinding beacon quorum: corrupted members
+            # in the refilled core.
+            corrupted = self.adv.corrupted
+            seed = self._run_beacon(
                 rt.label,
                 parts,
                 height,
                 b"refill",
-                evaluate=lambda seed: self._score_promotions(
-                    old_view, vector, seed, newcomer_valid
+                evaluate=lambda seed: float(
+                    sum(c.pk in corrupted for c in fill_core(view, seed, cfg.s_min)[0].core)
                 ),
             )
-
-        upd = update_view(old_view, vector, beacon_seed, cfg.s_min, newcomer_valid)
+            view, promoted = fill_core(view, seed, cfg.s_min)
         # The network checks the diffused view against the registered one;
         # a view that fails is a view-agreement violation and never installs.
-        transition = verify_view_transition(old_view, upd.view, height, cfg.s_min)
+        transition = verify_view_transition(old_view, view, height, cfg.s_min)
         if not transition:
             self.metrics.view_violations += 1
             self._reject_view(rt, height, "view-divergence", reason=transition.reason)
             return
 
-        digest = view_digest(upd.view)
+        digest = view_digest(view)
         # Whatever was collected goes to the install, which alone counts the
         # quorum; corrupted members sign as the strategy says.
         old_pks = set(core_pks)
@@ -364,43 +367,21 @@ class Simulation:
             withheld,
         )
         if not install_and_diffuse(
-            upd.view, signatures, old_pks, self.directory, cfg.mu_core, cfg.s_min
+            view, signatures, old_pks, self.directory, cfg.mu_core, cfg.s_min
         ):
             self._reject_view(rt, height, "view-install-failed")
             return
 
-        rt.view = upd.view
-        rt.degraded = upd.degraded
-        rt.stalled = False
-        rt.reset_buffers(self.adv.corrupted)
-        self.meter.charge(self.n_users)  # network-wide view notification
-        corrupted = self._shard_corrupted(upd.view)
-        self.events.emit(
-            "view-installed",
-            height,
-            label=rt.label,
-            digest=digest.hex(),
-            core=len(upd.view.core),
-            spare=len(upd.view.spare),
-            promoted=len(upd.promoted),
-            newcomers=len(upd.newcomers),
-            degraded=upd.degraded,
-            corrupted=corrupted,
-        )
-        if corrupted:
+        if self._register_shard(
+            view, height, promoted=len(promoted), newcomers=len(upd.newcomers)
+        ):
             self.metrics.incident(height, "corrupted-shard", label=rt.label)
 
     def _reject_view(self, rt: ShardRuntime, height: int, kind: str, **fields):
-        """Keep the registered view and stall the shard until it catches up."""
-        rt.stalled = True
+        """Keep the registered view; the shard lags the height, so it
+        produces no block until it catches up."""
         self.metrics.incident(height, kind, label=rt.label, **fields)
         self.events.emit("view-rejected", height, label=rt.label)
-
-    def _score_promotions(self, old_view, vector, seed, newcomer_valid) -> float:
-        """Objective for a seed-grinding beacon quorum: corrupted members
-        promoted into the next core."""
-        trial = update_view(old_view, vector, seed, self.cfg.s_min, newcomer_valid)
-        return float(sum(1 for c in trial.view.core if c.pk in self.adv.corrupted))
 
     def _run_beacon(
         self,
@@ -458,8 +439,6 @@ class Simulation:
                     continue
                 plan = maybe_merge(label, view, self.directory, self.bounds)
                 if plan is None:
-                    if label == ROOT_LABEL and len(view.members()) < self.cfg.s_min:
-                        self.runtimes[label].degraded = True
                     continue
                 beacon = self._run_beacon(
                     label, self._core_parts(view), height, b"merge", evaluate=lambda seed: 0.0
@@ -481,30 +460,34 @@ class Simulation:
         if not cover:
             raise InvariantError(f"directory invariant broken at {height}: {cover.reason}")
 
-    def _register_shard(self, view: ShardView, height: int):
+    def _register_shard(self, view: ShardView, height: int, **fields) -> bool:
+        """Install ``view`` with fresh join buffers and announce it to the
+        network; returns whether the shard is past mu_core."""
         self.directory[view.label] = view
         rt = ShardRuntime(label=view.label, view=view)
-        rt.degraded = len(view.core) < self.cfg.s_min
         rt.reset_buffers(self.adv.corrupted)
         self.runtimes[view.label] = rt
-        self.meter.charge(self.n_users)
+        self.meter.charge(self.n_users)  # network-wide view notification
+        corrupted = self._shard_corrupted(view)
         self.events.emit(
             "view-installed",
             height,
             label=view.label,
-            digest=view_digest(view).hex(),
+            digest=view.digest.hex(),
             core=len(view.core),
             spare=len(view.spare),
-            degraded=rt.degraded,
-            corrupted=self._shard_corrupted(view),
+            degraded=len(view.core) < self.cfg.s_min,
+            corrupted=corrupted,
+            **fields,
         )
+        return corrupted
 
     def _produce_block(self, height: int) -> bool:
         prev = self.chain[-1].header
         eligible = sorted(
             label
             for label, rt in self.runtimes.items()
-            if not rt.degraded and not rt.stalled and rt.view.height == height
+            if rt.view.height == height and len(rt.view.core) >= self.cfg.s_min
         )
         committee_record: list[str] = []
         accepted_block = None

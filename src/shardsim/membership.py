@@ -1,10 +1,13 @@
 """Shard membership: views, join buffering, expiry and core elections.
 
 A shard view at height h lists the core (the members running the shard's
-protocols) and the spare set (everyone else routed here).  Newcomers always
-land in the spare set first; the core is refilled from the ordered spare
-set by PRG draws seeded with the shard's beacon output, which is the same
-sampling code the analysis module uses for its Monte Carlo estimates.
+protocols) and the spare set (everyone else routed here).  A view update
+has two steps: ``update_view`` carries surviving members over and adds
+newcomers to the spare set, then ``fill_core`` elects the core's vacancies
+from the ordered spare set by PRG draws seeded with the shard's beacon
+output.  ``fill_core`` is the only election: a new shard's view
+(``form_view``) is ``fill_core`` of an all-spare view, and it draws with the
+same sampling code the analysis module uses for its Monte Carlo estimates.
 """
 
 from __future__ import annotations
@@ -58,8 +61,6 @@ class ShardRuntime:
     label: str
     view: ShardView
     buffers: dict = field(default_factory=dict)  # core pk -> set[Credential]
-    degraded: bool = False
-    stalled: bool = False
 
     def reset_buffers(self, corrupted):
         """Fresh join buffers for the current core.  Honest members all
@@ -74,33 +75,21 @@ class ShardRuntime:
 @dataclass(frozen=True)
 class ViewUpdate:
     view: ShardView
-    promoted: tuple[Credential, ...]
     newcomers: tuple[Credential, ...]
-    needs_refill: bool
-    degraded: bool
-
-
-def refill_needed(view: ShardView, height: int, s_min: int) -> bool:
-    surviving_core = [c for c in view.core if c.expiry_height > height]
-    return len(surviving_core) < s_min
 
 
 def update_view(
     prev_view: ShardView,
     decided_buffers: Sequence[frozenset | None],
-    beacon_seed: bytes | None,
-    s_min: int,
     newcomer_valid: Callable[[Credential], bool] = lambda c: True,
 ) -> ViewUpdate:
-    """Compute the next view from the previous one.
+    """Carry the previous view's members over to the next height.
 
     ``decided_buffers`` is the agreed vector of join buffers (one slot per
     previous core member, None for nulled slots); every proposed newcomer
     is re-validated before joining the spare set.  Members and newcomers
     whose credentials perished by the previous view's height drop out.
-    Core vacancies are refilled by PRG draws over the ordered spare set,
-    seeded with the shard's beacon output for this height; ``beacon_seed``
-    may be None only when no refill is needed.
+    The core is not refilled here: ``fill_core`` elects its vacancies.
     """
     height = prev_view.height + 1
     members = prev_view.members()
@@ -135,49 +124,43 @@ def update_view(
             newcomers.append(cred)
 
     spare_pool = [c for c in prev_view.spare if c.expiry_height >= height]
-    spare = list(order_spare(spare_pool + newcomers))
-    core = [c for c in prev_view.core if c.expiry_height >= height]
-
-    promoted: list[Credential] = []
-    needs_refill = len(core) < s_min
-    if needs_refill and spare:
-        if beacon_seed is None:
-            raise ValueError("core refill requires a beacon seed")
-        prg = Prg(beacon_seed)
-        take = min(s_min - len(core), len(spare))
-        promoted = sample_without_replacement(prg, spare, take)
-        promoted_set = set(promoted)
-        spare = [c for c in spare if c not in promoted_set]
-        core.extend(promoted)
-
-    degraded = len(core) < s_min
     view = ShardView(
         label=prev_view.label,
         height=height,
-        core=tuple(core),
-        spare=tuple(spare),
+        core=tuple(c for c in prev_view.core if c.expiry_height >= height),
+        spare=order_spare(spare_pool + newcomers),
     )
-    return ViewUpdate(
-        view=view,
-        promoted=tuple(promoted),
-        newcomers=tuple(sorted(seen, key=lambda c: c.value)),
-        needs_refill=needs_refill,
-        degraded=degraded,
+    return ViewUpdate(view=view, newcomers=tuple(sorted(seen, key=lambda c: c.value)))
+
+
+def fill_core(
+    view: ShardView, beacon_seed: bytes, s_min: int
+) -> tuple[ShardView, tuple[Credential, ...]]:
+    """Elect the core's vacancies up to ``s_min`` from the ordered spare set
+    by PRG draws seeded with ``beacon_seed``; returns the view and the
+    members promoted, in draw order.  A shard with too few members promotes
+    everyone it has."""
+    take = min(s_min - len(view.core), len(view.spare))
+    if take <= 0:
+        return view, ()
+    promoted = sample_without_replacement(Prg(beacon_seed), view.spare, take)
+    promoted_set = set(promoted)
+    filled = ShardView(
+        label=view.label,
+        height=view.height,
+        core=view.core + tuple(promoted),
+        spare=tuple(c for c in view.spare if c not in promoted_set),
     )
+    return filled, tuple(promoted)
 
 
 def form_view(
     label: str, members: Iterable[Credential], height: int, beacon_seed: bytes, s_min: int
 ) -> ShardView:
     """Fresh view for a newly created shard (bootstrap, split or merge):
-    everyone starts spare, then the core is elected by PRG draws."""
-    spare = list(order_spare(members))
-    prg = Prg(beacon_seed)
-    take = min(s_min, len(spare))
-    core = sample_without_replacement(prg, spare, take)
-    core_set = set(core)
-    spare = [c for c in spare if c not in core_set]
-    return ShardView(label=label, height=height, core=tuple(core), spare=tuple(spare))
+    everyone starts spare, then ``fill_core`` elects the core."""
+    all_spare = ShardView(label=label, height=height, core=(), spare=order_spare(members))
+    return fill_core(all_spare, beacon_seed, s_min)[0]
 
 
 def install_and_diffuse(

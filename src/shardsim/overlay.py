@@ -142,7 +142,8 @@ def maybe_merge(
 
     The shard folds into its sibling subtree: every shard sharing the
     parent prefix is absorbed into one shard under that prefix.  The root
-    shard has no sibling and cannot merge; callers flag it degraded.
+    shard has no sibling and cannot merge; its core stays below s_min,
+    which keeps it out of block production.
     """
     if len(view.members()) >= bounds.s_min:
         return None

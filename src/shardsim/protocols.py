@@ -23,14 +23,13 @@ from .crypto import tagged_hash
 class MessageMeter:
     """Abstract message accounting; one unit is one protocol message."""
 
-    unit: int = 1
     total: int = 0
 
     def charge_instance(self, n_participants: int):
-        self.total += (n_participants ** 3) * self.unit
+        self.total += n_participants ** 3
 
     def charge(self, count: int):
-        self.total += count * self.unit
+        self.total += count
 
 
 @dataclass(frozen=True)

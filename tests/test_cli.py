@@ -216,6 +216,34 @@ def test_montecarlo_grind(capsys):
     assert payload["indistinguishable"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("core", "--s", "60", "--m", "-3", "--s-min", "40"),
+        ("core", "--s", "60", "--m", "61", "--s-min", "40"),
+        ("core", "--s", "60", "--m", "12", "--s-min", "0"),
+        ("core", "--s", "60", "--m", "12", "--s-min", "61"),
+        ("grind", "--epochs", "0"),
+        ("grind", "--adversaries", "0"),
+        ("grind", "--shard-bits", "0"),
+    ],
+    ids=[
+        "core-m-negative",
+        "core-m-above-s",
+        "core-s-min-zero",
+        "core-s-min-above-s",
+        "grind-epochs-zero",
+        "grind-adversaries-zero",
+        "grind-shard-bits-zero",
+    ],
+)
+def test_montecarlo_malformed_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "montecarlo", *argv, "--seed", "cli-bad")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_scaling_small_grid(capsys):
     code, out, _ = run_cli(
         capsys, "scaling", "--n-grid", "64,128", "--s-min", "8", "--s-max", "16",

@@ -228,6 +228,42 @@ GOLDEN = {
         12,
         True,
     ),
+    # Two forced-corrupt shards past mu_core grind their refill beacons at
+    # height 4: the only pin whose beacons are biased.
+    "worst-seed-forced-n256": (
+        lambda: ScenarioConfig.from_mapping(
+            _small_mapping(
+                "worst-seed-forced-n256",
+                mu="1/5",
+                adversary={
+                    "strategy": "worst-case-seed",
+                    "corrupt_fraction": "1/5",
+                    "force_corrupt_shards": 2,
+                },
+            )
+        ),
+        "d2392fdfea7ba6e449a75d2f469e7f5f3334b736d7de7d75e6666ed26a323417",
+        "cb2e21c941508803ce98354f850b6c005a43fba7be8a3c5266a5345574cabd42",
+        9,
+        True,
+    ),
+    # Twelve users under s_min 16: the root can neither fill its core nor
+    # merge, so no shard is ever eligible and every height records
+    # no-eligible-shards.
+    "undersized-root-n12": (
+        lambda: ScenarioConfig.from_mapping(
+            _small_mapping(
+                "undersized-root-n12",
+                genesis=[{"count": 12, "stake": 1}],
+                s_min=16,
+                s_max=32,
+            )
+        ),
+        "37e9cd86a46c46a92c8cf0b4b2c36309ff0595ef1bc1d62297f91d8ed1779813",
+        "89e2c8f14eb00c3fd8bdcc9903ef27c6417af123bcd0291d49facbd899955853",
+        0,
+        True,
+    ),
 }
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from shardsim import config as config_module
 from shardsim import harness, oracles, records
-from shardsim.adversary import PassiveStrategy, make_strategy
+from shardsim.adversary import PassiveStrategy, WorstCaseSeedStrategy, make_strategy
 from shardsim.cli import main
 from shardsim.credentials import Credential, verify_credential
 from shardsim.crypto import Prg, encode_int, keygen, tagged_hash
@@ -33,6 +33,7 @@ from shardsim.ledger import (
 from shardsim.oracles import check_liveness, check_safety
 from shardsim.records import EventLog, Metrics
 from shardsim.protocols import BaDecision
+from shardsim.sampling import sample_without_replacement
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -448,6 +449,11 @@ def test_view_agreement_oracle_rejects_a_faulty_view(monkeypatch, tmp_path, caps
         for rec in events
     )
     assert any(rec["kind"] == "view-rejected" and rec["label"] == label for rec in events)
+    # While its view lags the height, the shard sits on no committee.
+    assert not any(
+        rec["kind"] == "committee" and rec["height"] >= 2 and label in rec["labels"]
+        for rec in events
+    )
     # The other shards keep producing, so only the view oracle fails.
     assert metrics.summary["blocks"] > 1
     assert metrics.summary["safety_ok"] and metrics.summary["liveness_ok"]
@@ -457,6 +463,55 @@ def test_view_agreement_oracle_rejects_a_faulty_view(monkeypatch, tmp_path, caps
     assert main(["run", str(path)]) == 1
     summary = json.loads(capsys.readouterr().out)["summary"]
     assert summary["view_violations"] == metrics.view_violations
+
+
+class RecordingWorstCaseSeed(WorstCaseSeedStrategy):
+    """The worst-case-seed grinder, recording every candidate it scores."""
+
+    def __init__(self):
+        super().__init__()
+        self.candidates = []
+
+    def beacon_choice(self, entropy_seed, evaluate, prg):
+        def recorded(seed):
+            self.candidates.append(seed)
+            return evaluate(seed)
+
+        return super().beacon_choice(entropy_seed, recorded, prg)
+
+
+def test_refill_grinding_installs_the_most_corrupted_core():
+    # One root shard: a core of 16 and a spare set of 24.
+    sim = Simulation(config(genesis=[{"count": 40, "stake": 1}], s_max=64))
+    (label,) = sim.runtimes
+    rt = sim.runtimes[label]
+    view = rt.view
+    assert (len(view.core), len(view.spare)) == (16, 24)
+    # Six corrupted core members put the beacon quorum past mu_core 1/3,
+    # four honest ones perish before height 1, and every other spare
+    # member is corrupted, so the four refill draws decide the score.
+    corrupted = {c.pk for c in view.core[:6]} | {c.pk for c in view.spare[::2]}
+    sim.adv.pending.clear()
+    sim.adv.corrupted = set(corrupted)
+    expiring = {c: replace(c, expiry_height=0) for c in view.core[6:10]}
+    view = replace(view, core=tuple(expiring.get(c, c) for c in view.core))
+    rt.view = sim.directory[label] = view
+    sim.strategy = RecordingWorstCaseSeed()
+
+    sim._update_views(1)
+
+    installed = sim.runtimes[label].view
+    assert installed.height == 1
+    survivors = [c for c in view.core if c not in expiring]
+
+    def corrupted_core(seed):
+        promoted = sample_without_replacement(Prg(seed), view.spare, 4)
+        return sum(c.pk in corrupted for c in survivors + promoted)
+
+    scores = [corrupted_core(seed) for seed in sim.strategy.candidates]
+    assert len(scores) == 8
+    achieved = sum(c.pk in corrupted for c in installed.core)
+    assert achieved == max(scores) > scores[0]
 
 
 class DictateForgedBlock(PassiveStrategy):

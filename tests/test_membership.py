@@ -11,10 +11,10 @@ from shardsim.ledger import install_threshold
 from shardsim.membership import (
     ShardRuntime,
     ShardView,
+    fill_core,
     form_view,
     install_and_diffuse,
     order_spare,
-    refill_needed,
     update_view,
     view_digest,
 )
@@ -113,15 +113,10 @@ def test_order_spare_is_value_sorted():
     assert order_spare(reversed(ordered)) == ordered
 
 
-def test_expiring_and_refill_predicates():
-    soon = cred(b"soon", expiry=5)
-    later = cred(b"later", expiry=9)
-    view = ShardView(label="", height=4, core=(soon, later), spare=())
-    assert refill_needed(view, 5, s_min=2)
-    assert not refill_needed(view, 4, s_min=2)
-
-
 class TestUpdateView:
+    """``update_view`` carries members over; ``fill_core`` then elects the
+    core's vacancies."""
+
     def setup_method(self):
         self.core = tuple(cred(b"uc%d" % i) for i in range(3))
         self.spare = order_spare(cred(b"us%d" % i) for i in range(4))
@@ -140,21 +135,20 @@ class TestUpdateView:
         )
 
     def test_no_churn(self):
-        upd = update_view(self.prev, [frozenset()] * 3, None, s_min=3)
+        upd = update_view(self.prev, [frozenset()] * 3)
         assert upd.view.height == 4
         assert upd.view.core == self.core
         assert upd.view.spare == self.spare
-        assert upd.promoted == () and upd.newcomers == ()
-        assert not upd.needs_refill and not upd.degraded
+        assert upd.newcomers == ()
+        # A full core elects nothing.
+        assert fill_core(upd.view, self.beacon, s_min=3) == (upd.view, ())
         # A credential that perishes with the next block still serves at it.
         last = replace(self.prev, core=tuple(replace(c, expiry_height=4) for c in self.core))
-        assert update_view(last, [], None, s_min=3).view.core == last.core
+        assert update_view(last, []).view.core == last.core
 
     def test_newcomers_join_spare_sorted(self):
         joiner = cred(b"uj")
-        upd = update_view(
-            self.prev, [frozenset({joiner}), frozenset(), None], None, s_min=3
-        )
+        upd = update_view(self.prev, [frozenset({joiner}), frozenset(), None])
         assert upd.newcomers == (joiner,)
         assert joiner in upd.view.spare
         assert upd.view.spare == order_spare(self.spare + (joiner,))
@@ -163,7 +157,7 @@ class TestUpdateView:
     def test_duplicate_slots_and_known_members_ignored(self):
         joiner = cred(b"uj")
         slots = [frozenset({joiner, self.core[0]}), frozenset({joiner, self.core[0]})]
-        upd = update_view(self.prev, slots, None, s_min=3)
+        upd = update_view(self.prev, slots)
         assert upd.newcomers == (joiner,)
 
     def test_newcomer_filters(self):
@@ -173,50 +167,45 @@ class TestUpdateView:
         upd = update_view(
             self.prev,
             [frozenset({dead, vetoed, fine})],
-            None,
-            s_min=3,
             newcomer_valid=lambda c: c != vetoed,
         )
         assert upd.newcomers == (fine,)
 
     def test_refill_draws_match_sampler(self):
         prev = self.expire(self.prev, self.core[0], self.core[1])
-        upd = update_view(prev, [], self.beacon, s_min=3)
-        assert upd.needs_refill and not upd.degraded
-        assert len(upd.view.core) == 3
+        carried = update_view(prev, []).view
+        assert carried.core == (self.core[2],) and carried.spare == self.spare
+        view, promoted = fill_core(carried, self.beacon, s_min=3)
         # Independent replay: same PRG, same ordered pool, same draw count.
         expected = sample_without_replacement(Prg(self.beacon), list(self.spare), 2)
-        assert list(upd.promoted) == expected
-        assert upd.view.core == (self.core[2],) + tuple(expected)
-        assert set(upd.view.spare) == set(self.spare) - set(expected)
+        assert list(promoted) == expected
+        assert view.core == (self.core[2],) + tuple(expected)
+        assert set(view.spare) == set(self.spare) - set(expected)
+        assert view.spare == order_spare(view.spare)
+        assert (view.label, view.height) == (carried.label, carried.height)
 
     def test_expiring_spare_not_promotable(self):
         prev = self.expire(self.prev, self.core[0], self.spare[0])
-        upd = update_view(prev, [], self.beacon, s_min=3)
-        assert prev.spare[0] not in upd.view.members()
-        assert self.spare[0].value not in {c.value for c in upd.view.members()}
+        view, promoted = fill_core(update_view(prev, []).view, self.beacon, s_min=3)
+        assert prev.spare[0] not in view.members()
+        assert self.spare[0].value not in {c.value for c in view.members()}
         pool = [c for c in self.spare if c != self.spare[0]]
         expected = sample_without_replacement(Prg(self.beacon), pool, 1)
-        assert list(upd.promoted) == expected
-
-    def test_refill_without_beacon_raises(self):
-        with pytest.raises(ValueError):
-            update_view(self.expire(self.prev, self.core[0]), [], None, s_min=3)
+        assert list(promoted) == expected
 
     def test_degraded_when_spare_exhausted(self):
         thin = ShardView(label="", height=3, core=self.core, spare=())
-        upd = update_view(self.expire(thin, self.core[0], self.core[1]), [], None, s_min=3)
-        assert upd.degraded and upd.needs_refill
-        assert upd.view.core == (self.core[2],)
+        carried = update_view(self.expire(thin, self.core[0], self.core[1]), []).view
+        assert fill_core(carried, self.beacon, s_min=3) == (carried, ())
+        assert carried.core == (self.core[2],)
 
     def test_newcomer_can_be_promoted_same_height(self):
         thin = ShardView(label="", height=3, core=self.core, spare=())
         joiner = cred(b"uj")
-        upd = update_view(
-            self.expire(thin, self.core[0]), [frozenset({joiner})], self.beacon, s_min=3
-        )
-        assert upd.promoted == (joiner,)
-        assert not upd.degraded
+        upd = update_view(self.expire(thin, self.core[0]), [frozenset({joiner})])
+        view, promoted = fill_core(upd.view, self.beacon, s_min=3)
+        assert promoted == (joiner,)
+        assert len(view.core) == 3 and view.spare == ()
 
 
 def test_reset_buffers_shares_one_set_among_honest_members():

@@ -32,9 +32,6 @@ def test_meter_cubic_instance_charge():
     assert meter.total == 64
     meter.charge(10)
     assert meter.total == 74
-    doubled = MessageMeter(unit=2)
-    doubled.charge_instance(3)
-    assert doubled.total == 54
 
 
 def test_participant_set_validation_and_within():
