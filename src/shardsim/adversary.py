@@ -134,7 +134,7 @@ class Strategy:
 
     # Vector agreement: what do corrupted slots propose, which honest slots
     # get nulled, or (contract void) what vector is dictated.  ``purpose``
-    # distinguishes join-buffer instances from block-proposal instances so a
+    # distinguishes join-set instances from block-proposal instances so a
     # dictated vector can mimic the right slot shape.
     def vector_decision(
         self,
@@ -155,10 +155,6 @@ class Strategy:
 
     # Does a corrupted core member endorse (sign) views and blocks?
     def signs(self) -> bool:
-        return True
-
-    # Does a corrupted core member buffer incoming join requests?
-    def buffers_joins(self) -> bool:
         return True
 
     # Inter-shard agreement behavior of corrupted committee shards.
@@ -190,9 +186,6 @@ class SilentStrategy(Strategy):
         return VectorDecision()  # byzantine slots null
 
     def signs(self) -> bool:
-        return False
-
-    def buffers_joins(self) -> bool:
         return False
 
     def ba_decision(self, corrupted_labels, proposals):

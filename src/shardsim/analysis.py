@@ -60,7 +60,11 @@ def hypergeom_pmf(s: int, m: int, s_min: int, k: int) -> float:
 
 
 def exceedance_threshold(fraction: Fraction, sample_size: int) -> int:
-    """Smallest integer count whose sampled fraction reaches ``fraction``."""
+    """Smallest integer count whose sampled fraction reaches ``fraction``.
+
+    The rule for an exceedance in the analytic bounds and Monte Carlo
+    estimates: a count of exactly ``fraction * sample_size`` counts, so the
+    bounds over-approximate the run's ``ParticipantSet.within`` rule."""
     return math.ceil(Fraction(fraction) * sample_size)
 
 

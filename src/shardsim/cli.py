@@ -21,6 +21,7 @@ from .analysis import (
     compare_grind_passive,
     core_corruption_bound,
     exact_single_shard_tail,
+    exceedance_threshold,
     monte_carlo_assignment,
     monte_carlo_core,
     shard_tail_bound,
@@ -128,7 +129,7 @@ def _cmd_bounds(args) -> int:
         ),
     }
     if args.exact_n:
-        threshold = math.ceil(_ratio(args.mu_shard) * args.shard_size)
+        threshold = exceedance_threshold(_ratio(args.mu_shard), args.shard_size)
         payload["exact_single_shard_tail"] = exact_single_shard_tail(
             threshold, args.shard_size, args.exact_n, _ratio(args.mu_cred)
         )

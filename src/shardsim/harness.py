@@ -11,12 +11,16 @@ View agreement: each updated view is checked against the registered one
 windows and routing of every newcomer) before the previous core signs it.  A
 view that fails is never installed; it counts as a view-agreement violation
 and stalls the shard.  The signature quorum is counted once, at install.
+
+Per-shard state is two tables keyed by label: ``directory``, the installed
+view, and ``joins``, the credentials routed to the shard since that view was
+installed.  Every core member receives every join, so one set serves the
+whole core; a corrupted member's proposal is the strategy's to choose.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from fractions import Fraction
 from typing import Callable, Container, Mapping, Sequence
 
 from .adversary import AdversaryState, activate_due, make_strategy, schedule_corruption
@@ -48,7 +52,6 @@ from .ledger import (
     validate_certificate,
 )
 from .membership import (
-    ShardRuntime,
     ShardView,
     fill_core,
     form_view,
@@ -107,8 +110,8 @@ class Simulation:
         self.participation: dict[bytes, bool] = {}
         self.chain: list[Block] = []
         self.headers: list[BlockHeader] = []  # credential derivation wants headers
-        self.runtimes: dict[str, ShardRuntime] = {}
         self.directory: dict[str, ShardView] = {}
+        self.joins: dict[str, set[Credential]] = {}
         self.observer_chains: list[list[Block]] = []
         self.pending: dict[bytes, Transaction] = {}
         self.in_flight: set[bytes] = set()
@@ -153,10 +156,8 @@ class Simulation:
         seed = shard_entropy(self.master, ROOT_LABEL, 0, b"bootstrap")
         self.directory = {ROOT_LABEL: form_view(ROOT_LABEL, creds, 0, seed, cfg.s_min)}
         self._bootstrap_splits()
+        self.joins = {label: set() for label in self.directory}
         for label, view in sorted(self.directory.items()):
-            rt = ShardRuntime(label=label, view=view)
-            rt.reset_buffers(self.adv.corrupted)
-            self.runtimes[label] = rt
             self.events.emit(
                 "view-installed",
                 0,
@@ -206,8 +207,8 @@ class Simulation:
     def _force_corrupt(self, n_shards: int):
         """Stress hook: corrupt enough core members of the first shards to
         push them past the mu_core bound (budget permitting)."""
-        for label in sorted(self.runtimes)[:n_shards]:
-            view = self.runtimes[label].view
+        for label in sorted(self.directory)[:n_shards]:
+            view = self.directory[label]
             need = int(self.cfg.mu_core * len(view.core)) + 1
             have = sum(1 for c in view.core if self._controlled(c.pk))
             for cred in view.core:
@@ -244,22 +245,19 @@ class Simulation:
         h0 = self.utxos.live[pk].created_height
         return derive_credential(pk, h0, h, self.headers, self.cfg.epoch_length)
 
-    def _core_byzantine(self, view: ShardView) -> frozenset:
-        if not self.adv.corrupted:
-            return frozenset()
-        return frozenset(c.pk for c in view.core if c.pk in self.adv.corrupted)
-
     def _core_parts(self, view: ShardView) -> ParticipantSet:
         """The view's core as a protocol membership, in core order."""
-        return ParticipantSet(
-            members=tuple(c.pk for c in view.core), byzantine=self._core_byzantine(view)
-        )
+        members = tuple([c.pk for c in view.core])
+        corrupted = self.adv.corrupted
+        byzantine = frozenset(corrupted.intersection(members)) if corrupted else frozenset()
+        return ParticipantSet(members=members, byzantine=byzantine)
 
     def _shard_corrupted(self, view: ShardView) -> bool:
-        if not view.core:
-            return False
-        byz = len(self._core_byzantine(view))
-        return Fraction(byz, len(view.core)) > self.cfg.mu_core
+        """Whether the core of ``view`` is past mu_core by
+        ``ParticipantSet.within``: such a shard counts as a corrupted shard,
+        votes as a corrupted committee member, and its corrupted members
+        sign any block."""
+        return not self._core_parts(view).within(self.cfg.mu_core)
 
     def _signing_keys(
         self, view: ShardView, honest_sign: bool, byz_sign: bool
@@ -293,31 +291,25 @@ class Simulation:
             self.events.emit("corruption-active", height, pk=pk.hex())
 
     def _update_views(self, height: int):
-        for label in sorted(self.runtimes):
-            rt = self.runtimes[label]
-            if rt.view.height >= height:
+        for label in sorted(self.directory):
+            view = self.directory[label]
+            if view.height >= height:
                 continue
-            if rt.view.height < height - 1:
+            if view.height < height - 1:
                 # Stalled shard catching up one view per round.
                 self.metrics.incident(height, "view-catch-up", label=label)
-            self._update_one_view(rt, rt.view.height + 1)
+            self._update_one_view(view, view.height + 1)
 
-    def _update_one_view(self, rt: ShardRuntime, height: int):
+    def _update_one_view(self, old_view: ShardView, height: int):
         cfg = self.cfg
-        old_view = rt.view
+        label = old_view.label
         parts = self._core_parts(old_view)
         core_pks = parts.members
 
-        # Honest members alias one buffer set; freeze each distinct buffer
-        # once so identical slots stay one object (and hash once).
-        frozen_by_id: dict[int, frozenset] = {}
-        honest_inputs = {}
-        for pk in core_pks:
-            buf = rt.buffers.get(pk, ())
-            key = id(buf)
-            if key not in frozen_by_id:
-                frozen_by_id[key] = frozenset(buf)
-            honest_inputs[pk] = frozen_by_id[key]
+        # Every core member received the shard's joins; what a corrupted
+        # member proposes instead is the strategy's ``vector_decision``.
+        received = frozenset(self.joins[label])
+        honest_inputs = dict.fromkeys(core_pks, received)
         decision = self.strategy.vector_decision(
             core_pks, parts.byzantine, honest_inputs, parts.bft_contract_holds, purpose="joins"
         )
@@ -326,7 +318,7 @@ class Simulation:
         eval_height = height - 1  # validity judged at the last accepted block
 
         def newcomer_valid(cred: Credential) -> bool:
-            return label_matches(rt.label, cred.value) and verify_credential(
+            return label_matches(label, cred.value) and verify_credential(
                 cred, eval_height, self.headers, self.utxos.utxo_at
             )
 
@@ -337,7 +329,7 @@ class Simulation:
             # in the refilled core.
             corrupted = self.adv.corrupted
             seed = self._run_beacon(
-                rt.label,
+                label,
                 parts,
                 height,
                 b"refill",
@@ -351,7 +343,7 @@ class Simulation:
         transition = verify_view_transition(old_view, view, height, cfg.s_min)
         if not transition:
             self.metrics.view_violations += 1
-            self._reject_view(rt, height, "view-divergence", reason=transition.reason)
+            self._reject_view(label, height, "view-divergence", reason=transition.reason)
             return
 
         digest = view_digest(view)
@@ -366,22 +358,20 @@ class Simulation:
             shard_quorum(cfg.mu_core, cfg.s_min, len(old_pks)),
             withheld,
         )
-        if not install_and_diffuse(
-            view, signatures, old_pks, self.directory, cfg.mu_core, cfg.s_min
-        ):
-            self._reject_view(rt, height, "view-install-failed")
+        if not install_and_diffuse(view, signatures, old_pks, cfg.mu_core, cfg.s_min):
+            self._reject_view(label, height, "view-install-failed")
             return
 
         if self._register_shard(
             view, height, promoted=len(promoted), newcomers=len(upd.newcomers)
         ):
-            self.metrics.incident(height, "corrupted-shard", label=rt.label)
+            self.metrics.incident(height, "corrupted-shard", label=label)
 
-    def _reject_view(self, rt: ShardRuntime, height: int, kind: str, **fields):
-        """Keep the registered view; the shard lags the height, so it
-        produces no block until it catches up."""
-        self.metrics.incident(height, kind, label=rt.label, **fields)
-        self.events.emit("view-rejected", height, label=rt.label)
+    def _reject_view(self, label: str, height: int, kind: str, **fields):
+        """Keep the registered view and its joins; the shard lags the
+        height, so it produces no block until it catches up."""
+        self.metrics.incident(height, kind, label=label, **fields)
+        self.events.emit("view-rejected", height, label=label)
 
     def _run_beacon(
         self,
@@ -420,8 +410,7 @@ class Simulation:
             beacon = self._run_beacon(
                 label, self._core_parts(view), height, b"split", evaluate=lambda seed: 0.0
             )
-            del self.directory[label]
-            del self.runtimes[label]
+            del self.directory[label], self.joins[label]
             child_labels = []
             for child_label, members in plan.children:
                 child_seed = tagged_hash(b"child", beacon, child_label.encode("ascii"))
@@ -444,8 +433,7 @@ class Simulation:
                     label, self._core_parts(view), height, b"merge", evaluate=lambda seed: 0.0
                 )
                 for absorbed in plan.absorbed:
-                    del self.directory[absorbed]
-                    del self.runtimes[absorbed]
+                    del self.directory[absorbed], self.joins[absorbed]
                 merged_view = form_view(
                     plan.new_label, plan.members, height, beacon, self.cfg.s_min
                 )
@@ -461,12 +449,11 @@ class Simulation:
             raise InvariantError(f"directory invariant broken at {height}: {cover.reason}")
 
     def _register_shard(self, view: ShardView, height: int, **fields) -> bool:
-        """Install ``view`` with fresh join buffers and announce it to the
-        network; returns whether the shard is past mu_core."""
+        """Install ``view`` with an empty join set and announce it to the
+        network; returns whether the shard is corrupted.  After bootstrap
+        this is the only writer of ``directory`` and ``joins``."""
         self.directory[view.label] = view
-        rt = ShardRuntime(label=view.label, view=view)
-        rt.reset_buffers(self.adv.corrupted)
-        self.runtimes[view.label] = rt
+        self.joins[view.label] = set()
         self.meter.charge(self.n_users)  # network-wide view notification
         corrupted = self._shard_corrupted(view)
         self.events.emit(
@@ -486,8 +473,8 @@ class Simulation:
         prev = self.chain[-1].header
         eligible = sorted(
             label
-            for label, rt in self.runtimes.items()
-            if rt.view.height == height and len(rt.view.core) >= self.cfg.s_min
+            for label, view in self.directory.items()
+            if view.height == height and len(view.core) >= self.cfg.s_min
         )
         committee_record: list[str] = []
         accepted_block = None
@@ -523,7 +510,7 @@ class Simulation:
             committee=committee_record,
             leader_rounds=outcome_rounds,
             corrupted_shards=sum(
-                1 for rt in self.runtimes.values() if self._shard_corrupted(rt.view)
+                1 for view in self.directory.values() if self._shard_corrupted(view)
             ),
             shards=len(self.directory),
             members=sum(len(v.members()) for v in self.directory.values()),
@@ -539,7 +526,7 @@ class Simulation:
         proposals: dict[str, Block] = {}
         corrupted_labels = set()
         for label in committee.labels:
-            view = self.runtimes[label].view
+            view = self.directory[label]
             core = self._core_parts(view)
             if self._shard_corrupted(view):
                 corrupted_labels.add(label)
@@ -638,7 +625,7 @@ class Simulation:
         """
         shard_sigs = []
         for label in committee.labels:
-            view = self.runtimes[label].view
+            view = self.directory[label]
             keys, withheld = self._signing_keys(
                 view, honest_sign, byz_sign or self._shard_corrupted(view)
             )
@@ -750,42 +737,20 @@ class Simulation:
 
     # -- renewals and workload ----------------------------------------------
 
-    def _join_receivers(self, rt: ShardRuntime) -> list[set]:
-        """Distinct buffers a join to this shard lands in: the shared honest
-        set, plus each corrupted member's own set when the strategy buffers
-        joins."""
-        byz_buffer = self.strategy.buffers_joins()
-        receivers = []
-        seen = set()
-        for c in rt.view.core:
-            if c.pk in self.adv.corrupted and not byz_buffer:
-                continue
-            buf = rt.buffers.get(c.pk)
-            if buf is None or id(buf) in seen:
-                continue
-            seen.add(id(buf))
-            receivers.append(buf)
-        return receivers
-
     def _renewals_and_workload(self, height: int):
         """Joins of the credentials renewing at ``height``, then adversary
         and honest transactions."""
         cfg = self.cfg
-        # Views, buffers and corruption stay fixed for the whole phase, so
-        # each shard's receivers are worked out once.
-        receivers: dict[str, list[set]] = {}
         for pk in self.utxos.due_renewals(height, self.participation):
             cred = self._credential(pk, height)
-            rt = self.runtimes[route(self.directory, cred.value)]
-            bufs = receivers.get(rt.label)
-            if bufs is None:
-                bufs = receivers[rt.label] = self._join_receivers(rt)
-            for buf in bufs:
-                buf.add(cred)
-            self.meter.charge(len(rt.view.core))
+            # The view's own label, not ``route``'s freshly sliced copy: the
+            # event log keeps one reference per join.
+            view = self.directory[route(self.directory, cred.value)]
+            self.joins[view.label].add(cred)
+            self.meter.charge(len(view.core))  # delivery to every core member
             self.joins_submitted += 1
             self.events.emit(
-                "join", height, label=rt.label, pk=pk.hex(), anchor=cred.anchor_height
+                "join", height, label=view.label, pk=pk.hex(), anchor=cred.anchor_height
             )
 
         for tx in self.strategy.issue_transactions(

@@ -1,4 +1,4 @@
-"""Shard membership: views, join buffering, expiry and core elections.
+"""Shard membership: views, join intake, expiry and core elections.
 
 A shard view at height h lists the core (the members running the shard's
 protocols) and the spare set (everyone else routed here).  A view update
@@ -8,11 +8,15 @@ from the ordered spare set by PRG draws seeded with the shard's beacon
 output.  ``fill_core`` is the only election: a new shard's view
 (``form_view``) is ``fill_core`` of an all-spare view, and it draws with the
 same sampling code the analysis module uses for its Monte Carlo estimates.
+
+Joins reach ``update_view`` as the decided vector of the previous core's
+join sets, one slot per member; every newcomer is re-validated there.
+Whether a quorum endorsed the result is ``install_and_diffuse``'s call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -54,24 +58,6 @@ def order_spare(creds: Iterable[Credential]) -> tuple[Credential, ...]:
     return tuple(sorted(creds, key=lambda c: c.value))
 
 
-@dataclass
-class ShardRuntime:
-    """Mutable per-shard simulation state."""
-
-    label: str
-    view: ShardView
-    buffers: dict = field(default_factory=dict)  # core pk -> set[Credential]
-
-    def reset_buffers(self, corrupted):
-        """Fresh join buffers for the current core.  Honest members all
-        receive the same join stream, so they share one set, which keeps
-        mass renewals linear; each member in ``corrupted`` gets its own."""
-        shared: set = set()
-        self.buffers = {
-            c.pk: set() if c.pk in corrupted else shared for c in self.view.core
-        }
-
-
 @dataclass(frozen=True)
 class ViewUpdate:
     view: ShardView
@@ -80,12 +66,12 @@ class ViewUpdate:
 
 def update_view(
     prev_view: ShardView,
-    decided_buffers: Sequence[frozenset | None],
+    decided_joins: Sequence[frozenset | None],
     newcomer_valid: Callable[[Credential], bool] = lambda c: True,
 ) -> ViewUpdate:
     """Carry the previous view's members over to the next height.
 
-    ``decided_buffers`` is the agreed vector of join buffers (one slot per
+    ``decided_joins`` is the agreed vector of join sets (one slot per
     previous core member, None for nulled slots); every proposed newcomer
     is re-validated before joining the spare set.  Members and newcomers
     whose credentials perished by the previous view's height drop out.
@@ -99,12 +85,12 @@ def update_view(
     known_values = {c.value for c in members}
     newcomers = []
     seen = set()
-    # Honest members buffer the same joins, so slots repeat; dedup whole
+    # Core members receive the same joins, so slots repeat; dedup whole
     # slots before walking entries (order cannot matter: outputs are
     # re-sorted canonically below).
     distinct_slots = []
     slot_keys = set()
-    for slot in decided_buffers:
+    for slot in decided_joins:
         if slot is None:
             continue
         key = slot if isinstance(slot, frozenset) else frozenset(slot)
@@ -167,19 +153,16 @@ def install_and_diffuse(
     new_view: ShardView,
     signatures: Iterable[tuple[bytes, Signature]],
     old_core_pks: set[bytes],
-    directory: dict,
     mu_core: Fraction,
     s_min: int,
 ) -> bool:
-    """Install a signed view into the directory if a quorum of the previous
-    core endorsed it; otherwise leave the old view registered.
+    """Whether a quorum of the previous core endorsed ``new_view``, so the
+    network installs it in place of the registered view.
 
     This is the only place a view's signature quorum is counted.  The quorum
     is ``shard_quorum`` of the previous core, so an undersized shard can
-    still track membership while barred from block production.
+    still track membership while barred from block production.  The caller
+    registers the view.
     """
     quorum = shard_quorum(mu_core, s_min, len(old_core_pks))
-    if count_signers(signatures, old_core_pks, view_digest(new_view)) < quorum:
-        return False
-    directory[new_view.label] = new_view
-    return True
+    return count_signers(signatures, old_core_pks, view_digest(new_view)) >= quorum

@@ -49,11 +49,19 @@ class ParticipantSet:
 
     @property
     def bft_contract_holds(self) -> bool:
-        """n >= 3f + 1: at most floor((n - 1) / 3) members are corrupted."""
+        """n >= 3f + 1: at most floor((n - 1) / 3) members are corrupted.
+
+        The contract of a core's vector consensus: outside it the adversary
+        dictates the vector."""
         return len(self.byzantine) <= (self.n - 1) // 3
 
     def within(self, bound: Fraction) -> bool:
-        """True while the corrupted count stays within bound * n."""
+        """True while the corrupted count stays within bound * n; a count of
+        exactly bound * n is still within.
+
+        The rule for "past mu_core" in a run: a core outside it is a
+        corrupted shard and may bias its beacons, and a committee outside
+        mu_corrupted voids its agreement."""
         return len(self.byzantine) <= bound * self.n
 
 

@@ -165,7 +165,7 @@ class TestStrategyHooks:
         d = s.vector_decision(self.members, byz, self.honest, contract_holds=True)
         assert d.byzantine_values == {self.members[1]: self.honest[self.members[1]]}
         assert d.dictated is None and not d.null_honest
-        assert s.signs() and s.buffers_joins()
+        assert s.signs()
         assert s.beacon_choice(b"e", lambda c: 0.0, None) is None
         assert s.ba_decision(frozenset(), {}) == BaDecision()
         assert s.equivocate_blocks(lambda i: object(), 4) is None
@@ -178,7 +178,7 @@ class TestStrategyHooks:
         assert d.byzantine_values == {} and d.dictated is None
         void = s.vector_decision(self.members, byz, self.honest, contract_holds=False)
         assert void.dictated == [None] * 4
-        assert not s.signs() and not s.buffers_joins()
+        assert not s.signs()
         ba = s.ba_decision(frozenset({"10"}), {})
         assert ba.silent_leaders == frozenset({"10"})
 

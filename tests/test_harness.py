@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from shardsim import config as config_module
 from shardsim import harness, oracles, records
 from shardsim.adversary import PassiveStrategy, WorstCaseSeedStrategy, make_strategy
+from shardsim.analysis import exceedance_threshold
 from shardsim.cli import main
 from shardsim.credentials import Credential, verify_credential
 from shardsim.crypto import Prg, encode_int, keygen, tagged_hash
@@ -31,8 +32,9 @@ from shardsim.ledger import (
     validate_block,
 )
 from shardsim.oracles import check_liveness, check_safety
+from shardsim.overlay import label_matches, route
 from shardsim.records import EventLog, Metrics
-from shardsim.protocols import BaDecision
+from shardsim.protocols import BaDecision, vector_consensus
 from shardsim.sampling import sample_without_replacement
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -360,7 +362,7 @@ def test_invalid_json_raises_config_error(tmp_path):
 
 
 class CountingSet(set):
-    """A join buffer that records how often each join was added."""
+    """A join set that records how often each join was added."""
 
     def __init__(self):
         super().__init__()
@@ -371,44 +373,156 @@ class CountingSet(set):
         super().add(item)
 
 
-@pytest.mark.parametrize("strategy,corrupted_buffer", [("passive", True), ("silent", False)])
-def test_join_lands_once_in_each_receiving_buffer(strategy, corrupted_buffer):
+def run_height(sim, target, renew=True):
+    """One height of ``Simulation.run``, phase by phase; the block must be
+    accepted."""
+    sim._activate_corruptions(target)
+    sim._update_views(target)
+    sim._apply_topology(target)
+    assert sim._produce_block(target)
+    if renew:
+        sim._renewals_and_workload(target)
+
+
+def test_join_lands_once_in_the_join_set_route_names():
     # Genesis UTXOs are pre-aged by one epoch, so every genesis key renews
     # at height epoch_length.
-    sim = Simulation(config(heights=3, tx_rate=0))
+    sim = Simulation(config(genesis=[{"count": 256, "stake": 1}], heights=3, tx_rate=0))
     height = sim.cfg.epoch_length
-    for target in range(1, height + 1):
-        sim._activate_corruptions(target)
-        sim._update_views(target)
-        sim._apply_topology(target)
-        assert sim._produce_block(target)
-        if target < height:
-            sim._renewals_and_workload(target)
+    for target in range(1, height):
+        run_height(sim, target)
+    run_height(sim, height, renew=False)
+    assert not any(sim.joins.values())
+    sim.joins = {label: CountingSet() for label in sim.joins}
 
-    sim.strategy = make_strategy(strategy, {})
-    corrupted = {}
-    shared = {}
-    for label, rt in sim.runtimes.items():
-        shared[label] = CountingSet()
-        for i, cred in enumerate(rt.view.core):
-            if i < 2:
-                sim.adv.corrupted.add(cred.pk)
-                corrupted[cred.pk] = rt.buffers[cred.pk] = CountingSet()
-            else:
-                rt.buffers[cred.pk] = shared[label]
-
+    messages = sim.meter.total
     first_event = len(sim.events)
     sim._renewals_and_workload(height)
     joins = [rec for rec in list(sim.events)[first_event:] if rec["kind"] == "join"]
-    assert joins
+    assert len({rec["label"] for rec in joins}) > 1
+    landed = {cred.pk.hex(): (label, cred) for label, js in sim.joins.items() for cred in js}
+    assert len(landed) == sum(len(js) for js in sim.joins.values())
+    assert len(joins) == len(landed) == len({rec["pk"] for rec in joins})
     for rec in joins:
-        rt = sim.runtimes[rec["label"]]
-        cred = next(c for c in shared[rec["label"]] if c.pk.hex() == rec["pk"])
-        assert shared[rec["label"]].adds[cred] == 1
-        for member in rt.view.core[:2]:
-            assert corrupted[member.pk].adds.get(cred, 0) == int(corrupted_buffer)
-    delivered = sum(len(buf) for buf in shared.values())
-    assert delivered == len(joins) == len({rec["pk"] for rec in joins})
+        label, cred = landed[rec["pk"]]
+        assert label == rec["label"] == route(sim.directory, cred.value)
+        assert cred.anchor_height == rec["anchor"] == height
+        assert sim.joins[label].adds[cred] == 1
+    # Each join is delivered to every core member of its shard.
+    assert sim.meter.total - messages == sum(
+        len(sim.directory[rec["label"]].core) for rec in joins
+    )
+
+
+def test_join_sets_follow_the_directory_through_splits_and_merges():
+    sim = Simulation(config(genesis=[{"count": 100, "stake": 1}], s_min=12, s_max=24))
+    assert set(sim.joins) == set(sim.directory)
+    for target in range(1, sim.cfg.heights + 1):
+        sim._activate_corruptions(target)
+        for phase in (sim._update_views, sim._apply_topology, sim._produce_block):
+            phase(target)
+            assert set(sim.joins) == set(sim.directory)
+        sim._renewals_and_workload(target)
+        assert set(sim.joins) == set(sim.directory)
+    kinds = {rec["kind"] for rec in sim.events}
+    assert {"split", "merge"} <= kinds
+
+
+@pytest.mark.parametrize("strategy,corrupted_slot", [("passive", True), ("silent", False)])
+def test_corrupted_join_slot_is_the_strategys_choice(monkeypatch, strategy, corrupted_slot):
+    sim = Simulation(config(heights=4, tx_rate=0))
+    (label,) = sim.directory
+    for target in range(1, sim.cfg.epoch_length + 1):
+        run_height(sim, target)
+    received = frozenset(sim.joins[label])
+    assert received
+    core = sim.directory[label].core
+    sim.adv.corrupted.update(c.pk for c in core[:2])
+    sim.strategy = make_strategy(strategy, {})
+    decided = []
+
+    def recording(parts, *args, **kwargs):
+        vector = vector_consensus(parts, *args, **kwargs)
+        decided.append(dict(zip(parts.members, vector)))
+        return vector
+
+    monkeypatch.setattr(harness, "vector_consensus", recording)
+    sim._update_views(sim.cfg.epoch_length + 1)
+    (slots,) = decided
+    for i, member in enumerate(core):
+        expected = received if i >= 2 or corrupted_slot else None
+        assert slots[member.pk] == expected
+    assert sim.directory[label].height == sim.cfg.epoch_length + 1
+
+
+def _value_routed_to(label, tag):
+    """A credential value with ``label`` as its prefix, found by search."""
+    for i in range(1 << 16):
+        value = tagged_hash(b"forged-value", tag, encode_int(i))
+        if label_matches(label, value):
+            return value
+    raise AssertionError("no value found")
+
+
+def forged_join(sim, label, kind):
+    """A credential that shard ``label`` must refuse at height 4 (the update
+    judges it at height 3), valid in every respect but the forged one."""
+    epoch = sim.cfg.epoch_length
+    genesis_pk = sim.utxos.sorted_pks[0]
+    value = _value_routed_to(label, kind.encode())
+    if kind == "other-label":
+        other = next(l for l in sorted(sim.joins) if l != label and sim.joins[l])
+        return min(sim.joins[other], key=lambda c: c.value)
+    if kind == "future-anchor":
+        return Credential(value, genesis_pk, anchor_height=2 * epoch, expiry_height=3 * epoch)
+    if kind == "no-utxo":
+        return Credential(value, keygen(b"no-utxo").pk, epoch, 2 * epoch)
+    if kind == "value-mismatch":
+        return Credential(value, genesis_pk, epoch, 2 * epoch)
+    assert kind == "expired"
+    return Credential(value, genesis_pk, 0, epoch)
+
+
+@pytest.mark.parametrize(
+    "kind", ["other-label", "future-anchor", "no-utxo", "value-mismatch", "expired"]
+)
+def test_forged_join_is_refused(kind):
+    sim = Simulation(config(genesis=[{"count": 256, "stake": 1}]))
+    assert sim.cfg.epoch_length == 3
+    for target in range(1, 4):
+        run_height(sim, target)
+    label = sorted(sim.directory)[0]
+    forged = forged_join(sim, label, kind)
+    assert forged not in sim.directory[label].members()
+    if kind == "other-label":
+        assert sim._credential(forged.pk, 3) == forged
+    renewed = set(sim.joins[label])
+    assert renewed
+    sim.joins[label].add(forged)
+
+    sim._update_views(4)
+    view = sim.directory[label]
+    assert view.height == 4
+    assert forged not in view.members()
+    assert renewed <= set(view.members())
+    assert sim.metrics.view_violations == 0
+
+
+def test_threshold_rules_at_the_mu_core_boundary():
+    """mu_core 1/3, a core of 30 and 10 corrupted members: exactly
+    mu_core * 30.  The three rules answer differently, one per purpose."""
+    sim = Simulation(config(genesis=[{"count": 40, "stake": 1}], s_min=30, s_max=80))
+    assert sim.cfg.mu_core == Fraction(1, 3)
+    view = sim.directory[""]
+    assert len(view.core) == 30
+    sim.adv.corrupted = {c.pk for c in view.core[:10]}
+    parts = sim._core_parts(view)
+    assert parts.within(sim.cfg.mu_core) and not sim._shard_corrupted(view)
+    assert not parts.bft_contract_holds
+    assert exceedance_threshold(sim.cfg.mu_core, 30) == 10
+    # One more corrupted member is past mu_core.
+    sim.adv.corrupted.add(view.core[10].pk)
+    assert sim._shard_corrupted(view)
 
 
 def keep_expired_member(update_view, label):
@@ -430,8 +544,8 @@ def keep_expired_member(update_view, label):
 def test_view_agreement_oracle_rejects_a_faulty_view(monkeypatch, tmp_path, capsys):
     mapping = base_mapping(genesis=[{"count": 256, "stake": 1}])
     sim = Simulation(ScenarioConfig.from_mapping(mapping))
-    assert len(sim.runtimes) > 1
-    label = sorted(sim.runtimes)[0]
+    assert len(sim.directory) > 1
+    label = sorted(sim.directory)[0]
     monkeypatch.setattr(harness, "update_view", keep_expired_member(harness.update_view, label))
 
     metrics, events = sim.run()
@@ -442,8 +556,7 @@ def test_view_agreement_oracle_rejects_a_faulty_view(monkeypatch, tmp_path, caps
         "height": 2, "kind": "view-divergence", "label": label, "reason": "expired-member"
     }
     # The shard stays on its height-1 view, which is the registered one.
-    assert sim.runtimes[label].view.height == 1
-    assert sim.directory[label] is sim.runtimes[label].view
+    assert sim.directory[label].height == 1
     assert not any(
         rec["kind"] == "view-installed" and rec["label"] == label and rec["height"] >= 2
         for rec in events
@@ -483,9 +596,8 @@ class RecordingWorstCaseSeed(WorstCaseSeedStrategy):
 def test_refill_grinding_installs_the_most_corrupted_core():
     # One root shard: a core of 16 and a spare set of 24.
     sim = Simulation(config(genesis=[{"count": 40, "stake": 1}], s_max=64))
-    (label,) = sim.runtimes
-    rt = sim.runtimes[label]
-    view = rt.view
+    (label,) = sim.directory
+    view = sim.directory[label]
     assert (len(view.core), len(view.spare)) == (16, 24)
     # Six corrupted core members put the beacon quorum past mu_core 1/3,
     # four honest ones perish before height 1, and every other spare
@@ -495,12 +607,12 @@ def test_refill_grinding_installs_the_most_corrupted_core():
     sim.adv.corrupted = set(corrupted)
     expiring = {c: replace(c, expiry_height=0) for c in view.core[6:10]}
     view = replace(view, core=tuple(expiring.get(c, c) for c in view.core))
-    rt.view = sim.directory[label] = view
+    sim.directory[label] = view
     sim.strategy = RecordingWorstCaseSeed()
 
     sim._update_views(1)
 
-    installed = sim.runtimes[label].view
+    installed = sim.directory[label]
     assert installed.height == 1
     survivors = [c for c in view.core if c not in expiring]
 

@@ -9,7 +9,6 @@ from shardsim.credentials import Credential, credential_blob
 from shardsim.crypto import Prg, encode_int, encode_str, keygen, sign, tagged_hash
 from shardsim.ledger import install_threshold
 from shardsim.membership import (
-    ShardRuntime,
     ShardView,
     fill_core,
     form_view,
@@ -208,20 +207,6 @@ class TestUpdateView:
         assert len(view.core) == 3 and view.spare == ()
 
 
-def test_reset_buffers_shares_one_set_among_honest_members():
-    view = make_view(core_n=4)
-    rt = ShardRuntime(label="", view=view)
-    corrupted = {view.core[1].pk, view.core[3].pk}
-    rt.reset_buffers(corrupted)
-    assert set(rt.buffers) == {c.pk for c in view.core}
-    honest = rt.buffers[view.core[0].pk]
-    assert honest == set() and rt.buffers[view.core[2].pk] is honest
-    # Each corrupted member buffers on its own.
-    first, second = (rt.buffers[pk] for pk in sorted(corrupted))
-    assert first == second == set()
-    assert first is not second and honest is not first and honest is not second
-
-
 def test_form_view_elects_core_from_everyone():
     members = [cred(b"f%d" % i) for i in range(7)]
     beacon = tagged_hash(b"test-beacon", b"f")
@@ -249,7 +234,6 @@ class TestInstallAndDiffuse:
         )
         self.old_core_pks = {kp.pk for kp in self.keys[:3]}
         self.view = ShardView(label="", height=2, core=creds, spare=())
-        self.directory = {"": "previous-entry"}
 
     def _sigs(self, signers, view=None):
         view = view or self.view
@@ -257,22 +241,20 @@ class TestInstallAndDiffuse:
 
     def test_installs_at_threshold(self):
         ok = install_and_diffuse(
-            self.view, self._sigs(self.keys[:2]), self.old_core_pks,
-            self.directory, self.mu_core, s_min=3,
+            self.view, self._sigs(self.keys[:2]), self.old_core_pks, self.mu_core, s_min=3
         )
-        assert ok and self.directory[""] is self.view
+        assert ok
 
     def test_below_threshold_keeps_old_entry(self):
         ok = install_and_diffuse(
-            self.view, self._sigs(self.keys[:1]), self.old_core_pks,
-            self.directory, self.mu_core, s_min=3,
+            self.view, self._sigs(self.keys[:1]), self.old_core_pks, self.mu_core, s_min=3
         )
-        assert not ok and self.directory[""] == "previous-entry"
+        assert not ok
 
     def test_duplicate_and_foreign_signers_do_not_count(self):
         doubled = self._sigs([self.keys[0], self.keys[0], self.keys[3]])
         ok = install_and_diffuse(
-            self.view, doubled, self.old_core_pks, self.directory, self.mu_core, 3
+            self.view, doubled, self.old_core_pks, self.mu_core, 3
         )
         assert not ok
 
@@ -280,7 +262,7 @@ class TestInstallAndDiffuse:
         other = ShardView(label="", height=3, core=self.view.core, spare=())
         sigs = self._sigs(self.keys[:2], view=other)
         ok = install_and_diffuse(
-            self.view, sigs, self.old_core_pks, self.directory, self.mu_core, 3
+            self.view, sigs, self.old_core_pks, self.mu_core, 3
         )
         assert not ok
 
@@ -288,8 +270,7 @@ class TestInstallAndDiffuse:
         # Old core of two: threshold int(2/3)+1 = 1 signature.
         small_core = {self.keys[0].pk, self.keys[1].pk}
         ok = install_and_diffuse(
-            self.view, self._sigs(self.keys[:1]), small_core,
-            self.directory, self.mu_core, s_min=3,
+            self.view, self._sigs(self.keys[:1]), small_core, self.mu_core, s_min=3
         )
         assert ok
 
