@@ -7,8 +7,9 @@ The package splits into four layers:
   ``membership``, ``protocols``, ``blocks``, ``adversary``;
 - the scenario run: ``config`` parses and checks a scenario, ``harness``
   runs it height by height on the UTXO state that ``utxo_index`` keeps,
-  ``records`` holds its event log and metrics, and ``oracles`` gives the
-  safety and liveness verdicts;
+  with each height's view pipeline in ``views`` and its block agreement in
+  ``agreement``; ``records`` holds its event log and metrics, and
+  ``oracles`` gives the safety and liveness verdicts;
 - ``analysis`` with the closed-form corruption bounds, exact tail
   probabilities, the parameter solver, and Monte Carlo validators;
 - the ``cli`` front end.

@@ -49,7 +49,6 @@ def committee_size(f_shard: int, mu_corrupted: Fraction) -> int:
 @dataclass(frozen=True)
 class Committee:
     labels: tuple[str, ...]
-    size: int
     shortfall: bool = False
 
 
@@ -63,10 +62,10 @@ def elect_committee(eligible: Iterable[str], prev_seed: bytes, s_c: int) -> Comm
     """
     pool = sorted(eligible)
     if len(pool) < s_c:
-        return Committee(labels=tuple(pool), size=s_c, shortfall=True)
+        return Committee(labels=tuple(pool), shortfall=True)
     prg = Prg(prev_seed)
     picked = sample_without_replacement(prg, pool, s_c)
-    return Committee(labels=tuple(picked), size=s_c, shortfall=False)
+    return Committee(labels=tuple(picked), shortfall=False)
 
 
 def build_proposal(

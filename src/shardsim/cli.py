@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .analysis import (
@@ -47,9 +48,7 @@ def _cmd_run(args) -> int:
         sys.stderr.write(f"config rejected: {exc}\n")
         return 2
     if args.seed is not None:
-        config = ScenarioConfig.from_mapping(
-            {**config.to_mapping(), "master_seed": args.seed}
-        )
+        config = replace(config, master_seed=args.seed)
     metrics, events = run_scenario(config, strict_params=args.strict_params)
 
     if args.out_dir:

@@ -123,36 +123,6 @@ class ScenarioConfig:
                 raise ConfigError(f"not valid JSON: {exc}") from exc
         return cls.from_mapping(raw)
 
-    def to_mapping(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "master_seed": self.master_seed,
-            "epoch_length": self.epoch_length,
-            "heights": self.heights,
-            "s_min": self.s_min,
-            "s_max": self.s_max,
-            "mu_core": str(self.mu_core),
-            "mu_corrupted": str(self.mu_corrupted),
-            "mu": str(self.mu),
-            "stake_cap": self.stake_cap,
-            "kappa": self.kappa,
-            "f_shard": self.f_shard,
-            "genesis": [{"count": c, "stake": s} for c, s in self.genesis],
-            "tx_rate": self.tx_rate,
-            "adversary": {
-                "strategy": self.adversary_strategy,
-                "params": dict(self.adversary_params),
-                "corrupt_fraction": (
-                    str(self.corrupt_fraction) if self.corrupt_fraction is not None else None
-                ),
-                "force_corrupt_shards": self.force_corrupt_shards,
-            },
-            "participation": self.participation,
-            "observers": self.observers,
-            "unsafe_params": self.unsafe_params,
-        }
-
     def validate(self, strict: bool = False) -> list[str]:
         errors = []
         if self.epoch_length < 1:

@@ -1,83 +1,37 @@
 """The deterministic per-height simulation loop, and the message-scaling
 grid built from its runs.
 
-One height is one macro-round: view updates, then topology changes, then
-committee election plus block agreement, then credential renewals and the
-transaction workload.  Every source of randomness is a tagged substream of
-the scenario seed, so a config replays to byte-identical outputs.
-
-View agreement: each updated view is checked against the registered one
-(``verify_view_transition``: label, height, core size, expiry, credential
-windows and routing of every newcomer) before the previous core signs it.  A
-view that fails is never installed; it counts as a view-agreement violation
-and stalls the shard.  The signature quorum is counted once, at install.
-
-Per-shard state is two tables keyed by label: ``directory``, the installed
-view, and ``joins``, the credentials routed to the shard since that view was
-installed.  Every core member receives every join, so one set serves the
-whole core; a corrupted member's proposal is the strategy's to choose.
+One height is one macro-round: view updates, then topology changes (both in
+``views``), then committee election plus block agreement (``agreement``),
+then credential renewals and the transaction workload.  ``Simulation`` holds
+the run state, sets it up, runs the height loop and gives the verdicts.
+Every source of randomness is a tagged substream of the scenario seed, so a
+config replays to byte-identical outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable, Container, Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
+from . import agreement, views
 from .adversary import AdversaryState, activate_due, make_strategy, schedule_corruption
-from .blocks import (
-    attach_certificate,
-    build_proposal,
-    committee_size,
-    elect_committee,
-    shard_sign_block,
-)
+from .blocks import committee_size
 from .config import ConfigError, ScenarioConfig
-from .credentials import Credential, derive_credential, verify_credential
-from .crypto import Prg, encode_int, keygen, tagged_hash, vrf_eval
+from .credentials import Credential, derive_credential
+from .crypto import Prg, encode_int, keygen, tagged_hash
 from .ledger import (
-    Block,
-    BlockHeader,
     BlockRules,
-    ShardSignature,
     Transaction,
     TxOutput,
     apply_transaction,
-    body_digest,
     header_hash,
     make_genesis,
     make_transaction,
-    shard_quorum,
-    sign_until_quorum,
-    validate_block,
-    validate_certificate,
 )
-from .membership import (
-    ShardView,
-    fill_core,
-    form_view,
-    install_and_diffuse,
-    update_view,
-    view_digest,
-)
+from .membership import ShardView, form_view, view_digest
 from .oracles import InvariantError, check_liveness, check_safety
-from .overlay import (
-    ROOT_LABEL,
-    SizeBounds,
-    check_prefix_free_cover,
-    label_matches,
-    maybe_merge,
-    maybe_split,
-    route,
-    verify_view_transition,
-)
-from .protocols import (
-    MessageMeter,
-    ParticipantSet,
-    random_beacon,
-    shard_entropy,
-    vector_consensus,
-    verifiable_ba,
-)
+from .overlay import ROOT_LABEL, SizeBounds, check_prefix_free_cover, maybe_split, route
+from .protocols import MessageMeter, ParticipantSet, shard_entropy
 from .records import EventLog, Metrics
 from .utxo_index import UtxoIndex
 
@@ -107,15 +61,9 @@ class Simulation:
             seed=tagged_hash(b"adversary-seed", self.master), strategy=self.strategy
         )
         self.keyring: dict[bytes, object] = {}
-        self.participation: dict[bytes, bool] = {}
-        self.chain: list[Block] = []
-        self.headers: list[BlockHeader] = []  # credential derivation wants headers
-        self.directory: dict[str, ShardView] = {}
-        self.joins: dict[str, set[Credential]] = {}
-        self.observer_chains: list[list[Block]] = []
         self.pending: dict[bytes, Transaction] = {}
         self.in_flight: set[bytes] = set()
-        self.attempts: dict[int, int] = {}
+        self.attempt = 0  # failed tries at the current height
         self.workload_prg = Prg(tagged_hash(b"workload", self.master))
         self.workload_counter = 0
         self.joins_submitted = 0
@@ -132,7 +80,6 @@ class Simulation:
             for _ in range(count):
                 kp = keygen(tagged_hash(b"user", self.master, encode_int(idx)))
                 self.keyring[kp.pk] = kp
-                self.participation[kp.pk] = cfg.participation == "all"
                 genesis_utxos.append((kp.pk, stake))
                 idx += 1
 
@@ -140,23 +87,30 @@ class Simulation:
             genesis_utxos, tagged_hash(b"genesis", self.master), cfg.stake_cap
         )
         # UTXOs are pre-aged by one epoch so first credentials anchor at the
-        # genesis block and shards can produce from height 1.  ``_accept``
-        # is the index's only writer after genesis.
+        # genesis block and shards can produce from height 1.
+        # ``agreement.accept`` is the index's only writer after genesis.
         self.utxos = UtxoIndex(
             apply_transaction({}, genesis.body[0], -cfg.epoch_length), cfg.epoch_length
         )
         self.chain = [genesis]
-        self.headers = [genesis.header]
+        self.headers = [genesis.header]  # credential derivation wants headers
         self.observer_chains = [[genesis] for _ in range(cfg.observers)]
         self.events.emit(
             "genesis", 0, block=header_hash(genesis.header).hex(), users=self.n_users
         )
 
-        creds = [self._credential(pk, 0) for pk in self.utxos.sorted_pks if self.participation[pk]]
+        # Participation is every keyring key or none (``cfg.participation``);
+        # genesis pays keyring keys only.
+        participating = self.utxos.sorted_pks if cfg.participation == "all" else ()
+        creds = [self._credential(pk, 0) for pk in participating]
         seed = shard_entropy(self.master, ROOT_LABEL, 0, b"bootstrap")
-        self.directory = {ROOT_LABEL: form_view(ROOT_LABEL, creds, 0, seed, cfg.s_min)}
+        self.directory: dict[str, ShardView] = {
+            ROOT_LABEL: form_view(ROOT_LABEL, creds, 0, seed, cfg.s_min)
+        }
         self._bootstrap_splits()
-        self.joins = {label: set() for label in self.directory}
+        # Per label: the credentials routed to the shard since its view was
+        # installed (see ``views``).
+        self.joins: dict[str, set[Credential]] = {label: set() for label in self.directory}
         for label, view in sorted(self.directory.items()):
             self.events.emit(
                 "view-installed",
@@ -245,21 +199,21 @@ class Simulation:
         h0 = self.utxos.live[pk].created_height
         return derive_credential(pk, h0, h, self.headers, self.cfg.epoch_length)
 
-    def _core_parts(self, view: ShardView) -> ParticipantSet:
+    def core_parts(self, view: ShardView) -> ParticipantSet:
         """The view's core as a protocol membership, in core order."""
         members = tuple([c.pk for c in view.core])
         corrupted = self.adv.corrupted
         byzantine = frozenset(corrupted.intersection(members)) if corrupted else frozenset()
         return ParticipantSet(members=members, byzantine=byzantine)
 
-    def _shard_corrupted(self, view: ShardView) -> bool:
+    def shard_corrupted(self, view: ShardView) -> bool:
         """Whether the core of ``view`` is past mu_core by
         ``ParticipantSet.within``: such a shard counts as a corrupted shard,
         votes as a corrupted committee member, and its corrupted members
         sign any block."""
-        return not self._core_parts(view).within(self.cfg.mu_core)
+        return not self.core_parts(view).within(self.cfg.mu_core)
 
-    def _signing_keys(
+    def signing_keys(
         self, view: ShardView, honest_sign: bool, byz_sign: bool
     ) -> tuple[Mapping, Container[bytes]]:
         """Keys and withheld pks for ``sign_until_quorum``: of the core of
@@ -272,16 +226,15 @@ class Simulation:
         willing = [c.pk for c in view.core if byz_sign and c.pk in corrupted]
         return {pk: keyring[pk] for pk in willing if pk in keyring}, ()
 
-    # -- per-height phases ---------------------------------------------------
+    # -- the height loop -----------------------------------------------------
 
     def run(self) -> tuple[Metrics, EventLog]:
         for _round in range(1, self.cfg.heights + 1):
             target = len(self.chain)
             self._activate_corruptions(target)
-            self._update_views(target)
-            self._apply_topology(target)
-            accepted = self._produce_block(target)
-            if accepted:
+            views.update_views(self, target)
+            views.apply_topology(self, target)
+            if agreement.produce_block(self, target):
                 self._renewals_and_workload(target)
         self._finish()
         return self.metrics, self.events
@@ -290,458 +243,14 @@ class Simulation:
         for pk in activate_due(self.adv, height, self.keyring):
             self.events.emit("corruption-active", height, pk=pk.hex())
 
-    def _update_views(self, height: int):
-        for label in sorted(self.directory):
-            view = self.directory[label]
-            if view.height >= height:
-                continue
-            if view.height < height - 1:
-                # Stalled shard catching up one view per round.
-                self.metrics.incident(height, "view-catch-up", label=label)
-            self._update_one_view(view, view.height + 1)
-
-    def _update_one_view(self, old_view: ShardView, height: int):
-        cfg = self.cfg
-        label = old_view.label
-        parts = self._core_parts(old_view)
-        core_pks = parts.members
-
-        # Every core member received the shard's joins; what a corrupted
-        # member proposes instead is the strategy's ``vector_decision``.
-        received = frozenset(self.joins[label])
-        honest_inputs = dict.fromkeys(core_pks, received)
-        decision = self.strategy.vector_decision(
-            core_pks, parts.byzantine, honest_inputs, parts.bft_contract_holds, purpose="joins"
-        )
-        vector = vector_consensus(parts, honest_inputs, decision, self.meter)
-
-        eval_height = height - 1  # validity judged at the last accepted block
-
-        def newcomer_valid(cred: Credential) -> bool:
-            return label_matches(label, cred.value) and verify_credential(
-                cred, eval_height, self.headers, self.utxos.utxo_at
-            )
-
-        upd = update_view(old_view, vector, newcomer_valid)
-        view, promoted = upd.view, ()
-        if len(view.core) < cfg.s_min:
-            # Objective for a seed-grinding beacon quorum: corrupted members
-            # in the refilled core.
-            corrupted = self.adv.corrupted
-            seed = self._run_beacon(
-                label,
-                parts,
-                height,
-                b"refill",
-                evaluate=lambda seed: float(
-                    sum(c.pk in corrupted for c in fill_core(view, seed, cfg.s_min)[0].core)
-                ),
-            )
-            view, promoted = fill_core(view, seed, cfg.s_min)
-        # The network checks the diffused view against the registered one;
-        # a view that fails is a view-agreement violation and never installs.
-        transition = verify_view_transition(old_view, view, height, cfg.s_min)
-        if not transition:
-            self.metrics.view_violations += 1
-            self._reject_view(label, height, "view-divergence", reason=transition.reason)
-            return
-
-        digest = view_digest(view)
-        # Whatever was collected goes to the install, which alone counts the
-        # quorum; corrupted members sign as the strategy says.
-        old_pks = set(core_pks)
-        keys, withheld = self._signing_keys(old_view, True, self.strategy.signs())
-        signatures = sign_until_quorum(
-            core_pks,
-            keys,
-            digest,
-            shard_quorum(cfg.mu_core, cfg.s_min, len(old_pks)),
-            withheld,
-        )
-        if not install_and_diffuse(view, signatures, old_pks, cfg.mu_core, cfg.s_min):
-            self._reject_view(label, height, "view-install-failed")
-            return
-
-        if self._register_shard(
-            view, height, promoted=len(promoted), newcomers=len(upd.newcomers)
-        ):
-            self.metrics.incident(height, "corrupted-shard", label=label)
-
-    def _reject_view(self, label: str, height: int, kind: str, **fields):
-        """Keep the registered view and its joins; the shard lags the
-        height, so it produces no block until it catches up."""
-        self.metrics.incident(height, kind, label=label, **fields)
-        self.events.emit("view-rejected", height, label=label)
-
-    def _run_beacon(
-        self,
-        label: str,
-        parts: ParticipantSet,
-        height: int,
-        purpose: bytes,
-        evaluate: Callable[[bytes], float],
-    ) -> bytes:
-        entropy = shard_entropy(self.master, label, height, purpose)
-        chosen = None
-        if not parts.within(self.cfg.mu_core):
-            chosen = self.strategy.beacon_choice(entropy, evaluate, self.adv.prg())
-        seed = random_beacon(parts, entropy, self.cfg.mu_core, chosen, self.meter)
-        self.events.emit(
-            "beacon",
-            height,
-            label=label,
-            purpose=purpose.decode("ascii"),
-            seed=seed.hex(),
-            biased=chosen is not None,
-        )
-        if chosen is not None:
-            self.metrics.incident(height, "beacon-biased", label=label)
-        return seed
-
-    def _apply_topology(self, height: int):
-        # Splits first, then merges, in label order.
-        for label in sorted(self.directory):
-            if label not in self.directory:
-                continue
-            view = self.directory[label]
-            plan = maybe_split(label, view, self.bounds)
-            if plan is None:
-                continue
-            beacon = self._run_beacon(
-                label, self._core_parts(view), height, b"split", evaluate=lambda seed: 0.0
-            )
-            del self.directory[label], self.joins[label]
-            child_labels = []
-            for child_label, members in plan.children:
-                child_seed = tagged_hash(b"child", beacon, child_label.encode("ascii"))
-                child = form_view(child_label, members, height, child_seed, self.cfg.s_min)
-                self._register_shard(child, height)
-                child_labels.append(child_label)
-            self.events.emit("split", height, parent=label, children=child_labels)
-
-        merged = True
-        while merged:
-            merged = False
-            for label in sorted(self.directory):
-                view = self.directory.get(label)
-                if view is None:
-                    continue
-                plan = maybe_merge(label, view, self.directory, self.bounds)
-                if plan is None:
-                    continue
-                beacon = self._run_beacon(
-                    label, self._core_parts(view), height, b"merge", evaluate=lambda seed: 0.0
-                )
-                for absorbed in plan.absorbed:
-                    del self.directory[absorbed], self.joins[absorbed]
-                merged_view = form_view(
-                    plan.new_label, plan.members, height, beacon, self.cfg.s_min
-                )
-                self._register_shard(merged_view, height)
-                self.events.emit(
-                    "merge", height, label=plan.new_label, absorbed=list(plan.absorbed)
-                )
-                merged = True
-                break
-
-        cover = check_prefix_free_cover(self.directory)
-        if not cover:
-            raise InvariantError(f"directory invariant broken at {height}: {cover.reason}")
-
-    def _register_shard(self, view: ShardView, height: int, **fields) -> bool:
-        """Install ``view`` with an empty join set and announce it to the
-        network; returns whether the shard is corrupted.  After bootstrap
-        this is the only writer of ``directory`` and ``joins``."""
-        self.directory[view.label] = view
-        self.joins[view.label] = set()
-        self.meter.charge(self.n_users)  # network-wide view notification
-        corrupted = self._shard_corrupted(view)
-        self.events.emit(
-            "view-installed",
-            height,
-            label=view.label,
-            digest=view.digest.hex(),
-            core=len(view.core),
-            spare=len(view.spare),
-            degraded=len(view.core) < self.cfg.s_min,
-            corrupted=corrupted,
-            **fields,
-        )
-        return corrupted
-
-    def _produce_block(self, height: int) -> bool:
-        prev = self.chain[-1].header
-        eligible = sorted(
-            label
-            for label, view in self.directory.items()
-            if view.height == height and len(view.core) >= self.cfg.s_min
-        )
-        committee_record: list[str] = []
-        accepted_block = None
-        outcome_rounds = 0
-        # Joins this height's view updates consumed, i.e. submissions from
-        # the previous renewals phase.
-        joins = self.joins_submitted
-        self.joins_submitted = 0
-        if not eligible:
-            self.metrics.incident(height, "no-eligible-shards")
-        else:
-            attempt = self.attempts.get(height, 0)
-            elect_seed = (
-                prev.seed
-                if attempt == 0
-                else tagged_hash(b"retry", prev.seed, encode_int(attempt))
-            )
-            committee = elect_committee(eligible, elect_seed, self.s_c)
-            committee_record = list(committee.labels)
-            if committee.shortfall:
-                self.metrics.incident(height, "committee-shortfall", have=len(eligible))
-            self.events.emit(
-                "committee", height, labels=committee_record, attempt=attempt
-            )
-            accepted_block, outcome_rounds = self._agree_block(height, prev, committee)
-
-        accepted = accepted_block is not None
-        if not accepted:
-            self.attempts[height] = self.attempts.get(height, 0) + 1
-        self.metrics.record_height(
-            height=height,
-            block=header_hash(accepted_block.header).hex() if accepted else "",
-            committee=committee_record,
-            leader_rounds=outcome_rounds,
-            corrupted_shards=sum(
-                1 for view in self.directory.values() if self._shard_corrupted(view)
-            ),
-            shards=len(self.directory),
-            members=sum(len(v.members()) for v in self.directory.values()),
-            joins=joins,
-            txs_included=len(accepted_block.body) if accepted else 0,
-            messages_total=self.meter.total,
-        )
-        return accepted
-
-    def _agree_block(self, height: int, prev, committee) -> tuple[Block | None, int]:
-        cfg = self.cfg
-        pending_txs = tuple(self.pending[k] for k in sorted(self.pending))
-        proposals: dict[str, Block] = {}
-        corrupted_labels = set()
-        for label in committee.labels:
-            view = self.directory[label]
-            core = self._core_parts(view)
-            if self._shard_corrupted(view):
-                corrupted_labels.add(label)
-            honest_inputs = {}
-            for pk in core.members:
-                kp = self.keyring.get(pk)
-                if kp is None:
-                    continue
-                honest_inputs[pk] = (pending_txs, vrf_eval(kp, prev.seed))
-            decision = self.strategy.vector_decision(
-                core.members,
-                core.byzantine,
-                honest_inputs,
-                core.bft_contract_holds,
-                purpose="proposal",
-            )
-            proposal = build_proposal(
-                label,
-                core,
-                prev,
-                self.utxos.live,
-                honest_inputs,
-                cfg.stake_cap,
-                decision=decision,
-                meter=self.meter,
-            )
-            if proposal is not None:
-                proposals[label] = proposal
-
-        byz_labels = frozenset(corrupted_labels)
-        parts = ParticipantSet(members=tuple(committee.labels), byzantine=byz_labels)
-
-        def block_valid(candidate: Block) -> bool:
-            # Pre-agreement check: the certificate only exists after the
-            # committee has decided and endorsed.
-            return bool(
-                validate_block(
-                    self.utxos.live,
-                    self.directory,
-                    candidate,
-                    prev,
-                    self.rules,
-                    committee.labels,
-                    require_certificate=False,
-                )
-            )
-
-        decision = self.strategy.ba_decision(byz_labels, proposals)
-        outcome = verifiable_ba(
-            parts,
-            proposals,
-            block_valid,
-            cfg.mu_corrupted,
-            decision,
-            self.meter,
-            instance_weight=cfg.s_min,
-        )
-        if not outcome.contract_held:
-            self.metrics.incident(
-                height, "corrupted-committee", labels=sorted(byz_labels)
-            )
-
-        decided = outcome.value
-        if decided is None and not outcome.contract_held:
-            return self._try_equivocation(height, prev, committee, proposals, byz_labels, outcome.rounds)
-        if decided is None:
-            return self._no_block(height, "no-decision", outcome.rounds)
-
-        # Within its contract the BA only decides a block that passed
-        # block_valid; only a dictated block needs validating again.
-        valid = outcome.contract_held or block_valid(decided)
-        certified, shard_sigs = self._endorse(decided, committee, valid, self.strategy.signs())
-        self.meter.charge(sum(len(ss.member_sigs) for ss in shard_sigs))
-        if certified is None:
-            return self._no_block(height, "certificate-shortfall", outcome.rounds)
-
-        # Header and body passed block_valid; only the certificate is new.
-        if outcome.contract_held:
-            final = validate_certificate(certified, self.directory, self.rules, committee.labels)
-            if not final:
-                raise InvariantError(f"certified block failed validation: {final.reason}")
-        self._accept(certified, height, leader=outcome.leader)
-        return certified, outcome.rounds
-
-    def _endorse(
-        self, block: Block, committee, honest_sign: bool, byz_sign: bool
-    ) -> tuple[Block | None, list[ShardSignature]]:
-        """Collect each committee shard's endorsement of ``block`` and, with
-        at least 2 f_shard + 1 of them, attach the certificate.
-
-        An honest member signs iff ``honest_sign``; a corrupted member signs
-        iff ``byz_sign`` or its shard is past mu_core, since a corrupted
-        quorum certifies anything the adversary wants.  Returns the
-        certified block (None on a shortfall) and the shard signatures
-        collected either way.
-        """
-        shard_sigs = []
-        for label in committee.labels:
-            view = self.directory[label]
-            keys, withheld = self._signing_keys(
-                view, honest_sign, byz_sign or self._shard_corrupted(view)
-            )
-            ss = shard_sign_block(
-                label, view, block, keys, self.cfg.mu_core, self.cfg.s_min, withheld
-            )
-            if ss is not None:
-                shard_sigs.append(ss)
-        if len(shard_sigs) < 2 * self.cfg.f_shard + 1:
-            return None, shard_sigs
-        return attach_certificate(block, shard_sigs), shard_sigs
-
-    def _no_block(self, height: int, kind: str, rounds: int) -> tuple[None, int]:
-        """A height that ends without a block: record why."""
-        self.metrics.incident(height, kind)
-        self.events.emit("no-block", height, rounds=rounds)
-        return None, rounds
-
-    def _try_equivocation(
-        self, height, prev, committee, proposals, byz_labels, rounds
-    ) -> tuple[Block | None, int]:
-        """Contract-void committee: the adversary may split observers with
-        two certified variants, crash the height, or certify one block."""
-        base = None
-        for label in sorted(byz_labels):
-            if label in proposals:
-                base = proposals[label]
-                break
-        if base is None:
-            return self._no_block(height, "no-decision", rounds)
-
-        def craft(variant: int) -> Block | None:
-            """Variant 0 is the base block, any other one the base block plus
-            a marker transaction; corrupted members certify it alone."""
-            block = base
-            if variant != 0:
-                extra = self._adversary_marker_tx()
-                if extra is None:
-                    return None
-                body = tuple(base.body) + (extra,)
-                block = replace(
-                    base,
-                    header=replace(base.header, body_hash=body_digest(body)),
-                    body=body,
-                )
-            return self._endorse(block, committee, False, True)[0]
-
-        variants = self.strategy.equivocate_blocks(craft, self.cfg.observers)
-        if not variants:
-            single = craft(0)
-            if single is None:
-                return self._no_block(height, "no-decision", rounds)
-            self._accept(single, height, leader=None)
-            return single, rounds
-
-        canonical = variants.get(0) or next(iter(variants.values()))
-        self.metrics.incident(
-            height,
-            "equivocation",
-            hashes=sorted({header_hash(b.header).hex() for b in variants.values()}),
-        )
-        self._accept(canonical, height, leader=None, per_observer=variants)
-        return canonical, rounds
-
-    def _adversary_marker_tx(self) -> Transaction | None:
-        for pk in sorted(self.adv.corrupted):
-            utxo = self.utxos.live.get(pk)
-            if utxo is None or pk in self.in_flight:
-                continue
-            fresh = self.adv.fresh_key()
-            self.keyring[fresh.pk] = fresh
-            self.adv.corrupted.add(fresh.pk)
-            self.adv.keys[fresh.pk] = fresh
-            self.participation[fresh.pk] = self.cfg.participation == "all"
-            return make_transaction(
-                [self.keyring[pk]], [TxOutput(pk=fresh.pk, stake=utxo.stake)]
-            )
-        return None
-
-    def _accept(
-        self,
-        block: Block,
-        height: int,
-        leader: str | None,
-        per_observer: Mapping[int, Block] | None = None,
-    ):
-        self.chain.append(block)
-        self.headers.append(block.header)
-        self.utxos.apply(block, self.keyring)
-        for i, chain in enumerate(self.observer_chains):
-            delivered = per_observer.get(i, block) if per_observer else block
-            chain.append(delivered)
-        self.meter.charge(self.n_users)  # block diffusion
-        for tx in block.body:
-            tx_hex = tx.tx_id.hex()
-            self.metrics.tx_included(tx_hex, height)
-            self.pending.pop(tx.tx_id, None)
-            for pk in tx.inputs:
-                self.in_flight.discard(pk)
-            self.events.emit("tx-included", height, tx=tx_hex)
-        self.events.emit(
-            "block-accepted",
-            height,
-            block=header_hash(block.header).hex(),
-            proposer=block.header.proposer_label,
-            leader=leader,
-            txs=len(block.body),
-        )
-
     # -- renewals and workload ----------------------------------------------
 
     def _renewals_and_workload(self, height: int):
         """Joins of the credentials renewing at ``height``, then adversary
         and honest transactions."""
         cfg = self.cfg
-        for pk in self.utxos.due_renewals(height, self.participation):
+        due = self.utxos.due_renewals(height) if cfg.participation == "all" else ()
+        for pk in due:
             cred = self._credential(pk, height)
             # The view's own label, not ``route``'s freshly sliced copy: the
             # event log keeps one reference per join.
@@ -778,7 +287,6 @@ class Simulation:
             )
             self.workload_counter += 1
             self.keyring[receiver.pk] = receiver
-            self.participation[receiver.pk] = cfg.participation == "all"
             tx = make_transaction(
                 [self.keyring[sender]],
                 [TxOutput(pk=receiver.pk, stake=self.utxos.live[sender].stake)],

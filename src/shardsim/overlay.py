@@ -102,7 +102,6 @@ def route(directory: Mapping[str, ShardView], value: bytes) -> str:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    parent: str
     children: tuple[tuple[str, tuple[Credential, ...]], ...]
 
 
@@ -123,9 +122,7 @@ def maybe_split(label: str, view: ShardView, bounds: SizeBounds) -> SplitPlan | 
     zeros, ones = halves
     if len(zeros) < bounds.s_min or len(ones) < bounds.s_min:
         return None  # degenerate split deferred
-    return SplitPlan(
-        parent=label, children=((label + "0", tuple(zeros)), (label + "1", tuple(ones)))
-    )
+    return SplitPlan(children=((label + "0", tuple(zeros)), (label + "1", tuple(ones))))
 
 
 @dataclass(frozen=True)

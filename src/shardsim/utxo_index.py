@@ -84,18 +84,18 @@ class UtxoIndex(Mapping):
     def __len__(self) -> int:
         return self.tip + 1
 
-    def due_renewals(self, height: int, participation: Mapping[bytes, bool]) -> list[bytes]:
-        """Participating pks whose credential renews at ``height``, sorted.
+    def due_renewals(self, height: int) -> list[bytes]:
+        """Live keyring pks whose credential renews at ``height``, sorted.
 
         A UTXO renews at every multiple of the epoch after its creation, so
         only the schedule entry of ``height``'s residue is walked; ``apply``
         keeps each entry equal to the live pks created under its residue.
         """
-        epoch, live = self.epoch_length, self.live
+        epoch, live, outside = self.epoch_length, self.live, self.outside_keyring
         return [
             pk
             for pk in sorted(self.renewals[height % epoch])
-            if participation.get(pk) and height >= live[pk].created_height + epoch
+            if pk not in outside and height >= live[pk].created_height + epoch
         ]
 
     def draw_senders(

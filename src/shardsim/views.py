@@ -1,0 +1,222 @@
+"""The view pipeline of one height: each shard's view update, then splits
+and merges, as plain functions over a ``Simulation``.
+
+View agreement: each updated view is checked against the registered one
+(``verify_view_transition``: label, height, core size, expiry, credential
+windows and routing of every newcomer) before the previous core signs it.  A
+view that fails is never installed; it counts as a view-agreement violation
+and stalls the shard.  The signature quorum is counted once, at install.
+
+Per-shard state is two tables keyed by label: ``directory``, the installed
+view, and ``joins``, the credentials routed to the shard since that view was
+installed.  Every core member receives every join, so one set serves the
+whole core; a corrupted member's proposal is the strategy's to choose.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Callable
+
+from .credentials import Credential, verify_credential
+from .crypto import tagged_hash
+from .ledger import shard_quorum, sign_until_quorum
+from .membership import (
+    ShardView,
+    fill_core,
+    form_view,
+    install_and_diffuse,
+    update_view,
+    view_digest,
+)
+from .oracles import InvariantError
+from .overlay import (
+    check_prefix_free_cover,
+    label_matches,
+    maybe_merge,
+    maybe_split,
+    verify_view_transition,
+)
+from .protocols import ParticipantSet, random_beacon, shard_entropy, vector_consensus
+
+if TYPE_CHECKING:
+    from .harness import Simulation
+
+
+def update_views(sim: Simulation, height: int):
+    for label in sorted(sim.directory):
+        view = sim.directory[label]
+        if view.height >= height:
+            continue
+        if view.height < height - 1:
+            # Stalled shard catching up one view per round.
+            sim.metrics.incident(height, "view-catch-up", label=label)
+        _update_one_view(sim, view, view.height + 1)
+
+
+def _update_one_view(sim: Simulation, old_view: ShardView, height: int):
+    cfg = sim.cfg
+    label = old_view.label
+    parts = sim.core_parts(old_view)
+    core_pks = parts.members
+
+    # Every core member received the shard's joins; what a corrupted
+    # member proposes instead is the strategy's ``vector_decision``.
+    received = frozenset(sim.joins[label])
+    honest_inputs = dict.fromkeys(core_pks, received)
+    decision = sim.strategy.vector_decision(
+        core_pks, parts.byzantine, honest_inputs, parts.bft_contract_holds, purpose="joins"
+    )
+    vector = vector_consensus(parts, honest_inputs, decision, sim.meter)
+
+    eval_height = height - 1  # validity judged at the last accepted block
+
+    def newcomer_valid(cred: Credential) -> bool:
+        return label_matches(label, cred.value) and verify_credential(
+            cred, eval_height, sim.headers, sim.utxos.utxo_at
+        )
+
+    upd = update_view(old_view, vector, newcomer_valid)
+    view, promoted = upd.view, ()
+    if len(view.core) < cfg.s_min:
+        # Objective for a seed-grinding beacon quorum: corrupted members
+        # in the refilled core.
+        corrupted = sim.adv.corrupted
+        seed = run_beacon(
+            sim,
+            label,
+            parts,
+            height,
+            b"refill",
+            evaluate=lambda seed: float(
+                sum(c.pk in corrupted for c in fill_core(view, seed, cfg.s_min)[0].core)
+            ),
+        )
+        view, promoted = fill_core(view, seed, cfg.s_min)
+    # The network checks the diffused view against the registered one;
+    # a view that fails is a view-agreement violation and never installs.
+    transition = verify_view_transition(old_view, view, height, cfg.s_min)
+    if not transition:
+        sim.metrics.view_violations += 1
+        _reject_view(sim, label, height, "view-divergence", reason=transition.reason)
+        return
+
+    digest = view_digest(view)
+    # Whatever was collected goes to the install, which alone counts the
+    # quorum; corrupted members sign as the strategy says.
+    old_pks = set(core_pks)
+    keys, withheld = sim.signing_keys(old_view, True, sim.strategy.signs())
+    signatures = sign_until_quorum(
+        core_pks,
+        keys,
+        digest,
+        shard_quorum(cfg.mu_core, cfg.s_min, len(old_pks)),
+        withheld,
+    )
+    if not install_and_diffuse(view, signatures, old_pks, cfg.mu_core, cfg.s_min):
+        _reject_view(sim, label, height, "view-install-failed")
+        return
+
+    if register_shard(sim, view, height, promoted=len(promoted), newcomers=len(upd.newcomers)):
+        sim.metrics.incident(height, "corrupted-shard", label=label)
+
+
+def _reject_view(sim: Simulation, label: str, height: int, kind: str, **fields):
+    """Keep the registered view and its joins; the shard lags the height,
+    so it produces no block until it catches up."""
+    sim.metrics.incident(height, kind, label=label, **fields)
+    sim.events.emit("view-rejected", height, label=label)
+
+
+def run_beacon(
+    sim: Simulation,
+    label: str,
+    parts: ParticipantSet,
+    height: int,
+    purpose: bytes,
+    evaluate: Callable[[bytes], float],
+) -> bytes:
+    entropy = shard_entropy(sim.master, label, height, purpose)
+    chosen = None
+    if not parts.within(sim.cfg.mu_core):
+        chosen = sim.strategy.beacon_choice(entropy, evaluate, sim.adv.prg())
+    seed = random_beacon(parts, entropy, sim.cfg.mu_core, chosen, sim.meter)
+    sim.events.emit(
+        "beacon",
+        height,
+        label=label,
+        purpose=purpose.decode("ascii"),
+        seed=seed.hex(),
+        biased=chosen is not None,
+    )
+    if chosen is not None:
+        sim.metrics.incident(height, "beacon-biased", label=label)
+    return seed
+
+
+def apply_topology(sim: Simulation, height: int):
+    # Splits first, then merges, in label order.
+    directory, s_min = sim.directory, sim.cfg.s_min
+    for label in sorted(directory):
+        if label not in directory:
+            continue
+        view = directory[label]
+        plan = maybe_split(label, view, sim.bounds)
+        if plan is None:
+            continue
+        beacon = run_beacon(
+            sim, label, sim.core_parts(view), height, b"split", evaluate=lambda seed: 0.0
+        )
+        del directory[label], sim.joins[label]
+        child_labels = []
+        for child_label, members in plan.children:
+            child_seed = tagged_hash(b"child", beacon, child_label.encode("ascii"))
+            register_shard(sim, form_view(child_label, members, height, child_seed, s_min), height)
+            child_labels.append(child_label)
+        sim.events.emit("split", height, parent=label, children=child_labels)
+
+    merged = True
+    while merged:
+        merged = False
+        for label in sorted(directory):
+            view = directory.get(label)
+            if view is None:
+                continue
+            plan = maybe_merge(label, view, directory, sim.bounds)
+            if plan is None:
+                continue
+            beacon = run_beacon(
+                sim, label, sim.core_parts(view), height, b"merge", evaluate=lambda seed: 0.0
+            )
+            for absorbed in plan.absorbed:
+                del directory[absorbed], sim.joins[absorbed]
+            merged_view = form_view(plan.new_label, plan.members, height, beacon, s_min)
+            register_shard(sim, merged_view, height)
+            sim.events.emit("merge", height, label=plan.new_label, absorbed=list(plan.absorbed))
+            merged = True
+            break
+
+    cover = check_prefix_free_cover(directory)
+    if not cover:
+        raise InvariantError(f"directory invariant broken at {height}: {cover.reason}")
+
+
+def register_shard(sim: Simulation, view: ShardView, height: int, **fields) -> bool:
+    """Install ``view`` with an empty join set and announce it to the
+    network; returns whether the shard is corrupted.  After bootstrap this
+    is the only writer of ``directory`` and ``joins``."""
+    sim.directory[view.label] = view
+    sim.joins[view.label] = set()
+    sim.meter.charge(sim.n_users)  # network-wide view notification
+    corrupted = sim.shard_corrupted(view)
+    sim.events.emit(
+        "view-installed",
+        height,
+        label=view.label,
+        digest=view.digest.hex(),
+        core=len(view.core),
+        spare=len(view.spare),
+        degraded=len(view.core) < sim.cfg.s_min,
+        corrupted=corrupted,
+        **fields,
+    )
+    return corrupted

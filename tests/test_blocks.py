@@ -47,7 +47,7 @@ def test_elect_committee_matches_sampler():
     seed = tagged_hash(b"test-seed", b"elect")
     committee = elect_committee(labels, seed, 2)
     expected = sample_without_replacement(Prg(seed), sorted(labels), 2)
-    assert committee == Committee(labels=tuple(expected), size=2, shortfall=False)
+    assert committee == Committee(labels=tuple(expected), shortfall=False)
     # Same seed, same outcome; different seed almost surely reorders.
     assert elect_committee(labels, seed, 2) == committee
 
@@ -56,7 +56,6 @@ def test_elect_committee_shortfall():
     committee = elect_committee(["0", "1"], b"s" * 32, 4)
     assert committee.shortfall
     assert committee.labels == ("0", "1")
-    assert committee.size == 4
 
 
 class TestBuildProposal:

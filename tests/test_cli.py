@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from shardsim import harness
+from shardsim import agreement
 from shardsim.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -51,13 +51,13 @@ def test_internal_invariant_failure_exits_3(capsys, monkeypatch):
     # Every shard signature comes out one member short of its quorum, so the
     # post-certification check fails: a fault in the simulator, reported as
     # such and not as a failed oracle.
-    sign_block = harness.shard_sign_block
+    sign_block = agreement.shard_sign_block
 
     def one_short(*args, **kwargs):
         ss = sign_block(*args, **kwargs)
         return None if ss is None else replace(ss, member_sigs=ss.member_sigs[:-1])
 
-    monkeypatch.setattr(harness, "shard_sign_block", one_short)
+    monkeypatch.setattr(agreement, "shard_sign_block", one_short)
     code, out, err = run_cli(capsys, "run", SMOKE)
     assert code == 3
     assert out == ""
@@ -88,6 +88,25 @@ def test_run_out_dir_and_seed_reproducibility(capsys, tmp_path):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
     assert out_a == out_b
     assert (dir_a / "events.jsonl").read_bytes() != (dir_c / "events.jsonl").read_bytes()
+
+
+def test_run_seed_matches_a_config_with_that_seed(capsys, tmp_path):
+    # ``--seed`` only replaces the master seed: the run is the run of a copy
+    # of the config file that names the seed itself.
+    config = json.loads(Path(SMOKE).read_text())
+    assert config["master_seed"] != "cli-x"
+    config["master_seed"] = "cli-x"
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps(config))
+    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+    code, out_a, _ = run_cli(capsys, "run", SMOKE, "--seed", "cli-x", "--out-dir", str(dir_a))
+    assert code == 0
+    code, out_b, _ = run_cli(capsys, "run", str(seeded), "--out-dir", str(dir_b))
+    assert code == 0
+
+    for name in ("metrics.csv", "metrics.json", "events.jsonl"):
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+    assert out_a == out_b
 
 
 def test_run_rejects_bad_config(capsys, tmp_path):

@@ -90,7 +90,6 @@ def test_maybe_split_partitions_on_next_bit():
     )
     plan = maybe_split(ROOT_LABEL, view, bounds)
     assert isinstance(plan, SplitPlan)
-    assert plan.parent == ROOT_LABEL
     (label0, left), (label1, right) = plan.children
     assert (label0, label1) == ("0", "1")
     # Replay the rule directly: membership decided by the bit after the prefix.
