@@ -142,7 +142,8 @@ def vrf_verify(pk: bytes, vrf_input: bytes, output: object) -> bool:
 
 
 _COUNTER_LENGTH_PREFIX = len(encode_int(0)).to_bytes(4, "big")
-_BLOCK_WORDS = struct.Struct(">4Q")
+_WORDS_PER_BLOCK = DIGEST_LEN // _WORD_BYTES
+_BLOCK_WORDS = struct.Struct(">%dQ" % _WORDS_PER_BLOCK)
 
 
 class Prg:
@@ -155,7 +156,10 @@ class Prg:
     unprimed one, frozen by ``tests/test_crypto.py``.
 
     Draws are unbiased: 64-bit words are rejection-sampled so that
-    ``draw(n)`` is uniform over [1, n] for any n that fits the word space.
+    ``draw(n)`` is uniform over [1, n] for any n in [1, 2**64].  ``draw(1)``
+    consumes no word.  ``draws(n, count)`` is the batch form of the
+    shrinking ranges an ordered sample draws, ``draw(n)``, ``draw(n - 1)``
+    and so on: it returns the same values and leaves the same state.
     Instances hold one hash state; parallel consumers must each own their own.
     """
 
@@ -166,30 +170,66 @@ class Prg:
             raise ValueError("Prg seed must be non-empty bytes")
         self.state = seed if len(seed) == DIGEST_LEN else hash_digest(seed)
         self.counter = 0
+        # The current block's unread words, last word first.
         self._words: list[int] = []
         # tagged_hash(b"prg", state, encode_int(counter)) up to the counter.
         self._prefix = hashlib.sha256(
             b"\x03prg" + encode_bytes(self.state) + _COUNTER_LENGTH_PREFIX
         )
 
-    def _next_word(self) -> int:
-        if not self._words:
-            h = self._prefix.copy()
-            h.update(encode_int(self.counter))
-            self.counter += 1
-            self._words = list(_BLOCK_WORDS.unpack(h.digest()))
-            self._words.reverse()
-        return self._words.pop()
+    def _block(self, i: int) -> bytes:
+        """Block ``i`` of the stream."""
+        h = self._prefix.copy()
+        h.update(i.to_bytes(8, "big", signed=True))  # encode_int(i)
+        return h.digest()
 
     def draw(self, n: int) -> int:
         """Uniform draw from [1, n]."""
-        if n < 1:
-            raise ValueError("draw range must be at least 1")
+        if not 1 <= n <= _WORD_SPACE:
+            raise ValueError("draw range must lie in [1, 2**64]")
         if n == 1:
             return 1
         # Rejection bound keeps the modulo unbiased.
         limit = _WORD_SPACE - (_WORD_SPACE % n)
         while True:
-            word = self._next_word()
+            if not self._words:
+                self._words = list(_BLOCK_WORDS.unpack(self._block(self.counter)))
+                self._words.reverse()
+                self.counter += 1
+            word = self._words.pop()
             if word < limit:
                 return 1 + (word % n)
+
+    def draws(self, n: int, count: int) -> list[int]:
+        """``[self.draw(n - i) for i in range(count)]``, in one batch.
+
+        The words the draws need are hashed in one loop and checked for
+        rejection at once: every range m is at most n, so a word below
+        ``2**64 - n`` lies below every bound ``2**64 - 2**64 % m``.  If a
+        word could be rejected (about n in 2**64 words), the draws are
+        replayed one by one.
+        """
+        if not 1 <= n <= _WORD_SPACE:
+            raise ValueError("draw range must lie in [1, 2**64]")
+        if not 0 <= count <= n:
+            raise ValueError("draw count must lie in [0, n]")
+        used = min(count, n - 1)  # a final draw(1) consumes no word
+        words = self._words[::-1]
+        counter = self.counter
+        if used > len(words):
+            blocks = -((len(words) - used) // _WORDS_PER_BLOCK)
+            data = b"".join(map(self._block, range(counter, counter + blocks)))
+            words += struct.unpack(">%dQ" % (_WORDS_PER_BLOCK * blocks), data)
+            counter += blocks
+        head = words[:used]
+        if head and max(head) >= _WORD_SPACE - n:
+            # The state is still untouched: replay the draws one by one.
+            return [self.draw(n - i) for i in range(count)]
+        self.counter = counter
+        del words[:used]
+        words.reverse()
+        self._words = words
+        picked = [1 + word % m for word, m in zip(head, range(n, 0, -1))]
+        if count > used:
+            picked.append(1)
+        return picked

@@ -40,7 +40,7 @@ class ParticipantSet:
     byzantine: frozenset
 
     def __post_init__(self):
-        if not frozenset(self.members) >= self.byzantine:
+        if self.byzantine and not frozenset(self.members) >= self.byzantine:
             raise ValueError("byzantine members must belong to the participant set")
 
     @property

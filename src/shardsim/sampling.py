@@ -20,12 +20,12 @@ def sample_without_replacement(prg: Prg, items: Sequence[T], count: int) -> list
 
     Each step draws an index j in [1, remaining] and removes the j-th
     element of the remaining ordered pool, matching the election rule.
+    The indices come from one ``prg.draws(len(items), count)`` batch, which
+    equals the step-by-step ``prg.draw(remaining)`` calls.
     """
     pool = list(items)
-    if count > len(pool):
-        raise ValueError("cannot sample more items than the pool holds")
-    picked: list[T] = []
-    for _ in range(count):
-        j = prg.draw(len(pool))
-        picked.append(pool.pop(j - 1))
-    return picked
+    if not 0 <= count <= len(pool):
+        raise ValueError("sample count must lie in [0, len(items)]")
+    if not count:
+        return []
+    return [pool.pop(j - 1) for j in prg.draws(len(pool), count)]

@@ -279,6 +279,21 @@ class TestMonteCarloCore:
         with pytest.raises(ValueError):
             monte_carlo_core(10, 2, 3, Fraction(1, 3), 0, "x")
 
+    # Exact estimates, frozen: a change to the PRG stream or to the
+    # sampler's pop rule moves them.  The trial counts span several
+    # 2048-trial chunks, and the cores several PRG blocks per trial.
+    @pytest.mark.parametrize(
+        "args, exceedances",
+        [
+            ((20, 8, 5, Fraction(1, 3), 5_000, "mc-core-pin"), 3463),
+            ((64, 20, 31, Fraction(1, 3), 2_500, b"mc-core-pin-bytes"), 787),
+            ((200, 70, 120, Fraction(1, 3), 300, "mc-core-pin"), 241),
+        ],
+        ids=["s20", "s64-bytes-seed", "s200"],
+    )
+    def test_estimates_are_frozen(self, args, exceedances):
+        assert monte_carlo_core(*args) == exceedances / args[4]
+
 
 def any_shard_tail_two_shards(N, S, total_malicious, threshold):
     """Exact P(either of two complementary shards reaches the threshold):

@@ -4,6 +4,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shardsim.crypto import (
     DIGEST_LEN,
@@ -138,6 +139,32 @@ def test_prg_draw_bounds():
             assert 1 <= v <= n
 
 
+class _ShortStream(Prg):
+    """A Prg that fails rather than hash past its eighth block, so a draw
+    that rejects every word fails instead of looping forever."""
+
+    def _block(self, i):
+        assert i < 8, "every word of 8 blocks was rejected"
+        return super()._block(i)
+
+
+@pytest.mark.parametrize("n", [2**64 + 1, 2**65])
+def test_prg_draw_rejects_ranges_past_the_word_space(n):
+    # The rejection bound of such a range is 0, so it would reject every word.
+    with pytest.raises(ValueError):
+        _ShortStream(b"x").draw(n)
+    with pytest.raises(ValueError):
+        _ShortStream(b"x").draws(n, 1)
+
+
+@pytest.mark.parametrize("n, count", [(0, 0), (-1, 0), (5, -1), (5, 6), (1, 2)])
+def test_prg_draws_rejects_bad_ranges_and_counts(n, count):
+    prg = Prg(b"x")
+    with pytest.raises(ValueError):
+        prg.draws(n, count)
+    assert (prg.counter, prg._words) == (0, [])
+
+
 def test_prg_draw_one_consumes_nothing():
     a = Prg(b"lazy")
     a.draw(1)
@@ -191,6 +218,89 @@ def test_sampler_matches_pop_rule():
         j = expected_prg.draw(len(pool))
         expected.append(pool.pop(j - 1))
     assert sample_without_replacement(Prg(seed), items, 4) == expected
+
+
+def _state(prg):
+    return prg.counter, list(prg._words)
+
+
+def _sequential(prg, n, count):
+    return [prg.draw(n - i) for i in range(count)]
+
+
+SEEDS = st.binary(min_size=1, max_size=40)
+# Small ranges, ranges that end in draw(1), and the rejection-heavy and
+# full-word ranges at the top of the word space.
+RANGES = st.one_of(
+    st.integers(1, 300),
+    st.sampled_from([2**63 + 1, 2**63 + 7, 2**64 - 1, 2**64]),
+    st.integers(1, 2**64),
+)
+
+
+@st.composite
+def batches(draw):
+    n = draw(RANGES)
+    return n, draw(st.integers(0, min(n, 40)))
+
+
+@settings(deadline=None)
+@given(SEEDS, st.lists(st.tuples(st.booleans(), batches()), min_size=1, max_size=8))
+def test_prg_draws_equal_sequential_draws(seed, ops):
+    # Any interleaving of draw and draws leaves the stream where the
+    # single draws alone leave it, value for value and word for word.
+    batched, single = Prg(seed), Prg(seed)
+    for as_single_draw, (n, count) in ops:
+        if as_single_draw:
+            assert batched.draw(n) == single.draw(n)
+        else:
+            assert batched.draws(n, count) == _sequential(single, n, count)
+        assert _state(batched) == _state(single)
+
+
+@settings(deadline=None)
+@given(SEEDS, st.integers(0, 7), st.integers(1, 60))
+def test_prg_draws_whole_and_empty_batches(seed, skip, n):
+    # count = n ends in draw(1), which consumes no word; count = 0 draws
+    # nothing.  skip words first so the batch starts mid-block.
+    batched, single = Prg(seed), Prg(seed)
+    for prg in (batched, single):
+        for _ in range(skip):
+            prg.draw(2**64)
+    assert batched.draws(n, 0) == []
+    assert _state(batched) == _state(single)
+    whole = batched.draws(n, n)
+    assert whole == _sequential(single, n, n)
+    assert whole[-1] == 1
+    assert _state(batched) == _state(single)
+    assert batched.draw(2**64) == single.draw(2**64)
+
+
+@settings(deadline=None)
+@given(SEEDS, st.sampled_from([2**63 + 1, 2**64]), st.integers(1, 24))
+def test_prg_draws_at_the_top_of_the_word_space(seed, n, count):
+    # 2**63 + 1 rejects about half the words, and 2**64 takes the raw word
+    # at its first draw: both go through the single-draw replay.
+    batched, single = Prg(seed), Prg(seed)
+    assert batched.draws(n, count) == _sequential(single, n, count)
+    assert _state(batched) == _state(single)
+
+
+@settings(deadline=None)
+@given(SEEDS, st.integers(0, 5), st.data())
+def test_sampler_matches_pop_rule_replay(seed, skip, data):
+    # Independent replay of the documented rule with single draws: draw j
+    # in [1, remaining], remove the j-th remaining element.
+    size = data.draw(st.integers(0, 80))
+    count = data.draw(st.integers(0, size))
+    sampled, replayed = Prg(seed), Prg(seed)
+    for prg in (sampled, replayed):
+        for _ in range(skip):
+            prg.draw(2**64)
+    pool = list(range(size))
+    expected = [pool.pop(replayed.draw(len(pool)) - 1) for _ in range(count)]
+    assert sample_without_replacement(sampled, range(size), count) == expected
+    assert _state(sampled) == _state(replayed)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -290,18 +400,29 @@ def test_prg_raw_words_are_frozen(seed):
     assert prg.counter == 12
 
 
+FROZEN_REJECTIONS = [
+    7941037187888499752, 1314184918258023147, 8670118317200653415,
+    7482466225348390732, 4169529337789787684, 4301594123999649097,
+    6235968660900811583, 7825336965563449823, 4095238952875600759,
+    4127336412770920001, 3471536396562946991, 8360443531228833405,
+    8666552507147261389, 1601588329143952246, 6384172086410894462,
+    3446866585744620125,
+]
+
+
 def test_prg_rejection_sequence_is_frozen():
     # n = 2**63 + 1 rejects every word at or above 2**63 + 1: about half.
     prg = Prg(b"rejection-frozen")
-    assert [prg.draw(2**63 + 1) for _ in range(16)] == [
-        7941037187888499752, 1314184918258023147, 8670118317200653415,
-        7482466225348390732, 4169529337789787684, 4301594123999649097,
-        6235968660900811583, 7825336965563449823, 4095238952875600759,
-        4127336412770920001, 3471536396562946991, 8360443531228833405,
-        8666552507147261389, 1601588329143952246, 6384172086410894462,
-        3446866585744620125,
-    ]
+    assert [prg.draw(2**63 + 1) for _ in range(16)] == FROZEN_REJECTIONS
     assert prg.counter == 8  # 32 words for 16 draws
+
+
+def test_prg_draws_rejection_sequence_is_frozen():
+    # The batch form falls back to single draws whenever a word may be
+    # rejected, so it must land on the same frozen values and state.
+    prg = Prg(b"rejection-frozen")
+    assert [prg.draws(2**63 + 1, 1)[0] for _ in range(16)] == FROZEN_REJECTIONS
+    assert prg.counter == 8
 
 
 @pytest.mark.parametrize(
