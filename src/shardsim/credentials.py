@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .crypto import tagged_hash
+from .crypto import DIGEST_LEN, encode_bytes, tagged_hash
 from .ledger import Utxo
 
 _HEIGHTS = struct.Struct(">qq")
@@ -44,6 +44,29 @@ def credential_blob(cred: Credential) -> bytes:
         + pk
         + _HEIGHTS.pack(cred.anchor_height, cred.expiry_height)
     )
+
+
+# A credential as one part of a tagged preimage when its value and pk are
+# both digests: the part's length prefix (88), then ``credential_blob``.
+_FRAMED_DIGESTS = struct.Struct(f">II{DIGEST_LEN}sI{DIGEST_LEN}sqq")
+_FRAMED_LEN = _FRAMED_DIGESTS.size - 4
+
+
+def framed_blobs(creds: Iterable[Credential]) -> list[bytes]:
+    """``[encode_bytes(credential_blob(c)) for c in creds]``: each credential
+    length-prefixed as one part of a ``tagged_hash_framed`` preimage.
+
+    A credential whose value and pk are both ``DIGEST_LEN`` bytes, as
+    every ``derive_credential`` output is, is packed by one struct call;
+    any other width keeps the generic encoding, since ``"32s"`` would pad
+    or truncate it."""
+    pack = _FRAMED_DIGESTS.pack
+    return [
+        pack(_FRAMED_LEN, DIGEST_LEN, c.value, DIGEST_LEN, c.pk, c.anchor_height, c.expiry_height)
+        if len(c.value) == DIGEST_LEN == len(c.pk)
+        else encode_bytes(credential_blob(c))
+        for c in creds
+    ]
 
 
 def epoch_anchor(h0: int, h: int, epoch_length: int) -> int:

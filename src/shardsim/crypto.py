@@ -15,12 +15,14 @@ deriving it again on every call.
 Every hash use site hashes under a distinct context tag, so independently
 seeded streams (credentials, seeds, signatures, VRF, PRG words) can never
 collide.  :func:`tagged_hash` keeps one SHA-256 state per tag, already fed
-the tag's framing, and copies it per call; :class:`Prg` keeps one state
-already fed everything of its block preimage but the counter.  Copying a
-state fed a constant prefix is the precomputation RFC 2104 section 4
-describes for HMAC keys: the bytes hashed, and so every digest, are the
-ones the unprimed framing gives.  ``tests/test_crypto.py`` freezes the PRG
-stream and a set of tagged digests.
+the tag's framing, and copies it per call; :func:`tagged_hash_framed`
+copies the same state for a caller that frames its own parts in one
+buffer.  :class:`Prg` keeps one state already fed everything of its block
+preimage but the counter.  Copying a state fed a constant prefix is the
+precomputation RFC 2104 section 4 describes for HMAC keys: the bytes
+hashed, and so every digest, are the ones the unprimed framing gives.
+``tests/test_crypto.py`` freezes the PRG stream and a set of tagged
+digests.
 """
 
 from __future__ import annotations
@@ -61,19 +63,30 @@ def hash_digest(data: bytes) -> bytes:
 _TAG_STATES: dict[bytes, "hashlib._Hash"] = {}
 
 
+def _prime(tag: bytes) -> "hashlib._Hash":
+    primed = _TAG_STATES[tag] = hashlib.sha256(len(tag).to_bytes(1, "big") + tag)
+    return primed
+
+
 def tagged_hash(tag: bytes, *parts: bytes) -> bytes:
     """Digest of ``parts`` under a domain-separation ``tag``.
 
     The tag and every part are length-prefixed, so distinct argument lists
     can never produce the same preimage.
     """
-    primed = _TAG_STATES.get(tag)
-    if primed is None:
-        primed = _TAG_STATES[tag] = hashlib.sha256(len(tag).to_bytes(1, "big") + tag)
-    h = primed.copy()
+    h = (_TAG_STATES.get(tag) or _prime(tag)).copy()
     for part in parts:
         h.update(len(part).to_bytes(4, "big"))
         h.update(part)
+    return h.digest()
+
+
+def tagged_hash_framed(tag: bytes, framed: bytes) -> bytes:
+    """``tagged_hash(tag, *parts)`` for a caller that already framed its
+    parts: ``framed`` is the concatenation of ``encode_bytes(part)`` over
+    them, hashed in one update."""
+    h = (_TAG_STATES.get(tag) or _prime(tag)).copy()
+    h.update(framed)
     return h.digest()
 
 

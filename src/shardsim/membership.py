@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .credentials import Credential, credential_blob
-from .crypto import Prg, Signature, encode_int, encode_str, tagged_hash
+from .credentials import Credential, framed_blobs
+from .crypto import Prg, Signature, encode_bytes, encode_int, encode_str, tagged_hash_framed
 from .ledger import count_signers, shard_quorum
 from .sampling import sample_without_replacement
 
@@ -40,13 +40,23 @@ class ShardView:
     @cached_property
     def digest(self) -> bytes:
         """Digest of the canonical encoding, computed once: the view is
-        frozen, and a ``replace``d copy starts without the cached value."""
-        parts = [encode_str(self.label), encode_int(self.height)]
-        parts.append(encode_int(len(self.core)))
-        parts.extend(credential_blob(c) for c in self.core)
-        parts.append(encode_int(len(self.spare)))
-        parts.extend(credential_blob(c) for c in self.spare)
-        return tagged_hash(b"view", *parts)
+        frozen, and a ``replace``d copy starts without the cached value.
+
+        The preimage is ``tagged_hash(b"view", encode_str(label),
+        encode_int(height), encode_int(len(core)), *core blobs,
+        encode_int(len(spare)), *spare blobs)`` over ``credential_blob``s,
+        framed here in one buffer and hashed in one update.  Members are
+        packed by ``framed_blobs``, which keeps the generic encoding for a
+        value or pk that is not 32 bytes wide."""
+        parts = [
+            encode_bytes(encode_str(self.label)),
+            encode_bytes(encode_int(self.height)),
+            encode_bytes(encode_int(len(self.core))),
+        ]
+        parts += framed_blobs(self.core)
+        parts.append(encode_bytes(encode_int(len(self.spare))))
+        parts += framed_blobs(self.spare)
+        return tagged_hash_framed(b"view", b"".join(parts))
 
 
 def view_digest(view: ShardView) -> bytes:

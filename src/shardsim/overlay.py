@@ -64,10 +64,12 @@ def check_prefix_free_cover(labels: Iterable[str]) -> Validity:
         return Validity(False, "empty")
     if len(set(labels)) != len(labels):
         return Validity(False, "duplicate")
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            if b.startswith(a) or a.startswith(b):
-                return Validity(False, "prefix-collision")
+    # Sorted, every label that extends ``a`` directly follows it: whatever
+    # sorts between ``a`` and an extension of ``a`` also extends ``a``.
+    # So adjacent pairs are the only ones to check.
+    for a, b in zip(labels, labels[1:]):
+        if b.startswith(a):
+            return Validity(False, "prefix-collision")
     # Coverage: the max depth is bounded, so walk the binary trie.
     depth = max(len(l) for l in labels)
     if depth > 8 * DIGEST_LEN:

@@ -56,13 +56,19 @@ class ParticipantSet:
         return len(self.byzantine) <= (self.n - 1) // 3
 
     def within(self, bound: Fraction) -> bool:
-        """True while the corrupted count stays within bound * n; a count of
-        exactly bound * n is still within.
+        """``within_bound`` of this set's corrupted count."""
+        return within_bound(len(self.byzantine), self.n, bound)
 
-        The rule for "past mu_core" in a run: a core outside it is a
-        corrupted shard and may bias its beacons, and a committee outside
-        mu_corrupted voids its agreement."""
-        return len(self.byzantine) <= bound * self.n
+
+def within_bound(corrupted: int, n: int, bound: Fraction) -> bool:
+    """True while ``corrupted`` of ``n`` members stays within bound * n; a
+    count of exactly bound * n is still within.  Compared in integers:
+    ``corrupted <= bound * n`` without building a ``Fraction``.
+
+    The rule for "past mu_core" in a run: a core outside it is a corrupted
+    shard and may bias its beacons, and a committee outside mu_corrupted
+    voids its agreement."""
+    return corrupted * bound.denominator <= bound.numerator * n
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from shardsim.crypto import (
     pk_from_sk,
     sign,
     tagged_hash,
+    tagged_hash_framed,
     verify_sig,
     vrf_eval,
     vrf_verify,
@@ -56,6 +57,13 @@ def test_tagged_hash_domain_separation():
     assert tagged_hash(b"t", b"ab", b"c") != tagged_hash(b"t", b"a", b"bc")
     assert tagged_hash(b"t", b"ab", b"c") != tagged_hash(b"t", b"abc")
     assert tagged_hash(b"t") != tagged_hash(b"t", b"")
+
+
+@given(st.binary(min_size=1, max_size=8), st.lists(st.binary(max_size=100), max_size=6))
+def test_tagged_hash_framed_is_tagged_hash_of_the_parts(tag, parts):
+    # A tag first seen here is primed here, for either function.
+    framed = b"".join(map(encode_bytes, parts))
+    assert tagged_hash_framed(tag, framed) == tagged_hash(tag, *parts)
 
 
 def test_tagged_hash_deterministic():

@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shardsim.credentials import Credential, credential_blob
 from shardsim.crypto import Prg, encode_int, encode_str, keygen, sign, tagged_hash
@@ -69,6 +70,36 @@ def test_view_digest_is_the_canonical_encoding():
     view = make_view()
     assert view_digest(view) == canonical_digest(view)
     # Asking again returns the cached value, unchanged.
+    assert view_digest(view) == canonical_digest(view)
+
+
+def test_view_digest_keeps_the_generic_encoding_for_other_widths():
+    # A 20-byte value and a 40-byte pk: a 32-byte struct field would pad
+    # the one and truncate the other.
+    odd = Credential(value=b"v" * 20, pk=b"p" * 40, anchor_height=1, expiry_height=6)
+    view = make_view(core_n=2, spare_n=2)
+    mixed = replace(view, core=view.core + (odd,))
+    assert view_digest(mixed) == canonical_digest(mixed)
+    padded = replace(odd, value=odd.value + b"\x00" * 12, pk=odd.pk[:32])
+    assert view_digest(mixed) != view_digest(replace(view, core=view.core + (padded,)))
+
+
+def credentials_of_any_width():
+    digest = st.binary(min_size=32, max_size=32)
+    width = st.one_of(digest, digest, st.binary(max_size=40))
+    height = st.integers(-(2**63), 2**63 - 1)
+    return st.builds(Credential, value=width, pk=width, anchor_height=height, expiry_height=height)
+
+
+@settings(deadline=None)
+@given(
+    st.text(alphabet="01", max_size=20),
+    st.integers(-(2**63), 2**63 - 1),
+    st.lists(credentials_of_any_width(), max_size=6),
+    st.lists(credentials_of_any_width(), max_size=6),
+)
+def test_view_digest_equals_the_canonical_encoding(label, height, core, spare):
+    view = ShardView(label=label, height=height, core=tuple(core), spare=tuple(spare))
     assert view_digest(view) == canonical_digest(view)
 
 

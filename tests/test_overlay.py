@@ -62,6 +62,8 @@ def test_prefix_free_cover_reason_codes():
     assert check_prefix_free_cover([]).reason == "empty"
     assert check_prefix_free_cover(["0", "0", "1"]).reason == "duplicate"
     assert check_prefix_free_cover(["0", "01"]).reason == "prefix-collision"
+    # "0" and "011" sort apart, with extensions of "0" between them.
+    assert check_prefix_free_cover(["1", "011", "00", "010", "0"]).reason == "prefix-collision"
     assert check_prefix_free_cover(["0", "10"]).reason == "coverage-gap"
     assert check_prefix_free_cover(["1" * 257]).reason == "depth"
 
@@ -350,6 +352,66 @@ def test_label_longer_than_digest_raises(value, extra):
         reference_matches(label, value)
     with pytest.raises(IndexError):
         label_matches(label, value)
+
+
+def reference_cover(labels):
+    """``check_prefix_free_cover`` with every pair of labels compared."""
+    labels = sorted(labels)
+    if not labels:
+        return Validity(False, "empty")
+    if len(set(labels)) != len(labels):
+        return Validity(False, "duplicate")
+    for i, a in enumerate(labels):
+        for b in labels[i + 1 :]:
+            if b.startswith(a) or a.startswith(b):
+                return Validity(False, "prefix-collision")
+    depth = max(len(l) for l in labels)
+    if depth > 256:
+        return Validity(False, "depth")
+    label_set = set(labels)
+    frontier = [ROOT_LABEL]
+    while frontier:
+        node = frontier.pop()
+        if node in label_set:
+            continue
+        if len(node) >= depth:
+            return Validity(False, "coverage-gap")
+        frontier += [node + "0", node + "1"]
+    return VALID
+
+
+@st.composite
+def label_sets(draw):
+    """Directories from split/merge sequences, then disturbed: labels added
+    (duplicates, extensions of a label that sort far from it, deep or
+    non-binary labels) and removed (coverage gaps)."""
+    labels = sorted(draw(st.sampled_from(apply_ops(draw(ops_strategy)))))
+    binary = st.text(alphabet="01", max_size=12)
+    for _ in range(draw(st.integers(0, 3))):
+        base = labels[draw(st.integers(0, len(labels) - 1))] if labels else ""
+        labels.append(
+            draw(
+                st.one_of(
+                    st.just(base),  # duplicate
+                    binary.map(lambda tail, base=base: base + "0" + tail),  # extension
+                    # An extension that sorts after every other one of ``base``.
+                    binary.map(lambda tail, base=base: base + "1" * 20 + tail),
+                    st.just(base + "0" * 257),  # over-deep
+                    st.text(alphabet="01a/", max_size=4).map(lambda t, base=base: base + t),
+                    binary,  # anywhere
+                )
+            )
+        )
+    for _ in range(draw(st.integers(0, 2))):
+        if labels:
+            del labels[draw(st.integers(0, len(labels) - 1))]
+    return draw(st.permutations(labels))
+
+
+@settings(deadline=None)
+@given(label_sets())
+def test_prefix_free_cover_equals_the_all_pairs_reference(labels):
+    assert check_prefix_free_cover(labels) == reference_cover(labels)
 
 
 def reference_transition(old_view, new_view, height, s_min):

@@ -1,8 +1,10 @@
 """Contract-level agreement primitives and their corruption bounds."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from shardsim.protocols import (
     BaDecision,
@@ -14,6 +16,7 @@ from shardsim.protocols import (
     shard_entropy,
     vector_consensus,
     verifiable_ba,
+    within_bound,
 )
 
 
@@ -42,6 +45,17 @@ def test_participant_set_validation_and_within():
     assert ps.within(Fraction(1, 3))
     assert not parts(9, byz=["m0", "m1", "m2", "m3"]).within(Fraction(1, 3))
     assert ps.n == 9
+
+
+@given(
+    st.integers(0, 10**6),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**4),
+    st.integers(-2, 2),
+)
+def test_within_bound_is_the_fraction_comparison(n, bound, offset):
+    # Counts around bound * n, where exactly-at-the-bound must stay within.
+    corrupted = max(0, math.floor(bound * n) + offset)
+    assert within_bound(corrupted, n, bound) == (corrupted <= bound * n)
 
 
 def test_bft_contract_holds_up_to_a_third():
