@@ -26,7 +26,6 @@ from .protocols import BaDecision, VectorDecision
 @dataclass
 class AdversaryState:
     seed: bytes
-    strategy: "Strategy"
     corrupted: set = field(default_factory=set)  # active pks
     pending: dict = field(default_factory=dict)  # pk -> activation height
     keys: dict = field(default_factory=dict)  # pk -> KeyPair for controlled users

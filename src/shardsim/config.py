@@ -50,7 +50,6 @@ class ScenarioConfig:
     adversary_params: Mapping = field(default_factory=dict)
     corrupt_fraction: Fraction | None = None
     force_corrupt_shards: int = 0
-    participation: str = "all"
     observers: int = 3
     unsafe_params: bool = False
     name: str = ""
@@ -101,7 +100,6 @@ class ScenarioConfig:
                 adversary_params=dict(adversary.get("params", {})),
                 corrupt_fraction=parse_ratio(corrupt) if corrupt is not None else None,
                 force_corrupt_shards=int(adversary.get("force_corrupt_shards", 0)),
-                participation=str(data.pop("participation", "all")),
                 observers=int(data.pop("observers", 3)),
                 unsafe_params=bool(data.pop("unsafe_params", False)),
                 name=str(data.pop("name", "")),
@@ -156,8 +154,6 @@ class ScenarioConfig:
             errors.append(f"unknown adversary strategy {self.adversary_strategy!r}")
         if self.corrupt_fraction is not None and self.corrupt_fraction > self.mu:
             errors.append("corrupt_fraction exceeds the adversary stake bound mu")
-        if self.participation not in ("all", "none"):
-            errors.append(f"unknown participation policy {self.participation!r}")
         if self.force_corrupt_shards < 0:
             errors.append("force_corrupt_shards must be >= 0")
 

@@ -57,9 +57,7 @@ class Simulation:
         self.events = EventLog()
         self.metrics = Metrics(config.name, config.n_credentials)
         self.strategy = make_strategy(config.adversary_strategy, config.adversary_params)
-        self.adv = AdversaryState(
-            seed=tagged_hash(b"adversary-seed", self.master), strategy=self.strategy
-        )
+        self.adv = AdversaryState(seed=tagged_hash(b"adversary-seed", self.master))
         self.keyring: dict[bytes, object] = {}
         self.pending: dict[bytes, Transaction] = {}
         self.in_flight: set[bytes] = set()
@@ -99,10 +97,8 @@ class Simulation:
             "genesis", 0, block=header_hash(genesis.header).hex(), users=self.n_users
         )
 
-        # Participation is every keyring key or none (``cfg.participation``);
-        # genesis pays keyring keys only.
-        participating = self.utxos.sorted_pks if cfg.participation == "all" else ()
-        creds = [self._credential(pk, 0) for pk in participating]
+        # Every keyring key participates; genesis pays keyring keys only.
+        creds = [self._credential(pk, 0) for pk in self.utxos.sorted_pks]
         seed = shard_entropy(self.master, ROOT_LABEL, 0, b"bootstrap")
         self.directory: dict[str, ShardView] = {
             ROOT_LABEL: form_view(ROOT_LABEL, creds, 0, seed, cfg.s_min)
@@ -251,8 +247,7 @@ class Simulation:
         """Joins of the credentials renewing at ``height``, then adversary
         and honest transactions."""
         cfg = self.cfg
-        due = self.utxos.due_renewals(height) if cfg.participation == "all" else ()
-        for pk in due:
+        for pk in self.utxos.due_renewals(height):
             cred = self._credential(pk, height)
             # The view's own label, not ``route``'s freshly sliced copy: the
             # event log keeps one reference per join.

@@ -58,7 +58,12 @@ def label_matches(label: str, value: bytes) -> bool:
 
 def check_prefix_free_cover(labels: Iterable[str]) -> Validity:
     """A label set is a valid overlay iff it is prefix-free and covers the
-    whole bit space (every infinite bit string has exactly one prefix)."""
+    whole bit space (every infinite bit string has exactly one prefix).
+
+    Labels are strings over ``0`` and ``1`` only.  A prefix-free binary set
+    covers the space iff its Kraft sum, the total of ``2 ** -len(label)``,
+    is exactly 1 (Kraft-McMillan); it is taken in units of ``2 ** -depth``.
+    """
     labels = sorted(labels)
     if not labels:
         return Validity(False, "empty")
@@ -70,20 +75,13 @@ def check_prefix_free_cover(labels: Iterable[str]) -> Validity:
     for a, b in zip(labels, labels[1:]):
         if b.startswith(a):
             return Validity(False, "prefix-collision")
-    # Coverage: the max depth is bounded, so walk the binary trie.
     depth = max(len(l) for l in labels)
     if depth > 8 * DIGEST_LEN:
         return Validity(False, "depth")
-    frontier = [ROOT_LABEL]
-    label_set = set(labels)
-    while frontier:
-        node = frontier.pop()
-        if node in label_set:
-            continue
-        if len(node) >= depth:
-            return Validity(False, "coverage-gap")
-        frontier.append(node + "0")
-        frontier.append(node + "1")
+    if any(l.strip("01") for l in labels):
+        return Validity(False, "non-binary")
+    if sum(1 << (depth - len(l)) for l in labels) != 1 << depth:
+        return Validity(False, "coverage-gap")
     return VALID
 
 

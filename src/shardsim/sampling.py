@@ -1,9 +1,10 @@
 """Ordered without-replacement sampling driven by a Prg.
 
-This is deliberately the single implementation used both by the live
-membership election (core refills, committee election) and by the Monte
-Carlo estimators that model those elections, so the statistics being
-measured are the statistics of the deployed code path.
+This is deliberately the single implementation used by the live
+membership election (core refills, committee election), by the workload's
+sender draw (``UtxoIndex.draw_senders``) and by the Monte Carlo estimators
+that model those elections, so the statistics being measured are the
+statistics of the deployed code path.
 """
 
 from __future__ import annotations

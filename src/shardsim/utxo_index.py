@@ -10,12 +10,13 @@ is a read-only mapping that builds an accepted height's set on demand.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from collections.abc import Mapping
 from typing import Container, Iterable
 
 from .crypto import Prg
 from .ledger import Block, Utxo, spend
+from .sampling import sample_without_replacement
 
 
 class UtxoIndex(Mapping):
@@ -103,27 +104,15 @@ class UtxoIndex(Mapping):
     ) -> list[bytes]:
         """Up to ``count`` distinct pks drawn with ``prg`` from the sorted
         live pks outside the groups in ``excluded`` and inside the keyring,
-        as if popped from that filtered list.  The excluded keys are few, so
-        only their positions are looked up, and each draw is mapped to the
-        position of the candidate it picks."""
+        by the shared ordered sampler.  The excluded keys are few, so only
+        their positions are looked up and cut out of the sorted pks."""
         live, pks = self.live, self.sorted_pks
         groups = (*excluded, self.outside_keyring)
         taken = sorted({bisect_left(pks, pk) for group in groups for pk in group if pk in live})
-        senders = []
-        for _ in range(count):
-            n_candidates = len(pks) - len(taken)
-            if not n_candidates:
-                break
-            pick = prg.draw(n_candidates) - 1
-            # The candidate at ``pick`` sits at the least position i with
-            # pick + 1 candidates in pks[: i + 1].
-            lo, hi = pick, pick + len(taken)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if mid + 1 - bisect_right(taken, mid) > pick:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            insort(taken, lo)
-            senders.append(pks[lo])
-        return senders
+        candidates = []
+        start = 0
+        for i in taken:
+            candidates += pks[start:i]
+            start = i + 1
+        candidates += pks[start:]
+        return sample_without_replacement(prg, candidates, min(count, len(candidates)))

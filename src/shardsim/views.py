@@ -157,8 +157,6 @@ def apply_topology(sim: Simulation, height: int):
     # Splits first, then merges, in label order.
     directory, s_min = sim.directory, sim.cfg.s_min
     for label in sorted(directory):
-        if label not in directory:
-            continue
         view = directory[label]
         plan = maybe_split(label, view, sim.bounds)
         if plan is None:
@@ -178,9 +176,7 @@ def apply_topology(sim: Simulation, height: int):
     while merged:
         merged = False
         for label in sorted(directory):
-            view = directory.get(label)
-            if view is None:
-                continue
+            view = directory[label]
             plan = maybe_merge(label, view, directory, sim.bounds)
             if plan is None:
                 continue

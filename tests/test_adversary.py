@@ -18,8 +18,8 @@ from shardsim.ledger import Utxo, validate_transaction
 from shardsim.protocols import BaDecision
 
 
-def fresh_state(strategy_name="passive", seed=b"adv-seed"):
-    return AdversaryState(seed=seed, strategy=make_strategy(strategy_name))
+def fresh_state(seed=b"adv-seed"):
+    return AdversaryState(seed=seed)
 
 
 def stake_map(stakes):
@@ -104,7 +104,7 @@ def test_fresh_keys_are_distinct_and_deterministic():
 class TestGrindTransactions:
     def _controlled(self, stakes):
         keys, utxos = stake_map(stakes)
-        adv = fresh_state("grind")
+        adv = fresh_state()
         for kp in keys:
             adv.corrupted.add(kp.pk)
             adv.keys[kp.pk] = kp
@@ -205,7 +205,7 @@ class TestStrategyHooks:
 
     def test_grind_fires_on_epoch_boundaries(self):
         s = make_strategy("grind")
-        adv = fresh_state("grind")
+        adv = fresh_state()
         keys, utxos = stake_map([1])
         adv.corrupted.add(keys[0].pk)
         adv.keys[keys[0].pk] = keys[0]
@@ -215,7 +215,7 @@ class TestStrategyHooks:
 
     def test_worst_case_seed_maximizes_objective(self):
         s = make_strategy("worst-case-seed", {"candidates": 6})
-        adv = fresh_state("worst-case-seed")
+        adv = fresh_state()
         scores = {}
 
         def evaluate(candidate):

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, output formats, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,6 +13,7 @@ from shardsim import agreement
 from shardsim.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 SMOKE = str(CONFIG_DIR / "smoke.json")
 
 
@@ -276,9 +278,11 @@ def test_scaling_small_grid(capsys):
 
 
 def test_module_entry_point():
+    # The checkout's package first, so the subprocess runs the code under test.
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "shardsim", "run", SMOKE],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["summary"]["safety_ok"]

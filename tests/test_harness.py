@@ -120,7 +120,6 @@ def test_from_mapping_rejects_garbage():
         (dict(observers=0), "observers"),
         (dict(adversary={"strategy": "sneaky"}), "strategy"),
         (dict(adversary={"corrupt_fraction": "1/2"}), "corrupt_fraction"),
-        (dict(participation="some"), "participation"),
         (dict(adversary={"force_corrupt_shards": -1}), "force_corrupt"),
     ],
 )
@@ -707,7 +706,7 @@ def test_dictated_invalid_block_is_not_certified(forgery):
     sim = Simulation(ScenarioConfig.from_mapping(mapping))
     assert sim.s_c == 4
     strategy = DictateForgedBlock(sim, forgery)
-    sim.strategy = sim.adv.strategy = strategy
+    sim.strategy = strategy
 
     metrics, _ = sim.run()
     void = {rec["height"] for rec in metrics.incidents if rec["kind"] == "corrupted-committee"}
@@ -952,7 +951,8 @@ def test_schedule_and_sorted_keys_match_full_scans(epoch_length, data):
             and pk not in sim.adv.keys
             and pk in sim.keyring
         ]
-        count = data.draw(st.integers(0, 4))
+        # Past the 12-key pool, so an exhausted pool is drawn from too.
+        count = data.draw(st.integers(0, 16))
         expected = []
         for _ in range(count):
             if not candidates:
@@ -960,4 +960,6 @@ def test_schedule_and_sorted_keys_match_full_scans(epoch_length, data):
             expected.append(candidates.pop(reference_prg.draw(len(candidates)) - 1))
         senders = sim._draw_senders(count)
         assert senders == expected
+        assert sim.workload_prg.counter == reference_prg.counter
+        assert sim.workload_prg._words == reference_prg._words
         sim.in_flight.update(pk for pk in senders if data.draw(st.booleans()))

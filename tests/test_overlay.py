@@ -66,6 +66,9 @@ def test_prefix_free_cover_reason_codes():
     assert check_prefix_free_cover(["1", "011", "00", "010", "0"]).reason == "prefix-collision"
     assert check_prefix_free_cover(["0", "10"]).reason == "coverage-gap"
     assert check_prefix_free_cover(["1" * 257]).reason == "depth"
+    # Each covers the binary labels' whole space, with an extra label.
+    assert check_prefix_free_cover(["0", "1", "a"]).reason == "non-binary"
+    assert check_prefix_free_cover(["0", "1", "2x"]).reason == "non-binary"
 
 
 def test_route_follows_prefixes():
@@ -355,7 +358,8 @@ def test_label_longer_than_digest_raises(value, extra):
 
 
 def reference_cover(labels):
-    """``check_prefix_free_cover`` with every pair of labels compared."""
+    """``check_prefix_free_cover`` with every pair of labels compared and
+    coverage decided by a walk of the binary trie."""
     labels = sorted(labels)
     if not labels:
         return Validity(False, "empty")
@@ -368,6 +372,8 @@ def reference_cover(labels):
     depth = max(len(l) for l in labels)
     if depth > 256:
         return Validity(False, "depth")
+    if any(set(l) - {"0", "1"} for l in labels):
+        return Validity(False, "non-binary")
     label_set = set(labels)
     frontier = [ROOT_LABEL]
     while frontier:
