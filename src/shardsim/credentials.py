@@ -20,7 +20,7 @@ from .ledger import Utxo
 _HEIGHTS = struct.Struct(">qq")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Credential:
     value: bytes
     pk: bytes

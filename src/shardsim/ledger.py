@@ -288,9 +288,11 @@ def install_threshold(mu_core: Fraction, core_size: int) -> int:
     """Signatures needed before a view or a block endorsement counts.
 
     Strictly more than mu_core * core_size, so at least one signer is
-    honest whenever the shard is within its corruption bound.
+    honest whenever the shard is within its corruption bound.  Computed in
+    integers, as ``protocols.within_bound`` is: ``int(mu_core * core_size)
+    + 1`` without building a ``Fraction``.
     """
-    return int(mu_core * core_size) + 1
+    return mu_core.numerator * core_size // mu_core.denominator + 1
 
 
 def shard_quorum(mu_core: Fraction, s_min: int, core_size: int) -> int:

@@ -12,6 +12,12 @@ same sampling code the analysis module uses for its Monte Carlo estimates.
 Joins reach ``update_view`` as the decided vector of the previous core's
 join sets, one slot per member; every newcomer is re-validated there.
 Whether a quorum endorsed the result is ``install_and_diffuse``'s call.
+
+A view caches the framed encoding of its core and of its spare set, the two
+member runs its digest hashes.  At most heights a shard gains and loses
+nobody: ``update_view`` then keeps the previous view's own member tuples,
+and each kept tuple hands its framing on, so the next digest hashes the
+cached runs instead of packing every member again.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .credentials import Credential, framed_blobs
@@ -38,6 +45,17 @@ class ShardView:
         return self.core + self.spare
 
     @cached_property
+    def core_framing(self) -> bytes:
+        """The core's run of the digest preimage: its length part, then
+        each member's ``credential_blob`` as one part."""
+        return _framed_run(self.core)
+
+    @cached_property
+    def spare_framing(self) -> bytes:
+        """The spare set's run of the digest preimage, like ``core_framing``."""
+        return _framed_run(self.spare)
+
+    @cached_property
     def digest(self) -> bytes:
         """Digest of the canonical encoding, computed once: the view is
         frozen, and a ``replace``d copy starts without the cached value.
@@ -45,18 +63,29 @@ class ShardView:
         The preimage is ``tagged_hash(b"view", encode_str(label),
         encode_int(height), encode_int(len(core)), *core blobs,
         encode_int(len(spare)), *spare blobs)`` over ``credential_blob``s,
-        framed here in one buffer and hashed in one update.  Members are
-        packed by ``framed_blobs``, which keeps the generic encoding for a
-        value or pk that is not 32 bytes wide."""
-        parts = [
-            encode_bytes(encode_str(self.label)),
-            encode_bytes(encode_int(self.height)),
-            encode_bytes(encode_int(len(self.core))),
-        ]
-        parts += framed_blobs(self.core)
-        parts.append(encode_bytes(encode_int(len(self.spare))))
-        parts += framed_blobs(self.spare)
-        return tagged_hash_framed(b"view", b"".join(parts))
+        framed here in one buffer and hashed in one update.  The two member
+        runs are ``core_framing`` and ``spare_framing``, which a view may
+        have been handed by its predecessor along with the very tuple they
+        encode (``update_view``)."""
+        return tagged_hash_framed(
+            b"view",
+            b"".join(
+                (
+                    encode_bytes(encode_str(self.label)),
+                    encode_bytes(encode_int(self.height)),
+                    self.core_framing,
+                    self.spare_framing,
+                )
+            ),
+        )
+
+
+def _framed_run(creds: tuple[Credential, ...]) -> bytes:
+    """``encode_int(len(creds))`` and each member's blob, each framed as one
+    part of a ``tagged_hash_framed`` preimage.  Members are packed by
+    ``framed_blobs``, which keeps the generic encoding for a value or pk
+    that is not 32 bytes wide."""
+    return b"".join([encode_bytes(encode_int(len(creds))), *framed_blobs(creds)])
 
 
 def view_digest(view: ShardView) -> bytes:
@@ -86,47 +115,67 @@ def update_view(
     is re-validated before joining the spare set.  Members and newcomers
     whose credentials perished by the previous view's height drop out.
     The core is not refilled here: ``fill_core`` elects its vacancies.
+
+    A member tuple that loses nobody and gains nobody is kept as the very
+    tuple object of ``prev_view``, with its cached framing; the spare set
+    of every view built here is already in ``order_spare`` order.
     """
     height = prev_view.height + 1
-    members = prev_view.members()
-    # Member values are hashed by bytes, not by ``Credential.__hash__``; a
-    # value hit falls back to comparing whole credentials, so the test
-    # below is exactly ``cred in set(members)``.
-    known_values = {c.value for c in members}
     newcomers = []
     seen = set()
-    # Core members receive the same joins, so slots repeat; dedup whole
-    # slots before walking entries (order cannot matter: outputs are
-    # re-sorted canonically below).
-    distinct_slots = []
-    slot_keys = set()
-    for slot in decided_joins:
-        if slot is None:
-            continue
-        key = slot if isinstance(slot, frozenset) else frozenset(slot)
-        if key in slot_keys:
-            continue
-        slot_keys.add(key)
-        distinct_slots.append(key)
-    for slot in distinct_slots:
-        for cred in slot:
-            if (cred.value in known_values and cred in members) or cred in seen:
+    if any(decided_joins):
+        members = prev_view.members()
+        # Member values are hashed by bytes, not by ``Credential.__hash__``;
+        # a value hit falls back to comparing whole credentials, so the test
+        # below is exactly ``cred in set(members)``.
+        known_values = {c.value for c in members}
+        # Core members receive the same joins, so slots repeat; dedup whole
+        # slots before walking entries (order cannot matter: outputs are
+        # re-sorted canonically below).
+        distinct_slots = []
+        slot_keys = set()
+        for slot in decided_joins:
+            if not slot:
                 continue
-            if cred.expiry_height < height:
+            key = slot if isinstance(slot, frozenset) else frozenset(slot)
+            if key in slot_keys:
                 continue
-            if not newcomer_valid(cred):
-                continue
-            seen.add(cred)
-            newcomers.append(cred)
+            slot_keys.add(key)
+            distinct_slots.append(key)
+        for slot in distinct_slots:
+            for cred in slot:
+                if (cred.value in known_values and cred in members) or cred in seen:
+                    continue
+                if cred.expiry_height < height:
+                    continue
+                if not newcomer_valid(cred):
+                    continue
+                seen.add(cred)
+                newcomers.append(cred)
 
-    spare_pool = [c for c in prev_view.spare if c.expiry_height >= height]
-    view = ShardView(
-        label=prev_view.label,
-        height=height,
-        core=tuple(c for c in prev_view.core if c.expiry_height >= height),
-        spare=order_spare(spare_pool + newcomers),
-    )
+    core, spare = prev_view.core, prev_view.spare
+    if perished_before(core, height):
+        core = tuple(c for c in core if c.expiry_height >= height)
+    if newcomers or perished_before(spare, height):
+        spare = order_spare([c for c in spare if c.expiry_height >= height] + newcomers)
+    view = ShardView(label=prev_view.label, height=height, core=core, spare=spare)
+    # A kept tuple encodes to the same bytes, so its framing carries over,
+    # seeded into the instance dict as ``blocks.attach_certificate`` seeds
+    # a header's ``core_digest``.
+    if core is prev_view.core:
+        view.__dict__["core_framing"] = prev_view.core_framing
+    if spare is prev_view.spare:
+        view.__dict__["spare_framing"] = prev_view.spare_framing
     return ViewUpdate(view=view, newcomers=tuple(sorted(seen, key=lambda c: c.value)))
+
+
+_expiry = attrgetter("expiry_height")
+
+
+def perished_before(creds: tuple[Credential, ...], height: int) -> bool:
+    """Whether some credential in ``creds`` expired before ``height``, in
+    one ``min`` over the tuple."""
+    return min(map(_expiry, creds), default=height) < height
 
 
 def fill_core(

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 from .credentials import Credential
 from .crypto import DIGEST_LEN
 from .ledger import Validity, VALID
-from .membership import ShardView
+from .membership import ShardView, perished_before
 
 ROOT_LABEL = ""
 
@@ -35,13 +35,6 @@ class SizeBounds:
             raise ValueError("s_min must be positive")
         if self.s_max < 2 * self.s_min:
             raise ValueError("s_max must be at least 2 * s_min")
-
-
-def digest_bit(value: bytes, index: int) -> int:
-    """MSB-first bit of a digest."""
-    if index < 0 or index >= 8 * len(value):
-        raise IndexError("bit index outside digest")
-    return (value[index // 8] >> (7 - (index % 8))) & 1
 
 
 def label_matches(label: str, value: bytes) -> bool:
@@ -115,11 +108,12 @@ def maybe_split(label: str, view: ShardView, bounds: SizeBounds) -> SplitPlan | 
     members = view.members()
     if len(members) <= bounds.s_max:
         return None
-    bit_index = len(label)
-    halves: tuple[list, list] = ([], [])
+    # The value's MSB-first bit at index len(label).
+    byte, shift = divmod(len(label), 8)
+    mask = 0x80 >> shift
+    zeros, ones = [], []
     for c in members:
-        halves[digest_bit(c.value, bit_index)].append(c)
-    zeros, ones = halves
+        (ones if c.value[byte] & mask else zeros).append(c)
     if len(zeros) < bounds.s_min or len(ones) < bounds.s_min:
         return None  # degenerate split deferred
     return SplitPlan(children=((label + "0", tuple(zeros)), (label + "1", tuple(ones))))
@@ -182,13 +176,18 @@ def verify_view_transition(
     # degraded shard promotes everyone it has.
     if len(new_view.core) != min(s_min, len(new_view.members())):
         return Validity(False, "core-size")
+    # Expiry is judged against the last accepted block (height - 1): a
+    # credential expiring exactly now still produces this height's block
+    # and hands over afterwards.
+    if new_view.core is old_view.core and new_view.spare is old_view.spare:
+        # The old view's own tuples: every member was carried over.
+        if perished_before(new_view.core, height) or perished_before(new_view.spare, height):
+            return Validity(False, "expired-member")
+        return VALID
     # Carried-over members are the old view's own objects.  Both views are
     # alive for the whole call, so an id names one credential, and an id
     # test is far cheaper than hashing a credential.
     carried = set(map(id, old_view.members()))
-    # Expiry is judged against the last accepted block (height - 1): a
-    # credential expiring exactly now still produces this height's block
-    # and hands over afterwards.
     for cred in new_view.members():
         if cred.expiry_height < height:
             return Validity(False, "expired-member")

@@ -32,7 +32,7 @@ from shardsim.ledger import (
     validate_block,
 )
 from shardsim.oracles import check_liveness, check_safety
-from shardsim.overlay import label_matches, route
+from shardsim.overlay import label_matches, route, verify_view_transition
 from shardsim.records import EventLog, Metrics
 from shardsim.protocols import BaDecision, vector_consensus
 from shardsim.sampling import sample_without_replacement
@@ -606,6 +606,59 @@ def test_view_agreement_oracle_rejects_a_faulty_view(monkeypatch, tmp_path, caps
     assert main(["run", str(path)]) == 1
     summary = json.loads(capsys.readouterr().out)["summary"]
     assert summary["view_violations"] == metrics.view_violations
+
+
+def test_a_lagging_shard_catches_up_one_view_per_height(monkeypatch):
+    """One failed install leaves a shard a view behind the height; it then
+    installs one view per height, each against its registered view."""
+    sim = Simulation(config(genesis=[{"count": 256, "stake": 1}]))
+    label = sorted(sim.directory)[0]
+    install_and_diffuse = views.install_and_diffuse
+    failed, installs = [], []
+
+    def fails_once(new_view, *args, **kwargs):
+        if new_view.label == label:
+            if new_view.height == 2 and not failed:
+                failed.append(new_view)
+                return False
+            old_view = sim.directory[label]
+            installs.append((old_view, new_view, set(sim.joins[label]), len(sim.chain) - 1))
+        return install_and_diffuse(new_view, *args, **kwargs)
+
+    monkeypatch.setattr(views, "install_and_diffuse", fails_once)
+    metrics, events = sim.run()
+
+    assert metrics.incidents == [
+        {"height": 2, "kind": "view-install-failed", "label": label},
+        {"height": 3, "kind": "view-catch-up", "label": label},
+        {"height": 4, "kind": "view-catch-up", "label": label},
+        {"height": 5, "kind": "view-catch-up", "label": label},
+    ]
+    rejected = [(rec["height"], rec["label"]) for rec in events if rec["kind"] == "view-rejected"]
+    assert rejected == [(2, label)]
+    assert metrics.view_violations == 0 and metrics.summary["safety_ok"]
+    catch_ups = installs[1:4]
+    assert [(old.height, new.height, last) for old, new, _, last in catch_ups] == [
+        (1, 2, 2), (2, 3, 3), (3, 4, 4)
+    ]
+    for old, new, _, _ in catch_ups:
+        verdict = verify_view_transition(old, new, new.height, sim.cfg.s_min)
+        assert verdict, verdict.reason
+    # The lagging shard judges joins at its own view height, not at the last
+    # accepted block: honest renewals anchored after that height are refused.
+    old, new, joins, last = catch_ups[1]
+    assert joins and {c.anchor_height for c in joins} == {3} and old.height == 2 < last
+    assert not joins & set(new.members())
+    assert all(verify_credential(c, last, sim.headers, sim.utxos.utxo_at) for c in joins)
+    # With its renewals refused, the shard is empty once its members expire;
+    # it merges into its sibling subtree at height 5, which ends the lag.
+    assert catch_ups[2][1].members() == ()
+    merges = [rec for rec in events if rec["kind"] == "merge" and label in rec["absorbed"]]
+    assert [rec["height"] for rec in merges] == [5]
+    assert (events.digest(), metrics.digest()) == (
+        "ab0860fec5d298f035d6747f3f4c0e7de9ff88620e1cafe0f178d9288f6eb8f3",
+        "f11be1b9f1bfa56e8fe2a843d529a643d639825b0e29603bc429cd67a7ec07fe",
+    )
 
 
 class RecordingWorstCaseSeed(WorstCaseSeedStrategy):

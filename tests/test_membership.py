@@ -11,6 +11,7 @@ from shardsim.crypto import Prg, encode_int, encode_str, keygen, sign, tagged_ha
 from shardsim.ledger import install_threshold
 from shardsim.membership import (
     ShardView,
+    ViewUpdate,
     fill_core,
     form_view,
     install_and_diffuse,
@@ -136,6 +137,12 @@ def test_install_threshold_exact_fraction_arithmetic():
     assert install_threshold(Fraction(0), 5) == 1
 
 
+@pytest.mark.parametrize("mu", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 5)])
+def test_install_threshold_is_the_fraction_floor_plus_one(mu):
+    for n in range(301):
+        assert install_threshold(mu, n) == int(mu * n) + 1
+
+
 def test_order_spare_is_value_sorted():
     creds = [cred(b"o%d" % i) for i in range(6)]
     ordered = order_spare(creds)
@@ -236,6 +243,127 @@ class TestUpdateView:
         view, promoted = fill_core(upd.view, self.beacon, s_min=3)
         assert promoted == (joiner,)
         assert len(view.core) == 3 and view.spare == ()
+
+
+def reference_update_view(prev_view, decided_joins, newcomer_valid=lambda c: True):
+    """``update_view`` as it was before member tuples were carried over:
+    every call re-derives the known values, walks every slot and re-sorts
+    the spare set."""
+    height = prev_view.height + 1
+    members = prev_view.members()
+    known_values = {c.value for c in members}
+    newcomers = []
+    seen = set()
+    distinct_slots = []
+    slot_keys = set()
+    for slot in decided_joins:
+        if slot is None:
+            continue
+        key = slot if isinstance(slot, frozenset) else frozenset(slot)
+        if key in slot_keys:
+            continue
+        slot_keys.add(key)
+        distinct_slots.append(key)
+    for slot in distinct_slots:
+        for c in slot:
+            if (c.value in known_values and c in members) or c in seen:
+                continue
+            if c.expiry_height < height:
+                continue
+            if not newcomer_valid(c):
+                continue
+            seen.add(c)
+            newcomers.append(c)
+
+    spare_pool = [c for c in prev_view.spare if c.expiry_height >= height]
+    view = ShardView(
+        label=prev_view.label,
+        height=height,
+        core=tuple(c for c in prev_view.core if c.expiry_height >= height),
+        spare=order_spare(spare_pool + newcomers),
+    )
+    return ViewUpdate(view=view, newcomers=tuple(sorted(seen, key=lambda c: c.value)))
+
+
+POOL = [cred(b"pool%d" % i) for i in range(16)]
+
+
+@st.composite
+def view_updates(draw):
+    """A registered view at some height whose members expire at it or
+    later, and a decided join vector: ``None`` slots, repeated slots,
+    joins that are members or equal copies of them, newcomers that expire
+    before the next height or share a member's value, and a veto."""
+    height = draw(st.integers(1, 5))
+    expiry = st.integers(height, height + 2)
+    picked = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=10, unique=True))
+    members = [replace(c, expiry_height=draw(expiry)) for c in picked]
+    split = draw(st.integers(0, len(members)))
+    prev = ShardView("", height, tuple(members[:split]), order_spare(members[split:]))
+
+    outsiders = [c for c in POOL if c not in picked]
+    candidates = (
+        members
+        + [replace(c) for c in members]
+        + [replace(c, anchor_height=1) for c in members]
+        + [replace(c, expiry_height=height + draw(st.integers(-1, 2))) for c in outsiders]
+    )
+    slot = st.one_of(
+        st.none(), st.frozensets(st.sampled_from(candidates), max_size=4)
+    )
+    distinct = draw(st.lists(slot, min_size=1, max_size=3))
+    joins = draw(st.lists(st.sampled_from(distinct), max_size=6))
+    vetoed = draw(st.frozensets(st.sampled_from(candidates), max_size=3))
+    return prev, joins, (lambda c: c not in vetoed)
+
+
+@settings(deadline=None, max_examples=300)
+@given(view_updates())
+def test_update_view_equals_the_reference(case):
+    prev, joins, valid = case
+    upd = update_view(prev, joins, valid)
+    assert upd == reference_update_view(prev, joins, valid)
+    # Whatever framing was handed over, the digest is the one a fresh copy
+    # of the view computes from scratch.
+    assert upd.view.digest == ShardView.digest.func(replace(upd.view))
+
+
+class TestCarriedTuples:
+    """A member tuple that loses and gains nobody is the previous view's
+    own tuple, and carries its framing along."""
+
+    def setup_method(self):
+        self.prev = make_view(height=3, core_n=3, spare_n=3, expiry=5)
+        view_digest(self.prev)
+
+    def test_quiet_height_keeps_both_tuples_and_their_framing(self):
+        view = update_view(self.prev, [None, frozenset()]).view
+        assert view.core is self.prev.core and view.spare is self.prev.spare
+        assert vars(view)["core_framing"] is self.prev.core_framing
+        assert vars(view)["spare_framing"] is self.prev.spare_framing
+        assert view.digest == ShardView.digest.func(replace(view)) != self.prev.digest
+
+    def test_a_newcomer_keeps_only_the_core(self):
+        joiner = cred(b"carried-joiner")
+        view = update_view(self.prev, [frozenset({joiner})]).view
+        assert view.core is self.prev.core and view.spare is not self.prev.spare
+        assert "spare_framing" not in vars(view)
+        assert view.digest == ShardView.digest.func(replace(view))
+
+    def test_an_expiry_replaces_only_its_own_tuple(self):
+        dying = replace(self.prev.spare[1], expiry_height=3)
+        prev = replace(self.prev, spare=order_spare(self.prev.spare[:1] + (dying,)))
+        view = update_view(prev, []).view
+        assert view.core is prev.core and view.spare == prev.spare[:1]
+        assert "spare_framing" not in vars(view)
+        assert view.digest == ShardView.digest.func(replace(view))
+
+        dying = replace(self.prev.core[0], expiry_height=3)
+        prev = replace(self.prev, core=(dying,) + self.prev.core[1:])
+        view = update_view(prev, []).view
+        assert view.core == prev.core[1:] and view.spare is prev.spare
+        assert "core_framing" not in vars(view)
+        assert view.digest == ShardView.digest.func(replace(view))
 
 
 def test_form_view_elects_core_from_everyone():

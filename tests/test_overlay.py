@@ -15,24 +15,12 @@ from shardsim.overlay import (
     SizeBounds,
     SplitPlan,
     check_prefix_free_cover,
-    digest_bit,
     label_matches,
     maybe_merge,
     maybe_split,
     route,
     verify_view_transition,
 )
-
-
-def test_digest_bit_msb_first():
-    assert digest_bit(b"\x80", 0) == 1
-    assert [digest_bit(b"\x80", i) for i in range(8)] == [1, 0, 0, 0, 0, 0, 0, 0]
-    assert digest_bit(b"\x01", 7) == 1
-    assert digest_bit(b"\x00\x80", 8) == 1
-    with pytest.raises(IndexError):
-        digest_bit(b"\x00", 8)
-    with pytest.raises(IndexError):
-        digest_bit(b"\x00", -1)
 
 
 def test_label_matches():
@@ -98,11 +86,39 @@ def test_maybe_split_partitions_on_next_bit():
     (label0, left), (label1, right) = plan.children
     assert (label0, label1) == ("0", "1")
     # Replay the rule directly: membership decided by the bit after the prefix.
-    assert all(digest_bit(c.value, 0) == 0 for c in left)
-    assert all(digest_bit(c.value, 0) == 1 for c in right)
+    assert all(value_bits(c.value)[0] == "0" for c in left)
+    assert all(value_bits(c.value)[0] == "1" for c in right)
     assert sorted(c.value for c in left + right) == sorted(
         c.value for c in view.members()
     )
+
+
+def test_maybe_split_partitions_on_the_msb_first_bit_after_the_label():
+    """Bit i is MSB-first: bit 0 is 0x80 of byte 0, bit 7 is 0x01 of byte 0,
+    bit 8 is 0x80 of byte 1.  Under a label of length i, a member whose
+    value has only bit i set goes to the ``1`` child; one with bit i clear
+    and every later bit set goes to the ``0`` child.  Each child keeps the
+    member order."""
+    bounds = SizeBounds(2, 4)
+    for index in (0, 1, 7, 8, 15, 255):
+        label = "0" * index
+        bit = 1 << (255 - index)
+        ones = [Credential(bit.to_bytes(32, "big"), bytes([i]) * 32, 0, 10) for i in range(3)]
+        zeros = [
+            Credential((bit - 1).to_bytes(32, "big"), bytes([i]) * 32, 0, 10)
+            for i in range(3, 6)
+        ]
+        members = [zeros[0], ones[0], ones[1], zeros[1], ones[2], zeros[2]]
+        view = ShardView(label, 1, tuple(members[:2]), tuple(members[2:]))
+        plan = maybe_split(label, view, bounds)
+        assert plan == SplitPlan(
+            children=((label + "0", tuple(zeros)), (label + "1", tuple(ones)))
+        )
+        assert all(label_matches(label + "1", c.value) for c in ones)
+        assert all(label_matches(label + "0", c.value) for c in zeros)
+    # Past the last bit of the value there is no bit to split on.
+    with pytest.raises(IndexError):
+        maybe_split("0" * 256, view, bounds)
 
 
 def test_maybe_split_deferrals():
@@ -209,6 +225,11 @@ class TestViewTransition:
         self.old = replace(self.old, core=(self.creds[0], dying, self.creds[2]))
         carried = replace(self.new, core=self.old.core)
         assert self._check(carried).reason == "expired-member"
+        # The old view's own tuples are still checked for expiry, whether
+        # the expired member sits in the core or in the spare set.
+        assert self._check(replace(self.old, height=2)).reason == "expired-member"
+        self.old = replace(self.new, height=1, spare=(replace(self.creds[3], expiry_height=1),))
+        assert self._check(replace(self.old, height=2)).reason == "expired-member"
         dead = Credential(value=self.keys[4].pk, pk=self.keys[4].pk,
                           anchor_height=0, expiry_height=1)
         stale = ShardView(ROOT_LABEL, 2, tuple(self.creds[:3]), (dead,))
@@ -265,12 +286,16 @@ class TestViewTransition:
 
 
 def reference_matches(label, value):
-    """Bit-by-bit reference for ``label_matches``."""
-    return all(digest_bit(value, i) == int(bit) for i, bit in enumerate(label))
+    """Bit-string reference for ``label_matches``."""
+    bits = value_bits(value)
+    if len(label) > len(bits):
+        raise IndexError("bit index outside digest")
+    return bits.startswith(label)
 
 
 def value_bits(value):
-    return "".join(str(digest_bit(value, i)) for i in range(8 * len(value)))
+    """The value's bits, MSB-first, byte by byte."""
+    return "".join(format(byte, "08b") for byte in value)
 
 
 def with_prefix(bits, value):
@@ -478,6 +503,9 @@ def transitions(draw):
         tuple(members[:core]),
         tuple(members[core:]),
     )
+    if draw(st.integers(0, 3)) == 0:
+        # Every member carried over, as the old view's own tuples.
+        new = replace(old, height=new.height)
     return old, new, height, s_min
 
 
