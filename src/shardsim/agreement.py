@@ -71,7 +71,7 @@ def produce_block(sim: Simulation, height: int) -> bool:
         leader_rounds=outcome_rounds,
         corrupted_shards=sum(1 for view in sim.directory.values() if sim.shard_corrupted(view)),
         shards=len(sim.directory),
-        members=sum(len(v.members()) for v in sim.directory.values()),
+        members=sum(len(v.core) + len(v.spare) for v in sim.directory.values()),
         joins=joins,
         txs_included=len(accepted_block.body) if accepted else 0,
         messages_total=sim.meter.total,

@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .crypto import DIGEST_LEN, encode_bytes, tagged_hash
+from .crypto import DIGEST_LEN, encode_bytes, tagged_hash_pair
 from .ledger import Utxo
 
 _HEIGHTS = struct.Struct(">qq")
@@ -92,7 +92,7 @@ def derive_credential(
     if anchor >= len(chain):
         raise ValueError(f"anchor block {anchor} not accepted yet")
     seed = chain[anchor].seed
-    value = tagged_hash(b"cred", pk, seed)
+    value = tagged_hash_pair(b"cred", pk, seed)
     return Credential(
         value=value, pk=pk, anchor_height=anchor, expiry_height=anchor + epoch_length
     )

@@ -105,8 +105,10 @@ class Simulation:
         }
         self._bootstrap_splits()
         # Per label: the credentials routed to the shard since its view was
-        # installed (see ``views``).
+        # installed (see ``views``), and of those the ones the renewal phase
+        # derived itself, which admission need not derive again.
         self.joins: dict[str, set[Credential]] = {label: set() for label in self.directory}
+        self.renewed: dict[str, set[Credential]] = {label: set() for label in self.directory}
         for label, view in sorted(self.directory.items()):
             self.events.emit(
                 "view-installed",
@@ -253,6 +255,7 @@ class Simulation:
             # event log keeps one reference per join.
             view = self.directory[route(self.directory, cred.value)]
             self.joins[view.label].add(cred)
+            self.renewed[view.label].add(cred)
             self.meter.charge(len(view.core))  # delivery to every core member
             self.joins_submitted += 1
             self.events.emit(

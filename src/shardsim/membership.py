@@ -10,7 +10,11 @@ output.  ``fill_core`` is the only election: a new shard's view
 same sampling code the analysis module uses for its Monte Carlo estimates.
 
 Joins reach ``update_view`` as the decided vector of the previous core's
-join sets, one slot per member; every newcomer is re-validated there.
+join sets, one slot per member; every newcomer is judged there by the
+caller's ``newcomer_valid``.  The view pipeline (``views``) passes a
+predicate that admits a credential the renewal phase derived and routed to
+the shard without deriving it again, while it is anchored by the shard's
+view height, and checks every other entry in full.
 Whether a quorum endorsed the result is ``install_and_diffuse``'s call.
 
 A view caches the framed encoding of its core and of its spare set, the two
@@ -112,9 +116,10 @@ def update_view(
 
     ``decided_joins`` is the agreed vector of join sets (one slot per
     previous core member, None for nulled slots); every proposed newcomer
-    is re-validated before joining the spare set.  Members and newcomers
-    whose credentials perished by the previous view's height drop out.
-    The core is not refilled here: ``fill_core`` elects its vacancies.
+    must pass ``newcomer_valid`` before joining the spare set.  Members and
+    newcomers whose credentials perished by the previous view's height drop
+    out, newcomers before ``newcomer_valid`` is asked.  The core is not
+    refilled here: ``fill_core`` elects its vacancies.
 
     A member tuple that loses nobody and gains nobody is kept as the very
     tuple object of ``prev_view``, with its cached framing; the spare set

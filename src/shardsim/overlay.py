@@ -21,6 +21,7 @@ from .ledger import Validity, VALID
 from .membership import ShardView, perished_before
 
 ROOT_LABEL = ""
+_ROUTE_HEAD_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -84,12 +85,17 @@ def route(directory: Mapping[str, ShardView], value: bytes) -> str:
     Under a prefix-free cover exactly one prefix of the value is a label,
     so the shortest registered prefix is the answer.
     """
+    # Labels rarely run deeper than 64 bits, so the probes start on the
+    # value's first 8 bytes and take its whole bit string only past them.
     # A leading 0x01 sentinel keeps the value's leading zero bits.
-    bits = bin(int.from_bytes(b"\x01" + value, "big"))[3:]
-    for depth in range(len(bits) + 1):
-        prefix = bits[:depth]
-        if prefix in directory:
-            return prefix
+    start = 0
+    for head in (value[:_ROUTE_HEAD_BYTES], value):
+        bits = bin(int.from_bytes(b"\x01" + head, "big"))[3:]
+        for depth in range(start, len(bits) + 1):
+            prefix = bits[:depth]
+            if prefix in directory:
+                return prefix
+        start = len(bits) + 1
     raise LookupError("no shard label matches the value: broken cover")
 
 
@@ -105,9 +111,9 @@ def maybe_split(label: str, view: ShardView, bounds: SizeBounds) -> SplitPlan | 
     prefix.  A split that would leave either child under s_min is deferred
     (the shard simply stays oversized until churn rebalances it).
     """
-    members = view.members()
-    if len(members) <= bounds.s_max:
+    if len(view.core) + len(view.spare) <= bounds.s_max:
         return None
+    members = view.members()
     # The value's MSB-first bit at index len(label).
     byte, shift = divmod(len(label), 8)
     mask = 0x80 >> shift
@@ -136,7 +142,7 @@ def maybe_merge(
     shard has no sibling and cannot merge; its core stays below s_min,
     which keeps it out of block production.
     """
-    if len(view.members()) >= bounds.s_min:
+    if len(view.core) + len(view.spare) >= bounds.s_min:
         return None
     if label == ROOT_LABEL:
         return None
@@ -174,7 +180,7 @@ def verify_view_transition(
         return Validity(False, "height")
     # Core is full-size whenever the shard has enough members; an honest
     # degraded shard promotes everyone it has.
-    if len(new_view.core) != min(s_min, len(new_view.members())):
+    if len(new_view.core) != min(s_min, len(new_view.core) + len(new_view.spare)):
         return Validity(False, "core-size")
     # Expiry is judged against the last accepted block (height - 1): a
     # credential expiring exactly now still produces this height's block

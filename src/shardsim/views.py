@@ -7,10 +7,15 @@ windows and routing of every newcomer) before the previous core signs it.  A
 view that fails is never installed; it counts as a view-agreement violation
 and stalls the shard.  The signature quorum is counted once, at install.
 
-Per-shard state is two tables keyed by label: ``directory``, the installed
-view, and ``joins``, the credentials routed to the shard since that view was
-installed.  Every core member receives every join, so one set serves the
+Per-shard state is three tables keyed by label: ``directory``, the installed
+view; ``joins``, the credentials routed to the shard since that view was
+installed; and ``renewed``, those of its joins the renewal phase derived
+itself.  Every core member receives every join, so one set serves the
 whole core; a corrupted member's proposal is the strategy's to choose.
+Admission takes a renewed credential anchored by the shard's view height
+without deriving it again: its verdict depends only on its fields, the
+label and the immutable chain, so the full check would pass it.  Any other
+entry takes the full check.
 """
 
 from __future__ import annotations
@@ -68,9 +73,19 @@ def _update_one_view(sim: Simulation, old_view: ShardView, height: int):
     )
     vector = vector_consensus(parts, honest_inputs, decision, sim.meter)
 
-    eval_height = height - 1  # validity judged at the last accepted block
+    # Validity is judged at the shard's own view height.  That is the last
+    # accepted block only while the shard keeps up: a lagging shard judges
+    # at its older view height and refuses joins anchored after it, and the
+    # fast path below keeps that verdict by its anchor condition.
+    eval_height = height - 1
+    renewed = sim.renewed[label]
 
     def newcomer_valid(cred: Credential) -> bool:
+        # A credential the renewal phase derived and routed here passes both
+        # checks below when it is anchored by ``eval_height``: ``update_view``
+        # already dropped it if it expired before ``height``.
+        if cred.anchor_height <= eval_height and cred in renewed:
+            return True
         return label_matches(label, cred.value) and verify_credential(
             cred, eval_height, sim.headers, sim.utxos.utxo_at
         )
@@ -164,7 +179,7 @@ def apply_topology(sim: Simulation, height: int):
         beacon = run_beacon(
             sim, label, sim.core_parts(view), height, b"split", evaluate=lambda seed: 0.0
         )
-        del directory[label], sim.joins[label]
+        del directory[label], sim.joins[label], sim.renewed[label]
         child_labels = []
         for child_label, members in plan.children:
             child_seed = tagged_hash(b"child", beacon, child_label.encode("ascii"))
@@ -184,7 +199,7 @@ def apply_topology(sim: Simulation, height: int):
                 sim, label, sim.core_parts(view), height, b"merge", evaluate=lambda seed: 0.0
             )
             for absorbed in plan.absorbed:
-                del directory[absorbed], sim.joins[absorbed]
+                del directory[absorbed], sim.joins[absorbed], sim.renewed[absorbed]
             merged_view = form_view(plan.new_label, plan.members, height, beacon, s_min)
             register_shard(sim, merged_view, height)
             sim.events.emit("merge", height, label=plan.new_label, absorbed=list(plan.absorbed))
@@ -197,11 +212,13 @@ def apply_topology(sim: Simulation, height: int):
 
 
 def register_shard(sim: Simulation, view: ShardView, height: int, **fields) -> bool:
-    """Install ``view`` with an empty join set and announce it to the
-    network; returns whether the shard is corrupted.  After bootstrap this
-    is the only writer of ``directory`` and ``joins``."""
+    """Install ``view`` with an empty join set and renewal record, and
+    announce it to the network; returns whether the shard is corrupted.
+    After bootstrap this is the only writer of ``directory``, ``joins`` and
+    ``renewed``."""
     sim.directory[view.label] = view
     sim.joins[view.label] = set()
+    sim.renewed[view.label] = set()
     sim.meter.charge(sim.n_users)  # network-wide view notification
     corrupted = sim.shard_corrupted(view)
     sim.events.emit(

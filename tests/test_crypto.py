@@ -2,12 +2,15 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shardsim.credentials import derive_credential
 from shardsim.crypto import (
     DIGEST_LEN,
+    KeyPair,
     Prg,
     Signature,
     VrfOutput,
@@ -20,6 +23,8 @@ from shardsim.crypto import (
     sign,
     tagged_hash,
     tagged_hash_framed,
+    tagged_hash_pair,
+    tagged_hash_triple,
     verify_sig,
     vrf_eval,
     vrf_verify,
@@ -527,3 +532,33 @@ def test_sign_and_vrf_outputs_are_frozen(args, frozen):
     out = vrf_eval(kp, msg)
     assert (out.value.hex(), out.proof.hex()) == (vrf_value, vrf_proof)
     assert vrf_verify(kp.pk, msg, out)
+
+
+# Digest-wide parts take the packed path; every other width, the framing of
+# ``tagged_hash``.
+packed_parts = st.binary(min_size=DIGEST_LEN, max_size=DIGEST_LEN) | st.sampled_from(
+    [0, 31, 33, 64]
+).flatmap(lambda width: st.binary(min_size=width, max_size=width))
+
+
+@settings(deadline=None)
+@given(st.binary(min_size=1, max_size=8), packed_parts, packed_parts, packed_parts)
+def test_packed_primitives_equal_their_tagged_hash_form(tag, a, b, c):
+    assert tagged_hash_pair(tag, a, b) == tagged_hash(tag, a, b)
+    assert tagged_hash_triple(tag, a, b, c) == tagged_hash(tag, a, b, c)
+
+    kp = KeyPair(pk=a, sk=b"unused")
+    sig = sign(kp, b)
+    assert sig == Signature(value=tagged_hash(b"sig", a, b), signer_pk=a)
+    assert verify_sig(a, b, sig)
+    assert verify_sig(a, b, Signature(c, a)) == (c == sig.value)
+
+    value = tagged_hash(b"vrf", a, b)
+    out = vrf_eval(kp, b)
+    assert out == VrfOutput(value=value, proof=tagged_hash(b"vrf-proof", a, b, value))
+    assert vrf_verify(a, b, out)
+    assert vrf_verify(a, b, VrfOutput(value, c)) == (c == out.proof)
+    assert vrf_verify(a, b, VrfOutput(c, out.proof)) == (c == value)
+
+    chain = [SimpleNamespace(seed=b)] * 2
+    assert derive_credential(a, 0, 1, chain, 1).value == tagged_hash(b"cred", a, b)

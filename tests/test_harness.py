@@ -451,9 +451,9 @@ def test_join_sets_follow_the_directory_through_splits_and_merges():
         sim._activate_corruptions(target)
         for phase in (views.update_views, views.apply_topology, agreement.produce_block):
             phase(sim, target)
-            assert set(sim.joins) == set(sim.directory)
+            assert set(sim.joins) == set(sim.renewed) == set(sim.directory)
         sim._renewals_and_workload(target)
-        assert set(sim.joins) == set(sim.directory)
+        assert set(sim.joins) == set(sim.renewed) == set(sim.directory)
     kinds = {rec["kind"] for rec in sim.events}
     assert {"split", "merge"} <= kinds
 
@@ -536,6 +536,52 @@ def test_forged_join_is_refused(kind):
     assert forged not in view.members()
     assert renewed <= set(view.members())
     assert sim.metrics.view_violations == 0
+
+
+# The acceptance corpus's ``grind`` scenario at N=256 and epoch 3.
+SUITE_GRIND = dict(
+    name="suite-003-grind-n256-t3",
+    master_seed="suite-003",
+    heights=30,
+    s_min=169,
+    s_max=338,
+    mu_core="1/2",
+    mu_corrupted="1/2",
+    mu="1/100",
+    genesis=[{"count": 256, "stake": 1}],
+    unsafe_params=False,
+    adversary={"strategy": "grind"},
+)
+
+
+@pytest.mark.parametrize(
+    "overrides", [dict(genesis=[{"count": 256, "stake": 1}]), SUITE_GRIND], ids=["n256", "grind"]
+)
+def test_admission_verdicts_equal_the_full_check(monkeypatch, overrides):
+    """Every join admission judges, renewed or not, gets the verdict of
+    ``label_matches`` and ``verify_credential`` at the shard's view height."""
+    sim = Simulation(config(**overrides))
+    assert sim.cfg.epoch_length == 3
+    update_view = views.update_view
+    renewed = []
+
+    def checked(prev_view, decided_joins, newcomer_valid):
+        label, eval_height = prev_view.label, prev_view.height
+
+        def judge(cred):
+            verdict = newcomer_valid(cred)
+            assert verdict == (
+                label_matches(label, cred.value)
+                and verify_credential(cred, eval_height, sim.headers, sim.utxos.utxo_at)
+            )
+            renewed.append(cred in sim.renewed[label])
+            return verdict
+
+        return update_view(prev_view, decided_joins, judge)
+
+    monkeypatch.setattr(views, "update_view", checked)
+    metrics, _events = sim.run()
+    assert metrics.summary["safety_ok"] and any(renewed)
 
 
 def test_threshold_rules_at_the_mu_core_boundary():

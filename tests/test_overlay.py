@@ -354,6 +354,53 @@ def test_route_returns_the_one_matching_label(ops, probes):
             assert route(directory, probe) == matching[0]
 
 
+def reference_route(directory, value):
+    """``route`` probing the value's whole bit string from depth 0."""
+    bits = bin(int.from_bytes(b"\x01" + value, "big"))[3:]
+    for depth in range(len(bits) + 1):
+        prefix = bits[:depth]
+        if prefix in directory:
+            return prefix
+    raise LookupError("no shard label matches the value: broken cover")
+
+
+@st.composite
+def deep_directories(draw):
+    """The cover of one root-to-leaf path: the leaf, and the sibling of every
+    node on the way.  Paths run up to 200 bits deep, often from a run of
+    zeros, and some covers lose labels, so that no label matches a value."""
+    zeros = draw(st.integers(0, 120))
+    path = "0" * zeros + "".join(draw(st.lists(st.sampled_from("01"), max_size=80)))
+    cover = {path} | {path[:i] + "10"[int(path[i])] for i in range(len(path))}
+    dropped = draw(st.sets(st.sampled_from(sorted(cover)), max_size=2))
+    return path, {label: None for label in cover - dropped}
+
+
+@settings(deadline=None)
+@given(
+    deep_directories(),
+    st.lists(
+        st.tuples(values, st.integers(0, 32), st.integers(0, 200), st.booleans()), max_size=8
+    ),
+)
+def test_route_equals_the_whole_bit_string_probe(case, probes):
+    path, directory = case
+    for value, zero_bytes, depth, steer in probes:
+        # Steered probes share the path's first bits, so they route deep;
+        # the others start with ``zero_bytes`` zero bytes.
+        if steer:
+            probe = with_prefix(path[:depth], value)
+        else:
+            probe = bytes(zero_bytes) + value[zero_bytes:]
+        try:
+            expected = reference_route(directory, probe)
+        except LookupError:
+            with pytest.raises(LookupError):
+                route(directory, probe)
+        else:
+            assert route(directory, probe) == expected
+
+
 @settings(deadline=None)
 @given(values, st.integers(0, 256), st.integers(0, 255), st.booleans())
 def test_label_matches_agrees_with_reference(value, length, flip_at, flip):
