@@ -38,8 +38,11 @@ class AdversaryState:
         return self._prg
 
     def fresh_key(self) -> KeyPair:
+        """A new key, controlled from birth: registered in ``keys`` and ``corrupted``."""
         kp = keygen(tagged_hash(b"adv-key", self.seed, encode_int(self.key_counter)))
         self.key_counter += 1
+        self.keys[kp.pk] = kp
+        self.corrupted.add(kp.pk)
         return kp
 
 
@@ -107,17 +110,9 @@ def grind_transactions(
     for pk in spendable[:limit]:
         utxo = utxos[pk]
         if split and utxo.stake > 1:
-            outs = []
-            for _ in range(utxo.stake):
-                kp = state.fresh_key()
-                state.keys[kp.pk] = kp
-                state.corrupted.add(kp.pk)
-                outs.append(TxOutput(pk=kp.pk, stake=1))
+            outs = [TxOutput(pk=state.fresh_key().pk, stake=1) for _ in range(utxo.stake)]
         else:
-            kp = state.fresh_key()
-            state.keys[kp.pk] = kp
-            state.corrupted.add(kp.pk)
-            outs = [TxOutput(pk=kp.pk, stake=utxo.stake)]
+            outs = [TxOutput(pk=state.fresh_key().pk, stake=utxo.stake)]
         txs.append(make_transaction([state.keys[pk]], outs))
         state.corrupted.discard(pk)
     return txs
@@ -127,6 +122,9 @@ class Strategy:
     """Hook surface; the base class is honest behavior (``passive``)."""
 
     name = "passive"
+    # The ``params`` keys this strategy reads; a config naming any other key
+    # is refused.
+    param_names: tuple[str, ...] = ()
 
     def __init__(self, params: Mapping | None = None):
         self.params = dict(params or {})
@@ -226,6 +224,7 @@ class GrindStrategy(Strategy):
     being measured."""
 
     name = "grind"
+    param_names = ("split", "fraction")
 
     def issue_transactions(self, state, utxos, stake_cap, height, epoch_length):
         if height % epoch_length != 0:
@@ -245,6 +244,7 @@ class WorstCaseSeedStrategy(Strategy):
     promotions / next-committee corruption)."""
 
     name = "worst-case-seed"
+    param_names = ("candidates",)
 
     def beacon_choice(self, entropy_seed, evaluate, prg):
         n_candidates = int(self.params.get("candidates", 8))

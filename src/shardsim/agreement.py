@@ -101,15 +101,9 @@ def _agree_block(sim: Simulation, height: int, prev, committee) -> tuple[Block |
             core.bft_contract_holds,
             purpose="proposal",
         )
+        sim.meter.charge_instance(core.n)
         proposal = build_proposal(
-            label,
-            core,
-            prev,
-            sim.utxos.live,
-            honest_inputs,
-            cfg.stake_cap,
-            decision=decision,
-            meter=sim.meter,
+            label, core, prev, sim.utxos.live, honest_inputs, cfg.stake_cap, decision=decision
         )
         if proposal is not None:
             proposals[label] = proposal
@@ -135,15 +129,10 @@ def _agree_block(sim: Simulation, height: int, prev, committee) -> tuple[Block |
         )
 
     decision = sim.strategy.ba_decision(byz_labels, proposals)
-    outcome = verifiable_ba(
-        parts,
-        proposals,
-        block_valid,
-        cfg.mu_corrupted,
-        decision,
-        sim.meter,
-        instance_weight=cfg.s_min,
-    )
+    # A committee member is a shard whose s_min core members all take part,
+    # so the instance runs over labels * s_min participants.
+    sim.meter.charge_instance(len(committee.labels) * cfg.s_min)
+    outcome = verifiable_ba(parts, proposals, block_valid, cfg.mu_corrupted, decision)
     if not outcome.contract_held:
         sim.metrics.incident(height, "corrupted-committee", labels=sorted(byz_labels))
 
@@ -253,8 +242,6 @@ def _adversary_marker_tx(sim: Simulation) -> Transaction | None:
             continue
         fresh = adv.fresh_key()
         sim.keyring[fresh.pk] = fresh
-        adv.corrupted.add(fresh.pk)
-        adv.keys[fresh.pk] = fresh
         return make_transaction([sim.keyring[pk]], [TxOutput(pk=fresh.pk, stake=utxo.stake)])
     return None
 

@@ -32,7 +32,7 @@ from .ledger import (
     validate_transaction,
 )
 from .membership import ShardView
-from .protocols import MessageMeter, ParticipantSet, VectorDecision, vector_consensus
+from .protocols import ParticipantSet, VectorDecision, vector_consensus
 from .sampling import sample_without_replacement
 
 
@@ -76,7 +76,6 @@ def build_proposal(
     member_inputs: Mapping[bytes, tuple[tuple[Transaction, ...], VrfOutput]],
     stake_cap: int,
     decision: VectorDecision | None = None,
-    meter: MessageMeter | None = None,
 ) -> Block | None:
     """Run a shard's internal proposal agreement and assemble the block.
 
@@ -89,7 +88,7 @@ def build_proposal(
     on one private copy and never mutated.  Returns None when the decided
     vector carries no VRF value at all (no seed can be formed).
     """
-    vector = vector_consensus(core, dict(member_inputs), decision, meter)
+    vector = vector_consensus(core, dict(member_inputs), decision)
 
     vrf_proofs = []
     union: dict[bytes, Transaction] = {}

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import replace
 from fractions import Fraction
 
@@ -28,17 +29,13 @@ from .analysis import (
     shard_tail_bound,
     solve_params,
 )
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import ConfigError, ScenarioConfig, load_config, parse_ratio
 from .harness import message_scaling_report, run_scenario
 from .oracles import InvariantError
 
 
 def _print(payload: dict):
     sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def _ratio(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _cmd_run(args) -> int:
@@ -84,11 +81,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_solve_params(args) -> int:
     result = solve_params(
-        _ratio(args.mu),
+        parse_ratio(args.mu),
         args.kappa,
         args.n,
         args.m_cap,
-        _ratio(args.mu_core),
+        parse_ratio(args.mu_core),
         use_printed_form=args.printed_form,
     )
     _print(
@@ -121,16 +118,16 @@ def _cmd_bounds(args) -> int:
         return 0
     payload = {
         "core_bound": core_corruption_bound(
-            _ratio(args.mu_core), _ratio(args.mu_shard), args.s_min
+            parse_ratio(args.mu_core), parse_ratio(args.mu_shard), args.s_min
         ),
         "union_bound": shard_tail_bound(
-            _ratio(args.mu_shard), _ratio(args.mu_cred), args.s_min, args.shards
+            parse_ratio(args.mu_shard), parse_ratio(args.mu_cred), args.s_min, args.shards
         ),
     }
     if args.exact_n:
-        threshold = exceedance_threshold(_ratio(args.mu_shard), args.shard_size)
+        threshold = exceedance_threshold(parse_ratio(args.mu_shard), args.shard_size)
         payload["exact_single_shard_tail"] = exact_single_shard_tail(
-            threshold, args.shard_size, args.exact_n, _ratio(args.mu_cred)
+            threshold, args.shard_size, args.exact_n, parse_ratio(args.mu_cred)
         )
     _print(payload)
     return 0
@@ -147,25 +144,26 @@ def _check_estimate(estimate: float, bound: float, trials: int) -> int:
 
 def _cmd_montecarlo(args) -> int:
     if args.kind == "core":
+        mu_core = parse_ratio(args.mu_core)
         estimate = monte_carlo_core(
-            args.s, args.m, args.s_min, _ratio(args.mu_core), args.trials, args.seed, args.workers
+            args.s, args.m, args.s_min, mu_core, args.trials, args.seed, args.workers
         )
         mu_shard = Fraction(args.m, args.s)
-        bound = core_corruption_bound(_ratio(args.mu_core), mu_shard, args.s_min)
+        bound = core_corruption_bound(mu_core, mu_shard, args.s_min)
         return _check_estimate(estimate, bound, args.trials)
     if args.kind == "assignment":
         estimate = monte_carlo_assignment(
             args.n,
             args.k,
             args.shard_size,
-            _ratio(args.mu_cred),
-            _ratio(args.mu_shard),
+            parse_ratio(args.mu_cred),
+            parse_ratio(args.mu_shard),
             args.trials,
             args.seed,
             args.workers,
         )
         bound = shard_tail_bound(
-            _ratio(args.mu_shard), _ratio(args.mu_cred), args.shard_size, args.k
+            parse_ratio(args.mu_shard), parse_ratio(args.mu_cred), args.shard_size, args.k
         )
         return _check_estimate(estimate, bound, args.trials)
     comparison = compare_grind_passive(
@@ -312,6 +310,10 @@ def main(argv=None) -> int:
         return 2
     except InvariantError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
+        return 3
+    except Exception:
+        # A fault in the program is never reported as an oracle verdict.
+        traceback.print_exc()
         return 3
 
 

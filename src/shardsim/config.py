@@ -31,6 +31,33 @@ def parse_ratio(value) -> Fraction:
     raise ConfigError(f"ratio fields take strings like '1/3' or integers, got {value!r}")
 
 
+def _integer(name: str, value, minimum: int | None = None) -> int:
+    """A JSON integer: floats, booleans and strings are refused, never
+    rounded or parsed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be a JSON integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _boolean(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"{name} must be a JSON boolean, got {value!r}")
+    return value
+
+
+ADVERSARY_FIELDS = frozenset({"strategy", "params", "corrupt_fraction", "force_corrupt_shards"})
+
+# How the strategies read each param they name in ``Strategy.param_names``;
+# a value its reader refuses is refused in the config.
+PARAM_READERS = {
+    "fraction": parse_ratio,
+    "split": lambda value: _boolean("split", value),
+    "candidates": lambda value: _integer("candidates", value, minimum=1),
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     master_seed: str
@@ -73,35 +100,44 @@ class ScenarioConfig:
             raise ConfigError(f"unsupported schema_version {version!r}")
         try:
             genesis = tuple(
-                (int(g["count"]), int(g["stake"])) for g in data.pop("genesis")
+                (_integer("count", g["count"]), _integer("stake", g["stake"]))
+                for g in data.pop("genesis")
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad genesis spec: {exc}") from exc
         adversary = data.pop("adversary", {})
         if not isinstance(adversary, Mapping):
             raise ConfigError("adversary must be a JSON object")
+        unknown = sorted(set(adversary) - ADVERSARY_FIELDS)
+        if unknown:
+            raise ConfigError(f"unknown adversary fields: {unknown}")
+        params = adversary.get("params", {})
+        if not isinstance(params, Mapping):
+            raise ConfigError("adversary params must be a JSON object")
         corrupt = adversary.get("corrupt_fraction")
         try:
             kwargs = dict(
                 master_seed=str(data.pop("master_seed")),
-                epoch_length=int(data.pop("epoch_length")),
-                heights=int(data.pop("heights")),
-                s_min=int(data.pop("s_min")),
-                s_max=int(data.pop("s_max")),
+                epoch_length=_integer("epoch_length", data.pop("epoch_length")),
+                heights=_integer("heights", data.pop("heights")),
+                s_min=_integer("s_min", data.pop("s_min")),
+                s_max=_integer("s_max", data.pop("s_max")),
                 mu_core=parse_ratio(data.pop("mu_core")),
                 mu_corrupted=parse_ratio(data.pop("mu_corrupted")),
                 mu=parse_ratio(data.pop("mu")),
-                stake_cap=int(data.pop("stake_cap")),
+                stake_cap=_integer("stake_cap", data.pop("stake_cap")),
                 kappa=float(data.pop("kappa")),
-                f_shard=int(data.pop("f_shard")),
+                f_shard=_integer("f_shard", data.pop("f_shard")),
                 genesis=genesis,
-                tx_rate=int(data.pop("tx_rate", 0)),
+                tx_rate=_integer("tx_rate", data.pop("tx_rate", 0)),
                 adversary_strategy=str(adversary.get("strategy", "passive")),
-                adversary_params=dict(adversary.get("params", {})),
+                adversary_params=dict(params),
                 corrupt_fraction=parse_ratio(corrupt) if corrupt is not None else None,
-                force_corrupt_shards=int(adversary.get("force_corrupt_shards", 0)),
-                observers=int(data.pop("observers", 3)),
-                unsafe_params=bool(data.pop("unsafe_params", False)),
+                force_corrupt_shards=_integer(
+                    "force_corrupt_shards", adversary.get("force_corrupt_shards", 0)
+                ),
+                observers=_integer("observers", data.pop("observers", 3)),
+                unsafe_params=_boolean("unsafe_params", data.pop("unsafe_params", False)),
                 name=str(data.pop("name", "")),
             )
         except KeyError as exc:
@@ -150,8 +186,18 @@ class ScenarioConfig:
             errors.append("f_shard must be >= 0")
         if self.observers < 1:
             errors.append("observers must be >= 1")
-        if self.adversary_strategy not in STRATEGIES:
+        strategy = STRATEGIES.get(self.adversary_strategy)
+        if strategy is None:
             errors.append(f"unknown adversary strategy {self.adversary_strategy!r}")
+        else:
+            for name, value in sorted(self.adversary_params.items()):
+                if name not in strategy.param_names:
+                    errors.append(f"adversary strategy {strategy.name!r} reads no param {name!r}")
+                    continue
+                try:
+                    PARAM_READERS[name](value)
+                except (TypeError, ValueError, ZeroDivisionError) as exc:
+                    errors.append(f"bad adversary param {name}={value!r}: {exc}")
         if self.corrupt_fraction is not None and self.corrupt_fraction > self.mu:
             errors.append("corrupt_fraction exceeds the adversary stake bound mu")
         if self.force_corrupt_shards < 0:

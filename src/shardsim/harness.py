@@ -3,10 +3,10 @@ grid built from its runs.
 
 One height is one macro-round: view updates, then topology changes (both in
 ``views``), then committee election plus block agreement (``agreement``),
-then credential renewals and the transaction workload.  ``Simulation`` holds
-the run state, sets it up, runs the height loop and gives the verdicts.
-Every source of randomness is a tagged substream of the scenario seed, so a
-config replays to byte-identical outputs.
+then credential renewals (joins delivered by ``views``) and the workload.
+``Simulation`` holds the run state, sets it up, runs the height loop and
+gives the verdicts.  Every source of randomness is a tagged substream of the
+scenario seed, so a config replays to byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .ledger import (
 )
 from .membership import ShardView, form_view, view_digest
 from .oracles import InvariantError, check_liveness, check_safety
+# Joins are routed in ``views``; perfbench's tracer test still wants ``route`` here.
 from .overlay import ROOT_LABEL, SizeBounds, check_prefix_free_cover, maybe_split, route
 from .protocols import MessageMeter, ParticipantSet, shard_entropy, within_bound
 from .records import EventLog, Metrics
@@ -98,7 +99,7 @@ class Simulation:
         )
 
         # Every keyring key participates; genesis pays keyring keys only.
-        creds = [self._credential(pk, 0) for pk in self.utxos.sorted_pks]
+        creds = [self.credential(pk, 0) for pk in self.utxos.sorted_pks]
         seed = shard_entropy(self.master, ROOT_LABEL, 0, b"bootstrap")
         self.directory: dict[str, ShardView] = {
             ROOT_LABEL: form_view(ROOT_LABEL, creds, 0, seed, cfg.s_min)
@@ -142,11 +143,11 @@ class Simulation:
         pending = list(self.directory)
         while pending:
             label = pending.pop()
-            plan = maybe_split(label, self.directory[label], self.bounds)
-            if plan is None:
+            children = maybe_split(label, self.directory[label], self.bounds)
+            if children is None:
                 continue
             del self.directory[label]
-            for child_label, members in plan.children:
+            for child_label, members in children:
                 seed = shard_entropy(self.master, child_label, 0, b"bootstrap")
                 self.directory[child_label] = form_view(
                     child_label, members, 0, seed, self.cfg.s_min
@@ -161,10 +162,9 @@ class Simulation:
         push them past the mu_core bound (budget permitting)."""
         for label in sorted(self.directory)[:n_shards]:
             view = self.directory[label]
-            need = int(self.cfg.mu_core * len(view.core)) + 1
             have = sum(1 for c in view.core if self._controlled(c.pk))
             for cred in view.core:
-                if have >= need:
+                if not within_bound(have, len(view.core), self.cfg.mu_core):
                     break
                 if self._controlled(cred.pk):
                     continue
@@ -191,7 +191,7 @@ class Simulation:
         """Read-only mapping from each accepted height to its UTXO set."""
         return self.utxos
 
-    def _credential(self, pk: bytes, h: int) -> Credential:
+    def credential(self, pk: bytes, h: int) -> Credential:
         """Credential at ``h`` of ``pk``'s live UTXO, at least an epoch old;
         each ``(pk, anchor)`` is asked for once, so nothing is cached."""
         h0 = self.utxos.live[pk].created_height
@@ -249,19 +249,7 @@ class Simulation:
         """Joins of the credentials renewing at ``height``, then adversary
         and honest transactions."""
         cfg = self.cfg
-        for pk in self.utxos.due_renewals(height):
-            cred = self._credential(pk, height)
-            # The view's own label, not ``route``'s freshly sliced copy: the
-            # event log keeps one reference per join.
-            view = self.directory[route(self.directory, cred.value)]
-            self.joins[view.label].add(cred)
-            self.renewed[view.label].add(cred)
-            self.meter.charge(len(view.core))  # delivery to every core member
-            self.joins_submitted += 1
-            self.events.emit(
-                "join", height, label=view.label, pk=pk.hex(), anchor=cred.anchor_height
-            )
-
+        views.deliver_joins(self, height)
         for tx in self.strategy.issue_transactions(
             self.adv, self.utxos.live, cfg.stake_cap, height, cfg.epoch_length
         ):

@@ -135,19 +135,9 @@ def update_view(
         # below is exactly ``cred in set(members)``.
         known_values = {c.value for c in members}
         # Core members receive the same joins, so slots repeat; dedup whole
-        # slots before walking entries (order cannot matter: outputs are
-        # re-sorted canonically below).
-        distinct_slots = []
-        slot_keys = set()
-        for slot in decided_joins:
-            if not slot:
-                continue
-            key = slot if isinstance(slot, frozenset) else frozenset(slot)
-            if key in slot_keys:
-                continue
-            slot_keys.add(key)
-            distinct_slots.append(key)
-        for slot in distinct_slots:
+        # slots before walking entries, in first-seen order: two admitted
+        # newcomers sharing a value keep that order in the spare set.
+        for slot in dict.fromkeys(frozenset(s) for s in decided_joins if s):
             for cred in slot:
                 if (cred.value in known_values and cred in members) or cred in seen:
                     continue

@@ -99,13 +99,9 @@ def route(directory: Mapping[str, ShardView], value: bytes) -> str:
     raise LookupError("no shard label matches the value: broken cover")
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    children: tuple[tuple[str, tuple[Credential, ...]], ...]
-
-
-def maybe_split(label: str, view: ShardView, bounds: SizeBounds) -> SplitPlan | None:
-    """Split decision for an oversized shard.
+def maybe_split(label: str, view: ShardView, bounds: SizeBounds) -> tuple | None:
+    """Split decision for an oversized shard: the two children as
+    ``(label, members)`` pairs, or None.
 
     Members are partitioned by the credential bit right after the current
     prefix.  A split that would leave either child under s_min is deferred
@@ -122,7 +118,7 @@ def maybe_split(label: str, view: ShardView, bounds: SizeBounds) -> SplitPlan | 
         (ones if c.value[byte] & mask else zeros).append(c)
     if len(zeros) < bounds.s_min or len(ones) < bounds.s_min:
         return None  # degenerate split deferred
-    return SplitPlan(children=((label + "0", tuple(zeros)), (label + "1", tuple(ones))))
+    return ((label + "0", tuple(zeros)), (label + "1", tuple(ones)))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ checks whether the corruption among its participants is within the bound
 its contract assumes.  Within the bound, the contract's guarantees are
 produced directly (and the adversary only gets the freedom the contract
 leaves it: nulling slots, withholding, delaying).  Above the bound the
-contract is void and an adversary hook dictates the outcome.  Message
-complexity is accounted abstractly: an instance over n participants
-charges n^3 unit messages to the meter.
+contract is void and an adversary hook dictates the outcome.  The primitives
+count no messages: the run charges each instance to its ``MessageMeter``
+where it calls the primitive.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .crypto import tagged_hash
 
 @dataclass
 class MessageMeter:
-    """Abstract message accounting; one unit is one protocol message."""
+    """Message accounting: an agreement instance of n members costs n^3."""
 
     total: int = 0
 
@@ -90,7 +90,6 @@ def vector_consensus(
     parts: ParticipantSet,
     honest_inputs: Mapping,
     decision: VectorDecision | None = None,
-    meter: MessageMeter | None = None,
 ) -> list:
     """Agree on one value per participant (None for nulled slots).
 
@@ -100,8 +99,6 @@ def vector_consensus(
     (f the corrupted count), so at least one honest input always survives.
     Above it the adversary dictates the vector.
     """
-    if meter is not None:
-        meter.charge_instance(parts.n)
     decision = decision or VectorDecision()
 
     if not parts.bft_contract_holds:
@@ -138,7 +135,6 @@ def random_beacon(
     entropy: bytes,
     mu_core: Fraction,
     chosen: bytes | None = None,
-    meter: MessageMeter | None = None,
 ) -> bytes:
     """Produce the shard's shared randomness for this height.
 
@@ -148,8 +144,6 @@ def random_beacon(
     choice (``chosen``); nothing tells the substitute from an honest
     output, which is exactly the modeled threat.
     """
-    if meter is not None:
-        meter.charge_instance(parts.n)
     if not parts.within(mu_core) and chosen is not None:
         seed = chosen
     else:
@@ -185,8 +179,6 @@ def verifiable_ba(
     validity: Callable[[object], bool],
     mu_corrupted: Fraction,
     decision: BaDecision | None = None,
-    meter: MessageMeter | None = None,
-    instance_weight: int = 1,
 ) -> BaOutcome:
     """Leader-based agreement on one externally-valid proposal.
 
@@ -195,8 +187,6 @@ def verifiable_ba(
     the decided value is always one that passes ``validity``.  Above the
     bound the adversary dictates (or withholds) the outcome.
     """
-    if meter is not None:
-        meter.charge_instance(parts.n * instance_weight)
     decision = decision or BaDecision()
 
     if not parts.within(mu_corrupted):

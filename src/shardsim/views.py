@@ -1,5 +1,5 @@
-"""The view pipeline of one height: each shard's view update, then splits
-and merges, as plain functions over a ``Simulation``.
+"""The view pipeline of one height, as plain functions over a ``Simulation``:
+view updates, splits and merges, and the delivery of the renewing joins.
 
 View agreement: each updated view is checked against the registered one
 (``verify_view_transition``: label, height, core size, expiry, credential
@@ -9,7 +9,7 @@ and stalls the shard.  The signature quorum is counted once, at install.
 
 Per-shard state is three tables keyed by label: ``directory``, the installed
 view; ``joins``, the credentials routed to the shard since that view was
-installed; and ``renewed``, those of its joins the renewal phase derived
+installed; and ``renewed``, those of its joins ``deliver_joins`` derived
 itself.  Every core member receives every join, so one set serves the
 whole core; a corrupted member's proposal is the strategy's to choose.
 Admission takes a renewed credential anchored by the shard's view height
@@ -39,6 +39,7 @@ from .overlay import (
     label_matches,
     maybe_merge,
     maybe_split,
+    route,
     verify_view_transition,
 )
 from .protocols import ParticipantSet, random_beacon, shard_entropy, vector_consensus
@@ -71,7 +72,8 @@ def _update_one_view(sim: Simulation, old_view: ShardView, height: int):
     decision = sim.strategy.vector_decision(
         core_pks, parts.byzantine, honest_inputs, parts.bft_contract_holds, purpose="joins"
     )
-    vector = vector_consensus(parts, honest_inputs, decision, sim.meter)
+    sim.meter.charge_instance(parts.n)
+    vector = vector_consensus(parts, honest_inputs, decision)
 
     # Validity is judged at the shard's own view height.  That is the last
     # accepted block only while the shard keeps up: a lagging shard judges
@@ -154,7 +156,8 @@ def run_beacon(
     chosen = None
     if not parts.within(sim.cfg.mu_core):
         chosen = sim.strategy.beacon_choice(entropy, evaluate, sim.adv.prg())
-    seed = random_beacon(parts, entropy, sim.cfg.mu_core, chosen, sim.meter)
+    sim.meter.charge_instance(parts.n)
+    seed = random_beacon(parts, entropy, sim.cfg.mu_core, chosen)
     sim.events.emit(
         "beacon",
         height,
@@ -173,15 +176,15 @@ def apply_topology(sim: Simulation, height: int):
     directory, s_min = sim.directory, sim.cfg.s_min
     for label in sorted(directory):
         view = directory[label]
-        plan = maybe_split(label, view, sim.bounds)
-        if plan is None:
+        children = maybe_split(label, view, sim.bounds)
+        if children is None:
             continue
         beacon = run_beacon(
             sim, label, sim.core_parts(view), height, b"split", evaluate=lambda seed: 0.0
         )
         del directory[label], sim.joins[label], sim.renewed[label]
         child_labels = []
-        for child_label, members in plan.children:
+        for child_label, members in children:
             child_seed = tagged_hash(b"child", beacon, child_label.encode("ascii"))
             register_shard(sim, form_view(child_label, members, height, child_seed, s_min), height)
             child_labels.append(child_label)
@@ -211,11 +214,28 @@ def apply_topology(sim: Simulation, height: int):
         raise InvariantError(f"directory invariant broken at {height}: {cover.reason}")
 
 
+def deliver_joins(sim: Simulation, height: int):
+    """Route each credential renewing at ``height`` to every core member of
+    its shard, recorded as renewed so admission need not derive it again."""
+    for pk in sim.utxos.due_renewals(height):
+        cred = sim.credential(pk, height)
+        # The view's own label, not ``route``'s freshly sliced copy: the
+        # event log keeps one reference per join.
+        view = sim.directory[route(sim.directory, cred.value)]
+        sim.joins[view.label].add(cred)
+        sim.renewed[view.label].add(cred)
+        sim.meter.charge(len(view.core))  # delivery to every core member
+        sim.joins_submitted += 1
+        sim.events.emit(
+            "join", height, label=view.label, pk=pk.hex(), anchor=cred.anchor_height
+        )
+
+
 def register_shard(sim: Simulation, view: ShardView, height: int, **fields) -> bool:
     """Install ``view`` with an empty join set and renewal record, and
     announce it to the network; returns whether the shard is corrupted.
-    After bootstrap this is the only writer of ``directory``, ``joins`` and
-    ``renewed``."""
+    After bootstrap only ``views`` writes ``directory``, ``joins`` and
+    ``renewed``: here, in ``apply_topology`` and in ``deliver_joins``."""
     sim.directory[view.label] = view
     sim.joins[view.label] = set()
     sim.renewed[view.label] = set()

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from shardsim import agreement
+from shardsim import agreement, cli
 from shardsim.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -64,6 +64,19 @@ def test_internal_invariant_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: certified block failed validation: certificate\n"
+
+
+def test_unexpected_exception_exits_3_with_traceback(capsys, monkeypatch):
+    # Any other fault is an internal error too, never status 1, which
+    # reads as a failed oracle.
+    def broken(*args, **kwargs):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    code, out, err = run_cli(capsys, "run", SMOKE)
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err and "KeyError: 'lost'" in err
 
 
 def test_run_formats(capsys):
@@ -122,6 +135,11 @@ def test_run_rejects_bad_config(capsys, tmp_path):
     assert code == 2
 
 
+def smoke_with(**fields) -> str:
+    """configs/smoke.json with ``fields`` set, as JSON text."""
+    return json.dumps({**json.loads(Path(SMOKE).read_text()), **fields})
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -129,8 +147,20 @@ def test_run_rejects_bad_config(capsys, tmp_path):
         json.dumps({k: v for k, v in json.loads(Path(SMOKE).read_text()).items()
                     if k != "master_seed"}),
         "{not json",
+        smoke_with(adversary={"strategey": "grind"}),
+        smoke_with(adversary={"strategy": "grind", "params": {"fraction": [1]}}),
+        smoke_with(unsafe_params="false"),
+        smoke_with(heights=2.7),
     ],
-    ids=["array", "missing-master-seed", "invalid-json"],
+    ids=[
+        "array",
+        "missing-master-seed",
+        "invalid-json",
+        "unknown-adversary-key",
+        "unreadable-param",
+        "string-bool",
+        "float-int",
+    ],
 )
 def test_run_malformed_config_exits_2(capsys, tmp_path, content):
     bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Scenario configs, end-to-end runs, run oracles and serialization."""
 
+import hashlib
 import json
 from collections.abc import Mapping
 from dataclasses import replace
@@ -34,7 +35,7 @@ from shardsim.ledger import (
 from shardsim.oracles import check_liveness, check_safety
 from shardsim.overlay import label_matches, route, verify_view_transition
 from shardsim.records import EventLog, Metrics
-from shardsim.protocols import BaDecision, vector_consensus
+from shardsim.protocols import BaDecision, MessageMeter, vector_consensus
 from shardsim.sampling import sample_without_replacement
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -121,11 +122,41 @@ def test_from_mapping_rejects_garbage():
         (dict(adversary={"strategy": "sneaky"}), "strategy"),
         (dict(adversary={"corrupt_fraction": "1/2"}), "corrupt_fraction"),
         (dict(adversary={"force_corrupt_shards": -1}), "force_corrupt"),
+        (dict(adversary={"strategy": "grind", "params": {"fraction": [1]}}), "fraction"),
+        (dict(adversary={"strategy": "grind", "params": {"fraction": 0.5}}), "fraction"),
+        (dict(adversary={"strategy": "grind", "params": {"fraction": "1/0"}}), "fraction"),
+        (dict(adversary={"strategy": "grind", "params": {"split": "false"}}), "split"),
+        (dict(adversary={"strategy": "grind", "params": {"split": 1}}), "split"),
+        (
+            dict(adversary={"strategy": "worst-case-seed", "params": {"candidates": 0}}),
+            "candidates",
+        ),
+        (
+            dict(adversary={"strategy": "worst-case-seed", "params": {"candidates": "8"}}),
+            "candidates",
+        ),
+        (dict(adversary={"strategy": "grind", "params": {"candidates": 8}}), "reads no param"),
+        (dict(adversary={"strategy": "passive", "params": {"split": True}}), "reads no param"),
     ],
 )
 def test_validate_field_errors(overrides, needle):
     errors = config(**overrides).validate()
     assert any(needle in e for e in errors), errors
+
+
+def test_strategy_params_parse_when_readable():
+    for strategy, params in [
+        ("grind", {"split": True, "fraction": "1/2"}),
+        ("grind", {"fraction": 1}),
+        ("worst-case-seed", {"candidates": 3}),
+    ]:
+        assert config(adversary={"strategy": strategy, "params": params}).validate() == []
+    # Every param a strategy names has a reader.
+    assert all(
+        name in config_module.PARAM_READERS
+        for cls in config_module.STRATEGIES.values()
+        for name in cls.param_names
+    )
 
 
 def test_validate_enforces_solved_parameters():
@@ -340,6 +371,16 @@ def test_message_scaling_report_shape():
         (base_mapping(heights="many"), "bad config field"),
         (base_mapping(adversary=["passive"]), "adversary"),
         (base_mapping(genesis=7), "genesis"),
+        # Input that used to run as something else, or die in a traceback.
+        (base_mapping(adversary={"strategey": "grind"}), "unknown adversary fields"),
+        (base_mapping(adversary={"params": [["split", True]]}), "params must be a JSON object"),
+        (base_mapping(unsafe_params="false"), "bad config field"),
+        (base_mapping(heights=2.7), "bad config field"),
+        (base_mapping(observers=True), "bad config field"),
+        (base_mapping(tx_rate="2"), "bad config field"),
+        (base_mapping(adversary={"force_corrupt_shards": 1.0}), "bad config field"),
+        (base_mapping(genesis=[{"count": 64.0, "stake": 1}]), "genesis"),
+        (base_mapping(genesis=[{"count": 64, "stake": True}]), "genesis"),
     ],
 )
 def test_malformed_configs_raise_config_error(raw, needle, tmp_path):
@@ -444,6 +485,38 @@ def test_join_lands_once_in_the_join_set_route_names():
     )
 
 
+# Every ``charge_instance`` argument over a run of configs/smoke.json and of
+# the golden fshard1-equivocate-n256 config: the join and proposal vector
+# consensus, the beacons and the committee BA, in run order.
+CHARGE_SEQUENCE_DIGEST = "a813e88cb4cbfac39df0bbba373a224213b55c6f9f465dad52239ac240ef301f"
+
+
+def test_instance_charges_follow_the_run(monkeypatch):
+    charged = []
+    charge_instance = MessageMeter.charge_instance
+
+    def record(meter, n):
+        charged.append(n)
+        charge_instance(meter, n)
+
+    monkeypatch.setattr(MessageMeter, "charge_instance", record)
+    run_scenario(load_config(CONFIG_DIR / "smoke.json"))
+    run_scenario(
+        config(
+            name="fshard1-equivocate-n256",
+            s_min=32,
+            f_shard=1,
+            mu="1/3",
+            genesis=[{"count": 256, "stake": 1}],
+            adversary={"strategy": "equivocate", "force_corrupt_shards": 2},
+        )
+    )
+    # A committee of four 32-member cores weighs 4 * 32 in its BA.
+    assert len(charged) == 95 and 128 in charged
+    digest = hashlib.sha256(",".join(map(str, charged)).encode()).hexdigest()
+    assert digest == CHARGE_SEQUENCE_DIGEST
+
+
 def test_join_sets_follow_the_directory_through_splits_and_merges():
     sim = Simulation(config(**SPLIT_AND_MERGE))
     assert set(sim.joins) == set(sim.directory)
@@ -525,7 +598,7 @@ def test_forged_join_is_refused(kind):
     forged = forged_join(sim, label, kind)
     assert forged not in sim.directory[label].members()
     if kind == "other-label":
-        assert sim._credential(forged.pk, 3) == forged
+        assert sim.credential(forged.pk, 3) == forged
     renewed = set(sim.joins[label])
     assert renewed
     sim.joins[label].add(forged)

@@ -293,7 +293,9 @@ def view_updates(draw):
     """A registered view at some height whose members expire at it or
     later, and a decided join vector: ``None`` slots, repeated slots,
     joins that are members or equal copies of them, newcomers that expire
-    before the next height or share a member's value, and a veto."""
+    before the next height or share a member's value, and a veto.  A slot
+    comes as a frozenset, a set or a list, and a repeat may be an equal
+    but distinct object."""
     height = draw(st.integers(1, 5))
     expiry = st.integers(height, height + 2)
     picked = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=10, unique=True))
@@ -312,7 +314,12 @@ def view_updates(draw):
         st.none(), st.frozensets(st.sampled_from(candidates), max_size=4)
     )
     distinct = draw(st.lists(slot, min_size=1, max_size=3))
-    joins = draw(st.lists(st.sampled_from(distinct), max_size=6))
+
+    def shaped(slot):
+        return draw(st.sampled_from([slot, frozenset(list(slot)), set(slot), list(slot)]))
+
+    chosen = draw(st.lists(st.sampled_from(distinct), max_size=6))
+    joins = [None if slot is None else shaped(slot) for slot in chosen]
     vetoed = draw(st.frozensets(st.sampled_from(candidates), max_size=3))
     return prev, joins, (lambda c: c not in vetoed)
 

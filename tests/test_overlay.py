@@ -13,7 +13,6 @@ from shardsim.overlay import (
     ROOT_LABEL,
     MergePlan,
     SizeBounds,
-    SplitPlan,
     check_prefix_free_cover,
     label_matches,
     maybe_merge,
@@ -81,9 +80,7 @@ def test_maybe_split_partitions_on_next_bit():
     view = ShardView(
         label=ROOT_LABEL, height=1, core=tuple(zeros[:2] + ones[:2]), spare=(zeros[2], ones[2])
     )
-    plan = maybe_split(ROOT_LABEL, view, bounds)
-    assert isinstance(plan, SplitPlan)
-    (label0, left), (label1, right) = plan.children
+    (label0, left), (label1, right) = maybe_split(ROOT_LABEL, view, bounds)
     assert (label0, label1) == ("0", "1")
     # Replay the rule directly: membership decided by the bit after the prefix.
     assert all(value_bits(c.value)[0] == "0" for c in left)
@@ -110,10 +107,8 @@ def test_maybe_split_partitions_on_the_msb_first_bit_after_the_label():
         ]
         members = [zeros[0], ones[0], ones[1], zeros[1], ones[2], zeros[2]]
         view = ShardView(label, 1, tuple(members[:2]), tuple(members[2:]))
-        plan = maybe_split(label, view, bounds)
-        assert plan == SplitPlan(
-            children=((label + "0", tuple(zeros)), (label + "1", tuple(ones)))
-        )
+        children = maybe_split(label, view, bounds)
+        assert children == ((label + "0", tuple(zeros)), (label + "1", tuple(ones)))
         assert all(label_matches(label + "1", c.value) for c in ones)
         assert all(label_matches(label + "0", c.value) for c in zeros)
     # Past the last bit of the value there is no bit to split on.
@@ -144,9 +139,7 @@ def test_maybe_split_uses_bit_after_label():
     upper = [_cred(0xC0, i) for i in range(3)]  # 11...
     lower = [_cred(0x80, i) for i in range(3)]  # 10...
     view = ShardView(label="1", height=1, core=tuple(upper + lower[:2]), spare=(lower[2],))
-    plan = maybe_split("1", view, bounds)
-    assert plan is not None
-    (l0, zeros), (l1, ones) = plan.children
+    (l0, zeros), (l1, ones) = maybe_split("1", view, bounds)
     assert (l0, l1) == ("10", "11")
     assert {c.value for c in zeros} == {c.value for c in lower}
     assert {c.value for c in ones} == {c.value for c in upper}

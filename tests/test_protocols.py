@@ -2,10 +2,14 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from shardsim import agreement, views
+from shardsim.config import load_config
+from shardsim.harness import Simulation
 from shardsim.protocols import (
     BaDecision,
     BaOutcome,
@@ -18,6 +22,33 @@ from shardsim.protocols import (
     verifiable_ba,
     within_bound,
 )
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def smoke_sim():
+    return Simulation(load_config(CONFIG_DIR / "smoke.json"))
+
+
+def charges_before_calls(monkeypatch, module, name):
+    """Record, in order, every ``charge_instance`` argument and every call of
+    ``module.name`` (as its participant set) while the patch is in place."""
+    trace = []
+    charge_instance = MessageMeter.charge_instance
+    primitive = getattr(module, name)
+
+    def charge(meter, n):
+        trace.append(n)
+        charge_instance(meter, n)
+
+    def call(ps, *args, **kwargs):
+        trace.append(ps)
+        return primitive(ps, *args, **kwargs)
+
+    monkeypatch.setattr(MessageMeter, "charge_instance", charge)
+    monkeypatch.setattr(module, name, call)
+    return trace
 
 
 def parts(n, byz=()):
@@ -102,11 +133,20 @@ class TestVectorConsensus:
         with pytest.raises(ValueError):
             vector_consensus(ps, inputs(ps), VectorDecision(dictated=["x"] * 3))
 
-    def test_meter_charged_even_when_void(self):
-        meter = MessageMeter()
-        ps = parts(4, byz=["m0", "m1"])
-        vector_consensus(ps, inputs(ps), meter=meter)
-        assert meter.total == 64
+    def test_meter_charged_even_when_void(self, monkeypatch):
+        # The run charges the join instance before it calls the primitive,
+        # whether or not the shard's core keeps the BFT contract.
+        sim = smoke_sim()
+        (view,) = sim.directory.values()
+        sim.adv.corrupted.update(c.pk for c in view.core)
+        trace = charges_before_calls(monkeypatch, views, "vector_consensus")
+        before = sim.meter.total
+        views.update_views(sim, 1)
+        charged, ps = trace
+        assert not ps.bft_contract_holds
+        assert charged == ps.n == len(view.core)
+        # The height also delivers the new view, charged on its own.
+        assert sim.meter.total - before >= ps.n**3
 
 
 class TestRandomBeacon:
@@ -117,6 +157,14 @@ class TestRandomBeacon:
         seed = random_beacon(ps, b"entropy", self.mu, chosen=b"bias" * 8)
         honest_seed = random_beacon(parts(3), b"entropy", self.mu)
         assert seed == honest_seed
+
+    def test_meter(self):
+        # ``run_beacon`` charges one n^3 instance per beacon it draws.
+        sim = smoke_sim()
+        (label,) = sim.directory
+        before = sim.meter.total
+        views.run_beacon(sim, label, parts(5), 1, b"e", lambda seed: 0.0)
+        assert sim.meter.total - before == 125
 
     def test_corrupted_quorum_substitutes(self):
         ps = parts(3, byz=["m0", "m1"])
@@ -129,11 +177,6 @@ class TestRandomBeacon:
         seed = random_beacon(ps, b"entropy", self.mu)
         honest_seed = random_beacon(parts(3), b"entropy", self.mu)
         assert seed == honest_seed
-
-    def test_meter(self):
-        meter = MessageMeter()
-        random_beacon(parts(5), b"e", self.mu, meter=meter)
-        assert meter.total == 125
 
 
 class TestVerifiableBa:
@@ -181,12 +224,19 @@ class TestVerifiableBa:
         # Validity is not consulted once the contract is void.
         assert dictated.value == "anything" and not dictated.contract_held
 
-    def test_instance_weight_scales_charge(self):
-        meter = MessageMeter()
-        ps = parts(2)
-        verifiable_ba(ps, self.proposals(ps), lambda v: True, self.mu,
-                      meter=meter, instance_weight=10)
-        assert meter.total == 20 ** 3
+    def test_instance_weight_scales_charge(self, monkeypatch):
+        # The committee BA runs over committee shards, each standing for its
+        # s_min core members, so the run charges labels * s_min participants.
+        sim = smoke_sim()
+        views.update_views(sim, 1)
+        views.apply_topology(sim, 1)
+        trace = charges_before_calls(monkeypatch, agreement, "verifiable_ba")
+        assert agreement.produce_block(sim, 1)
+        # One committee shard: its proposal instance, then the weighted BA.
+        (view,) = sim.directory.values()
+        *charged, ps = trace
+        assert isinstance(ps, ParticipantSet) and ps.n == 1
+        assert charged == [len(view.core), ps.n * sim.cfg.s_min]
 
 
 def test_shard_entropy_distinct_streams():
