@@ -41,6 +41,21 @@ def _integer(name: str, value, minimum: int | None = None) -> int:
     return value
 
 
+def _number(name: str, value) -> float:
+    """A JSON number, integer or not; booleans and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _unit_ratio(name: str, value) -> Fraction:
+    """A ratio in [0, 1]."""
+    ratio = parse_ratio(value)
+    if not 0 <= ratio <= 1:
+        raise ValueError(f"{name} must lie in [0, 1], got {ratio}")
+    return ratio
+
+
 def _boolean(name: str, value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"{name} must be a JSON boolean, got {value!r}")
@@ -52,7 +67,7 @@ ADVERSARY_FIELDS = frozenset({"strategy", "params", "corrupt_fraction", "force_c
 # How the strategies read each param they name in ``Strategy.param_names``;
 # a value its reader refuses is refused in the config.
 PARAM_READERS = {
-    "fraction": parse_ratio,
+    "fraction": lambda value: _unit_ratio("fraction", value),
     "split": lambda value: _boolean("split", value),
     "candidates": lambda value: _integer("candidates", value, minimum=1),
 }
@@ -126,7 +141,7 @@ class ScenarioConfig:
                 mu_corrupted=parse_ratio(data.pop("mu_corrupted")),
                 mu=parse_ratio(data.pop("mu")),
                 stake_cap=_integer("stake_cap", data.pop("stake_cap")),
-                kappa=float(data.pop("kappa")),
+                kappa=_number("kappa", data.pop("kappa")),
                 f_shard=_integer("f_shard", data.pop("f_shard")),
                 genesis=genesis,
                 tx_rate=_integer("tx_rate", data.pop("tx_rate", 0)),

@@ -82,20 +82,25 @@ def epoch_anchor(h0: int, h: int, epoch_length: int) -> int:
     return h0 + ((h - h0) // epoch_length) * epoch_length
 
 
-def derive_credential(
-    pk: bytes, h0: int, h: int, chain: Sequence, epoch_length: int
-) -> Credential:
-    """Credential value for ``pk`` at height ``h``: a digest of the public
-    key and the anchor block's seed.  ``chain`` holds accepted headers
-    indexed by height."""
-    anchor = epoch_anchor(h0, h, epoch_length)
+def derive_credentials(
+    pks: Iterable[bytes], anchor: int, chain: Sequence, epoch_length: int
+) -> list[Credential]:
+    """The credentials anchored at ``anchor`` of ``pks``, in order: each
+    value is a digest of the public key and the anchor block's seed.
+    ``chain`` holds accepted headers indexed by height."""
     if anchor >= len(chain):
         raise ValueError(f"anchor block {anchor} not accepted yet")
     seed = chain[anchor].seed
-    value = tagged_hash_pair(b"cred", pk, seed)
-    return Credential(
-        value=value, pk=pk, anchor_height=anchor, expiry_height=anchor + epoch_length
-    )
+    expiry = anchor + epoch_length
+    return [Credential(tagged_hash_pair(b"cred", pk, seed), pk, anchor, expiry) for pk in pks]
+
+
+def derive_credential(
+    pk: bytes, h0: int, h: int, chain: Sequence, epoch_length: int
+) -> Credential:
+    """Credential at height ``h`` of ``pk``'s UTXO created at ``h0``."""
+    (cred,) = derive_credentials((pk,), epoch_anchor(h0, h, epoch_length), chain, epoch_length)
+    return cred
 
 
 def verify_credential(

@@ -17,7 +17,7 @@ from . import agreement, views
 from .adversary import AdversaryState, activate_due, make_strategy, schedule_corruption
 from .blocks import committee_size
 from .config import ConfigError, ScenarioConfig
-from .credentials import Credential, derive_credential
+from .credentials import Credential, derive_credentials
 from .crypto import Prg, encode_int, keygen, tagged_hash
 from .ledger import (
     BlockRules,
@@ -99,7 +99,7 @@ class Simulation:
         )
 
         # Every keyring key participates; genesis pays keyring keys only.
-        creds = [self.credential(pk, 0) for pk in self.utxos.sorted_pks]
+        creds = derive_credentials(self.utxos.sorted_pks, 0, self.headers, cfg.epoch_length)
         seed = shard_entropy(self.master, ROOT_LABEL, 0, b"bootstrap")
         self.directory: dict[str, ShardView] = {
             ROOT_LABEL: form_view(ROOT_LABEL, creds, 0, seed, cfg.s_min)
@@ -190,12 +190,6 @@ class Simulation:
     def utxo_history(self) -> UtxoIndex:
         """Read-only mapping from each accepted height to its UTXO set."""
         return self.utxos
-
-    def credential(self, pk: bytes, h: int) -> Credential:
-        """Credential at ``h`` of ``pk``'s live UTXO, at least an epoch old;
-        each ``(pk, anchor)`` is asked for once, so nothing is cached."""
-        h0 = self.utxos.live[pk].created_height
-        return derive_credential(pk, h0, h, self.headers, self.cfg.epoch_length)
 
     def core_parts(self, view: ShardView) -> ParticipantSet:
         """The view's core as a protocol membership, in core order."""

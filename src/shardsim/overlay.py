@@ -13,7 +13,7 @@ s_min.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .credentials import Credential
 from .crypto import DIGEST_LEN
@@ -97,6 +97,31 @@ def route(directory: Mapping[str, ShardView], value: bytes) -> str:
                 return prefix
         start = len(bits) + 1
     raise LookupError("no shard label matches the value: broken cover")
+
+
+def route_all(directory: Mapping[str, ShardView], values: Sequence[bytes]) -> list[str]:
+    """``[route(directory, v) for v in values]``, calling ``route`` once per
+    label interval the values fall in.
+
+    The values are walked in sorted order.  The label ``route`` gives a
+    ``DIGEST_LEN``-wide value is a prefix of every value up to the end of
+    its interval, ``(int(label, 2) + 1) << (256 - len(label))``, and no
+    shorter label is a prefix of those values either, so ``route`` would
+    give each the same label.  A root or all-ones label ends at ``2 **
+    256``, past every value; a value of another width goes to ``route``.
+    """
+    labels: list[str] = [ROOT_LABEL] * len(values)
+    end = 0
+    for i in sorted(range(len(values)), key=values.__getitem__):
+        value = values[i]
+        if len(value) != DIGEST_LEN:
+            labels[i] = route(directory, value)
+            continue
+        if int.from_bytes(value, "big") >= end:
+            label = route(directory, value)
+            end = (int("0" + label, 2) + 1) << (8 * DIGEST_LEN - len(label))
+        labels[i] = label
+    return labels
 
 
 def maybe_split(label: str, view: ShardView, bounds: SizeBounds) -> tuple | None:

@@ -15,14 +15,17 @@ whole core; a corrupted member's proposal is the strategy's to choose.
 Admission takes a renewed credential anchored by the shard's view height
 without deriving it again: its verdict depends only on its fields, the
 label and the immutable chain, so the full check would pass it.  Any other
-entry takes the full check.
+entry takes the full check.  ``deliver_joins`` takes a height's renewals as
+one batch: they all anchor at that height, so they are derived from one
+seed read and routed with one ``route`` call per label interval, and are
+delivered in sorted-pk order.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from .credentials import Credential, verify_credential
+from .credentials import Credential, derive_credentials, verify_credential
 from .crypto import tagged_hash
 from .ledger import shard_quorum, sign_until_quorum
 from .membership import (
@@ -39,7 +42,7 @@ from .overlay import (
     label_matches,
     maybe_merge,
     maybe_split,
-    route,
+    route_all,
     verify_view_transition,
 )
 from .protocols import ParticipantSet, random_beacon, shard_entropy, vector_consensus
@@ -217,18 +220,23 @@ def apply_topology(sim: Simulation, height: int):
 def deliver_joins(sim: Simulation, height: int):
     """Route each credential renewing at ``height`` to every core member of
     its shard, recorded as renewed so admission need not derive it again."""
-    for pk in sim.utxos.due_renewals(height):
-        cred = sim.credential(pk, height)
+    # A pk is due only at a multiple of the epoch after its UTXO was
+    # created, so every due credential anchors at ``height``.
+    creds = derive_credentials(
+        sim.utxos.due_renewals(height), height, sim.headers, sim.cfg.epoch_length
+    )
+    directory, joins, renewed, emit = sim.directory, sim.joins, sim.renewed, sim.events.emit
+    delivered = 0
+    for cred, routed in zip(creds, route_all(directory, [c.value for c in creds])):
         # The view's own label, not ``route``'s freshly sliced copy: the
         # event log keeps one reference per join.
-        view = sim.directory[route(sim.directory, cred.value)]
-        sim.joins[view.label].add(cred)
-        sim.renewed[view.label].add(cred)
-        sim.meter.charge(len(view.core))  # delivery to every core member
-        sim.joins_submitted += 1
-        sim.events.emit(
-            "join", height, label=view.label, pk=pk.hex(), anchor=cred.anchor_height
-        )
+        view = directory[routed]
+        joins[view.label].add(cred)
+        renewed[view.label].add(cred)
+        delivered += len(view.core)  # to every core member
+        emit("join", height, label=view.label, pk=cred.pk.hex(), anchor=height)
+    sim.meter.charge(delivered)
+    sim.joins_submitted += len(creds)
 
 
 def register_shard(sim: Simulation, view: ShardView, height: int, **fields) -> bool:

@@ -15,7 +15,12 @@ from shardsim import agreement, harness, oracles, records, views
 from shardsim.adversary import PassiveStrategy, WorstCaseSeedStrategy, make_strategy
 from shardsim.analysis import exceedance_threshold
 from shardsim.cli import main
-from shardsim.credentials import Credential, verify_credential
+from shardsim.credentials import (
+    Credential,
+    derive_credential,
+    derive_credentials,
+    verify_credential,
+)
 from shardsim.crypto import Prg, encode_int, keygen, tagged_hash
 from shardsim.config import ConfigError, ScenarioConfig, load_config, parse_ratio
 from shardsim.harness import Simulation, message_scaling_report, run_scenario
@@ -137,6 +142,8 @@ def test_from_mapping_rejects_garbage():
         ),
         (dict(adversary={"strategy": "grind", "params": {"candidates": 8}}), "reads no param"),
         (dict(adversary={"strategy": "passive", "params": {"split": True}}), "reads no param"),
+        (dict(adversary={"strategy": "grind", "params": {"fraction": "-1/2"}}), "[0, 1]"),
+        (dict(adversary={"strategy": "grind", "params": {"fraction": "3/2"}}), "[0, 1]"),
     ],
 )
 def test_validate_field_errors(overrides, needle):
@@ -148,6 +155,8 @@ def test_strategy_params_parse_when_readable():
     for strategy, params in [
         ("grind", {"split": True, "fraction": "1/2"}),
         ("grind", {"fraction": 1}),
+        ("grind", {"fraction": 0}),
+        ("grind", {"fraction": "1/2"}),
         ("worst-case-seed", {"candidates": 3}),
     ]:
         assert config(adversary={"strategy": strategy, "params": params}).validate() == []
@@ -157,6 +166,13 @@ def test_strategy_params_parse_when_readable():
         for cls in config_module.STRATEGIES.values()
         for name in cls.param_names
     )
+
+
+def test_kappa_takes_a_json_number():
+    assert config(kappa=20).kappa == config(kappa=20.0).kappa == 20.0
+    for bad in (True, "20"):
+        with pytest.raises(ConfigError, match="kappa must be a JSON number"):
+            config(kappa=bad)
 
 
 def test_validate_enforces_solved_parameters():
@@ -381,6 +397,8 @@ def test_message_scaling_report_shape():
         (base_mapping(adversary={"force_corrupt_shards": 1.0}), "bad config field"),
         (base_mapping(genesis=[{"count": 64.0, "stake": 1}]), "genesis"),
         (base_mapping(genesis=[{"count": 64, "stake": True}]), "genesis"),
+        (base_mapping(kappa=True), "bad config field: kappa"),
+        (base_mapping(kappa="20"), "bad config field: kappa"),
     ],
 )
 def test_malformed_configs_raise_config_error(raw, needle, tmp_path):
@@ -598,7 +616,8 @@ def test_forged_join_is_refused(kind):
     forged = forged_join(sim, label, kind)
     assert forged not in sim.directory[label].members()
     if kind == "other-label":
-        assert sim.credential(forged.pk, 3) == forged
+        h0 = sim.utxos.live[forged.pk].created_height
+        assert derive_credential(forged.pk, h0, 3, sim.headers, 3) == forged
     renewed = set(sim.joins[label])
     assert renewed
     sim.joins[label].add(forged)
@@ -655,6 +674,75 @@ def test_admission_verdicts_equal_the_full_check(monkeypatch, overrides):
     monkeypatch.setattr(views, "update_view", checked)
     metrics, _events = sim.run()
     assert metrics.summary["safety_ok"] and any(renewed)
+
+
+def deliver_joins_one_by_one(sim, height):
+    """Reference for ``views.deliver_joins``: one derivation, one ``route``
+    call, one charge and one count per renewing pk."""
+    for pk in sim.utxos.due_renewals(height):
+        h0 = sim.utxos.live[pk].created_height
+        cred = derive_credential(pk, h0, height, sim.headers, sim.cfg.epoch_length)
+        view = sim.directory[route(sim.directory, cred.value)]
+        sim.joins[view.label].add(cred)
+        sim.renewed[view.label].add(cred)
+        sim.meter.charge(len(view.core))
+        sim.joins_submitted += 1
+        sim.events.emit("join", height, label=view.label, pk=pk.hex(), anchor=cred.anchor_height)
+
+
+# Transactions every height over more than two epochs: keys they create
+# renew at heights off the genesis residue.  Splits and merges also happen.
+TX_CHURN = dict(
+    genesis=[{"count": 100, "stake": 1}], s_min=12, s_max=24, heights=14, tx_rate=4
+)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: load_config(CONFIG_DIR / "smoke.json"),
+        lambda: config(**SUITE_GRIND),
+        lambda: config(**TX_CHURN),
+    ],
+    ids=["smoke", "grind", "tx-churn"],
+)
+def test_batched_renewals_equal_one_by_one_delivery(monkeypatch, make):
+    batch, reference = Simulation(make()), Simulation(make())
+    epoch = batch.cfg.epoch_length
+    assert batch.events.digest() == reference.events.digest()
+    genesis = sorted(
+        (c for view in batch.directory.values() for c in view.members()), key=lambda c: c.pk
+    )
+    assert genesis == [
+        derive_credential(pk, -epoch, 0, batch.headers, epoch) for pk in batch.utxos.sorted_pks
+    ]
+
+    deliver_joins = views.deliver_joins
+    renewal_heights = []
+
+    def deliver(sim, height):
+        if sim is reference:
+            return deliver_joins_one_by_one(sim, height)
+        due = sim.utxos.due_renewals(height)
+        assert derive_credentials(due, height, sim.headers, epoch) == [
+            derive_credential(pk, sim.utxos.live[pk].created_height, height, sim.headers, epoch)
+            for pk in due
+        ]
+        if due:
+            renewal_heights.append(height)
+        return deliver_joins(sim, height)
+
+    monkeypatch.setattr(views, "deliver_joins", deliver)
+    for target in range(1, batch.cfg.heights + 1):
+        assert run_height(batch, target) == run_height(reference, target)
+        assert batch.joins == reference.joins
+        assert batch.renewed == reference.renewed
+        assert batch.meter.total == reference.meter.total
+        assert batch.joins_submitted == reference.joins_submitted
+        assert batch.events.digest() == reference.events.digest()
+    assert batch.joins_submitted > 0
+    if batch.cfg.tx_rate:
+        assert any(height % epoch for height in renewal_heights)
 
 
 def test_threshold_rules_at_the_mu_core_boundary():

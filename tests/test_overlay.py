@@ -18,6 +18,7 @@ from shardsim.overlay import (
     maybe_merge,
     maybe_split,
     route,
+    route_all,
     verify_view_transition,
 )
 
@@ -357,6 +358,11 @@ def reference_route(directory, value):
     raise LookupError("no shard label matches the value: broken cover")
 
 
+def path_cover(path):
+    """The leaf ``path`` and the sibling of every node on the way to it."""
+    return {path} | {path[:i] + "10"[int(path[i])] for i in range(len(path))}
+
+
 @st.composite
 def deep_directories(draw):
     """The cover of one root-to-leaf path: the leaf, and the sibling of every
@@ -364,7 +370,7 @@ def deep_directories(draw):
     zeros, and some covers lose labels, so that no label matches a value."""
     zeros = draw(st.integers(0, 120))
     path = "0" * zeros + "".join(draw(st.lists(st.sampled_from("01"), max_size=80)))
-    cover = {path} | {path[:i] + "10"[int(path[i])] for i in range(len(path))}
+    cover = path_cover(path)
     dropped = draw(st.sets(st.sampled_from(sorted(cover)), max_size=2))
     return path, {label: None for label in cover - dropped}
 
@@ -392,6 +398,55 @@ def test_route_equals_the_whole_bit_string_probe(case, probes):
                 route(directory, probe)
         else:
             assert route(directory, probe) == expected
+
+
+@st.composite
+def route_all_covers(draw):
+    """A root-only cover, the cover of an all-ones path, a deep cover (up to
+    200 bits, some with labels dropped), or a split/merge cover."""
+    kind = draw(st.sampled_from(["root", "all-ones", "deep", "split-merge"]))
+    if kind == "root":
+        return {ROOT_LABEL: None}
+    if kind == "all-ones":
+        return dict.fromkeys(path_cover("1" * draw(st.integers(1, 256))))
+    if kind == "deep":
+        return draw(deep_directories())[1]
+    return dict.fromkeys(apply_ops(draw(ops_strategy))[-1])
+
+
+def interval_edges(label):
+    """32-byte values at the start and the end of the label's interval, and
+    just inside and outside them, where they exist."""
+    start = int("0" + label, 2) << (256 - len(label))
+    end = (int("0" + label, 2) + 1) << (256 - len(label))
+    return [x.to_bytes(32, "big") for x in (start - 1, start, end - 1, end) if 0 <= x < 1 << 256]
+
+
+@settings(deadline=None)
+@given(
+    route_all_covers(),
+    st.lists(st.integers(0, 10**6), max_size=6),
+    st.lists(values, max_size=8),
+    st.lists(st.binary(max_size=40).filter(lambda v: len(v) != 32), max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_route_all_equals_route_per_value(directory, picks, random_values, other_widths, rnd):
+    ordered = sorted(directory)
+    probes = list(random_values)
+    # A deep cover that lost its one label is empty.
+    for label in [ordered[pick % len(ordered)] for pick in picks] if ordered else []:
+        probes += interval_edges(label) + [with_prefix(label, v) for v in random_values[:1]]
+    # Duplicates, and widths ``route_all`` hands to ``route``.
+    probes += probes[: len(probes) // 2] + other_widths
+    rnd.shuffle(probes)
+    try:
+        expected = [route(directory, v) for v in probes]
+    except LookupError:
+        with pytest.raises(LookupError):
+            route_all(directory, probes)
+    else:
+        assert route_all(directory, probes) == expected
+    assert route_all(directory, []) == []
 
 
 @settings(deadline=None)
