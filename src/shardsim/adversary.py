@@ -168,10 +168,6 @@ class Strategy:
         return []
 
 
-class PassiveStrategy(Strategy):
-    name = "passive"
-
-
 class SilentStrategy(Strategy):
     """Corrupted members withhold everything they are allowed to withhold."""
 
@@ -203,9 +199,7 @@ class EquivocateStrategy(Strategy):
             # Proposal vectors stay plausible; the lie happens at diffusion
             # time when observers receive conflicting certified blocks.
             return VectorDecision(dictated=[honest_inputs.get(pk) for pk in members])
-        return VectorDecision(
-            byzantine_values={pk: honest_inputs.get(pk) for pk in byzantine}
-        )
+        return super().vector_decision(members, byzantine, honest_inputs, contract_holds, purpose)
 
     def equivocate_blocks(self, craft, n_observers):
         if n_observers < 2:
@@ -262,7 +256,7 @@ class WorstCaseSeedStrategy(Strategy):
 STRATEGIES = {
     cls.name: cls
     for cls in (
-        PassiveStrategy,
+        Strategy,
         SilentStrategy,
         EquivocateStrategy,
         GrindStrategy,

@@ -260,7 +260,7 @@ def accept(
     sim.utxos.apply(block, sim.keyring)
     for i, chain in enumerate(sim.observer_chains):
         chain.append(per_observer.get(i, block) if per_observer else block)
-    sim.meter.charge(sim.n_users)  # block diffusion
+    sim.meter.charge(sim.cfg.n_credentials)  # block diffusion
     for tx in block.body:
         tx_hex = tx.tx_id.hex()
         sim.metrics.tx_included(tx_hex, height)

@@ -47,8 +47,6 @@ def hypergeom_pmf(s: int, m: int, s_min: int, k: int) -> float:
     the s shard members are malicious; sampling is without replacement."""
     if not (0 <= s_min <= s and 0 <= m <= s):
         raise ValueError("require 0 <= s_min <= s and 0 <= m <= s")
-    if k < 0 or k > s_min or k > m or s_min - k > s - m:
-        return 0.0
     if s <= _EXACT_LIMIT:
         return float(_pmf_fraction(s, m, s_min, k))
     log_p = (
@@ -374,32 +372,32 @@ def compare_grind_passive(
     shard_bits: int,
     epochs: int,
     seed,
-    epoch_length: int = 5,
 ) -> GrindComparison:
     """Measure whether respending ahead of each renewal shifts where the
     adversary's credentials land.
 
-    Both arms run the production credential derivation and prefix routing
-    against a fixed 2^shard_bits directory; the grinding arm replaces every
-    key before each epoch's seed is drawn (the delay rule means the new
-    keys commit before the randomness they will be hashed with).
+    Both arms run the batch credential derivation and routing the run
+    renews each height's credentials with, against a fixed 2^shard_bits
+    directory; the grinding arm replaces every key before each epoch's seed
+    is drawn (the delay rule means the new keys commit before the
+    randomness they will be hashed with).
     """
     if n_adversary < 1 or shard_bits < 1 or epochs < 1:
         raise ValueError("need at least one adversary, one shard bit and one epoch")
 
     from scipy.stats import chi2_contingency
 
-    from .credentials import derive_credential
+    from .credentials import derive_credentials
     from .crypto import keygen
-    from .overlay import route
+    from .overlay import route_all
 
     root = _seed_digest(seed)
     labels = ["".join(bits) for bits in _bit_strings(shard_bits)]
     directory = {label: None for label in labels}
     index = {label: i for i, label in enumerate(labels)}
 
-    passive_keys = [
-        keygen(tagged_hash(b"grind-passive", root, encode_int(i)))
+    passive_pks = [
+        keygen(tagged_hash(b"grind-passive", root, encode_int(i))).pk
         for i in range(n_adversary)
     ]
     grind_co = np.zeros(len(labels), dtype=np.int64)
@@ -407,16 +405,16 @@ def compare_grind_passive(
 
     for epoch in range(epochs):
         # Grinding keys are fixed before the epoch seed exists.
-        grind_keys = [
-            keygen(tagged_hash(b"grind-respend", root, encode_int(epoch), encode_int(i)))
+        grind_pks = [
+            keygen(tagged_hash(b"grind-respend", root, encode_int(epoch), encode_int(i))).pk
             for i in range(n_adversary)
         ]
         epoch_seed = tagged_hash(b"grind-epoch", root, encode_int(epoch))
-        chain = [None] * epoch_length + [_SeedOnlyHeader(seed=epoch_seed)]
-        for keys, table in ((grind_keys, grind_co), (passive_keys, passive_co)):
-            for kp in keys:
-                cred = derive_credential(kp.pk, 0, epoch_length, chain, epoch_length)
-                table[index[route(directory, cred.value)]] += 1
+        for pks, table in ((grind_pks, grind_co), (passive_pks, passive_co)):
+            # A credential value digests only the pk and its anchor's seed.
+            creds = derive_credentials(pks, 0, (_SeedOnlyHeader(epoch_seed),), 1)
+            for label in route_all(directory, [c.value for c in creds]):
+                table[index[label]] += 1
 
     chi2, p_value, _, _ = chi2_contingency(np.array([grind_co, passive_co]))
     return GrindComparison(

@@ -21,7 +21,6 @@ from .ledger import (
     BlockHeader,
     ShardSignature,
     Transaction,
-    block_core_digest,
     block_seed,
     body_digest,
     header_hash,
@@ -145,7 +144,7 @@ def shard_sign_block(
     the quorum.
     """
     quorum = shard_quorum(mu_core, s_min, len(view.core))
-    msg = shard_signature_digest(label, block_core_digest(block.header))
+    msg = shard_signature_digest(label, block.header.core_digest)
     sigs = sign_until_quorum([c.pk for c in view.core], keyring, msg, quorum, withheld)
     if len(sigs) < quorum:
         return None
@@ -163,5 +162,5 @@ def attach_certificate(block: Block, shard_sigs: Sequence[ShardSignature]) -> Bl
     )
     # ``core_digest`` is a ``cached_property``, which caches in the
     # instance dict; the frozen dataclass leaves that dict writable.
-    header.__dict__["core_digest"] = block_core_digest(block.header)
+    header.__dict__["core_digest"] = block.header.core_digest
     return Block(header=header, body=block.body)

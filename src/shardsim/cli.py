@@ -46,7 +46,7 @@ def _cmd_run(args) -> int:
         return 2
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
-    metrics, events = run_scenario(config, strict_params=args.strict_params)
+    metrics, events = run_scenario(config)
 
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -55,13 +55,13 @@ def _cmd_run(args) -> int:
         with open(os.path.join(args.out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
             fh.write(metrics.to_json() + "\n")
         with open(os.path.join(args.out_dir, "events.jsonl"), "w", encoding="utf-8") as fh:
-            fh.write(events.to_jsonl())
+            fh.writelines(events.lines())
     # With --out-dir the full outputs are on disk and stdout gets the summary.
     fmt = "summary" if args.out_dir else args.format
     if fmt == "csv":
         sys.stdout.write(metrics.to_csv())
     elif fmt == "jsonl":
-        sys.stdout.write(events.to_jsonl())
+        sys.stdout.writelines(events.lines())
     else:
         _print(
             {

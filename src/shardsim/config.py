@@ -5,6 +5,7 @@ and checked against the parameter solver; malformed input raises
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -27,7 +28,10 @@ def parse_ratio(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ConfigError(f"ratio {value!r} has a zero denominator") from None
     raise ConfigError(f"ratio fields take strings like '1/3' or integers, got {value!r}")
 
 
@@ -38,6 +42,12 @@ def _integer(name: str, value, minimum: int | None = None) -> int:
         raise TypeError(f"{name} must be a JSON integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _string(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a JSON string, got {value!r}")
     return value
 
 
@@ -132,7 +142,7 @@ class ScenarioConfig:
         corrupt = adversary.get("corrupt_fraction")
         try:
             kwargs = dict(
-                master_seed=str(data.pop("master_seed")),
+                master_seed=_string("master_seed", data.pop("master_seed")),
                 epoch_length=_integer("epoch_length", data.pop("epoch_length")),
                 heights=_integer("heights", data.pop("heights")),
                 s_min=_integer("s_min", data.pop("s_min")),
@@ -145,7 +155,7 @@ class ScenarioConfig:
                 f_shard=_integer("f_shard", data.pop("f_shard")),
                 genesis=genesis,
                 tx_rate=_integer("tx_rate", data.pop("tx_rate", 0)),
-                adversary_strategy=str(adversary.get("strategy", "passive")),
+                adversary_strategy=_string("strategy", adversary.get("strategy", "passive")),
                 adversary_params=dict(params),
                 corrupt_fraction=parse_ratio(corrupt) if corrupt is not None else None,
                 force_corrupt_shards=_integer(
@@ -153,7 +163,7 @@ class ScenarioConfig:
                 ),
                 observers=_integer("observers", data.pop("observers", 3)),
                 unsafe_params=_boolean("unsafe_params", data.pop("unsafe_params", False)),
-                name=str(data.pop("name", "")),
+                name=_string("name", data.pop("name", "")),
             )
         except KeyError as exc:
             raise ConfigError(f"missing config field {exc.args[0]!r}") from exc
@@ -211,8 +221,12 @@ class ScenarioConfig:
                     continue
                 try:
                     PARAM_READERS[name](value)
-                except (TypeError, ValueError, ZeroDivisionError) as exc:
+                except (TypeError, ValueError) as exc:
                     errors.append(f"bad adversary param {name}={value!r}: {exc}")
+        if not 0 < self.kappa < math.inf:
+            errors.append("kappa must be a positive finite number")
+        if self.corrupt_fraction is not None and self.corrupt_fraction < 0:
+            errors.append("corrupt_fraction must be >= 0")
         if self.corrupt_fraction is not None and self.corrupt_fraction > self.mu:
             errors.append("corrupt_fraction exceeds the adversary stake bound mu")
         if self.force_corrupt_shards < 0:
@@ -220,7 +234,7 @@ class ScenarioConfig:
 
         if strict and self.unsafe_params:
             errors.append("unsafe_params configs rejected under strict parameter checking")
-        if not errors and (strict or not self.unsafe_params):
+        if not errors and not self.unsafe_params:
             solved = solve_params(
                 self.mu, self.kappa, self.n_credentials, self.stake_cap, self.mu_core
             )

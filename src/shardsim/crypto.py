@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from typing import Iterable
 
 DIGEST_LEN = 32
 ZERO_DIGEST = b"\x00" * DIGEST_LEN
@@ -61,6 +62,14 @@ def encode_str(text: str) -> bytes:
 def hash_digest(data: bytes) -> bytes:
     """Plain 32-byte digest of ``data``."""
     return hashlib.sha256(data).digest()
+
+
+def hash_digest_chunks(chunks: Iterable[bytes]) -> bytes:
+    """``hash_digest(b"".join(chunks))``, fed one chunk at a time."""
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.digest()
 
 
 # Tag -> SHA-256 state fed ``len(tag) || tag``.  Every caller passes a byte

@@ -40,8 +40,8 @@ from .utxo_index import UtxoIndex
 class Simulation:
     """One deterministic scenario run."""
 
-    def __init__(self, config: ScenarioConfig, strict_params: bool = False):
-        errors = config.validate(strict=strict_params)
+    def __init__(self, config: ScenarioConfig):
+        errors = config.validate()
         if errors:
             raise ConfigError("; ".join(errors))
         self.cfg = config
@@ -66,7 +66,6 @@ class Simulation:
         self.workload_prg = Prg(tagged_hash(b"workload", self.master))
         self.workload_counter = 0
         self.joins_submitted = 0
-        self.n_users = config.n_credentials
         self._setup()
 
     # -- bootstrap ---------------------------------------------------------
@@ -95,7 +94,7 @@ class Simulation:
         self.headers = [genesis.header]  # credential derivation wants headers
         self.observer_chains = [[genesis] for _ in range(cfg.observers)]
         self.events.emit(
-            "genesis", 0, block=header_hash(genesis.header).hex(), users=self.n_users
+            "genesis", 0, block=header_hash(genesis.header).hex(), users=cfg.n_credentials
         )
 
         # Every keyring key participates; genesis pays keyring keys only.
@@ -293,7 +292,8 @@ class Simulation:
         # no transaction landed within the window either.
         liveness_ok = liveness.all_included and blocks > 0
         efficiency_ok = liveness.all_within_window and blocks > 0
-        per_user = self.meter.total / self.n_users if self.n_users else 0.0
+        users = self.cfg.n_credentials
+        per_user = self.meter.total / users if users else 0.0
         self.metrics.finish(
             safety_ok=safety_ok,
             liveness_ok=liveness_ok,
@@ -304,7 +304,7 @@ class Simulation:
             blocks=blocks,
             messages_total=self.meter.total,
             per_user_messages=per_user,
-            users=self.n_users,
+            users=users,
         )
         self.events.emit(
             "run-complete",
@@ -315,8 +315,8 @@ class Simulation:
         )
 
 
-def run_scenario(config: ScenarioConfig, strict_params: bool = False) -> tuple[Metrics, EventLog]:
-    sim = Simulation(config, strict_params=strict_params)
+def run_scenario(config: ScenarioConfig) -> tuple[Metrics, EventLog]:
+    sim = Simulation(config)
     return sim.run()
 
 

@@ -11,8 +11,8 @@ in place on the live set it owns.
 
 All encodings are canonical (length-prefixed fields, big-endian integers)
 so identical objects always hash to identical digests.  A header is frozen,
-so its two digests, ``block_core_digest`` and ``header_hash``, are computed
-once and cached on it; a ``replace``d or newly built header starts
+so its two digests, ``core_digest`` and ``digest`` (``header_hash``), are
+computed once and cached on it; a ``replace``d or newly built header starts
 uncached.  Transaction fees are burned, never redistributed, so total stake
 can only shrink.
 """
@@ -105,7 +105,8 @@ class BlockHeader:
 
     @cached_property
     def core_digest(self) -> bytes:
-        """Digest of everything but the certificate, computed once: the
+        """Digest of everything but the certificate, which shard signatures
+        sign (the body is bound through ``body_hash``), computed once: the
         header is frozen, and a ``replace``d copy starts without it."""
         return tagged_hash(
             b"block-core",
@@ -165,16 +166,6 @@ def _vrf_blob(vrf_proofs: Sequence[tuple[bytes, VrfOutput]]) -> bytes:
         parts.append(encode_bytes(out.value))
         parts.append(encode_bytes(out.proof))
     return b"".join(parts)
-
-
-def block_core_digest(header: BlockHeader) -> bytes:
-    """Digest of everything in the header except the certificate, cached
-    on the header.
-
-    Shard signatures in the certificate sign this digest; the body is bound
-    through ``body_hash``.
-    """
-    return header.core_digest
 
 
 def _certificate_blob(certificate: Sequence[ShardSignature]) -> bytes:
@@ -363,7 +354,7 @@ def validate_certificate(
     shard with no view in ``directory`` count for nothing.  Only the
     certificate is checked: the header and body are ``validate_block``'s.
     """
-    core_digest = block_core_digest(block.header)
+    core_digest = block.header.core_digest
     endorsers = set()
     for ss in block.header.certificate:
         if ss.label not in committee or ss.label in endorsers:

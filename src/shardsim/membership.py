@@ -101,18 +101,13 @@ def order_spare(creds: Iterable[Credential]) -> tuple[Credential, ...]:
     return tuple(sorted(creds, key=lambda c: c.value))
 
 
-@dataclass(frozen=True)
-class ViewUpdate:
-    view: ShardView
-    newcomers: tuple[Credential, ...]
-
-
 def update_view(
     prev_view: ShardView,
     decided_joins: Sequence[frozenset | None],
     newcomer_valid: Callable[[Credential], bool] = lambda c: True,
-) -> ViewUpdate:
-    """Carry the previous view's members over to the next height.
+) -> tuple[ShardView, tuple[Credential, ...]]:
+    """Carry the previous view's members over to the next height; returns
+    the view and the admitted newcomers in value order.
 
     ``decided_joins`` is the agreed vector of join sets (one slot per
     previous core member, None for nulled slots); every proposed newcomer
@@ -161,7 +156,7 @@ def update_view(
         view.__dict__["core_framing"] = prev_view.core_framing
     if spare is prev_view.spare:
         view.__dict__["spare_framing"] = prev_view.spare_framing
-    return ViewUpdate(view=view, newcomers=tuple(sorted(seen, key=lambda c: c.value)))
+    return view, tuple(sorted(seen, key=lambda c: c.value))
 
 
 _expiry = attrgetter("expiry_height")

@@ -146,17 +146,11 @@ def maybe_split(label: str, view: ShardView, bounds: SizeBounds) -> tuple | None
     return ((label + "0", tuple(zeros)), (label + "1", tuple(ones)))
 
 
-@dataclass(frozen=True)
-class MergePlan:
-    new_label: str
-    absorbed: tuple[str, ...]
-    members: tuple[Credential, ...]
-
-
 def maybe_merge(
     label: str, view: ShardView, directory: Mapping[str, ShardView], bounds: SizeBounds
-) -> MergePlan | None:
-    """Merge decision for an undersized shard.
+) -> tuple | None:
+    """Merge decision for an undersized shard: ``(new_label, absorbed,
+    members)``, or None.
 
     The shard folds into its sibling subtree: every shard sharing the
     parent prefix is absorbed into one shard under that prefix.  The root
@@ -173,7 +167,7 @@ def maybe_merge(
     for l in absorbed:
         members.extend(directory[l].members())
     members.sort(key=lambda c: c.value)
-    return MergePlan(new_label=parent, absorbed=absorbed, members=tuple(members))
+    return parent, absorbed, tuple(members)
 
 
 def verify_view_transition(

@@ -4,8 +4,9 @@ append-only and canonically serialized so replays compare by digest."""
 from __future__ import annotations
 
 import json
+from typing import Iterator
 
-from .crypto import hash_digest
+from .crypto import hash_digest, hash_digest_chunks
 
 
 class EventLog:
@@ -25,14 +26,17 @@ class EventLog:
     def __iter__(self):
         return iter(self.records)
 
+    def lines(self) -> Iterator[str]:
+        """Each record's canonical JSON line, newline included."""
+        for rec in self.records:
+            yield json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in self.records
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(self.lines())
 
     def digest(self) -> str:
-        return hash_digest(self.to_jsonl().encode("utf-8")).hex()
+        """Digest of ``to_jsonl()``, hashed one line at a time."""
+        return hash_digest_chunks(line.encode("utf-8") for line in self.lines()).hex()
 
 
 _CSV_COLUMNS = (

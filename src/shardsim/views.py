@@ -95,8 +95,8 @@ def _update_one_view(sim: Simulation, old_view: ShardView, height: int):
             cred, eval_height, sim.headers, sim.utxos.utxo_at
         )
 
-    upd = update_view(old_view, vector, newcomer_valid)
-    view, promoted = upd.view, ()
+    view, newcomers = update_view(old_view, vector, newcomer_valid)
+    promoted = ()
     if len(view.core) < cfg.s_min:
         # Objective for a seed-grinding beacon quorum: corrupted members
         # in the refilled core.
@@ -136,7 +136,7 @@ def _update_one_view(sim: Simulation, old_view: ShardView, height: int):
         _reject_view(sim, label, height, "view-install-failed")
         return
 
-    if register_shard(sim, view, height, promoted=len(promoted), newcomers=len(upd.newcomers)):
+    if register_shard(sim, view, height, promoted=len(promoted), newcomers=len(newcomers)):
         sim.metrics.incident(height, "corrupted-shard", label=label)
 
 
@@ -201,14 +201,15 @@ def apply_topology(sim: Simulation, height: int):
             plan = maybe_merge(label, view, directory, sim.bounds)
             if plan is None:
                 continue
+            new_label, absorbed, members = plan
             beacon = run_beacon(
                 sim, label, sim.core_parts(view), height, b"merge", evaluate=lambda seed: 0.0
             )
-            for absorbed in plan.absorbed:
-                del directory[absorbed], sim.joins[absorbed], sim.renewed[absorbed]
-            merged_view = form_view(plan.new_label, plan.members, height, beacon, s_min)
+            for gone in absorbed:
+                del directory[gone], sim.joins[gone], sim.renewed[gone]
+            merged_view = form_view(new_label, members, height, beacon, s_min)
             register_shard(sim, merged_view, height)
-            sim.events.emit("merge", height, label=plan.new_label, absorbed=list(plan.absorbed))
+            sim.events.emit("merge", height, label=new_label, absorbed=list(absorbed))
             merged = True
             break
 
@@ -247,7 +248,7 @@ def register_shard(sim: Simulation, view: ShardView, height: int, **fields) -> b
     sim.directory[view.label] = view
     sim.joins[view.label] = set()
     sim.renewed[view.label] = set()
-    sim.meter.charge(sim.n_users)  # network-wide view notification
+    sim.meter.charge(sim.cfg.n_credentials)  # network-wide view notification
     corrupted = sim.shard_corrupted(view)
     sim.events.emit(
         "view-installed",

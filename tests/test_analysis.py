@@ -9,10 +9,14 @@ import itertools
 import logging
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from shardsim.analysis import (
+    _bit_strings,
+    _seed_digest,
     compare_grind_passive,
     core_corruption_bound,
     exact_core_tail,
@@ -26,6 +30,9 @@ from shardsim.analysis import (
     shard_tail_bound,
     solve_params,
 )
+from shardsim.credentials import derive_credential
+from shardsim.crypto import encode_int, keygen, tagged_hash
+from shardsim.overlay import route
 
 
 def pmf_by_enumeration(s, m, s_min, k):
@@ -334,8 +341,8 @@ class TestMonteCarloAssignment:
 
 class TestGrindComparison:
     def test_shape_and_determinism(self):
-        a = compare_grind_passive(20, 2, 50, "grind-unit", epoch_length=5)
-        b = compare_grind_passive(20, 2, 50, "grind-unit", epoch_length=5)
+        a = compare_grind_passive(20, 2, 50, "grind-unit")
+        b = compare_grind_passive(20, 2, 50, "grind-unit")
         assert a == b
         assert set(a.shard_labels) == {"00", "01", "10", "11"}
         assert sum(a.grind_counts) == 20 * 50
@@ -347,3 +354,42 @@ class TestGrindComparison:
         a = compare_grind_passive(20, 2, 50, "grind-unit")
         b = compare_grind_passive(20, 2, 50, "grind-unit-2")
         assert a.grind_counts != b.grind_counts
+
+    @pytest.mark.parametrize("shard_bits", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", ["grind-ref", "grind-ref-2", 0])
+    def test_equals_the_per_key_reference(self, shard_bits, seed):
+        got = compare_grind_passive(6, shard_bits, 40, seed)
+        want = reference_grind_passive(6, shard_bits, 40, seed)
+        assert (got.shard_labels, got.grind_counts, got.passive_counts) == want[:3]
+        assert (got.chi2, got.p_value) == want[3:]
+
+
+def reference_grind_passive(n_adversary, shard_bits, epochs, seed, epoch_length=5):
+    """``compare_grind_passive`` one key at a time: each credential derived
+    by ``derive_credential`` at the first renewal of a UTXO from height 0,
+    on a chain padded up to its anchor, then routed by ``route``."""
+    from scipy.stats import chi2_contingency
+
+    root = _seed_digest(seed)
+    labels = ["".join(bits) for bits in _bit_strings(shard_bits)]
+    directory = dict.fromkeys(labels)
+    passive_keys = [
+        keygen(tagged_hash(b"grind-passive", root, encode_int(i))) for i in range(n_adversary)
+    ]
+    grind = dict.fromkeys(labels, 0)
+    passive = dict.fromkeys(labels, 0)
+    for epoch in range(epochs):
+        grind_keys = [
+            keygen(tagged_hash(b"grind-respend", root, encode_int(epoch), encode_int(i)))
+            for i in range(n_adversary)
+        ]
+        epoch_seed = tagged_hash(b"grind-epoch", root, encode_int(epoch))
+        chain = [None] * epoch_length + [SimpleNamespace(seed=epoch_seed)]
+        for keys, table in ((grind_keys, grind), (passive_keys, passive)):
+            for kp in keys:
+                cred = derive_credential(kp.pk, 0, epoch_length, chain, epoch_length)
+                table[route(directory, cred.value)] += 1
+    grind_counts = tuple(grind[l] for l in labels)
+    passive_counts = tuple(passive[l] for l in labels)
+    chi2, p_value, _, _ = chi2_contingency(np.array([grind_counts, passive_counts]))
+    return tuple(labels), grind_counts, passive_counts, float(chi2), float(p_value)

@@ -151,6 +151,14 @@ def smoke_with(**fields) -> str:
         smoke_with(adversary={"strategy": "grind", "params": {"fraction": [1]}}),
         smoke_with(unsafe_params="false"),
         smoke_with(heights=2.7),
+        smoke_with(master_seed=None),
+        smoke_with(master_seed=5),
+        smoke_with(name=["x"]),
+        smoke_with(mu_core="1/0"),
+        smoke_with(adversary={"corrupt_fraction": "1/0"}),
+        smoke_with(adversary={"corrupt_fraction": "-1/2"}),
+        smoke_with(kappa=-1),
+        smoke_with(kappa=0),
     ],
     ids=[
         "array",
@@ -160,6 +168,14 @@ def smoke_with(**fields) -> str:
         "unreadable-param",
         "string-bool",
         "float-int",
+        "null-seed",
+        "integer-seed",
+        "list-name",
+        "zero-denominator",
+        "zero-denominator-corrupt-fraction",
+        "negative-corrupt-fraction",
+        "negative-kappa",
+        "zero-kappa",
     ],
 )
 def test_run_malformed_config_exits_2(capsys, tmp_path, content):

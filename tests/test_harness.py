@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from shardsim import config as config_module
 from shardsim import agreement, harness, oracles, records, views
-from shardsim.adversary import PassiveStrategy, WorstCaseSeedStrategy, make_strategy
+from shardsim.adversary import Strategy, WorstCaseSeedStrategy, make_strategy
 from shardsim.analysis import exceedance_threshold
 from shardsim.cli import main
 from shardsim.credentials import (
@@ -21,7 +21,7 @@ from shardsim.credentials import (
     derive_credentials,
     verify_credential,
 )
-from shardsim.crypto import Prg, encode_int, keygen, tagged_hash
+from shardsim.crypto import Prg, encode_int, hash_digest, keygen, tagged_hash
 from shardsim.config import ConfigError, ScenarioConfig, load_config, parse_ratio
 from shardsim.harness import Simulation, message_scaling_report, run_scenario
 from shardsim.ledger import (
@@ -30,7 +30,6 @@ from shardsim.ledger import (
     Transaction,
     TxOutput,
     apply_block,
-    block_core_digest,
     body_digest,
     make_genesis,
     make_transaction,
@@ -144,6 +143,10 @@ def test_from_mapping_rejects_garbage():
         (dict(adversary={"strategy": "passive", "params": {"split": True}}), "reads no param"),
         (dict(adversary={"strategy": "grind", "params": {"fraction": "-1/2"}}), "[0, 1]"),
         (dict(adversary={"strategy": "grind", "params": {"fraction": "3/2"}}), "[0, 1]"),
+        (dict(adversary={"corrupt_fraction": "-1/2"}), "corrupt_fraction must be >= 0"),
+        (dict(kappa=-1), "kappa must be a positive"),
+        (dict(kappa=-1, unsafe_params=False), "kappa must be a positive"),
+        (dict(kappa=0), "kappa must be a positive"),
     ],
 )
 def test_validate_field_errors(overrides, needle):
@@ -223,6 +226,7 @@ def test_load_config_raises_on_invalid(tmp_path):
 def test_event_log_sequencing_and_serialization():
     log = EventLog()
     assert log.to_jsonl() == ""
+    assert log.digest() == hash_digest(b"").hex()
     log.emit("genesis", 0, users=4)
     log.emit("block-accepted", 1, block="aa")
     assert [rec["seq"] for rec in log] == [0, 1]
@@ -231,6 +235,7 @@ def test_event_log_sequencing_and_serialization():
     # Canonical form: keys sorted, no spaces.
     assert lines[0] == '{"height":0,"kind":"genesis","seq":0,"users":4}'
     before = log.digest()
+    assert before == hash_digest(log.to_jsonl().encode("utf-8")).hex()
     log.emit("no-block", 2, rounds=3)
     assert log.digest() != before
     assert len(log) == 3
@@ -399,6 +404,11 @@ def test_message_scaling_report_shape():
         (base_mapping(genesis=[{"count": 64, "stake": True}]), "genesis"),
         (base_mapping(kappa=True), "bad config field: kappa"),
         (base_mapping(kappa="20"), "bad config field: kappa"),
+        (base_mapping(master_seed=None), "master_seed must be a JSON string"),
+        (base_mapping(master_seed=5), "master_seed must be a JSON string"),
+        (base_mapping(name=["x"]), "name must be a JSON string"),
+        (base_mapping(mu_core="1/0"), "zero denominator"),
+        (base_mapping(adversary={"corrupt_fraction": "1/0"}), "zero denominator"),
     ],
 )
 def test_malformed_configs_raise_config_error(raw, needle, tmp_path):
@@ -770,10 +780,10 @@ def keep_expired_member(update_view, label):
     stale = Credential(value=stale_pk, pk=stale_pk, anchor_height=-3, expiry_height=0)
 
     def faulty(prev_view, *args, **kwargs):
-        upd = update_view(prev_view, *args, **kwargs)
-        if prev_view.label != label or upd.view.height != 2:
-            return upd
-        return replace(upd, view=replace(upd.view, spare=upd.view.spare + (stale,)))
+        view, newcomers = update_view(prev_view, *args, **kwargs)
+        if prev_view.label != label or view.height != 2:
+            return view, newcomers
+        return replace(view, spare=view.spare + (stale,)), newcomers
 
     return faulty
 
@@ -916,7 +926,7 @@ def test_refill_grinding_installs_the_most_corrupted_core():
     assert achieved == max(scores) > scores[0]
 
 
-class DictateForgedBlock(PassiveStrategy):
+class DictateForgedBlock(Strategy):
     """A committee beyond its corruption bound dictates a forged copy of
     the first proposal: a wrong ``body_hash``, or an extra transaction that
     spends the first transaction's input again."""
@@ -977,9 +987,9 @@ def test_dictated_invalid_block_is_not_certified(forgery):
     assert forged
     assert {b.header.height for b in forged} <= shortfall
     held = {
-        block_core_digest(b.header) for chain in sim.observer_chains for b in chain
+        b.header.core_digest for chain in sim.observer_chains for b in chain
     }
-    assert not any(block_core_digest(b.header) in held for b in forged)
+    assert not any(b.header.core_digest in held for b in forged)
     assert metrics.summary["safety_ok"]
 
 

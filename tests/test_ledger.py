@@ -31,7 +31,6 @@ from shardsim.ledger import (
     Validity,
     apply_block,
     apply_transaction,
-    block_core_digest,
     block_seed,
     body_digest,
     count_signers,
@@ -226,7 +225,7 @@ def _micro_chain():
         proposer_label="",
         certificate=(),
     )
-    digest = shard_signature_digest("", block_core_digest(header))
+    digest = shard_signature_digest("", header.core_digest)
     cert = (
         ShardSignature(
             label="",
@@ -261,7 +260,7 @@ def test_header_digest_certificate_binding():
     # The chain-linkage hash covers the certificate; the core digest, which
     # endorsements sign and seeds derive from, must not.
     assert header_hash(bare) != header_hash(block.header)
-    assert block_core_digest(bare) == block_core_digest(block.header)
+    assert bare.core_digest == block.header.core_digest
 
 
 def test_validate_block_accepts_micro_chain():
@@ -346,7 +345,7 @@ def test_validate_block_reason_codes():
 
 def test_certificate_threshold_and_dedup():
     genesis, state, directory, rules, block = _micro_chain()
-    digest = shard_signature_digest("", block_core_digest(block.header))
+    digest = shard_signature_digest("", block.header.core_digest)
 
     # One signature is below the two-of-three threshold.
     thin = (
@@ -393,7 +392,7 @@ def test_validate_certificate_counts_distinct_registered_committee_shards():
     _, _, directory, rules, block = _micro_chain()
     directory = {label: replace(directory[""], label=label) for label in ("", "0", "1", "2")}
     rules = replace(rules, f_shard=1)  # three endorsing shards
-    core_digest = block_core_digest(block.header)
+    core_digest = block.header.core_digest
 
     def endorsement(label):
         digest = shard_signature_digest(label, core_digest)
@@ -617,7 +616,7 @@ def test_two_spends_of_one_input_are_rejected_and_filtered():
 
 
 def reference_core_digest(header):
-    """The field encoding ``block_core_digest`` had before it was cached."""
+    """The field encoding ``BlockHeader.core_digest`` had before it was cached."""
     vrf = [encode_int(len(header.vrf_proofs))]
     for pk, out in header.vrf_proofs:
         vrf += [encode_bytes(pk), encode_bytes(out.value), encode_bytes(out.proof)]
@@ -669,12 +668,12 @@ def frozen_certificate(core_digest):
 def test_header_digests_are_frozen():
     header = frozen_header()
     core = "86922572810222b45d09a631304d7901221fe6ddd60a65620c22f9e1dffe336a"
-    assert block_core_digest(header).hex() == core
+    assert header.core_digest.hex() == core
     assert header_hash(header).hex() == (
         "067f6170dc1b1fb6449325bc0ffeefd87e00d73cf8669f02751443572df735e9"
     )
-    certified = replace(header, certificate=frozen_certificate(block_core_digest(header)))
-    assert block_core_digest(certified).hex() == core
+    certified = replace(header, certificate=frozen_certificate(header.core_digest))
+    assert certified.core_digest.hex() == core
     assert header_hash(certified).hex() == (
         "4aecdf024e92ba525aed7e5fc6d6ac3835c1a463b31ed89f548eab6b09fc10a0"
     )
@@ -682,22 +681,22 @@ def test_header_digests_are_frozen():
 
 def test_replaced_header_gets_fresh_digests():
     header = frozen_header()
-    core, full = block_core_digest(header), header_hash(header)
+    core, full = header.core_digest, header_hash(header)
     for changed in (
         replace(header, height=8),
         replace(header, seed=b"other"),
         replace(header, vrf_proofs=header.vrf_proofs[:1]),
         replace(header, proposer_label="1"),
     ):
-        assert block_core_digest(changed) == reference_core_digest(changed) != core
+        assert changed.core_digest == reference_core_digest(changed) != core
         assert header_hash(changed) == reference_header_hash(changed) != full
     # A certificate binds the header hash alone; attach_certificate builds
     # a new header, which must not keep the uncertified one's hash.
     certified = attach_certificate(Block(header, ()), frozen_certificate(core)).header
-    assert block_core_digest(certified) == core
+    assert certified.core_digest == core
     assert header_hash(certified) == reference_header_hash(certified) != full
     # The original keeps its own digests.
-    assert (block_core_digest(header), header_hash(header)) == (core, full)
+    assert (header.core_digest, header_hash(header)) == (core, full)
 
 
 def test_certified_header_carries_the_core_digest_it_would_compute():
@@ -709,7 +708,7 @@ def test_certified_header_carries_the_core_digest_it_would_compute():
     assert "core_digest" in vars(certified) and "digest" not in vars(certified)
     fresh = replace(certified)
     assert "core_digest" not in vars(fresh)
-    assert block_core_digest(certified) == block_core_digest(fresh) == reference_core_digest(fresh)
+    assert certified.core_digest == fresh.core_digest == reference_core_digest(fresh)
     assert header_hash(certified) == reference_header_hash(fresh) != full
 
 
@@ -745,5 +744,5 @@ headers = st.builds(
 def test_header_digests_are_the_field_encoding(header):
     # Twice each: the second call reads the cached value.
     for _ in range(2):
-        assert block_core_digest(header) == reference_core_digest(header)
+        assert header.core_digest == reference_core_digest(header)
         assert header_hash(header) == reference_header_hash(header)

@@ -11,7 +11,6 @@ from shardsim.crypto import Prg, encode_int, encode_str, keygen, sign, tagged_ha
 from shardsim.ledger import install_threshold
 from shardsim.membership import (
     ShardView,
-    ViewUpdate,
     fill_core,
     form_view,
     install_and_diffuse,
@@ -172,45 +171,45 @@ class TestUpdateView:
         )
 
     def test_no_churn(self):
-        upd = update_view(self.prev, [frozenset()] * 3)
-        assert upd.view.height == 4
-        assert upd.view.core == self.core
-        assert upd.view.spare == self.spare
-        assert upd.newcomers == ()
+        view, newcomers = update_view(self.prev, [frozenset()] * 3)
+        assert view.height == 4
+        assert view.core == self.core
+        assert view.spare == self.spare
+        assert newcomers == ()
         # A full core elects nothing.
-        assert fill_core(upd.view, self.beacon, s_min=3) == (upd.view, ())
+        assert fill_core(view, self.beacon, s_min=3) == (view, ())
         # A credential that perishes with the next block still serves at it.
         last = replace(self.prev, core=tuple(replace(c, expiry_height=4) for c in self.core))
-        assert update_view(last, []).view.core == last.core
+        assert update_view(last, [])[0].core == last.core
 
     def test_newcomers_join_spare_sorted(self):
         joiner = cred(b"uj")
-        upd = update_view(self.prev, [frozenset({joiner}), frozenset(), None])
-        assert upd.newcomers == (joiner,)
-        assert joiner in upd.view.spare
-        assert upd.view.spare == order_spare(self.spare + (joiner,))
-        assert upd.view.core == self.core
+        view, newcomers = update_view(self.prev, [frozenset({joiner}), frozenset(), None])
+        assert newcomers == (joiner,)
+        assert joiner in view.spare
+        assert view.spare == order_spare(self.spare + (joiner,))
+        assert view.core == self.core
 
     def test_duplicate_slots_and_known_members_ignored(self):
         joiner = cred(b"uj")
         slots = [frozenset({joiner, self.core[0]}), frozenset({joiner, self.core[0]})]
-        upd = update_view(self.prev, slots)
-        assert upd.newcomers == (joiner,)
+        _, newcomers = update_view(self.prev, slots)
+        assert newcomers == (joiner,)
 
     def test_newcomer_filters(self):
         dead = cred(b"udead", expiry=3)  # expires before height 4
         vetoed = cred(b"uveto")
         fine = cred(b"ufine")
-        upd = update_view(
+        _, newcomers = update_view(
             self.prev,
             [frozenset({dead, vetoed, fine})],
             newcomer_valid=lambda c: c != vetoed,
         )
-        assert upd.newcomers == (fine,)
+        assert newcomers == (fine,)
 
     def test_refill_draws_match_sampler(self):
         prev = self.expire(self.prev, self.core[0], self.core[1])
-        carried = update_view(prev, []).view
+        carried = update_view(prev, [])[0]
         assert carried.core == (self.core[2],) and carried.spare == self.spare
         view, promoted = fill_core(carried, self.beacon, s_min=3)
         # Independent replay: same PRG, same ordered pool, same draw count.
@@ -223,7 +222,7 @@ class TestUpdateView:
 
     def test_expiring_spare_not_promotable(self):
         prev = self.expire(self.prev, self.core[0], self.spare[0])
-        view, promoted = fill_core(update_view(prev, []).view, self.beacon, s_min=3)
+        view, promoted = fill_core(update_view(prev, [])[0], self.beacon, s_min=3)
         assert prev.spare[0] not in view.members()
         assert self.spare[0].value not in {c.value for c in view.members()}
         pool = [c for c in self.spare if c != self.spare[0]]
@@ -232,15 +231,15 @@ class TestUpdateView:
 
     def test_degraded_when_spare_exhausted(self):
         thin = ShardView(label="", height=3, core=self.core, spare=())
-        carried = update_view(self.expire(thin, self.core[0], self.core[1]), []).view
+        carried = update_view(self.expire(thin, self.core[0], self.core[1]), [])[0]
         assert fill_core(carried, self.beacon, s_min=3) == (carried, ())
         assert carried.core == (self.core[2],)
 
     def test_newcomer_can_be_promoted_same_height(self):
         thin = ShardView(label="", height=3, core=self.core, spare=())
         joiner = cred(b"uj")
-        upd = update_view(self.expire(thin, self.core[0]), [frozenset({joiner})])
-        view, promoted = fill_core(upd.view, self.beacon, s_min=3)
+        carried, _ = update_view(self.expire(thin, self.core[0]), [frozenset({joiner})])
+        view, promoted = fill_core(carried, self.beacon, s_min=3)
         assert promoted == (joiner,)
         assert len(view.core) == 3 and view.spare == ()
 
@@ -282,7 +281,7 @@ def reference_update_view(prev_view, decided_joins, newcomer_valid=lambda c: Tru
         core=tuple(c for c in prev_view.core if c.expiry_height >= height),
         spare=order_spare(spare_pool + newcomers),
     )
-    return ViewUpdate(view=view, newcomers=tuple(sorted(seen, key=lambda c: c.value)))
+    return view, tuple(sorted(seen, key=lambda c: c.value))
 
 
 POOL = [cred(b"pool%d" % i) for i in range(16)]
@@ -328,11 +327,11 @@ def view_updates(draw):
 @given(view_updates())
 def test_update_view_equals_the_reference(case):
     prev, joins, valid = case
-    upd = update_view(prev, joins, valid)
-    assert upd == reference_update_view(prev, joins, valid)
+    view, newcomers = update_view(prev, joins, valid)
+    assert (view, newcomers) == reference_update_view(prev, joins, valid)
     # Whatever framing was handed over, the digest is the one a fresh copy
     # of the view computes from scratch.
-    assert upd.view.digest == ShardView.digest.func(replace(upd.view))
+    assert view.digest == ShardView.digest.func(replace(view))
 
 
 class TestCarriedTuples:
@@ -344,7 +343,7 @@ class TestCarriedTuples:
         view_digest(self.prev)
 
     def test_quiet_height_keeps_both_tuples_and_their_framing(self):
-        view = update_view(self.prev, [None, frozenset()]).view
+        view = update_view(self.prev, [None, frozenset()])[0]
         assert view.core is self.prev.core and view.spare is self.prev.spare
         assert vars(view)["core_framing"] is self.prev.core_framing
         assert vars(view)["spare_framing"] is self.prev.spare_framing
@@ -352,7 +351,7 @@ class TestCarriedTuples:
 
     def test_a_newcomer_keeps_only_the_core(self):
         joiner = cred(b"carried-joiner")
-        view = update_view(self.prev, [frozenset({joiner})]).view
+        view = update_view(self.prev, [frozenset({joiner})])[0]
         assert view.core is self.prev.core and view.spare is not self.prev.spare
         assert "spare_framing" not in vars(view)
         assert view.digest == ShardView.digest.func(replace(view))
@@ -360,14 +359,14 @@ class TestCarriedTuples:
     def test_an_expiry_replaces_only_its_own_tuple(self):
         dying = replace(self.prev.spare[1], expiry_height=3)
         prev = replace(self.prev, spare=order_spare(self.prev.spare[:1] + (dying,)))
-        view = update_view(prev, []).view
+        view = update_view(prev, [])[0]
         assert view.core is prev.core and view.spare == prev.spare[:1]
         assert "spare_framing" not in vars(view)
         assert view.digest == ShardView.digest.func(replace(view))
 
         dying = replace(self.prev.core[0], expiry_height=3)
         prev = replace(self.prev, core=(dying,) + self.prev.core[1:])
-        view = update_view(prev, []).view
+        view = update_view(prev, [])[0]
         assert view.core == prev.core[1:] and view.spare is prev.spare
         assert "core_framing" not in vars(view)
         assert view.digest == ShardView.digest.func(replace(view))

@@ -11,7 +11,6 @@ from shardsim.ledger import VALID, Validity
 from shardsim.membership import ShardView
 from shardsim.overlay import (
     ROOT_LABEL,
-    MergePlan,
     SizeBounds,
     check_prefix_free_cover,
     label_matches,
@@ -154,14 +153,11 @@ def test_maybe_merge_folds_sibling_subtree():
     )
     v0 = ShardView(label="0", height=4, core=tuple(_cred(0x00, i) for i in range(3)), spare=())
     directory = {"10": v10, "11": v11, "0": v0}
-    plan = maybe_merge("10", v10, directory, bounds)
-    assert isinstance(plan, MergePlan)
-    assert plan.new_label == "1"
-    assert plan.absorbed == ("10", "11")
-    assert {c.value for c in plan.members} == {
-        c.value for c in v10.members() + v11.members()
-    }
-    assert list(plan.members) == sorted(plan.members, key=lambda c: c.value)
+    new_label, absorbed, members = maybe_merge("10", v10, directory, bounds)
+    assert new_label == "1"
+    assert absorbed == ("10", "11")
+    assert {c.value for c in members} == {c.value for c in v10.members() + v11.members()}
+    assert list(members) == sorted(members, key=lambda c: c.value)
 
 
 def test_maybe_merge_skips_root_and_healthy_shards():
