@@ -182,30 +182,26 @@ def _cmd_montecarlo(args) -> int:
 
 def _cmd_scaling(args) -> int:
     grid = [int(x) for x in args.n_grid.split(",")]
-    configs = []
-    for n in grid:
-        configs.append(
-            ScenarioConfig.from_mapping(
-                {
-                    "schema_version": 1,
-                    "name": f"scale-{n}",
-                    "master_seed": args.seed,
-                    "epoch_length": args.epoch_length,
-                    "heights": args.heights,
-                    "s_min": args.s_min,
-                    "s_max": args.s_max,
-                    "mu_core": "1/3",
-                    "mu_corrupted": "1/3",
-                    "mu": "1/10",
-                    "stake_cap": 1,
-                    "kappa": 20.0,
-                    "f_shard": 0,
-                    "genesis": [{"count": n, "stake": 1}],
-                    "tx_rate": args.tx_rate,
-                    "unsafe_params": True,
-                }
-            )
+    configs = [
+        ScenarioConfig(
+            name=f"scale-{n}",
+            master_seed=args.seed,
+            epoch_length=args.epoch_length,
+            heights=args.heights,
+            s_min=args.s_min,
+            s_max=args.s_max,
+            mu_core="1/3",
+            mu_corrupted="1/3",
+            mu="1/10",
+            stake_cap=1,
+            kappa=20.0,
+            f_shard=0,
+            genesis=((n, 1),),
+            tx_rate=args.tx_rate,
+            unsafe_params=True,
         )
+        for n in grid
+    ]
     report = message_scaling_report(configs)
     first = report["rows"][0]["per_user_messages"]
     last = report["rows"][-1]["per_user_messages"]

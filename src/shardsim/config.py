@@ -1,12 +1,18 @@
-"""Scenario configs: the JSON schema, parsed into a frozen ``ScenarioConfig``
-and checked against the parameter solver; malformed input raises
+"""Scenario configs: the JSON schema and the frozen ``ScenarioConfig`` it
+builds.
+
+A config is checked once, when it is constructed, whether by
+``from_mapping``, directly or by ``dataclasses.replace``: each field by the
+reader it declares, then the rules across fields and, unless the config is
+marked ``unsafe_params``, the parameter solver.  Every ``ScenarioConfig``
+is one a run accepts, so ``Simulation`` trusts it.  Malformed input raises
 ``ConfigError``."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from typing import Mapping
 
@@ -51,10 +57,13 @@ def _string(name: str, value) -> str:
     return value
 
 
-def _number(name: str, value) -> float:
-    """A JSON number, integer or not; booleans and strings are refused."""
+def _positive_number(name: str, value) -> float:
+    """A positive finite JSON number, integer or not; booleans and strings
+    are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a JSON number, got {value!r}")
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     return float(value)
 
 
@@ -72,39 +81,127 @@ def _boolean(name: str, value) -> bool:
     return value
 
 
-ADVERSARY_FIELDS = frozenset({"strategy", "params", "corrupt_fraction", "force_corrupt_shards"})
+def _open_unit_ratio(name: str, value) -> Fraction:
+    ratio = parse_ratio(value)
+    if not 0 < ratio < 1:
+        raise ValueError(f"{name} must lie strictly between 0 and 1, got {ratio}")
+    return ratio
+
+
+def _budget(name: str, value) -> Fraction | None:
+    """A ratio >= 0, or None for the default budget."""
+    if value is None:
+        return None
+    ratio = parse_ratio(value)
+    if ratio < 0:
+        raise ValueError(f"{name} must be >= 0, got {ratio}")
+    return ratio
+
+
+def _mapping(name: str, value) -> dict:
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{name} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _groups(name: str, value) -> tuple[tuple[int, int], ...]:
+    """At least one (count, stake) group, each count and stake >= 1."""
+    groups = tuple(
+        (_integer(f"{name} count", count, 1), _integer(f"{name} stake", stake, 1))
+        for count, stake in value
+    )
+    if not groups:
+        raise ValueError(f"{name} must list at least one UTXO group")
+    return groups
+
+
+def _checked(read, *bounds, **default):
+    """A field that ``read(name, value, *bounds)`` checks and normalises."""
+    return field(metadata={"read": (read, bounds)}, **default)
+
+
+# JSON keys of the ``adversary`` object, and the config field each one sets.
+ADVERSARY_FIELDS = {
+    "strategy": "adversary_strategy",
+    "params": "adversary_params",
+    "corrupt_fraction": "corrupt_fraction",
+    "force_corrupt_shards": "force_corrupt_shards",
+}
 
 # How the strategies read each param they name in ``Strategy.param_names``;
 # a value its reader refuses is refused in the config.
 PARAM_READERS = {
-    "fraction": lambda value: _unit_ratio("fraction", value),
-    "split": lambda value: _boolean("split", value),
-    "candidates": lambda value: _integer("candidates", value, minimum=1),
+    "fraction": _unit_ratio,
+    "split": _boolean,
+    "candidates": lambda name, value: _integer(name, value, minimum=1),
 }
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    master_seed: str
-    epoch_length: int
-    heights: int
-    s_min: int
-    s_max: int
-    mu_core: Fraction
-    mu_corrupted: Fraction
-    mu: Fraction
-    stake_cap: int
-    kappa: float
-    f_shard: int
-    genesis: tuple[tuple[int, int], ...]  # (count, stake) groups
-    tx_rate: int = 0
-    adversary_strategy: str = "passive"
-    adversary_params: Mapping = field(default_factory=dict)
-    corrupt_fraction: Fraction | None = None
-    force_corrupt_shards: int = 0
-    observers: int = 3
-    unsafe_params: bool = False
-    name: str = ""
+    master_seed: str = _checked(_string)
+    epoch_length: int = _checked(_integer, 1)
+    heights: int = _checked(_integer, 1)
+    s_min: int = _checked(_integer, 1)
+    s_max: int = _checked(_integer)  # at least 2 * s_min
+    mu_core: Fraction = _checked(_open_unit_ratio)
+    mu_corrupted: Fraction = _checked(_open_unit_ratio)
+    mu: Fraction = _checked(_open_unit_ratio)
+    stake_cap: int = _checked(_integer, 1)
+    kappa: float = _checked(_positive_number)
+    f_shard: int = _checked(_integer, 0)
+    genesis: tuple[tuple[int, int], ...] = _checked(_groups)  # (count, stake) groups
+    tx_rate: int = _checked(_integer, 0, default=0)
+    adversary_strategy: str = _checked(_string, default="passive")
+    adversary_params: Mapping = _checked(_mapping, default_factory=dict)
+    corrupt_fraction: Fraction | None = _checked(_budget, default=None)  # at most mu
+    force_corrupt_shards: int = _checked(_integer, 0, default=0)
+    observers: int = _checked(_integer, 1, default=3)
+    unsafe_params: bool = _checked(_boolean, default=False)
+    name: str = _checked(_string, default="")
+
+    def __post_init__(self):
+        for f in fields(self):
+            read, bounds = f.metadata["read"]
+            try:
+                value = read(f.name, getattr(self, f.name), *bounds)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad config field: {exc}") from exc
+            object.__setattr__(self, f.name, value)
+
+        if self.s_max < 2 * self.s_min:
+            raise ConfigError("s_max must be >= 2 * s_min")
+        for _, stake in self.genesis:
+            if stake > self.stake_cap:
+                raise ConfigError(f"genesis stake {stake} outside [1, {self.stake_cap}]")
+        if self.corrupt_fraction is not None and self.corrupt_fraction > self.mu:
+            raise ConfigError("corrupt_fraction exceeds the adversary stake bound mu")
+        strategy = STRATEGIES.get(self.adversary_strategy)
+        if strategy is None:
+            raise ConfigError(f"unknown adversary strategy {self.adversary_strategy!r}")
+        for name, value in sorted(self.adversary_params.items()):
+            if name not in strategy.param_names:
+                raise ConfigError(f"adversary strategy {strategy.name!r} reads no param {name!r}")
+            try:
+                PARAM_READERS[name](name, value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad adversary param {name}={value!r}: {exc}") from exc
+
+        if self.unsafe_params:
+            return
+        solved = solve_params(self.mu, self.kappa, self.n_credentials, self.stake_cap, self.mu_core)
+        if not solved.feasible:
+            raise ConfigError(
+                "no feasible core size for (mu, kappa, N, stake_cap, mu_core); "
+                "mark unsafe_params for stress runs"
+            )
+        if self.s_min < solved.s_min:
+            raise ConfigError(
+                f"s_min={self.s_min} below the {solved.s_min} required for "
+                f"kappa={self.kappa}; mark unsafe_params for stress runs"
+            )
+        if self.n_credentials < self.s_min:
+            raise ConfigError("fewer credentials than s_min: the root shard cannot form")
 
     @property
     def n_credentials(self) -> int:
@@ -116,62 +213,35 @@ class ScenarioConfig:
 
     @classmethod
     def from_mapping(cls, raw: Mapping) -> "ScenarioConfig":
-        """Parse a config mapping; every malformed input raises ConfigError."""
+        """Build a config from its JSON object.  Only the object's shape is
+        checked here: the schema version, unknown and missing keys, and the
+        genesis and adversary objects; construction checks every value."""
         if not isinstance(raw, Mapping):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         data = dict(raw)
         version = data.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {version!r}")
-        try:
-            genesis = tuple(
-                (_integer("count", g["count"]), _integer("stake", g["stake"]))
-                for g in data.pop("genesis")
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad genesis spec: {exc}") from exc
         adversary = data.pop("adversary", {})
         if not isinstance(adversary, Mapping):
             raise ConfigError("adversary must be a JSON object")
-        unknown = sorted(set(adversary) - ADVERSARY_FIELDS)
+        unknown = sorted(set(adversary) - set(ADVERSARY_FIELDS))
         if unknown:
             raise ConfigError(f"unknown adversary fields: {unknown}")
-        params = adversary.get("params", {})
-        if not isinstance(params, Mapping):
-            raise ConfigError("adversary params must be a JSON object")
-        corrupt = adversary.get("corrupt_fraction")
-        try:
-            kwargs = dict(
-                master_seed=_string("master_seed", data.pop("master_seed")),
-                epoch_length=_integer("epoch_length", data.pop("epoch_length")),
-                heights=_integer("heights", data.pop("heights")),
-                s_min=_integer("s_min", data.pop("s_min")),
-                s_max=_integer("s_max", data.pop("s_max")),
-                mu_core=parse_ratio(data.pop("mu_core")),
-                mu_corrupted=parse_ratio(data.pop("mu_corrupted")),
-                mu=parse_ratio(data.pop("mu")),
-                stake_cap=_integer("stake_cap", data.pop("stake_cap")),
-                kappa=_number("kappa", data.pop("kappa")),
-                f_shard=_integer("f_shard", data.pop("f_shard")),
-                genesis=genesis,
-                tx_rate=_integer("tx_rate", data.pop("tx_rate", 0)),
-                adversary_strategy=_string("strategy", adversary.get("strategy", "passive")),
-                adversary_params=dict(params),
-                corrupt_fraction=parse_ratio(corrupt) if corrupt is not None else None,
-                force_corrupt_shards=_integer(
-                    "force_corrupt_shards", adversary.get("force_corrupt_shards", 0)
-                ),
-                observers=_integer("observers", data.pop("observers", 3)),
-                unsafe_params=_boolean("unsafe_params", data.pop("unsafe_params", False)),
-                name=_string("name", data.pop("name", "")),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config field: {exc}") from exc
-        if data:
-            raise ConfigError(f"unknown config fields: {sorted(data)}")
-        return cls(**kwargs)
+        top_level = {f.name for f in fields(cls)} - set(ADVERSARY_FIELDS.values())
+        unknown = sorted(set(data) - top_level)
+        if unknown:
+            raise ConfigError(f"unknown config fields: {unknown}")
+        for f in fields(cls):
+            if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"missing config field {f.name!r}")
+        genesis = data["genesis"]
+        if not isinstance(genesis, list) or any(
+            not isinstance(g, Mapping) or set(g) != {"count", "stake"} for g in genesis
+        ):
+            raise ConfigError(f"genesis must list {{count, stake}} objects, got {genesis!r}")
+        data["genesis"] = tuple((g["count"], g["stake"]) for g in genesis)
+        return cls(**data, **{ADVERSARY_FIELDS[key]: value for key, value in adversary.items()})
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
@@ -182,80 +252,11 @@ class ScenarioConfig:
                 raise ConfigError(f"not valid JSON: {exc}") from exc
         return cls.from_mapping(raw)
 
-    def validate(self, strict: bool = False) -> list[str]:
-        errors = []
-        if self.epoch_length < 1:
-            errors.append("epoch_length must be >= 1")
-        if self.heights < 1:
-            errors.append("heights must be >= 1")
-        if self.s_min < 1:
-            errors.append("s_min must be >= 1")
-        if self.s_max < 2 * self.s_min:
-            errors.append("s_max must be >= 2 * s_min")
-        for name in ("mu_core", "mu_corrupted", "mu"):
-            value = getattr(self, name)
-            if not (0 < value < 1):
-                errors.append(f"{name} must lie strictly between 0 and 1")
-        if self.stake_cap < 1:
-            errors.append("stake_cap must be >= 1")
-        if not self.genesis:
-            errors.append("genesis must list at least one UTXO group")
-        for count, stake in self.genesis:
-            if count < 1:
-                errors.append("genesis group count must be >= 1")
-            if not (1 <= stake <= self.stake_cap):
-                errors.append(f"genesis stake {stake} outside [1, {self.stake_cap}]")
-        if self.tx_rate < 0:
-            errors.append("tx_rate must be >= 0")
-        if self.f_shard < 0:
-            errors.append("f_shard must be >= 0")
-        if self.observers < 1:
-            errors.append("observers must be >= 1")
-        strategy = STRATEGIES.get(self.adversary_strategy)
-        if strategy is None:
-            errors.append(f"unknown adversary strategy {self.adversary_strategy!r}")
-        else:
-            for name, value in sorted(self.adversary_params.items()):
-                if name not in strategy.param_names:
-                    errors.append(f"adversary strategy {strategy.name!r} reads no param {name!r}")
-                    continue
-                try:
-                    PARAM_READERS[name](value)
-                except (TypeError, ValueError) as exc:
-                    errors.append(f"bad adversary param {name}={value!r}: {exc}")
-        if not 0 < self.kappa < math.inf:
-            errors.append("kappa must be a positive finite number")
-        if self.corrupt_fraction is not None and self.corrupt_fraction < 0:
-            errors.append("corrupt_fraction must be >= 0")
-        if self.corrupt_fraction is not None and self.corrupt_fraction > self.mu:
-            errors.append("corrupt_fraction exceeds the adversary stake bound mu")
-        if self.force_corrupt_shards < 0:
-            errors.append("force_corrupt_shards must be >= 0")
-
-        if strict and self.unsafe_params:
-            errors.append("unsafe_params configs rejected under strict parameter checking")
-        if not errors and not self.unsafe_params:
-            solved = solve_params(
-                self.mu, self.kappa, self.n_credentials, self.stake_cap, self.mu_core
-            )
-            if not solved.feasible:
-                errors.append(
-                    "no feasible core size for (mu, kappa, N, stake_cap, mu_core); "
-                    "mark unsafe_params for stress runs"
-                )
-            elif self.s_min < solved.s_min:
-                errors.append(
-                    f"s_min={self.s_min} below the {solved.s_min} required for "
-                    f"kappa={self.kappa}; mark unsafe_params for stress runs"
-                )
-            elif self.n_credentials < self.s_min:
-                errors.append("fewer credentials than s_min: the root shard cannot form")
-        return errors
-
 
 def load_config(path, strict: bool = False) -> ScenarioConfig:
+    """The config in the JSON file ``path``; under ``strict``, a config
+    marked ``unsafe_params`` is refused too."""
     config = ScenarioConfig.from_file(path)
-    errors = config.validate(strict=strict)
-    if errors:
-        raise ConfigError("; ".join(errors))
+    if strict and config.unsafe_params:
+        raise ConfigError("unsafe_params configs rejected under strict parameter checking")
     return config

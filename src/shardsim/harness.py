@@ -16,7 +16,7 @@ from typing import Container, Mapping, Sequence
 from . import agreement, views
 from .adversary import AdversaryState, activate_due, make_strategy, schedule_corruption
 from .blocks import committee_size
-from .config import ConfigError, ScenarioConfig
+from .config import ScenarioConfig
 from .credentials import Credential, derive_credentials
 from .crypto import Prg, encode_int, keygen, tagged_hash
 from .ledger import (
@@ -38,12 +38,10 @@ from .utxo_index import UtxoIndex
 
 
 class Simulation:
-    """One deterministic scenario run."""
+    """One deterministic scenario run.  The config was checked when it was
+    built, so nothing here checks it again."""
 
     def __init__(self, config: ScenarioConfig):
-        errors = config.validate()
-        if errors:
-            raise ConfigError("; ".join(errors))
         self.cfg = config
         self.master = tagged_hash(b"scenario", config.master_seed.encode("utf-8"))
         self.bounds = SizeBounds(config.s_min, config.s_max)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from shardsim.analysis import (
+    _EXACT_LIMIT,
     _bit_strings,
     _seed_digest,
     compare_grind_passive,
@@ -171,6 +172,14 @@ def test_exact_single_shard_tail_matches_enumeration():
             assert exact_single_shard_tail(m, S, N, mu) == pytest.approx(
                 float(expected), abs=1e-15
             )
+
+
+@pytest.mark.parametrize("N", [5001, 6000, 8192])
+def test_exact_single_shard_tail_float_path_matches_fraction(N):
+    # Above the exact limit the tail is summed in log space as floats.
+    assert N > _EXACT_LIMIT
+    exact = float(exact_single_shard_tail_fraction(22, 64, N, Fraction(1, 10)))
+    assert exact_single_shard_tail(22, 64, N, Fraction(1, 10)) == pytest.approx(exact, rel=1e-9)
 
 
 def test_exact_single_shard_tail_domain_and_rounding(caplog):

@@ -159,6 +159,7 @@ def smoke_with(**fields) -> str:
         smoke_with(adversary={"corrupt_fraction": "-1/2"}),
         smoke_with(kappa=-1),
         smoke_with(kappa=0),
+        smoke_with(genesis=[{"count": 64, "stake": 1, "stak": 3}]),
     ],
     ids=[
         "array",
@@ -176,6 +177,7 @@ def smoke_with(**fields) -> str:
         "negative-corrupt-fraction",
         "negative-kappa",
         "zero-kappa",
+        "unknown-genesis-key",
     ],
 )
 def test_run_malformed_config_exits_2(capsys, tmp_path, content):

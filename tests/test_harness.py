@@ -72,6 +72,22 @@ def config(**overrides):
     return ScenarioConfig.from_mapping(base_mapping(**overrides))
 
 
+def assert_refused(raw, needle, tmp_path, capsys):
+    """``raw`` is refused with ``needle`` in the message by
+    ``from_mapping``, by ``load_config`` and by ``shardsim run`` (exit 2)."""
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig.from_mapping(raw)
+    assert needle in str(info.value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert needle in str(info.value)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config rejected:") and needle in err, err
+
+
 def test_parse_ratio():
     assert parse_ratio("1/3") == Fraction(1, 3)
     assert parse_ratio(1) == Fraction(1)
@@ -86,7 +102,6 @@ def test_from_mapping_round_trip():
     cfg = config(
         adversary={
             "strategy": "equivocate",
-            "params": {"x": 1},
             "corrupt_fraction": "1/20",
             "force_corrupt_shards": 2,
         }
@@ -149,9 +164,17 @@ def test_from_mapping_rejects_garbage():
         (dict(kappa=0), "kappa must be a positive"),
     ],
 )
-def test_validate_field_errors(overrides, needle):
-    errors = config(**overrides).validate()
-    assert any(needle in e for e in errors), errors
+def test_validate_field_errors(overrides, needle, tmp_path, capsys):
+    assert_refused(base_mapping(**overrides), needle, tmp_path, capsys)
+
+
+def test_replace_checks_the_new_config():
+    cfg = config()
+    assert replace(cfg) == cfg
+    with pytest.raises(ConfigError, match="heights must be >= 1"):
+        replace(cfg, heights=0)
+    with pytest.raises(ConfigError, match="reads no param"):
+        replace(cfg, adversary_params={"split": True})
 
 
 def test_strategy_params_parse_when_readable():
@@ -162,7 +185,8 @@ def test_strategy_params_parse_when_readable():
         ("grind", {"fraction": "1/2"}),
         ("worst-case-seed", {"candidates": 3}),
     ]:
-        assert config(adversary={"strategy": strategy, "params": params}).validate() == []
+        cfg = config(adversary={"strategy": strategy, "params": params})
+        assert cfg.adversary_params == params
     # Every param a strategy names has a reader.
     assert all(
         name in config_module.PARAM_READERS
@@ -178,17 +202,16 @@ def test_kappa_takes_a_json_number():
             config(kappa=bad)
 
 
-def test_validate_enforces_solved_parameters():
+def test_validate_enforces_solved_parameters(tmp_path, capsys):
     # Non-stress configs must carry a core size the solver endorses for
     # their (mu, kappa, N, cap, mu_core) point.
-    weak = config(
+    weak = base_mapping(
         unsafe_params=False,
         mu="1/1000",
         mu_core="1/2",
         genesis=[{"count": 256, "stake": 1}],
     )
-    errors = weak.validate()
-    assert any("below the 163" in e for e in errors), errors
+    assert_refused(weak, "below the 163", tmp_path, capsys)
 
     solid = config(
         unsafe_params=False,
@@ -198,16 +221,26 @@ def test_validate_enforces_solved_parameters():
         s_max=326,
         genesis=[{"count": 256, "stake": 1}],
     )
-    assert solid.validate() == []
+    assert solid.s_min == 163
 
-    infeasible = config(unsafe_params=False, mu="1/10", mu_core="1/3")
-    assert any("unsafe_params" in e for e in infeasible.validate())
+    infeasible = base_mapping(unsafe_params=False, mu="1/10", mu_core="1/3")
+    assert_refused(infeasible, "unsafe_params", tmp_path, capsys)
 
 
-def test_validate_strict_rejects_stress_configs():
-    cfg = config(unsafe_params=True)
-    assert cfg.validate(strict=False) == []
-    assert any("strict" in e for e in cfg.validate(strict=True))
+def test_validate_strict_rejects_stress_configs(tmp_path):
+    path = tmp_path / "stress.json"
+    path.write_text(json.dumps(base_mapping(unsafe_params=True)))
+    assert load_config(path).unsafe_params
+    with pytest.raises(ConfigError, match="strict"):
+        load_config(path, strict=True)
+
+
+def test_shipped_configs_under_strict():
+    # Load only: the solver-checked example passes strict checking, the
+    # stress config is marked unsafe_params and is refused.
+    assert not load_config(CONFIG_DIR / "suite-example.json", strict=True).unsafe_params
+    with pytest.raises(ConfigError, match="strict"):
+        load_config(CONFIG_DIR / "stress-equivocate.json", strict=True)
 
 
 def test_load_config_smoke_file():
@@ -362,6 +395,45 @@ def test_silent_strategy_stalls_without_safety_loss():
     assert "no-decision" in kinds
 
 
+def smoke(**fields) -> ScenarioConfig:
+    """configs/smoke.json with ``fields`` set."""
+    mapping = json.loads((CONFIG_DIR / "smoke.json").read_text())
+    return ScenarioConfig.from_mapping({**mapping, **fields})
+
+
+def test_contract_void_committee_without_equivocation_certifies_one_block():
+    # Forcing 5 of the one shard's 16 core members puts it past mu_core = 1/4
+    # but inside the vector-consensus contract; a strategy that does not
+    # equivocate has the corrupted members certify the base block alone.
+    metrics, events = run_scenario(
+        smoke(mu_core="1/4", adversary={"strategy": "passive", "force_corrupt_shards": 1})
+    )
+    accepted = [rec for rec in events if rec["kind"] == "block-accepted"]
+    assert len(accepted) == 10
+    assert sum(1 for rec in accepted if rec["leader"] is None) == 3
+    kinds = [rec["kind"] for rec in metrics.incidents]
+    assert kinds.count("corrupted-committee") == 3
+    assert kinds.count("corrupted-shard") == 3
+    assert "equivocation" not in kinds
+    assert metrics.summary["safety_ok"] and metrics.summary["liveness_ok"]
+
+
+def test_force_corrupt_stops_at_the_budget():
+    # A 1/20 budget of 64 unit stakes covers 3 members, short of the 6 that
+    # would push the one shard's 16-member core past mu_core.
+    metrics, _ = run_scenario(
+        smoke(
+            adversary={
+                "strategy": "passive",
+                "force_corrupt_shards": 1,
+                "corrupt_fraction": "1/20",
+            }
+        )
+    )
+    budget = [rec for rec in metrics.incidents if rec["kind"] == "force-corrupt-budget"]
+    assert budget == [{"height": 0, "kind": "force-corrupt-budget", "label": ""}]
+
+
 def test_message_scaling_report_shape():
     configs = [
         config(
@@ -409,15 +481,11 @@ def test_message_scaling_report_shape():
         (base_mapping(name=["x"]), "name must be a JSON string"),
         (base_mapping(mu_core="1/0"), "zero denominator"),
         (base_mapping(adversary={"corrupt_fraction": "1/0"}), "zero denominator"),
+        (base_mapping(genesis=[{"count": 64, "stake": 1, "stak": 3}]), "genesis"),
     ],
 )
-def test_malformed_configs_raise_config_error(raw, needle, tmp_path):
-    with pytest.raises(ConfigError, match=needle):
-        ScenarioConfig.from_mapping(raw)
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(raw))
-    with pytest.raises(ConfigError, match=needle):
-        load_config(path)
+def test_malformed_configs_raise_config_error(raw, needle, tmp_path, capsys):
+    assert_refused(raw, needle, tmp_path, capsys)
 
 
 def test_invalid_json_raises_config_error(tmp_path):
