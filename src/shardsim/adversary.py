@@ -93,7 +93,6 @@ def activate_due(
 def grind_transactions(
     state: AdversaryState,
     utxos: Mapping[bytes, Utxo],
-    stake_cap: int,
     split: bool = False,
     fraction: Fraction = Fraction(1),
 ) -> list[Transaction]:
@@ -105,7 +104,7 @@ def grind_transactions(
     changes the adversary's standing before the next renewal.
     """
     spendable = sorted(pk for pk in state.corrupted if pk in utxos and pk in state.keys)
-    limit = int(Fraction(fraction) * len(spendable))
+    limit = int(fraction * len(spendable))
     txs = []
     for pk in spendable[:limit]:
         utxo = utxos[pk]
@@ -164,7 +163,7 @@ class Strategy:
         return None
 
     # End-of-height actions: transactions to inject into mempools.
-    def issue_transactions(self, state: AdversaryState, utxos, stake_cap, height, epoch_length):
+    def issue_transactions(self, state: AdversaryState, utxos, height, epoch_length):
         return []
 
 
@@ -220,15 +219,14 @@ class GrindStrategy(Strategy):
     name = "grind"
     param_names = ("split", "fraction")
 
-    def issue_transactions(self, state, utxos, stake_cap, height, epoch_length):
+    def issue_transactions(self, state, utxos, height, epoch_length):
         if height % epoch_length != 0:
             return []
         return grind_transactions(
             state,
             utxos,
-            stake_cap,
-            split=bool(self.params.get("split", False)),
-            fraction=Fraction(self.params.get("fraction", 1)),
+            split=self.params.get("split", False),
+            fraction=self.params.get("fraction", 1),
         )
 
 
@@ -241,7 +239,7 @@ class WorstCaseSeedStrategy(Strategy):
     param_names = ("candidates",)
 
     def beacon_choice(self, entropy_seed, evaluate, prg):
-        n_candidates = int(self.params.get("candidates", 8))
+        n_candidates = self.params.get("candidates", 8)
         best_seed = None
         best_score = float("-inf")
         for i in range(n_candidates):

@@ -20,6 +20,7 @@ from .ledger import (
     Transaction,
     TxOutput,
     body_digest,
+    certificate_quorum,
     header_hash,
     make_transaction,
     validate_block,
@@ -165,7 +166,7 @@ def _endorse(
     sim: Simulation, block: Block, committee, byz_labels, honest_sign: bool, byz_sign: bool
 ) -> tuple[Block | None, list[ShardSignature]]:
     """Collect each committee shard's endorsement of ``block`` and, with at
-    least 2 f_shard + 1 of them, attach the certificate.
+    least ``certificate_quorum`` of them, attach the certificate.
 
     An honest member signs iff ``honest_sign``; a corrupted member signs iff
     ``byz_sign`` or its shard is in ``byz_labels`` (past mu_core), since a
@@ -181,7 +182,7 @@ def _endorse(
         ss = shard_sign_block(label, view, block, keys, cfg.mu_core, cfg.s_min, withheld)
         if ss is not None:
             shard_sigs.append(ss)
-    if len(shard_sigs) < 2 * cfg.f_shard + 1:
+    if len(shard_sigs) < certificate_quorum(cfg.f_shard):
         return None, shard_sigs
     return attach_certificate(block, shard_sigs), shard_sigs
 

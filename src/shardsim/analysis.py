@@ -294,6 +294,8 @@ def monte_carlo_core(
     them malicious) with the production election sampler."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    if workers < 1:
+        raise ValueError("workers must be positive")
     if not 0 <= m <= s:
         raise ValueError("malicious members must lie in [0, s]")
     if not 1 <= s_min <= s:
@@ -341,6 +343,8 @@ def monte_carlo_assignment(
         raise ValueError("require N = K * S")
     if trials < 1:
         raise ValueError("trials must be positive")
+    if workers < 1:
+        raise ValueError("workers must be positive")
     total_malicious = _malicious_total(N, mu_cred_frac)
     threshold = exceedance_threshold(Fraction(mu_shard), S)
     root = _seed_digest(seed)

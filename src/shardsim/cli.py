@@ -29,7 +29,7 @@ from .analysis import (
     shard_tail_bound,
     solve_params,
 )
-from .config import ConfigError, ScenarioConfig, load_config, parse_ratio
+from .config import ConfigError, ScenarioConfig, _open_unit_ratio, load_config, parse_ratio
 from .harness import message_scaling_report, run_scenario
 from .oracles import InvariantError
 
@@ -144,7 +144,7 @@ def _check_estimate(estimate: float, bound: float, trials: int) -> int:
 
 def _cmd_montecarlo(args) -> int:
     if args.kind == "core":
-        mu_core = parse_ratio(args.mu_core)
+        mu_core = _open_unit_ratio("--mu-core", args.mu_core)
         estimate = monte_carlo_core(
             args.s, args.m, args.s_min, mu_core, args.trials, args.seed, args.workers
         )
@@ -152,20 +152,22 @@ def _cmd_montecarlo(args) -> int:
         bound = core_corruption_bound(mu_core, mu_shard, args.s_min)
         return _check_estimate(estimate, bound, args.trials)
     if args.kind == "assignment":
+        mu_cred = _open_unit_ratio("--mu-cred", args.mu_cred)
+        mu_shard = _open_unit_ratio("--mu-shard", args.mu_shard)
         estimate = monte_carlo_assignment(
             args.n,
             args.k,
             args.shard_size,
-            parse_ratio(args.mu_cred),
-            parse_ratio(args.mu_shard),
+            mu_cred,
+            mu_shard,
             args.trials,
             args.seed,
             args.workers,
         )
-        bound = shard_tail_bound(
-            parse_ratio(args.mu_shard), parse_ratio(args.mu_cred), args.shard_size, args.k
-        )
+        bound = shard_tail_bound(mu_shard, mu_cred, args.shard_size, args.k)
         return _check_estimate(estimate, bound, args.trials)
+    if not 0 < args.alpha < 1:
+        raise ValueError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
     comparison = compare_grind_passive(
         args.adversaries, args.shard_bits, args.epochs, args.seed
     )

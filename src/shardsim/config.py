@@ -179,11 +179,12 @@ class ScenarioConfig:
         strategy = STRATEGIES.get(self.adversary_strategy)
         if strategy is None:
             raise ConfigError(f"unknown adversary strategy {self.adversary_strategy!r}")
+        # The field reader copied the params, so each is stored as read, in place.
         for name, value in sorted(self.adversary_params.items()):
             if name not in strategy.param_names:
                 raise ConfigError(f"adversary strategy {strategy.name!r} reads no param {name!r}")
             try:
-                PARAM_READERS[name](name, value)
+                self.adversary_params[name] = PARAM_READERS[name](name, value)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad adversary param {name}={value!r}: {exc}") from exc
 

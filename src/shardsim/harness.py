@@ -31,7 +31,7 @@ from .ledger import (
 from .membership import ShardView, form_view, view_digest
 from .oracles import InvariantError, check_liveness, check_safety
 # Joins are routed in ``views``; perfbench's tracer test still wants ``route`` here.
-from .overlay import ROOT_LABEL, SizeBounds, check_prefix_free_cover, maybe_split, route
+from .overlay import ROOT_LABEL, check_prefix_free_cover, maybe_split, route
 from .protocols import MessageMeter, ParticipantSet, shard_entropy, within_bound
 from .records import EventLog, Metrics
 from .utxo_index import UtxoIndex
@@ -44,7 +44,6 @@ class Simulation:
     def __init__(self, config: ScenarioConfig):
         self.cfg = config
         self.master = tagged_hash(b"scenario", config.master_seed.encode("utf-8"))
-        self.bounds = SizeBounds(config.s_min, config.s_max)
         self.rules = BlockRules(
             stake_cap=config.stake_cap,
             f_shard=config.f_shard,
@@ -103,10 +102,9 @@ class Simulation:
         }
         self._bootstrap_splits()
         # Per label: the credentials routed to the shard since its view was
-        # installed (see ``views``), and of those the ones the renewal phase
-        # derived itself, which admission need not derive again.
-        self.joins: dict[str, set[Credential]] = {label: set() for label in self.directory}
-        self.renewed: dict[str, set[Credential]] = {label: set() for label in self.directory}
+        # installed (see ``views``), each mapped to whether the renewal phase
+        # derived it, so admission need not derive it again.
+        self.joins: dict[str, dict[Credential, bool]] = {label: {} for label in self.directory}
         for label, view in sorted(self.directory.items()):
             self.events.emit(
                 "view-installed",
@@ -140,7 +138,7 @@ class Simulation:
         pending = list(self.directory)
         while pending:
             label = pending.pop()
-            children = maybe_split(label, self.directory[label], self.bounds)
+            children = maybe_split(label, self.directory[label], self.cfg.s_min, self.cfg.s_max)
             if children is None:
                 continue
             del self.directory[label]
@@ -242,7 +240,7 @@ class Simulation:
         cfg = self.cfg
         views.deliver_joins(self, height)
         for tx in self.strategy.issue_transactions(
-            self.adv, self.utxos.live, cfg.stake_cap, height, cfg.epoch_length
+            self.adv, self.utxos.live, height, cfg.epoch_length
         ):
             self._deliver_tx(tx, height, honest=False)
 

@@ -275,22 +275,23 @@ def shard_signature_digest(label: str, core_digest: bytes) -> bytes:
     return tagged_hash(b"block-sig", encode_str(label), core_digest)
 
 
-def install_threshold(mu_core: Fraction, core_size: int) -> int:
-    """Signatures needed before a view or a block endorsement counts.
-
-    Strictly more than mu_core * core_size, so at least one signer is
-    honest whenever the shard is within its corruption bound.  Computed in
-    integers, as ``protocols.within_bound`` is: ``int(mu_core * core_size)
-    + 1`` without building a ``Fraction``.
-    """
-    return mu_core.numerator * core_size // mu_core.denominator + 1
-
-
 def shard_quorum(mu_core: Fraction, s_min: int, core_size: int) -> int:
-    """Quorum of a shard's core: measured against s_min for full-size
-    shards and against the actual core size for degraded ones, so an
-    undersized shard can still track its membership."""
-    return install_threshold(mu_core, min(s_min, core_size))
+    """Signatures of a shard's core needed before a view or a block
+    endorsement counts, for signers and verifiers alike.
+
+    Strictly more than mu_core * n, so at least one signer is honest
+    whenever the shard is within its corruption bound.  n is s_min for a
+    full-size core and the core size for a degraded one, so an undersized
+    shard can still track its membership.  Computed in integers, as
+    ``protocols.within_bound`` is: ``int(mu_core * n) + 1`` without
+    building a ``Fraction``.
+    """
+    return mu_core.numerator * min(s_min, core_size) // mu_core.denominator + 1
+
+
+def certificate_quorum(f: int) -> int:
+    """Committee shards that must endorse a block, for f = f_shard: 2 f + 1."""
+    return 2 * f + 1
 
 
 def sign_until_quorum(
@@ -333,22 +334,12 @@ def count_signers(
     return len(signers)
 
 
-def _shard_signature_valid(
-    ss: ShardSignature, core_digest: bytes, core_pks: set[bytes], rules: BlockRules
-) -> bool:
-    # s_min rather than shard_quorum's core-size reference: committee
-    # eligibility excludes degraded shards, so the two rules agree on every
-    # reachable input.
-    quorum = install_threshold(rules.mu_core, rules.s_min)
-    msg = shard_signature_digest(ss.label, core_digest)
-    return count_signers(ss.member_sigs, core_pks, msg) >= quorum
-
-
 def validate_certificate(
     block: Block, directory, rules: BlockRules, committee: Sequence[str]
 ) -> Validity:
-    """Check that at least 2 f_shard + 1 committee shards endorse the
-    block's core digest, each with a quorum of its registered core.
+    """Check that ``certificate_quorum`` committee shards endorse the
+    block's core digest, each with the ``shard_quorum`` of its registered
+    core that ``shard_sign_block`` collects.
 
     A shard signature from outside ``committee``, a repeated shard and a
     shard with no view in ``directory`` count for nothing.  Only the
@@ -363,9 +354,11 @@ def validate_certificate(
         if signer_view is None:
             continue
         signer_core = {c.pk for c in signer_view.core}
-        if _shard_signature_valid(ss, core_digest, signer_core, rules):
+        quorum = shard_quorum(rules.mu_core, rules.s_min, len(signer_view.core))
+        msg = shard_signature_digest(ss.label, core_digest)
+        if count_signers(ss.member_sigs, signer_core, msg) >= quorum:
             endorsers.add(ss.label)
-    if len(endorsers) < 2 * rules.f_shard + 1:
+    if len(endorsers) < certificate_quorum(rules.f_shard):
         return Validity(False, "certificate")
     return VALID
 

@@ -12,7 +12,6 @@ s_min.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .credentials import Credential
@@ -22,20 +21,6 @@ from .membership import ShardView, perished_before
 
 ROOT_LABEL = ""
 _ROUTE_HEAD_BYTES = 8
-
-
-@dataclass(frozen=True)
-class SizeBounds:
-    """Shard size window; s_max must leave room for a clean two-way split."""
-
-    s_min: int
-    s_max: int
-
-    def __post_init__(self):
-        if self.s_min < 1:
-            raise ValueError("s_min must be positive")
-        if self.s_max < 2 * self.s_min:
-            raise ValueError("s_max must be at least 2 * s_min")
 
 
 def label_matches(label: str, value: bytes) -> bool:
@@ -124,7 +109,7 @@ def route_all(directory: Mapping[str, ShardView], values: Sequence[bytes]) -> li
     return labels
 
 
-def maybe_split(label: str, view: ShardView, bounds: SizeBounds) -> tuple | None:
+def maybe_split(label: str, view: ShardView, s_min: int, s_max: int) -> tuple | None:
     """Split decision for an oversized shard: the two children as
     ``(label, members)`` pairs, or None.
 
@@ -132,7 +117,7 @@ def maybe_split(label: str, view: ShardView, bounds: SizeBounds) -> tuple | None
     prefix.  A split that would leave either child under s_min is deferred
     (the shard simply stays oversized until churn rebalances it).
     """
-    if len(view.core) + len(view.spare) <= bounds.s_max:
+    if len(view.core) + len(view.spare) <= s_max:
         return None
     members = view.members()
     # The value's MSB-first bit at index len(label).
@@ -141,13 +126,13 @@ def maybe_split(label: str, view: ShardView, bounds: SizeBounds) -> tuple | None
     zeros, ones = [], []
     for c in members:
         (ones if c.value[byte] & mask else zeros).append(c)
-    if len(zeros) < bounds.s_min or len(ones) < bounds.s_min:
+    if len(zeros) < s_min or len(ones) < s_min:
         return None  # degenerate split deferred
     return ((label + "0", tuple(zeros)), (label + "1", tuple(ones)))
 
 
 def maybe_merge(
-    label: str, view: ShardView, directory: Mapping[str, ShardView], bounds: SizeBounds
+    label: str, view: ShardView, directory: Mapping[str, ShardView], s_min: int
 ) -> tuple | None:
     """Merge decision for an undersized shard: ``(new_label, absorbed,
     members)``, or None.
@@ -157,7 +142,7 @@ def maybe_merge(
     shard has no sibling and cannot merge; its core stays below s_min,
     which keeps it out of block production.
     """
-    if len(view.core) + len(view.spare) >= bounds.s_min:
+    if len(view.core) + len(view.spare) >= s_min:
         return None
     if label == ROOT_LABEL:
         return None

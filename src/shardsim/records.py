@@ -67,8 +67,11 @@ class Metrics:
         self.incidents: list[dict] = []
         # tx id hex -> {"delivered", "included", "honest"}
         self.latencies: dict[str, dict] = {}
-        self.view_violations = 0
         self.summary: dict = {}
+
+    @property
+    def view_violations(self) -> int:
+        return sum(rec["kind"] == "view-divergence" for rec in self.incidents)
 
     def record_height(self, **fields):
         self.rows.append({col: fields.get(col) for col in _CSV_COLUMNS})

@@ -7,18 +7,18 @@ windows and routing of every newcomer) before the previous core signs it.  A
 view that fails is never installed; it counts as a view-agreement violation
 and stalls the shard.  The signature quorum is counted once, at install.
 
-Per-shard state is three tables keyed by label: ``directory``, the installed
-view; ``joins``, the credentials routed to the shard since that view was
-installed; and ``renewed``, those of its joins ``deliver_joins`` derived
-itself.  Every core member receives every join, so one set serves the
-whole core; a corrupted member's proposal is the strategy's to choose.
-Admission takes a renewed credential anchored by the shard's view height
-without deriving it again: its verdict depends only on its fields, the
-label and the immutable chain, so the full check would pass it.  Any other
-entry takes the full check.  ``deliver_joins`` takes a height's renewals as
-one batch: they all anchor at that height, so they are derived from one
-seed read and routed with one ``route`` call per label interval, and are
-delivered in sorted-pk order.
+Per-shard state is two tables keyed by label: ``directory``, the installed
+view; and ``joins``, the credentials routed to the shard since that view
+was installed, each mapped to whether ``deliver_joins`` derived it.  Every
+core member receives every join, so one set serves the whole core; a
+corrupted member's proposal is the strategy's to choose.  Admission takes
+a derived credential anchored by the shard's view height without deriving
+it again: its verdict depends only on its fields, the label and the
+immutable chain, so the full check would pass it.  Any other entry takes
+the full check.  ``deliver_joins`` takes a height's renewals as one batch:
+they all anchor at that height, so they are derived from one seed read and
+routed with one ``route`` call per label interval, and are delivered in
+sorted-pk order.
 """
 
 from __future__ import annotations
@@ -83,13 +83,13 @@ def _update_one_view(sim: Simulation, old_view: ShardView, height: int):
     # at its older view height and refuses joins anchored after it, and the
     # fast path below keeps that verdict by its anchor condition.
     eval_height = height - 1
-    renewed = sim.renewed[label]
+    derived = sim.joins[label]
 
     def newcomer_valid(cred: Credential) -> bool:
         # A credential the renewal phase derived and routed here passes both
         # checks below when it is anchored by ``eval_height``: ``update_view``
         # already dropped it if it expired before ``height``.
-        if cred.anchor_height <= eval_height and cred in renewed:
+        if cred.anchor_height <= eval_height and derived.get(cred):
             return True
         return label_matches(label, cred.value) and verify_credential(
             cred, eval_height, sim.headers, sim.utxos.utxo_at
@@ -116,7 +116,6 @@ def _update_one_view(sim: Simulation, old_view: ShardView, height: int):
     # a view that fails is a view-agreement violation and never installs.
     transition = verify_view_transition(old_view, view, height, cfg.s_min)
     if not transition:
-        sim.metrics.view_violations += 1
         _reject_view(sim, label, height, "view-divergence", reason=transition.reason)
         return
 
@@ -179,13 +178,13 @@ def apply_topology(sim: Simulation, height: int):
     directory, s_min = sim.directory, sim.cfg.s_min
     for label in sorted(directory):
         view = directory[label]
-        children = maybe_split(label, view, sim.bounds)
+        children = maybe_split(label, view, s_min, sim.cfg.s_max)
         if children is None:
             continue
         beacon = run_beacon(
             sim, label, sim.core_parts(view), height, b"split", evaluate=lambda seed: 0.0
         )
-        del directory[label], sim.joins[label], sim.renewed[label]
+        del directory[label], sim.joins[label]
         child_labels = []
         for child_label, members in children:
             child_seed = tagged_hash(b"child", beacon, child_label.encode("ascii"))
@@ -198,7 +197,7 @@ def apply_topology(sim: Simulation, height: int):
         merged = False
         for label in sorted(directory):
             view = directory[label]
-            plan = maybe_merge(label, view, directory, sim.bounds)
+            plan = maybe_merge(label, view, directory, s_min)
             if plan is None:
                 continue
             new_label, absorbed, members = plan
@@ -206,7 +205,7 @@ def apply_topology(sim: Simulation, height: int):
                 sim, label, sim.core_parts(view), height, b"merge", evaluate=lambda seed: 0.0
             )
             for gone in absorbed:
-                del directory[gone], sim.joins[gone], sim.renewed[gone]
+                del directory[gone], sim.joins[gone]
             merged_view = form_view(new_label, members, height, beacon, s_min)
             register_shard(sim, merged_view, height)
             sim.events.emit("merge", height, label=new_label, absorbed=list(absorbed))
@@ -220,20 +219,19 @@ def apply_topology(sim: Simulation, height: int):
 
 def deliver_joins(sim: Simulation, height: int):
     """Route each credential renewing at ``height`` to every core member of
-    its shard, recorded as renewed so admission need not derive it again."""
+    its shard, recorded as derived so admission need not derive it again."""
     # A pk is due only at a multiple of the epoch after its UTXO was
     # created, so every due credential anchors at ``height``.
     creds = derive_credentials(
         sim.utxos.due_renewals(height), height, sim.headers, sim.cfg.epoch_length
     )
-    directory, joins, renewed, emit = sim.directory, sim.joins, sim.renewed, sim.events.emit
+    directory, joins, emit = sim.directory, sim.joins, sim.events.emit
     delivered = 0
     for cred, routed in zip(creds, route_all(directory, [c.value for c in creds])):
         # The view's own label, not ``route``'s freshly sliced copy: the
         # event log keeps one reference per join.
         view = directory[routed]
-        joins[view.label].add(cred)
-        renewed[view.label].add(cred)
+        joins[view.label][cred] = True
         delivered += len(view.core)  # to every core member
         emit("join", height, label=view.label, pk=cred.pk.hex(), anchor=height)
     sim.meter.charge(delivered)
@@ -241,13 +239,12 @@ def deliver_joins(sim: Simulation, height: int):
 
 
 def register_shard(sim: Simulation, view: ShardView, height: int, **fields) -> bool:
-    """Install ``view`` with an empty join set and renewal record, and
-    announce it to the network; returns whether the shard is corrupted.
-    After bootstrap only ``views`` writes ``directory``, ``joins`` and
-    ``renewed``: here, in ``apply_topology`` and in ``deliver_joins``."""
+    """Install ``view`` with an empty join table, and announce it to the
+    network; returns whether the shard is corrupted.  After bootstrap only
+    ``views`` writes ``directory`` and ``joins``: here, in
+    ``apply_topology`` and in ``deliver_joins``."""
     sim.directory[view.label] = view
-    sim.joins[view.label] = set()
-    sim.renewed[view.label] = set()
+    sim.joins[view.label] = {}
     sim.meter.charge(sim.cfg.n_credentials)  # network-wide view notification
     corrupted = sim.shard_corrupted(view)
     sim.events.emit(

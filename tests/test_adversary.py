@@ -112,7 +112,7 @@ class TestGrindTransactions:
 
     def test_respend_preserves_stake_and_rotates_keys(self):
         adv, keys, utxos = self._controlled([2, 1])
-        txs = grind_transactions(adv, utxos, stake_cap=2)
+        txs = grind_transactions(adv, utxos)
         assert len(txs) == 2
         for tx in txs:
             assert validate_transaction(utxos, tx, 2)
@@ -125,14 +125,14 @@ class TestGrindTransactions:
 
     def test_split_breaks_into_unit_stakes(self):
         adv, keys, utxos = self._controlled([3])
-        txs = grind_transactions(adv, utxos, stake_cap=3, split=True)
+        txs = grind_transactions(adv, utxos, split=True)
         assert len(txs) == 1
         assert [out.stake for out in txs[0].outputs] == [1, 1, 1]
         assert len({out.pk for out in txs[0].outputs}) == 3
 
     def test_fraction_limits_respends(self):
         adv, keys, utxos = self._controlled([1, 1, 1, 1])
-        txs = grind_transactions(adv, utxos, stake_cap=1, fraction=Fraction(1, 2))
+        txs = grind_transactions(adv, utxos, fraction=Fraction(1, 2))
         assert len(txs) == 2
         # The two lowest pks were respent; the others remain controlled.
         spent = sorted(kp.pk for kp in keys)[:2]
@@ -142,7 +142,7 @@ class TestGrindTransactions:
         adv, keys, utxos = self._controlled([1, 1])
         del utxos[keys[0].pk]
         adv.keys.pop(keys[1].pk)
-        assert grind_transactions(adv, utxos, stake_cap=1) == []
+        assert grind_transactions(adv, utxos) == []
 
 
 class TestStrategyHooks:
@@ -169,7 +169,7 @@ class TestStrategyHooks:
         assert s.beacon_choice(b"e", lambda c: 0.0, None) is None
         assert s.ba_decision(frozenset(), {}) == BaDecision()
         assert s.equivocate_blocks(lambda i: object(), 4) is None
-        assert s.issue_transactions(fresh_state(), {}, 1, 3, 3) == []
+        assert s.issue_transactions(fresh_state(), {}, 3, 3) == []
 
     def test_silent_withholds(self):
         s = make_strategy("silent")
@@ -209,8 +209,8 @@ class TestStrategyHooks:
         keys, utxos = stake_map([1])
         adv.corrupted.add(keys[0].pk)
         adv.keys[keys[0].pk] = keys[0]
-        assert s.issue_transactions(adv, utxos, 1, height=4, epoch_length=3) == []
-        txs = s.issue_transactions(adv, utxos, 1, height=6, epoch_length=3)
+        assert s.issue_transactions(adv, utxos, height=4, epoch_length=3) == []
+        txs = s.issue_transactions(adv, utxos, height=6, epoch_length=3)
         assert len(txs) == 1
 
     def test_worst_case_seed_maximizes_objective(self):

@@ -295,6 +295,18 @@ def test_montecarlo_grind(capsys):
         ("grind", "--epochs", "0"),
         ("grind", "--adversaries", "0"),
         ("grind", "--shard-bits", "0"),
+        ("grind", "--epochs", "50", "--alpha", "-1"),
+        ("grind", "--epochs", "50", "--alpha", "0"),
+        ("grind", "--epochs", "50", "--alpha", "5"),
+        ("grind", "--epochs", "50", "--alpha", "nan"),
+        ("core", "--s", "100", "--m", "25", "--s-min", "60", "--trials", "10", "--mu-core", "2"),
+        ("core", "--s", "60", "--m", "12", "--s-min", "40", "--trials", "10", "--workers", "0"),
+        ("assignment", "--n", "64", "--k", "4", "--shard-size", "16", "--trials", "10",
+         "--workers", "0"),
+        ("assignment", "--n", "64", "--k", "4", "--shard-size", "16", "--trials", "10",
+         "--mu-cred", "0"),
+        ("assignment", "--n", "64", "--k", "4", "--shard-size", "16", "--trials", "10",
+         "--mu-shard", "1"),
     ],
     ids=[
         "core-m-negative",
@@ -304,6 +316,15 @@ def test_montecarlo_grind(capsys):
         "grind-epochs-zero",
         "grind-adversaries-zero",
         "grind-shard-bits-zero",
+        "grind-alpha-negative",
+        "grind-alpha-zero",
+        "grind-alpha-above-one",
+        "grind-alpha-nan",
+        "core-mu-core-above-one",
+        "core-workers-zero",
+        "assignment-workers-zero",
+        "assignment-mu-cred-zero",
+        "assignment-mu-shard-one",
     ],
 )
 def test_montecarlo_malformed_input_exits_2(capsys, argv):

@@ -178,21 +178,30 @@ def test_replace_checks_the_new_config():
 
 
 def test_strategy_params_parse_when_readable():
-    for strategy, params in [
-        ("grind", {"split": True, "fraction": "1/2"}),
-        ("grind", {"fraction": 1}),
-        ("grind", {"fraction": 0}),
-        ("grind", {"fraction": "1/2"}),
-        ("worst-case-seed", {"candidates": 3}),
+    for strategy, params, read in [
+        ("grind", {"split": True, "fraction": "1/2"}, {"split": True, "fraction": Fraction(1, 2)}),
+        ("grind", {"fraction": 1}, {"fraction": Fraction(1)}),
+        ("grind", {"fraction": 0}, {"fraction": Fraction(0)}),
+        ("grind", {"fraction": "1/2"}, {"fraction": Fraction(1, 2)}),
+        ("worst-case-seed", {"candidates": 3}, {"candidates": 3}),
     ]:
         cfg = config(adversary={"strategy": strategy, "params": params})
-        assert cfg.adversary_params == params
+        assert cfg.adversary_params == read
+        assert all(type(cfg.adversary_params[k]) is type(v) for k, v in read.items())
     # Every param a strategy names has a reader.
     assert all(
         name in config_module.PARAM_READERS
         for cls in config_module.STRATEGIES.values()
         for name in cls.param_names
     )
+
+
+def test_strategy_reads_the_params_as_the_config_read_them():
+    cfg = config(adversary={"strategy": "grind", "params": {"split": True, "fraction": "1/2"}})
+    assert replace(cfg) == cfg
+    sim = Simulation(cfg)
+    assert sim.strategy.params == {"split": True, "fraction": Fraction(1, 2)}
+    assert type(sim.strategy.params["fraction"]) is Fraction
 
 
 def test_kappa_takes_a_json_number():
@@ -418,6 +427,52 @@ def test_contract_void_committee_without_equivocation_certifies_one_block():
     assert metrics.summary["safety_ok"] and metrics.summary["liveness_ok"]
 
 
+def test_committee_within_its_contract_may_decide_nothing():
+    # A 2/5 budget puts the one shard's core past the vector-consensus
+    # contract but within mu_core = 1/2, so ``silent`` dictates an empty
+    # proposal vector, and a committee with no corrupted label (its
+    # contract held) decides no block.
+    metrics, events = run_scenario(
+        smoke(
+            mu="2/5",
+            mu_core="1/2",
+            mu_corrupted="1/2",
+            adversary={"strategy": "silent", "corrupt_fraction": "2/5"},
+        )
+    )
+    assert metrics.summary["blocks"] == 3
+    # No ``corrupted-committee``: every height's BA kept its contract.
+    assert [rec["kind"] for rec in metrics.incidents] == ["no-decision"] * 7
+    assert sum(1 for rec in events if rec["kind"] == "no-block") == 7
+    assert metrics.summary["safety_ok"] and not metrics.summary["liveness_ok"]
+
+
+def test_equivocation_without_a_marker_transaction_certifies_one_block(monkeypatch):
+    # With no spendable corrupted UTXO, ``craft`` has no second variant, so
+    # ``equivocate`` falls back to certifying the base block alone.
+    asked = []
+
+    def no_marker(sim):
+        asked.append(sim)
+        return None
+
+    monkeypatch.setattr(agreement, "_adversary_marker_tx", no_marker)
+    metrics, events = run_scenario(load_config(CONFIG_DIR / "stress-equivocate.json"))
+    assert len(asked) == 3
+    accepted = [rec for rec in events if rec["kind"] == "block-accepted"]
+    assert [rec["leader"] for rec in accepted] == [None] * 3
+    kinds = [rec["kind"] for rec in metrics.incidents]
+    assert kinds.count("corrupted-shard") == kinds.count("corrupted-committee") == 3
+    assert kinds.count("no-eligible-shards") == 7 and len(kinds) == 13
+    assert metrics.summary["blocks"] == 3 and metrics.summary["safety_ok"]
+
+    # Unpatched, the same config splits the observers.
+    monkeypatch.undo()
+    metrics, _ = run_scenario(load_config(CONFIG_DIR / "stress-equivocate.json"))
+    kinds = [rec["kind"] for rec in metrics.incidents]
+    assert kinds.count("equivocation") == 3 and not metrics.summary["safety_ok"]
+
+
 def test_force_corrupt_stops_at_the_budget():
     # A 1/20 budget of 64 unit stakes covers 3 members, short of the 6 that
     # would push the one shard's 16-member core past mu_core.
@@ -495,16 +550,16 @@ def test_invalid_json_raises_config_error(tmp_path):
         load_config(path)
 
 
-class CountingSet(set):
-    """A join set that records how often each join was added."""
+class CountingTable(dict):
+    """A join table that records how often each join was added."""
 
     def __init__(self):
         super().__init__()
         self.adds = {}
 
-    def add(self, item):
-        self.adds[item] = self.adds.get(item, 0) + 1
-        super().add(item)
+    def __setitem__(self, key, value):
+        self.adds[key] = self.adds.get(key, 0) + 1
+        super().__setitem__(key, value)
 
 
 def run_height(sim, target, renew=True):
@@ -560,7 +615,7 @@ def test_join_lands_once_in_the_join_set_route_names():
         assert run_height(sim, target)
     assert run_height(sim, height, renew=False)
     assert not any(sim.joins.values())
-    sim.joins = {label: CountingSet() for label in sim.joins}
+    sim.joins = {label: CountingTable() for label in sim.joins}
 
     messages = sim.meter.total
     first_event = len(sim.events)
@@ -575,6 +630,7 @@ def test_join_lands_once_in_the_join_set_route_names():
         assert label == rec["label"] == route(sim.directory, cred.value)
         assert cred.anchor_height == rec["anchor"] == height
         assert sim.joins[label].adds[cred] == 1
+        assert sim.joins[label][cred] is True  # derived by the renewal phase
     # Each join is delivered to every core member of its shard.
     assert sim.meter.total - messages == sum(
         len(sim.directory[rec["label"]].core) for rec in joins
@@ -620,9 +676,9 @@ def test_join_sets_follow_the_directory_through_splits_and_merges():
         sim._activate_corruptions(target)
         for phase in (views.update_views, views.apply_topology, agreement.produce_block):
             phase(sim, target)
-            assert set(sim.joins) == set(sim.renewed) == set(sim.directory)
+            assert set(sim.joins) == set(sim.directory)
         sim._renewals_and_workload(target)
-        assert set(sim.joins) == set(sim.renewed) == set(sim.directory)
+        assert set(sim.joins) == set(sim.directory)
     kinds = {rec["kind"] for rec in sim.events}
     assert {"split", "merge"} <= kinds
 
@@ -698,7 +754,7 @@ def test_forged_join_is_refused(kind):
         assert derive_credential(forged.pk, h0, 3, sim.headers, 3) == forged
     renewed = set(sim.joins[label])
     assert renewed
-    sim.joins[label].add(forged)
+    sim.joins[label][forged] = False  # not derived by the renewal phase
 
     views.update_views(sim, 4)
     view = sim.directory[label]
@@ -744,7 +800,7 @@ def test_admission_verdicts_equal_the_full_check(monkeypatch, overrides):
                 label_matches(label, cred.value)
                 and verify_credential(cred, eval_height, sim.headers, sim.utxos.utxo_at)
             )
-            renewed.append(cred in sim.renewed[label])
+            renewed.append(sim.joins[label].get(cred, False))
             return verdict
 
         return update_view(prev_view, decided_joins, judge)
@@ -761,8 +817,7 @@ def deliver_joins_one_by_one(sim, height):
         h0 = sim.utxos.live[pk].created_height
         cred = derive_credential(pk, h0, height, sim.headers, sim.cfg.epoch_length)
         view = sim.directory[route(sim.directory, cred.value)]
-        sim.joins[view.label].add(cred)
-        sim.renewed[view.label].add(cred)
+        sim.joins[view.label][cred] = True
         sim.meter.charge(len(view.core))
         sim.joins_submitted += 1
         sim.events.emit("join", height, label=view.label, pk=pk.hex(), anchor=cred.anchor_height)
@@ -814,7 +869,6 @@ def test_batched_renewals_equal_one_by_one_delivery(monkeypatch, make):
     for target in range(1, batch.cfg.heights + 1):
         assert run_height(batch, target) == run_height(reference, target)
         assert batch.joins == reference.joins
-        assert batch.renewed == reference.renewed
         assert batch.meter.total == reference.meter.total
         assert batch.joins_submitted == reference.joins_submitted
         assert batch.events.digest() == reference.events.digest()

@@ -35,7 +35,6 @@ from shardsim.ledger import (
     body_digest,
     count_signers,
     header_hash,
-    install_threshold,
     make_genesis,
     make_transaction,
     shard_quorum,
@@ -431,11 +430,11 @@ def test_sign_until_quorum_signs_in_order_until_quorum():
 
 def test_shard_quorum_measures_against_the_smaller_of_s_min_and_core():
     third = Fraction(1, 3)
-    assert shard_quorum(third, 9, 9) == install_threshold(third, 9) == 4
+    assert shard_quorum(third, 9, 9) == 4
     # A degraded core of two needs int(2/3) + 1 = 1 signature.
     assert shard_quorum(third, 3, 2) == 1
     # A core never counts for more than s_min.
-    assert shard_quorum(third, 3, 12) == install_threshold(third, 3) == 2
+    assert shard_quorum(third, 3, 12) == shard_quorum(third, 3, 3) == 2
 
 
 def test_count_signers_counts_distinct_allowed_valid_signers():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from shardsim.credentials import Credential, credential_blob
 from shardsim.crypto import Prg, encode_int, encode_str, keygen, sign, tagged_hash
-from shardsim.ledger import install_threshold
+from shardsim.ledger import shard_quorum
 from shardsim.membership import (
     ShardView,
     fill_core,
@@ -129,17 +129,17 @@ def test_install_threshold_exact_fraction_arithmetic():
     # 1/3 of 9 is exactly 3, so the strict majority-of-byzantine bound is 4.
     # Binary-float arithmetic would land on 3 and admit an all-byzantine
     # signer set; exact rationals are load-bearing here.
-    assert install_threshold(Fraction(1, 3), 9) == 4
-    assert install_threshold(Fraction(1, 3), 3) == 2
-    assert install_threshold(Fraction(1, 3), 4) == 2
-    assert install_threshold(Fraction(1, 2), 4) == 3
-    assert install_threshold(Fraction(0), 5) == 1
+    assert shard_quorum(Fraction(1, 3), 9, 9) == 4
+    assert shard_quorum(Fraction(1, 3), 3, 3) == 2
+    assert shard_quorum(Fraction(1, 3), 4, 4) == 2
+    assert shard_quorum(Fraction(1, 2), 4, 4) == 3
+    assert shard_quorum(Fraction(0), 5, 5) == 1
 
 
 @pytest.mark.parametrize("mu", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 5)])
 def test_install_threshold_is_the_fraction_floor_plus_one(mu):
     for n in range(301):
-        assert install_threshold(mu, n) == int(mu * n) + 1
+        assert shard_quorum(mu, n, n) == int(mu * n) + 1
 
 
 def test_order_spare_is_value_sorted():

@@ -11,7 +11,6 @@ from shardsim.ledger import VALID, Validity
 from shardsim.membership import ShardView
 from shardsim.overlay import (
     ROOT_LABEL,
-    SizeBounds,
     check_prefix_free_cover,
     label_matches,
     maybe_merge,
@@ -28,15 +27,6 @@ def test_label_matches():
     assert label_matches("10", b"\x80")
     assert not label_matches("11", b"\x80")
     assert label_matches("00000001", b"\x01")
-
-
-def test_size_bounds_validation():
-    SizeBounds(1, 2)
-    SizeBounds(16, 64)
-    with pytest.raises(ValueError):
-        SizeBounds(0, 4)
-    with pytest.raises(ValueError):
-        SizeBounds(3, 5)
 
 
 def test_prefix_free_cover_accepts_valid_sets():
@@ -74,13 +64,12 @@ def _cred(first_byte, tag, anchor=0, expiry=10):
 
 
 def test_maybe_split_partitions_on_next_bit():
-    bounds = SizeBounds(2, 4)
     zeros = [_cred(0x00, i) for i in range(3)]
     ones = [_cred(0x80, i) for i in range(3)]
     view = ShardView(
         label=ROOT_LABEL, height=1, core=tuple(zeros[:2] + ones[:2]), spare=(zeros[2], ones[2])
     )
-    (label0, left), (label1, right) = maybe_split(ROOT_LABEL, view, bounds)
+    (label0, left), (label1, right) = maybe_split(ROOT_LABEL, view, 2, 4)
     assert (label0, label1) == ("0", "1")
     # Replay the rule directly: membership decided by the bit after the prefix.
     assert all(value_bits(c.value)[0] == "0" for c in left)
@@ -96,7 +85,6 @@ def test_maybe_split_partitions_on_the_msb_first_bit_after_the_label():
     value has only bit i set goes to the ``1`` child; one with bit i clear
     and every later bit set goes to the ``0`` child.  Each child keeps the
     member order."""
-    bounds = SizeBounds(2, 4)
     for index in (0, 1, 7, 8, 15, 255):
         label = "0" * index
         bit = 1 << (255 - index)
@@ -107,21 +95,20 @@ def test_maybe_split_partitions_on_the_msb_first_bit_after_the_label():
         ]
         members = [zeros[0], ones[0], ones[1], zeros[1], ones[2], zeros[2]]
         view = ShardView(label, 1, tuple(members[:2]), tuple(members[2:]))
-        children = maybe_split(label, view, bounds)
+        children = maybe_split(label, view, 2, 4)
         assert children == ((label + "0", tuple(zeros)), (label + "1", tuple(ones)))
         assert all(label_matches(label + "1", c.value) for c in ones)
         assert all(label_matches(label + "0", c.value) for c in zeros)
     # Past the last bit of the value there is no bit to split on.
     with pytest.raises(IndexError):
-        maybe_split("0" * 256, view, bounds)
+        maybe_split("0" * 256, view, 2, 4)
 
 
 def test_maybe_split_deferrals():
-    bounds = SizeBounds(2, 4)
     small = ShardView(
         label=ROOT_LABEL, height=1, core=(_cred(0, 0), _cred(0x80, 0)), spare=()
     )
-    assert maybe_split(ROOT_LABEL, small, bounds) is None
+    assert maybe_split(ROOT_LABEL, small, 2, 4) is None
 
     # Oversized but lopsided: one child would fall under s_min.
     lopsided = ShardView(
@@ -130,30 +117,28 @@ def test_maybe_split_deferrals():
         core=tuple(_cred(0x00, i) for i in range(4)),
         spare=(_cred(0x80, 0),),
     )
-    assert maybe_split(ROOT_LABEL, lopsided, bounds) is None
+    assert maybe_split(ROOT_LABEL, lopsided, 2, 4) is None
 
 
 def test_maybe_split_uses_bit_after_label():
-    bounds = SizeBounds(2, 4)
     # All members share prefix "1"; they separate on the second bit.
     upper = [_cred(0xC0, i) for i in range(3)]  # 11...
     lower = [_cred(0x80, i) for i in range(3)]  # 10...
     view = ShardView(label="1", height=1, core=tuple(upper + lower[:2]), spare=(lower[2],))
-    (l0, zeros), (l1, ones) = maybe_split("1", view, bounds)
+    (l0, zeros), (l1, ones) = maybe_split("1", view, 2, 4)
     assert (l0, l1) == ("10", "11")
     assert {c.value for c in zeros} == {c.value for c in lower}
     assert {c.value for c in ones} == {c.value for c in upper}
 
 
 def test_maybe_merge_folds_sibling_subtree():
-    bounds = SizeBounds(3, 6)
     v10 = ShardView(label="10", height=4, core=(_cred(0x80, 0), _cred(0x80, 1)), spare=())
     v11 = ShardView(
         label="11", height=4, core=(_cred(0xC0, 0), _cred(0xC0, 1), _cred(0xC0, 2)), spare=()
     )
     v0 = ShardView(label="0", height=4, core=tuple(_cred(0x00, i) for i in range(3)), spare=())
     directory = {"10": v10, "11": v11, "0": v0}
-    new_label, absorbed, members = maybe_merge("10", v10, directory, bounds)
+    new_label, absorbed, members = maybe_merge("10", v10, directory, 3)
     assert new_label == "1"
     assert absorbed == ("10", "11")
     assert {c.value for c in members} == {c.value for c in v10.members() + v11.members()}
@@ -161,13 +146,12 @@ def test_maybe_merge_folds_sibling_subtree():
 
 
 def test_maybe_merge_skips_root_and_healthy_shards():
-    bounds = SizeBounds(3, 6)
     healthy = ShardView(
         label="10", height=4, core=tuple(_cred(0x80, i) for i in range(3)), spare=()
     )
-    assert maybe_merge("10", healthy, {"10": healthy}, bounds) is None
+    assert maybe_merge("10", healthy, {"10": healthy}, 3) is None
     tiny_root = ShardView(label=ROOT_LABEL, height=4, core=(_cred(0, 0),), spare=())
-    assert maybe_merge(ROOT_LABEL, tiny_root, {ROOT_LABEL: tiny_root}, bounds) is None
+    assert maybe_merge(ROOT_LABEL, tiny_root, {ROOT_LABEL: tiny_root}, 3) is None
 
 
 class TestViewTransition:
