@@ -261,9 +261,3 @@ STRATEGIES = {
         WorstCaseSeedStrategy,
     )
 }
-
-
-def make_strategy(name: str, params: Mapping | None = None) -> Strategy:
-    if name not in STRATEGIES:
-        raise ValueError(f"unknown adversary strategy: {name!r}")
-    return STRATEGIES[name](params)

@@ -22,39 +22,38 @@ from .sampling import sample_without_replacement
 
 log = logging.getLogger(__name__)
 
-# Exact rational arithmetic below this population size; log-gamma above.
-_EXACT_LIMIT = 5000
-
 _MC_CHUNK = 2048
 
 
-def _log_comb(n: int, k: int) -> float:
-    if k < 0 or k > n:
-        return float("-inf")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def _pmf_fraction(s: int, m: int, s_min: int, k: int) -> Fraction:
-    if k < 0 or k > s_min or k > m or s_min - k > s - m:
+def _hypergeom(population: int, marked: int, draws: int, low: int, high: int) -> Fraction:
+    """Exact P(low <= X <= high), X the marked items among ``draws`` taken
+    without replacement from ``population`` items of which ``marked`` are
+    marked: one integer sum of C(marked, k) C(population - marked, draws - k)
+    over one C(population, draws).  Each term is the one before times an
+    exact integer ratio, so no term calls ``comb``."""
+    unmarked = population - marked
+    lo = max(low, 0, draws - unmarked)
+    hi = min(high, marked, draws)
+    if lo > hi:
         return Fraction(0)
-    return Fraction(
-        math.comb(m, k) * math.comb(s - m, s_min - k), math.comb(s, s_min)
-    )
+    term = math.comb(marked, lo) * math.comb(unmarked, draws - lo)
+    total = term
+    for k in range(lo, hi):
+        term = term * (marked - k) * (draws - k) // ((k + 1) * (unmarked - draws + k + 1))
+        total += term
+    return Fraction(total, math.comb(population, draws))
+
+
+def _check_draw(s: int, m: int, s_min: int):
+    if not (0 <= s_min <= s and 0 <= m <= s):
+        raise ValueError("require 0 <= s_min <= s and 0 <= m <= s")
 
 
 def hypergeom_pmf(s: int, m: int, s_min: int, k: int) -> float:
     """P(exactly k of the s_min sampled members are malicious) when m of
     the s shard members are malicious; sampling is without replacement."""
-    if not (0 <= s_min <= s and 0 <= m <= s):
-        raise ValueError("require 0 <= s_min <= s and 0 <= m <= s")
-    if s <= _EXACT_LIMIT:
-        return float(_pmf_fraction(s, m, s_min, k))
-    log_p = (
-        _log_comb(m, k)
-        + _log_comb(s - m, s_min - k)
-        - _log_comb(s, s_min)
-    )
-    return math.exp(log_p)
+    _check_draw(s, m, s_min)
+    return float(_hypergeom(s, m, s_min, k, k))
 
 
 def exceedance_threshold(fraction: Fraction, sample_size: int) -> int:
@@ -67,12 +66,9 @@ def exceedance_threshold(fraction: Fraction, sample_size: int) -> int:
 
 
 def exact_core_tail(s: int, m: int, s_min: int, mu_core) -> Fraction:
-    """Exact P(sampled malicious fraction >= mu_core), rational arithmetic."""
-    threshold = exceedance_threshold(Fraction(mu_core), s_min)
-    return sum(
-        (_pmf_fraction(s, m, s_min, k) for k in range(threshold, s_min + 1)),
-        Fraction(0),
-    )
+    """Exact P(sampled malicious fraction >= mu_core)."""
+    _check_draw(s, m, s_min)
+    return _hypergeom(s, m, s_min, exceedance_threshold(Fraction(mu_core), s_min), s_min)
 
 
 def core_corruption_bound(mu_core, mu_shard, s_min: int) -> float:
@@ -104,29 +100,17 @@ def _malicious_total(N: int, mu_cred) -> int:
 
 
 def exact_single_shard_tail_fraction(m: int, S: int, N: int, mu_cred) -> Fraction:
+    """Exact P(one fixed shard of size S holds >= m malicious credentials)
+    under uniform assignment of floor(N*mu_cred) malicious among N: the
+    shard draws its S credentials from the N."""
     if not (0 <= m <= S <= N):
         raise ValueError("require 0 <= m <= S <= N")
-    total_malicious = _malicious_total(N, mu_cred)
-    denom = math.comb(N, total_malicious)
-    acc = Fraction(0)
-    for k in range(m, min(S, total_malicious) + 1):
-        acc += Fraction(math.comb(S, k) * math.comb(N - S, total_malicious - k), denom)
-    return acc
+    return _hypergeom(N, _malicious_total(N, mu_cred), S, m, S)
 
 
 def exact_single_shard_tail(m: int, S: int, N: int, mu_cred) -> float:
-    """Exact P(one fixed shard of size S holds >= m malicious credentials)
-    under uniform assignment of floor(N*mu_cred) malicious among N."""
-    if N <= _EXACT_LIMIT:
-        return float(exact_single_shard_tail_fraction(m, S, N, mu_cred))
-    total_malicious = _malicious_total(N, mu_cred)
-    log_denom = _log_comb(N, total_malicious)
-    acc = 0.0
-    for k in range(m, min(S, total_malicious) + 1):
-        acc += math.exp(
-            _log_comb(S, k) + _log_comb(N - S, total_malicious - k) - log_denom
-        )
-    return acc
+    """``exact_single_shard_tail_fraction`` as the nearest float."""
+    return float(exact_single_shard_tail_fraction(m, S, N, mu_cred))
 
 
 def mu_cred(mu, M: int) -> Fraction:
@@ -261,8 +245,30 @@ def _chunk_sizes(trials: int) -> list[int]:
     return sizes
 
 
-def _core_chunk(args) -> int:
-    s, m, s_min, threshold, n_trials, chunk_seed = args
+def _monte_carlo(chunk, tag: bytes, params: tuple, trials: int, seed, workers: int) -> float:
+    """Fraction of ``trials`` for which ``chunk(params, n_trials,
+    chunk_seed)`` counts an exceedance.  The trials run in fixed chunks,
+    each seeded from ``tag``, the root seed and its index, so the estimate
+    does not depend on ``workers``."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    root = _seed_digest(seed)
+    jobs = [
+        (params, n, tagged_hash(tag, root, encode_int(i)))
+        for i, n in enumerate(_chunk_sizes(trials))
+    ]
+    if workers == 1:
+        counts = [chunk(*job) for job in jobs]
+    else:
+        with get_context("fork").Pool(processes=workers) as pool:
+            counts = pool.starmap(chunk, jobs)
+    return sum(counts) / trials
+
+
+def _core_chunk(params, n_trials: int, chunk_seed: bytes) -> int:
+    s, m, s_min, threshold = params
     markers = [1] * m + [0] * (s - m)
     prg = Prg(chunk_seed)
     exceed = 0
@@ -271,13 +277,6 @@ def _core_chunk(args) -> int:
         if sum(picked) >= threshold:
             exceed += 1
     return exceed
-
-
-def _run_chunks(worker, jobs: list, workers: int) -> list:
-    if workers <= 1:
-        return [worker(job) for job in jobs]
-    with get_context("fork").Pool(processes=workers) as pool:
-        return pool.map(worker, jobs)
 
 
 def monte_carlo_core(
@@ -292,26 +291,16 @@ def monte_carlo_core(
     """Empirical frequency of electing a core at or above the mu_core
     malicious fraction, sampling s_min from a shard of s members (m of
     them malicious) with the production election sampler."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if workers < 1:
-        raise ValueError("workers must be positive")
     if not 0 <= m <= s:
         raise ValueError("malicious members must lie in [0, s]")
     if not 1 <= s_min <= s:
         raise ValueError("core size must lie in [1, s]")
-    root = _seed_digest(seed)
     threshold = exceedance_threshold(Fraction(mu_core), s_min)
-    jobs = [
-        (s, m, s_min, threshold, n, tagged_hash(b"mc-core", root, encode_int(i)))
-        for i, n in enumerate(_chunk_sizes(trials))
-    ]
-    counts = _run_chunks(_core_chunk, jobs, workers)
-    return sum(counts) / trials
+    return _monte_carlo(_core_chunk, b"mc-core", (s, m, s_min, threshold), trials, seed, workers)
 
 
-def _assignment_chunk(args) -> int:
-    N, K, S, total_malicious, threshold, n_trials, chunk_seed = args
+def _assignment_chunk(params, n_trials: int, chunk_seed: bytes) -> int:
+    N, K, S, total_malicious, threshold = params
     rng = np.random.default_rng(int.from_bytes(chunk_seed, "big"))
     remaining_total = np.full(n_trials, N, dtype=np.int64)
     remaining_bad = np.full(n_trials, total_malicious, dtype=np.int64)
@@ -341,19 +330,10 @@ def monte_carlo_assignment(
     credentials."""
     if N != K * S:
         raise ValueError("require N = K * S")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if workers < 1:
-        raise ValueError("workers must be positive")
     total_malicious = _malicious_total(N, mu_cred_frac)
     threshold = exceedance_threshold(Fraction(mu_shard), S)
-    root = _seed_digest(seed)
-    jobs = [
-        (N, K, S, total_malicious, threshold, n, tagged_hash(b"mc-assign", root, encode_int(i)))
-        for i, n in enumerate(_chunk_sizes(trials))
-    ]
-    counts = _run_chunks(_assignment_chunk, jobs, workers)
-    return sum(counts) / trials
+    params = (N, K, S, total_malicious, threshold)
+    return _monte_carlo(_assignment_chunk, b"mc-assign", params, trials, seed, workers)
 
 
 @dataclass(frozen=True)
@@ -364,11 +344,6 @@ class GrindComparison:
     chi2: float
     p_value: float
     epochs: int
-
-
-@dataclass(frozen=True)
-class _SeedOnlyHeader:
-    seed: bytes
 
 
 def compare_grind_passive(
@@ -415,8 +390,7 @@ def compare_grind_passive(
         ]
         epoch_seed = tagged_hash(b"grind-epoch", root, encode_int(epoch))
         for pks, table in ((grind_pks, grind_co), (passive_pks, passive_co)):
-            # A credential value digests only the pk and its anchor's seed.
-            creds = derive_credentials(pks, 0, (_SeedOnlyHeader(epoch_seed),), 1)
+            creds = derive_credentials(pks, 0, epoch_seed, 1)
             for label in route_all(directory, [c.value for c in creds]):
                 table[index[label]] += 1
 

@@ -29,7 +29,14 @@ from .analysis import (
     shard_tail_bound,
     solve_params,
 )
-from .config import ConfigError, ScenarioConfig, _open_unit_ratio, load_config, parse_ratio
+from .config import (
+    ConfigError,
+    ScenarioConfig,
+    _integer,
+    _open_unit_ratio,
+    _positive_number,
+    load_config,
+)
 from .harness import message_scaling_report, run_scenario
 from .oracles import InvariantError
 
@@ -81,11 +88,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_solve_params(args) -> int:
     result = solve_params(
-        parse_ratio(args.mu),
-        args.kappa,
-        args.n,
-        args.m_cap,
-        parse_ratio(args.mu_core),
+        _open_unit_ratio("--mu", args.mu),
+        _positive_number("--kappa", args.kappa),
+        _integer("--n", args.n, 1),
+        _integer("--m-cap", args.m_cap, 1),
+        _open_unit_ratio("--mu-core", args.mu_core),
         use_printed_form=args.printed_form,
     )
     _print(
@@ -116,18 +123,21 @@ def _cmd_bounds(args) -> int:
             )
         _print({"preset": "demo", "rows": rows})
         return 0
+    mu_core = _open_unit_ratio("--mu-core", args.mu_core)
+    mu_shard = _open_unit_ratio("--mu-shard", args.mu_shard)
+    mu_cred = _open_unit_ratio("--mu-cred", args.mu_cred)
+    s_min = _integer("--s-min", args.s_min, 1)
+    shards = _integer("--shards", args.shards, 1)
+    shard_size = _integer("--shard-size", args.shard_size, 1)
+    exact_n = _integer("--exact-n", args.exact_n, 0)  # 0: no exact tail
     payload = {
-        "core_bound": core_corruption_bound(
-            parse_ratio(args.mu_core), parse_ratio(args.mu_shard), args.s_min
-        ),
-        "union_bound": shard_tail_bound(
-            parse_ratio(args.mu_shard), parse_ratio(args.mu_cred), args.s_min, args.shards
-        ),
+        "core_bound": core_corruption_bound(mu_core, mu_shard, s_min),
+        "union_bound": shard_tail_bound(mu_shard, mu_cred, s_min, shards),
     }
-    if args.exact_n:
-        threshold = exceedance_threshold(parse_ratio(args.mu_shard), args.shard_size)
+    if exact_n:
+        threshold = exceedance_threshold(mu_shard, shard_size)
         payload["exact_single_shard_tail"] = exact_single_shard_tail(
-            threshold, args.shard_size, args.exact_n, parse_ratio(args.mu_cred)
+            threshold, shard_size, exact_n, mu_cred
         )
     _print(payload)
     return 0

@@ -83,14 +83,11 @@ def epoch_anchor(h0: int, h: int, epoch_length: int) -> int:
 
 
 def derive_credentials(
-    pks: Iterable[bytes], anchor: int, chain: Sequence, epoch_length: int
+    pks: Iterable[bytes], anchor: int, seed: bytes, epoch_length: int
 ) -> list[Credential]:
     """The credentials anchored at ``anchor`` of ``pks``, in order: each
-    value is a digest of the public key and the anchor block's seed.
-    ``chain`` holds accepted headers indexed by height."""
-    if anchor >= len(chain):
-        raise ValueError(f"anchor block {anchor} not accepted yet")
-    seed = chain[anchor].seed
+    value is a digest of the public key and ``seed``, the anchor block's
+    seed."""
     expiry = anchor + epoch_length
     return [Credential(tagged_hash_pair(b"cred", pk, seed), pk, anchor, expiry) for pk in pks]
 
@@ -98,8 +95,12 @@ def derive_credentials(
 def derive_credential(
     pk: bytes, h0: int, h: int, chain: Sequence, epoch_length: int
 ) -> Credential:
-    """Credential at height ``h`` of ``pk``'s UTXO created at ``h0``."""
-    (cred,) = derive_credentials((pk,), epoch_anchor(h0, h, epoch_length), chain, epoch_length)
+    """Credential at height ``h`` of ``pk``'s UTXO created at ``h0``.
+    ``chain`` holds accepted headers indexed by height."""
+    anchor = epoch_anchor(h0, h, epoch_length)
+    if anchor >= len(chain):
+        raise ValueError(f"anchor block {anchor} not accepted yet")
+    (cred,) = derive_credentials((pk,), anchor, chain[anchor].seed, epoch_length)
     return cred
 
 

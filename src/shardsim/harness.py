@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Container, Mapping, Sequence
 
 from . import agreement, views
-from .adversary import AdversaryState, activate_due, make_strategy, schedule_corruption
+from .adversary import STRATEGIES, AdversaryState, activate_due, schedule_corruption
 from .blocks import committee_size
 from .config import ScenarioConfig
 from .credentials import Credential, derive_credentials
@@ -54,7 +54,7 @@ class Simulation:
         self.meter = MessageMeter()
         self.events = EventLog()
         self.metrics = Metrics(config.name, config.n_credentials)
-        self.strategy = make_strategy(config.adversary_strategy, config.adversary_params)
+        self.strategy = STRATEGIES[config.adversary_strategy](config.adversary_params)
         self.adv = AdversaryState(seed=tagged_hash(b"adversary-seed", self.master))
         self.keyring: dict[bytes, object] = {}
         self.pending: dict[bytes, Transaction] = {}
@@ -95,7 +95,7 @@ class Simulation:
         )
 
         # Every keyring key participates; genesis pays keyring keys only.
-        creds = derive_credentials(self.utxos.sorted_pks, 0, self.headers, cfg.epoch_length)
+        creds = derive_credentials(self.utxos.sorted_pks, 0, genesis.header.seed, cfg.epoch_length)
         seed = shard_entropy(self.master, ROOT_LABEL, 0, b"bootstrap")
         self.directory: dict[str, ShardView] = {
             ROOT_LABEL: form_view(ROOT_LABEL, creds, 0, seed, cfg.s_min)

@@ -223,7 +223,7 @@ def deliver_joins(sim: Simulation, height: int):
     # A pk is due only at a multiple of the epoch after its UTXO was
     # created, so every due credential anchors at ``height``.
     creds = derive_credentials(
-        sim.utxos.due_renewals(height), height, sim.headers, sim.cfg.epoch_length
+        sim.utxos.due_renewals(height), height, sim.headers[height].seed, sim.cfg.epoch_length
     )
     directory, joins, emit = sim.directory, sim.joins, sim.events.emit
     delivered = 0

@@ -2,15 +2,12 @@
 
 from fractions import Fraction
 
-import pytest
-
 from shardsim.adversary import (
     STRATEGIES,
     AdversaryState,
     activate_due,
     controlled_stake,
     grind_transactions,
-    make_strategy,
     schedule_corruption,
 )
 from shardsim.crypto import keygen
@@ -155,12 +152,10 @@ class TestStrategyHooks:
         }
         for name, cls in STRATEGIES.items():
             assert cls.name == name
-        assert make_strategy("silent").name == "silent"
-        with pytest.raises(ValueError):
-            make_strategy("unknown")
+        assert STRATEGIES["silent"]().name == "silent"
 
     def test_passive_echoes_honest_inputs(self):
-        s = make_strategy("passive")
+        s = STRATEGIES["passive"]()
         byz = frozenset({self.members[1]})
         d = s.vector_decision(self.members, byz, self.honest, contract_holds=True)
         assert d.byzantine_values == {self.members[1]: self.honest[self.members[1]]}
@@ -172,7 +167,7 @@ class TestStrategyHooks:
         assert s.issue_transactions(fresh_state(), {}, 3, 3) == []
 
     def test_silent_withholds(self):
-        s = make_strategy("silent")
+        s = STRATEGIES["silent"]()
         byz = frozenset({self.members[0]})
         d = s.vector_decision(self.members, byz, self.honest, contract_holds=True)
         assert d.byzantine_values == {} and d.dictated is None
@@ -183,7 +178,7 @@ class TestStrategyHooks:
         assert ba.silent_leaders == frozenset({"10"})
 
     def test_equivocate_dictated_vectors_match_purpose(self):
-        s = make_strategy("equivocate")
+        s = STRATEGIES["equivocate"]()
         byz = frozenset({self.members[0]})
         joins = s.vector_decision(
             self.members, byz, self.honest, contract_holds=False, purpose="joins"
@@ -197,14 +192,14 @@ class TestStrategyHooks:
         assert held.dictated is None
 
     def test_equivocate_splits_observers(self):
-        s = make_strategy("equivocate")
+        s = STRATEGIES["equivocate"]()
         crafted = s.equivocate_blocks(lambda i: "block-%d" % i, 4)
         assert crafted == {0: "block-0", 1: "block-0", 2: "block-1", 3: "block-1"}
         assert s.equivocate_blocks(lambda i: "block-%d" % i, 1) is None
         assert s.equivocate_blocks(lambda i: None, 4) is None
 
     def test_grind_fires_on_epoch_boundaries(self):
-        s = make_strategy("grind")
+        s = STRATEGIES["grind"]()
         adv = fresh_state()
         keys, utxos = stake_map([1])
         adv.corrupted.add(keys[0].pk)
@@ -214,7 +209,7 @@ class TestStrategyHooks:
         assert len(txs) == 1
 
     def test_worst_case_seed_maximizes_objective(self):
-        s = make_strategy("worst-case-seed", {"candidates": 6})
+        s = STRATEGIES["worst-case-seed"]({"candidates": 6})
         adv = fresh_state()
         scores = {}
 
@@ -230,7 +225,7 @@ class TestStrategyHooks:
         assert scores[choice] == max(scores.values())
 
     def test_worst_case_seed_deterministic_per_stream(self):
-        s = make_strategy("worst-case-seed")
+        s = STRATEGIES["worst-case-seed"]()
         a = s.beacon_choice(b"entropy", lambda c: c[0], fresh_state().prg())
         b = s.beacon_choice(b"entropy", lambda c: c[0], fresh_state().prg())
         assert a == b

@@ -13,9 +13,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.stats import hypergeom
 
 from shardsim.analysis import (
-    _EXACT_LIMIT,
     _bit_strings,
     _seed_digest,
     compare_grind_passive,
@@ -92,8 +92,8 @@ def test_pmf_domain():
 
 
 def test_pmf_log_gamma_path_agrees_with_rationals():
-    # Above the exact-arithmetic cutoff the implementation switches to
-    # log-gamma; spot-check it against direct rational evaluation.
+    # A population beyond the enumeration tests' reach; spot-check it
+    # against direct rational evaluation.
     s, m, s_min, k = 6000, 1200, 50, 10
     exact = Fraction(
         math.comb(m, k) * math.comb(s - m, s_min - k), math.comb(s, s_min)
@@ -176,10 +176,78 @@ def test_exact_single_shard_tail_matches_enumeration():
 
 @pytest.mark.parametrize("N", [5001, 6000, 8192])
 def test_exact_single_shard_tail_float_path_matches_fraction(N):
-    # Above the exact limit the tail is summed in log space as floats.
-    assert N > _EXACT_LIMIT
+    # Populations beyond the enumeration test's reach: the float is the
+    # exact tail rounded once.
     exact = float(exact_single_shard_tail_fraction(22, 64, N, Fraction(1, 10)))
     assert exact_single_shard_tail(22, 64, N, Fraction(1, 10)) == pytest.approx(exact, rel=1e-9)
+
+
+def comb_sum(population, marked, draws, low, high):
+    """P(low <= X <= high) for a hypergeometric X, one ``math.comb`` product
+    per term."""
+    hits = sum(
+        math.comb(marked, k) * math.comb(population - marked, draws - k)
+        for k in range(max(low, 0), min(high, draws) + 1)
+    )
+    return Fraction(hits, math.comb(population, draws))
+
+
+# The Monte Carlo core grid of perfbench and acceptance criterion 4, the
+# shards of ``test_exact_core_tail_below_bound``, and small cells at the
+# edges of the support.
+CORE_GRID = [
+    (60, 18, 30), (100, 25, 60), (100, 30, 90), (120, 24, 60), (200, 50, 120),
+    (300, 30, 60), (500, 125, 120), (12, 12, 5), (12, 0, 12), (7, 3, 7), (5, 5, 0),
+]
+
+
+@pytest.mark.parametrize("s,m,s_min", CORE_GRID)
+def test_exact_core_tail_equals_the_direct_comb_sum(s, m, s_min):
+    for mu in (Fraction(1, 3), Fraction(1, 2), Fraction(0), Fraction(1)):
+        threshold = exceedance_threshold(mu, s_min)
+        assert exact_core_tail(s, m, s_min, mu) == comb_sum(s, m, s_min, threshold, s_min)
+    for k in range(-1, s_min + 2):
+        assert hypergeom_pmf(s, m, s_min, k) == float(comb_sum(s, m, s_min, k, k))
+
+
+# The perfbench assignment grid (N 1024, shards of 64, credential fractions
+# 1/10 and 1/4, shard bounds 2/5 and 1/2) and cells where the malicious
+# total is below the threshold, above the shard size, or everything.
+@pytest.mark.parametrize(
+    "N,S,cred_frac",
+    [(1024, 64, Fraction(1, 10)), (1024, 64, Fraction(1, 4)), (4096, 128, Fraction(1, 10)),
+     (64, 16, Fraction(1, 10)), (64, 48, Fraction(3, 4)), (12, 12, Fraction(1))],
+)
+def test_exact_single_shard_tail_equals_the_direct_comb_sum(N, S, cred_frac):
+    total_malicious = math.floor(cred_frac * N)
+    for mu_shard in (Fraction(2, 5), Fraction(1, 2), Fraction(0), Fraction(1)):
+        m = exceedance_threshold(mu_shard, S)
+        # P(the shard's S slots hold >= m of the malicious credentials).
+        expected = comb_sum(N, S, total_malicious, m, total_malicious)
+        assert exact_single_shard_tail_fraction(m, S, N, cred_frac) == expected
+        assert exact_single_shard_tail(m, S, N, cred_frac) == float(expected)
+
+
+# ``abs=0``: these probabilities lie far below pytest's default absolute
+# tolerance of 1e-12.
+@pytest.mark.parametrize("N", [10**6, 10**7])
+def test_exact_single_shard_tail_agrees_with_scipy_at_large_n(N):
+    S, m = 1024, 300
+    got = exact_single_shard_tail(m, S, N, Fraction(1, 10))
+    assert got == pytest.approx(hypergeom.sf(m - 1, N, N // 10, S), rel=1e-9, abs=0)
+    assert hypergeom_pmf(N, N // 10, S, m) == pytest.approx(
+        hypergeom.pmf(m, N, N // 10, S), rel=1e-9, abs=0
+    )
+
+
+def test_exact_core_tail_agrees_with_scipy():
+    s, m, s_min = 20000, 5000, 4000
+    threshold = exceedance_threshold(Fraction(1, 3), s_min)
+    got = float(exact_core_tail(s, m, s_min, Fraction(1, 3)))
+    assert got == pytest.approx(hypergeom.sf(threshold - 1, s, m, s_min), rel=1e-9, abs=0)
+    assert hypergeom_pmf(s, m, s_min, 1000) == pytest.approx(
+        hypergeom.pmf(1000, s, m, s_min), rel=1e-9, abs=0
+    )
 
 
 def test_exact_single_shard_tail_domain_and_rounding(caplog):

@@ -250,6 +250,54 @@ def test_bounds_vacuous_parameters_exit_2(capsys):
     assert "error:" in err
 
 
+SOLVE = ("--mu", "1/10", "--kappa", "20", "--n", "4096", "--m-cap", "1", "--mu-core", "1/3")
+
+
+def _replaced(argv, flag, value):
+    """``argv`` with ``flag``'s value swapped for ``value``."""
+    i = argv.index(flag)
+    return argv[:i + 1] + (value,) + argv[i + 2:]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--s-min", "0"),
+        ("bounds", "--mu-core", "2", "--mu-shard", "1/5", "--mu-cred", "1/10",
+         "--s-min", "64", "--shards", "16"),
+        ("bounds", "--mu-cred", "0"),
+        ("bounds", "--shards", "-3"),
+        ("bounds", "--exact-n", "100", "--shard-size", "0"),
+        ("bounds", "--exact-n", "-1"),
+        ("solve-params", *_replaced(SOLVE, "--mu-core", "2")),
+        ("solve-params", *_replaced(SOLVE, "--mu", "1")),
+        ("solve-params", *_replaced(SOLVE, "--n", "-5")),
+        ("solve-params", *_replaced(SOLVE, "--m-cap", "0")),
+        ("solve-params", *_replaced(SOLVE, "--kappa", "nan")),
+        ("solve-params", *_replaced(SOLVE, "--kappa", "-1")),
+    ],
+    ids=[
+        "bounds-s-min-zero",
+        "bounds-mu-core-above-one",
+        "bounds-mu-cred-zero",
+        "bounds-shards-negative",
+        "bounds-shard-size-zero",
+        "bounds-exact-n-negative",
+        "solve-mu-core-above-one",
+        "solve-mu-one",
+        "solve-n-negative",
+        "solve-m-cap-zero",
+        "solve-kappa-nan",
+        "solve-kappa-negative",
+    ],
+)
+def test_bounds_and_solve_params_malformed_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_montecarlo_core(capsys):
     code, out, _ = run_cli(
         capsys, "montecarlo", "core", "--s", "60", "--m", "12", "--s-min", "40",

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from shardsim import config as config_module
 from shardsim import agreement, harness, oracles, records, views
-from shardsim.adversary import Strategy, WorstCaseSeedStrategy, make_strategy
+from shardsim.adversary import STRATEGIES, Strategy, WorstCaseSeedStrategy
 from shardsim.analysis import exceedance_threshold
 from shardsim.cli import main
 from shardsim.credentials import (
@@ -693,7 +693,7 @@ def test_corrupted_join_slot_is_the_strategys_choice(monkeypatch, strategy, corr
     assert received
     core = sim.directory[label].core
     sim.adv.corrupted.update(c.pk for c in core[:2])
-    sim.strategy = make_strategy(strategy, {})
+    sim.strategy = STRATEGIES[strategy]({})
     decided = []
 
     def recording(parts, *args, **kwargs):
@@ -857,7 +857,7 @@ def test_batched_renewals_equal_one_by_one_delivery(monkeypatch, make):
         if sim is reference:
             return deliver_joins_one_by_one(sim, height)
         due = sim.utxos.due_renewals(height)
-        assert derive_credentials(due, height, sim.headers, epoch) == [
+        assert derive_credentials(due, height, sim.headers[height].seed, epoch) == [
             derive_credential(pk, sim.utxos.live[pk].created_height, height, sim.headers, epoch)
             for pk in due
         ]
