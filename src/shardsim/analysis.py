@@ -23,6 +23,8 @@ from .sampling import sample_without_replacement
 log = logging.getLogger(__name__)
 
 _MC_CHUNK = 2048
+# Largest core size ``solve_params`` searches.
+_S_CAP = 1 << 20
 
 
 def _hypergeom(population: int, marked: int, draws: int, low: int, high: int) -> Fraction:
@@ -155,16 +157,15 @@ def solve_params(
     N: int,
     M: int,
     mu_core,
-    s_cap: int = 1 << 20,
-    use_printed_form: bool = False,
 ) -> SolveResult:
-    """Smallest core size (and a matching mu_shard) meeting the kappa
-    target for both the core-corruption bound and the any-shard union bound.
+    """Smallest core size up to ``_S_CAP`` (and a matching mu_shard)
+    meeting the kappa target for both the core-corruption bound and the
+    any-shard union bound.
 
-    ``use_printed_form`` swaps the union-bound constraint for the
-    alternative published inequality (its direction is inconsistent with
-    the bound derivation; it is exposed only for comparison and its output
-    does not self-verify against the union bound).
+    The report's ``printed_form_upper`` is the alternative published
+    inequality's bound on mu_shard at the solved size, for comparison only:
+    its direction is inconsistent with the bound derivation, so it never
+    decides the size.
     """
     mu_cred_val = float(mu_cred(mu, M))
     mu_core_val = float(Fraction(mu_core))
@@ -178,22 +179,16 @@ def solve_params(
 
     def feasible(s: int) -> bool:
         lower, upper = _shard_windows(mu_cred_val, mu_core_val, kappa, N, s)
-        if use_printed_form:
-            printed = _printed_upper(mu_cred_val, kappa, N, s)
-            if printed is None:
-                return False
-            lower = mu_cred_val + 1e-12
-            upper = min(upper, printed)
         return lower <= upper
 
-    if not feasible(s_cap):
+    if not feasible(_S_CAP):
         return SolveResult(
             feasible=False,
             s_min=None,
             mu_shard=None,
-            report={"reason": f"no feasible core size up to {s_cap}"},
+            report={"reason": f"no feasible core size up to {_S_CAP}"},
         )
-    lo, hi = 1, s_cap
+    lo, hi = 1, _S_CAP
     while lo < hi:
         mid = (lo + hi) // 2
         if feasible(mid):
@@ -203,9 +198,6 @@ def solve_params(
     s_min = lo
 
     lower, upper = _shard_windows(mu_cred_val, mu_core_val, kappa, N, s_min)
-    if use_printed_form:
-        printed = _printed_upper(mu_cred_val, kappa, N, s_min)
-        lower, upper = mu_cred_val, min(upper, printed)
     mu_shard = (lower + upper) / 2.0
 
     core_residual = core_corruption_bound(mu_core_val, mu_shard, s_min)
@@ -221,12 +213,10 @@ def solve_params(
         "union_residual": union_residual,
         "window": (lower, upper),
         "printed_form_upper": _printed_upper(mu_cred_val, kappa, N, s_min),
-        "used_printed_form": use_printed_form,
     }
-    if not use_printed_form:
-        # Replay both inequalities; the search guarantees they hold.
-        assert core_residual <= target * (1 + 1e-9)
-        assert union_residual <= target * (1 + 1e-9)
+    # Replay both inequalities; the search guarantees they hold.
+    assert core_residual <= target * (1 + 1e-9)
+    assert union_residual <= target * (1 + 1e-9)
     return SolveResult(feasible=True, s_min=s_min, mu_shard=mu_shard, report=report)
 
 

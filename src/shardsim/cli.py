@@ -93,7 +93,6 @@ def _cmd_solve_params(args) -> int:
         _integer("--n", args.n, 1),
         _integer("--m-cap", args.m_cap, 1),
         _open_unit_ratio("--mu-core", args.mu_core),
-        use_printed_form=args.printed_form,
     )
     _print(
         {
@@ -107,22 +106,6 @@ def _cmd_solve_params(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.preset:
-        rows = []
-        for s_min in (64, 128, 256, 512):
-            rows.append(
-                {
-                    "s_min": s_min,
-                    "core_bound": core_corruption_bound(
-                        Fraction(1, 3), Fraction(1, 5), s_min
-                    ),
-                    "union_bound": shard_tail_bound(
-                        Fraction(1, 5), Fraction(1, 10), s_min, 16
-                    ),
-                }
-            )
-        _print({"preset": "demo", "rows": rows})
-        return 0
     mu_core = _open_unit_ratio("--mu-core", args.mu_core)
     mu_shard = _open_unit_ratio("--mu-shard", args.mu_shard)
     mu_cred = _open_unit_ratio("--mu-cred", args.mu_cred)
@@ -193,7 +176,9 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    grid = [int(x) for x in args.n_grid.split(",")]
+    grid = [_integer("--n-grid", int(x), 1) for x in args.n_grid.split(",")]
+    if len(set(grid)) < 2:
+        raise ValueError(f"--n-grid needs at least two distinct sizes, got {args.n_grid!r}")
     configs = [
         ScenarioConfig(
             name=f"scale-{n}",
@@ -215,8 +200,10 @@ def _cmd_scaling(args) -> int:
         for n in grid
     ]
     report = message_scaling_report(configs)
-    first = report["rows"][0]["per_user_messages"]
-    last = report["rows"][-1]["per_user_messages"]
+    # Growth from the smallest size to the largest, whatever the grid order.
+    per_user = [row["per_user_messages"] for row in report["rows"]]
+    first = per_user[grid.index(min(grid))]
+    last = per_user[grid.index(max(grid))]
     growth = (last / first) if first else float("inf")
     report["overall_growth"] = growth
     report["sublinear"] = growth < 4.0
@@ -245,15 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--n", type=int, required=True, help="credential count")
     p_solve.add_argument("--m-cap", type=int, required=True, help="per-UTXO stake cap")
     p_solve.add_argument("--mu-core", required=True, help="core corruption bound, e.g. 1/3")
-    p_solve.add_argument(
-        "--printed-form",
-        action="store_true",
-        help="use the alternative published inequality (comparison only)",
-    )
     p_solve.set_defaults(func=_cmd_solve_params)
 
-    p_bounds = sub.add_parser("bounds", help="closed-form risk bounds")
-    p_bounds.add_argument("--preset", action="store_true", help="demo grid")
+    p_bounds = sub.add_parser("bounds", help="closed-form risk bounds at one core size (--s-min)")
     p_bounds.add_argument("--mu-core", default="1/3")
     p_bounds.add_argument("--mu-shard", default="1/5")
     p_bounds.add_argument("--mu-cred", default="1/10")

@@ -194,13 +194,11 @@ class Simulation:
         return ParticipantSet(members=members, byzantine=byzantine)
 
     def shard_corrupted(self, view: ShardView) -> bool:
-        """Whether the core of ``view`` is past mu_core by ``within_bound``,
-        counted as ``core_parts`` counts it (distinct corrupted pks): such a
-        shard counts as a corrupted shard, votes as a corrupted committee
-        member, and its corrupted members sign any block."""
-        corrupted = self.adv.corrupted
-        count = len(corrupted.intersection([c.pk for c in view.core])) if corrupted else 0
-        return not within_bound(count, len(view.core), self.cfg.mu_core)
+        """Whether the core of ``view``, as ``core_parts`` gives it, is past
+        mu_core: such a shard counts as a corrupted shard, votes as a
+        corrupted committee member, and its corrupted members sign any
+        block."""
+        return not self.core_parts(view).within(self.cfg.mu_core)
 
     def signing_keys(
         self, view: ShardView, honest_sign: bool, byz_sign: bool

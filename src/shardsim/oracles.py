@@ -11,6 +11,10 @@ from .ledger import Block, header_hash
 from .records import Metrics
 
 
+# Blocks after its delivery within which an honest tx counts as timely.
+LIVENESS_WINDOW = 2
+
+
 class InvariantError(RuntimeError):
     """An internal invariant of the simulation broke: a fault in shardsim,
     not a verdict on the scenario."""
@@ -36,9 +40,10 @@ def check_safety(chains: Sequence[Sequence[Block]]) -> bool:
     return True
 
 
-def check_liveness(metrics: Metrics, window: int = 2) -> LivenessReport:
+def check_liveness(metrics: Metrics) -> LivenessReport:
     """Every honest tx delivered during the run must land in an accepted
-    block; landing within ``window`` blocks is the efficiency sub-verdict."""
+    block; landing within ``LIVENESS_WINDOW`` blocks is the efficiency
+    sub-verdict."""
     ids = sorted(tx for tx, rec in metrics.latencies.items() if rec["honest"])
     pending = []
     within = 0
@@ -47,7 +52,7 @@ def check_liveness(metrics: Metrics, window: int = 2) -> LivenessReport:
         if rec["included"] is None:
             pending.append(tx)
             continue
-        if rec["included"] - rec["delivered"] <= window:
+        if rec["included"] - rec["delivered"] <= LIVENESS_WINDOW:
             within += 1
     return LivenessReport(
         all_included=not pending,

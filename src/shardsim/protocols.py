@@ -4,10 +4,10 @@ These are not message-level protocol implementations.  Each primitive
 checks whether the corruption among its participants is within the bound
 its contract assumes.  Within the bound, the contract's guarantees are
 produced directly (and the adversary only gets the freedom the contract
-leaves it: nulling slots, withholding, delaying).  Above the bound the
-contract is void and an adversary hook dictates the outcome.  The primitives
-count no messages: the run charges each instance to its ``MessageMeter``
-where it calls the primitive.
+leaves it: nulling its own slots, withholding, delaying).  Above the bound
+the contract is void and an adversary hook dictates the outcome.  The
+primitives count no messages: the run charges each instance to its
+``MessageMeter`` where it calls the primitive.
 """
 
 from __future__ import annotations
@@ -76,13 +76,12 @@ class VectorDecision:
     """Adversary choices for one vector agreement instance.
 
     ``byzantine_values`` maps a corrupted slot to its proposed value (absent
-    means null); ``null_honest`` asks the scheduler to null honest slots.
-    When the instance is outside its contract, ``dictated`` replaces the
-    whole vector.
+    means null); honest slots are not the adversary's to null.  When the
+    instance is outside its contract, ``dictated`` replaces the whole
+    vector.
     """
 
     byzantine_values: Mapping = field(default_factory=dict)
-    null_honest: frozenset = field(default_factory=frozenset)
     dictated: Sequence | None = None
 
 
@@ -93,11 +92,11 @@ def vector_consensus(
 ) -> list:
     """Agree on one value per participant (None for nulled slots).
 
-    The contract binds while the corrupted count stays at or below
+    The contract binds while the corrupted count f stays at or below
     floor((n-1)/3).  Within it, the decided vector holds the true input of
-    every non-nulled honest member and at least f+1 slots stay non-null
-    (f the corrupted count), so at least one honest input always survives.
-    Above it the adversary dictates the vector.
+    every honest member, and each corrupted slot holds its chosen value or
+    None: the adversary nulls only its own f slots, never the n - f >= 2f + 1
+    honest ones.  Above it the adversary dictates the vector.
     """
     decision = decision or VectorDecision()
 
@@ -108,26 +107,11 @@ def vector_consensus(
             raise ValueError("dictated vector has wrong arity")
         return list(decision.dictated)
 
-    f = len(parts.byzantine)
-    vector: list = []
-    for member in parts.members:
-        if member in parts.byzantine:
-            vector.append(decision.byzantine_values.get(member))
-        elif member in decision.null_honest:
-            vector.append(None)
-        else:
-            vector.append(honest_inputs.get(member))
-
-    # Validity floor: the adversary cannot null below f + 1 live slots.
-    non_null = sum(1 for v in vector if v is not None)
-    if non_null < f + 1:
-        for i, member in enumerate(parts.members):
-            if vector[i] is None and member not in parts.byzantine:
-                vector[i] = honest_inputs.get(member)
-                non_null += 1 if vector[i] is not None else 0
-                if non_null >= f + 1:
-                    break
-    return vector
+    byzantine_values = decision.byzantine_values
+    return [
+        byzantine_values.get(member) if member in parts.byzantine else honest_inputs.get(member)
+        for member in parts.members
+    ]
 
 
 def random_beacon(

@@ -100,7 +100,7 @@ def test_criterion_01_safety_suite(suite):
 def test_criterion_02_liveness_and_efficiency(suite):
     total = within = 0
     for cfg, metrics, _events in suite:
-        report = check_liveness(metrics, window=2)
+        report = check_liveness(metrics)
         assert report.all_included, (cfg.name, report.pending)
         honest = [rec for rec in metrics.latencies.values() if rec["honest"]]
         total += len(honest)

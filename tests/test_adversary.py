@@ -159,7 +159,7 @@ class TestStrategyHooks:
         byz = frozenset({self.members[1]})
         d = s.vector_decision(self.members, byz, self.honest, contract_holds=True)
         assert d.byzantine_values == {self.members[1]: self.honest[self.members[1]]}
-        assert d.dictated is None and not d.null_honest
+        assert d.dictated is None
         assert s.signs()
         assert s.beacon_choice(b"e", lambda c: 0.0, None) is None
         assert s.ba_decision(frozenset(), {}) == BaDecision()

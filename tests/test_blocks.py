@@ -137,13 +137,24 @@ class TestBuildProposal:
         assert block.body == ()
 
     def test_nulled_slots_drop_their_contribution(self):
-        decision = VectorDecision(null_honest=frozenset({self.keys[0].pk}))
-        block = build_proposal(
-            "1", self.parts, self.prev, self.state, self._inputs({}), 1,
-            decision=decision,
+        # Four members tolerate one corrupted; the adversary nulls its slot
+        # (no value chosen), so neither its VRF value nor its transaction
+        # reaches the block.
+        byz = keygen(b"blk-byz")
+        parts = ParticipantSet(
+            members=(byz.pk,) + self.parts.members, byzantine=frozenset({byz.pk})
         )
+        tx = make_transaction([self.keys[3]], [TxOutput(keygen(b"pay-n").pk, 1)])
+        member_inputs = {
+            **self._inputs({}), byz.pk: ((tx,), vrf_eval(byz, self.prev.seed))
+        }
+        block = build_proposal(
+            "1", parts, self.prev, self.state, member_inputs, 1,
+            decision=VectorDecision(),
+        )
+        assert block.body == ()
         proof_pks = [pk for pk, _ in block.header.vrf_proofs]
-        assert proof_pks == [self.keys[1].pk, self.keys[2].pk]
+        assert proof_pks == list(self.parts.members)
         assert block.header.seed == block_seed(
             [self.vrfs[pk].value for pk in proof_pks]
         )

@@ -227,12 +227,20 @@ def test_bounds_explicit_and_preset(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["core_bound"] == pytest.approx(0.00011141793776294947)
+    assert payload["core_bound"] == pytest.approx(0.00011141793776294947, abs=0)
     assert payload["union_bound"] == pytest.approx(0.095616366320095)
 
-    code, out, _ = run_cli(capsys, "bounds", "--preset")
-    assert code == 0
-    assert len(json.loads(out)["rows"]) == 4
+    # A grid of core sizes is one call per --s-min under the default flags.
+    grid = {
+        64: (0.10273981490249444, 4.448596807251105),
+        128: (0.010555469566198818, 1.2368758470927954),
+        256: (0.00011141793776294947, 0.095616366320095),
+        512: (1.241395685534848e-08, 0.0005714055942661623),
+    }
+    for s_min, (core_bound, union_bound) in grid.items():
+        code, out, _ = run_cli(capsys, "bounds", "--s-min", str(s_min))
+        assert code == 0
+        assert json.loads(out) == {"core_bound": core_bound, "union_bound": union_bound}
 
     code, out, _ = run_cli(
         capsys, "bounds", "--exact-n", "1024", "--shard-size", "64",
@@ -392,6 +400,24 @@ def test_scaling_small_grid(capsys):
     assert payload["sublinear"]
     assert payload["overall_growth"] < 4.0
     assert [row["n_credentials"] for row in payload["rows"]] == [64, 128]
+
+    # The growth runs from the smallest size to the largest in any order.
+    code, out, _ = run_cli(
+        capsys, "scaling", "--n-grid", "128,64", "--s-min", "8", "--s-max", "16",
+        "--heights", "4", "--tx-rate", "0",
+    )
+    assert code == 0
+    reversed_payload = json.loads(out)
+    assert reversed_payload["overall_growth"] == payload["overall_growth"]
+    assert reversed_payload["sublinear"] == payload["sublinear"]
+
+
+@pytest.mark.parametrize("n_grid", ["64", "64,64", "0,64", "64,x"])
+def test_scaling_malformed_grid_exits_2(capsys, n_grid):
+    code, out, err = run_cli(capsys, "scaling", "--n-grid", n_grid)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
 
 
 def test_module_entry_point():

@@ -114,15 +114,20 @@ class TestVectorConsensus:
         vec = vector_consensus(ps, inputs(ps), VectorDecision())
         assert vec == ["val-m0", "val-m1", None, "val-m3"]
 
-    def test_null_honest_respects_validity_floor(self):
-        # One corrupted of four: at least two slots must stay non-null.
-        ps = parts(4, byz=["m3"])
-        decision = VectorDecision(null_honest=frozenset({"m0", "m1", "m2"}))
-        vec = vector_consensus(ps, inputs(ps), decision)
-        assert sum(1 for v in vec if v is not None) == 2
-        # The restored slots carry true honest inputs.
-        restored = [v for v in vec if v is not None]
-        assert all(v.startswith("val-") for v in restored)
+    @given(st.data())
+    def test_contract_keeps_honest_inputs(self, data):
+        # Within the contract, whatever the adversary chooses (even values
+        # keyed by honest members), every honest slot holds its input and
+        # every corrupted slot its chosen value or None.
+        n = data.draw(st.integers(1, 12))
+        members = ["m%d" % i for i in range(n)]
+        byz = data.draw(st.lists(st.sampled_from(members), max_size=(n - 1) // 3, unique=True))
+        ps = parts(n, byz=byz)
+        chosen = data.draw(
+            st.dictionaries(st.sampled_from(members), st.none() | st.text(max_size=3))
+        )
+        vec = vector_consensus(ps, inputs(ps), VectorDecision(byzantine_values=chosen))
+        assert vec == [chosen.get(m) if m in byz else "val-" + m for m in members]
 
     def test_contract_boundary(self):
         # n=4 tolerates exactly one corrupted member.
