@@ -178,8 +178,8 @@ def _endorse(
     shard_sigs = []
     for label in committee.labels:
         view = sim.directory[label]
-        keys, withheld = sim.signing_keys(view, honest_sign, byz_sign or label in byz_labels)
-        ss = shard_sign_block(label, view, block, keys, cfg.mu_core, cfg.s_min, withheld)
+        signers = sim.willing_signers(view, honest_sign, byz_sign or label in byz_labels)
+        ss = shard_sign_block(label, view, block, sim.keyring, signers, cfg.mu_core, cfg.s_min)
         if ss is not None:
             shard_sigs.append(ss)
     if len(shard_sigs) < certificate_quorum(cfg.f_shard):
@@ -258,7 +258,7 @@ def accept(
     it to every observer (``per_observer`` overrides the delivery)."""
     sim.chain.append(block)
     sim.headers.append(block.header)
-    sim.utxos.apply(block, sim.keyring)
+    sim.utxos.apply(block)
     for i, chain in enumerate(sim.observer_chains):
         chain.append(per_observer.get(i, block) if per_observer else block)
     sim.meter.charge(sim.cfg.n_credentials)  # block diffusion

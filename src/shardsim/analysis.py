@@ -252,7 +252,7 @@ def _monte_carlo(chunk, tag: bytes, params: tuple, trials: int, seed, workers: i
     if workers == 1:
         counts = [chunk(*job) for job in jobs]
     else:
-        with get_context("fork").Pool(processes=workers) as pool:
+        with get_context("fork").Pool(processes=min(workers, len(jobs))) as pool:
             counts = pool.starmap(chunk, jobs)
     return sum(counts) / trials
 
@@ -353,6 +353,10 @@ def compare_grind_passive(
     """
     if n_adversary < 1 or shard_bits < 1 or epochs < 1:
         raise ValueError("need at least one adversary, one shard bit and one epoch")
+    # 2**shard_bits > 2 * n_adversary * epochs: some label would get no
+    # placement in either arm, an empty column the chi-square test refuses.
+    if shard_bits >= (2 * n_adversary * epochs).bit_length():
+        raise ValueError("2**shard_bits labels exceed the 2 * adversaries * epochs placements")
 
     from scipy.stats import chi2_contingency
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .crypto import KeyPair, Prg, VrfOutput
 from .ledger import (
@@ -133,19 +133,19 @@ def shard_sign_block(
     view: ShardView,
     block: Block,
     keyring: Mapping[bytes, KeyPair],
+    signers: Iterable[bytes],
     mu_core: Fraction,
     s_min: int,
-    withheld: Container[bytes] = (),
 ) -> ShardSignature | None:
     """Endorse a decided block with a quorum of core-member signatures.
 
-    Core members with a key pair in ``keyring`` and not in ``withheld``
-    sign in core order.  Returns None if the willing signers cannot reach
-    the quorum.
+    ``signers`` are the core pks willing to sign, in core order; each one
+    with a key pair in ``keyring`` signs until the quorum.  Returns None if
+    the willing signers cannot reach the quorum.
     """
     quorum = shard_quorum(mu_core, s_min, len(view.core))
     msg = shard_signature_digest(label, block.header.core_digest)
-    sigs = sign_until_quorum([c.pk for c in view.core], keyring, msg, quorum, withheld)
+    sigs = sign_until_quorum(signers, keyring, msg, quorum)
     if len(sigs) < quorum:
         return None
     return ShardSignature(label=label, view_height=view.height, member_sigs=tuple(sigs))

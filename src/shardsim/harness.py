@@ -11,14 +11,14 @@ scenario seed, so a config replays to byte-identical outputs.
 
 from __future__ import annotations
 
-from typing import Container, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from . import agreement, views
 from .adversary import STRATEGIES, AdversaryState, activate_due, schedule_corruption
 from .blocks import committee_size
 from .config import ScenarioConfig
 from .credentials import Credential, derive_credentials
-from .crypto import Prg, encode_int, keygen, tagged_hash
+from .crypto import KeyPair, Prg, encode_int, keygen, tagged_hash
 from .ledger import (
     BlockRules,
     Transaction,
@@ -56,7 +56,7 @@ class Simulation:
         self.metrics = Metrics(config.name, config.n_credentials)
         self.strategy = STRATEGIES[config.adversary_strategy](config.adversary_params)
         self.adv = AdversaryState(seed=tagged_hash(b"adversary-seed", self.master))
-        self.keyring: dict[bytes, object] = {}
+        self.keyring: dict[bytes, KeyPair] = {}
         self.pending: dict[bytes, Transaction] = {}
         self.in_flight: set[bytes] = set()
         self.attempt = 0  # failed tries at the current height
@@ -200,18 +200,14 @@ class Simulation:
         block."""
         return not self.core_parts(view).within(self.cfg.mu_core)
 
-    def signing_keys(
+    def willing_signers(
         self, view: ShardView, honest_sign: bool, byz_sign: bool
-    ) -> tuple[Mapping, Container[bytes]]:
-        """Keys and withheld pks for ``sign_until_quorum``: of the core of
-        ``view``, honest members sign iff ``honest_sign``, corrupted ones iff
-        ``byz_sign``.  While honest members sign, the keyring goes whole and
-        is looked up only until the quorum."""
-        corrupted, keyring = self.adv.corrupted, self.keyring
-        if honest_sign:
-            return keyring, (() if byz_sign else corrupted)
-        willing = [c.pk for c in view.core if byz_sign and c.pk in corrupted]
-        return {pk: keyring[pk] for pk in willing if pk in keyring}, ()
+    ) -> Iterator[bytes]:
+        """The core pks of ``view`` willing to sign, in core order: an honest
+        member iff ``honest_sign``, a corrupted one iff ``byz_sign``.  Lazy,
+        so ``sign_until_quorum`` reads the core only until its quorum."""
+        corrupted = self.adv.corrupted
+        return (c.pk for c in view.core if (byz_sign if c.pk in corrupted else honest_sign))
 
     # -- the height loop -----------------------------------------------------
 
@@ -248,7 +244,11 @@ class Simulation:
     def _draw_senders(self, count: int) -> list[bytes]:
         """Up to ``count`` honest senders.  Keys in flight are none, nor is a
         key whose secret the adversary has ever held, even after a respend
-        rotated it out of the corrupted set."""
+        rotated it out of the corrupted set.  ``adv.keys`` holds every live
+        key outside the keyring too: keys join the keyring at set-up, here
+        and in the adversary's marker transaction, before their first
+        output; every other key is made by ``AdversaryState.fresh_key``,
+        which records it in ``adv.keys``."""
         adv = self.adv
         excluded = (self.in_flight, adv.corrupted, adv.pending, adv.keys)
         return self.utxos.draw_senders(count, self.workload_prg, excluded)

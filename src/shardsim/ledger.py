@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .crypto import (
     ZERO_DIGEST,
@@ -295,26 +295,25 @@ def certificate_quorum(f: int) -> int:
 
 
 def sign_until_quorum(
-    pks: Iterable[bytes],
+    signers: Iterable[bytes],
     keys: Mapping[bytes, KeyPair],
     msg: bytes,
     quorum: int,
-    withheld: Container[bytes] = (),
 ) -> list[tuple[bytes, Signature]]:
-    """Willing members sign ``msg`` in the order of ``pks`` until ``quorum``
+    """The willing ``signers`` sign ``msg`` in their order until ``quorum``
     distinct signatures are collected.
 
-    ``keys`` maps pks to key pairs; a pk without one, or in ``withheld``,
-    does not sign.  Keys are looked up only for the members reached before
-    the quorum.  Returns the signatures collected, fewer than ``quorum``
-    when the willing members run out.  Every signer signs the same
-    message, so a further signature could not change a quorum verdict.
+    ``keys`` maps pks to key pairs; a signer without one does not sign.
+    Signers are read, and keys looked up, only until the quorum.  Returns
+    the signatures collected, fewer than ``quorum`` when the willing
+    signers run out.  Every signer signs the same message, so a further
+    signature could not change a quorum verdict.
     """
     sigs: dict[bytes, Signature] = {}
-    for pk in pks:
+    for pk in signers:
         if len(sigs) == quorum:
             break
-        if pk in withheld or pk in sigs:
+        if pk in sigs:
             continue
         kp = keys.get(pk)
         if kp is not None:

@@ -20,7 +20,6 @@ from .ledger import Validity, VALID
 from .membership import ShardView, perished_before
 
 ROOT_LABEL = ""
-_ROUTE_HEAD_BYTES = 8
 
 
 def label_matches(label: str, value: bytes) -> bool:
@@ -70,17 +69,12 @@ def route(directory: Mapping[str, ShardView], value: bytes) -> str:
     Under a prefix-free cover exactly one prefix of the value is a label,
     so the shortest registered prefix is the answer.
     """
-    # Labels rarely run deeper than 64 bits, so the probes start on the
-    # value's first 8 bytes and take its whole bit string only past them.
     # A leading 0x01 sentinel keeps the value's leading zero bits.
-    start = 0
-    for head in (value[:_ROUTE_HEAD_BYTES], value):
-        bits = bin(int.from_bytes(b"\x01" + head, "big"))[3:]
-        for depth in range(start, len(bits) + 1):
-            prefix = bits[:depth]
-            if prefix in directory:
-                return prefix
-        start = len(bits) + 1
+    bits = bin(int.from_bytes(b"\x01" + value, "big"))[3:]
+    for depth in range(len(bits) + 1):
+        prefix = bits[:depth]
+        if prefix in directory:
+            return prefix
     raise LookupError("no shard label matches the value: broken cover")
 
 

@@ -39,10 +39,6 @@ class ParticipantSet:
     members: tuple
     byzantine: frozenset
 
-    def __post_init__(self):
-        if self.byzantine and not frozenset(self.members) >= self.byzantine:
-            raise ValueError("byzantine members must belong to the participant set")
-
     @property
     def n(self) -> int:
         return len(self.members)

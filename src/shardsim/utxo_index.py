@@ -6,13 +6,15 @@ block ``a`` exactly when ``c <= a < s`` (genesis UTXOs are pre-aged, so
 their ``created_height`` is negative).  No height's set is stored:
 ``utxo_at`` looks up the one UTXO a credential check needs, and the index
 is a read-only mapping that builds an accepted height's set on demand.
+The index knows no keys: whether the run holds a pk's key is read from
+``Simulation.keyring`` where a key is needed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections.abc import Mapping
-from typing import Container, Iterable
+from typing import Iterable
 
 from .crypto import Prg
 from .ledger import Block, Utxo, spend
@@ -22,8 +24,8 @@ from .sampling import sample_without_replacement
 class UtxoIndex(Mapping):
     """The live set and the spent index, plus what the per-height loop
     walks: the renewal schedule (live pks by ``created_height %
-    epoch_length``), the sorted live pks and the live pks outside the
-    keyring.  ``apply`` alone writes them."""
+    epoch_length``) and the sorted live pks.  ``apply`` alone writes
+    them."""
 
     def __init__(self, live: dict[bytes, Utxo], epoch_length: int):
         self.live = live
@@ -35,14 +37,10 @@ class UtxoIndex(Mapping):
         for pk, utxo in live.items():
             self.renewals[utxo.created_height % epoch_length].add(pk)
         self.sorted_pks = sorted(live)
-        # Genesis pays keyring keys only, so none is outside the keyring.
-        self.outside_keyring: set[bytes] = set()
 
-    def apply(self, block: Block, keyring: Container[bytes]):
+    def apply(self, block: Block):
         """Spend an accepted, validated block on the live set in place, one
-        transaction at a time.  The keyring only grows, and a key joins it
-        before its first output exists, so a UTXO outside the keyring stays
-        outside for its life."""
+        transaction at a time."""
         height = block.header.height
         live, pks, renewals, epoch = self.live, self.sorted_pks, self.renewals, self.epoch_length
         for tx in block.body:
@@ -51,13 +49,10 @@ class UtxoIndex(Mapping):
                 self.spent.setdefault(pk, []).append((utxo, height))
                 renewals[utxo.created_height % epoch].discard(pk)
                 del pks[bisect_left(pks, pk)]
-                self.outside_keyring.discard(pk)
             spend(live, tx, height)
             for out in tx.outputs:
                 renewals[height % epoch].add(out.pk)
                 insort(pks, out.pk)
-                if out.pk not in keyring:
-                    self.outside_keyring.add(out.pk)
         self.tip = height
 
     def utxo_at(self, pk: bytes, height: int) -> Utxo | None:
@@ -86,29 +81,29 @@ class UtxoIndex(Mapping):
         return self.tip + 1
 
     def due_renewals(self, height: int) -> list[bytes]:
-        """Live keyring pks whose credential renews at ``height``, sorted.
+        """Live pks whose credential renews at ``height``, sorted.
 
         A UTXO renews at every multiple of the epoch after its creation, so
         only the schedule entry of ``height``'s residue is walked; ``apply``
         keeps each entry equal to the live pks created under its residue.
+        ``views.deliver_joins`` keeps the pks whose key the run holds.
         """
-        epoch, live, outside = self.epoch_length, self.live, self.outside_keyring
+        epoch, live = self.epoch_length, self.live
         return [
             pk
             for pk in sorted(self.renewals[height % epoch])
-            if pk not in outside and height >= live[pk].created_height + epoch
+            if height >= live[pk].created_height + epoch
         ]
 
     def draw_senders(
         self, count: int, prg: Prg, excluded: Iterable[Iterable[bytes]]
     ) -> list[bytes]:
         """Up to ``count`` distinct pks drawn with ``prg`` from the sorted
-        live pks outside the groups in ``excluded`` and inside the keyring,
-        by the shared ordered sampler.  The excluded keys are few, so only
-        their positions are looked up and cut out of the sorted pks."""
+        live pks outside the groups in ``excluded``, by the shared ordered
+        sampler.  The excluded keys are few, so only their positions are
+        looked up and cut out of the sorted pks."""
         live, pks = self.live, self.sorted_pks
-        groups = (*excluded, self.outside_keyring)
-        taken = sorted({bisect_left(pks, pk) for group in groups for pk in group if pk in live})
+        taken = sorted({bisect_left(pks, pk) for group in excluded for pk in group if pk in live})
         candidates = []
         start = 0
         for i in taken:

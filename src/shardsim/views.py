@@ -123,13 +123,11 @@ def _update_one_view(sim: Simulation, old_view: ShardView, height: int):
     # Whatever was collected goes to the install, which alone counts the
     # quorum; corrupted members sign as the strategy says.
     old_pks = set(core_pks)
-    keys, withheld = sim.signing_keys(old_view, True, sim.strategy.signs())
     signatures = sign_until_quorum(
-        core_pks,
-        keys,
+        sim.willing_signers(old_view, True, sim.strategy.signs()),
+        sim.keyring,
         digest,
         shard_quorum(cfg.mu_core, cfg.s_min, len(old_pks)),
-        withheld,
     )
     if not install_and_diffuse(view, signatures, old_pks, cfg.mu_core, cfg.s_min):
         _reject_view(sim, label, height, "view-install-failed")
@@ -219,12 +217,13 @@ def apply_topology(sim: Simulation, height: int):
 
 def deliver_joins(sim: Simulation, height: int):
     """Route each credential renewing at ``height`` to every core member of
-    its shard, recorded as derived so admission need not derive it again."""
+    its shard, recorded as derived so admission need not derive it again.
+    Only pks whose key the run holds in ``sim.keyring`` renew."""
     # A pk is due only at a multiple of the epoch after its UTXO was
-    # created, so every due credential anchors at ``height``.
-    creds = derive_credentials(
-        sim.utxos.due_renewals(height), height, sim.headers[height].seed, sim.cfg.epoch_length
-    )
+    # created, so every due credential anchors at ``height``.  The
+    # adversary's fresh keys stay outside the keyring until ROADMAP item 9.
+    due = [pk for pk in sim.utxos.due_renewals(height) if pk in sim.keyring]
+    creds = derive_credentials(due, height, sim.headers[height].seed, sim.cfg.epoch_length)
     directory, joins, emit = sim.directory, sim.joins, sim.events.emit
     delivered = 0
     for cred, routed in zip(creds, route_all(directory, [c.value for c in creds])):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.stats import hypergeom
 
+from shardsim import analysis
 from shardsim.analysis import (
     _bit_strings,
     _seed_digest,
@@ -362,6 +363,33 @@ class TestMonteCarloCore:
         with pytest.raises(ValueError):
             monte_carlo_core(10, 2, 3, Fraction(1, 3), 0, "x")
 
+    def test_pool_asks_for_no_more_processes_than_chunks(self, monkeypatch):
+        """A fake context records the pool size and runs the chunks in this
+        process, so no process is started."""
+        asked = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, jobs):
+                return [fn(*job) for job in jobs]
+
+        inline = SimpleNamespace(Pool=InlinePool)
+        monkeypatch.setattr(analysis, "get_context", lambda method: inline)
+        args = (20, 8, 5, Fraction(1, 3))
+        # 100 trials are one chunk, 5,000 are three.
+        for trials, workers, processes in ((100, 64, 1), (5_000, 64, 3), (5_000, 2, 2)):
+            est = monte_carlo_core(*args, trials, "mc-core-unit", workers=workers)
+            assert asked.pop() == processes
+            assert est == monte_carlo_core(*args, trials, "mc-core-unit")
+
     # Exact estimates, frozen: a change to the PRG stream or to the
     # sampler's pop rule moves them.  The trial counts span several
     # 2048-trial chunks, and the cores several PRG blocks per trial.
@@ -425,6 +453,12 @@ class TestGrindComparison:
         assert sum(a.passive_counts) == 20 * 50
         assert 0.0 <= a.p_value <= 1.0
         assert a.epochs == 50
+
+    def test_more_labels_than_placements_is_refused(self):
+        # 2**20 labels against two placements: refused before any label is
+        # built.  More bits would only cost more if the check went missing.
+        with pytest.raises(ValueError, match="placements"):
+            compare_grind_passive(1, 20, 1, "grind-unit")
 
     def test_distinct_seeds_diverge(self):
         a = compare_grind_passive(20, 2, 50, "grind-unit")

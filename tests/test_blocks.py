@@ -189,8 +189,9 @@ class TestShardSignBlock:
         self.block = build_proposal("0", parts, prev, {}, inputs, 1)
 
     def test_stops_at_exact_quorum(self):
+        signers = [c.pk for c in self.core]
         ss = shard_sign_block(
-            "0", self.view, self.block, self.keyring, self.mu_core, s_min=3
+            "0", self.view, self.block, self.keyring, signers, self.mu_core, s_min=3
         )
         assert ss is not None
         assert len(ss.member_sigs) == 2  # int(1/3 * 3) + 1
@@ -198,15 +199,21 @@ class TestShardSignBlock:
         assert ss.view_height == 4
 
     def test_unwilling_signers_yield_none(self):
+        signers = [c.pk for c in self.core]
         only_one = {self.keys[0].pk: self.keys[0]}
         assert shard_sign_block(
-            "0", self.view, self.block, only_one, self.mu_core, 3
+            "0", self.view, self.block, only_one, signers, self.mu_core, 3
+        ) is None
+        # A core member that is not among the signers does not sign.
+        assert shard_sign_block(
+            "0", self.view, self.block, self.keyring, signers[:1], self.mu_core, 3
         ) is None
 
     def test_degraded_core_quorum_is_proportional(self):
         degraded = ShardView(label="0", height=4, core=self.core[:2], spare=())
+        signers = [c.pk for c in degraded.core]
         ss = shard_sign_block(
-            "0", degraded, self.block, self.keyring, self.mu_core, s_min=3
+            "0", degraded, self.block, self.keyring, signers, self.mu_core, s_min=3
         )
         assert ss is not None and len(ss.member_sigs) == 1
 

@@ -351,6 +351,7 @@ def test_montecarlo_grind(capsys):
         ("grind", "--epochs", "0"),
         ("grind", "--adversaries", "0"),
         ("grind", "--shard-bits", "0"),
+        ("grind", "--adversaries", "1", "--epochs", "1", "--shard-bits", "20"),
         ("grind", "--epochs", "50", "--alpha", "-1"),
         ("grind", "--epochs", "50", "--alpha", "0"),
         ("grind", "--epochs", "50", "--alpha", "5"),
@@ -372,6 +373,7 @@ def test_montecarlo_grind(capsys):
         "grind-epochs-zero",
         "grind-adversaries-zero",
         "grind-shard-bits-zero",
+        "grind-more-labels-than-placements",
         "grind-alpha-negative",
         "grind-alpha-zero",
         "grind-alpha-above-one",

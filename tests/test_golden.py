@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from shardsim.harness import ScenarioConfig, run_scenario
+from shardsim.harness import ScenarioConfig, Simulation, run_scenario
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -278,3 +278,22 @@ def test_golden_digests(name):
     assert metrics.summary["view_violations"] == 0
     assert events.digest() == events_digest
     assert metrics.digest() == metrics_digest
+
+
+def test_grind_half_renews_keyring_keys_only():
+    """suite-003 with grind respending half of its corrupted UTXOs each
+    height: the one pin in which fresh adversary keys, outside the keyring,
+    live until they come due for renewal.  None of them joins a shard, and
+    every live key outside the keyring is one the adversary made."""
+    mapping = _corpus_mapping(3, "grind", 3)
+    mapping["adversary"] = {"strategy": "grind", "params": {"fraction": "1/2"}}
+    sim = Simulation(ScenarioConfig.from_mapping(mapping))
+    metrics, events = sim.run()
+    assert metrics.summary["blocks"] == 30
+    assert metrics.summary["safety_ok"] is True
+    assert events.digest() == "9f41115fdf3604726ba91963db75ea161aab5cf34a6f0ce5ec1d2baeed12997d"
+    assert metrics.digest() == "4717b689af8bd07153dc012daf15ab1b02f53acb677aa5464b765ede0faa8a23"
+    joined = {bytes.fromhex(rec["pk"]) for rec in events if rec["kind"] == "join"}
+    assert joined and joined <= sim.keyring.keys()
+    outside = sim.utxos.live.keys() - sim.keyring.keys()
+    assert outside and outside <= sim.adv.keys.keys()

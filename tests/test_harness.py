@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shardsim import config as config_module
-from shardsim import agreement, harness, oracles, records, views
+from shardsim import agreement, blocks, harness, oracles, records, views
 from shardsim.adversary import STRATEGIES, Strategy, WorstCaseSeedStrategy
 from shardsim.analysis import exceedance_threshold
 from shardsim.cli import main
@@ -389,6 +389,38 @@ def test_stress_run_detects_equivocation():
     assert "equivocation" in kinds
     # The run still terminates and reports rather than crashing.
     assert metrics.summary["blocks"] >= 1
+
+
+def test_every_protocol_membership_keeps_its_corrupted_members_inside(monkeypatch):
+    """Every ``ParticipantSet`` the run hands to a protocol has its
+    corrupted members among its members; the builders keep that rule, so
+    no construction checks it."""
+    seen = {}
+
+    def record(module, name):
+        protocol = getattr(module, name)
+
+        def recorded(parts, *args, **kwargs):
+            seen.setdefault(f"{module.__name__}.{name}", []).append(parts)
+            return protocol(parts, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    record(views, "vector_consensus")
+    record(blocks, "vector_consensus")
+    record(views, "random_beacon")
+    record(agreement, "verifiable_ba")
+    run_scenario(load_config(CONFIG_DIR / "stress-equivocate.json"))
+    assert sorted(seen) == [
+        "shardsim.agreement.verifiable_ba",
+        "shardsim.blocks.vector_consensus",
+        "shardsim.views.random_beacon",
+        "shardsim.views.vector_consensus",
+    ]
+    for calls in seen.values():
+        for parts in calls:
+            assert parts.byzantine <= set(parts.members)
+    assert any(parts.byzantine for calls in seen.values() for parts in calls)
 
 
 def test_silent_strategy_stalls_without_safety_loss():
@@ -812,8 +844,10 @@ def test_admission_verdicts_equal_the_full_check(monkeypatch, overrides):
 
 def deliver_joins_one_by_one(sim, height):
     """Reference for ``views.deliver_joins``: one derivation, one ``route``
-    call, one charge and one count per renewing pk."""
+    call, one charge and one count per renewing keyring pk."""
     for pk in sim.utxos.due_renewals(height):
+        if pk not in sim.keyring:
+            continue
         h0 = sim.utxos.live[pk].created_height
         cred = derive_credential(pk, h0, height, sim.headers, sim.cfg.epoch_length)
         view = sim.directory[route(sim.directory, cred.value)]
@@ -892,6 +926,22 @@ def test_threshold_rules_at_the_mu_core_boundary():
     # One more corrupted member is past mu_core.
     sim.adv.corrupted.add(view.core[10].pk)
     assert sim.shard_corrupted(view)
+
+
+@pytest.mark.parametrize("honest_sign", [False, True])
+@pytest.mark.parametrize("byz_sign", [False, True])
+def test_willing_signers_follow_each_members_consent(honest_sign, byz_sign):
+    """Of the core, in core order: an honest member is willing iff
+    ``honest_sign``, a corrupted one iff ``byz_sign``."""
+    sim = Simulation(config(genesis=[{"count": 40, "stake": 1}], s_min=30, s_max=80))
+    view = sim.directory[""]
+    core = [c.pk for c in view.core]
+    corrupted, honest = core[::3], [pk for pk in core if pk not in core[::3]]
+    # A corrupted key outside the core is nobody's signer here.
+    sim.adv.corrupted = set(corrupted) | {keygen(b"outside-the-core").pk}
+    willing = set(honest if honest_sign else ()) | set(corrupted if byz_sign else ())
+    signers = sim.willing_signers(view, honest_sign, byz_sign)
+    assert list(signers) == [pk for pk in core if pk in willing]
 
 
 def keep_expired_member(update_view, label):
@@ -1232,7 +1282,7 @@ def test_schedule_and_sorted_keys_match_full_scans(epoch_length, data):
     """Drive random accepted bodies through ``agreement.accept`` and compare,
     at each height, every accepted height's UTXO set and credential verdicts
     with snapshots folded by ``apply_block``, the renewal schedule with a
-    sorted scan of every keyring key, and the workload's sender draws with
+    sorted scan of every live key, and the workload's sender draws with
     draws over the sorted, filtered UTXO set from the same PRG state."""
     sim = Simulation(
         config(
@@ -1253,11 +1303,10 @@ def test_schedule_and_sorted_keys_match_full_scans(epoch_length, data):
     touched = set(sorted(sim.utxos.live)[:2])
     made = []
 
-    def new_key(in_keyring=True):
+    def new_key():
         kp = keygen(tagged_hash(b"differential", encode_int(len(made))))
         made.append(kp)
-        if in_keyring:
-            sim.keyring[kp.pk] = kp
+        sim.keyring[kp.pk] = kp
         return kp.pk
 
     def transfer(running, pk, out, height):
@@ -1273,7 +1322,8 @@ def test_schedule_and_sorted_keys_match_full_scans(epoch_length, data):
             if kind == "self":
                 out = pk
             elif kind == "outside":
-                out = new_key(in_keyring=False)
+                # Outside the keyring, as the adversary's respends are.
+                out = sim.adv.fresh_key().pk
             else:
                 out = new_key()
             body.append(transfer(running, pk, out, height))
@@ -1327,9 +1377,8 @@ def test_schedule_and_sorted_keys_match_full_scans(epoch_length, data):
 
         due = [
             pk
-            for pk in sorted(sim.keyring)
-            if pk in sim.utxos.live
-            and height >= sim.utxos.live[pk].created_height + epoch_length
+            for pk in live
+            if height >= sim.utxos.live[pk].created_height + epoch_length
             and (height - sim.utxos.live[pk].created_height) % epoch_length == 0
         ]
         assert sim.utxos.due_renewals(height) == due
