@@ -1,6 +1,7 @@
-"""Security mathematics: exact election probabilities, concentration
-bounds, the worst-case credential fraction, parameter solving, and Monte
-Carlo validators.
+"""Security mathematics: exact election probabilities, the exact
+any-shard assignment tail, concentration bounds, the worst-case credential
+fraction, parameter solving, Monte Carlo validators, and the grind
+comparison's chi-square test.
 
 The core-election Monte Carlo deliberately runs through the same
 without-replacement sampler the membership module uses for its elections,
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import get_context
-import numpy as np
 
 from .crypto import Prg, encode_int, hash_digest, tagged_hash
 from .sampling import sample_without_replacement
@@ -113,6 +113,39 @@ def exact_single_shard_tail_fraction(m: int, S: int, N: int, mu_cred) -> Fractio
 def exact_single_shard_tail(m: int, S: int, N: int, mu_cred) -> float:
     """``exact_single_shard_tail_fraction`` as the nearest float."""
     return float(exact_single_shard_tail_fraction(m, S, N, mu_cred))
+
+
+def _truncated_product(a: list[int], b: list[int], degree: int) -> list[int]:
+    """Coefficients of the polynomial product a * b up to x^degree."""
+    out = [0] * max(min(len(a) + len(b) - 1, degree + 1), 0)
+    for i, x in enumerate(a[: len(out)]):
+        for j, y in enumerate(b[: len(out) - i]):
+            out[i + j] += x * y
+    return out
+
+
+def exact_any_shard_tail(N: int, K: int, S: int, mu_cred, mu_shard) -> Fraction:
+    """Exact P(any of K shards of size S holds >= mu_shard * S of the
+    floor(N * mu_cred) malicious credentials) under uniform assignment.
+
+    A placement of the M malicious credentials with every shard below the
+    threshold t picks c < t slots in each shard, so such placements number
+    [x^M] (sum_{c<t} C(S, c) x^c)^K; the power is taken by repeated
+    squaring, truncated at degree M."""
+    if N != K * S:
+        raise ValueError("require N = K * S")
+    M = _malicious_total(N, mu_cred)
+    t = exceedance_threshold(Fraction(mu_shard), S)
+    shard = [math.comb(S, c) for c in range(min(t, M + 1))]
+    below = [1]
+    while K:
+        if K & 1:
+            below = _truncated_product(below, shard, M)
+        K >>= 1
+        if K:
+            shard = _truncated_product(shard, shard, M)
+    safe = below[M] if M < len(below) else 0
+    return 1 - Fraction(safe, math.comb(N, M))
 
 
 def mu_cred(mu, M: int) -> Fraction:
@@ -290,6 +323,8 @@ def monte_carlo_core(
 
 
 def _assignment_chunk(params, n_trials: int, chunk_seed: bytes) -> int:
+    import numpy as np
+
     N, K, S, total_malicious, threshold = params
     rng = np.random.default_rng(int.from_bytes(chunk_seed, "big"))
     remaining_total = np.full(n_trials, N, dtype=np.int64)
@@ -358,8 +393,6 @@ def compare_grind_passive(
     if shard_bits >= (2 * n_adversary * epochs).bit_length():
         raise ValueError("2**shard_bits labels exceed the 2 * adversaries * epochs placements")
 
-    from scipy.stats import chi2_contingency
-
     from .credentials import derive_credentials
     from .crypto import keygen
     from .overlay import route_all
@@ -373,8 +406,8 @@ def compare_grind_passive(
         keygen(tagged_hash(b"grind-passive", root, encode_int(i))).pk
         for i in range(n_adversary)
     ]
-    grind_co = np.zeros(len(labels), dtype=np.int64)
-    passive_co = np.zeros(len(labels), dtype=np.int64)
+    grind_co = [0] * len(labels)
+    passive_co = [0] * len(labels)
 
     for epoch in range(epochs):
         # Grinding keys are fixed before the epoch seed exists.
@@ -388,15 +421,69 @@ def compare_grind_passive(
             for label in route_all(directory, [c.value for c in creds]):
                 table[index[label]] += 1
 
-    chi2, p_value, _, _ = chi2_contingency(np.array([grind_co, passive_co]))
+    placed = [column for column in zip(grind_co, passive_co) if any(column)]
+    if len(placed) < 2:
+        raise ValueError(
+            f"only {len(placed)} of the 2**{shard_bits} labels got a placement from"
+            f" {n_adversary} adversaries over {epochs} epochs; the chi-square test"
+            " needs two: raise the adversaries or the epochs"
+        )
+    chi2, p_value = _chi_square(placed)
     return GrindComparison(
         shard_labels=tuple(labels),
-        grind_counts=tuple(int(x) for x in grind_co),
-        passive_counts=tuple(int(x) for x in passive_co),
-        chi2=float(chi2),
-        p_value=float(p_value),
+        grind_counts=tuple(grind_co),
+        passive_counts=tuple(passive_co),
+        chi2=chi2,
+        p_value=p_value,
         epochs=epochs,
     )
+
+
+def _chi_square(columns: list[tuple[int, int]]) -> tuple[float, float]:
+    """Pearson's chi-square test of independence on a two-row table given
+    by its columns, each with a nonzero total: the statistic and its
+    p-value.  At one degree of freedom Yates' continuity correction moves
+    each count min(0.5, |observed - expected|) toward its expectation."""
+    rows = [sum(row) for row in zip(*columns)]
+    total = sum(rows)
+    dof = len(columns) - 1
+    chi2 = 0.0
+    for column in columns:
+        col_total = sum(column)
+        for observed, row_total in zip(column, rows):
+            expected = row_total * col_total / total
+            if dof == 1:
+                diff = expected - observed
+                observed += math.copysign(min(0.5, abs(diff)), diff)
+            chi2 += (observed - expected) ** 2 / expected
+    return chi2, _chi2_sf(chi2, dof)
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(chi-square with integer ``dof`` degrees of freedom >= x), in closed
+    form: with y = x / 2, the sum over i < dof // 2 of e^-y y^(i+a) /
+    Gamma(i+a+1), where a = 0 for even dof, and a = 1/2 plus erfc(sqrt(y))
+    for odd dof.  The largest term is taken in log space and the others by
+    recurrence from it, so the sum does not underflow before its value does."""
+    if x <= 0:
+        return 1.0
+    y = x / 2
+    a = (dof % 2) / 2
+    total = math.erfc(math.sqrt(y)) if dof % 2 else 0.0
+    terms = dof // 2
+    if terms:
+        peak = min(max(int(y - a), 0), terms - 1)
+        top = math.exp((peak + a) * math.log(y) - y - math.lgamma(peak + a + 1))
+        total += top
+        term = top
+        for i in range(peak, 0, -1):
+            term *= (i + a) / y
+            total += term
+        term = top
+        for i in range(peak + 1, terms):
+            term *= y / (i + a)
+            total += term
+    return min(total, 1.0)
 
 
 def _bit_strings(depth: int):

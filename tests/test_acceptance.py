@@ -16,8 +16,10 @@ import pytest
 from shardsim.analysis import (
     compare_grind_passive,
     core_corruption_bound,
+    exact_any_shard_tail,
     exact_core_tail,
-    exact_single_shard_tail,
+    exact_single_shard_tail_fraction,
+    exceedance_threshold,
     hypergeom_pmf,
     monte_carlo_assignment,
     monte_carlo_core,
@@ -159,23 +161,18 @@ def test_criterion_04_core_exceedance_bounds():
 
 def test_criterion_05_assignment_exceedance_bounds():
     n, k, shard_size = 1024, 16, 64
-    trials = 100_000
-    # Seed pinned: the union bound is nearly tight for a partition into
-    # shards, so the +3 sigma clause leaves little slack at these trial
-    # counts and the comparison must be reproducible.
-    seed = "acceptance-criterion-5"
     for cred_frac in (Fraction(1, 10), Fraction(1, 4)):
         for mu_shard in (Fraction(2, 5), Fraction(1, 2)):
-            est = monte_carlo_assignment(
-                n, k, shard_size, cred_frac, mu_shard, trials, seed
-            )
+            exact = exact_any_shard_tail(n, k, shard_size, cred_frac, mu_shard)
             union = shard_tail_bound(mu_shard, cred_frac, shard_size, k)
-            sigma = math.sqrt(union * (1 - union) / trials)
-            assert est <= union + 3 * sigma, (cred_frac, mu_shard, est, union)
+            assert exact <= union, (cred_frac, mu_shard, float(exact), union)
 
-            threshold = math.ceil(mu_shard * shard_size)
-            per_shard = exact_single_shard_tail(threshold, shard_size, n, cred_frac)
-            assert k * per_shard >= est, (cred_frac, mu_shard, est, k * per_shard)
+            # Compared as fractions: at 1/10, k * per_shard lies only a
+            # relative 1.4e-13 and 5e-22 above the exact tail, and in the
+            # second cell the two round to the same float.
+            threshold = exceedance_threshold(mu_shard, shard_size)
+            per_shard = exact_single_shard_tail_fraction(threshold, shard_size, n, cred_frac)
+            assert per_shard <= exact <= k * per_shard, (cred_frac, mu_shard, float(exact))
 
 
 def test_criterion_06_credential_fraction_and_solver():

@@ -8,12 +8,13 @@ module's own formulas.
 import itertools
 import logging
 import math
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.stats import hypergeom
+from scipy.stats import chi2, chi2_contingency, hypergeom
 
 from shardsim import analysis
 from shardsim.analysis import (
@@ -21,6 +22,7 @@ from shardsim.analysis import (
     _seed_digest,
     compare_grind_passive,
     core_corruption_bound,
+    exact_any_shard_tail,
     exact_core_tail,
     exact_single_shard_tail,
     exact_single_shard_tail_fraction,
@@ -90,16 +92,6 @@ def test_pmf_domain():
     assert hypergeom_pmf(5, 2, 3, 3) == 0.0
     assert hypergeom_pmf(5, 2, 3, -1) == 0.0
     assert hypergeom_pmf(5, 5, 3, 0) == 0.0
-
-
-def test_pmf_log_gamma_path_agrees_with_rationals():
-    # A population beyond the enumeration tests' reach; spot-check it
-    # against direct rational evaluation.
-    s, m, s_min, k = 6000, 1200, 50, 10
-    exact = Fraction(
-        math.comb(m, k) * math.comb(s - m, s_min - k), math.comb(s, s_min)
-    )
-    assert hypergeom_pmf(s, m, s_min, k) == pytest.approx(float(exact), rel=1e-10, abs=0)
 
 
 def test_exceedance_threshold_rounds_up():
@@ -175,16 +167,6 @@ def test_exact_single_shard_tail_matches_enumeration():
             )
 
 
-@pytest.mark.parametrize("N", [5001, 6000, 8192])
-def test_exact_single_shard_tail_float_path_matches_fraction(N):
-    # Populations beyond the enumeration test's reach: the float is the
-    # exact tail rounded once.
-    exact = float(exact_single_shard_tail_fraction(22, 64, N, Fraction(1, 10)))
-    assert exact_single_shard_tail(22, 64, N, Fraction(1, 10)) == pytest.approx(
-        exact, rel=1e-9, abs=0
-    )
-
-
 def comb_sum(population, marked, draws, low, high):
     """P(low <= X <= high) for a hypergeometric X, one ``math.comb`` product
     per term."""
@@ -196,11 +178,12 @@ def comb_sum(population, marked, draws, low, high):
 
 
 # The Monte Carlo core grid of perfbench and acceptance criterion 4, the
-# shards of ``test_exact_core_tail_below_bound``, and small cells at the
-# edges of the support.
+# shards of ``test_exact_core_tail_below_bound``, a population of 6000, and
+# small cells at the edges of the support.
 CORE_GRID = [
     (60, 18, 30), (100, 25, 60), (100, 30, 90), (120, 24, 60), (200, 50, 120),
-    (300, 30, 60), (500, 125, 120), (12, 12, 5), (12, 0, 12), (7, 3, 7), (5, 5, 0),
+    (300, 30, 60), (500, 125, 120), (6000, 1200, 50), (12, 12, 5), (12, 0, 12),
+    (7, 3, 7), (5, 5, 0),
 ]
 
 
@@ -214,12 +197,14 @@ def test_exact_core_tail_equals_the_direct_comb_sum(s, m, s_min):
 
 
 # The perfbench assignment grid (N 1024, shards of 64, credential fractions
-# 1/10 and 1/4, shard bounds 2/5 and 1/2) and cells where the malicious
-# total is below the threshold, above the shard size, or everything.
+# 1/10 and 1/4, shard bounds 2/5 and 1/2), cells where the malicious total
+# is below the threshold, above the shard size, or everything, and larger
+# populations, one of them with a total that is not integral.
 @pytest.mark.parametrize(
     "N,S,cred_frac",
     [(1024, 64, Fraction(1, 10)), (1024, 64, Fraction(1, 4)), (4096, 128, Fraction(1, 10)),
-     (64, 16, Fraction(1, 10)), (64, 48, Fraction(3, 4)), (12, 12, Fraction(1))],
+     (64, 16, Fraction(1, 10)), (64, 48, Fraction(3, 4)), (12, 12, Fraction(1)),
+     (5001, 64, Fraction(1, 10)), (6000, 64, Fraction(1, 10)), (8192, 64, Fraction(1, 10))],
 )
 def test_exact_single_shard_tail_equals_the_direct_comb_sum(N, S, cred_frac):
     total_malicious = math.floor(cred_frac * N)
@@ -229,6 +214,26 @@ def test_exact_single_shard_tail_equals_the_direct_comb_sum(N, S, cred_frac):
         expected = comb_sum(N, S, total_malicious, m, total_malicious)
         assert exact_single_shard_tail_fraction(m, S, N, cred_frac) == expected
         assert exact_single_shard_tail(m, S, N, cred_frac) == float(expected)
+
+
+def test_exact_any_shard_tail_matches_enumeration():
+    # Every placement of M malicious credentials into K consecutive shards
+    # of S, for every factorisation N = K * S up to 12, every M and every
+    # threshold t.
+    for N in range(1, 13):
+        for S in (S for S in range(1, N + 1) if N % S == 0):
+            K = N // S
+            for M in range(N + 1):
+                fullest = [
+                    max(Counter(i // S for i in placement).values(), default=0)
+                    for placement in itertools.combinations(range(N), M)
+                ]
+                for t in range(S + 1):
+                    expected = Fraction(sum(f >= t for f in fullest), len(fullest))
+                    got = exact_any_shard_tail(N, K, S, Fraction(M, N), Fraction(t, S))
+                    assert got == expected, (N, K, S, M, t)
+    with pytest.raises(ValueError):
+        exact_any_shard_tail(10, 3, 4, Fraction(1, 4), Fraction(1, 2))
 
 
 # ``abs=0``: these probabilities lie far below pytest's default absolute
@@ -251,6 +256,17 @@ def test_exact_core_tail_agrees_with_scipy():
     assert hypergeom_pmf(s, m, s_min, 1000) == pytest.approx(
         hypergeom.pmf(1000, s, m, s_min), rel=1e-9, abs=0
     )
+
+
+# A naive series, exp(-x/2) times its sum of powers of x/2, underflows to 0
+# once x/2 passes about 745, which every quantile does from dof 4095 up.
+@pytest.mark.parametrize("dof", [1, 2, 3, 4, 5, 6, 7, 8, 31, 255, 4095, 4096, 131071])
+def test_chi2_tail_agrees_with_scipy(dof):
+    rel = 1e-12 if dof <= 31 else 1e-9
+    for q in (0.01, 0.1, 0.5, 0.9, 0.99, 0.999):
+        x = chi2.ppf(q, dof)
+        assert analysis._chi2_sf(x, dof) == pytest.approx(chi2.sf(x, dof), rel=rel, abs=0)
+    assert analysis._chi2_sf(0.0, dof) == 1.0
 
 
 def test_exact_single_shard_tail_domain_and_rounding(caplog):
@@ -465,21 +481,21 @@ class TestGrindComparison:
         b = compare_grind_passive(20, 2, 50, "grind-unit-2")
         assert a.grind_counts != b.grind_counts
 
-    @pytest.mark.parametrize("shard_bits", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shard_bits", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("seed", ["grind-ref", "grind-ref-2", 0])
     def test_equals_the_per_key_reference(self, shard_bits, seed):
         got = compare_grind_passive(6, shard_bits, 40, seed)
         want = reference_grind_passive(6, shard_bits, 40, seed)
         assert (got.shard_labels, got.grind_counts, got.passive_counts) == want[:3]
-        assert (got.chi2, got.p_value) == want[3:]
+        # The chi-square is computed in a different order from scipy's.
+        assert (got.chi2, got.p_value) == pytest.approx(want[3:], rel=1e-12, abs=0)
 
 
 def reference_grind_passive(n_adversary, shard_bits, epochs, seed, epoch_length=5):
     """``compare_grind_passive`` one key at a time: each credential derived
     by ``derive_credential`` at the first renewal of a UTXO from height 0,
-    on a chain padded up to its anchor, then routed by ``route``."""
-    from scipy.stats import chi2_contingency
-
+    on a chain padded up to its anchor, then routed by ``route``; scipy's
+    ``chi2_contingency`` gives the statistic."""
     root = _seed_digest(seed)
     labels = ["".join(bits) for bits in _bit_strings(shard_bits)]
     directory = dict.fromkeys(labels)
@@ -501,5 +517,5 @@ def reference_grind_passive(n_adversary, shard_bits, epochs, seed, epoch_length=
                 table[route(directory, cred.value)] += 1
     grind_counts = tuple(grind[l] for l in labels)
     passive_counts = tuple(passive[l] for l in labels)
-    chi2, p_value, _, _ = chi2_contingency(np.array([grind_counts, passive_counts]))
-    return tuple(labels), grind_counts, passive_counts, float(chi2), float(p_value)
+    stat, p_value, _, _ = chi2_contingency(np.array([grind_counts, passive_counts]))
+    return tuple(labels), grind_counts, passive_counts, float(stat), float(p_value)

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output formats, reproducibility."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -339,6 +340,32 @@ def test_montecarlo_grind(capsys):
     assert 0.0 <= payload["p_value"] <= 1.0
     assert code == (0 if payload["indistinguishable"] else 1)
     assert payload["indistinguishable"]
+
+
+def test_montecarlo_grind_small_inputs_give_a_p_value_or_a_named_refusal(capsys):
+    # Every small input the up-front label check accepts.  A label can still
+    # get no placement by chance; the test drops it, and refuses by name an
+    # input that left fewer than two labels placed.
+    accepted = 0
+    for adversaries, shard_bits, epochs, seed in itertools.product(
+        (1, 2), (1, 2, 3), (1, 2, 3), ("grind-unit", "grind-ref", "a", "b")
+    ):
+        if 2**shard_bits > 2 * adversaries * epochs:
+            continue
+        accepted += 1
+        code, out, err = run_cli(
+            capsys, "montecarlo", "grind", "--adversaries", str(adversaries),
+            "--shard-bits", str(shard_bits), "--epochs", str(epochs), "--seed", seed,
+        )
+        if code == 2:
+            assert out == ""
+            assert f"the 2**{shard_bits} labels" in err
+            assert f"from {adversaries} adversaries over {epochs} epochs" in err
+            assert "raise the adversaries or the epochs" in err
+        else:
+            assert code in (0, 1), err
+            assert 0.0 <= json.loads(out)["p_value"] <= 1.0
+    assert accepted == 52
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,15 @@
 """Every module of the package imports only names it uses."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "shardsim"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+PACKAGE_DIR = SRC_DIR / "shardsim"
 
 # Imported names a module keeps without using them, each with its reason.
 KEPT = {
@@ -48,3 +52,21 @@ def test_kept_imports_are_still_imported():
     for module, name in KEPT:
         tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
         assert name in imported_names(tree) - used_names(tree)
+
+
+def test_cli_loads_neither_numpy_nor_scipy():
+    """Only ``montecarlo assignment`` imports numpy, and only the tests use
+    scipy; a fresh process keeps both out of a ``bounds`` run."""
+    script = (
+        "import sys, shardsim.cli\n"
+        "shardsim.cli.main(['bounds'])\n"
+        "heavy = {'numpy', 'scipy'} & set(sys.modules)\n"
+        "assert not heavy, heavy\n"
+    )
+    # The checkout's package first, so the subprocess runs the code under test.
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
