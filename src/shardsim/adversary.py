@@ -1,11 +1,10 @@
 """Executable threat model: corruption budget, activation delay, strategies.
 
-The adversary controls a stake budget, never more than a ``mu`` fraction of
-the live total (evaluated against the current UTXO set each height, so
-burned fees shrink the denominator).  Corrupting an existing user takes one
-epoch to become effective; keys the adversary creates for itself (grinding
-respends) are under its control from birth, but the credential delay rule
-still applies to the new UTXOs.
+The adversary's stake budget is a limit the caller computes from the live
+UTXO set: ``mu``, or a smaller ``corrupt_fraction``, of its stake total.
+Corrupting an existing user takes one epoch to become effective; keys the
+adversary creates for itself (grinding respends) are under its control from
+birth, but the credential delay rule still applies to the new UTXOs.
 
 Strategies are deterministic functions of (state, observation, adversary
 PRG stream).  The base class behaves exactly like an honest participant,
@@ -16,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .crypto import KeyPair, Prg, encode_int, keygen, tagged_hash
-from .ledger import Transaction, TxOutput, Utxo, make_transaction, total_stake
-from .protocols import BaDecision, VectorDecision
+from .ledger import Transaction, TxOutput, Utxo, make_transaction
+from .protocols import BaDecision, ParticipantSet, VectorDecision
 
 
 @dataclass
@@ -30,12 +29,14 @@ class AdversaryState:
     pending: dict = field(default_factory=dict)  # pk -> activation height
     keys: dict = field(default_factory=dict)  # pk -> KeyPair for controlled users
     key_counter: int = 0
+    prg: Prg = field(init=False, compare=False, repr=False)  # the beacon hook's stream
 
-    def prg(self) -> Prg:
-        # One long-lived stream, created lazily so state stays picklable.
-        if not hasattr(self, "_prg") or self._prg is None:
-            self._prg = Prg(tagged_hash(b"adversary", self.seed))
-        return self._prg
+    def __post_init__(self):
+        self.prg = Prg(tagged_hash(b"adversary", self.seed))
+
+    def controls(self, pk: bytes) -> bool:
+        """Whether ``pk`` is under active or pending adversary control."""
+        return pk in self.corrupted or pk in self.pending
 
     def fresh_key(self) -> KeyPair:
         """A new key, controlled from birth: registered in ``keys`` and ``corrupted``."""
@@ -57,20 +58,18 @@ def schedule_corruption(
     pk: bytes,
     current_height: int,
     utxos: Mapping[bytes, Utxo],
-    mu: Fraction,
+    limit: Fraction,
     epoch_length: int,
 ) -> bool:
     """Select a user for corruption, effective one epoch later.
 
-    Rejected (returns False) when the combined active+pending stake would
-    exceed the mu budget against the live stake total.
+    Rejected (returns False) when ``pk`` is controlled or not live, or when
+    the combined active+pending stake would exceed ``limit``, the budget
+    fraction of the live stake total.
     """
-    if pk in state.corrupted or pk in state.pending:
+    if state.controls(pk) or pk not in utxos:
         return False
-    if pk not in utxos:
-        return False
-    projected = controlled_stake(state, utxos) + utxos[pk].stake
-    if Fraction(projected) > Fraction(mu) * total_stake(utxos):
+    if controlled_stake(state, utxos) + utxos[pk].stake > limit:
         return False
     state.pending[pk] = current_height + epoch_length
     return True
@@ -128,20 +127,15 @@ class Strategy:
     def __init__(self, params: Mapping | None = None):
         self.params = dict(params or {})
 
-    # Vector agreement: what do corrupted slots propose, which honest slots
-    # get nulled, or (contract void) what vector is dictated.  ``purpose``
-    # distinguishes join-set instances from block-proposal instances so a
-    # dictated vector can mimic the right slot shape.
+    # Vector agreement over the instance ``parts``: what its corrupted slots
+    # propose or, outside ``parts.bft_contract_holds``, what vector is
+    # dictated.  ``purpose`` ("joins" or "proposal") lets a dictated vector
+    # mimic the right slot shape.
     def vector_decision(
-        self,
-        members: Sequence[bytes],
-        byzantine: frozenset,
-        honest_inputs: Mapping,
-        contract_holds: bool,
-        purpose: str = "joins",
+        self, parts: ParticipantSet, honest_inputs: Mapping, purpose: str = "joins"
     ) -> VectorDecision:
         return VectorDecision(
-            byzantine_values={pk: honest_inputs.get(pk) for pk in byzantine}
+            byzantine_values={pk: honest_inputs.get(pk) for pk in parts.byzantine}
         )
 
     # Corrupted-quorum beacon: return a digest to substitute, or None to
@@ -153,8 +147,9 @@ class Strategy:
     def signs(self) -> bool:
         return True
 
-    # Inter-shard agreement behavior of corrupted committee shards.
-    def ba_decision(self, corrupted_labels: frozenset, proposals: Mapping) -> BaDecision:
+    # Inter-shard agreement behavior of the committee ``parts``, whose
+    # byzantine members are the labels of corrupted shards.
+    def ba_decision(self, parts: ParticipantSet, proposals: Mapping) -> BaDecision:
         return BaDecision()
 
     # Contract-void committee: per-observer blocks (index -> Block) for an
@@ -172,16 +167,16 @@ class SilentStrategy(Strategy):
 
     name = "silent"
 
-    def vector_decision(self, members, byzantine, honest_inputs, contract_holds, purpose="joins"):
-        if not contract_holds:
-            return VectorDecision(dictated=[None] * len(members))
+    def vector_decision(self, parts, honest_inputs, purpose="joins"):
+        if not parts.bft_contract_holds:
+            return VectorDecision(dictated=[None] * parts.n)
         return VectorDecision()  # byzantine slots null
 
     def signs(self) -> bool:
         return False
 
-    def ba_decision(self, corrupted_labels, proposals):
-        return BaDecision(silent_leaders=corrupted_labels)
+    def ba_decision(self, parts, proposals):
+        return BaDecision(silent_leaders=parts.byzantine)
 
 
 class EquivocateStrategy(Strategy):
@@ -190,15 +185,15 @@ class EquivocateStrategy(Strategy):
 
     name = "equivocate"
 
-    def vector_decision(self, members, byzantine, honest_inputs, contract_holds, purpose="joins"):
-        if not contract_holds:
+    def vector_decision(self, parts, honest_inputs, purpose="joins"):
+        if not parts.bft_contract_holds:
             if purpose == "joins":
                 # Lie by omission: present every slot as empty-handed.
-                return VectorDecision(dictated=[frozenset() for _ in members])
+                return VectorDecision(dictated=[frozenset() for _ in parts.members])
             # Proposal vectors stay plausible; the lie happens at diffusion
             # time when observers receive conflicting certified blocks.
-            return VectorDecision(dictated=[honest_inputs.get(pk) for pk in members])
-        return super().vector_decision(members, byzantine, honest_inputs, contract_holds, purpose)
+            return VectorDecision(dictated=[honest_inputs.get(pk) for pk in parts.members])
+        return super().vector_decision(parts, honest_inputs, purpose)
 
     def equivocate_blocks(self, craft, n_observers):
         if n_observers < 2:

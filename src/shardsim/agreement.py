@@ -95,13 +95,7 @@ def _agree_block(sim: Simulation, height: int, prev, committee) -> tuple[Block |
             if kp is None:
                 continue
             honest_inputs[pk] = (pending_txs, vrf_eval(kp, prev.seed))
-        decision = sim.strategy.vector_decision(
-            core.members,
-            core.byzantine,
-            honest_inputs,
-            core.bft_contract_holds,
-            purpose="proposal",
-        )
+        decision = sim.strategy.vector_decision(core, honest_inputs, purpose="proposal")
         sim.meter.charge_instance(core.n)
         proposal = build_proposal(
             label, core, prev, sim.utxos.live, honest_inputs, cfg.stake_cap, decision=decision
@@ -111,8 +105,7 @@ def _agree_block(sim: Simulation, height: int, prev, committee) -> tuple[Block |
 
     # Nothing below changes a committee core's corrupted set, so each
     # shard's corruption is judged once, here.
-    byz_labels = frozenset(corrupted_labels)
-    parts = ParticipantSet(members=tuple(committee.labels), byzantine=byz_labels)
+    parts = ParticipantSet(members=tuple(committee.labels), byzantine=frozenset(corrupted_labels))
 
     def block_valid(candidate: Block) -> bool:
         # Pre-agreement check: the certificate only exists after the
@@ -129,29 +122,29 @@ def _agree_block(sim: Simulation, height: int, prev, committee) -> tuple[Block |
             )
         )
 
-    decision = sim.strategy.ba_decision(byz_labels, proposals)
+    decision = sim.strategy.ba_decision(parts, proposals)
     # A committee member is a shard whose s_min core members all take part,
     # so the instance runs over labels * s_min participants.
     sim.meter.charge_instance(len(committee.labels) * cfg.s_min)
     outcome = verifiable_ba(parts, proposals, block_valid, cfg.mu_corrupted, decision)
     if not outcome.contract_held:
-        sim.metrics.incident(height, "corrupted-committee", labels=sorted(byz_labels))
+        sim.metrics.incident(height, "corrupted-committee", labels=sorted(parts.byzantine))
 
-    decided = outcome.value
+    decided, rounds = outcome.value, outcome.rounds
     if decided is None and not outcome.contract_held:
-        return _try_equivocation(sim, height, committee, proposals, byz_labels, outcome.rounds)
+        return _try_equivocation(sim, height, committee, proposals, parts.byzantine, rounds)
     if decided is None:
-        return _no_block(sim, height, "no-decision", outcome.rounds)
+        return _no_block(sim, height, "no-decision", rounds)
 
     # Within its contract the BA only decides a block that passed
     # block_valid; only a dictated block needs validating again.
     valid = outcome.contract_held or block_valid(decided)
     certified, shard_sigs = _endorse(
-        sim, decided, committee, byz_labels, valid, sim.strategy.signs()
+        sim, decided, committee, parts.byzantine, valid, sim.strategy.signs()
     )
     sim.meter.charge(sum(len(ss.member_sigs) for ss in shard_sigs))
     if certified is None:
-        return _no_block(sim, height, "certificate-shortfall", outcome.rounds)
+        return _no_block(sim, height, "certificate-shortfall", rounds)
 
     # Header and body passed block_valid; only the certificate is new.
     if outcome.contract_held:
@@ -159,7 +152,7 @@ def _agree_block(sim: Simulation, height: int, prev, committee) -> tuple[Block |
         if not final:
             raise InvariantError(f"certified block failed validation: {final.reason}")
     accept(sim, certified, height, leader=outcome.leader)
-    return certified, outcome.rounds
+    return certified, rounds
 
 
 def _endorse(

@@ -459,6 +459,16 @@ def _chi_square(columns: list[tuple[int, int]]) -> tuple[float, float]:
     return chi2, _chi2_sf(chi2, dof)
 
 
+def chi_square_floor(first: tuple[int, ...], second: tuple[int, ...]) -> float:
+    """The smallest p-value ``_chi_square`` can give on any table with the
+    nonzero columns of rows ``first`` and ``second``, each of total n: that
+    of rows sharing no column, with statistic 2n, or 2 (n - 1)**2 / n under
+    Yates' correction at two columns."""
+    n = sum(first)
+    k = sum(1 for column in zip(first, second) if any(column))
+    return _chi2_sf(2 * (n - 1) ** 2 / n if k == 2 else 2 * n, k - 1)
+
+
 def _chi2_sf(x: float, dof: int) -> float:
     """P(chi-square with integer ``dof`` degrees of freedom >= x), in closed
     form: with y = x / 2, the sum over i < dof // 2 of e^-y y^(i+a) /

@@ -1,6 +1,6 @@
 """Command line front end.
 
-Subcommands cover the four workflows: `run` a scenario config, `solve-params`
+Subcommands cover five workflows: `run` a scenario config, `solve-params`
 for sizing, `bounds` for the closed-form risk numbers, `montecarlo` for the
 empirical validators, and `scaling` for the message-growth grid.  Every
 command is deterministic given its seed; exit status is 0 only when the
@@ -20,6 +20,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .analysis import (
+    chi_square_floor,
     compare_grind_passive,
     core_corruption_bound,
     exact_single_shard_tail,
@@ -164,6 +165,13 @@ def _cmd_montecarlo(args) -> int:
     comparison = compare_grind_passive(
         args.adversaries, args.shard_bits, args.epochs, args.seed
     )
+    floor = chi_square_floor(comparison.grind_counts, comparison.passive_counts)
+    if floor >= args.alpha:
+        raise ValueError(
+            f"placements in the 2**{args.shard_bits} labels from {args.adversaries} adversaries"
+            f" over {args.epochs} epochs give no p-value below {floor:.2g} (arms sharing no"
+            f" label), so none below --alpha {args.alpha}: raise the adversaries or the epochs"
+        )
     _print(
         {
             "chi2": comparison.chi2,

@@ -11,6 +11,7 @@ scenario seed, so a config replays to byte-identical outputs.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import agreement, views
@@ -27,6 +28,7 @@ from .ledger import (
     header_hash,
     make_genesis,
     make_transaction,
+    total_stake,
 )
 from .membership import ShardView, form_view, view_digest
 from .oracles import InvariantError, check_liveness, check_safety
@@ -117,16 +119,19 @@ class Simulation:
 
         # Targeted corruption first so the stress hook is predictable; the
         # greedy fill only runs when an explicit fraction asks for it (or a
-        # non-passive strategy has no forced targets).
+        # non-passive strategy has no forced targets).  Set-up spends no
+        # stake, so one stake limit serves every candidate.
+        limit = cfg.corruption_budget * total_stake(self.utxos.live)
         if cfg.force_corrupt_shards:
-            self._force_corrupt(cfg.force_corrupt_shards)
+            self._force_corrupt(cfg.force_corrupt_shards, limit)
         if cfg.corrupt_fraction is not None or (
             cfg.adversary_strategy != "passive" and not cfg.force_corrupt_shards
         ):
+            adv, live, epoch = self.adv, self.utxos.live, cfg.epoch_length
             for pk in sorted(self.keyring):
-                if self._controlled(pk):
+                if adv.controls(pk):
                     continue
-                if not self._schedule_corruption(pk):
+                if not schedule_corruption(adv, pk, -epoch, live, limit, epoch):
                     break
                 self.events.emit("corruption-scheduled", 0, pk=pk.hex())
         self._activate_corruptions(0)
@@ -152,32 +157,23 @@ class Simulation:
         if not cover:
             raise InvariantError(f"bootstrap directory invalid: {cover.reason}")
 
-    def _force_corrupt(self, n_shards: int):
+    def _force_corrupt(self, n_shards: int, limit: Fraction):
         """Stress hook: corrupt enough core members of the first shards to
-        push them past the mu_core bound (budget permitting)."""
+        push them past the mu_core bound (within the stake ``limit``)."""
+        adv, live, epoch = self.adv, self.utxos.live, self.cfg.epoch_length
         for label in sorted(self.directory)[:n_shards]:
             view = self.directory[label]
-            have = sum(1 for c in view.core if self._controlled(c.pk))
+            have = sum(1 for c in view.core if adv.controls(c.pk))
             for cred in view.core:
                 if not within_bound(have, len(view.core), self.cfg.mu_core):
                     break
-                if self._controlled(cred.pk):
+                if adv.controls(cred.pk):
                     continue
-                if self._schedule_corruption(cred.pk):
+                if schedule_corruption(adv, cred.pk, -epoch, live, limit, epoch):
                     have += 1
                 else:
                     self.metrics.incident(0, "force-corrupt-budget", label=label)
                     return
-
-    def _controlled(self, pk: bytes) -> bool:
-        return pk in self.adv.corrupted or pk in self.adv.pending
-
-    def _schedule_corruption(self, pk: bytes) -> bool:
-        """Schedule ``pk`` at set-up if the corruption budget allows it."""
-        cfg, live = self.cfg, self.utxos.live
-        return schedule_corruption(
-            self.adv, pk, -cfg.epoch_length, live, cfg.corruption_budget, cfg.epoch_length
-        )
 
     # -- helpers -----------------------------------------------------------
 

@@ -66,15 +66,12 @@ def _update_one_view(sim: Simulation, old_view: ShardView, height: int):
     cfg = sim.cfg
     label = old_view.label
     parts = sim.core_parts(old_view)
-    core_pks = parts.members
 
     # Every core member received the shard's joins; what a corrupted
     # member proposes instead is the strategy's ``vector_decision``.
     received = frozenset(sim.joins[label])
-    honest_inputs = dict.fromkeys(core_pks, received)
-    decision = sim.strategy.vector_decision(
-        core_pks, parts.byzantine, honest_inputs, parts.bft_contract_holds, purpose="joins"
-    )
+    honest_inputs = dict.fromkeys(parts.members, received)
+    decision = sim.strategy.vector_decision(parts, honest_inputs, purpose="joins")
     sim.meter.charge_instance(parts.n)
     vector = vector_consensus(parts, honest_inputs, decision)
 
@@ -122,7 +119,7 @@ def _update_one_view(sim: Simulation, old_view: ShardView, height: int):
     digest = view_digest(view)
     # Whatever was collected goes to the install, which alone counts the
     # quorum; corrupted members sign as the strategy says.
-    old_pks = set(core_pks)
+    old_pks = set(parts.members)
     signatures = sign_until_quorum(
         sim.willing_signers(old_view, True, sim.strategy.signs()),
         sim.keyring,
@@ -155,7 +152,7 @@ def run_beacon(
     entropy = shard_entropy(sim.master, label, height, purpose)
     chosen = None
     if not parts.within(sim.cfg.mu_core):
-        chosen = sim.strategy.beacon_choice(entropy, evaluate, sim.adv.prg())
+        chosen = sim.strategy.beacon_choice(entropy, evaluate, sim.adv.prg)
     sim.meter.charge_instance(parts.n)
     seed = random_beacon(parts, entropy, sim.cfg.mu_core, chosen)
     sim.events.emit(

@@ -269,6 +269,29 @@ def test_chi2_tail_agrees_with_scipy(dof):
     assert analysis._chi2_sf(0.0, dof) == 1.0
 
 
+@pytest.mark.parametrize("n, floor", [(2, 0.317), (4, 0.034), (6, 0.0039), (8, 0.00047)])
+def test_chi_square_floor_at_two_labels(n, floor):
+    # Yates' correction keeps the separated 2x2 table's statistic at
+    # 2 (n - 1)**2 / n, so small tables cannot reach a small p-value.
+    got = analysis.chi_square_floor((n, 0), (0, n))
+    assert got == pytest.approx(floor, rel=0.02)
+    assert got == analysis.chi_square_floor((n - 1, 1), (1, n - 1))
+    assert got == analysis._chi_square([(n, 0), (0, n)])[1]
+
+
+def test_chi_square_floor_is_the_least_p_value_of_any_table():
+    # Every table of two rows with n in each over k nonzero columns: none
+    # goes below the floor, and one reaches it.
+    for n in range(1, 6):
+        for k in range(2, min(2 * n, 4) + 1):
+            rows = [r for r in itertools.product(range(n + 1), repeat=k) if sum(r) == n]
+            tables = [(a, b) for a in rows for b in rows if all(x + y for x, y in zip(a, b))]
+            floors = {analysis.chi_square_floor(a, b) for a, b in tables}
+            assert len(floors) == 1, (n, k)
+            least = min(analysis._chi_square(list(zip(a, b)))[1] for a, b in tables)
+            assert least == pytest.approx(floors.pop(), rel=1e-12), (n, k)
+
+
 def test_exact_single_shard_tail_domain_and_rounding(caplog):
     with pytest.raises(ValueError):
         exact_single_shard_tail(5, 4, 8, Fraction(1, 2))  # m > S

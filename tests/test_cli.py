@@ -368,6 +368,26 @@ def test_montecarlo_grind_small_inputs_give_a_p_value_or_a_named_refusal(capsys)
     assert accepted == 52
 
 
+def test_montecarlo_grind_refuses_placements_that_cannot_fail(capsys):
+    # Two placements per arm over two labels: even fully separated arms give
+    # p = 0.317, so at the default --alpha 0.001 no outcome could fail.
+    argv = (
+        "montecarlo", "grind", "--adversaries", "1", "--shard-bits", "1",
+        "--epochs", "2", "--seed", "grind-unit",
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "the 2**1 labels" in err
+    assert "from 1 adversaries over 2 epochs" in err
+    assert "raise the adversaries or the epochs" in err
+    # An --alpha above that floor gets a verdict from the same placements.
+    code, out, err = run_cli(capsys, *argv, "--alpha", "0.5")
+    assert code in (0, 1), err
+    assert json.loads(out)["p_value"] >= 0.317
+
+
 @pytest.mark.parametrize(
     "argv",
     [

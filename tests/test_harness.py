@@ -12,7 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from shardsim import config as config_module
 from shardsim import agreement, blocks, harness, oracles, records, views
-from shardsim.adversary import STRATEGIES, Strategy, WorstCaseSeedStrategy
+from shardsim.adversary import (
+    STRATEGIES,
+    AdversaryState,
+    Strategy,
+    WorstCaseSeedStrategy,
+    activate_due,
+)
 from shardsim.analysis import exceedance_threshold
 from shardsim.cli import main
 from shardsim.credentials import (
@@ -39,7 +45,7 @@ from shardsim.ledger import (
 from shardsim.oracles import check_liveness, check_safety
 from shardsim.overlay import label_matches, route, verify_view_transition
 from shardsim.records import EventLog, Metrics
-from shardsim.protocols import BaDecision, MessageMeter, vector_consensus
+from shardsim.protocols import BaDecision, MessageMeter, vector_consensus, within_bound
 from shardsim.sampling import sample_without_replacement
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -519,6 +525,93 @@ def test_force_corrupt_stops_at_the_budget():
     )
     budget = [rec for rec in metrics.incidents if rec["kind"] == "force-corrupt-budget"]
     assert budget == [{"height": 0, "kind": "force-corrupt-budget", "label": ""}]
+
+
+def reference_setup_corruption(sim):
+    """Set-up corruption as scheduled before one stake limit served every
+    candidate: the stress hook, then the greedy fill, with each candidate
+    checked against the budget times a fresh sum of the live stake.  Replays
+    on ``sim``'s directory, keyring and UTXO set into a fresh adversary
+    state; returns its corrupted set, the scheduled and active events and
+    the budget incidents."""
+    cfg, live = sim.cfg, sim.utxos.live
+    adv = AdversaryState(seed=sim.adv.seed)
+    events, incidents = [], []
+
+    def controlled(pk):
+        return pk in adv.corrupted or pk in adv.pending
+
+    def schedule(pk):
+        if pk in adv.corrupted or pk in adv.pending or pk not in live:
+            return False
+        pks = adv.corrupted | set(adv.pending)
+        projected = sum(live[p].stake for p in pks if p in live) + live[pk].stake
+        if Fraction(projected) > cfg.corruption_budget * sum(u.stake for u in live.values()):
+            return False
+        adv.pending[pk] = -cfg.epoch_length + cfg.epoch_length
+        return True
+
+    def force_corrupt(n_shards):
+        for label in sorted(sim.directory)[:n_shards]:
+            view = sim.directory[label]
+            have = sum(1 for c in view.core if controlled(c.pk))
+            for cred in view.core:
+                if not within_bound(have, len(view.core), cfg.mu_core):
+                    break
+                if controlled(cred.pk):
+                    continue
+                if schedule(cred.pk):
+                    have += 1
+                else:
+                    incidents.append({"height": 0, "kind": "force-corrupt-budget", "label": label})
+                    return
+
+    if cfg.force_corrupt_shards:
+        force_corrupt(cfg.force_corrupt_shards)
+    if cfg.corrupt_fraction is not None or (
+        cfg.adversary_strategy != "passive" and not cfg.force_corrupt_shards
+    ):
+        for pk in sorted(sim.keyring):
+            if controlled(pk):
+                continue
+            if not schedule(pk):
+                break
+            events.append(("corruption-scheduled", 0, pk.hex()))
+    events += [("corruption-active", 0, pk.hex()) for pk in activate_due(adv, 0, sim.keyring)]
+    return adv.corrupted, events, incidents
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    groups=st.lists(st.tuples(st.integers(5, 20), st.integers(1, 4)), min_size=1, max_size=4),
+    mu_twelfths=st.integers(1, 5),
+    fraction=st.none() | st.integers(0, 10),
+    force=st.integers(0, 3),
+    strategy=st.sampled_from(sorted(STRATEGIES)),
+)
+def test_setup_corruption_matches_the_per_candidate_reference(
+    groups, mu_twelfths, fraction, force, strategy
+):
+    adversary = {"strategy": strategy, "force_corrupt_shards": force}
+    if fraction is not None:
+        # At most mu, in 24ths.
+        adversary["corrupt_fraction"] = f"{min(fraction, 2 * mu_twelfths)}/24"
+    sim = Simulation(
+        config(
+            stake_cap=max(2, *(stake for _, stake in groups)),
+            genesis=[{"count": count, "stake": stake} for count, stake in groups],
+            mu=f"{mu_twelfths}/12",
+            s_min=4,
+            s_max=8,
+            adversary=adversary,
+        )
+    )
+    corrupted, events, incidents = reference_setup_corruption(sim)
+    assert sim.adv.corrupted == corrupted and not sim.adv.pending
+    kinds = ("corruption-scheduled", "corruption-active")
+    assert [(r["kind"], r["height"], r["pk"]) for r in sim.events if r["kind"] in kinds] == events
+    budget = [r for r in sim.metrics.incidents if r["kind"] == "force-corrupt-budget"]
+    assert budget == incidents
 
 
 def test_message_scaling_report_shape():
@@ -1109,7 +1202,7 @@ class DictateForgedBlock(Strategy):
         self.forgery = forgery
         self.dictated = []
 
-    def ba_decision(self, corrupted_labels, proposals):
+    def ba_decision(self, parts, proposals):
         for label in sorted(proposals):
             block = proposals[label]
             if self.forgery == "body-hash":
