@@ -13,7 +13,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Mapping
 
 from .blocks import attach_certificate, build_proposal, elect_committee, shard_sign_block
-from .crypto import encode_int, tagged_hash, vrf_eval
+from .crypto import encode_int, tagged_hash, vrf_eval_batch
 from .ledger import (
     Block,
     ShardSignature,
@@ -89,12 +89,11 @@ def _agree_block(sim: Simulation, height: int, prev, committee) -> tuple[Block |
         core = sim.core_parts(sim.directory[label])
         if not core.within(cfg.mu_core):
             corrupted_labels.add(label)
-        honest_inputs = {}
-        for pk in core.members:
-            kp = sim.keyring.get(pk)
-            if kp is None:
-                continue
-            honest_inputs[pk] = (pending_txs, vrf_eval(kp, prev.seed))
+        # Every member with a key evaluates its VRF, in one batch.
+        kps = [kp for kp in map(sim.keyring.get, core.members) if kp is not None]
+        honest_inputs = {
+            kp.pk: (pending_txs, out) for kp, out in zip(kps, vrf_eval_batch(kps, prev.seed))
+        }
         decision = sim.strategy.vector_decision(core, honest_inputs, purpose="proposal")
         sim.meter.charge_instance(core.n)
         proposal = build_proposal(

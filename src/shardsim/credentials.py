@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .crypto import DIGEST_LEN, encode_bytes, tagged_hash_pair
+from .crypto import DIGEST_LEN, encode_bytes, tagged_hash_batch
 from .ledger import Utxo
 
 _HEIGHTS = struct.Struct(">qq")
@@ -31,6 +31,25 @@ class Credential:
         # ``value`` is already a digest of the pk and the anchor seed;
         # equality still compares every field.
         return hash(self.value)
+
+
+_new = object.__new__
+_set_value, _set_pk, _set_anchor, _set_expiry = (
+    Credential.__dict__[name].__set__
+    for name in ("value", "pk", "anchor_height", "expiry_height")
+)
+
+
+def _credential(value: bytes, pk: bytes, anchor_height: int, expiry_height: int) -> Credential:
+    """``Credential(value, pk, anchor_height, expiry_height)`` for
+    ``derive_credentials``, without the generated frozen ``__init__``: each
+    field is set through its slot descriptor, as that ``__init__`` sets it."""
+    cred = _new(Credential)
+    _set_value(cred, value)
+    _set_pk(cred, pk)
+    _set_anchor(cred, anchor_height)
+    _set_expiry(cred, expiry_height)
+    return cred
 
 
 def credential_blob(cred: Credential) -> bytes:
@@ -83,13 +102,14 @@ def epoch_anchor(h0: int, h: int, epoch_length: int) -> int:
 
 
 def derive_credentials(
-    pks: Iterable[bytes], anchor: int, seed: bytes, epoch_length: int
+    pks: Sequence[bytes], anchor: int, seed: bytes, epoch_length: int
 ) -> list[Credential]:
     """The credentials anchored at ``anchor`` of ``pks``, in order: each
     value is a digest of the public key and ``seed``, the anchor block's
-    seed."""
+    seed, hashed in one ``tagged_hash_batch``."""
     expiry = anchor + epoch_length
-    return [Credential(tagged_hash_pair(b"cred", pk, seed), pk, anchor, expiry) for pk in pks]
+    values = tagged_hash_batch(b"cred", pks, seed)
+    return [_credential(value, pk, anchor, expiry) for value, pk in zip(values, pks)]
 
 
 def derive_credential(

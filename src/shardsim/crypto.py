@@ -17,18 +17,31 @@ seeded streams (credentials, seeds, signatures, VRF, PRG words) can never
 collide.  :func:`tagged_hash` keeps one SHA-256 state per tag, already fed
 the tag's framing, and copies it per call; :func:`tagged_hash_framed`
 copies the same state for a caller that frames its own parts in one
-buffer.  :func:`tagged_hash_pair` and :func:`tagged_hash_triple` serve the
-per-member digests (signatures, VRF values and proofs, credential values),
-whose parts are two or three digests: when every part is ``DIGEST_LEN``
-bytes wide, the framed parts are packed by one struct call and fed in one
-update, and any other width takes :func:`tagged_hash`.  The SHA-256 call
-costs about the same at these lengths, so what this saves is the per-part
-updates and framing.  :class:`Prg` keeps one state already fed everything
-of its block preimage but the counter.  Copying a state fed a constant
-prefix is the precomputation RFC 2104 section 4 describes for HMAC keys:
-the bytes hashed, and so every digest, are the ones the unprimed framing
-gives.  ``tests/test_crypto.py`` freezes the PRG stream and a set of
-tagged digests, and checks the packed helpers against :func:`tagged_hash`.
+buffer.  Copying a primed state is the precomputation RFC 2104 section 4
+describes for HMAC keys: the bytes hashed, and so every digest, are the
+ones the unprimed framing gives.  A tag's framing is shorter than one
+SHA-256 block, so priming saves no compression; it is kept because copying
+OpenSSL's hash object costs less than building a new one.
+
+:func:`tagged_hash_batch` is the one kernel of the per-member digests
+(signatures, VRF values and proofs, credential values): many first parts,
+such as a quorum's pks, against one shared part, such as the signed
+message, with an optional last part per member (the VRF proof binds its
+value).  Each framed preimage is hashed in one update of a copied state;
+when every per-member part is ``DIGEST_LEN`` bytes wide, the constant
+length prefixes are fed once per batch instead of once per member.  The
+batch forms :func:`sign_batch`, :func:`verify_sig_batch`,
+:func:`vrf_eval_batch` and :func:`vrf_verify_batch` equal their
+one-at-a-time forms, which are batches of one, so each digest rule has one
+implementation.  Records a batch builds come from a private constructor
+next to their class (``_signature``, ``_vrf_output``), which sets each
+slot through its descriptor as the generated frozen ``__init__`` does, at
+about half its cost; public construction keeps that ``__init__``.
+
+:class:`Prg` keeps one state already fed everything of its block preimage
+but the counter.  ``tests/test_crypto.py`` freezes the PRG stream and a
+set of tagged digests, and checks the batch forms against
+:func:`tagged_hash` and the one-at-a-time forms.
 """
 
 from __future__ import annotations
@@ -36,7 +49,9 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import repeat
+from operator import add
+from typing import Iterable, Sequence
 
 DIGEST_LEN = 32
 ZERO_DIGEST = b"\x00" * DIGEST_LEN
@@ -96,31 +111,61 @@ def tagged_hash(tag: bytes, *parts: bytes) -> bytes:
     return h.digest()
 
 
-# Two and three ``DIGEST_LEN``-wide parts, each after its 4-byte length:
-# the framing ``tagged_hash`` gives them, packed in one call.
-_TWO_DIGESTS = struct.Struct(f">I{DIGEST_LEN}sI{DIGEST_LEN}s")
-_THREE_DIGESTS = struct.Struct(f">I{DIGEST_LEN}sI{DIGEST_LEN}sI{DIGEST_LEN}s")
+# The length prefix of a ``DIGEST_LEN``-wide part.
+_WIDE_PREFIX = DIGEST_LEN.to_bytes(4, "big")
+
+
+def _all_wide(parts: Sequence[bytes]) -> bool:
+    return set(map(len, parts)) <= {DIGEST_LEN}
+
+
+def tagged_hash_batch(
+    tag: bytes,
+    firsts: Sequence[bytes],
+    shared: bytes,
+    lasts: Sequence[bytes] | None = None,
+) -> list[bytes]:
+    """``[tagged_hash(tag, a, shared) for a in firsts]``, or with ``lasts``
+    ``[tagged_hash(tag, a, shared, c) for a, c in zip(firsts, lasts)]``:
+    the one kernel of every per-member digest.
+
+    Each preimage past the primed tag state is framed in one expression and
+    hashed in one update.  When every first and last part is ``DIGEST_LEN``
+    bytes wide, their length prefixes are constants: the first one is fed
+    once to a copy of the tag state and the last one rides on the shared
+    part's framing.  Any other width frames each part on its own."""
+    state = _TAG_STATES.get(tag) or _prime(tag)
+    mid = encode_bytes(shared)
+    if _all_wide(firsts) and (lasts is None or _all_wide(lasts)):
+        state = state.copy()
+        state.update(_WIDE_PREFIX)
+        if lasts is not None:
+            mid += _WIDE_PREFIX
+    else:
+        firsts = map(encode_bytes, firsts)
+        if lasts is not None:
+            lasts = map(encode_bytes, lasts)
+    if lasts is None:
+        preimages = map(add, firsts, repeat(mid))
+    else:
+        preimages = map(b"".join, zip(firsts, repeat(mid), lasts))
+    copy = state.copy
+    digests = []
+    for preimage in preimages:
+        h = copy()
+        h.update(preimage)
+        digests.append(h.digest())
+    return digests
 
 
 def tagged_hash_pair(tag: bytes, a: bytes, b: bytes) -> bytes:
-    """``tagged_hash(tag, a, b)``.  When both parts are ``DIGEST_LEN``
-    bytes wide, the framed preimage is packed by one struct call and fed in
-    one update; any other width takes ``tagged_hash``, since ``"32s"`` would
-    pad or truncate it."""
-    if len(a) != DIGEST_LEN or len(b) != DIGEST_LEN:
-        return tagged_hash(tag, a, b)
-    h = (_TAG_STATES.get(tag) or _prime(tag)).copy()
-    h.update(_TWO_DIGESTS.pack(DIGEST_LEN, a, DIGEST_LEN, b))
-    return h.digest()
+    """``tagged_hash(tag, a, b)``, through ``tagged_hash_batch``."""
+    return tagged_hash_batch(tag, (a,), b)[0]
 
 
 def tagged_hash_triple(tag: bytes, a: bytes, b: bytes, c: bytes) -> bytes:
-    """``tagged_hash(tag, a, b, c)``, packed like ``tagged_hash_pair``."""
-    if len(a) != DIGEST_LEN or len(b) != DIGEST_LEN or len(c) != DIGEST_LEN:
-        return tagged_hash(tag, a, b, c)
-    h = (_TAG_STATES.get(tag) or _prime(tag)).copy()
-    h.update(_THREE_DIGESTS.pack(DIGEST_LEN, a, DIGEST_LEN, b, DIGEST_LEN, c))
-    return h.digest()
+    """``tagged_hash(tag, a, b, c)``, through ``tagged_hash_batch``."""
+    return tagged_hash_batch(tag, (a,), b, (c,))[0]
 
 
 def tagged_hash_framed(tag: bytes, framed: bytes) -> bytes:
@@ -132,22 +177,49 @@ def tagged_hash_framed(tag: bytes, framed: bytes) -> bytes:
     return h.digest()
 
 
+_new = object.__new__
+
+
 @dataclass(frozen=True)
 class KeyPair:
     pk: bytes
     sk: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     value: bytes
     signer_pk: bytes
 
 
-@dataclass(frozen=True)
+_set_sig_value, _set_sig_signer = (Signature.__dict__[f].__set__ for f in ("value", "signer_pk"))
+
+
+def _signature(value: bytes, signer_pk: bytes) -> Signature:
+    """``Signature(value, signer_pk)`` for the batch forms, without the
+    generated frozen ``__init__``: each field is set through its slot
+    descriptor, as that ``__init__`` sets it."""
+    sig = _new(Signature)
+    _set_sig_value(sig, value)
+    _set_sig_signer(sig, signer_pk)
+    return sig
+
+
+@dataclass(frozen=True, slots=True)
 class VrfOutput:
     value: bytes
     proof: bytes
+
+
+_set_vrf_value, _set_vrf_proof = (VrfOutput.__dict__[f].__set__ for f in ("value", "proof"))
+
+
+def _vrf_output(value: bytes, proof: bytes) -> VrfOutput:
+    """``VrfOutput(value, proof)``, built like ``_signature``."""
+    out = _new(VrfOutput)
+    _set_vrf_value(out, value)
+    _set_vrf_proof(out, proof)
+    return out
 
 
 def keygen(seed_material: bytes) -> KeyPair:
@@ -164,8 +236,36 @@ def pk_from_sk(sk: bytes) -> bytes:
     return tagged_hash(b"pk", sk)
 
 
+def _signature_values(pks: Sequence[bytes], msg: bytes) -> list[bytes]:
+    """The signature value of each pk over ``msg``: what signing makes and
+    verification recomputes."""
+    return tagged_hash_batch(b"sig", pks, msg)
+
+
+def sign_batch(kps: Sequence[KeyPair], msg: bytes) -> list[Signature]:
+    """``[sign(kp, msg) for kp in kps]``."""
+    pks = [kp.pk for kp in kps]
+    return list(map(_signature, _signature_values(pks, msg), pks))
+
+
 def sign(kp: KeyPair, msg: bytes) -> Signature:
-    return Signature(value=tagged_hash_pair(b"sig", kp.pk, msg), signer_pk=kp.pk)
+    return sign_batch((kp,), msg)[0]
+
+
+def verify_sig_batch(
+    signatures: Sequence[tuple[bytes, object]], msg: bytes
+) -> list[bool]:
+    """``[verify_sig(pk, msg, sig) for pk, sig in signatures]``; the expected
+    value of a repeated pk is hashed once."""
+    pks = list(dict.fromkeys([pk for pk, _ in signatures]))
+    expected = dict(zip(pks, _signature_values(pks, msg)))
+    return [
+        isinstance(sig, Signature)
+        and isinstance(sig.value, bytes)
+        and sig.signer_pk == pk
+        and sig.value == expected[pk]
+        for pk, sig in signatures
+    ]
 
 
 def verify_sig(pk: bytes, msg: bytes, sig: object) -> bool:
@@ -173,27 +273,44 @@ def verify_sig(pk: bytes, msg: bytes, sig: object) -> bool:
 
     Malformed input of any shape yields False rather than an exception.
     """
-    if not isinstance(sig, Signature):
-        return False
-    if not isinstance(sig.value, bytes) or sig.signer_pk != pk:
-        return False
-    return sig.value == tagged_hash_pair(b"sig", pk, msg)
+    return verify_sig_batch(((pk, sig),), msg)[0]
+
+
+def _vrf_digests(pks: Sequence[bytes], vrf_input: bytes) -> tuple[list[bytes], list[bytes]]:
+    """The VRF value and proof of each pk on ``vrf_input``: what evaluation
+    makes and verification recomputes.  The proof binds the value."""
+    values = tagged_hash_batch(b"vrf", pks, vrf_input)
+    return values, tagged_hash_batch(b"vrf-proof", pks, vrf_input, values)
+
+
+def vrf_eval_batch(kps: Sequence[KeyPair], vrf_input: bytes) -> list[VrfOutput]:
+    """``[vrf_eval(kp, vrf_input) for kp in kps]``."""
+    return list(map(_vrf_output, *_vrf_digests([kp.pk for kp in kps], vrf_input)))
 
 
 def vrf_eval(kp: KeyPair, vrf_input: bytes) -> VrfOutput:
     """Deterministic pseudorandom value plus a proof binding pk and input."""
-    pk = kp.pk
-    value = tagged_hash_pair(b"vrf", pk, vrf_input)
-    proof = tagged_hash_triple(b"vrf-proof", pk, vrf_input, value)
-    return VrfOutput(value=value, proof=proof)
+    return vrf_eval_batch((kp,), vrf_input)[0]
+
+
+def vrf_verify_batch(
+    outputs: Sequence[tuple[bytes, object]], vrf_input: bytes
+) -> list[bool]:
+    """``[vrf_verify(pk, vrf_input, out) for pk, out in outputs]``: each
+    value and proof is recomputed and compared.  The proof is recomputed
+    over the expected value, so a value that is not bytes fails first."""
+    values, proofs = _vrf_digests([pk for pk, _ in outputs], vrf_input)
+    return [
+        isinstance(out, VrfOutput)
+        and isinstance(out.value, bytes)
+        and out.value == value
+        and out.proof == proof
+        for (_, out), value, proof in zip(outputs, values, proofs)
+    ]
 
 
 def vrf_verify(pk: bytes, vrf_input: bytes, output: object) -> bool:
-    if not isinstance(output, VrfOutput):
-        return False
-    if output.value != tagged_hash_pair(b"vrf", pk, vrf_input):
-        return False
-    return output.proof == tagged_hash_triple(b"vrf-proof", pk, vrf_input, output.value)
+    return vrf_verify_batch(((pk, output),), vrf_input)[0]
 
 
 _COUNTER_LENGTH_PREFIX = len(encode_int(0)).to_bytes(4, "big")

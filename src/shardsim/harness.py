@@ -184,7 +184,7 @@ class Simulation:
 
     def core_parts(self, view: ShardView) -> ParticipantSet:
         """The view's core as a protocol membership, in core order."""
-        members = tuple([c.pk for c in view.core])
+        members = view.core_pks
         corrupted = self.adv.corrupted
         byzantine = frozenset(corrupted.intersection(members)) if corrupted else frozenset()
         return ParticipantSet(members=members, byzantine=byzantine)
@@ -193,8 +193,11 @@ class Simulation:
         """Whether the core of ``view``, as ``core_parts`` gives it, is past
         mu_core: such a shard counts as a corrupted shard, votes as a
         corrupted committee member, and its corrupted members sign any
-        block."""
-        return not self.core_parts(view).within(self.cfg.mu_core)
+        block.  Counted on the view's cached core pks, without building
+        the ``ParticipantSet``."""
+        corrupted, members = self.adv.corrupted, view.core_pks
+        byzantine = len(corrupted.intersection(members)) if corrupted else 0
+        return not within_bound(byzantine, len(members), self.cfg.mu_core)
 
     def willing_signers(
         self, view: ShardView, honest_sign: bool, byz_sign: bool
@@ -203,7 +206,7 @@ class Simulation:
         member iff ``honest_sign``, a corrupted one iff ``byz_sign``.  Lazy,
         so ``sign_until_quorum`` reads the core only until its quorum."""
         corrupted = self.adv.corrupted
-        return (c.pk for c in view.core if (byz_sign if c.pk in corrupted else honest_sign))
+        return (pk for pk in view.core_pks if (byz_sign if pk in corrupted else honest_sign))
 
     # -- the height loop -----------------------------------------------------
 

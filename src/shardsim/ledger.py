@@ -33,9 +33,11 @@ from .crypto import (
     encode_int,
     encode_str,
     sign,
+    sign_batch,
     tagged_hash,
     verify_sig,
-    vrf_verify,
+    verify_sig_batch,
+    vrf_verify_batch,
 )
 
 UtxoSet = dict  # pk -> Utxo
@@ -304,33 +306,36 @@ def sign_until_quorum(
     distinct signatures are collected.
 
     ``keys`` maps pks to key pairs; a signer without one does not sign.
-    Signers are read, and keys looked up, only until the quorum.  Returns
-    the signatures collected, fewer than ``quorum`` when the willing
-    signers run out.  Every signer signs the same message, so a further
-    signature could not change a quorum verdict.
+    Signers are read, and keys looked up, only until the quorum; the chosen
+    key pairs then sign in one ``sign_batch``.  Returns the (pk, signature)
+    pairs in signer order, fewer than ``quorum`` when the willing signers
+    run out.  Every signer signs the same message, so a further signature
+    could not change a quorum verdict.
     """
-    sigs: dict[bytes, Signature] = {}
+    chosen: dict[bytes, KeyPair] = {}
     for pk in signers:
-        if len(sigs) == quorum:
+        if len(chosen) == quorum:
             break
-        if pk in sigs:
+        if pk in chosen:
             continue
         kp = keys.get(pk)
         if kp is not None:
-            sigs[pk] = sign(kp, msg)
-    return list(sigs.items())
+            chosen[pk] = kp
+    return list(zip(chosen, sign_batch(list(chosen.values()), msg)))
 
 
 def count_signers(
     signatures: Iterable[tuple[bytes, Signature]], allowed_pks, msg: bytes
 ) -> int:
     """Distinct allowed pks with a valid signature over ``msg``; repeated
-    and outside signers count for nothing."""
-    signers = set()
-    for pk, sig in signatures:
-        if pk in allowed_pks and pk not in signers and verify_sig(pk, msg, sig):
-            signers.add(pk)
-    return len(signers)
+    and outside signers count for nothing.
+
+    The allowed entries are checked in one ``verify_sig_batch``, which
+    hashes the expected value of each distinct pk once; a pk counts once
+    if any of its entries is valid."""
+    allowed = [(pk, sig) for pk, sig in signatures if pk in allowed_pks]
+    valid = verify_sig_batch(allowed, msg)
+    return len({pk for (pk, _), ok in zip(allowed, valid) if ok})
 
 
 def validate_certificate(
@@ -352,7 +357,7 @@ def validate_certificate(
         signer_view = directory.get(ss.label)
         if signer_view is None:
             continue
-        signer_core = {c.pk for c in signer_view.core}
+        signer_core = set(signer_view.core_pks)
         quorum = shard_quorum(rules.mu_core, rules.s_min, len(signer_view.core))
         msg = shard_signature_digest(ss.label, core_digest)
         if count_signers(ss.member_sigs, signer_core, msg) >= quorum:
@@ -393,16 +398,15 @@ def validate_block(
     proposer_view = directory.get(hdr.proposer_label)
     if proposer_view is None:
         return Validity(False, "proposer")
-    core_pks = {c.pk for c in proposer_view.core}
-    if not hdr.vrf_proofs:
+    # Outsiders and repeated pks first, then every VRF value and proof in
+    # one batch.
+    vrf_pks = [pk for pk, _ in hdr.vrf_proofs]
+    if not vrf_pks or len(set(vrf_pks)) < len(vrf_pks):
         return Validity(False, "vrf")
-    seen_vrf = set()
-    for pk, out in hdr.vrf_proofs:
-        if pk not in core_pks or pk in seen_vrf:
-            return Validity(False, "vrf")
-        if not vrf_verify(pk, prev.seed, out):
-            return Validity(False, "vrf")
-        seen_vrf.add(pk)
+    if not set(proposer_view.core_pks).issuperset(vrf_pks):
+        return Validity(False, "vrf")
+    if not all(vrf_verify_batch(hdr.vrf_proofs, prev.seed)):
+        return Validity(False, "vrf")
     if hdr.seed != block_seed([out.value for _, out in hdr.vrf_proofs]):
         return Validity(False, "seed")
 

@@ -49,6 +49,11 @@ class ShardView:
         return self.core + self.spare
 
     @cached_property
+    def core_pks(self) -> tuple[bytes, ...]:
+        """The core members' pks, in core order."""
+        return tuple([c.pk for c in self.core])
+
+    @cached_property
     def core_framing(self) -> bytes:
         """The core's run of the digest preimage: its length part, then
         each member's ``credential_blob`` as one part."""
@@ -149,11 +154,12 @@ def update_view(
     if newcomers or perished_before(spare, height):
         spare = order_spare([c for c in spare if c.expiry_height >= height] + newcomers)
     view = ShardView(label=prev_view.label, height=height, core=core, spare=spare)
-    # A kept tuple encodes to the same bytes, so its framing carries over,
-    # seeded into the instance dict as ``blocks.attach_certificate`` seeds
-    # a header's ``core_digest``.
+    # A kept tuple encodes to the same bytes, so its framing (and the
+    # core's pks) carry over, seeded into the instance dict as
+    # ``blocks.attach_certificate`` seeds a header's ``core_digest``.
     if core is prev_view.core:
         view.__dict__["core_framing"] = prev_view.core_framing
+        view.__dict__["core_pks"] = prev_view.core_pks
     if spare is prev_view.spare:
         view.__dict__["spare_framing"] = prev_view.spare_framing
     return view, tuple(sorted(seen, key=lambda c: c.value))

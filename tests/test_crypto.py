@@ -2,18 +2,21 @@
 
 import itertools
 import math
+from dataclasses import FrozenInstanceError, fields
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shardsim.credentials import derive_credential
+from shardsim.credentials import Credential, _credential, derive_credential, derive_credentials
 from shardsim.crypto import (
     DIGEST_LEN,
     KeyPair,
     Prg,
     Signature,
     VrfOutput,
+    _signature,
+    _vrf_output,
     encode_bytes,
     encode_int,
     encode_str,
@@ -21,13 +24,18 @@ from shardsim.crypto import (
     keygen,
     pk_from_sk,
     sign,
+    sign_batch,
     tagged_hash,
+    tagged_hash_batch,
     tagged_hash_framed,
     tagged_hash_pair,
     tagged_hash_triple,
     verify_sig,
+    verify_sig_batch,
     vrf_eval,
+    vrf_eval_batch,
     vrf_verify,
+    vrf_verify_batch,
 )
 from shardsim.sampling import sample_without_replacement
 
@@ -93,11 +101,18 @@ def test_sign_verify_roundtrip():
     assert not verify_sig(keygen(b"x").pk, b"msg", sig)
 
 
+class EqualToAll:
+    def __eq__(self, other):
+        return True
+
+
 def test_verify_sig_rejects_malformed_input():
     kp = keygen(b"signer")
     assert not verify_sig(kp.pk, b"msg", None)
     assert not verify_sig(kp.pk, b"msg", b"raw-bytes")
     assert not verify_sig(kp.pk, b"msg", Signature(value="not-bytes", signer_pk=kp.pk))
+    # A value that claims equality with anything is still not bytes.
+    assert not verify_sig(kp.pk, b"msg", Signature(value=EqualToAll(), signer_pk=kp.pk))
     forged = Signature(value=tagged_hash(b"sig", kp.pk, b"msg"), signer_pk=b"wrong")
     assert not verify_sig(kp.pk, b"msg", forged)
 
@@ -111,6 +126,7 @@ def test_vrf_roundtrip_and_rejection():
     assert not vrf_verify(kp.pk, b"input", None)
     assert not vrf_verify(kp.pk, b"input", VrfOutput(value=out.value, proof=b"bad"))
     assert not vrf_verify(kp.pk, b"input", VrfOutput(value=b"bad", proof=out.proof))
+    assert not vrf_verify(kp.pk, b"input", VrfOutput(value=EqualToAll(), proof=out.proof))
 
 
 def test_vrf_value_differs_per_key_and_input():
@@ -562,3 +578,85 @@ def test_packed_primitives_equal_their_tagged_hash_form(tag, a, b, c):
 
     chain = [SimpleNamespace(seed=b)] * 2
     assert derive_credential(a, 0, 1, chain, 1).value == tagged_hash(b"cred", a, b)
+
+
+def _flip(data: bytes) -> bytes:
+    """``data`` with its first bit flipped; empty data gets one byte."""
+    return bytes([data[0] ^ 1]) + data[1:] if data else b"\x01"
+
+
+@settings(deadline=None)
+@given(
+    st.binary(min_size=1, max_size=8),
+    st.lists(st.tuples(packed_parts, packed_parts), max_size=6),
+    packed_parts,
+)
+def test_batch_forms_equal_their_one_at_a_time_forms(tag, members, shared):
+    # Batches mix digest-wide parts with parts of 0, 31, 33 and 64 bytes,
+    # so both framings run, alone and side by side.
+    firsts = [a for a, _ in members]
+    lasts = [c for _, c in members]
+    assert tagged_hash_batch(tag, firsts, shared) == [
+        tagged_hash(tag, a, shared) for a in firsts
+    ]
+    assert tagged_hash_batch(tag, firsts, shared, lasts) == [
+        tagged_hash(tag, a, shared, c) for a, c in members
+    ]
+
+    kps = [KeyPair(pk=a, sk=b"unused") for a in firsts]
+    sigs = sign_batch(kps, shared)
+    assert sigs == [sign(kp, shared) for kp in kps]
+    entries = list(zip(firsts, sigs))
+    for (a, c), sig in zip(members, sigs):
+        entries += [
+            (a, Signature(c, a)),
+            (a, Signature(_flip(sig.value), a)),
+            (a, Signature(sig.value, _flip(a))),
+            (a, Signature("not-bytes", a)),
+            (a, sig.value),
+            (a, None),
+        ]
+    verdicts = verify_sig_batch(entries, shared)
+    assert verdicts == [verify_sig(pk, shared, sig) for pk, sig in entries]
+    assert verdicts[: len(sigs)] == [True] * len(sigs)
+
+    outs = vrf_eval_batch(kps, shared)
+    assert outs == [vrf_eval(kp, shared) for kp in kps]
+    vrf_entries = list(zip(firsts, outs))
+    for (a, c), out in zip(members, outs):
+        vrf_entries += [
+            (a, VrfOutput(out.value, c)),
+            (a, VrfOutput(c, out.proof)),
+            (a, VrfOutput(_flip(out.value), out.proof)),
+            (a, VrfOutput(out.value, _flip(out.proof))),
+            (_flip(a), out),
+            (a, (out.value, out.proof)),
+        ]
+    verdicts = vrf_verify_batch(vrf_entries, shared)
+    assert verdicts == [vrf_verify(pk, shared, out) for pk, out in vrf_entries]
+    assert verdicts[: len(outs)] == [True] * len(outs)
+
+    chain = [SimpleNamespace(seed=shared)] * 2
+    assert derive_credentials(firsts, 1, shared, 1) == [
+        derive_credential(a, 0, 1, chain, 1) for a in firsts
+    ]
+
+
+@settings(deadline=None)
+@given(packed_parts, packed_parts, st.integers(-(2**63), 2**63 - 1), st.integers(-(2**63), 2**63 - 1))
+def test_private_constructors_build_what_init_builds(a, b, anchor, expiry):
+    for built, public in (
+        (_signature(a, b), Signature(a, b)),
+        (_vrf_output(a, b), VrfOutput(a, b)),
+        (_credential(a, b, anchor, expiry), Credential(a, b, anchor, expiry)),
+    ):
+        assert type(built) is type(public)
+        assert built == public and hash(built) == hash(public)
+        assert repr(built) == repr(public)
+        assert hasattr(built, "__dict__") == hasattr(public, "__dict__")
+        for field in fields(public):
+            assert getattr(built, field.name) is getattr(public, field.name)
+            with pytest.raises(FrozenInstanceError):
+                setattr(built, field.name, b"")
+            with pytest.raises(FrozenInstanceError):
+                delattr(built, field.name)

@@ -27,7 +27,7 @@ from shardsim.credentials import (
     derive_credentials,
     verify_credential,
 )
-from shardsim.crypto import Prg, encode_int, hash_digest, keygen, tagged_hash
+from shardsim.crypto import Prg, Signature, encode_int, hash_digest, keygen, tagged_hash
 from shardsim.config import ConfigError, ScenarioConfig, load_config, parse_ratio
 from shardsim.harness import Simulation, message_scaling_report, run_scenario
 from shardsim.ledger import (
@@ -42,7 +42,7 @@ from shardsim.ledger import (
     spend,
     validate_block,
 )
-from shardsim.oracles import check_liveness, check_safety
+from shardsim.oracles import InvariantError, check_liveness, check_safety
 from shardsim.overlay import label_matches, route, verify_view_transition
 from shardsim.records import EventLog, Metrics
 from shardsim.protocols import BaDecision, MessageMeter, vector_consensus, within_bound
@@ -1271,6 +1271,54 @@ def test_short_certificate_trips_the_post_certification_check(monkeypatch):
     monkeypatch.setattr(agreement, "shard_sign_block", one_short)
     with pytest.raises(RuntimeError, match="certificate"):
         run_scenario(load_config(CONFIG_DIR / "smoke.json"))
+
+
+def flip_first_signature(sign_until_quorum, flipped: list):
+    """``sign_until_quorum`` whose first collection comes back with the
+    value of its first signature flipped; that call's quorum and the count
+    it collected are kept in ``flipped``."""
+
+    def flipping(signers, keys, msg, quorum):
+        sigs = sign_until_quorum(signers, keys, msg, quorum)
+        if not flipped and sigs:
+            pk, sig = sigs[0]
+            value = bytes([sig.value[0] ^ 1]) + sig.value[1:]
+            sigs[0] = (pk, Signature(value, sig.signer_pk))
+            flipped.append((quorum, len(sigs)))
+        return sigs
+
+    return flipping
+
+
+def test_one_flipped_install_signature_fails_the_install(monkeypatch):
+    # Installs collect exactly the quorum, so one bad signature among them
+    # leaves the view short: batch verification must see it.
+    flipped = []
+    monkeypatch.setattr(
+        views, "sign_until_quorum", flip_first_signature(views.sign_until_quorum, flipped)
+    )
+    sim = Simulation(load_config(CONFIG_DIR / "smoke.json"))
+    first_label = sorted(sim.directory)[0]
+    metrics, events = sim.run()
+    ((quorum, collected),) = flipped
+    assert collected == quorum
+    failed = [rec for rec in metrics.incidents if rec["kind"] == "view-install-failed"]
+    assert failed == [{"height": 1, "kind": "view-install-failed", "label": first_label}]
+    rejected = [(rec["height"], rec["label"]) for rec in events if rec["kind"] == "view-rejected"]
+    assert rejected == [(1, first_label)]
+
+
+def test_one_flipped_endorsement_signature_trips_the_certificate_check(monkeypatch):
+    # The smoke committee is one shard (f_shard=0), so its endorsement alone
+    # certifies a block; one bad signature in it must fail the check that
+    # follows certification.
+    flipped = []
+    monkeypatch.setattr(
+        blocks, "sign_until_quorum", flip_first_signature(blocks.sign_until_quorum, flipped)
+    )
+    with pytest.raises(InvariantError, match="certificate"):
+        run_scenario(load_config(CONFIG_DIR / "smoke.json"))
+    assert len(flipped) == 1
 
 
 def test_run_without_blocks_fails_liveness():

@@ -18,6 +18,7 @@ from shardsim.crypto import (
     keygen,
     sign,
     tagged_hash,
+    verify_sig,
     vrf_eval,
 )
 from shardsim.ledger import (
@@ -451,6 +452,90 @@ def test_count_signers_counts_distinct_allowed_valid_signers():
     assert count_signers(sigs, allowed, msg) == 1
     assert count_signers(sigs + [(KEYS[1].pk, sign(KEYS[1], msg))], allowed, msg) == 2
     assert count_signers([], allowed, msg) == 0
+
+
+def count_signers_one_by_one(signatures, allowed_pks, msg):
+    """The reference ``count_signers``: one ``verify_sig`` per entry, in
+    order, skipping outsiders and pks already counted."""
+    signers = set()
+    for pk, sig in signatures:
+        if pk in allowed_pks and pk not in signers and verify_sig(pk, msg, sig):
+            signers.add(pk)
+    return len(signers)
+
+
+def _flipped(data):
+    return bytes([data[0] ^ 1]) + data[1:]
+
+
+def _signer_entries(msg):
+    """Every kind of entry a certificate or an install may carry, per key:
+    a valid signature, one over another message, someone else's, one with
+    a flipped value, one naming the wrong signer, a non-bytes value, a bare
+    value and no signature at all."""
+    entries = []
+    for kp, other in zip(KEYS, KEYS[1:] + KEYS[:1]):
+        good = sign(kp, msg)
+        entries += [
+            (kp.pk, good),
+            (kp.pk, sign(kp, b"other")),
+            (kp.pk, sign(other, msg)),
+            (kp.pk, Signature(_flipped(good.value), kp.pk)),
+            (kp.pk, Signature(good.value, other.pk)),
+            (kp.pk, Signature("not-bytes", kp.pk)),
+            (kp.pk, good.value),
+            (kp.pk, None),
+        ]
+    return entries
+
+
+SIGNER_ENTRIES = _signer_entries(b"payload")
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.sampled_from(SIGNER_ENTRIES), max_size=24),
+    st.sets(st.sampled_from([kp.pk for kp in KEYS])),
+)
+def test_count_signers_equals_the_one_by_one_loop(entries, allowed):
+    assert count_signers(entries, allowed, b"payload") == count_signers_one_by_one(
+        entries, allowed, b"payload"
+    )
+
+
+def test_count_signers_counts_a_repeated_pk_once_whatever_its_order():
+    msg = b"payload"
+    good = sign(KEYS[0], msg)
+    bad = Signature(_flipped(good.value), KEYS[0].pk)
+    allowed = {KEYS[0].pk}
+    for entries in ([(KEYS[0].pk, bad), (KEYS[0].pk, good)], [(KEYS[0].pk, good)] * 3):
+        assert count_signers(entries, allowed, msg) == 1
+    assert count_signers([(KEYS[0].pk, bad)] * 2, allowed, msg) == 0
+
+
+@pytest.mark.parametrize("field", ["value", "proof"])
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+def test_validate_block_refuses_a_tampered_vrf_output_anywhere(position, field):
+    genesis, state, directory, rules, block = _micro_chain()
+    prev = genesis.header
+
+    def verdict(proofs):
+        header = _rebuild(
+            block.header,
+            vrf_proofs=tuple(proofs),
+            seed=block_seed([out.value for _, out in proofs]),
+        )
+        return validate_block(
+            state, directory, Block(header, block.body), prev, rules, [""],
+            require_certificate=False,
+        )
+
+    proofs = [(kp.pk, vrf_eval(kp, prev.seed)) for kp in KEYS[:3]]
+    assert verdict(proofs)
+    pk, out = proofs[position]
+    proofs[position] = (pk, replace(out, **{field: _flipped(getattr(out, field))}))
+    refused = verdict(proofs)
+    assert not refused and refused.reason == "vrf"
 
 
 # -- replaying a body on a running state --------------------------------------

@@ -332,11 +332,13 @@ def test_update_view_equals_the_reference(case):
     # Whatever framing was handed over, the digest is the one a fresh copy
     # of the view computes from scratch.
     assert view.digest == ShardView.digest.func(replace(view))
+    assert view.core_pks == tuple(c.pk for c in view.core)
 
 
 class TestCarriedTuples:
     """A member tuple that loses and gains nobody is the previous view's
-    own tuple, and carries its framing along."""
+    own tuple, and carries its framing (and, for the core, its pks)
+    along."""
 
     def setup_method(self):
         self.prev = make_view(height=3, core_n=3, spare_n=3, expiry=5)
@@ -346,6 +348,7 @@ class TestCarriedTuples:
         view = update_view(self.prev, [None, frozenset()])[0]
         assert view.core is self.prev.core and view.spare is self.prev.spare
         assert vars(view)["core_framing"] is self.prev.core_framing
+        assert vars(view)["core_pks"] is self.prev.core_pks
         assert vars(view)["spare_framing"] is self.prev.spare_framing
         assert view.digest == ShardView.digest.func(replace(view)) != self.prev.digest
 
@@ -368,7 +371,8 @@ class TestCarriedTuples:
         prev = replace(self.prev, core=(dying,) + self.prev.core[1:])
         view = update_view(prev, [])[0]
         assert view.core == prev.core[1:] and view.spare is prev.spare
-        assert "core_framing" not in vars(view)
+        assert "core_framing" not in vars(view) and "core_pks" not in vars(view)
+        assert view.core_pks == tuple(c.pk for c in view.core)
         assert view.digest == ShardView.digest.func(replace(view))
 
 
