@@ -38,6 +38,19 @@ next to their class (``_signature``, ``_vrf_output``), which sets each
 slot through its descriptor as the generated frozen ``__init__`` does, at
 about half its cost; public construction keeps that ``__init__``.
 
+Verification reads what was issued.  ``sign_batch`` and ``vrf_eval_batch``
+each keep a record of the last batch they issued: the message or VRF
+input, the pks framed in one buffer, and the digests.  A verifying batch
+over the same shared part and the same distinct pks, in the same order,
+reads its expected digests from that record, as an ideal signature
+functionality answers from its list of issued signatures (Canetti's F_SIG,
+CSFW 2004); any other batch recomputes them through ``tagged_hash_batch``.
+Every entry is still compared with its expected digest, so a flipped,
+forged or wrong-signer entry fails either way.  The run counts a quorum
+right after signing it and validates a proposal right after its core's VRF
+batch, so one batch per rule is all the record holds; it has no size to
+set.
+
 :class:`Prg` keeps one state already fed everything of its block preimage
 but the counter.  ``tests/test_crypto.py`` freezes the PRG stream and a
 set of tagged digests, and checks the batch forms against
@@ -168,6 +181,15 @@ def tagged_hash_triple(tag: bytes, a: bytes, b: bytes, c: bytes) -> bytes:
     return tagged_hash_batch(tag, (a,), b, (c,))[0]
 
 
+def encode_parts(parts: Sequence[bytes]) -> bytes:
+    """``b"".join(map(encode_bytes, parts))``, the framing ``tagged_hash``
+    gives ``parts``, for ``tagged_hash_framed``.  A run of ``DIGEST_LEN``-wide
+    parts is joined on their one length prefix."""
+    if _all_wide(parts):
+        return _WIDE_PREFIX + _WIDE_PREFIX.join(parts) if parts else b""
+    return b"".join(map(encode_bytes, parts))
+
+
 def tagged_hash_framed(tag: bytes, framed: bytes) -> bytes:
     """``tagged_hash(tag, *parts)`` for a caller that already framed its
     parts: ``framed`` is the concatenation of ``encode_bytes(part)`` over
@@ -236,6 +258,48 @@ def pk_from_sk(sk: bytes) -> bytes:
     return tagged_hash(b"pk", sk)
 
 
+# The last batch each digest rule issued, as (shared part, framed pks,
+# digests): ``sign_batch`` keeps its message and signature values under
+# ``b"sig"``, ``vrf_eval_batch`` its input and (values, proofs) under
+# ``b"vrf"``, the digests as tuples.  Each batch replaces the rule's record,
+# so it holds one batch per rule whatever the run.  The shared part is kept
+# as ``bytes``, so a caller that reuses a mutable buffer cannot change what
+# a record says was signed.  The pks are kept framed in one buffer
+# (``encode_parts``, so two pk sequences match only if they are equal): a
+# tuple would keep each pk alive after its run has ended, and a core's pks,
+# scattered over the allocator's arenas, kept those arenas resident (1.6 MiB
+# more peak RSS on ``txheavy``, which runs one scenario after another).
+_ISSUED: dict[bytes, tuple] = {}
+
+
+def _issue(rule: bytes, shared: bytes, pks: Sequence[bytes], digests: tuple) -> None:
+    _ISSUED[rule] = (bytes(shared), encode_parts(pks), digests)
+
+
+def _expected(rule: bytes, pks: Sequence[bytes], shared: bytes, derive):
+    """``derive(pks, shared)``, read from the rule's record when the last
+    batch it issued was over this very ``shared`` part and ``pks``."""
+    issued = _ISSUED.get(rule)
+    if issued is not None and issued[0] == shared and issued[1] == encode_parts(pks):
+        return issued[2]
+    return derive(pks, shared)
+
+
+def _distinct_pks(entries: Sequence[tuple[bytes, object]]) -> tuple[list[bytes], list[bytes]]:
+    """The pk of each entry, and the distinct ones in first-seen order; a
+    batch of one skips the dedupe dict."""
+    pks = [pk for pk, _ in entries]
+    return pks, list(dict.fromkeys(pks)) if len(pks) > 1 else pks
+
+
+def _per_entry(pks: list[bytes], distinct: list[bytes], digests: Sequence[bytes]):
+    """The digests of ``distinct``, one per entry of ``pks``: as they are
+    when no pk repeats, else looked up by pk."""
+    if len(distinct) == len(pks):
+        return digests
+    return map(dict(zip(distinct, digests)).__getitem__, pks)
+
+
 def _signature_values(pks: Sequence[bytes], msg: bytes) -> list[bytes]:
     """The signature value of each pk over ``msg``: what signing makes and
     verification recomputes."""
@@ -243,9 +307,12 @@ def _signature_values(pks: Sequence[bytes], msg: bytes) -> list[bytes]:
 
 
 def sign_batch(kps: Sequence[KeyPair], msg: bytes) -> list[Signature]:
-    """``[sign(kp, msg) for kp in kps]``."""
+    """``[sign(kp, msg) for kp in kps]``; the batch becomes the ``b"sig"``
+    record."""
     pks = [kp.pk for kp in kps]
-    return list(map(_signature, _signature_values(pks, msg), pks))
+    values = tuple(_signature_values(pks, msg))
+    _issue(b"sig", msg, pks, values)
+    return list(map(_signature, values, pks))
 
 
 def sign(kp: KeyPair, msg: bytes) -> Signature:
@@ -255,16 +322,18 @@ def sign(kp: KeyPair, msg: bytes) -> Signature:
 def verify_sig_batch(
     signatures: Sequence[tuple[bytes, object]], msg: bytes
 ) -> list[bool]:
-    """``[verify_sig(pk, msg, sig) for pk, sig in signatures]``; the expected
-    value of a repeated pk is hashed once."""
-    pks = list(dict.fromkeys([pk for pk, _ in signatures]))
-    expected = dict(zip(pks, _signature_values(pks, msg)))
+    """``[verify_sig(pk, msg, sig) for pk, sig in signatures]``.  The
+    expected value of each distinct pk is read from the ``b"sig"`` record
+    when it holds this message and these distinct pks in this order, and is
+    otherwise hashed once; every entry is compared either way."""
+    pks, distinct = _distinct_pks(signatures)
+    values = _expected(b"sig", distinct, msg, _signature_values)
     return [
         isinstance(sig, Signature)
         and isinstance(sig.value, bytes)
         and sig.signer_pk == pk
-        and sig.value == expected[pk]
-        for pk, sig in signatures
+        and sig.value == value
+        for (pk, sig), value in zip(signatures, _per_entry(pks, distinct, values))
     ]
 
 
@@ -284,8 +353,12 @@ def _vrf_digests(pks: Sequence[bytes], vrf_input: bytes) -> tuple[list[bytes], l
 
 
 def vrf_eval_batch(kps: Sequence[KeyPair], vrf_input: bytes) -> list[VrfOutput]:
-    """``[vrf_eval(kp, vrf_input) for kp in kps]``."""
-    return list(map(_vrf_output, *_vrf_digests([kp.pk for kp in kps], vrf_input)))
+    """``[vrf_eval(kp, vrf_input) for kp in kps]``; the batch becomes the
+    ``b"vrf"`` record."""
+    pks = [kp.pk for kp in kps]
+    values, proofs = _vrf_digests(pks, vrf_input)
+    _issue(b"vrf", vrf_input, pks, (tuple(values), tuple(proofs)))
+    return list(map(_vrf_output, values, proofs))
 
 
 def vrf_eval(kp: KeyPair, vrf_input: bytes) -> VrfOutput:
@@ -297,15 +370,20 @@ def vrf_verify_batch(
     outputs: Sequence[tuple[bytes, object]], vrf_input: bytes
 ) -> list[bool]:
     """``[vrf_verify(pk, vrf_input, out) for pk, out in outputs]``: each
-    value and proof is recomputed and compared.  The proof is recomputed
-    over the expected value, so a value that is not bytes fails first."""
-    values, proofs = _vrf_digests([pk for pk, _ in outputs], vrf_input)
+    value and proof is compared with the expected one, read from the
+    ``b"vrf"`` record as ``verify_sig_batch`` reads the ``b"sig"`` one, or
+    hashed once per distinct pk.  The proof is derived over the expected
+    value, so a value that is not bytes fails first."""
+    pks, distinct = _distinct_pks(outputs)
+    values, proofs = _expected(b"vrf", distinct, vrf_input, _vrf_digests)
     return [
         isinstance(out, VrfOutput)
         and isinstance(out.value, bytes)
         and out.value == value
         and out.proof == proof
-        for (_, out), value, proof in zip(outputs, values, proofs)
+        for (_, out), value, proof in zip(
+            outputs, _per_entry(pks, distinct, values), _per_entry(pks, distinct, proofs)
+        )
     ]
 
 

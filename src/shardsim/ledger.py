@@ -19,23 +19,25 @@ can only shrink.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .crypto import (
+    DIGEST_LEN,
     ZERO_DIGEST,
     KeyPair,
     Signature,
     VrfOutput,
     encode_bytes,
     encode_int,
+    encode_parts,
     encode_str,
-    sign,
     sign_batch,
     tagged_hash,
-    verify_sig,
+    tagged_hash_framed,
     verify_sig_batch,
     vrf_verify_batch,
 )
@@ -153,7 +155,7 @@ def make_transaction(
     """Build a transaction spending ``input_keys`` (KeyPair per input)."""
     inputs = tuple(kp.pk for kp in input_keys)
     msg = tx_signing_digest(inputs, outputs)
-    sigs = tuple(sign(kp, msg) for kp in input_keys)
+    sigs = tuple(sign_batch(input_keys, msg))
     return Transaction(inputs=inputs, outputs=tuple(outputs), signatures=sigs)
 
 
@@ -161,13 +163,31 @@ def body_digest(body: Sequence[Transaction]) -> bytes:
     return tagged_hash(b"body", *[tx.tx_id for tx in body])
 
 
+# A (pk, digest, digest) triple as three parts of a preimage when each part
+# is a digest: every length prefix, then the part.
+_FRAMED_TRIPLE = struct.Struct(f">I{DIGEST_LEN}sI{DIGEST_LEN}sI{DIGEST_LEN}s")
+
+
+def _framed_triples(triples: Iterable[tuple[bytes, bytes, bytes]]) -> bytes:
+    """``b"".join(encode_bytes(a) + encode_bytes(b) + encode_bytes(c) for
+    a, b, c in triples)``.  A triple of ``DIGEST_LEN``-wide parts is packed
+    by one struct call; any other width keeps ``encode_bytes``, since
+    ``"32s"`` would pad or truncate it."""
+    pack = _FRAMED_TRIPLE.pack
+    return b"".join(
+        [
+            pack(DIGEST_LEN, a, DIGEST_LEN, b, DIGEST_LEN, c)
+            if len(a) == DIGEST_LEN == len(b) == len(c)
+            else encode_bytes(a) + encode_bytes(b) + encode_bytes(c)
+            for a, b, c in triples
+        ]
+    )
+
+
 def _vrf_blob(vrf_proofs: Sequence[tuple[bytes, VrfOutput]]) -> bytes:
-    parts = [encode_int(len(vrf_proofs))]
-    for pk, out in vrf_proofs:
-        parts.append(encode_bytes(pk))
-        parts.append(encode_bytes(out.value))
-        parts.append(encode_bytes(out.proof))
-    return b"".join(parts)
+    return encode_int(len(vrf_proofs)) + _framed_triples(
+        [(pk, out.value, out.proof) for pk, out in vrf_proofs]
+    )
 
 
 def _certificate_blob(certificate: Sequence[ShardSignature]) -> bytes:
@@ -176,10 +196,14 @@ def _certificate_blob(certificate: Sequence[ShardSignature]) -> bytes:
         parts.append(encode_str(ss.label))
         parts.append(encode_int(ss.view_height))
         parts.append(encode_int(len(ss.member_sigs)))
-        for pk, sig in sorted(ss.member_sigs, key=lambda ps: ps[0]):
-            parts.append(encode_bytes(pk))
-            parts.append(encode_bytes(sig.value))
-            parts.append(encode_bytes(sig.signer_pk))
+        parts.append(
+            _framed_triples(
+                [
+                    (pk, sig.value, sig.signer_pk)
+                    for pk, sig in sorted(ss.member_sigs, key=lambda ps: ps[0])
+                ]
+            )
+        )
     return b"".join(parts)
 
 
@@ -193,7 +217,7 @@ def block_seed(vrf_values: Sequence[bytes]) -> bytes:
     """Next-block randomness: digest of the decided VRF values in order."""
     if not vrf_values:
         raise ValueError("a block seed needs at least one VRF contribution")
-    return tagged_hash(b"seed", *vrf_values)
+    return tagged_hash_framed(b"seed", encode_parts(vrf_values))
 
 
 def total_stake(state: Mapping[bytes, Utxo]) -> int:
@@ -228,9 +252,8 @@ def validate_transaction(
     if len(tx.signatures) != len(tx.inputs):
         return Validity(False, "bad-signature")
     msg = tx_signing_digest(tx.inputs, tx.outputs)
-    for pk, sig in zip(tx.inputs, tx.signatures):
-        if not verify_sig(pk, msg, sig):
-            return Validity(False, "bad-signature")
+    if not all(verify_sig_batch(tuple(zip(tx.inputs, tx.signatures)), msg)):
+        return Validity(False, "bad-signature")
     return VALID
 
 

@@ -185,12 +185,15 @@ def fill_core(
     if take <= 0:
         return view, ()
     promoted = sample_without_replacement(Prg(beacon_seed), view.spare, take)
-    promoted_set = set(promoted)
+    # The sample holds the spare set's own objects, and the spare set holds
+    # no two equal credentials, so an id test is ``c not in set(promoted)``
+    # without hashing a credential, as in ``verify_view_transition``.
+    promoted_ids = set(map(id, promoted))
     filled = ShardView(
         label=view.label,
         height=view.height,
         core=view.core + tuple(promoted),
-        spare=tuple(c for c in view.spare if c not in promoted_set),
+        spare=tuple([c for c in view.spare if id(c) not in promoted_ids]),
     )
     return filled, tuple(promoted)
 

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shardsim import crypto
 from shardsim.credentials import Credential, _credential, derive_credential, derive_credentials
 from shardsim.crypto import (
     DIGEST_LEN,
@@ -640,6 +641,143 @@ def test_batch_forms_equal_their_one_at_a_time_forms(tag, members, shared):
     assert derive_credentials(firsts, 1, shared, 1) == [
         derive_credential(a, 0, 1, chain, 1) for a in firsts
     ]
+
+
+RECORD_KEYS = [keygen(b"record-%d" % i) for i in range(5)]
+RECORD_MSGS = [b"m0", b"m1", tagged_hash(b"test", b"m2")]
+
+
+def _recomputed_sig_verdict(pk, msg, sig):
+    """``verify_sig`` with the expected value hashed afresh."""
+    (value,) = tagged_hash_batch(b"sig", [pk], msg)
+    return (
+        isinstance(sig, Signature)
+        and isinstance(sig.value, bytes)
+        and sig.signer_pk == pk
+        and sig.value == value
+    )
+
+
+def _recomputed_vrf_verdict(pk, vrf_input, out):
+    """``vrf_verify`` with the expected value and proof hashed afresh."""
+    (value,) = tagged_hash_batch(b"vrf", [pk], vrf_input)
+    (proof,) = tagged_hash_batch(b"vrf-proof", [pk], vrf_input, [value])
+    return (
+        isinstance(out, VrfOutput)
+        and isinstance(out.value, bytes)
+        and out.value == value
+        and out.proof == proof
+    )
+
+
+def _variants(data, entries, msg, tamper):
+    """Entry lists and messages around an issued batch: as issued, one entry
+    tampered, on another message, reordered, a subset, with a repeated pk."""
+    yield entries, msg
+    yield entries, data.draw(st.sampled_from(RECORD_MSGS))
+    yield data.draw(st.permutations(entries)), msg
+    keep = data.draw(st.lists(st.booleans(), min_size=len(entries), max_size=len(entries)))
+    yield [entry for entry, kept in zip(entries, keep) if kept], msg
+    if entries:
+        i = data.draw(st.integers(0, len(entries) - 1))
+        for changed in tamper(*entries[i]):
+            yield entries[:i] + [changed] + entries[i + 1 :], msg
+            yield entries + [changed], msg
+        yield entries + [entries[i]], msg
+
+
+batches = st.tuples(
+    st.sampled_from(["sig", "vrf"]),
+    st.lists(st.integers(0, len(RECORD_KEYS) - 1), max_size=5),
+    st.integers(0, len(RECORD_MSGS) - 1),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(batches, min_size=1, max_size=4), st.data())
+def test_the_issued_record_never_changes_a_verdict(issued, data):
+    # Any run of issued batches, then entries around the last one of each
+    # rule: every verdict is the one a fresh hash gives.
+    last = {}
+    for rule, picks, m in issued:
+        kps = [RECORD_KEYS[i] for i in picks]
+        msg = RECORD_MSGS[m]
+        made = sign_batch(kps, msg) if rule == "sig" else vrf_eval_batch(kps, msg)
+        last[rule] = ([kp.pk for kp in kps], made, msg)
+    other = keygen(b"record-outsider").pk
+
+    if "sig" in last:
+        pks, sigs, msg = last["sig"]
+
+        def tamper_sig(pk, sig):
+            return [
+                (pk, Signature(_flip(sig.value), pk)),
+                (pk, Signature(sig.value, other)),
+                (other, sig),
+                (other, Signature(sig.value, other)),
+            ]
+
+        for entries, on in _variants(data, list(zip(pks, sigs)), msg, tamper_sig):
+            assert verify_sig_batch(entries, on) == [
+                _recomputed_sig_verdict(pk, on, sig) for pk, sig in entries
+            ]
+    if "vrf" in last:
+        pks, outs, vrf_input = last["vrf"]
+
+        def tamper_vrf(pk, out):
+            return [
+                (pk, VrfOutput(_flip(out.value), out.proof)),
+                (pk, VrfOutput(out.value, _flip(out.proof))),
+                (other, out),
+            ]
+
+        for entries, on in _variants(data, list(zip(pks, outs)), vrf_input, tamper_vrf):
+            assert vrf_verify_batch(entries, on) == [
+                _recomputed_vrf_verdict(pk, on, out) for pk, out in entries
+            ]
+
+
+def test_a_new_batch_replaces_the_record(monkeypatch):
+    tags = []
+    kernel = crypto.tagged_hash_batch
+
+    def counted(tag, *args):
+        tags.append(tag)
+        return kernel(tag, *args)
+
+    monkeypatch.setattr(crypto, "tagged_hash_batch", counted)
+    kps = RECORD_KEYS[:3]
+    pks = [kp.pk for kp in kps]
+
+    old = list(zip(pks, sign_batch(kps, b"old")))
+    new = list(zip(pks, sign_batch(kps, b"new")))
+    tags.clear()
+    # The last batch is read from the record: no hash, and a flipped entry
+    # still fails.
+    forged = new[:1] + [(pks[1], Signature(_flip(new[1][1].value), pks[1]))] + new[2:]
+    assert verify_sig_batch(new, b"new") == [True] * 3
+    assert verify_sig_batch(forged, b"new") == [True, False, True]
+    assert tags == []
+    # The replaced batch recomputes, once per call.
+    assert verify_sig_batch(old, b"old") == [True] * 3
+    assert tags == [b"sig"]
+    # So does the last batch's message over other pks.
+    tags.clear()
+    assert verify_sig_batch(new[:2], b"new") == [True] * 2
+    assert tags == [b"sig"]
+
+    old = list(zip(pks, vrf_eval_batch(kps, b"old")))
+    new = list(zip(pks, vrf_eval_batch(kps, b"new")))
+    tags.clear()
+    assert vrf_verify_batch(new, b"new") == [True] * 3
+    assert tags == []
+    assert vrf_verify_batch(old, b"old") == [True] * 3
+    assert tags == [b"vrf", b"vrf-proof"]
+    # A signature batch leaves the VRF record alone.
+    sign_batch(kps, b"new")
+    tags.clear()
+    assert vrf_verify_batch(new, b"new") == [True] * 3
+    assert tags == []
 
 
 @settings(deadline=None)

@@ -30,6 +30,8 @@ from shardsim.ledger import (
     TxOutput,
     Utxo,
     Validity,
+    _certificate_blob,
+    _vrf_blob,
     apply_block,
     apply_transaction,
     block_seed,
@@ -831,3 +833,54 @@ def test_header_digests_are_the_field_encoding(header):
     for _ in range(2):
         assert header.core_digest == reference_core_digest(header)
         assert header_hash(header) == reference_header_hash(header)
+
+
+def _vrf_blob_loop(vrf_proofs):
+    """``_vrf_blob`` as a loop over ``encode_bytes``, before runs of
+    digest-wide parts were packed."""
+    parts = [encode_int(len(vrf_proofs))]
+    for pk, out in vrf_proofs:
+        parts += [encode_bytes(pk), encode_bytes(out.value), encode_bytes(out.proof)]
+    return b"".join(parts)
+
+
+def _certificate_blob_loop(certificate):
+    """``_certificate_blob`` as a loop over ``encode_bytes``, like
+    ``_vrf_blob_loop``."""
+    parts = [encode_int(len(certificate))]
+    for ss in sorted(certificate, key=lambda s: s.label):
+        parts += [encode_str(ss.label), encode_int(ss.view_height), encode_int(len(ss.member_sigs))]
+        for pk, sig in sorted(ss.member_sigs, key=lambda ps: ps[0]):
+            parts += [encode_bytes(pk), encode_bytes(sig.value), encode_bytes(sig.signer_pk)]
+    return b"".join(parts)
+
+
+# Digest-wide parts are packed; parts of every other width keep the framing
+# of ``encode_bytes``, alone or next to packed ones.
+framed_parts = st.sampled_from([0, 31, 32, 32, 33, 64]).flatmap(
+    lambda width: st.binary(min_size=width, max_size=width)
+)
+framed_proofs = st.lists(
+    st.tuples(framed_parts, st.builds(VrfOutput, value=framed_parts, proof=framed_parts)),
+    max_size=5,
+)
+framed_certificates = st.lists(
+    st.builds(
+        ShardSignature,
+        label=labels,
+        view_height=heights,
+        member_sigs=st.lists(
+            st.tuples(framed_parts, st.builds(Signature, value=framed_parts, signer_pk=framed_parts)),
+            max_size=4,
+        ).map(tuple),
+    ),
+    max_size=3,
+)
+
+
+@settings(deadline=None)
+@given(framed_proofs, framed_certificates, st.lists(framed_parts, min_size=1, max_size=5))
+def test_header_runs_frame_as_the_encode_bytes_loops(vrf_proofs, certificate, values):
+    assert _vrf_blob(vrf_proofs) == _vrf_blob_loop(vrf_proofs)
+    assert _certificate_blob(certificate) == _certificate_blob_loop(certificate)
+    assert block_seed(values) == tagged_hash(b"seed", *values)
