@@ -394,7 +394,7 @@ def compare_grind_passive(
         raise ValueError("2**shard_bits labels exceed the 2 * adversaries * epochs placements")
 
     from .credentials import derive_credentials
-    from .crypto import keygen
+    from .crypto import keygen_batch, tagged_hash_indexed
     from .overlay import route_all
 
     root = _seed_digest(seed)
@@ -402,19 +402,17 @@ def compare_grind_passive(
     directory = {label: None for label in labels}
     index = {label: i for i, label in enumerate(labels)}
 
-    passive_pks = [
-        keygen(tagged_hash(b"grind-passive", root, encode_int(i))).pk
-        for i in range(n_adversary)
-    ]
+    passive_seeds = tagged_hash_indexed(b"grind-passive", range(n_adversary), root)
+    passive_pks = [kp.pk for kp in keygen_batch(passive_seeds)]
     grind_co = [0] * len(labels)
     passive_co = [0] * len(labels)
 
     for epoch in range(epochs):
         # Grinding keys are fixed before the epoch seed exists.
-        grind_pks = [
-            keygen(tagged_hash(b"grind-respend", root, encode_int(epoch), encode_int(i))).pk
-            for i in range(n_adversary)
-        ]
+        grind_seeds = tagged_hash_indexed(
+            b"grind-respend", range(n_adversary), root, encode_int(epoch)
+        )
+        grind_pks = [kp.pk for kp in keygen_batch(grind_seeds)]
         epoch_seed = tagged_hash(b"grind-epoch", root, encode_int(epoch))
         for pks, table in ((grind_pks, grind_co), (passive_pks, passive_co)):
             creds = derive_credentials(pks, 0, epoch_seed, 1)

@@ -7,10 +7,14 @@ simulation, not of the math: adversary strategy code only ever receives the
 key pairs of corrupted users and never fabricates digests for keys it does
 not hold.
 
-:func:`keygen` is the only place that builds a :class:`KeyPair`, so a key
-pair's ``pk`` is always the one its ``sk`` derives.  :func:`sign` and
-:func:`vrf_eval` take the whole key pair and use that ``pk`` instead of
-deriving it again on every call.
+:func:`keygen_batch` is the one place a :class:`KeyPair` is built
+(:func:`keygen` is a batch of one), so a key pair's ``pk`` is always the
+one its ``sk`` derives.  It hashes every secret key, then every public
+key, in one kernel pass each.  Set-up, the workload's receivers and the
+grind comparison each make their keys in one batch, from seed materials
+that :func:`tagged_hash_indexed` hashes in the kernel's loop.
+:func:`sign` and :func:`vrf_eval` take the whole key pair and use that
+``pk`` instead of deriving it again on every call.
 
 Every hash use site hashes under a distinct context tag, so independently
 seeded streams (credentials, seeds, signatures, VRF, PRG words) can never
@@ -34,22 +38,25 @@ batch forms :func:`sign_batch`, :func:`verify_sig_batch`,
 :func:`vrf_eval_batch` and :func:`vrf_verify_batch` equal their
 one-at-a-time forms, which are batches of one, so each digest rule has one
 implementation.  Records a batch builds come from a private constructor
-next to their class (``_signature``, ``_vrf_output``), which sets each
-slot through its descriptor as the generated frozen ``__init__`` does, at
-about half its cost; public construction keeps that ``__init__``.
+next to their class (``_signature``, ``_vrf_output``, ``_keypair``),
+which sets each slot through its descriptor as the generated frozen
+``__init__`` does, at about half its cost; public construction keeps that
+``__init__``.  A ``shared`` part of None leaves the shared part out, which
+is the form keys are hashed in.
 
 Verification reads what was issued.  ``sign_batch`` and ``vrf_eval_batch``
 each keep a record of the last batch they issued: the message or VRF
 input, the pks framed in one buffer, and the digests.  A verifying batch
-over the same shared part and the same distinct pks, in the same order,
-reads its expected digests from that record, as an ideal signature
-functionality answers from its list of issued signatures (Canetti's F_SIG,
-CSFW 2004); any other batch recomputes them through ``tagged_hash_batch``.
-Every entry is still compared with its expected digest, so a flipped,
-forged or wrong-signer entry fails either way.  The run counts a quorum
-right after signing it and validates a proposal right after its core's VRF
-batch, so one batch per rule is all the record holds; it has no size to
-set.
+over the same shared part reads the expected digests of every pk the
+record holds from it, as an ideal signature functionality answers from its
+list of issued signatures (Canetti's F_SIG, CSFW 2004), and recomputes
+only the others through ``tagged_hash_batch``; the same distinct pks in
+the same order are read at once.  Every entry is still compared with its
+expected digest, so a flipped, forged or wrong-signer entry fails either
+way.  The run counts a quorum right after signing it and validates a
+proposal right after its core's VRF batch (whose decided vector may have
+nulled some slots, leaving a subset of the pks), so one batch per rule is
+all the record holds; it has no size to set.
 
 :class:`Prg` keeps one state already fed everything of its block preimage
 but the counter.  ``tests/test_crypto.py`` freezes the PRG stream and a
@@ -132,15 +139,29 @@ def _all_wide(parts: Sequence[bytes]) -> bool:
     return set(map(len, parts)) <= {DIGEST_LEN}
 
 
+def _digests(state: "hashlib._Hash", preimages: Iterable[bytes]) -> list[bytes]:
+    """The digest of each preimage fed to its own copy of ``state``: the
+    one per-member hashing loop."""
+    copy = state.copy
+    digests = []
+    for preimage in preimages:
+        h = copy()
+        h.update(preimage)
+        digests.append(h.digest())
+    return digests
+
+
 def tagged_hash_batch(
     tag: bytes,
     firsts: Sequence[bytes],
-    shared: bytes,
+    shared: bytes | None = None,
     lasts: Sequence[bytes] | None = None,
 ) -> list[bytes]:
     """``[tagged_hash(tag, a, shared) for a in firsts]``, or with ``lasts``
-    ``[tagged_hash(tag, a, shared, c) for a, c in zip(firsts, lasts)]``:
-    the one kernel of every per-member digest.
+    ``[tagged_hash(tag, a, shared, c) for a, c in zip(firsts, lasts)]``;
+    a ``shared`` of None is left out, so ``tagged_hash_batch(tag, firsts)``
+    is ``[tagged_hash(tag, a) for a in firsts]``.  The one kernel of every
+    per-member digest.
 
     Each preimage past the primed tag state is framed in one expression and
     hashed in one update.  When every first and last part is ``DIGEST_LEN``
@@ -148,7 +169,7 @@ def tagged_hash_batch(
     once to a copy of the tag state and the last one rides on the shared
     part's framing.  Any other width frames each part on its own."""
     state = _TAG_STATES.get(tag) or _prime(tag)
-    mid = encode_bytes(shared)
+    mid = b"" if shared is None else encode_bytes(shared)
     if _all_wide(firsts) and (lasts is None or _all_wide(lasts)):
         state = state.copy()
         state.update(_WIDE_PREFIX)
@@ -158,17 +179,13 @@ def tagged_hash_batch(
         firsts = map(encode_bytes, firsts)
         if lasts is not None:
             lasts = map(encode_bytes, lasts)
-    if lasts is None:
+    if lasts is not None:
+        preimages = map(b"".join, zip(firsts, repeat(mid), lasts))
+    elif mid:
         preimages = map(add, firsts, repeat(mid))
     else:
-        preimages = map(b"".join, zip(firsts, repeat(mid), lasts))
-    copy = state.copy
-    digests = []
-    for preimage in preimages:
-        h = copy()
-        h.update(preimage)
-        digests.append(h.digest())
-    return digests
+        preimages = firsts
+    return _digests(state, preimages)
 
 
 def tagged_hash_pair(tag: bytes, a: bytes, b: bytes) -> bytes:
@@ -199,13 +216,38 @@ def tagged_hash_framed(tag: bytes, framed: bytes) -> bytes:
     return h.digest()
 
 
+# The length prefix of an ``encode_int`` part.
+_INT_PREFIX = len(encode_int(0)).to_bytes(4, "big")
+
+
+def tagged_hash_indexed(tag: bytes, indices: Iterable[int], *lead: bytes) -> list[bytes]:
+    """``[tagged_hash(tag, *lead, encode_int(i)) for i in indices]``, the
+    seed material of a run of numbered keys.  The framed ``lead`` and the
+    index's length prefix are fed once to a copy of the tag state, and
+    each index is hashed in one update by the kernel's loop."""
+    state = (_TAG_STATES.get(tag) or _prime(tag)).copy()
+    state.update(encode_parts(lead) + _INT_PREFIX)
+    return _digests(state, [i.to_bytes(8, "big", signed=True) for i in indices])
+
+
 _new = object.__new__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyPair:
     pk: bytes
     sk: bytes
+
+
+_set_kp_pk, _set_kp_sk = (KeyPair.__dict__[f].__set__ for f in ("pk", "sk"))
+
+
+def _keypair(pk: bytes, sk: bytes) -> KeyPair:
+    """``KeyPair(pk, sk)``, built like ``_signature``."""
+    kp = _new(KeyPair)
+    _set_kp_pk(kp, pk)
+    _set_kp_sk(kp, sk)
+    return kp
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,45 +286,71 @@ def _vrf_output(value: bytes, proof: bytes) -> VrfOutput:
     return out
 
 
-def keygen(seed_material: bytes) -> KeyPair:
-    """Deterministic key pair from seed material.
+def keygen_batch(seeds: Sequence[bytes]) -> list[KeyPair]:
+    """A key pair per seed material, each secret key and public key hashed
+    in one kernel pass.
 
     The public key is itself a digest of the secret key, so signature and
     VRF checks reduce to pure recomputation.
     """
-    sk = tagged_hash(b"sk", seed_material)
-    return KeyPair(pk=pk_from_sk(sk), sk=sk)
+    sks = tagged_hash_batch(b"sk", seeds)
+    return list(map(_keypair, tagged_hash_batch(b"pk", sks), sks))
 
 
-def pk_from_sk(sk: bytes) -> bytes:
-    return tagged_hash(b"pk", sk)
+def keygen(seed_material: bytes) -> KeyPair:
+    """Deterministic key pair from seed material: a batch of one."""
+    return keygen_batch((seed_material,))[0]
 
 
 # The last batch each digest rule issued, as (shared part, framed pks,
-# digests): ``sign_batch`` keeps its message and signature values under
+# digest columns): ``sign_batch`` keeps its message and (values,) under
 # ``b"sig"``, ``vrf_eval_batch`` its input and (values, proofs) under
-# ``b"vrf"``, the digests as tuples.  Each batch replaces the rule's record,
-# so it holds one batch per rule whatever the run.  The shared part is kept
-# as ``bytes``, so a caller that reuses a mutable buffer cannot change what
-# a record says was signed.  The pks are kept framed in one buffer
-# (``encode_parts``, so two pk sequences match only if they are equal): a
-# tuple would keep each pk alive after its run has ended, and a core's pks,
-# scattered over the allocator's arenas, kept those arenas resident (1.6 MiB
-# more peak RSS on ``txheavy``, which runs one scenario after another).
+# ``b"vrf"``, each column a tuple in pk order.  Each batch replaces the
+# rule's record, so it holds one batch per rule whatever the run.  The
+# shared part is kept as ``bytes``, so a caller that reuses a mutable
+# buffer cannot change what a record says was signed.  The pks are kept
+# framed in one buffer (``encode_parts``, so two pk sequences match only if
+# they are equal): a tuple would keep each pk alive after its run has
+# ended, and a core's pks, scattered over the allocator's arenas, kept
+# those arenas resident (1.6 MiB more peak RSS on ``txheavy``, which runs
+# one scenario after another).
 _ISSUED: dict[bytes, tuple] = {}
 
 
-def _issue(rule: bytes, shared: bytes, pks: Sequence[bytes], digests: tuple) -> None:
-    _ISSUED[rule] = (bytes(shared), encode_parts(pks), digests)
+def _issue(rule: bytes, shared: bytes, pks: Sequence[bytes], columns: tuple) -> None:
+    _ISSUED[rule] = (bytes(shared), encode_parts(pks), tuple(map(tuple, columns)))
 
 
-def _expected(rule: bytes, pks: Sequence[bytes], shared: bytes, derive):
-    """``derive(pks, shared)``, read from the rule's record when the last
-    batch it issued was over this very ``shared`` part and ``pks``."""
+def _unframe(framed: bytes) -> list[bytes]:
+    """The parts ``encode_parts`` framed into ``framed``, in order."""
+    parts, at = [], 0
+    while at < len(framed):
+        end = at + 4 + int.from_bytes(framed[at : at + 4], "big")
+        parts.append(framed[at + 4 : end])
+        at = end
+    return parts
+
+
+def _expected(rule: bytes, pks: Sequence[bytes], shared: bytes, derive) -> tuple:
+    """``derive(pks, shared)``, the digest columns of ``pks``.  When the
+    rule's last batch was issued over this very ``shared`` part, each pk it
+    holds reads its digests from the record, at once when the pks are the
+    issued ones in order, and only the others are hashed."""
     issued = _ISSUED.get(rule)
-    if issued is not None and issued[0] == shared and issued[1] == encode_parts(pks):
-        return issued[2]
-    return derive(pks, shared)
+    if issued is None or issued[0] != shared or not pks:
+        return derive(pks, shared)
+    _, framed, columns = issued
+    if framed == encode_parts(pks):
+        return columns
+    where = {pk: i for i, pk in enumerate(_unframe(framed))}
+    missing = [pk for pk in pks if pk not in where]
+    if missing:
+        # The hashed digests go after the issued ones.
+        issued_count = len(columns[0])
+        where.update({pk: issued_count + i for i, pk in enumerate(missing)})
+        columns = [column + tuple(fresh) for column, fresh in zip(columns, derive(missing, shared))]
+    at = [where[pk] for pk in pks]
+    return tuple([column[i] for i in at] for column in columns)
 
 
 def _distinct_pks(entries: Sequence[tuple[bytes, object]]) -> tuple[list[bytes], list[bytes]]:
@@ -300,19 +368,19 @@ def _per_entry(pks: list[bytes], distinct: list[bytes], digests: Sequence[bytes]
     return map(dict(zip(distinct, digests)).__getitem__, pks)
 
 
-def _signature_values(pks: Sequence[bytes], msg: bytes) -> list[bytes]:
-    """The signature value of each pk over ``msg``: what signing makes and
-    verification recomputes."""
-    return tagged_hash_batch(b"sig", pks, msg)
+def _sig_digests(pks: Sequence[bytes], msg: bytes) -> tuple[list[bytes]]:
+    """The signature value of each pk over ``msg``, as one column: what
+    signing makes and verification recomputes."""
+    return (tagged_hash_batch(b"sig", pks, msg),)
 
 
 def sign_batch(kps: Sequence[KeyPair], msg: bytes) -> list[Signature]:
     """``[sign(kp, msg) for kp in kps]``; the batch becomes the ``b"sig"``
     record."""
     pks = [kp.pk for kp in kps]
-    values = tuple(_signature_values(pks, msg))
-    _issue(b"sig", msg, pks, values)
-    return list(map(_signature, values, pks))
+    columns = _sig_digests(pks, msg)
+    _issue(b"sig", msg, pks, columns)
+    return list(map(_signature, columns[0], pks))
 
 
 def sign(kp: KeyPair, msg: bytes) -> Signature:
@@ -324,10 +392,10 @@ def verify_sig_batch(
 ) -> list[bool]:
     """``[verify_sig(pk, msg, sig) for pk, sig in signatures]``.  The
     expected value of each distinct pk is read from the ``b"sig"`` record
-    when it holds this message and these distinct pks in this order, and is
-    otherwise hashed once; every entry is compared either way."""
+    when it holds this message and that pk, and is otherwise hashed once;
+    every entry is compared either way."""
     pks, distinct = _distinct_pks(signatures)
-    values = _expected(b"sig", distinct, msg, _signature_values)
+    (values,) = _expected(b"sig", distinct, msg, _sig_digests)
     return [
         isinstance(sig, Signature)
         and isinstance(sig.value, bytes)
@@ -357,7 +425,7 @@ def vrf_eval_batch(kps: Sequence[KeyPair], vrf_input: bytes) -> list[VrfOutput]:
     ``b"vrf"`` record."""
     pks = [kp.pk for kp in kps]
     values, proofs = _vrf_digests(pks, vrf_input)
-    _issue(b"vrf", vrf_input, pks, (tuple(values), tuple(proofs)))
+    _issue(b"vrf", vrf_input, pks, (values, proofs))
     return list(map(_vrf_output, values, proofs))
 
 
@@ -391,7 +459,6 @@ def vrf_verify(pk: bytes, vrf_input: bytes, output: object) -> bool:
     return vrf_verify_batch(((pk, output),), vrf_input)[0]
 
 
-_COUNTER_LENGTH_PREFIX = len(encode_int(0)).to_bytes(4, "big")
 _WORDS_PER_BLOCK = DIGEST_LEN // _WORD_BYTES
 _BLOCK_WORDS = struct.Struct(">%dQ" % _WORDS_PER_BLOCK)
 
@@ -424,7 +491,7 @@ class Prg:
         self._words: list[int] = []
         # tagged_hash(b"prg", state, encode_int(counter)) up to the counter.
         self._prefix = hashlib.sha256(
-            b"\x03prg" + encode_bytes(self.state) + _COUNTER_LENGTH_PREFIX
+            b"\x03prg" + encode_bytes(self.state) + _INT_PREFIX
         )
 
     def _block(self, i: int) -> bytes:

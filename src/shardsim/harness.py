@@ -7,6 +7,14 @@ then credential renewals (joins delivered by ``views``) and the workload.
 ``Simulation`` holds the run state, sets it up, runs the height loop and
 gives the verdicts.  Every source of randomness is a tagged substream of the
 scenario seed, so a config replays to byte-identical outputs.
+
+Set-up does each per-key step once for all keys, in this order: every
+genesis key in one ``keygen_batch``; the genesis block and its pre-aged
+UTXO set; every genesis credential in one ``derive_credentials`` batch;
+the bootstrap directory, whose shards ``overlay.split_tree`` cuts from the
+value-sorted credentials, with one ``form_view`` (one core election) per
+final shard and none for the shards the split tree passes through; the
+``view-installed`` events in label order; then set-up corruption.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from .adversary import STRATEGIES, AdversaryState, activate_due, schedule_corrup
 from .blocks import committee_size
 from .config import ScenarioConfig
 from .credentials import Credential, derive_credentials
-from .crypto import KeyPair, Prg, encode_int, keygen, tagged_hash
+from .crypto import KeyPair, Prg, keygen_batch, tagged_hash, tagged_hash_indexed
 from .ledger import (
     BlockRules,
     Transaction,
@@ -30,10 +38,10 @@ from .ledger import (
     make_transaction,
     total_stake,
 )
-from .membership import ShardView, form_view, view_digest
+from .membership import ShardView, form_view, order_spare, view_digest
 from .oracles import InvariantError, check_liveness, check_safety
 # Joins are routed in ``views``; perfbench's tracer test still wants ``route`` here.
-from .overlay import ROOT_LABEL, check_prefix_free_cover, maybe_split, route
+from .overlay import check_prefix_free_cover, route, split_tree
 from .protocols import MessageMeter, ParticipantSet, shard_entropy, within_bound
 from .records import EventLog, Metrics
 from .utxo_index import UtxoIndex
@@ -58,7 +66,6 @@ class Simulation:
         self.metrics = Metrics(config.name, config.n_credentials)
         self.strategy = STRATEGIES[config.adversary_strategy](config.adversary_params)
         self.adv = AdversaryState(seed=tagged_hash(b"adversary-seed", self.master))
-        self.keyring: dict[bytes, KeyPair] = {}
         self.pending: dict[bytes, Transaction] = {}
         self.in_flight: set[bytes] = set()
         self.attempt = 0  # failed tries at the current height
@@ -71,17 +78,13 @@ class Simulation:
 
     def _setup(self):
         cfg = self.cfg
-        genesis_utxos = []
-        idx = 0
-        for count, stake in cfg.genesis:
-            for _ in range(count):
-                kp = keygen(tagged_hash(b"user", self.master, encode_int(idx)))
-                self.keyring[kp.pk] = kp
-                genesis_utxos.append((kp.pk, stake))
-                idx += 1
-
+        # Every genesis key in one pass: user i's seed material is
+        # tagged_hash(b"user", master, encode_int(i)), groups in config order.
+        kps = keygen_batch(tagged_hash_indexed(b"user", range(cfg.n_credentials), self.master))
+        self.keyring: dict[bytes, KeyPair] = {kp.pk: kp for kp in kps}
+        stakes = [stake for count, stake in cfg.genesis for _ in range(count)]
         genesis = make_genesis(
-            genesis_utxos, tagged_hash(b"genesis", self.master), cfg.stake_cap
+            zip([kp.pk for kp in kps], stakes), tagged_hash(b"genesis", self.master), cfg.stake_cap
         )
         # UTXOs are pre-aged by one epoch so first credentials anchor at the
         # genesis block and shards can produce from height 1.
@@ -97,17 +100,25 @@ class Simulation:
         )
 
         # Every keyring key participates; genesis pays keyring keys only.
+        # The directory is the leaves of the bootstrap split tree, and a
+        # core is elected for each leaf alone: a leaf's members and seed
+        # depend only on its label.
         creds = derive_credentials(self.utxos.sorted_pks, 0, genesis.header.seed, cfg.epoch_length)
-        seed = shard_entropy(self.master, ROOT_LABEL, 0, b"bootstrap")
+        leaves = split_tree(order_spare(creds), cfg.s_min, cfg.s_max)
         self.directory: dict[str, ShardView] = {
-            ROOT_LABEL: form_view(ROOT_LABEL, creds, 0, seed, cfg.s_min)
+            label: form_view(
+                label, members, 0, shard_entropy(self.master, label, 0, b"bootstrap"), cfg.s_min
+            )
+            for label, members in leaves.items()
         }
-        self._bootstrap_splits()
+        cover = check_prefix_free_cover(self.directory)
+        if not cover:
+            raise InvariantError(f"bootstrap directory invalid: {cover.reason}")
         # Per label: the credentials routed to the shard since its view was
         # installed (see ``views``), each mapped to whether the renewal phase
         # derived it, so admission need not derive it again.
         self.joins: dict[str, dict[Credential, bool]] = {label: {} for label in self.directory}
-        for label, view in sorted(self.directory.items()):
+        for label, view in self.directory.items():
             self.events.emit(
                 "view-installed",
                 0,
@@ -135,27 +146,6 @@ class Simulation:
                     break
                 self.events.emit("corruption-scheduled", 0, pk=pk.hex())
         self._activate_corruptions(0)
-
-    def _bootstrap_splits(self):
-        # Child seeds depend only on the label and a label's members do not
-        # depend on split order, so a worklist gives the same directory as
-        # any other order.
-        pending = list(self.directory)
-        while pending:
-            label = pending.pop()
-            children = maybe_split(label, self.directory[label], self.cfg.s_min, self.cfg.s_max)
-            if children is None:
-                continue
-            del self.directory[label]
-            for child_label, members in children:
-                seed = shard_entropy(self.master, child_label, 0, b"bootstrap")
-                self.directory[child_label] = form_view(
-                    child_label, members, 0, seed, self.cfg.s_min
-                )
-                pending.append(child_label)
-        cover = check_prefix_free_cover(self.directory)
-        if not cover:
-            raise InvariantError(f"bootstrap directory invalid: {cover.reason}")
 
     def _force_corrupt(self, n_shards: int, limit: Fraction):
         """Stress hook: corrupt enough core members of the first shards to
@@ -254,12 +244,13 @@ class Simulation:
 
     def _issue_workload(self, height: int):
         """``cfg.tx_rate`` honest transfers to fresh keys."""
-        cfg = self.cfg
-        for sender in self._draw_senders(cfg.tx_rate):
-            receiver = keygen(
-                tagged_hash(b"wl-recv", self.master, encode_int(self.workload_counter))
-            )
-            self.workload_counter += 1
+        senders = self._draw_senders(self.cfg.tx_rate)
+        first = self.workload_counter
+        self.workload_counter += len(senders)
+        receivers = keygen_batch(
+            tagged_hash_indexed(b"wl-recv", range(first, self.workload_counter), self.master)
+        )
+        for sender, receiver in zip(senders, receivers):
             self.keyring[receiver.pk] = receiver
             tx = make_transaction(
                 [self.keyring[sender]],

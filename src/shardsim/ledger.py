@@ -44,6 +44,8 @@ from .crypto import (
 
 UtxoSet = dict  # pk -> Utxo
 
+_new = object.__new__
+
 
 @dataclass(frozen=True)
 class Validity:
@@ -59,17 +61,44 @@ class Validity:
 VALID = Validity(True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Utxo:
     pk: bytes
     stake: int
     created_height: int
 
 
-@dataclass(frozen=True)
+_set_utxo_pk, _set_utxo_stake, _set_utxo_created = (
+    Utxo.__dict__[f].__set__ for f in ("pk", "stake", "created_height")
+)
+
+
+def _utxo(pk: bytes, stake: int, created_height: int) -> Utxo:
+    """``Utxo(pk, stake, created_height)`` for ``spend``, without the
+    generated frozen ``__init__``, as ``crypto._signature`` builds a
+    ``Signature``."""
+    utxo = _new(Utxo)
+    _set_utxo_pk(utxo, pk)
+    _set_utxo_stake(utxo, stake)
+    _set_utxo_created(utxo, created_height)
+    return utxo
+
+
+@dataclass(frozen=True, slots=True)
 class TxOutput:
     pk: bytes
     stake: int
+
+
+_set_out_pk, _set_out_stake = (TxOutput.__dict__[f].__set__ for f in ("pk", "stake"))
+
+
+def _tx_output(pk: bytes, stake: int) -> TxOutput:
+    """``TxOutput(pk, stake)`` for ``make_genesis``, built like ``_utxo``."""
+    out = _new(TxOutput)
+    _set_out_pk(out, pk)
+    _set_out_stake(out, stake)
+    return out
 
 
 @dataclass(frozen=True)
@@ -134,14 +163,31 @@ class Block:
     body: tuple[Transaction, ...]
 
 
+# A (pk, stake) output as ``encode_bytes(pk) + encode_int(stake)`` when the
+# pk is a digest.
+_FRAMED_OUTPUT = struct.Struct(f">I{DIGEST_LEN}sq")
+
+
 def _encode_io(inputs: Sequence[bytes], outputs: Sequence[TxOutput]) -> bytes:
-    parts = [encode_int(len(inputs))]
-    parts.extend(encode_bytes(pk) for pk in inputs)
-    parts.append(encode_int(len(outputs)))
-    for out in outputs:
-        parts.append(encode_bytes(out.pk))
-        parts.append(encode_int(out.stake))
-    return b"".join(parts)
+    """The inputs as framed pks, then each output's framed pk and its
+    stake as ``encode_int``, each run led by its count.  An output whose pk
+    is ``DIGEST_LEN`` bytes wide is packed by one struct call, as
+    ``_framed_triples`` packs a triple; any other width keeps
+    ``encode_bytes``."""
+    pack = _FRAMED_OUTPUT.pack
+    return b"".join(
+        [
+            encode_int(len(inputs)),
+            encode_parts(inputs),
+            encode_int(len(outputs)),
+            *[
+                pack(DIGEST_LEN, out.pk, out.stake)
+                if len(out.pk) == DIGEST_LEN
+                else encode_bytes(out.pk) + encode_int(out.stake)
+                for out in outputs
+            ],
+        ]
+    )
 
 
 def tx_signing_digest(inputs: Sequence[bytes], outputs: Sequence[TxOutput]) -> bytes:
@@ -263,7 +309,7 @@ def spend(running: UtxoSet, tx: Transaction, height: int) -> None:
     for pk in tx.inputs:
         del running[pk]
     for out in tx.outputs:
-        running[out.pk] = Utxo(pk=out.pk, stake=out.stake, created_height=height)
+        running[out.pk] = _utxo(out.pk, out.stake, height)
 
 
 def apply_transaction(state: UtxoSet, tx: Transaction, height: int) -> UtxoSet:
@@ -468,7 +514,7 @@ def make_genesis(
         if pk in seen:
             raise ValueError("duplicate genesis pk")
         seen.add(pk)
-        outputs.append(TxOutput(pk=pk, stake=stake))
+        outputs.append(_tx_output(pk, stake))
     genesis_tx = Transaction(inputs=(), outputs=tuple(outputs), signatures=())
     body = (genesis_tx,)
     header = BlockHeader(

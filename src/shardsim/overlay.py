@@ -7,11 +7,14 @@ walks the value's bits and stops at the first prefix registered in the
 directory, so it costs the depth of the label trie, not the shard count.
 Size bounds drive topology: a shard splits on the next bit of its label when
 it outgrows s_max and merges into its sibling prefix when it falls under
-s_min.
+s_min.  The bootstrap directory is the whole split tree's leaves, which
+``split_tree`` cuts from the value-sorted members with the same bit rule
+and the same deferral as ``maybe_split``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
 
 from .credentials import Credential
@@ -103,26 +106,64 @@ def route_all(directory: Mapping[str, ShardView], values: Sequence[bytes]) -> li
     return labels
 
 
+def _split_bit(label: str) -> tuple[int, int]:
+    """The byte index and mask of the bit a split of ``label`` partitions
+    on: the value's MSB-first bit right after the label."""
+    byte, shift = divmod(len(label), 8)
+    return byte, 0x80 >> shift
+
+
+def _children(label: str, zeros: Sequence[Credential], ones: Sequence[Credential], s_min: int):
+    """The two children of ``label`` as ``(label, members)`` pairs, or None:
+    a split that would leave either child under s_min is deferred (the
+    shard simply stays oversized until churn rebalances it)."""
+    if len(zeros) < s_min or len(ones) < s_min:
+        return None
+    return ((label + "0", tuple(zeros)), (label + "1", tuple(ones)))
+
+
 def maybe_split(label: str, view: ShardView, s_min: int, s_max: int) -> tuple | None:
     """Split decision for an oversized shard: the two children as
     ``(label, members)`` pairs, or None.
 
     Members are partitioned by the credential bit right after the current
-    prefix.  A split that would leave either child under s_min is deferred
-    (the shard simply stays oversized until churn rebalances it).
+    prefix, each child keeping the member order; ``_children`` defers a
+    lopsided split.
     """
     if len(view.core) + len(view.spare) <= s_max:
         return None
-    members = view.members()
-    # The value's MSB-first bit at index len(label).
-    byte, shift = divmod(len(label), 8)
-    mask = 0x80 >> shift
+    byte, mask = _split_bit(label)
     zeros, ones = [], []
-    for c in members:
+    for c in view.members():
         (ones if c.value[byte] & mask else zeros).append(c)
-    if len(zeros) < s_min or len(ones) < s_min:
-        return None  # degenerate split deferred
-    return ((label + "0", tuple(zeros)), (label + "1", tuple(ones)))
+    return _children(label, zeros, ones, s_min)
+
+
+def split_tree(members: tuple[Credential, ...], s_min: int, s_max: int) -> dict[str, tuple]:
+    """The shards left when ``maybe_split`` is applied from the root down
+    until no shard splits, as label -> members in label order; ``members``
+    must be in value order.
+
+    Each label's members are one contiguous run of ``members``: in value
+    order under a common prefix, the bit a split reads is 0 up to some
+    member and 1 from it on, so a run is cut where that bit turns to 1,
+    found by bisection, and each child run stays in value order.  A
+    child's members do not depend on the order its ancestors split in.
+    """
+    leaves = {}
+    pending = [(ROOT_LABEL, members)]
+    while pending:
+        label, run = pending.pop()
+        children = None
+        if len(run) > s_max:
+            byte, mask = _split_bit(label)
+            cut = bisect_left(run, mask, key=lambda c: c.value[byte] & mask)
+            children = _children(label, run[:cut], run[cut:], s_min)
+        if children is None:
+            leaves[label] = run
+        else:
+            pending.extend(children)
+    return dict(sorted(leaves.items()))
 
 
 def maybe_merge(

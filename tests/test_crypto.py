@@ -16,6 +16,7 @@ from shardsim.crypto import (
     Prg,
     Signature,
     VrfOutput,
+    _keypair,
     _signature,
     _vrf_output,
     encode_bytes,
@@ -23,12 +24,13 @@ from shardsim.crypto import (
     encode_str,
     hash_digest,
     keygen,
-    pk_from_sk,
+    keygen_batch,
     sign,
     sign_batch,
     tagged_hash,
     tagged_hash_batch,
     tagged_hash_framed,
+    tagged_hash_indexed,
     tagged_hash_pair,
     tagged_hash_triple,
     verify_sig,
@@ -38,6 +40,7 @@ from shardsim.crypto import (
     vrf_verify,
     vrf_verify_batch,
 )
+from shardsim.ledger import TxOutput, Utxo, _tx_output, _utxo
 from shardsim.sampling import sample_without_replacement
 
 
@@ -89,7 +92,7 @@ def test_keygen_deterministic_and_pk_derived():
     again = keygen(b"seed-material")
     other = keygen(b"other")
     assert kp == again
-    assert kp.pk == pk_from_sk(kp.sk)
+    assert kp.pk == tagged_hash(b"pk", kp.sk)
     assert kp.pk != other.pk
 
 
@@ -643,6 +646,27 @@ def test_batch_forms_equal_their_one_at_a_time_forms(tag, members, shared):
     ]
 
 
+@settings(deadline=None)
+@given(st.lists(packed_parts, max_size=6), st.lists(st.integers(-(2**63), 2**63 - 1), max_size=6))
+def test_keygen_batch_equals_one_key_at_a_time(seeds, indices):
+    # Seeds of 0, 31, 32, 33 and 64 bytes, alone and mixed; the empty
+    # batch too.  Each key pair is the one the two tagged hashes give.
+    kps = keygen_batch(seeds)
+    assert kps == [keygen(s) for s in seeds]
+    for seed, kp in zip(seeds, kps):
+        sk = tagged_hash(b"sk", seed)
+        assert kp == KeyPair(pk=tagged_hash(b"pk", sk), sk=sk)
+    assert keygen_batch([]) == []
+    assert tagged_hash_batch(b"sk", seeds) == [tagged_hash(b"sk", s) for s in seeds]
+    assert tagged_hash_batch(b"t", seeds, None, seeds[::-1]) == [
+        tagged_hash(b"t", a, c) for a, c in zip(seeds, seeds[::-1])
+    ]
+    for lead in ((), seeds[:1], seeds[:2]):
+        assert tagged_hash_indexed(b"user", indices, *lead) == [
+            tagged_hash(b"user", *lead, encode_int(i)) for i in indices
+        ]
+
+
 RECORD_KEYS = [keygen(b"record-%d" % i) for i in range(5)]
 RECORD_MSGS = [b"m0", b"m1", tagged_hash(b"test", b"m2")]
 
@@ -670,14 +694,17 @@ def _recomputed_vrf_verdict(pk, vrf_input, out):
     )
 
 
-def _variants(data, entries, msg, tamper):
+def _variants(data, entries, msg, tamper, outsiders=()):
     """Entry lists and messages around an issued batch: as issued, one entry
-    tampered, on another message, reordered, a subset, with a repeated pk."""
+    tampered, on another message, reordered, a subset, a reordered superset
+    with valid ``outsiders`` entries, with a repeated pk."""
     yield entries, msg
     yield entries, data.draw(st.sampled_from(RECORD_MSGS))
     yield data.draw(st.permutations(entries)), msg
     keep = data.draw(st.lists(st.booleans(), min_size=len(entries), max_size=len(entries)))
-    yield [entry for entry, kept in zip(entries, keep) if kept], msg
+    subset = [entry for entry, kept in zip(entries, keep) if kept]
+    yield subset, msg
+    yield data.draw(st.permutations(subset + list(outsiders))), msg
     if entries:
         i = data.draw(st.integers(0, len(entries) - 1))
         for changed in tamper(*entries[i]):
@@ -706,8 +733,16 @@ def test_the_issued_record_never_changes_a_verdict(issued, data):
         last[rule] = ([kp.pk for kp in kps], made, msg)
     other = keygen(b"record-outsider").pk
 
+    def outside(pks):
+        """Keys of ``RECORD_KEYS`` the batch did not issue for, and the
+        outsider."""
+        return [kp.pk for kp in RECORD_KEYS if kp.pk not in pks] + [other]
+
     if "sig" in last:
         pks, sigs, msg = last["sig"]
+        # Valid signatures the batch did not issue, hashed without touching
+        # the record.
+        valid = [(pk, Signature(tagged_hash(b"sig", pk, msg), pk)) for pk in outside(pks)]
 
         def tamper_sig(pk, sig):
             return [
@@ -717,12 +752,16 @@ def test_the_issued_record_never_changes_a_verdict(issued, data):
                 (other, Signature(sig.value, other)),
             ]
 
-        for entries, on in _variants(data, list(zip(pks, sigs)), msg, tamper_sig):
+        for entries, on in _variants(data, list(zip(pks, sigs)), msg, tamper_sig, valid):
             assert verify_sig_batch(entries, on) == [
                 _recomputed_sig_verdict(pk, on, sig) for pk, sig in entries
             ]
     if "vrf" in last:
         pks, outs, vrf_input = last["vrf"]
+        valid = []
+        for pk in outside(pks):
+            value = tagged_hash(b"vrf", pk, vrf_input)
+            valid.append((pk, VrfOutput(value, tagged_hash(b"vrf-proof", pk, vrf_input, value))))
 
         def tamper_vrf(pk, out):
             return [
@@ -731,19 +770,20 @@ def test_the_issued_record_never_changes_a_verdict(issued, data):
                 (other, out),
             ]
 
-        for entries, on in _variants(data, list(zip(pks, outs)), vrf_input, tamper_vrf):
+        for entries, on in _variants(data, list(zip(pks, outs)), vrf_input, tamper_vrf, valid):
             assert vrf_verify_batch(entries, on) == [
                 _recomputed_vrf_verdict(pk, on, out) for pk, out in entries
             ]
 
 
 def test_a_new_batch_replaces_the_record(monkeypatch):
-    tags = []
+    tags, hashed = [], []
     kernel = crypto.tagged_hash_batch
 
-    def counted(tag, *args):
+    def counted(tag, firsts, *args):
         tags.append(tag)
-        return kernel(tag, *args)
+        hashed.append(list(firsts))
+        return kernel(tag, firsts, *args)
 
     monkeypatch.setattr(crypto, "tagged_hash_batch", counted)
     kps = RECORD_KEYS[:3]
@@ -761,15 +801,25 @@ def test_a_new_batch_replaces_the_record(monkeypatch):
     # The replaced batch recomputes, once per call.
     assert verify_sig_batch(old, b"old") == [True] * 3
     assert tags == [b"sig"]
-    # So does the last batch's message over other pks.
+    # The last batch's message over a subset of its pks, in another order,
+    # reads every pk from the record; a superset hashes only the pks the
+    # batch did not issue for.
     tags.clear()
-    assert verify_sig_batch(new[:2], b"new") == [True] * 2
-    assert tags == [b"sig"]
+    hashed.clear()
+    assert verify_sig_batch(new[:0:-1], b"new") == [True] * 2
+    assert tags == []
+    outsider = RECORD_KEYS[3]
+    extra = (outsider.pk, Signature(tagged_hash(b"sig", outsider.pk, b"new"), outsider.pk))
+    forged = (outsider.pk, Signature(_flip(extra[1].value), outsider.pk))
+    assert verify_sig_batch([new[1], extra, new[0]], b"new") == [True] * 3
+    assert verify_sig_batch([forged, new[2]], b"new") == [False, True]
+    assert tags == [b"sig", b"sig"] and hashed == [[outsider.pk], [outsider.pk]]
 
     old = list(zip(pks, vrf_eval_batch(kps, b"old")))
     new = list(zip(pks, vrf_eval_batch(kps, b"new")))
     tags.clear()
     assert vrf_verify_batch(new, b"new") == [True] * 3
+    assert vrf_verify_batch(new[1:], b"new") == [True] * 2
     assert tags == []
     assert vrf_verify_batch(old, b"old") == [True] * 3
     assert tags == [b"vrf", b"vrf-proof"]
@@ -787,6 +837,9 @@ def test_private_constructors_build_what_init_builds(a, b, anchor, expiry):
         (_signature(a, b), Signature(a, b)),
         (_vrf_output(a, b), VrfOutput(a, b)),
         (_credential(a, b, anchor, expiry), Credential(a, b, anchor, expiry)),
+        (_keypair(a, b), KeyPair(a, b)),
+        (_utxo(a, anchor, expiry), Utxo(a, anchor, expiry)),
+        (_tx_output(a, anchor), TxOutput(a, anchor)),
     ):
         assert type(built) is type(public)
         assert built == public and hash(built) == hash(public)

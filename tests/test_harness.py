@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shardsim import config as config_module
-from shardsim import agreement, blocks, harness, oracles, records, views
+from shardsim import agreement, blocks, harness, membership, oracles, records, views
 from shardsim.adversary import (
     STRATEGIES,
     AdversaryState,
     Strategy,
     WorstCaseSeedStrategy,
     activate_due,
+    schedule_corruption,
 )
 from shardsim.analysis import exceedance_threshold
 from shardsim.cli import main
@@ -27,7 +28,17 @@ from shardsim.credentials import (
     derive_credentials,
     verify_credential,
 )
-from shardsim.crypto import Prg, Signature, encode_int, hash_digest, keygen, tagged_hash
+from shardsim.crypto import (
+    ZERO_DIGEST,
+    KeyPair,
+    Prg,
+    Signature,
+    encode_bytes,
+    encode_int,
+    hash_digest,
+    keygen,
+    tagged_hash,
+)
 from shardsim.config import ConfigError, ScenarioConfig, load_config, parse_ratio
 from shardsim.harness import Simulation, message_scaling_report, run_scenario
 from shardsim.ledger import (
@@ -35,18 +46,36 @@ from shardsim.ledger import (
     BlockHeader,
     Transaction,
     TxOutput,
+    Utxo,
     apply_block,
     body_digest,
+    header_hash,
     make_genesis,
     make_transaction,
     spend,
     validate_block,
 )
 from shardsim.oracles import InvariantError, check_liveness, check_safety
-from shardsim.overlay import label_matches, route, verify_view_transition
+from shardsim.membership import form_view, view_digest
+from shardsim.overlay import (
+    ROOT_LABEL,
+    check_prefix_free_cover,
+    label_matches,
+    route,
+    verify_view_transition,
+)
 from shardsim.records import EventLog, Metrics
-from shardsim.protocols import BaDecision, MessageMeter, vector_consensus, within_bound
+from shardsim.protocols import (
+    BaDecision,
+    MessageMeter,
+    shard_entropy,
+    vector_consensus,
+    within_bound,
+)
 from shardsim.sampling import sample_without_replacement
+from shardsim.utxo_index import UtxoIndex
+
+from test_golden import GOLDEN
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -1545,3 +1574,186 @@ def test_schedule_and_sorted_keys_match_full_scans(epoch_length, data):
         assert sim.workload_prg.counter == reference_prg.counter
         assert sim.workload_prg._words == reference_prg._words
         sim.in_flight.update(pk for pk in senders if data.draw(st.booleans()))
+
+
+# -- set-up against the one-key-at-a-time reference --------------------------
+
+
+def _reference_encode_io(inputs, outputs):
+    """A transaction's inputs and outputs framed part by part."""
+    parts = [encode_int(len(inputs))]
+    parts.extend(encode_bytes(pk) for pk in inputs)
+    parts.append(encode_int(len(outputs)))
+    for out in outputs:
+        parts.append(encode_bytes(out.pk))
+        parts.append(encode_int(out.stake))
+    return b"".join(parts)
+
+
+def _reference_split(label, view, s_min, s_max):
+    """The split decision of an oversized view: its members partitioned on
+    the bit after the label, deferred when a child would fall under s_min."""
+    if len(view.members()) <= s_max:
+        return None
+    zeros, ones = [], []
+    for c in view.members():
+        bit = (c.value[len(label) // 8] >> (7 - len(label) % 8)) & 1
+        (ones if bit else zeros).append(c)
+    if len(zeros) < s_min or len(ones) < s_min:
+        return None
+    return ((label + "0", tuple(zeros)), (label + "1", tuple(ones)))
+
+
+class ReferenceSetup(Simulation):
+    """``Simulation`` set up one key at a time: a keygen per user, the
+    genesis outputs and UTXOs built by their public constructors and framed
+    part by part, and a bootstrap worklist that forms the root's view,
+    splits it and forms a view, core election included, for every shard
+    it makes, intermediate ones too."""
+
+    def _setup(self):
+        cfg = self.cfg
+        self.keyring = {}
+        genesis_utxos = []
+        idx = 0
+        for count, stake in cfg.genesis:
+            for _ in range(count):
+                sk = tagged_hash(b"sk", tagged_hash(b"user", self.master, encode_int(idx)))
+                kp = KeyPair(pk=tagged_hash(b"pk", sk), sk=sk)
+                self.keyring[kp.pk] = kp
+                genesis_utxos.append((kp.pk, stake))
+                idx += 1
+        outputs = tuple(TxOutput(pk=pk, stake=stake) for pk, stake in genesis_utxos)
+        genesis_tx = Transaction(inputs=(), outputs=outputs, signatures=())
+        assert genesis_tx.tx_id == tagged_hash(b"tx", _reference_encode_io((), outputs), b"")
+        header = BlockHeader(
+            prev_hash=ZERO_DIGEST,
+            height=0,
+            seed=tagged_hash(b"genesis", self.master),
+            body_hash=tagged_hash(b"body", genesis_tx.tx_id),
+            vrf_proofs=(),
+            proposer_label="",
+            certificate=(),
+        )
+        genesis = Block(header=header, body=(genesis_tx,))
+        live = {o.pk: Utxo(o.pk, o.stake, -cfg.epoch_length) for o in outputs}
+        self.utxos = UtxoIndex(live, cfg.epoch_length)
+        self.chain = [genesis]
+        self.headers = [genesis.header]
+        self.observer_chains = [[genesis] for _ in range(cfg.observers)]
+        self.events.emit(
+            "genesis", 0, block=header_hash(genesis.header).hex(), users=cfg.n_credentials
+        )
+
+        creds = derive_credentials(self.utxos.sorted_pks, 0, genesis.header.seed, cfg.epoch_length)
+        seed = shard_entropy(self.master, ROOT_LABEL, 0, b"bootstrap")
+        self.directory = {ROOT_LABEL: form_view(ROOT_LABEL, creds, 0, seed, cfg.s_min)}
+        pending = list(self.directory)
+        while pending:
+            label = pending.pop()
+            children = _reference_split(label, self.directory[label], cfg.s_min, cfg.s_max)
+            if children is None:
+                continue
+            del self.directory[label]
+            for child_label, members in children:
+                seed = shard_entropy(self.master, child_label, 0, b"bootstrap")
+                self.directory[child_label] = form_view(child_label, members, 0, seed, cfg.s_min)
+                pending.append(child_label)
+        assert check_prefix_free_cover(self.directory)
+        self.joins = {label: {} for label in self.directory}
+        for label, view in sorted(self.directory.items()):
+            self.events.emit(
+                "view-installed",
+                0,
+                label=label,
+                digest=view_digest(view).hex(),
+                core=len(view.core),
+                spare=len(view.spare),
+            )
+
+        limit = cfg.corruption_budget * sum(u.stake for u in live.values())
+        if cfg.force_corrupt_shards:
+            self._force_corrupt(cfg.force_corrupt_shards, limit)
+        if cfg.corrupt_fraction is not None or (
+            cfg.adversary_strategy != "passive" and not cfg.force_corrupt_shards
+        ):
+            for pk in sorted(self.keyring):
+                if self.adv.controls(pk):
+                    continue
+                epoch = cfg.epoch_length
+                if not schedule_corruption(self.adv, pk, -epoch, live, limit, epoch):
+                    break
+                self.events.emit("corruption-scheduled", 0, pk=pk.hex())
+        self._activate_corruptions(0)
+
+
+def assert_same_setup(cfg):
+    """``Simulation(cfg)`` and ``ReferenceSetup(cfg)`` hold the same
+    directory, keys, genesis, UTXO set and set-up events."""
+    sim, ref = Simulation(cfg), ReferenceSetup(cfg)
+    assert sorted(sim.directory) == sorted(ref.directory)
+    for label, view in ref.directory.items():
+        got = sim.directory[label]
+        assert (got.core, got.spare, got.digest) == (view.core, view.spare, view.digest)
+    assert sim.keyring == ref.keyring
+    assert header_hash(sim.chain[0].header) == header_hash(ref.chain[0].header)
+    assert sim.utxos.live == ref.utxos.live
+    assert sim.utxos.sorted_pks == ref.utxos.sorted_pks
+    assert list(sim.events) == list(ref.events)
+    assert sim.adv.corrupted == ref.adv.corrupted
+    return sim
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_setups_equal_the_one_key_at_a_time_reference(name):
+    assert_same_setup(GOLDEN[name][0]())
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    groups=st.lists(st.tuples(st.integers(1, 150), st.integers(1, 3)), min_size=1, max_size=3),
+    s_min=st.integers(1, 12),
+    slack=st.integers(0, 2),
+    seed=st.integers(0, 999),
+    strategy=st.sampled_from(sorted(STRATEGIES)),
+    force=st.integers(0, 2),
+)
+def test_setup_equals_the_one_key_at_a_time_reference(groups, s_min, slack, seed, strategy, force):
+    # s_max at or just past 2 * s_min defers many splits, and small groups
+    # leave lopsided children near the leaves.
+    assert_same_setup(
+        config(
+            master_seed=f"setup-{seed}",
+            genesis=[{"count": count, "stake": stake} for count, stake in groups],
+            stake_cap=3,
+            s_min=s_min,
+            s_max=2 * s_min + slack,
+            adversary={"strategy": strategy, "force_corrupt_shards": force},
+        )
+    )
+
+
+def test_bootstrap_forms_one_view_per_shard(monkeypatch):
+    """The bench ``wide`` config at seed 0: a view is formed, core election
+    included, for each of the 159 final shards and for no other label (the
+    intermediate shards of the split tree used to get one each)."""
+    formed = []
+
+    def counted(label, *args):
+        formed.append(label)
+        return form_view(label, *args)
+
+    for module in (harness, views, membership):
+        monkeypatch.setattr(module, "form_view", counted)
+    sim = Simulation(
+        config(
+            master_seed="bench-wide-seed0",
+            epoch_length=5,
+            heights=10,
+            s_min=64,
+            s_max=128,
+            genesis=[{"count": 16384, "stake": 1}],
+        )
+    )
+    assert len(sim.directory) == 159
+    assert sorted(formed) == sorted(sim.directory)

@@ -31,6 +31,7 @@ from shardsim.ledger import (
     Utxo,
     Validity,
     _certificate_blob,
+    _encode_io,
     _vrf_blob,
     apply_block,
     apply_transaction,
@@ -884,3 +885,35 @@ def test_header_runs_frame_as_the_encode_bytes_loops(vrf_proofs, certificate, va
     assert _vrf_blob(vrf_proofs) == _vrf_blob_loop(vrf_proofs)
     assert _certificate_blob(certificate) == _certificate_blob_loop(certificate)
     assert block_seed(values) == tagged_hash(b"seed", *values)
+
+
+def _encode_io_loop(inputs, outputs):
+    """A transaction's inputs and outputs framed part by part."""
+    parts = [encode_int(len(inputs))]
+    parts.extend(encode_bytes(pk) for pk in inputs)
+    parts.append(encode_int(len(outputs)))
+    for out in outputs:
+        parts.append(encode_bytes(out.pk))
+        parts.append(encode_int(out.stake))
+    return b"".join(parts)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(framed_parts, max_size=4),
+    st.lists(st.builds(TxOutput, pk=framed_parts, stake=heights), max_size=5),
+)
+def test_transaction_io_frames_as_the_encode_bytes_loop(inputs, outputs):
+    assert _encode_io(inputs, outputs) == _encode_io_loop(inputs, outputs)
+    tx = Transaction(tuple(inputs), tuple(outputs), ())
+    assert tx.tx_id == tagged_hash(b"tx", _encode_io_loop(inputs, outputs), b"")
+
+
+def test_genesis_frames_and_applies_as_the_public_constructors():
+    pks = [keygen(b"genesis-%d" % i).pk for i in range(5)]
+    genesis = make_genesis([(pk, 1 + i % 3) for i, pk in enumerate(pks)], b"s" * 32, 3)
+    (tx,) = genesis.body
+    outputs = tuple(TxOutput(pk, 1 + i % 3) for i, pk in enumerate(pks))
+    assert tx.outputs == outputs
+    assert tx.tx_id == Transaction((), outputs, ()).tx_id
+    assert apply_transaction({}, tx, -3) == {o.pk: Utxo(o.pk, o.stake, -3) for o in outputs}

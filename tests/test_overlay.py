@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from shardsim.credentials import Credential
 from shardsim.crypto import keygen
 from shardsim.ledger import VALID, Validity
-from shardsim.membership import ShardView
+from shardsim.membership import ShardView, order_spare
 from shardsim.overlay import (
     ROOT_LABEL,
     check_prefix_free_cover,
@@ -17,6 +17,7 @@ from shardsim.overlay import (
     maybe_split,
     route,
     route_all,
+    split_tree,
     verify_view_transition,
 )
 
@@ -129,6 +130,50 @@ def test_maybe_split_uses_bit_after_label():
     assert (l0, l1) == ("10", "11")
     assert {c.value for c in zeros} == {c.value for c in lower}
     assert {c.value for c in ones} == {c.value for c in upper}
+
+
+def _split_one_by_one(members, s_min, s_max):
+    """``maybe_split`` applied from the root down, each child an all-spare
+    view of its members in value order, until no shard splits."""
+    directory = {ROOT_LABEL: members}
+    pending = [ROOT_LABEL]
+    while pending:
+        label = pending.pop()
+        children = maybe_split(label, ShardView(label, 0, (), directory[label]), s_min, s_max)
+        if children is None:
+            continue
+        del directory[label]
+        for child, child_members in children:
+            directory[child] = order_spare(child_members)
+            pending.append(child)
+    return directory
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 2**256 - 1), st.integers(0, 60)),
+        max_size=120,
+        unique_by=lambda drawn: drawn[0] >> drawn[1],
+    ),
+    st.integers(1, 10),
+    st.integers(0, 3),
+)
+def test_split_tree_equals_maybe_split_from_the_root(drawn, s_min, slack):
+    # Values shifted right by up to 60 bits share long runs of leading
+    # zeros, so the tree goes deep down one side and lopsided children
+    # defer splits there.
+    s_max = 2 * s_min + slack
+    creds = [
+        Credential((v >> shift).to_bytes(32, "big"), bytes([i % 256]) * 32, 0, 10)
+        for i, (v, shift) in enumerate(drawn)
+    ]
+    members = order_spare(creds)
+    leaves = split_tree(members, s_min, s_max)
+    assert leaves == _split_one_by_one(members, s_min, s_max)
+    assert list(leaves) == sorted(leaves)
+    assert check_prefix_free_cover(leaves)
+    assert [c for run in leaves.values() for c in run] == list(members)
 
 
 def test_maybe_merge_folds_sibling_subtree():
