@@ -255,16 +255,15 @@ def accept(
         chain.append(per_observer.get(i, block) if per_observer else block)
     sim.meter.charge(sim.cfg.n_credentials)  # block diffusion
     for tx in block.body:
-        tx_hex = tx.tx_id.hex()
-        sim.metrics.tx_included(tx_hex, height)
+        sim.metrics.tx_included(tx.tx_id.hex(), height)
         sim.pending.pop(tx.tx_id, None)
         for pk in tx.inputs:
             sim.in_flight.discard(pk)
-        sim.events.emit("tx-included", height, tx=tx_hex)
+        sim.events.emit("tx-included", height, tx=tx.tx_id)
     sim.events.emit(
         "block-accepted",
         height,
-        block=header_hash(block.header).hex(),
+        block=header_hash(block.header),
         proposer=block.header.proposer_label,
         leader=leader,
         txs=len(block.body),

@@ -54,10 +54,15 @@ def _cmd_run(args) -> int:
         return 2
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
+    if args.out_dir:
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot create --out-dir: {exc}\n")
+            return 2
     metrics, events = run_scenario(config)
 
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
         with open(os.path.join(args.out_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
             fh.write(metrics.to_csv())
         with open(os.path.join(args.out_dir, "metrics.json"), "w", encoding="utf-8") as fh:

@@ -188,16 +188,6 @@ def tagged_hash_batch(
     return _digests(state, preimages)
 
 
-def tagged_hash_pair(tag: bytes, a: bytes, b: bytes) -> bytes:
-    """``tagged_hash(tag, a, b)``, through ``tagged_hash_batch``."""
-    return tagged_hash_batch(tag, (a,), b)[0]
-
-
-def tagged_hash_triple(tag: bytes, a: bytes, b: bytes, c: bytes) -> bytes:
-    """``tagged_hash(tag, a, b, c)``, through ``tagged_hash_batch``."""
-    return tagged_hash_batch(tag, (a,), b, (c,))[0]
-
-
 def encode_parts(parts: Sequence[bytes]) -> bytes:
     """``b"".join(map(encode_bytes, parts))``, the framing ``tagged_hash``
     gives ``parts``, for ``tagged_hash_framed``.  A run of ``DIGEST_LEN``-wide

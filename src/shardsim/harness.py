@@ -95,9 +95,7 @@ class Simulation:
         self.chain = [genesis]
         self.headers = [genesis.header]  # credential derivation wants headers
         self.observer_chains = [[genesis] for _ in range(cfg.observers)]
-        self.events.emit(
-            "genesis", 0, block=header_hash(genesis.header).hex(), users=cfg.n_credentials
-        )
+        self.events.emit("genesis", 0, block=header_hash(genesis.header), users=cfg.n_credentials)
 
         # Every keyring key participates; genesis pays keyring keys only.
         # The directory is the leaves of the bootstrap split tree, and a
@@ -123,7 +121,7 @@ class Simulation:
                 "view-installed",
                 0,
                 label=label,
-                digest=view_digest(view).hex(),
+                digest=view_digest(view),
                 core=len(view.core),
                 spare=len(view.spare),
             )
@@ -144,7 +142,7 @@ class Simulation:
                     continue
                 if not schedule_corruption(adv, pk, -epoch, live, limit, epoch):
                     break
-                self.events.emit("corruption-scheduled", 0, pk=pk.hex())
+                self.events.emit("corruption-scheduled", 0, pk=pk)
         self._activate_corruptions(0)
 
     def _force_corrupt(self, n_shards: int, limit: Fraction):
@@ -213,7 +211,7 @@ class Simulation:
 
     def _activate_corruptions(self, height: int):
         for pk in activate_due(self.adv, height, self.keyring):
-            self.events.emit("corruption-active", height, pk=pk.hex())
+            self.events.emit("corruption-active", height, pk=pk)
 
     # -- renewals and workload ----------------------------------------------
 
@@ -262,9 +260,7 @@ class Simulation:
     def _deliver_tx(self, tx: Transaction, height: int, honest: bool):
         self.pending[tx.tx_id] = tx
         self.metrics.tx_delivered(tx.tx_id.hex(), height, honest)
-        self.events.emit(
-            "tx-delivered", height, tx=tx.tx_id.hex(), honest=honest
-        )
+        self.events.emit("tx-delivered", height, tx=tx.tx_id, honest=honest)
 
     # -- verdicts ------------------------------------------------------------
 

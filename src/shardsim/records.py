@@ -1,35 +1,84 @@
 """What a run records: the event log and the per-height metrics, both
-append-only and canonically serialized so replays compare by digest."""
+append-only and canonically serialized so replays compare by digest.
+
+An event record is the dict ``{"seq", "kind", "height", **fields}``, and its
+line is that dict's ``json.dumps(sort_keys=True, separators=(",", ":"))``,
+with a ``bytes`` field as its lowercase hex string.  The log keeps a record
+as the tuple ``(shape, height, *values)``: ``shape`` is the interned
+``(kind, *field names)`` and ``seq`` is the record's position."""
 
 from __future__ import annotations
 
 import json
-from typing import Iterator
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from .crypto import hash_digest, hash_digest_chunks
+
+
+def _json(value) -> str:
+    """``value`` as ``json.dumps`` writes it inside a record, bytes as hex."""
+    cls = type(value)
+    if cls is str:
+        return encode_basestring_ascii(value)
+    if cls is bytes:
+        return f'"{value.hex()}"'
+    if cls is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _template(shape: tuple) -> tuple[str, Callable]:
+    """``shape``'s line as a ``%`` template with its keys sorted, and the
+    getter that puts ``[height, *field values, seq]`` in the template's order."""
+    names = ("height", *shape[1:], "seq")
+    keys = sorted((*names, "kind"))
+    kind = _json(shape[0]).replace("%", "%%")
+    body = ",".join(
+        _json(k).replace("%", "%%") + ":" + (kind if k == "kind" else "%s") for k in keys
+    )
+    return "{" + body + "}\n", itemgetter(*[names.index(k) for k in keys if k != "kind"])
 
 
 class EventLog:
     """Append-only protocol event records, canonically serialized."""
 
     def __init__(self):
-        self.records: list[dict] = []
+        self._records: list[tuple] = []
+        self._shapes: dict[tuple, tuple] = {}
 
-    def emit(self, kind: str, height: int, **fields):
-        record = {"seq": len(self.records), "kind": kind, "height": height}
-        record.update(fields)
-        self.records.append(record)
+    def emit(self, kind: str, height: int, /, **fields):
+        key = (kind, *fields)
+        shape = self._shapes.get(key)
+        if shape is None:
+            clash = {"seq", "kind", "height"}.intersection(fields)
+            if clash:
+                raise ValueError(f"event fields {sorted(clash)} would overwrite the record's own")
+            shape = self._shapes[key] = key
+        self._records.append((shape, height, *fields.values()))
 
     def __len__(self):
-        return len(self.records)
+        return len(self._records)
 
-    def __iter__(self):
-        return iter(self.records)
+    def __iter__(self) -> Iterator[dict]:
+        for seq, (shape, height, *values) in enumerate(self._records):
+            record = {"seq": seq, "kind": shape[0], "height": height}
+            record.update(zip(shape[1:], [v.hex() if type(v) is bytes else v for v in values]))
+            yield record
 
     def lines(self) -> Iterator[str]:
         """Each record's canonical JSON line, newline included."""
-        for rec in self.records:
-            yield json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+        templates = {}
+        for seq, rec in enumerate(self._records):
+            template = templates.get(rec[0])
+            if template is None:
+                template = templates[rec[0]] = _template(rec[0])
+            values = [v if type(v) is int else _json(v) for v in rec[1:]]
+            values.append(seq)
+            yield template[0] % template[1](values)
 
     def to_jsonl(self) -> str:
         return "".join(self.lines())

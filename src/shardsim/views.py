@@ -160,7 +160,7 @@ def run_beacon(
         height,
         label=label,
         purpose=purpose.decode("ascii"),
-        seed=seed.hex(),
+        seed=seed,
         biased=chosen is not None,
     )
     if chosen is not None:
@@ -229,7 +229,7 @@ def deliver_joins(sim: Simulation, height: int):
         view = directory[routed]
         joins[view.label][cred] = True
         delivered += len(view.core)  # to every core member
-        emit("join", height, label=view.label, pk=cred.pk.hex(), anchor=height)
+        emit("join", height, label=view.label, pk=cred.pk, anchor=height)
     sim.meter.charge(delivered)
     sim.joins_submitted += len(creds)
 
@@ -247,7 +247,7 @@ def register_shard(sim: Simulation, view: ShardView, height: int, **fields) -> b
         "view-installed",
         height,
         label=view.label,
-        digest=view.digest.hex(),
+        digest=view.digest,
         core=len(view.core),
         spare=len(view.spare),
         degraded=len(view.core) < sim.cfg.s_min,

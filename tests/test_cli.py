@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output formats, reproducibility."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -104,6 +105,32 @@ def test_run_out_dir_and_seed_reproducibility(capsys, tmp_path):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
     assert out_a == out_b
     assert (dir_a / "events.jsonl").read_bytes() != (dir_c / "events.jsonl").read_bytes()
+
+
+def test_run_out_dir_that_cannot_be_created_exits_2_before_the_run(capsys, tmp_path, monkeypatch):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    runs = []
+    monkeypatch.setattr(cli, "run_scenario", runs.append)
+    code, out, err = run_cli(capsys, "run", SMOKE, "--out-dir", str(blocker / "out"))
+    assert (code, out, runs) == (2, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_out_dir_events_file_is_the_digested_log(capsys, tmp_path, monkeypatch):
+    run, logs = cli.run_scenario, []
+
+    def run_and_keep(config):
+        metrics, events = run(config)
+        logs.append(events)
+        return metrics, events
+
+    monkeypatch.setattr(cli, "run_scenario", run_and_keep)
+    code, out, _ = run_cli(capsys, "run", SMOKE, "--out-dir", str(tmp_path))
+    assert code == 0
+    data = (tmp_path / "events.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == json.loads(out)["events_digest"]
+    assert [json.loads(line) for line in data.splitlines()] == list(logs[0])
 
 
 def test_run_seed_matches_a_config_with_that_seed(capsys, tmp_path):

@@ -31,8 +31,6 @@ from shardsim.crypto import (
     tagged_hash_batch,
     tagged_hash_framed,
     tagged_hash_indexed,
-    tagged_hash_pair,
-    tagged_hash_triple,
     verify_sig,
     verify_sig_batch,
     vrf_eval,
@@ -564,8 +562,8 @@ packed_parts = st.binary(min_size=DIGEST_LEN, max_size=DIGEST_LEN) | st.sampled_
 @settings(deadline=None)
 @given(st.binary(min_size=1, max_size=8), packed_parts, packed_parts, packed_parts)
 def test_packed_primitives_equal_their_tagged_hash_form(tag, a, b, c):
-    assert tagged_hash_pair(tag, a, b) == tagged_hash(tag, a, b)
-    assert tagged_hash_triple(tag, a, b, c) == tagged_hash(tag, a, b, c)
+    assert tagged_hash_batch(tag, (a,), b)[0] == tagged_hash(tag, a, b)
+    assert tagged_hash_batch(tag, (a,), b, (c,))[0] == tagged_hash(tag, a, b, c)
 
     kp = KeyPair(pk=a, sk=b"unused")
     sig = sign(kp, b)

@@ -7,10 +7,13 @@ acceptance-corpus scenarios (same names and master seeds); the pins of
 suite-000, -007 and -014 equal the seed-0 pins of the benchmark.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
+from shardsim import harness, records
 from shardsim.harness import ScenarioConfig, Simulation, run_scenario
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -297,3 +300,43 @@ def test_grind_half_renews_keyring_keys_only():
     assert joined and joined <= sim.keyring.keys()
     outside = sim.utxos.live.keys() - sim.keyring.keys()
     assert outside and outside <= sim.adv.keys.keys()
+
+
+class ReferenceEventLog:
+    """The event log as a list of dicts, each written by ``json.dumps``: the
+    contract ``records.EventLog`` keeps, as it stood before the log held
+    tuples.  Emit sites then hexed bytes themselves, so this log hexes a
+    ``bytes`` field when it is emitted."""
+
+    def __init__(self):
+        self.records = []
+
+    def emit(self, kind, height, /, **fields):
+        record = {"seq": len(self.records), "kind": kind, "height": height}
+        record.update((k, v.hex() if isinstance(v, bytes) else v) for k, v in fields.items())
+        self.records.append(record)
+
+    def lines(self):
+        return [json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n" for rec in self.records]
+
+
+class TeedEventLog(records.EventLog):
+    """An ``EventLog`` that feeds every emit to a ``ReferenceEventLog`` too."""
+
+    def __init__(self):
+        super().__init__()
+        self.reference = ReferenceEventLog()
+
+    def emit(self, kind, height, /, **fields):
+        super().emit(kind, height, **fields)
+        self.reference.emit(kind, height, **fields)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_event_log_equals_the_dict_reference(name, monkeypatch):
+    monkeypatch.setattr(harness, "EventLog", TeedEventLog)
+    _, events = run_scenario(GOLDEN[name][0]())
+    reference = events.reference
+    assert list(events) == reference.records
+    assert list(events.lines()) == reference.lines()
+    assert events.digest() == hashlib.sha256("".join(reference.lines()).encode()).hexdigest()

@@ -1,0 +1,71 @@
+"""The event log's records and lines against ``json.dumps`` of a dict."""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from shardsim.records import EventLog
+
+# Text that reaches every escape rule of JSON and every character
+# ``str.format`` treats specially, next to arbitrary text.
+special_text = st.text(alphabet='{}%"\\/\x00\x08\x1f\x7f é \ud800\U0001f600az09:!')
+texts = st.text() | special_text
+values = st.one_of(
+    texts,
+    st.binary(max_size=40),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.booleans(),
+    st.none(),
+    st.lists(texts, max_size=4),
+)
+names = texts.filter(lambda name: name not in ("seq", "kind", "height"))
+events = st.lists(
+    st.tuples(
+        texts | st.sampled_from(["join", "beacon"]),
+        st.integers(min_value=-5, max_value=2**70),
+        st.dictionaries(names | st.sampled_from(["pk", "label", "z"]), values, max_size=5),
+    ),
+    max_size=8,
+)
+
+
+def reference_record(seq, kind, height, fields) -> dict:
+    record = {"seq": seq, "kind": kind, "height": height}
+    record.update((k, v.hex() if isinstance(v, bytes) else v) for k, v in fields.items())
+    return record
+
+
+@settings(deadline=None, max_examples=300)
+@given(events)
+def test_every_line_equals_json_dumps_of_its_record(emits):
+    log = EventLog()
+    # Each event twice: the second record is written by the cached template.
+    emits = [e for e in emits for _ in range(2)]
+    for kind, height, fields in emits:
+        log.emit(kind, height, **fields)
+    expected = [reference_record(seq, *e) for seq, e in enumerate(emits)]
+    assert list(log) == expected
+    assert list(log.lines()) == [
+        json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n" for rec in expected
+    ]
+    assert len(log) == len(expected)
+
+
+def test_same_names_in_another_order_write_the_same_line():
+    log = EventLog()
+    log.emit("x", 1, a=b"\x01", b=[1, "{0}"])
+    log.emit("x", 1, b=[1, "{0}"], a=b"\x01")
+    first, second = log.lines()
+    assert first.replace('"seq":0', '"seq":1') == second
+    assert first == '{"a":"01","b":[1,"{0}"],"height":1,"kind":"x","seq":0}\n'
+
+
+@pytest.mark.parametrize("name", ["seq", "kind", "height"])
+def test_a_field_named_like_the_header_is_refused(name):
+    log = EventLog()
+    log.emit("join", 1, label="0")
+    with pytest.raises(ValueError, match=name):
+        log.emit("join", 2, label="0", **{name: 7})
+    assert list(log) == [{"seq": 0, "kind": "join", "height": 1, "label": "0"}]
