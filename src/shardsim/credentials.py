@@ -11,45 +11,20 @@ so a credential stays usable until its expiry.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .crypto import DIGEST_LEN, encode_bytes, tagged_hash_batch
+from .crypto import DIGEST_LEN, encode_bytes, new_records, tagged_hash_batch
 from .ledger import Utxo
 
 _HEIGHTS = struct.Struct(">qq")
 
 
-@dataclass(frozen=True, slots=True)
-class Credential:
+class Credential(NamedTuple):
     value: bytes
     pk: bytes
     anchor_height: int
     expiry_height: int
-
-    def __hash__(self) -> int:
-        # ``value`` is already a digest of the pk and the anchor seed;
-        # equality still compares every field.
-        return hash(self.value)
-
-
-_new = object.__new__
-_set_value, _set_pk, _set_anchor, _set_expiry = (
-    Credential.__dict__[name].__set__
-    for name in ("value", "pk", "anchor_height", "expiry_height")
-)
-
-
-def _credential(value: bytes, pk: bytes, anchor_height: int, expiry_height: int) -> Credential:
-    """``Credential(value, pk, anchor_height, expiry_height)`` for
-    ``derive_credentials``, without the generated frozen ``__init__``: each
-    field is set through its slot descriptor, as that ``__init__`` sets it."""
-    cred = _new(Credential)
-    _set_value(cred, value)
-    _set_pk(cred, pk)
-    _set_anchor(cred, anchor_height)
-    _set_expiry(cred, expiry_height)
-    return cred
 
 
 def credential_blob(cred: Credential) -> bytes:
@@ -81,10 +56,10 @@ def framed_blobs(creds: Iterable[Credential]) -> list[bytes]:
     or truncate it."""
     pack = _FRAMED_DIGESTS.pack
     return [
-        pack(_FRAMED_LEN, DIGEST_LEN, c.value, DIGEST_LEN, c.pk, c.anchor_height, c.expiry_height)
-        if len(c.value) == DIGEST_LEN == len(c.pk)
-        else encode_bytes(credential_blob(c))
-        for c in creds
+        pack(_FRAMED_LEN, DIGEST_LEN, value, DIGEST_LEN, pk, anchor, expiry)
+        if len(value) == DIGEST_LEN == len(pk)
+        else encode_bytes(credential_blob(Credential(value, pk, anchor, expiry)))
+        for value, pk, anchor, expiry in creds
     ]
 
 
@@ -107,9 +82,8 @@ def derive_credentials(
     """The credentials anchored at ``anchor`` of ``pks``, in order: each
     value is a digest of the public key and ``seed``, the anchor block's
     seed, hashed in one ``tagged_hash_batch``."""
-    expiry = anchor + epoch_length
     values = tagged_hash_batch(b"cred", pks, seed)
-    return [_credential(value, pk, anchor, expiry) for value, pk in zip(values, pks)]
+    return new_records(Credential, values, pks, repeat(anchor), repeat(anchor + epoch_length))
 
 
 def derive_credential(
@@ -136,8 +110,10 @@ def verify_credential(
     ``height``, or None (also for a height that was never accepted).
     Eligibility is judged by the UTXO held at the anchor, which is what
     keeps an already derived credential alive after its UTXO is spent.
+    Only a ``Credential`` passes: a plain tuple or another record type
+    equal to one field for field does not.
     """
-    if h >= cred.expiry_height:
+    if type(cred) is not Credential or h >= cred.expiry_height:
         return False
     epoch_length = cred.expiry_height - cred.anchor_height
     if epoch_length < 1:

@@ -7,71 +7,42 @@ simulation, not of the math: adversary strategy code only ever receives the
 key pairs of corrupted users and never fabricates digests for keys it does
 not hold.
 
-:func:`keygen_batch` is the one place a :class:`KeyPair` is built
-(:func:`keygen` is a batch of one), so a key pair's ``pk`` is always the
-one its ``sk`` derives.  It hashes every secret key, then every public
-key, in one kernel pass each.  Set-up, the workload's receivers and the
-grind comparison each make their keys in one batch, from seed materials
-that :func:`tagged_hash_indexed` hashes in the kernel's loop.
-:func:`sign` and :func:`vrf_eval` take the whole key pair and use that
-``pk`` instead of deriving it again on every call.
+The contract:
 
-Every hash use site hashes under a distinct context tag, so independently
-seeded streams (credentials, seeds, signatures, VRF, PRG words) can never
-collide.  :func:`tagged_hash` keeps one SHA-256 state per tag, already fed
-the tag's framing, and copies it per call; :func:`tagged_hash_framed`
-copies the same state for a caller that frames its own parts in one
-buffer.  Copying a primed state is the precomputation RFC 2104 section 4
-describes for HMAC keys: the bytes hashed, and so every digest, are the
-ones the unprimed framing gives.  A tag's framing is shorter than one
-SHA-256 block, so priming saves no compression; it is kept because copying
-OpenSSL's hash object costs less than building a new one.
+- Every hash use site hashes under its own context tag, and
+  :func:`tagged_hash` length-prefixes the tag and every part, so distinct
+  argument lists never share a preimage.  The other hashing forms give the
+  digests :func:`tagged_hash` gives the same parts.
+- :func:`tagged_hash_batch` is the one kernel of the per-member digests
+  (keys, signatures, VRF values and proofs, credential values).  Each batch
+  form (:func:`keygen_batch`, :func:`sign_batch`, :func:`verify_sig_batch`,
+  :func:`vrf_eval_batch`, :func:`vrf_verify_batch`) equals its
+  one-at-a-time form, which is a batch of one.
+- :class:`KeyPair`, :class:`Signature` and :class:`VrfOutput` are named
+  tuples; a batch builds them with :func:`new_records`.  A named tuple
+  equals any tuple with the same fields, so a check accepts only its own
+  record type.  A key pair from :func:`keygen_batch` holds the ``pk`` its
+  ``sk`` derives, and signing and evaluation use that ``pk``.
+- Verification compares every entry with its expected digest.  Each of
+  ``sign_batch`` and ``vrf_eval_batch`` keeps a record of the last batch it
+  issued; a verifying batch over the same message or input reads the
+  expected digests of the pks that record holds from it, as an ideal
+  signature functionality answers from its list of issued signatures
+  (Canetti's F_SIG, CSFW 2004), and hashes the others.
+- :class:`Prg` gives one fixed stream per seed, with unbiased draws.
 
-:func:`tagged_hash_batch` is the one kernel of the per-member digests
-(signatures, VRF values and proofs, credential values): many first parts,
-such as a quorum's pks, against one shared part, such as the signed
-message, with an optional last part per member (the VRF proof binds its
-value).  Each framed preimage is hashed in one update of a copied state;
-when every per-member part is ``DIGEST_LEN`` bytes wide, the constant
-length prefixes are fed once per batch instead of once per member.  The
-batch forms :func:`sign_batch`, :func:`verify_sig_batch`,
-:func:`vrf_eval_batch` and :func:`vrf_verify_batch` equal their
-one-at-a-time forms, which are batches of one, so each digest rule has one
-implementation.  Records a batch builds come from a private constructor
-next to their class (``_signature``, ``_vrf_output``, ``_keypair``),
-which sets each slot through its descriptor as the generated frozen
-``__init__`` does, at about half its cost; public construction keeps that
-``__init__``.  A ``shared`` part of None leaves the shared part out, which
-is the form keys are hashed in.
-
-Verification reads what was issued.  ``sign_batch`` and ``vrf_eval_batch``
-each keep a record of the last batch they issued: the message or VRF
-input, the pks framed in one buffer, and the digests.  A verifying batch
-over the same shared part reads the expected digests of every pk the
-record holds from it, as an ideal signature functionality answers from its
-list of issued signatures (Canetti's F_SIG, CSFW 2004), and recomputes
-only the others through ``tagged_hash_batch``; the same distinct pks in
-the same order are read at once.  Every entry is still compared with its
-expected digest, so a flipped, forged or wrong-signer entry fails either
-way.  The run counts a quorum right after signing it and validates a
-proposal right after its core's VRF batch (whose decided vector may have
-nulled some slots, leaving a subset of the pks), so one batch per rule is
-all the record holds; it has no size to set.
-
-:class:`Prg` keeps one state already fed everything of its block preimage
-but the counter.  ``tests/test_crypto.py`` freezes the PRG stream and a
-set of tagged digests, and checks the batch forms against
-:func:`tagged_hash` and the one-at-a-time forms.
+``tests/test_crypto.py`` freezes the PRG stream and a set of tagged
+digests, and checks the batch forms against :func:`tagged_hash` and the
+one-at-a-time forms.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 from itertools import repeat
-from operator import add
-from typing import Iterable, Sequence
+from operator import add, itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 DIGEST_LEN = 32
 ZERO_DIGEST = b"\x00" * DIGEST_LEN
@@ -220,60 +191,28 @@ def tagged_hash_indexed(tag: bytes, indices: Iterable[int], *lead: bytes) -> lis
     return _digests(state, [i.to_bytes(8, "big", signed=True) for i in indices])
 
 
-_new = object.__new__
-
-
-@dataclass(frozen=True, slots=True)
-class KeyPair:
+class KeyPair(NamedTuple):
     pk: bytes
     sk: bytes
 
 
-_set_kp_pk, _set_kp_sk = (KeyPair.__dict__[f].__set__ for f in ("pk", "sk"))
-
-
-def _keypair(pk: bytes, sk: bytes) -> KeyPair:
-    """``KeyPair(pk, sk)``, built like ``_signature``."""
-    kp = _new(KeyPair)
-    _set_kp_pk(kp, pk)
-    _set_kp_sk(kp, sk)
-    return kp
-
-
-@dataclass(frozen=True, slots=True)
-class Signature:
+class Signature(NamedTuple):
     value: bytes
     signer_pk: bytes
 
 
-_set_sig_value, _set_sig_signer = (Signature.__dict__[f].__set__ for f in ("value", "signer_pk"))
-
-
-def _signature(value: bytes, signer_pk: bytes) -> Signature:
-    """``Signature(value, signer_pk)`` for the batch forms, without the
-    generated frozen ``__init__``: each field is set through its slot
-    descriptor, as that ``__init__`` sets it."""
-    sig = _new(Signature)
-    _set_sig_value(sig, value)
-    _set_sig_signer(sig, signer_pk)
-    return sig
-
-
-@dataclass(frozen=True, slots=True)
-class VrfOutput:
+class VrfOutput(NamedTuple):
     value: bytes
     proof: bytes
 
 
-_set_vrf_value, _set_vrf_proof = (VrfOutput.__dict__[f].__set__ for f in ("value", "proof"))
+_first, _second = itemgetter(0), itemgetter(1)
 
 
-def _vrf_output(value: bytes, proof: bytes) -> VrfOutput:
-    """``VrfOutput(value, proof)``, built like ``_signature``."""
-    out = _new(VrfOutput)
-    _set_vrf_value(out, value)
-    _set_vrf_proof(out, proof)
-    return out
+def new_records(cls, *columns) -> list:
+    """``[cls(*fields) for fields in zip(*columns)]``, each record built by
+    ``tuple.__new__`` without a Python-level call."""
+    return list(map(tuple.__new__, repeat(cls), zip(*columns)))
 
 
 def keygen_batch(seeds: Sequence[bytes]) -> list[KeyPair]:
@@ -284,7 +223,7 @@ def keygen_batch(seeds: Sequence[bytes]) -> list[KeyPair]:
     VRF checks reduce to pure recomputation.
     """
     sks = tagged_hash_batch(b"sk", seeds)
-    return list(map(_keypair, tagged_hash_batch(b"pk", sks), sks))
+    return new_records(KeyPair, tagged_hash_batch(b"pk", sks), sks)
 
 
 def keygen(seed_material: bytes) -> KeyPair:
@@ -300,10 +239,8 @@ def keygen(seed_material: bytes) -> KeyPair:
 # shared part is kept as ``bytes``, so a caller that reuses a mutable
 # buffer cannot change what a record says was signed.  The pks are kept
 # framed in one buffer (``encode_parts``, so two pk sequences match only if
-# they are equal): a tuple would keep each pk alive after its run has
-# ended, and a core's pks, scattered over the allocator's arenas, kept
-# those arenas resident (1.6 MiB more peak RSS on ``txheavy``, which runs
-# one scenario after another).
+# they are equal): a tuple would keep each pk, and the allocator arenas
+# they are scattered over, alive after their run has ended.
 _ISSUED: dict[bytes, tuple] = {}
 
 
@@ -370,7 +307,7 @@ def sign_batch(kps: Sequence[KeyPair], msg: bytes) -> list[Signature]:
     pks = [kp.pk for kp in kps]
     columns = _sig_digests(pks, msg)
     _issue(b"sig", msg, pks, columns)
-    return list(map(_signature, columns[0], pks))
+    return new_records(Signature, columns[0], pks)
 
 
 def sign(kp: KeyPair, msg: bytes) -> Signature:
@@ -383,15 +320,25 @@ def verify_sig_batch(
     """``[verify_sig(pk, msg, sig) for pk, sig in signatures]``.  The
     expected value of each distinct pk is read from the ``b"sig"`` record
     when it holds this message and that pk, and is otherwise hashed once;
-    every entry is compared either way."""
+    every entry is compared either way.  An all-valid batch of more than
+    one entry is accepted by whole-column comparisons (record types, signer
+    pks, value types, values); any other batch is judged entry by entry."""
     pks, distinct = _distinct_pks(signatures)
     (values,) = _expected(b"sig", distinct, msg, _sig_digests)
+    expected = _per_entry(pks, distinct, values)
+    if len(pks) > 1:
+        expected = list(expected)
+        sigs = list(map(_second, signatures))
+        if set(map(type, sigs)) <= {Signature} and list(map(_second, sigs)) == pks:
+            sig_values = list(map(_first, sigs))
+            if set(map(type, sig_values)) <= {bytes} and sig_values == expected:
+                return [True] * len(sigs)
     return [
-        isinstance(sig, Signature)
+        type(sig) is Signature
         and isinstance(sig.value, bytes)
         and sig.signer_pk == pk
         and sig.value == value
-        for (pk, sig), value in zip(signatures, _per_entry(pks, distinct, values))
+        for (pk, sig), value in zip(signatures, expected)
     ]
 
 
@@ -416,7 +363,7 @@ def vrf_eval_batch(kps: Sequence[KeyPair], vrf_input: bytes) -> list[VrfOutput]:
     pks = [kp.pk for kp in kps]
     values, proofs = _vrf_digests(pks, vrf_input)
     _issue(b"vrf", vrf_input, pks, (values, proofs))
-    return list(map(_vrf_output, values, proofs))
+    return new_records(VrfOutput, values, proofs)
 
 
 def vrf_eval(kp: KeyPair, vrf_input: bytes) -> VrfOutput:
@@ -435,7 +382,7 @@ def vrf_verify_batch(
     pks, distinct = _distinct_pks(outputs)
     values, proofs = _expected(b"vrf", distinct, vrf_input, _vrf_digests)
     return [
-        isinstance(out, VrfOutput)
+        type(out) is VrfOutput
         and isinstance(out.value, bytes)
         and out.value == value
         and out.proof == proof

@@ -20,7 +20,8 @@ final shard and none for the shards the split tree passes through; the
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence
+from itertools import filterfalse
+from typing import Iterable, Sequence
 
 from . import agreement, views
 from .adversary import STRATEGIES, AdversaryState, activate_due, schedule_corruption
@@ -189,12 +190,16 @@ class Simulation:
 
     def willing_signers(
         self, view: ShardView, honest_sign: bool, byz_sign: bool
-    ) -> Iterator[bytes]:
+    ) -> Iterable[bytes]:
         """The core pks of ``view`` willing to sign, in core order: an honest
-        member iff ``honest_sign``, a corrupted one iff ``byz_sign``.  Lazy,
-        so ``sign_until_quorum`` reads the core only until its quorum."""
-        corrupted = self.adv.corrupted
-        return (pk for pk in view.core_pks if (byz_sign if pk in corrupted else honest_sign))
+        member iff ``honest_sign``, a corrupted one iff ``byz_sign``.  The
+        view's own ``core_pks`` when everyone is willing, else a lazy
+        filter, so ``sign_until_quorum`` reads the core only until its
+        quorum."""
+        corrupted, pks = self.adv.corrupted, view.core_pks
+        if honest_sign == byz_sign or not corrupted:
+            return pks if honest_sign else ()
+        return (filter if byz_sign else filterfalse)(corrupted.__contains__, pks)
 
     # -- the height loop -----------------------------------------------------
 

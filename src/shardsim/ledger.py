@@ -23,6 +23,7 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, islice
 from typing import Iterable, Mapping, Sequence
 
 from .crypto import (
@@ -375,22 +376,23 @@ def sign_until_quorum(
     distinct signatures are collected.
 
     ``keys`` maps pks to key pairs; a signer without one does not sign.
-    Signers are read, and keys looked up, only until the quorum; the chosen
-    key pairs then sign in one ``sign_batch``.  Returns the (pk, signature)
-    pairs in signer order, fewer than ``quorum`` when the willing signers
-    run out.  Every signer signs the same message, so a further signature
-    could not change a quorum verdict.
+    Signers are read only until the quorum: the first ``quorum`` with a key
+    are taken at once, and only if a pk repeats among them are the rest read
+    one by one.  The chosen key pairs then sign in one ``sign_batch``.
+    Returns the (pk, signature) pairs in signer order, fewer than ``quorum``
+    when the willing signers run out.  Every signer signs the same message,
+    so a further signature could not change a quorum verdict.
     """
-    chosen: dict[bytes, KeyPair] = {}
-    for pk in signers:
-        if len(chosen) == quorum:
-            break
-        if pk in chosen:
-            continue
-        kp = keys.get(pk)
-        if kp is not None:
-            chosen[pk] = kp
-    return list(zip(chosen, sign_batch(list(chosen.values()), msg)))
+    keyed = filter(keys.__contains__, signers)
+    chosen = list(islice(keyed, quorum))
+    if len(set(chosen)) < len(chosen):
+        distinct: dict[bytes, None] = {}
+        for pk in chain(chosen, keyed):
+            if len(distinct) == quorum:
+                break
+            distinct[pk] = None
+        chosen = list(distinct)
+    return list(zip(chosen, sign_batch(list(map(keys.__getitem__, chosen)), msg)))
 
 
 def count_signers(

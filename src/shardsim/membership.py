@@ -37,6 +37,8 @@ from .crypto import Prg, Signature, encode_bytes, encode_int, encode_str, tagged
 from .ledger import count_signers, shard_quorum
 from .sampling import sample_without_replacement
 
+_value, _pk, _expiry = (attrgetter(name) for name in ("value", "pk", "expiry_height"))
+
 
 @dataclass(frozen=True)
 class ShardView:
@@ -51,7 +53,7 @@ class ShardView:
     @cached_property
     def core_pks(self) -> tuple[bytes, ...]:
         """The core members' pks, in core order."""
-        return tuple([c.pk for c in self.core])
+        return tuple(map(_pk, self.core))
 
     @cached_property
     def core_framing(self) -> bytes:
@@ -103,7 +105,7 @@ def view_digest(view: ShardView) -> bytes:
 
 def order_spare(creds: Iterable[Credential]) -> tuple[Credential, ...]:
     """Canonical spare ordering: lexicographic on the credential value."""
-    return tuple(sorted(creds, key=lambda c: c.value))
+    return tuple(sorted(creds, key=_value))
 
 
 def update_view(
@@ -133,7 +135,7 @@ def update_view(
         # Member values are hashed by bytes, not by ``Credential.__hash__``;
         # a value hit falls back to comparing whole credentials, so the test
         # below is exactly ``cred in set(members)``.
-        known_values = {c.value for c in members}
+        known_values = set(map(_value, members))
         # Core members receive the same joins, so slots repeat; dedup whole
         # slots before walking entries, in first-seen order: two admitted
         # newcomers sharing a value keep that order in the spare set.
@@ -162,10 +164,7 @@ def update_view(
         view.__dict__["core_pks"] = prev_view.core_pks
     if spare is prev_view.spare:
         view.__dict__["spare_framing"] = prev_view.spare_framing
-    return view, tuple(sorted(seen, key=lambda c: c.value))
-
-
-_expiry = attrgetter("expiry_height")
+    return view, tuple(sorted(seen, key=_value))
 
 
 def perished_before(creds: tuple[Credential, ...], height: int) -> bool:

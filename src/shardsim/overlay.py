@@ -15,6 +15,8 @@ and the same deferral as ``maybe_split``.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import compress
+from operator import attrgetter, not_
 from typing import Iterable, Mapping, Sequence
 
 from .credentials import Credential
@@ -23,6 +25,10 @@ from .ledger import Validity, VALID
 from .membership import ShardView, perished_before
 
 ROOT_LABEL = ""
+
+_value, _anchor, _expiry = (
+    attrgetter(name) for name in ("value", "anchor_height", "expiry_height")
+)
 
 
 def label_matches(label: str, value: bytes) -> bool:
@@ -186,8 +192,30 @@ def maybe_merge(
     members: list[Credential] = []
     for l in absorbed:
         members.extend(directory[l].members())
-    members.sort(key=lambda c: c.value)
+    members.sort(key=_value)
     return parent, absorbed, tuple(members)
+
+
+def _newcomers_fit(newcomers: list[Credential], label: str, height: int) -> bool:
+    """Whether every newcomer is anchored by ``height``, before its expiry,
+    and routes to ``label``, judged in ``min``/``max`` passes: the latest
+    anchor against ``height`` and the earliest expiry, and the values
+    against the label's interval of ``DIGEST_LEN``-wide values.  A byte
+    string between those bounds has the label as its prefix whatever its
+    width, so a True verdict is the per-member one; a False one may not
+    be."""
+    if not newcomers:
+        return True
+    latest = max(map(_anchor, newcomers))
+    pad = 8 * DIGEST_LEN - len(label)
+    if latest > height or latest >= min(map(_expiry, newcomers)) or pad < 0:
+        return False
+    values = list(map(_value, newcomers))
+    low = int("0" + label, 2) << pad
+    return (
+        low.to_bytes(DIGEST_LEN, "big") <= min(values)
+        and max(values) <= (low | ((1 << pad) - 1)).to_bytes(DIGEST_LEN, "big")
+    )
 
 
 def verify_view_transition(
@@ -229,7 +257,15 @@ def verify_view_transition(
     # alive for the whole call, so an id names one credential, and an id
     # test is far cheaper than hashing a credential.
     carried = set(map(id, old_view.members()))
-    for cred in new_view.members():
+    members = new_view.members()
+    if not perished_before(members, height) and _newcomers_fit(
+        list(compress(members, map(not_, map(carried.__contains__, map(id, members))))),
+        new_view.label,
+        height,
+    ):
+        return VALID
+    # Some member fails: find the first, for its reason.
+    for cred in members:
         if cred.expiry_height < height:
             return Validity(False, "expired-member")
         if id(cred) in carried:

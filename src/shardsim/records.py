@@ -10,6 +10,7 @@ as the tuple ``(shape, height, *values)``: ``shape`` is the interned
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Callable, Iterator
@@ -50,21 +51,48 @@ class EventLog:
         self._records: list[tuple] = []
         self._shapes: dict[tuple, tuple] = {}
 
-    def emit(self, kind: str, height: int, /, **fields):
-        key = (kind, *fields)
+    def _shape(self, kind: str, names) -> tuple:
+        """The interned ``(kind, *names)``; a name the record's own header
+        uses is refused."""
+        key = (kind, *names)
         shape = self._shapes.get(key)
         if shape is None:
-            clash = {"seq", "kind", "height"}.intersection(fields)
+            clash = {"seq", "kind", "height"}.intersection(names)
             if clash:
                 raise ValueError(f"event fields {sorted(clash)} would overwrite the record's own")
             shape = self._shapes[key] = key
+        return shape
+
+    def emit(self, kind: str, height: int, /, **fields):
+        shape = self._shapes.get((kind, *fields)) or self._shape(kind, fields)
         self._records.append((shape, height, *fields.values()))
+
+    def emit_batch(self, kind: str, height: int, /, **columns):
+        """One ``emit(kind, height, **row)`` per row of ``columns``, each a
+        sequence holding one field's values, all of one length; the records
+        are appended in one pass, and an empty batch appends none."""
+        lengths = set(map(len, columns.values()))
+        if len(lengths) != 1:
+            raise ValueError("a batch takes one or more field columns of one length")
+        if lengths == {0}:
+            return
+        shape = self._shape(kind, columns)
+        self._records.extend(zip(repeat(shape), repeat(height), *columns.values()))
 
     def __len__(self):
         return len(self._records)
 
     def __iter__(self) -> Iterator[dict]:
-        for seq, (shape, height, *values) in enumerate(self._records):
+        return self._dicts(enumerate(self._records))
+
+    def of_kind(self, kind: str) -> Iterator[dict]:
+        """The records of ``kind`` as ``__iter__`` yields them; no other
+        record is turned into a dict."""
+        return self._dicts((seq, rec) for seq, rec in enumerate(self._records) if rec[0][0] == kind)
+
+    @staticmethod
+    def _dicts(numbered) -> Iterator[dict]:
+        for seq, (shape, height, *values) in numbered:
             record = {"seq": seq, "kind": shape[0], "height": height}
             record.update(zip(shape[1:], [v.hex() if type(v) is bytes else v for v in values]))
             yield record

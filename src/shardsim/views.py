@@ -16,13 +16,15 @@ a derived credential anchored by the shard's view height without deriving
 it again: its verdict depends only on its fields, the label and the
 immutable chain, so the full check would pass it.  Any other entry takes
 the full check.  ``deliver_joins`` takes a height's renewals as one batch:
-they all anchor at that height, so they are derived from one seed read and
-routed with one ``route`` call per label interval, and are delivered in
-sorted-pk order.
+they all anchor at that height, so they are derived from one seed read,
+routed with one ``route`` call per label interval and recorded by one
+``EventLog.emit_batch``, in sorted-pk order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
 from .credentials import Credential, derive_credentials, verify_credential
@@ -49,6 +51,8 @@ from .protocols import ParticipantSet, random_beacon, shard_entropy, vector_cons
 
 if TYPE_CHECKING:
     from .harness import Simulation
+
+_value = attrgetter("value")
 
 
 def update_views(sim: Simulation, height: int):
@@ -221,16 +225,16 @@ def deliver_joins(sim: Simulation, height: int):
     # adversary's fresh keys stay outside the keyring until ROADMAP item 9.
     due = [pk for pk in sim.utxos.due_renewals(height) if pk in sim.keyring]
     creds = derive_credentials(due, height, sim.headers[height].seed, sim.cfg.epoch_length)
-    directory, joins, emit = sim.directory, sim.joins, sim.events.emit
-    delivered = 0
-    for cred, routed in zip(creds, route_all(directory, [c.value for c in creds])):
-        # The view's own label, not ``route``'s freshly sliced copy: the
-        # event log keeps one reference per join.
-        view = directory[routed]
-        joins[view.label][cred] = True
-        delivered += len(view.core)  # to every core member
-        emit("join", height, label=view.label, pk=cred.pk, anchor=height)
-    sim.meter.charge(delivered)
+    directory, joins = sim.directory, sim.joins
+    # Each view's own label, not ``route``'s freshly sliced copies: the
+    # event log keeps one reference per join.
+    own = {label: view.label for label, view in directory.items()}
+    labels = list(map(own.__getitem__, route_all(directory, list(map(_value, creds)))))
+    for label, cred in zip(labels, creds):
+        joins[label][cred] = True
+    # Every core member receives each join.
+    sim.meter.charge(sum(len(directory[label].core) * n for label, n in Counter(labels).items()))
+    sim.events.emit_batch("join", height, label=labels, pk=due, anchor=[height] * len(due))
     sim.joins_submitted += len(creds)
 
 

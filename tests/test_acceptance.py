@@ -7,6 +7,7 @@ are pinned inline next to the assertion they guard.
 """
 
 import math
+import os
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -152,8 +153,10 @@ def test_criterion_04_core_exceedance_bounds():
         exact = exact_core_tail(s, m, s_min, mu_core)
         assert float(exact) <= bound, (s, m, s_min)
 
+        # The fixed chunk layout gives the same estimate for any worker count.
         est = monte_carlo_core(
-            s, m, s_min, mu_core, trials, f"acceptance-c4-{s}-{m}-{s_min}"
+            s, m, s_min, mu_core, trials, f"acceptance-c4-{s}-{m}-{s_min}",
+            workers=min(os.cpu_count() or 1, 8),
         )
         sigma = math.sqrt(bound * (1 - bound) / trials)
         assert est <= bound + 3 * sigma, (s, m, s_min, est, bound)

@@ -1,6 +1,6 @@
 """Epoch anchoring and perishable credential checks."""
 
-from dataclasses import replace
+from collections import namedtuple
 from types import SimpleNamespace
 
 import pytest
@@ -154,6 +154,21 @@ def test_verify_credential_rejections():
     assert not verify_credential(cred, 4, chain, wrong_h0)
 
 
+def test_only_a_credential_verifies():
+    # A record type compares equal to any tuple of the same fields, so the
+    # check must refuse a look-alike that ``expected == cred`` would pass.
+    chain = fake_chain(10)
+    kp = keygen(b"look-alike")
+    cred = derive_credential(kp.pk, 0, 3, chain, 3)
+    history = _history(chain, kp.pk, 0, [3])
+    assert verify_credential(cred, 4, chain, history)
+    Other = namedtuple("Other", Credential._fields)
+    Subclass = type("Subclass", (Credential,), {"__slots__": ()})
+    for look_alike in (tuple(cred), Other(*cred), Subclass(*cred)):
+        assert look_alike == cred
+        assert not verify_credential(look_alike, 4, chain, history)
+
+
 def test_credential_blob_is_injective_on_fields():
     kp = keygen(b"blob")
     base = Credential(value=b"v", pk=kp.pk, anchor_height=3, expiry_height=6)
@@ -202,13 +217,12 @@ def test_equal_credentials_hash_equal():
 
 
 def test_credentials_sharing_a_value_stay_distinct():
-    # Only the value is hashed, so these collide in a hash table; equality
-    # on every field must still keep them apart.
+    # Equality and hashing on every field keep these apart, value and all.
     base = Credential(value=b"v" * 32, pk=b"p" * 32, anchor_height=3, expiry_height=6)
     variants = [
-        replace(base, pk=b"q" * 32),
-        replace(base, anchor_height=4),
-        replace(base, expiry_height=7),
+        base._replace(pk=b"q" * 32),
+        base._replace(anchor_height=4),
+        base._replace(expiry_height=7),
     ]
     for other in variants:
         assert other != base

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import FrozenInstanceError, fields
 from types import SimpleNamespace
 
@@ -9,22 +10,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shardsim import crypto
-from shardsim.credentials import Credential, _credential, derive_credential, derive_credentials
+from shardsim.credentials import Credential, derive_credential, derive_credentials
 from shardsim.crypto import (
     DIGEST_LEN,
     KeyPair,
     Prg,
     Signature,
     VrfOutput,
-    _keypair,
-    _signature,
-    _vrf_output,
     encode_bytes,
     encode_int,
     encode_str,
     hash_digest,
     keygen,
     keygen_batch,
+    new_records,
     sign,
     sign_batch,
     tagged_hash,
@@ -38,7 +37,7 @@ from shardsim.crypto import (
     vrf_verify,
     vrf_verify_batch,
 )
-from shardsim.ledger import TxOutput, Utxo, _tx_output, _utxo
+from shardsim.ledger import TxOutput, Utxo, _tx_output, _utxo, count_signers
 from shardsim.sampling import sample_without_replacement
 
 
@@ -832,10 +831,6 @@ def test_a_new_batch_replaces_the_record(monkeypatch):
 @given(packed_parts, packed_parts, st.integers(-(2**63), 2**63 - 1), st.integers(-(2**63), 2**63 - 1))
 def test_private_constructors_build_what_init_builds(a, b, anchor, expiry):
     for built, public in (
-        (_signature(a, b), Signature(a, b)),
-        (_vrf_output(a, b), VrfOutput(a, b)),
-        (_credential(a, b, anchor, expiry), Credential(a, b, anchor, expiry)),
-        (_keypair(a, b), KeyPair(a, b)),
         (_utxo(a, anchor, expiry), Utxo(a, anchor, expiry)),
         (_tx_output(a, anchor), TxOutput(a, anchor)),
     ):
@@ -849,3 +844,53 @@ def test_private_constructors_build_what_init_builds(a, b, anchor, expiry):
                 setattr(built, field.name, b"")
             with pytest.raises(FrozenInstanceError):
                 delattr(built, field.name)
+
+
+@settings(deadline=None)
+@given(packed_parts, packed_parts, st.integers(-(2**63), 2**63 - 1), st.integers(-(2**63), 2**63 - 1))
+def test_new_records_build_what_the_class_builds(a, b, anchor, expiry):
+    for cls, row in (
+        (Signature, (a, b)),
+        (VrfOutput, (a, b)),
+        (Credential, (a, b, anchor, expiry)),
+        (KeyPair, (a, b)),
+    ):
+        public = cls(*row)
+        (built,) = new_records(cls, *[[field] for field in row])
+        assert type(built) is cls
+        assert built == public and hash(built) == hash(public)
+        assert repr(built) == repr(public)
+        assert not hasattr(built, "__dict__")
+        for name, field in zip(cls._fields, row):
+            assert getattr(built, name) is getattr(public, name) is field
+            with pytest.raises(AttributeError):
+                setattr(built, name, b"")
+    assert new_records(Signature, [a, b], [b]) == [Signature(a, b)]
+
+
+
+
+def test_only_the_issued_record_type_verifies():
+    # A record type compares equal to any tuple of the same fields; each
+    # check must refuse a plain tuple or another record type equal to a
+    # valid output, field for field.
+    kp, msg = keygen(b"look-alike"), b"payload"
+    sig, out = sign(kp, msg), vrf_eval(kp, msg)
+    assert verify_sig_batch([(kp.pk, sig)], msg) == [True]
+    assert vrf_verify_batch([(kp.pk, out)], msg) == [True]
+    assert count_signers([(kp.pk, sig)], {kp.pk}, msg) == 1
+    for cls, good in ((Signature, sig), (VrfOutput, out)):
+        Other = namedtuple("Other", cls._fields)
+        Subclass = type("Subclass", (cls,), {"__slots__": ()})
+        # The same two fields under the other record type of the pair.
+        swapped = (VrfOutput if cls is Signature else Signature)(*good)
+        for look_alike in (tuple(good), Other(*good), Subclass(*good), swapped):
+            assert look_alike == good
+            entries = [(kp.pk, good), (kp.pk, look_alike)]
+            if cls is Signature:
+                assert verify_sig_batch(entries, msg) == [True, False]
+                assert not verify_sig(kp.pk, msg, look_alike)
+                assert count_signers(entries[1:], {kp.pk}, msg) == 0
+            else:
+                assert vrf_verify_batch(entries, msg) == [True, False]
+                assert not vrf_verify(kp.pk, msg, look_alike)

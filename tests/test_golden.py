@@ -296,7 +296,7 @@ def test_grind_half_renews_keyring_keys_only():
     assert metrics.summary["safety_ok"] is True
     assert events.digest() == "9f41115fdf3604726ba91963db75ea161aab5cf34a6f0ce5ec1d2baeed12997d"
     assert metrics.digest() == "4717b689af8bd07153dc012daf15ab1b02f53acb677aa5464b765ede0faa8a23"
-    joined = {bytes.fromhex(rec["pk"]) for rec in events if rec["kind"] == "join"}
+    joined = {bytes.fromhex(rec["pk"]) for rec in events.of_kind("join")}
     assert joined and joined <= sim.keyring.keys()
     outside = sim.utxos.live.keys() - sim.keyring.keys()
     assert outside and outside <= sim.adv.keys.keys()
@@ -321,7 +321,8 @@ class ReferenceEventLog:
 
 
 class TeedEventLog(records.EventLog):
-    """An ``EventLog`` that feeds every emit to a ``ReferenceEventLog`` too."""
+    """An ``EventLog`` that feeds every emit, and every row of a batch, to a
+    ``ReferenceEventLog`` too."""
 
     def __init__(self):
         super().__init__()
@@ -330,6 +331,11 @@ class TeedEventLog(records.EventLog):
     def emit(self, kind, height, /, **fields):
         super().emit(kind, height, **fields)
         self.reference.emit(kind, height, **fields)
+
+    def emit_batch(self, kind, height, /, **columns):
+        super().emit_batch(kind, height, **columns)
+        for row in zip(*columns.values()):
+            self.reference.emit(kind, height, **dict(zip(columns, row)))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

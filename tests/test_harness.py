@@ -484,7 +484,7 @@ def test_contract_void_committee_without_equivocation_certifies_one_block():
     metrics, events = run_scenario(
         smoke(mu_core="1/4", adversary={"strategy": "passive", "force_corrupt_shards": 1})
     )
-    accepted = [rec for rec in events if rec["kind"] == "block-accepted"]
+    accepted = list(events.of_kind("block-accepted"))
     assert len(accepted) == 10
     assert sum(1 for rec in accepted if rec["leader"] is None) == 3
     kinds = [rec["kind"] for rec in metrics.incidents]
@@ -510,7 +510,7 @@ def test_committee_within_its_contract_may_decide_nothing():
     assert metrics.summary["blocks"] == 3
     # No ``corrupted-committee``: every height's BA kept its contract.
     assert [rec["kind"] for rec in metrics.incidents] == ["no-decision"] * 7
-    assert sum(1 for rec in events if rec["kind"] == "no-block") == 7
+    assert len(list(events.of_kind("no-block"))) == 7
     assert metrics.summary["safety_ok"] and not metrics.summary["liveness_ok"]
 
 
@@ -526,7 +526,7 @@ def test_equivocation_without_a_marker_transaction_certifies_one_block(monkeypat
     monkeypatch.setattr(agreement, "_adversary_marker_tx", no_marker)
     metrics, events = run_scenario(load_config(CONFIG_DIR / "stress-equivocate.json"))
     assert len(asked) == 3
-    accepted = [rec for rec in events if rec["kind"] == "block-accepted"]
+    accepted = list(events.of_kind("block-accepted"))
     assert [rec["leader"] for rec in accepted] == [None] * 3
     kinds = [rec["kind"] for rec in metrics.incidents]
     assert kinds.count("corrupted-shard") == kinds.count("corrupted-committee") == 3
@@ -760,6 +760,19 @@ def test_phase_functions_compose_to_run(overrides, kinds):
     assert kinds <= {rec["kind"] for rec in sim.events}
 
 
+def test_willing_signers_are_the_per_pk_filter():
+    sim = Simulation(config())
+    view = next(iter(sim.directory.values()))
+    pks = view.core_pks
+    assert sim.willing_signers(view, True, True) is pks
+    for corrupted in (set(), set(pks[::2]), set(pks)):
+        sim.adv.corrupted = corrupted
+        for honest_sign in (True, False):
+            for byz_sign in (True, False):
+                expected = [pk for pk in pks if (byz_sign if pk in corrupted else honest_sign)]
+                assert list(sim.willing_signers(view, honest_sign, byz_sign)) == expected
+
+
 def test_join_lands_once_in_the_join_set_route_names():
     # Genesis UTXOs are pre-aged by one epoch, so every genesis key renews
     # at height epoch_length.
@@ -774,7 +787,7 @@ def test_join_lands_once_in_the_join_set_route_names():
     messages = sim.meter.total
     first_event = len(sim.events)
     sim._renewals_and_workload(height)
-    joins = [rec for rec in list(sim.events)[first_event:] if rec["kind"] == "join"]
+    joins = [rec for rec in sim.events.of_kind("join") if rec["seq"] >= first_event]
     assert len({rec["label"] for rec in joins}) > 1
     landed = {cred.pk.hex(): (label, cred) for label, js in sim.joins.items() for cred in js}
     assert len(landed) == sum(len(js) for js in sim.joins.values())
@@ -1099,14 +1112,12 @@ def test_view_agreement_oracle_rejects_a_faulty_view(monkeypatch, tmp_path, caps
     # The shard stays on its height-1 view, which is the registered one.
     assert sim.directory[label].height == 1
     assert not any(
-        rec["kind"] == "view-installed" and rec["label"] == label and rec["height"] >= 2
-        for rec in events
+        rec["label"] == label and rec["height"] >= 2 for rec in events.of_kind("view-installed")
     )
-    assert any(rec["kind"] == "view-rejected" and rec["label"] == label for rec in events)
+    assert any(rec["label"] == label for rec in events.of_kind("view-rejected"))
     # While its view lags the height, the shard sits on no committee.
     assert not any(
-        rec["kind"] == "committee" and rec["height"] >= 2 and label in rec["labels"]
-        for rec in events
+        rec["height"] >= 2 and label in rec["labels"] for rec in events.of_kind("committee")
     )
     # The other shards keep producing, so only the view oracle fails.
     assert metrics.summary["blocks"] > 1
@@ -1145,7 +1156,7 @@ def test_a_lagging_shard_catches_up_one_view_per_height(monkeypatch):
         {"height": 4, "kind": "view-catch-up", "label": label},
         {"height": 5, "kind": "view-catch-up", "label": label},
     ]
-    rejected = [(rec["height"], rec["label"]) for rec in events if rec["kind"] == "view-rejected"]
+    rejected = [(rec["height"], rec["label"]) for rec in events.of_kind("view-rejected")]
     assert rejected == [(2, label)]
     assert metrics.view_violations == 0 and metrics.summary["safety_ok"]
     catch_ups = installs[1:4]
@@ -1164,7 +1175,7 @@ def test_a_lagging_shard_catches_up_one_view_per_height(monkeypatch):
     # With its renewals refused, the shard is empty once its members expire;
     # it merges into its sibling subtree at height 5, which ends the lag.
     assert catch_ups[2][1].members() == ()
-    merges = [rec for rec in events if rec["kind"] == "merge" and label in rec["absorbed"]]
+    merges = [rec for rec in events.of_kind("merge") if label in rec["absorbed"]]
     assert [rec["height"] for rec in merges] == [5]
     assert (events.digest(), metrics.digest()) == (
         "ab0860fec5d298f035d6747f3f4c0e7de9ff88620e1cafe0f178d9288f6eb8f3",
@@ -1199,7 +1210,7 @@ def test_refill_grinding_installs_the_most_corrupted_core():
     corrupted = {c.pk for c in view.core[:6]} | {c.pk for c in view.spare[::2]}
     sim.adv.pending.clear()
     sim.adv.corrupted = set(corrupted)
-    expiring = {c: replace(c, expiry_height=0) for c in view.core[6:10]}
+    expiring = {c: c._replace(expiry_height=0) for c in view.core[6:10]}
     view = replace(view, core=tuple(expiring.get(c, c) for c in view.core))
     sim.directory[label] = view
     sim.strategy = RecordingWorstCaseSeed()
@@ -1333,7 +1344,7 @@ def test_one_flipped_install_signature_fails_the_install(monkeypatch):
     assert collected == quorum
     failed = [rec for rec in metrics.incidents if rec["kind"] == "view-install-failed"]
     assert failed == [{"height": 1, "kind": "view-install-failed", "label": first_label}]
-    rejected = [(rec["height"], rec["label"]) for rec in events if rec["kind"] == "view-rejected"]
+    rejected = [(rec["height"], rec["label"]) for rec in events.of_kind("view-rejected")]
     assert rejected == [(1, first_label)]
 
 
@@ -1359,7 +1370,7 @@ def test_run_without_blocks_fails_liveness():
     assert summary["blocks"] == 0
     assert check_liveness(metrics).all_included
     assert summary["liveness_ok"] is False
-    done = [rec for rec in events if rec["kind"] == "run-complete"]
+    done = list(events.of_kind("run-complete"))
     assert done[-1]["liveness_ok"] is False
 
 
@@ -1372,7 +1383,7 @@ def test_run_without_blocks_fails_efficiency():
     assert summary["blocks"] == 0
     assert check_liveness(metrics).all_within_window
     assert summary["efficiency_ok"] is False
-    done = [rec for rec in events if rec["kind"] == "run-complete"]
+    done = list(events.of_kind("run-complete"))
     assert done[-1]["efficiency_ok"] is False
 
 

@@ -19,6 +19,7 @@ from shardsim.crypto import (
     sign,
     tagged_hash,
     verify_sig,
+    verify_sig_batch,
     vrf_eval,
 )
 from shardsim.ledger import (
@@ -433,6 +434,43 @@ def test_sign_until_quorum_signs_in_order_until_quorum():
     assert [pk for pk, _ in held] == [KEYS[0].pk, KEYS[1].pk]
 
 
+def sign_until_quorum_one_by_one(signers, keys, msg, quorum):
+    """The reference ``sign_until_quorum``: signers read one by one, a
+    repeat or a signer without a key skipped, until ``quorum``."""
+    chosen = {}
+    for pk in signers:
+        if len(chosen) == quorum:
+            break
+        if pk not in chosen and pk in keys:
+            chosen[pk] = keys[pk]
+    return [(pk, sign(kp, msg)) for pk, kp in chosen.items()]
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.sampled_from([kp.pk for kp in KEYS] + [b"no-key"]), max_size=14),
+    st.sets(st.integers(0, len(KEYS) - 1)),
+    st.integers(0, len(KEYS) + 2),
+    st.booleans(),
+)
+def test_sign_until_quorum_equals_the_one_by_one_loop(signers, held, quorum, lazy):
+    # Repeated pks take the fallback loop; a quorum above the willing set
+    # comes back short.
+    keys = {KEYS[i].pk: KEYS[i] for i in held}
+    msg = b"payload"
+    picked = sign_until_quorum(iter(signers) if lazy else signers, keys, msg, quorum)
+    assert picked == sign_until_quorum_one_by_one(signers, keys, msg, quorum)
+
+
+def test_sign_until_quorum_reads_a_lazy_signer_list_only_to_the_quorum():
+    keys = {kp.pk: kp for kp in KEYS}
+    for order in ([kp.pk for kp in KEYS], [KEYS[0].pk, KEYS[0].pk] + [kp.pk for kp in KEYS]):
+        signers = iter(order)
+        sigs = sign_until_quorum(signers, keys, b"payload", 3)
+        assert [pk for pk, _ in sigs] == [kp.pk for kp in KEYS[:3]]
+        assert next(signers) in (KEYS[3].pk, KEYS[4].pk)
+
+
 def test_shard_quorum_measures_against_the_smaller_of_s_min_and_core():
     third = Fraction(1, 3)
     assert shard_quorum(third, 9, 9) == 4
@@ -506,6 +544,35 @@ def test_count_signers_equals_the_one_by_one_loop(entries, allowed):
     )
 
 
+def verify_sig_reference(pk, msg, sig):
+    """The per-entry check, with the expected value hashed afresh."""
+    return (
+        type(sig) is Signature
+        and isinstance(sig.value, bytes)
+        and sig.signer_pk == pk
+        and sig.value == tagged_hash(b"sig", pk, msg)
+    )
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.sampled_from(SIGNER_ENTRIES), max_size=12),
+    st.lists(st.sampled_from(KEYS), max_size=8),
+    st.booleans(),
+)
+def test_verify_sig_batch_equals_the_per_entry_check(entries, valid_signers, issued_last):
+    # Valid entries alone take the whole-column path; any other entry
+    # sends the batch to the per-entry list.
+    msg = b"payload"
+    valid = [(kp.pk, sign(kp, msg)) for kp in valid_signers]
+    for batch in (valid, entries, valid + entries):
+        if issued_last:
+            sign_until_quorum([pk for pk, _ in batch], {kp.pk: kp for kp in KEYS}, msg, 99)
+        assert verify_sig_batch(batch, msg) == [
+            verify_sig_reference(pk, msg, sig) for pk, sig in batch
+        ]
+
+
 def test_count_signers_counts_a_repeated_pk_once_whatever_its_order():
     msg = b"payload"
     good = sign(KEYS[0], msg)
@@ -536,7 +603,7 @@ def test_validate_block_refuses_a_tampered_vrf_output_anywhere(position, field):
     proofs = [(kp.pk, vrf_eval(kp, prev.seed)) for kp in KEYS[:3]]
     assert verdict(proofs)
     pk, out = proofs[position]
-    proofs[position] = (pk, replace(out, **{field: _flipped(getattr(out, field))}))
+    proofs[position] = (pk, out._replace(**{field: _flipped(getattr(out, field))}))
     refused = verdict(proofs)
     assert not refused and refused.reason == "vrf"
 

@@ -80,7 +80,7 @@ def test_view_digest_keeps_the_generic_encoding_for_other_widths():
     view = make_view(core_n=2, spare_n=2)
     mixed = replace(view, core=view.core + (odd,))
     assert view_digest(mixed) == canonical_digest(mixed)
-    padded = replace(odd, value=odd.value + b"\x00" * 12, pk=odd.pk[:32])
+    padded = odd._replace(value=odd.value + b"\x00" * 12, pk=odd.pk[:32])
     assert view_digest(mixed) != view_digest(replace(view, core=view.core + (padded,)))
 
 
@@ -163,7 +163,7 @@ class TestUpdateView:
     def expire(view, *members):
         """``view`` with ``members`` replaced by copies whose credentials
         perish with the block at the view's own height."""
-        dying = {c: replace(c, expiry_height=view.height) for c in members}
+        dying = {c: c._replace(expiry_height=view.height) for c in members}
         return replace(
             view,
             core=tuple(dying.get(c, c) for c in view.core),
@@ -179,7 +179,7 @@ class TestUpdateView:
         # A full core elects nothing.
         assert fill_core(view, self.beacon, s_min=3) == (view, ())
         # A credential that perishes with the next block still serves at it.
-        last = replace(self.prev, core=tuple(replace(c, expiry_height=4) for c in self.core))
+        last = replace(self.prev, core=tuple(c._replace(expiry_height=4) for c in self.core))
         assert update_view(last, [])[0].core == last.core
 
     def test_newcomers_join_spare_sorted(self):
@@ -298,16 +298,16 @@ def view_updates(draw):
     height = draw(st.integers(1, 5))
     expiry = st.integers(height, height + 2)
     picked = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=10, unique=True))
-    members = [replace(c, expiry_height=draw(expiry)) for c in picked]
+    members = [c._replace(expiry_height=draw(expiry)) for c in picked]
     split = draw(st.integers(0, len(members)))
     prev = ShardView("", height, tuple(members[:split]), order_spare(members[split:]))
 
     outsiders = [c for c in POOL if c not in picked]
     candidates = (
         members
-        + [replace(c) for c in members]
-        + [replace(c, anchor_height=1) for c in members]
-        + [replace(c, expiry_height=height + draw(st.integers(-1, 2))) for c in outsiders]
+        + [c._replace() for c in members]
+        + [c._replace(anchor_height=1) for c in members]
+        + [c._replace(expiry_height=height + draw(st.integers(-1, 2))) for c in outsiders]
     )
     slot = st.one_of(
         st.none(), st.frozensets(st.sampled_from(candidates), max_size=4)
@@ -360,14 +360,14 @@ class TestCarriedTuples:
         assert view.digest == ShardView.digest.func(replace(view))
 
     def test_an_expiry_replaces_only_its_own_tuple(self):
-        dying = replace(self.prev.spare[1], expiry_height=3)
+        dying = self.prev.spare[1]._replace(expiry_height=3)
         prev = replace(self.prev, spare=order_spare(self.prev.spare[:1] + (dying,)))
         view = update_view(prev, [])[0]
         assert view.core is prev.core and view.spare == prev.spare[:1]
         assert "spare_framing" not in vars(view)
         assert view.digest == ShardView.digest.func(replace(view))
 
-        dying = replace(self.prev.core[0], expiry_height=3)
+        dying = self.prev.core[0]._replace(expiry_height=3)
         prev = replace(self.prev, core=(dying,) + self.prev.core[1:])
         view = update_view(prev, [])[0]
         assert view.core == prev.core[1:] and view.spare is prev.spare

@@ -11,6 +11,7 @@ from shardsim.ledger import VALID, Validity
 from shardsim.membership import ShardView, order_spare
 from shardsim.overlay import (
     ROOT_LABEL,
+    _newcomers_fit,
     check_prefix_free_cover,
     label_matches,
     maybe_merge,
@@ -240,14 +241,14 @@ class TestViewTransition:
     def test_expired_member(self):
         # A core member whose credential expired with block 1 cannot be
         # carried into the view for height 2.
-        dying = replace(self.creds[1], expiry_height=1)
+        dying = self.creds[1]._replace(expiry_height=1)
         self.old = replace(self.old, core=(self.creds[0], dying, self.creds[2]))
         carried = replace(self.new, core=self.old.core)
         assert self._check(carried).reason == "expired-member"
         # The old view's own tuples are still checked for expiry, whether
         # the expired member sits in the core or in the spare set.
         assert self._check(replace(self.old, height=2)).reason == "expired-member"
-        self.old = replace(self.new, height=1, spare=(replace(self.creds[3], expiry_height=1),))
+        self.old = replace(self.new, height=1, spare=(self.creds[3]._replace(expiry_height=1),))
         assert self._check(replace(self.old, height=2)).reason == "expired-member"
         dead = Credential(value=self.keys[4].pk, pk=self.keys[4].pk,
                           anchor_height=0, expiry_height=1)
@@ -288,14 +289,14 @@ class TestViewTransition:
         pk = self.keys[4].pk
         fine = Credential(value=b"\xff" + pk[1:], pk=pk, anchor_height=2, expiry_height=9)
         assert verdict(fine), verdict(fine).reason
-        assert verdict(replace(fine, value=b"\x7f" + pk[1:])).reason == "routing"
-        assert verdict(replace(fine, anchor_height=3)).reason == "window"
-        assert verdict(replace(fine, expiry_height=2)).reason == "window"
+        assert verdict(fine._replace(value=b"\x7f" + pk[1:])).reason == "routing"
+        assert verdict(fine._replace(anchor_height=3)).reason == "window"
+        assert verdict(fine._replace(expiry_height=2)).reason == "window"
         # An equal copy of a carried member is checked as a newcomer, and
         # passes as the member does.
-        assert verdict(replace(routed[0]))
+        assert verdict(routed[0]._replace())
         # Carried members are still checked for expiry.
-        dying = replace(routed[2], expiry_height=1)
+        dying = routed[2]._replace(expiry_height=1)
         old = ShardView("1", 1, tuple(routed[:2]) + (dying,), ())
         new = ShardView("1", 2, old.core, (fine,))
         assert verify_view_transition(old, new, 2, self.s_min).reason == "expired-member"
@@ -607,7 +608,7 @@ def transitions(draw):
     for c in old_members:
         kind = draw(st.sampled_from(["carry", "copy", "drop"]))
         if kind != "drop":
-            members.append(c if kind == "carry" else replace(c))
+            members.append(c if kind == "carry" else c._replace())
     for value, routed, (anchor, length) in draw(
         st.lists(st.tuples(values, st.booleans(), windows), max_size=3)
     ):
@@ -636,3 +637,24 @@ def test_transition_verdict_equals_the_full_per_member_check(case):
     assert reference_transition(old, new, height, s_min) == (
         verify_view_transition(old, new, height, s_min)
     )
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.text("01", max_size=20),
+    st.lists(st.tuples(st.binary(max_size=40), st.booleans(), windows), max_size=4),
+    st.integers(0, 12),
+)
+def test_newcomers_fit_accepts_only_what_the_per_member_check_accepts(label, drawn, height):
+    # Values of every width, most of them under the label when wide enough
+    # to hold it: the min/max passes may refuse a fit batch, never pass an
+    # unfit one.
+    newcomers = []
+    for value, routed, (anchor, length) in drawn:
+        if routed and value and 8 * len(value) >= len(label):
+            value = with_prefix(label, value)
+        newcomers.append(Credential(value, value, anchor, anchor + length))
+    if _newcomers_fit(newcomers, label, height):
+        for cred in newcomers:
+            assert cred.anchor_height <= height and cred.anchor_height < cred.expiry_height
+            assert label_matches(label, cred.value)

@@ -69,3 +69,78 @@ def test_a_field_named_like_the_header_is_refused(name):
     with pytest.raises(ValueError, match=name):
         log.emit("join", 2, label="0", **{name: 7})
     assert list(log) == [{"seq": 0, "kind": "join", "height": 1, "label": "0"}]
+
+
+# A batch: one kind, height and set of field names, and its rows.
+batches = st.tuples(
+    st.sampled_from(["join", "beacon", "fresh"]),
+    st.integers(min_value=-5, max_value=2**70),
+    st.lists(names | st.sampled_from(["pk", "label"]), min_size=1, max_size=3, unique=True),
+    st.integers(min_value=0, max_value=4),
+).flatmap(
+    lambda b: st.tuples(
+        st.just(b[:3]), st.lists(st.tuples(*[values] * len(b[2])), min_size=b[3], max_size=b[3])
+    )
+)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.one_of(events.map(lambda e: ("emits", e)), batches.map(lambda b: ("batch", b))),
+        max_size=5,
+    )
+)
+def test_a_batch_leaves_what_one_emit_per_row_leaves(steps):
+    batched, one_by_one = EventLog(), EventLog()
+    for how, step in steps:
+        if how == "emits":
+            for kind, height, fields in step:
+                batched.emit(kind, height, **fields)
+                one_by_one.emit(kind, height, **fields)
+            continue
+        (kind, height, names_), rows = step
+        batched.emit_batch(kind, height, **{n: [row[i] for row in rows] for i, n in enumerate(names_)})
+        for row in rows:
+            one_by_one.emit(kind, height, **dict(zip(names_, row)))
+    assert list(batched) == list(one_by_one)
+    assert list(batched.lines()) == list(one_by_one.lines())
+    assert batched.digest() == one_by_one.digest()
+    assert list(batched._shapes.items()) == list(one_by_one._shapes.items())
+    assert batched._records == one_by_one._records
+
+
+def test_a_batch_shares_the_shape_of_earlier_emits():
+    log = EventLog()
+    log.emit("join", 1, label="0", pk=b"\x01")
+    log.emit_batch("join", 2, label=["1", "0"], pk=[b"\x02", b"\x03"])
+    log.emit_batch("fresh", 2, z=[])  # an empty batch interns nothing
+    assert len({id(rec[0]) for rec in log._records}) == 1
+    assert list(log._shapes) == [("join", "label", "pk")]
+    assert [rec["label"] for rec in log] == ["0", "1", "0"]
+
+
+@pytest.mark.parametrize("name", ["seq", "kind", "height"])
+def test_a_batch_field_named_like_the_header_is_refused(name):
+    log = EventLog()
+    log.emit("join", 1, label="0")
+    with pytest.raises(ValueError, match=name):
+        log.emit_batch("join", 2, label=["0"], **{name: [7]})
+    assert list(log) == [{"seq": 0, "kind": "join", "height": 1, "label": "0"}]
+
+
+@pytest.mark.parametrize("columns", [{}, {"a": [1], "b": [1, 2]}])
+def test_a_batch_needs_columns_of_one_length(columns):
+    log = EventLog()
+    with pytest.raises(ValueError, match="one length"):
+        log.emit_batch("x", 1, **columns)
+    assert len(log) == 0
+
+
+@settings(deadline=None)
+@given(events, st.sampled_from(["join", "beacon", "absent"]))
+def test_of_kind_yields_the_records_of_that_kind(emits, kind):
+    log = EventLog()
+    for k, height, fields in emits:
+        log.emit(k, height, **fields)
+    assert list(log.of_kind(kind)) == [rec for rec in log if rec["kind"] == kind]
