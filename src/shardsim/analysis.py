@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import get_context
@@ -272,7 +273,8 @@ def _monte_carlo(chunk, tag: bytes, params: tuple, trials: int, seed, workers: i
     """Fraction of ``trials`` for which ``chunk(params, n_trials,
     chunk_seed)`` counts an exceedance.  The trials run in fixed chunks,
     each seeded from ``tag``, the root seed and its index, so the estimate
-    does not depend on ``workers``."""
+    does not depend on ``workers``; the pool holds at most one process per
+    chunk and per CPU."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if workers < 1:
@@ -285,7 +287,8 @@ def _monte_carlo(chunk, tag: bytes, params: tuple, trials: int, seed, workers: i
     if workers == 1:
         counts = [chunk(*job) for job in jobs]
     else:
-        with get_context("fork").Pool(processes=min(workers, len(jobs))) as pool:
+        processes = min(workers, len(jobs), os.cpu_count() or 1)
+        with get_context("fork").Pool(processes=processes) as pool:
             counts = pool.starmap(chunk, jobs)
     return sum(counts) / trials
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .crypto import (
     DIGEST_LEN,
@@ -36,6 +36,7 @@ from .crypto import (
     encode_int,
     encode_parts,
     encode_str,
+    new_records,
     sign_batch,
     tagged_hash,
     tagged_hash_framed,
@@ -44,8 +45,6 @@ from .crypto import (
 )
 
 UtxoSet = dict  # pk -> Utxo
-
-_new = object.__new__
 
 
 @dataclass(frozen=True)
@@ -62,44 +61,15 @@ class Validity:
 VALID = Validity(True)
 
 
-@dataclass(frozen=True, slots=True)
-class Utxo:
+class Utxo(NamedTuple):
     pk: bytes
     stake: int
     created_height: int
 
 
-_set_utxo_pk, _set_utxo_stake, _set_utxo_created = (
-    Utxo.__dict__[f].__set__ for f in ("pk", "stake", "created_height")
-)
-
-
-def _utxo(pk: bytes, stake: int, created_height: int) -> Utxo:
-    """``Utxo(pk, stake, created_height)`` for ``spend``, without the
-    generated frozen ``__init__``, as ``crypto._signature`` builds a
-    ``Signature``."""
-    utxo = _new(Utxo)
-    _set_utxo_pk(utxo, pk)
-    _set_utxo_stake(utxo, stake)
-    _set_utxo_created(utxo, created_height)
-    return utxo
-
-
-@dataclass(frozen=True, slots=True)
-class TxOutput:
+class TxOutput(NamedTuple):
     pk: bytes
     stake: int
-
-
-_set_out_pk, _set_out_stake = (TxOutput.__dict__[f].__set__ for f in ("pk", "stake"))
-
-
-def _tx_output(pk: bytes, stake: int) -> TxOutput:
-    """``TxOutput(pk, stake)`` for ``make_genesis``, built like ``_utxo``."""
-    out = _new(TxOutput)
-    _set_out_pk(out, pk)
-    _set_out_stake(out, stake)
-    return out
 
 
 @dataclass(frozen=True)
@@ -172,9 +142,8 @@ _FRAMED_OUTPUT = struct.Struct(f">I{DIGEST_LEN}sq")
 def _encode_io(inputs: Sequence[bytes], outputs: Sequence[TxOutput]) -> bytes:
     """The inputs as framed pks, then each output's framed pk and its
     stake as ``encode_int``, each run led by its count.  An output whose pk
-    is ``DIGEST_LEN`` bytes wide is packed by one struct call, as
-    ``_framed_triples`` packs a triple; any other width keeps
-    ``encode_bytes``."""
+    is ``DIGEST_LEN`` bytes wide is packed by one struct call; any other
+    width keeps ``encode_bytes``."""
     pack = _FRAMED_OUTPUT.pack
     return b"".join(
         [
@@ -210,46 +179,21 @@ def body_digest(body: Sequence[Transaction]) -> bytes:
     return tagged_hash(b"body", *[tx.tx_id for tx in body])
 
 
-# A (pk, digest, digest) triple as three parts of a preimage when each part
-# is a digest: every length prefix, then the part.
-_FRAMED_TRIPLE = struct.Struct(f">I{DIGEST_LEN}sI{DIGEST_LEN}sI{DIGEST_LEN}s")
-
-
-def _framed_triples(triples: Iterable[tuple[bytes, bytes, bytes]]) -> bytes:
-    """``b"".join(encode_bytes(a) + encode_bytes(b) + encode_bytes(c) for
-    a, b, c in triples)``.  A triple of ``DIGEST_LEN``-wide parts is packed
-    by one struct call; any other width keeps ``encode_bytes``, since
-    ``"32s"`` would pad or truncate it."""
-    pack = _FRAMED_TRIPLE.pack
-    return b"".join(
-        [
-            pack(DIGEST_LEN, a, DIGEST_LEN, b, DIGEST_LEN, c)
-            if len(a) == DIGEST_LEN == len(b) == len(c)
-            else encode_bytes(a) + encode_bytes(b) + encode_bytes(c)
-            for a, b, c in triples
-        ]
-    )
-
-
 def _vrf_blob(vrf_proofs: Sequence[tuple[bytes, VrfOutput]]) -> bytes:
-    return encode_int(len(vrf_proofs)) + _framed_triples(
-        [(pk, out.value, out.proof) for pk, out in vrf_proofs]
+    return encode_int(len(vrf_proofs)) + encode_parts(
+        [part for pk, out in vrf_proofs for part in (pk, out.value, out.proof)]
     )
 
 
 def _certificate_blob(certificate: Sequence[ShardSignature]) -> bytes:
     parts = [encode_int(len(certificate))]
     for ss in sorted(certificate, key=lambda s: s.label):
+        member_sigs = sorted(ss.member_sigs, key=lambda ps: ps[0])
         parts.append(encode_str(ss.label))
         parts.append(encode_int(ss.view_height))
-        parts.append(encode_int(len(ss.member_sigs)))
+        parts.append(encode_int(len(member_sigs)))
         parts.append(
-            _framed_triples(
-                [
-                    (pk, sig.value, sig.signer_pk)
-                    for pk, sig in sorted(ss.member_sigs, key=lambda ps: ps[0])
-                ]
-            )
+            encode_parts([p for pk, sig in member_sigs for p in (pk, sig.value, sig.signer_pk)])
         )
     return b"".join(parts)
 
@@ -310,7 +254,7 @@ def spend(running: UtxoSet, tx: Transaction, height: int) -> None:
     for pk in tx.inputs:
         del running[pk]
     for out in tx.outputs:
-        running[out.pk] = _utxo(out.pk, out.stake, height)
+        running[out.pk] = tuple.__new__(Utxo, (out.pk, out.stake, height))
 
 
 def apply_transaction(state: UtxoSet, tx: Transaction, height: int) -> UtxoSet:
@@ -508,7 +452,7 @@ def make_genesis(
     its seed is the configured scenario seed digest.  Stakes must respect
     the per-UTXO cap.
     """
-    outputs = []
+    pks, stakes = [], []
     seen = set()
     for pk, stake in utxos:
         if stake < 1 or stake > stake_cap:
@@ -516,8 +460,10 @@ def make_genesis(
         if pk in seen:
             raise ValueError("duplicate genesis pk")
         seen.add(pk)
-        outputs.append(_tx_output(pk, stake))
-    genesis_tx = Transaction(inputs=(), outputs=tuple(outputs), signatures=())
+        pks.append(pk)
+        stakes.append(stake)
+    outputs = tuple(new_records(TxOutput, pks, stakes))
+    genesis_tx = Transaction(inputs=(), outputs=outputs, signatures=())
     body = (genesis_tx,)
     header = BlockHeader(
         prev_hash=ZERO_DIGEST,

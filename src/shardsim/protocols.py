@@ -1,13 +1,15 @@
 """Contract-level intra-shard and inter-shard agreement primitives.
 
-These are not message-level protocol implementations.  Each primitive
-checks whether the corruption among its participants is within the bound
-its contract assumes.  Within the bound, the contract's guarantees are
-produced directly (and the adversary only gets the freedom the contract
-leaves it: nulling its own slots, withholding, delaying).  Above the bound
-the contract is void and an adversary hook dictates the outcome.  The
-primitives count no messages: the run charges each instance to its
-``MessageMeter`` where it calls the primitive.
+These are not message-level protocol implementations.  The two agreement
+primitives check whether the corruption among their participants is within
+the bound their contract assumes.  Within the bound, the contract's
+guarantees are produced directly (and the adversary only gets the freedom
+the contract leaves it: nulling its own slots, withholding, delaying).
+Above the bound the contract is void and an adversary hook dictates the
+outcome.  ``random_beacon`` applies a choice its caller made: the run asks
+the strategy for a biased seed only when the beacon's quorum is past
+mu_core.  The primitives count no messages: the run charges each instance
+to its ``MessageMeter`` where it calls the primitive.
 """
 
 from __future__ import annotations
@@ -110,25 +112,16 @@ def vector_consensus(
     ]
 
 
-def random_beacon(
-    parts: ParticipantSet,
-    entropy: bytes,
-    mu_core: Fraction,
-    chosen: bytes | None = None,
-) -> bytes:
+def random_beacon(entropy: bytes, chosen: bytes | None = None) -> bytes:
     """Produce the shard's shared randomness for this height.
 
     ``entropy`` must come from a stream consumed strictly after all earlier
     adversary decisions, which is what makes the honest output unpredictable
-    and bias-free.  A corrupted quorum may substitute any digest of its
-    choice (``chosen``); nothing tells the substitute from an honest
-    output, which is exactly the modeled threat.
+    and bias-free.  A quorum past mu_core may substitute any digest of its
+    choice (``chosen``, which the caller asks for); nothing tells the
+    substitute from an honest output, which is exactly the modeled threat.
     """
-    if not parts.within(mu_core) and chosen is not None:
-        seed = chosen
-    else:
-        seed = tagged_hash(b"beacon", entropy)
-    return seed
+    return tagged_hash(b"beacon", entropy) if chosen is None else chosen
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,7 @@ def run_beacon(
     if not parts.within(sim.cfg.mu_core):
         chosen = sim.strategy.beacon_choice(entropy, evaluate, sim.adv.prg)
     sim.meter.charge_instance(parts.n)
-    seed = random_beacon(parts, entropy, sim.cfg.mu_core, chosen)
+    seed = random_beacon(entropy, chosen)
     sim.events.emit(
         "beacon",
         height,

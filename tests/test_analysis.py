@@ -403,8 +403,9 @@ class TestMonteCarloCore:
             monte_carlo_core(10, 2, 3, Fraction(1, 3), 0, "x")
 
     def test_pool_asks_for_no_more_processes_than_chunks(self, monkeypatch):
-        """A fake context records the pool size and runs the chunks in this
-        process, so no process is started."""
+        """Nor more than CPUs.  A fake context records the pool size and
+        runs the chunks in this process, so no process is started, however
+        many workers are asked for."""
         asked = []
 
         class InlinePool:
@@ -424,7 +425,14 @@ class TestMonteCarloCore:
         monkeypatch.setattr(analysis, "get_context", lambda method: inline)
         args = (20, 8, 5, Fraction(1, 3))
         # 100 trials are one chunk, 5,000 are three.
-        for trials, workers, processes in ((100, 64, 1), (5_000, 64, 3), (5_000, 2, 2)):
+        for trials, workers, cpus, processes in (
+            (100, 64, 64, 1),
+            (5_000, 64, 64, 3),
+            (5_000, 2, 64, 2),
+            (5_000, 100_000, 2, 2),
+            (5_000, 100_000, None, 1),
+        ):
+            monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
             est = monte_carlo_core(*args, trials, "mc-core-unit", workers=workers)
             assert asked.pop() == processes
             assert est == monte_carlo_core(*args, trials, "mc-core-unit")

@@ -432,24 +432,25 @@ def test_every_protocol_membership_keeps_its_corrupted_members_inside(monkeypatc
     no construction checks it."""
     seen = {}
 
-    def record(module, name):
+    def record(module, name, at=0):
         protocol = getattr(module, name)
 
-        def recorded(parts, *args, **kwargs):
-            seen.setdefault(f"{module.__name__}.{name}", []).append(parts)
-            return protocol(parts, *args, **kwargs)
+        def recorded(*args, **kwargs):
+            seen.setdefault(f"{module.__name__}.{name}", []).append(args[at])
+            return protocol(*args, **kwargs)
 
         monkeypatch.setattr(module, name, recorded)
 
     record(views, "vector_consensus")
     record(blocks, "vector_consensus")
-    record(views, "random_beacon")
+    # The beacon's quorum is judged where ``run_beacon`` reads it.
+    record(views, "run_beacon", at=2)
     record(agreement, "verifiable_ba")
     run_scenario(load_config(CONFIG_DIR / "stress-equivocate.json"))
     assert sorted(seen) == [
         "shardsim.agreement.verifiable_ba",
         "shardsim.blocks.vector_consensus",
-        "shardsim.views.random_beacon",
+        "shardsim.views.run_beacon",
         "shardsim.views.vector_consensus",
     ]
     for calls in seen.values():

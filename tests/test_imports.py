@@ -1,4 +1,5 @@
-"""Every module of the package imports only names it uses."""
+"""Every module of the package imports only names it uses, and every
+private name a module defines is read somewhere in the package."""
 
 import ast
 import os
@@ -52,6 +53,45 @@ def test_kept_imports_are_still_imported():
     for module, name in KEPT:
         tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
         assert name in imported_names(tree) - used_names(tree)
+
+
+def private_names(tree: ast.Module) -> set[str]:
+    """The ``_``-prefixed names the module's top-level definitions and
+    assignments bind, dunders aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names the module reads: loaded names, attribute names and the names
+    it imports from other modules."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+def test_every_private_module_name_is_read():
+    """A deletion that leaves a setter, struct or helper behind fails here."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+    }
+    read = set().union(*map(read_names, trees.values()))
+    defined = {(module, name) for module, tree in trees.items() for name in private_names(tree)}
+    assert defined, "no private module-level names found"
+    assert sorted((m, n) for m, n in defined if n not in read) == []
 
 
 def test_cli_loads_neither_numpy_nor_scipy():

@@ -981,6 +981,9 @@ def test_genesis_frames_and_applies_as_the_public_constructors():
     genesis = make_genesis([(pk, 1 + i % 3) for i, pk in enumerate(pks)], b"s" * 32, 3)
     (tx,) = genesis.body
     outputs = tuple(TxOutput(pk, 1 + i % 3) for i, pk in enumerate(pks))
-    assert tx.outputs == outputs
+    # Named tuples equal plain tuples, so the record types are checked too.
+    assert tx.outputs == outputs and {type(o) for o in tx.outputs} == {TxOutput}
     assert tx.tx_id == Transaction((), outputs, ()).tx_id
-    assert apply_transaction({}, tx, -3) == {o.pk: Utxo(o.pk, o.stake, -3) for o in outputs}
+    applied = apply_transaction({}, tx, -3)
+    assert applied == {o.pk: Utxo(o.pk, o.stake, -3) for o in outputs}
+    assert {type(u) for u in applied.values()} == {Utxo}

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from shardsim import agreement, views
 from shardsim.config import load_config
+from shardsim.crypto import tagged_hash
 from shardsim.harness import Simulation
 from shardsim.protocols import (
     BaDecision,
@@ -153,13 +154,53 @@ class TestVectorConsensus:
 
 
 class TestRandomBeacon:
-    mu = Fraction(1, 3)
+    """``views.run_beacon`` asks the strategy for a seed only when the
+    beacon's quorum is past mu_core (1/3 in smoke.json); ``random_beacon``
+    applies what it is given."""
 
-    def test_honest_output_ignores_chosen(self):
-        ps = parts(3, byz=["m0"])  # 1 <= 1/3 * 3: within
-        seed = random_beacon(ps, b"entropy", self.mu, chosen=b"bias" * 8)
-        honest_seed = random_beacon(parts(3), b"entropy", self.mu)
-        assert seed == honest_seed
+    def beacon(self, monkeypatch, ps, choice):
+        """Run one refill beacon of the smoke run's shard over ``ps`` with
+        ``choice`` as the strategy's ``beacon_choice``; returns the seed, its
+        entropy, the beacon's event and the run's incident kinds."""
+        sim = smoke_sim()
+        (label,) = sim.directory
+        monkeypatch.setattr(sim.strategy, "beacon_choice", choice)
+        incidents = len(sim.metrics.incidents)
+        seed = views.run_beacon(sim, label, ps, 1, b"refill", lambda seed: 0.0)
+        (event,) = [rec for rec in sim.events.of_kind("beacon") if rec["height"] == 1]
+        kinds = [rec["kind"] for rec in sim.metrics.incidents[incidents:]]
+        return seed, shard_entropy(sim.master, label, 1, b"refill"), event, kinds
+
+    @staticmethod
+    def refuse(entropy, evaluate, prg):
+        raise AssertionError("beacon_choice asked within mu_core")
+
+    def test_a_core_within_mu_core_is_never_asked(self, monkeypatch):
+        seed, entropy, event, kinds = self.beacon(monkeypatch, parts(3, byz=["m0"]), self.refuse)
+        assert seed == tagged_hash(b"beacon", entropy) == random_beacon(entropy)
+        assert event["seed"] == seed.hex() and event["biased"] is False
+        assert kinds == []
+
+    def test_a_core_past_mu_core_gets_its_chosen_seed(self, monkeypatch):
+        chosen = b"b" * 32
+        asked = []
+
+        def choose(entropy, evaluate, prg):
+            asked.append(entropy)
+            return chosen
+
+        ps = parts(3, byz=["m0", "m1"])
+        seed, entropy, event, kinds = self.beacon(monkeypatch, ps, choose)
+        assert asked == [entropy]
+        assert seed == chosen == random_beacon(entropy, chosen)
+        assert event["seed"] == chosen.hex() and event["biased"] is True
+        assert kinds == ["beacon-biased"]
+
+    def test_a_core_past_mu_core_without_a_choice_stays_honest(self, monkeypatch):
+        ps = parts(3, byz=["m0", "m1"])
+        seed, entropy, event, kinds = self.beacon(monkeypatch, ps, lambda *args: None)
+        assert seed == tagged_hash(b"beacon", entropy)
+        assert event["biased"] is False and kinds == []
 
     def test_meter(self):
         # ``run_beacon`` charges one n^3 instance per beacon it draws.
@@ -168,18 +209,6 @@ class TestRandomBeacon:
         before = sim.meter.total
         views.run_beacon(sim, label, parts(5), 1, b"e", lambda seed: 0.0)
         assert sim.meter.total - before == 125
-
-    def test_corrupted_quorum_substitutes(self):
-        ps = parts(3, byz=["m0", "m1"])
-        biased = b"b" * 32
-        seed = random_beacon(ps, b"entropy", self.mu, chosen=biased)
-        assert seed == biased
-
-    def test_corrupted_quorum_without_choice_stays_honest(self):
-        ps = parts(3, byz=["m0", "m1"])
-        seed = random_beacon(ps, b"entropy", self.mu)
-        honest_seed = random_beacon(parts(3), b"entropy", self.mu)
-        assert seed == honest_seed
 
 
 class TestVerifiableBa:
