@@ -173,20 +173,17 @@ class Simulation:
 
     def core_parts(self, view: ShardView) -> ParticipantSet:
         """The view's core as a protocol membership, in core order."""
-        members = view.core_pks
-        corrupted = self.adv.corrupted
-        byzantine = frozenset(corrupted.intersection(members)) if corrupted else frozenset()
-        return ParticipantSet(members=members, byzantine=byzantine)
+        byzantine = view.core_pk_set & self.adv.corrupted
+        return ParticipantSet(members=view.core_pks, byzantine=byzantine)
 
     def shard_corrupted(self, view: ShardView) -> bool:
         """Whether the core of ``view``, as ``core_parts`` gives it, is past
         mu_core: such a shard counts as a corrupted shard, votes as a
         corrupted committee member, and its corrupted members sign any
-        block.  Counted on the view's cached core pks, without building
+        block.  Counted on the view's cached core pk set, without building
         the ``ParticipantSet``."""
-        corrupted, members = self.adv.corrupted, view.core_pks
-        byzantine = len(corrupted.intersection(members)) if corrupted else 0
-        return not within_bound(byzantine, len(members), self.cfg.mu_core)
+        byzantine = len(view.core_pk_set & self.adv.corrupted)
+        return not within_bound(byzantine, len(view.core), self.cfg.mu_core)
 
     def willing_signers(
         self, view: ShardView, honest_sign: bool, byz_sign: bool

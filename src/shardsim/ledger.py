@@ -78,13 +78,19 @@ class Transaction:
     outputs: tuple[TxOutput, ...]
     signatures: tuple[Signature, ...]
     tx_id: bytes = field(init=False)
+    # ``tx_signing_digest(inputs, outputs)``, what each input owner signs.
+    signing_digest: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blob = _encode_io(self.inputs, self.outputs)
-        sig_blob = b"".join(
-            encode_bytes(s.value) + encode_bytes(s.signer_pk) for s in self.signatures
-        )
-        object.__setattr__(self, "tx_id", tagged_hash(b"tx", blob, sig_blob))
+        _seal(self, blob, tagged_hash(b"tx-sign", blob))
+
+
+def _seal(tx: Transaction, blob: bytes, signing_digest: bytes) -> None:
+    """Set the digests of ``tx``, whose inputs and outputs encode to ``blob``."""
+    sig_blob = b"".join(encode_bytes(s.value) + encode_bytes(s.signer_pk) for s in tx.signatures)
+    object.__setattr__(tx, "signing_digest", signing_digest)
+    object.__setattr__(tx, "tx_id", tagged_hash(b"tx", blob, sig_blob))
 
 
 @dataclass(frozen=True)
@@ -168,11 +174,18 @@ def tx_signing_digest(inputs: Sequence[bytes], outputs: Sequence[TxOutput]) -> b
 def make_transaction(
     input_keys: Sequence, outputs: Sequence[TxOutput]
 ) -> Transaction:
-    """Build a transaction spending ``input_keys`` (KeyPair per input)."""
+    """Build a transaction spending ``input_keys`` (KeyPair per input),
+    encoding its inputs and outputs once.  Its fields are set one by one,
+    as the frozen constructor sets them, so it keeps no dict of its own."""
     inputs = tuple(kp.pk for kp in input_keys)
-    msg = tx_signing_digest(inputs, outputs)
-    sigs = tuple(sign_batch(input_keys, msg))
-    return Transaction(inputs=inputs, outputs=tuple(outputs), signatures=sigs)
+    blob = _encode_io(inputs, outputs)
+    msg = tagged_hash(b"tx-sign", blob)
+    tx = object.__new__(Transaction)
+    fields = (inputs, tuple(outputs), tuple(sign_batch(input_keys, msg)))
+    for name, value in zip(("inputs", "outputs", "signatures"), fields):
+        object.__setattr__(tx, name, value)
+    _seal(tx, blob, msg)
+    return tx
 
 
 def body_digest(body: Sequence[Transaction]) -> bytes:
@@ -242,8 +255,7 @@ def validate_transaction(
         return Validity(False, "imbalance")
     if len(tx.signatures) != len(tx.inputs):
         return Validity(False, "bad-signature")
-    msg = tx_signing_digest(tx.inputs, tx.outputs)
-    if not all(verify_sig_batch(tuple(zip(tx.inputs, tx.signatures)), msg)):
+    if not all(verify_sig_batch(tuple(zip(tx.inputs, tx.signatures)), tx.signing_digest)):
         return Validity(False, "bad-signature")
     return VALID
 
@@ -372,10 +384,9 @@ def validate_certificate(
         signer_view = directory.get(ss.label)
         if signer_view is None:
             continue
-        signer_core = set(signer_view.core_pks)
         quorum = shard_quorum(rules.mu_core, rules.s_min, len(signer_view.core))
         msg = shard_signature_digest(ss.label, core_digest)
-        if count_signers(ss.member_sigs, signer_core, msg) >= quorum:
+        if count_signers(ss.member_sigs, signer_view.core_pk_set, msg) >= quorum:
             endorsers.add(ss.label)
     if len(endorsers) < certificate_quorum(rules.f_shard):
         return Validity(False, "certificate")
@@ -418,7 +429,7 @@ def validate_block(
     vrf_pks = [pk for pk, _ in hdr.vrf_proofs]
     if not vrf_pks or len(set(vrf_pks)) < len(vrf_pks):
         return Validity(False, "vrf")
-    if not set(proposer_view.core_pks).issuperset(vrf_pks):
+    if not proposer_view.core_pk_set.issuperset(vrf_pks):
         return Validity(False, "vrf")
     if not all(vrf_verify_batch(hdr.vrf_proofs, prev.seed)):
         return Validity(False, "vrf")

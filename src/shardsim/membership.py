@@ -9,19 +9,19 @@ output.  ``fill_core`` is the only election: a new shard's view
 (``form_view``) is ``fill_core`` of an all-spare view, and it draws with the
 same sampling code the analysis module uses for its Monte Carlo estimates.
 
-Joins reach ``update_view`` as the decided vector of the previous core's
-join sets, one slot per member; every newcomer is judged there by the
-caller's ``newcomer_valid``.  The view pipeline (``views``) passes a
-predicate that admits a credential the renewal phase derived and routed to
-the shard without deriving it again, while it is anchored by the shard's
-view height, and checks every other entry in full.
-Whether a quorum endorsed the result is ``install_and_diffuse``'s call.
+Joins reach ``update_view`` as the slots of the decided vector of the
+previous core's join sets; every newcomer is judged there by the caller's
+``newcomer_valid``.  The view pipeline (``views``) passes a predicate that
+admits a credential the renewal phase derived and routed to the shard
+without deriving it again, while it is anchored by the shard's view height,
+and checks every other entry in full.  Whether a quorum endorsed the result
+is ``install_and_diffuse``'s call.
 
-A view caches the framed encoding of its core and of its spare set, the two
-member runs its digest hashes.  At most heights a shard gains and loses
-nobody: ``update_view`` then keeps the previous view's own member tuples,
-and each kept tuple hands its framing on, so the next digest hashes the
-cached runs instead of packing every member again.
+A view caches values of its member tuples: their digest framing and
+earliest expiry, the core's pks (in order and as a set) and the split
+count.  ``update_view`` keeps a tuple that loses and gains nobody as the
+very tuple object, which hands on whatever of these the previous view
+computed, so a quiet height reads them instead of walking the members.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import AbstractSet, Callable, Iterable, Sequence
 
 from .credentials import Credential, framed_blobs
 from .crypto import Prg, Signature, encode_bytes, encode_int, encode_str, tagged_hash_framed
@@ -56,6 +56,26 @@ class ShardView:
         return tuple(map(_pk, self.core))
 
     @cached_property
+    def core_pk_set(self) -> frozenset[bytes]:
+        return frozenset(self.core_pks)
+
+    @cached_property
+    def core_expiry(self) -> float:
+        """The core's earliest expiry height (``inf`` if it is empty); the
+        spare set's is ``spare_expiry``."""
+        return min(map(_expiry, self.core), default=float("inf"))
+
+    @cached_property
+    def spare_expiry(self) -> float:
+        return min(map(_expiry, self.spare), default=float("inf"))
+
+    @cached_property
+    def split_ones(self) -> int:
+        """Members whose value has the ``split_bit`` of the label set."""
+        byte, mask = split_bit(self.label)
+        return sum(1 for c in self.members() if c.value[byte] & mask)
+
+    @cached_property
     def core_framing(self) -> bytes:
         """The core's run of the digest preimage: its length part, then
         each member's ``credential_blob`` as one part."""
@@ -74,10 +94,8 @@ class ShardView:
         The preimage is ``tagged_hash(b"view", encode_str(label),
         encode_int(height), encode_int(len(core)), *core blobs,
         encode_int(len(spare)), *spare blobs)`` over ``credential_blob``s,
-        framed here in one buffer and hashed in one update.  The two member
-        runs are ``core_framing`` and ``spare_framing``, which a view may
-        have been handed by its predecessor along with the very tuple they
-        encode (``update_view``)."""
+        framed here in one buffer and hashed in one update from the two
+        member runs, ``core_framing`` and ``spare_framing``."""
         return tagged_hash_framed(
             b"view",
             b"".join(
@@ -99,6 +117,18 @@ def _framed_run(creds: tuple[Credential, ...]) -> bytes:
     return b"".join([encode_bytes(encode_int(len(creds))), *framed_blobs(creds)])
 
 
+# Cached per member tuple, and handed on with it; ``split_ones`` with both.
+_CORE_CACHE = ("core_pks", "core_pk_set", "core_expiry", "core_framing")
+_SPARE_CACHE = ("spare_expiry", "spare_framing")
+
+
+def split_bit(label: str) -> tuple[int, int]:
+    """The byte index and mask of the bit a split of ``label`` partitions
+    on: the value's MSB-first bit right after the label."""
+    byte, shift = divmod(len(label), 8)
+    return byte, 0x80 >> shift
+
+
 def view_digest(view: ShardView) -> bytes:
     return view.digest
 
@@ -116,16 +146,17 @@ def update_view(
     """Carry the previous view's members over to the next height; returns
     the view and the admitted newcomers in value order.
 
-    ``decided_joins`` is the agreed vector of join sets (one slot per
-    previous core member, None for nulled slots); every proposed newcomer
-    must pass ``newcomer_valid`` before joining the spare set.  Members and
-    newcomers whose credentials perished by the previous view's height drop
-    out, newcomers before ``newcomer_valid`` is asked.  The core is not
-    refilled here: ``fill_core`` elects its vacancies.
+    ``decided_joins`` holds slots of the agreed vector of join sets (None
+    for nulled slots): all of them, or fewer with the same distinct slots
+    in the same first-seen order, the order of equal-valued newcomers in
+    the spare set.  Every proposed newcomer must pass ``newcomer_valid``.
+    Members and newcomers whose credentials perished by the previous view's
+    height drop out, newcomers before ``newcomer_valid`` is asked.  The core
+    is not refilled here: ``fill_core`` elects its vacancies.
 
-    A member tuple that loses nobody and gains nobody is kept as the very
-    tuple object of ``prev_view``, with its cached framing; the spare set
-    of every view built here is already in ``order_spare`` order.
+    A member tuple that loses and gains nobody is the very tuple object of
+    ``prev_view``, with its cached values; the spare set of every view
+    built here is already in ``order_spare`` order.
     """
     height = prev_view.height + 1
     newcomers = []
@@ -136,9 +167,6 @@ def update_view(
         # a value hit falls back to comparing whole credentials, so the test
         # below is exactly ``cred in set(members)``.
         known_values = set(map(_value, members))
-        # Core members receive the same joins, so slots repeat; dedup whole
-        # slots before walking entries, in first-seen order: two admitted
-        # newcomers sharing a value keep that order in the spare set.
         for slot in dict.fromkeys(frozenset(s) for s in decided_joins if s):
             for cred in slot:
                 if (cred.value in known_values and cred in members) or cred in seen:
@@ -151,26 +179,17 @@ def update_view(
                 newcomers.append(cred)
 
     core, spare = prev_view.core, prev_view.spare
-    if perished_before(core, height):
+    if prev_view.core_expiry < height:
         core = tuple(c for c in core if c.expiry_height >= height)
-    if newcomers or perished_before(spare, height):
+    if newcomers or prev_view.spare_expiry < height:
         spare = order_spare([c for c in spare if c.expiry_height >= height] + newcomers)
     view = ShardView(label=prev_view.label, height=height, core=core, spare=spare)
-    # A kept tuple encodes to the same bytes, so its framing (and the
-    # core's pks) carry over, seeded into the instance dict as
-    # ``blocks.attach_certificate`` seeds a header's ``core_digest``.
-    if core is prev_view.core:
-        view.__dict__["core_framing"] = prev_view.core_framing
-        view.__dict__["core_pks"] = prev_view.core_pks
-    if spare is prev_view.spare:
-        view.__dict__["spare_framing"] = prev_view.spare_framing
+    # Seeded into the instance dict, as ``blocks.attach_certificate`` seeds ``core_digest``.
+    kept = (core is prev_view.core, spare is prev_view.spare)
+    names = _CORE_CACHE * kept[0] + _SPARE_CACHE * kept[1] + ("split_ones",) * all(kept)
+    cached = vars(prev_view)
+    vars(view).update({name: cached[name] for name in names if name in cached})
     return view, tuple(sorted(seen, key=_value))
-
-
-def perished_before(creds: tuple[Credential, ...], height: int) -> bool:
-    """Whether some credential in ``creds`` expired before ``height``, in
-    one ``min`` over the tuple."""
-    return min(map(_expiry, creds), default=height) < height
 
 
 def fill_core(
@@ -209,7 +228,7 @@ def form_view(
 def install_and_diffuse(
     new_view: ShardView,
     signatures: Iterable[tuple[bytes, Signature]],
-    old_core_pks: set[bytes],
+    old_core_pks: AbstractSet[bytes],
     mu_core: Fraction,
     s_min: int,
 ) -> bool:

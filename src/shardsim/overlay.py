@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 from .credentials import Credential
 from .crypto import DIGEST_LEN
 from .ledger import Validity, VALID
-from .membership import ShardView, perished_before
+from .membership import ShardView, split_bit
 
 ROOT_LABEL = ""
 
@@ -112,37 +112,29 @@ def route_all(directory: Mapping[str, ShardView], values: Sequence[bytes]) -> li
     return labels
 
 
-def _split_bit(label: str) -> tuple[int, int]:
-    """The byte index and mask of the bit a split of ``label`` partitions
-    on: the value's MSB-first bit right after the label."""
-    byte, shift = divmod(len(label), 8)
-    return byte, 0x80 >> shift
-
-
-def _children(label: str, zeros: Sequence[Credential], ones: Sequence[Credential], s_min: int):
-    """The two children of ``label`` as ``(label, members)`` pairs, or None:
-    a split that would leave either child under s_min is deferred (the
-    shard simply stays oversized until churn rebalances it)."""
-    if len(zeros) < s_min or len(ones) < s_min:
-        return None
-    return ((label + "0", tuple(zeros)), (label + "1", tuple(ones)))
+def _deferred(zeros: int, ones: int, s_min: int) -> bool:
+    """Whether a split into children of these sizes waits: one is under s_min."""
+    return zeros < s_min or ones < s_min
 
 
 def maybe_split(label: str, view: ShardView, s_min: int, s_max: int) -> tuple | None:
     """Split decision for an oversized shard: the two children as
     ``(label, members)`` pairs, or None.
 
-    Members are partitioned by the credential bit right after the current
-    prefix, each child keeping the member order; ``_children`` defers a
-    lopsided split.
+    Members are partitioned by the ``split_bit`` of the label, each child
+    keeping the member order.  A split is deferred on the count the view
+    caches and hands on while quiet (``ShardView.split_ones``).
     """
-    if len(view.core) + len(view.spare) <= s_max:
+    size = len(view.core) + len(view.spare)
+    if label != view.label:
+        view = ShardView(label, view.height, view.core, view.spare)
+    if size <= s_max or _deferred(size - view.split_ones, view.split_ones, s_min):
         return None
-    byte, mask = _split_bit(label)
+    byte, mask = split_bit(label)
     zeros, ones = [], []
     for c in view.members():
         (ones if c.value[byte] & mask else zeros).append(c)
-    return _children(label, zeros, ones, s_min)
+    return ((label + "0", tuple(zeros)), (label + "1", tuple(ones)))
 
 
 def split_tree(members: tuple[Credential, ...], s_min: int, s_max: int) -> dict[str, tuple]:
@@ -160,15 +152,13 @@ def split_tree(members: tuple[Credential, ...], s_min: int, s_max: int) -> dict[
     pending = [(ROOT_LABEL, members)]
     while pending:
         label, run = pending.pop()
-        children = None
         if len(run) > s_max:
-            byte, mask = _split_bit(label)
+            byte, mask = split_bit(label)
             cut = bisect_left(run, mask, key=lambda c: c.value[byte] & mask)
-            children = _children(label, run[:cut], run[cut:], s_min)
-        if children is None:
-            leaves[label] = run
-        else:
-            pending.extend(children)
+            if not _deferred(cut, len(run) - cut, s_min):
+                pending += ((label + "0", run[:cut]), (label + "1", run[cut:]))
+                continue
+        leaves[label] = run
     return dict(sorted(leaves.items()))
 
 
@@ -248,17 +238,17 @@ def verify_view_transition(
     # Expiry is judged against the last accepted block (height - 1): a
     # credential expiring exactly now still produces this height's block
     # and hands over afterwards.
+    expired = min(new_view.core_expiry, new_view.spare_expiry) < height
     if new_view.core is old_view.core and new_view.spare is old_view.spare:
-        # The old view's own tuples: every member was carried over.
-        if perished_before(new_view.core, height) or perished_before(new_view.spare, height):
-            return Validity(False, "expired-member")
-        return VALID
+        # The old view's own tuples: every member was carried over, and the
+        # earliest expiries came with them.
+        return Validity(False, "expired-member") if expired else VALID
     # Carried-over members are the old view's own objects.  Both views are
     # alive for the whole call, so an id names one credential, and an id
     # test is far cheaper than hashing a credential.
     carried = set(map(id, old_view.members()))
     members = new_view.members()
-    if not perished_before(members, height) and _newcomers_fit(
+    if not expired and _newcomers_fit(
         list(compress(members, map(not_, map(carried.__contains__, map(id, members))))),
         new_view.label,
         height,

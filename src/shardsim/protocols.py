@@ -14,9 +14,11 @@ to its ``MessageMeter`` where it calls the primitive.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from itertools import compress, filterfalse
+from typing import Callable
 
 from .crypto import tagged_hash
 
@@ -83,33 +85,75 @@ class VectorDecision:
     dictated: Sequence | None = None
 
 
+class SharedInput(Mapping):
+    """Honest inputs that are one ``value`` for every member of the set
+    ``members``, held once instead of as an entry per member."""
+
+    def __init__(self, members: Set, value):
+        self.members, self.value = members, value
+
+    def __getitem__(self, member):
+        if member in self.members:
+            return self.value
+        raise KeyError(member)
+
+    def __iter__(self):
+        return iter(sorted(self.members))
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+
+class DecidedVector:
+    """A decided vector, one slot per member of ``members``: ``deviations``
+    maps slot indices, ascending, to their values; every other slot holds
+    its member's ``honest_inputs`` entry.  It iterates as its slots."""
+
+    def __init__(self, members: tuple, honest_inputs: Mapping, deviations: dict):
+        self.members, self.honest_inputs, self.deviations = members, honest_inputs, deviations
+
+    def __iter__(self):
+        dev, honest = self.deviations, self.honest_inputs.get
+        return (dev[i] if i in dev else honest(m) for i, m in enumerate(self.members))
+
+    def first_seen(self) -> list:
+        """The slots, less each honest slot after the first when the honest
+        inputs are a ``SharedInput`` (it repeats the first): the distinct
+        slots in first-seen order, read without a slot per member."""
+        if not isinstance(self.honest_inputs, SharedInput):
+            return list(self)
+        # Every slot before the first honest one deviates.
+        dev, n = self.deviations, len(self.members)
+        first = next(filterfalse(dev.__contains__, range(n)), n)
+        slots = list(dev.values())
+        return slots[:first] + [self.honest_inputs.value] * (first < n) + slots[first:]
+
+
 def vector_consensus(
     parts: ParticipantSet,
     honest_inputs: Mapping,
     decision: VectorDecision | None = None,
-) -> list:
+) -> DecidedVector:
     """Agree on one value per participant (None for nulled slots).
 
     The contract binds while the corrupted count f stays at or below
     floor((n-1)/3).  Within it, the decided vector holds the true input of
     every honest member, and each corrupted slot holds its chosen value or
     None: the adversary nulls only its own f slots, never the n - f >= 2f + 1
-    honest ones.  Above it the adversary dictates the vector.
+    honest ones.  Above it the adversary dictates every slot; within it
+    only the corrupted slots deviate from the honest inputs.
     """
     decision = decision or VectorDecision()
-
+    members = parts.members
     if not parts.bft_contract_holds:
-        if decision.dictated is None:
-            return [None] * parts.n
-        if len(decision.dictated) != parts.n:
+        dictated = [None] * parts.n if decision.dictated is None else decision.dictated
+        if len(dictated) != parts.n:
             raise ValueError("dictated vector has wrong arity")
-        return list(decision.dictated)
+        return DecidedVector(members, {}, dict(enumerate(dictated)))
 
-    byzantine_values = decision.byzantine_values
-    return [
-        byzantine_values.get(member) if member in parts.byzantine else honest_inputs.get(member)
-        for member in parts.members
-    ]
+    chosen, byzantine = decision.byzantine_values, parts.byzantine
+    corrupted = compress(range(parts.n), map(byzantine.__contains__, members)) if byzantine else ()
+    return DecidedVector(members, honest_inputs, {i: chosen.get(members[i]) for i in corrupted})
 
 
 def random_beacon(entropy: bytes, chosen: bytes | None = None) -> bytes:

@@ -10,8 +10,8 @@ and stalls the shard.  The signature quorum is counted once, at install.
 Per-shard state is two tables keyed by label: ``directory``, the installed
 view; and ``joins``, the credentials routed to the shard since that view
 was installed, each mapped to whether ``deliver_joins`` derived it.  Every
-core member receives every join, so one set serves the whole core; a
-corrupted member's proposal is the strategy's to choose.  Admission takes
+core member receives every join, so one ``SharedInput`` and the corrupted
+slots the strategy chooses decide the join vector.  Admission takes
 a derived credential anchored by the shard's view height without deriving
 it again: its verdict depends only on its fields, the label and the
 immutable chain, so the full check would pass it.  Any other entry takes
@@ -47,7 +47,7 @@ from .overlay import (
     route_all,
     verify_view_transition,
 )
-from .protocols import ParticipantSet, random_beacon, shard_entropy, vector_consensus
+from .protocols import ParticipantSet, SharedInput, random_beacon, shard_entropy, vector_consensus
 
 if TYPE_CHECKING:
     from .harness import Simulation
@@ -73,10 +73,9 @@ def _update_one_view(sim: Simulation, old_view: ShardView, height: int):
 
     # Every core member received the shard's joins; what a corrupted
     # member proposes instead is the strategy's ``vector_decision``.
-    received = frozenset(sim.joins[label])
-    honest_inputs = dict.fromkeys(parts.members, received)
-    decision = sim.strategy.vector_decision(parts, honest_inputs, purpose="joins")
+    honest_inputs = SharedInput(old_view.core_pk_set, frozenset(sim.joins[label]))
     sim.meter.charge_instance(parts.n)
+    decision = sim.strategy.vector_decision(parts, honest_inputs, purpose="joins")
     vector = vector_consensus(parts, honest_inputs, decision)
 
     # Validity is judged at the shard's own view height.  That is the last
@@ -96,7 +95,7 @@ def _update_one_view(sim: Simulation, old_view: ShardView, height: int):
             cred, eval_height, sim.headers, sim.utxos.utxo_at
         )
 
-    view, newcomers = update_view(old_view, vector, newcomer_valid)
+    view, newcomers = update_view(old_view, vector.first_seen(), newcomer_valid)
     promoted = ()
     if len(view.core) < cfg.s_min:
         # Objective for a seed-grinding beacon quorum: corrupted members
@@ -123,7 +122,7 @@ def _update_one_view(sim: Simulation, old_view: ShardView, height: int):
     digest = view_digest(view)
     # Whatever was collected goes to the install, which alone counts the
     # quorum; corrupted members sign as the strategy says.
-    old_pks = set(parts.members)
+    old_pks = old_view.core_pk_set
     signatures = sign_until_quorum(
         sim.willing_signers(old_view, True, sim.strategy.signs()),
         sim.keyring,

@@ -56,11 +56,12 @@ from shardsim.ledger import (
     validate_block,
 )
 from shardsim.oracles import InvariantError, check_liveness, check_safety
-from shardsim.membership import form_view, view_digest
+from shardsim.membership import ShardView, form_view, split_bit, view_digest
 from shardsim.overlay import (
     ROOT_LABEL,
     check_prefix_free_cover,
     label_matches,
+    maybe_split,
     route,
     verify_view_transition,
 )
@@ -876,6 +877,46 @@ def test_corrupted_join_slot_is_the_strategys_choice(monkeypatch, strategy, corr
         expected = received if i >= 2 or corrupted_slot else None
         assert slots[member.pk] == expected
     assert sim.directory[label].height == sim.cfg.epoch_length + 1
+
+
+class Unread(tuple):
+    """A member tuple that fails any read of its members; only its length
+    may be asked."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a member of a quiet view was read")
+
+    __iter__ = __getitem__ = __contains__ = __add__ = _refuse
+
+
+@pytest.mark.parametrize("strategy", ["passive", "silent"])
+def test_a_quiet_height_reads_no_member(strategy):
+    # Height 2 renews nobody and expires nobody, so each view hands its
+    # tuples and their cached values on.  One shard's tuples refuse to be
+    # read, its core holds corrupted members, and its view installs anyway.
+    # Under a tighter s_max the shard is oversized with a split that waits,
+    # and the split check reads the counts handed on.
+    sim = Simulation(config(genesis=[{"count": 96, "stake": 1}], epoch_length=5))
+    assert run_height(sim, 1)
+    label = sorted(sim.directory)[0]
+    view = sim.directory[label]
+    assert not sim.joins[label] and len(view.core) == sim.cfg.s_min
+    size = len(view.core) + len(view.spare)
+    byte, mask = split_bit(label)
+    ones = sum(1 for c in view.members() if c.value[byte] & mask)
+    waits = min(ones, size - ones) + 1
+    assert maybe_split(label, view, waits, size - 1) is None
+    sim.adv.corrupted.update(view.core_pks[:3])
+    sim.strategy = STRATEGIES[strategy]({})
+    quiet = ShardView(label, view.height, Unread(view.core), Unread(view.spare))
+    vars(quiet).update({k: v for k, v in vars(view).items() if k not in ("core", "spare")})
+    sim.directory[label] = quiet
+    views.update_views(sim, 2)
+    installed = sim.directory[label]
+    assert installed.height == 2
+    assert installed.core is quiet.core and installed.spare is quiet.spare
+    assert installed.digest == view_digest(ShardView(label, 2, view.core, view.spare))
+    assert maybe_split(label, installed, waits, size - 1) is None
 
 
 def _value_routed_to(label, tag):

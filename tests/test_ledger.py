@@ -89,6 +89,20 @@ def test_signing_digest_excludes_signatures():
     assert tx_signing_digest(tx.inputs, tx.outputs) == digest
 
 
+def test_a_transaction_keeps_its_signing_digest():
+    # ``make_transaction`` encodes once and builds what the constructor
+    # builds from the same fields; any built transaction, a ``replace``d
+    # one too, keeps the digest its inputs and outputs give.
+    outs = [TxOutput(pk=b"o" * 32, stake=1), TxOutput(pk=b"short", stake=2)]
+    tx = make_transaction([KEYS[0], KEYS[1]], outs)
+    rebuilt = Transaction(inputs=tx.inputs, outputs=tx.outputs, signatures=tx.signatures)
+    assert vars(tx) == vars(rebuilt) and tx == rebuilt
+    assert tx.signing_digest == tx_signing_digest(tx.inputs, tx.outputs)
+    moved = replace(tx, outputs=tx.outputs[:1])
+    assert moved.signing_digest == tx_signing_digest(moved.inputs, moved.outputs)
+    assert moved.signing_digest != tx.signing_digest
+
+
 def test_validate_transaction_happy_path_and_fee_burn():
     state = fresh_state(stake=2, count=2)
     # One 2-stake input pays out 1; the difference is burned, not an error.

@@ -286,6 +286,28 @@ def reference_update_view(prev_view, decided_joins, newcomer_valid=lambda c: Tru
 
 POOL = [cred(b"pool%d" % i) for i in range(16)]
 
+# The values a view caches per member tuple, which a kept tuple hands on,
+# and the one it hands on only when both tuples are kept.
+CORE_CACHE = ("core_pks", "core_pk_set", "core_expiry", "core_framing")
+SPARE_CACHE = ("spare_expiry", "spare_framing")
+VIEW_CACHE = ("split_ones",)
+CACHED = CORE_CACHE + SPARE_CACHE + VIEW_CACHE
+
+
+def warm(view):
+    """``view``, with every cached value computed."""
+    for name in CACHED:
+        getattr(view, name)
+    return view
+
+
+def assert_cached_values_fresh(view):
+    """Each value ``view`` caches, handed on or not, equals its fresh
+    computation on an uncached copy."""
+    fresh = replace(view)
+    for name in CACHED:
+        assert getattr(view, name) == getattr(fresh, name), name
+
 
 @st.composite
 def view_updates(draw):
@@ -320,6 +342,8 @@ def view_updates(draw):
     chosen = draw(st.lists(st.sampled_from(distinct), max_size=6))
     joins = [None if slot is None else shaped(slot) for slot in chosen]
     vetoed = draw(st.frozensets(st.sampled_from(candidates), max_size=3))
+    if draw(st.booleans()):
+        warm(prev)
     return prev, joins, (lambda c: c not in vetoed)
 
 
@@ -329,51 +353,73 @@ def test_update_view_equals_the_reference(case):
     prev, joins, valid = case
     view, newcomers = update_view(prev, joins, valid)
     assert (view, newcomers) == reference_update_view(prev, joins, valid)
-    # Whatever framing was handed over, the digest is the one a fresh copy
-    # of the view computes from scratch.
+    # Whatever was handed over, the digest and every cached value are the
+    # ones a fresh copy of the view computes from scratch.
     assert view.digest == ShardView.digest.func(replace(view))
     assert view.core_pks == tuple(c.pk for c in view.core)
+    assert_cached_values_fresh(view)
 
 
 class TestCarriedTuples:
     """A member tuple that loses and gains nobody is the previous view's
-    own tuple, and carries its framing (and, for the core, its pks)
-    along."""
+    own tuple, and hands on the values the previous view cached for it."""
 
     def setup_method(self):
-        self.prev = make_view(height=3, core_n=3, spare_n=3, expiry=5)
-        view_digest(self.prev)
+        self.prev = warm(make_view(height=3, core_n=3, spare_n=3, expiry=5))
+
+    @staticmethod
+    def handed_on(view, prev, names):
+        return all(vars(view).get(name, view) is vars(prev)[name] for name in names)
+
+    @staticmethod
+    def recomputed(view, names):
+        return not any(name in vars(view) for name in names)
 
     def test_quiet_height_keeps_both_tuples_and_their_framing(self):
         view = update_view(self.prev, [None, frozenset()])[0]
         assert view.core is self.prev.core and view.spare is self.prev.spare
-        assert vars(view)["core_framing"] is self.prev.core_framing
-        assert vars(view)["core_pks"] is self.prev.core_pks
-        assert vars(view)["spare_framing"] is self.prev.spare_framing
+        assert self.handed_on(view, self.prev, CACHED)
         assert view.digest == ShardView.digest.func(replace(view)) != self.prev.digest
+        assert_cached_values_fresh(view)
 
     def test_a_newcomer_keeps_only_the_core(self):
         joiner = cred(b"carried-joiner")
         view = update_view(self.prev, [frozenset({joiner})])[0]
         assert view.core is self.prev.core and view.spare is not self.prev.spare
-        assert "spare_framing" not in vars(view)
+        assert self.handed_on(view, self.prev, CORE_CACHE)
+        assert self.recomputed(view, SPARE_CACHE + VIEW_CACHE)
         assert view.digest == ShardView.digest.func(replace(view))
+        assert_cached_values_fresh(view)
 
     def test_an_expiry_replaces_only_its_own_tuple(self):
         dying = self.prev.spare[1]._replace(expiry_height=3)
-        prev = replace(self.prev, spare=order_spare(self.prev.spare[:1] + (dying,)))
+        prev = warm(replace(self.prev, spare=order_spare(self.prev.spare[:1] + (dying,))))
         view = update_view(prev, [])[0]
         assert view.core is prev.core and view.spare == prev.spare[:1]
-        assert "spare_framing" not in vars(view)
+        assert self.handed_on(view, prev, CORE_CACHE)
+        assert self.recomputed(view, SPARE_CACHE + VIEW_CACHE)
         assert view.digest == ShardView.digest.func(replace(view))
+        assert_cached_values_fresh(view)
 
         dying = self.prev.core[0]._replace(expiry_height=3)
-        prev = replace(self.prev, core=(dying,) + self.prev.core[1:])
+        prev = warm(replace(self.prev, core=(dying,) + self.prev.core[1:]))
         view = update_view(prev, [])[0]
         assert view.core == prev.core[1:] and view.spare is prev.spare
-        assert "core_framing" not in vars(view) and "core_pks" not in vars(view)
+        assert self.handed_on(view, prev, SPARE_CACHE)
+        assert self.recomputed(view, CORE_CACHE + VIEW_CACHE)
         assert view.core_pks == tuple(c.pk for c in view.core)
+        assert view.core_expiry == 5 and prev.core_expiry == 3
         assert view.digest == ShardView.digest.func(replace(view))
+        assert_cached_values_fresh(view)
+
+    def test_only_computed_values_are_handed_on(self):
+        # The update reads both earliest expiries, so those are handed on;
+        # a value no one asked the previous view for stays uncomputed.
+        prev = make_view(height=3, core_n=3, spare_n=3, expiry=5)
+        view = update_view(prev, [])[0]
+        assert self.handed_on(view, prev, ("core_expiry", "spare_expiry"))
+        assert self.recomputed(view, ("core_pks", "core_pk_set", "split_ones"))
+        assert_cached_values_fresh(view)
 
 
 def test_form_view_elects_core_from_everyone():

@@ -5,17 +5,21 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shardsim import agreement, views
+from shardsim.adversary import STRATEGIES, Strategy
 from shardsim.config import load_config
+from shardsim.credentials import Credential
 from shardsim.crypto import tagged_hash
 from shardsim.harness import Simulation
+from shardsim.membership import ShardView, order_spare, update_view
 from shardsim.protocols import (
     BaDecision,
     BaOutcome,
     MessageMeter,
     ParticipantSet,
+    SharedInput,
     VectorDecision,
     random_beacon,
     shard_entropy,
@@ -102,16 +106,16 @@ class TestVectorConsensus:
     def test_echoes_honest_inputs(self):
         ps = parts(4)
         vec = vector_consensus(ps, inputs(ps))
-        assert vec == ["val-m0", "val-m1", "val-m2", "val-m3"]
+        assert list(vec) == ["val-m0", "val-m1", "val-m2", "val-m3"]
 
     def test_byzantine_slot_control_within_bound(self):
         ps = parts(4, byz=["m2"])
         decision = VectorDecision(byzantine_values={"m2": "lie"})
         vec = vector_consensus(ps, inputs(ps), decision)
-        assert vec == ["val-m0", "val-m1", "lie", "val-m3"]
+        assert list(vec) == ["val-m0", "val-m1", "lie", "val-m3"]
         # Absent entry nulls the slot.
         vec = vector_consensus(ps, inputs(ps), VectorDecision())
-        assert vec == ["val-m0", "val-m1", None, "val-m3"]
+        assert list(vec) == ["val-m0", "val-m1", None, "val-m3"]
 
     @given(st.data())
     def test_contract_keeps_honest_inputs(self, data):
@@ -126,14 +130,14 @@ class TestVectorConsensus:
             st.dictionaries(st.sampled_from(members), st.none() | st.text(max_size=3))
         )
         vec = vector_consensus(ps, inputs(ps), VectorDecision(byzantine_values=chosen))
-        assert vec == [chosen.get(m) if m in byz else "val-" + m for m in members]
+        assert list(vec) == [chosen.get(m) if m in byz else "val-" + m for m in members]
 
     def test_contract_boundary(self):
         # n=4 tolerates exactly one corrupted member.
         ps = parts(4, byz=["m0", "m1"])
-        assert vector_consensus(ps, inputs(ps)) == [None] * 4
+        assert list(vector_consensus(ps, inputs(ps))) == [None] * 4
         dictated = VectorDecision(dictated=["x"] * 4)
-        assert vector_consensus(ps, inputs(ps), dictated) == ["x"] * 4
+        assert list(vector_consensus(ps, inputs(ps), dictated)) == ["x"] * 4
         with pytest.raises(ValueError):
             vector_consensus(ps, inputs(ps), VectorDecision(dictated=["x"] * 3))
 
@@ -151,6 +155,84 @@ class TestVectorConsensus:
         assert charged == ps.n == len(view.core)
         # The height also delivers the new view, charged on its own.
         assert sim.meter.total - before >= ps.n**3
+
+
+class DrawnStrategy(Strategy):
+    """A strategy whose join-vector choices are drawn: any value, None or a
+    set of its own, for any corrupted slot, and any dictated vector."""
+
+    def __init__(self, byzantine_values, dictated):
+        super().__init__()
+        self.byzantine_values, self.dictated = byzantine_values, dictated
+
+    def vector_decision(self, parts, honest_inputs, purpose="joins"):
+        return VectorDecision(byzantine_values=self.byzantine_values, dictated=self.dictated)
+
+
+# Members of a few pks, so a core may hold one pk twice.  Newcomers of two
+# values, so the order they are first seen in shows in the spare set, some
+# expiring before the update's height; and two members among them.
+MEMBERS = [
+    Credential(tagged_hash(b"m", bytes([i])), tagged_hash(b"pk", bytes([i % 6])), 0, 5 + i % 2)
+    for i in range(12)
+]
+JOINERS = [
+    Credential(tagged_hash(b"j", bytes([i % 2])), tagged_hash(b"j", bytes([i])), 0, 4 + i % 3)
+    for i in range(10)
+] + MEMBERS[:2]
+
+
+@st.composite
+def join_instances(draw):
+    """A registered view at height 4, the core slots a strategy corrupts
+    (at any position, past the contract too), the join set every core
+    member received and the strategy: one of the five, or drawn."""
+    picked = draw(st.lists(st.sampled_from(MEMBERS), min_size=1, max_size=9, unique=True))
+    split = draw(st.integers(1, len(picked)))
+    prev = ShardView("", 4, tuple(picked[:split]), order_spare(picked[split:]))
+    corrupted = draw(st.sets(st.integers(0, split - 1)) | st.just({0}))
+    parts = ParticipantSet(prev.core_pks, frozenset(prev.core_pks[i] for i in corrupted))
+    joins = st.frozensets(st.sampled_from(JOINERS), max_size=5)
+    received = draw(joins)
+    name = draw(st.sampled_from(sorted(STRATEGIES) + ["drawn"]))
+    if name != "drawn":
+        return prev, parts, received, STRATEGIES[name]({})
+    slot = st.none() | joins
+    chosen = {pk: draw(slot) for pk in sorted(parts.byzantine)}
+    chosen.update(draw(st.dictionaries(st.sampled_from(parts.members), slot)))
+    dictated = draw(st.none() | st.lists(slot, min_size=split, max_size=split))
+    return prev, parts, received, DrawnStrategy(chosen, dictated)
+
+
+def drawn_instance(corrupted, chosen):
+    """Four core members, the slots ``corrupted`` choosing ``chosen``, and a
+    received set whose newcomer shares its value with the chosen one."""
+    prev = ShardView("", 4, tuple(MEMBERS[:4]), tuple(MEMBERS[4:6]))
+    parts = ParticipantSet(prev.core_pks, frozenset(prev.core_pks[i] for i in corrupted))
+    choices = {prev.core_pks[i]: frozenset({chosen}) for i in corrupted}
+    return prev, parts, frozenset({JOINERS[1]}), DrawnStrategy(choices, None)
+
+
+@settings(deadline=None, max_examples=300)
+@given(join_instances())
+# A corrupted first slot, then a corrupted later one, each holding a
+# newcomer of the same value as the honest set's.
+@example(drawn_instance({0}, JOINERS[5]))
+@example(drawn_instance({2}, JOINERS[5]))
+def test_the_compact_join_decision_equals_the_full_one(instance):
+    # The run decides the join vector on one shared join set; deciding it
+    # on an entry per core member gives the same slots, and ``update_view``
+    # the same view and newcomers from the compact slots as from the list.
+    prev, parts, received, strategy = instance
+    shared = SharedInput(prev.core_pk_set, received)
+    per_member = dict.fromkeys(parts.members, received)
+    assert dict(shared) == per_member
+    compact = vector_consensus(parts, shared, strategy.vector_decision(parts, shared, "joins"))
+    full = list(
+        vector_consensus(parts, per_member, strategy.vector_decision(parts, per_member, "joins"))
+    )
+    assert list(compact) == full and len(compact.first_seen()) <= len(full)
+    assert update_view(prev, compact.first_seen()) == update_view(prev, full)
 
 
 class TestRandomBeacon:
