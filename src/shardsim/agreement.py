@@ -141,7 +141,7 @@ def _agree_block(sim: Simulation, height: int, prev, committee) -> tuple[Block |
     certified, shard_sigs = _endorse(
         sim, decided, committee, parts.byzantine, valid, sim.strategy.signs()
     )
-    sim.meter.charge(sum(len(ss.member_sigs) for ss in shard_sigs))
+    sim.meter.charge(sum(len(ss.member_sigs.pks) for ss in shard_sigs))
     if certified is None:
         return _no_block(sim, height, "certificate-shortfall", rounds)
 

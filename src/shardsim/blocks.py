@@ -146,9 +146,9 @@ def shard_sign_block(
     quorum = shard_quorum(mu_core, s_min, len(view.core))
     msg = shard_signature_digest(label, block.header.core_digest)
     sigs = sign_until_quorum(signers, keyring, msg, quorum)
-    if len(sigs) < quorum:
+    if len(sigs.pks) < quorum:
         return None
-    return ShardSignature(label=label, view_height=view.height, member_sigs=tuple(sigs))
+    return ShardSignature(label=label, view_height=view.height, member_sigs=sigs)
 
 
 def attach_certificate(block: Block, shard_sigs: Sequence[ShardSignature]) -> Block:

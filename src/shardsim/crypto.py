@@ -15,20 +15,23 @@ The contract:
   digests :func:`tagged_hash` gives the same parts.
 - :func:`tagged_hash_batch` is the one kernel of the per-member digests
   (keys, signatures, VRF values and proofs, credential values).  Each batch
-  form (:func:`keygen_batch`, :func:`sign_batch`, :func:`verify_sig_batch`,
-  :func:`vrf_eval_batch`, :func:`vrf_verify_batch`) equals its
-  one-at-a-time form, which is a batch of one.
+  form equals its one-at-a-time form, which is a batch of one.  The one
+  signing kernel, :func:`sign_batch`, returns the value column a shard
+  quorum keeps (``ledger.Quorum``); :func:`sign` wraps the one
+  :class:`Signature` a transaction input carries.
 - :class:`KeyPair`, :class:`Signature` and :class:`VrfOutput` are named
   tuples; a batch builds them with :func:`new_records`.  A named tuple
   equals any tuple with the same fields, so a check accepts only its own
   record type.  A key pair from :func:`keygen_batch` holds the ``pk`` its
   ``sk`` derives, and signing and evaluation use that ``pk``.
-- Verification compares every entry with its expected digest.  Each of
-  ``sign_batch`` and ``vrf_eval_batch`` keeps a record of the last batch it
-  issued; a verifying batch over the same message or input reads the
-  expected digests of the pks that record holds from it, as an ideal
-  signature functionality answers from its list of issued signatures
-  (Canetti's F_SIG, CSFW 2004), and hashes the others.
+- Verification compares every entry with its expected digest: a
+  signature value with :func:`sig_values`, which ``ledger.count_signers``
+  compares with a quorum's whole value column.  Each of ``sign_batch`` and
+  ``vrf_eval_batch`` keeps a record of the last batch it issued; an
+  expected column over the same message or input reads the digests of the
+  pks that record holds from it, as an ideal signature functionality
+  answers from its list of issued signatures (Canetti's F_SIG, CSFW 2004),
+  and hashes the others.
 - :class:`Prg` gives one fixed stream per seed, with unbiased draws.
 
 ``tests/test_crypto.py`` freezes the PRG stream and a set of tagged
@@ -41,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from itertools import repeat
-from operator import add, itemgetter
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 DIGEST_LEN = 32
@@ -206,9 +209,6 @@ class VrfOutput(NamedTuple):
     proof: bytes
 
 
-_first, _second = itemgetter(0), itemgetter(1)
-
-
 def new_records(cls, *columns) -> list:
     """``[cls(*fields) for fields in zip(*columns)]``, each record built by
     ``tuple.__new__`` without a Python-level call."""
@@ -280,59 +280,40 @@ def _expected(rule: bytes, pks: Sequence[bytes], shared: bytes, derive) -> tuple
     return tuple([column[i] for i in at] for column in columns)
 
 
-def _distinct_pks(entries: Sequence[tuple[bytes, object]]) -> tuple[list[bytes], list[bytes]]:
-    """The pk of each entry, and the distinct ones in first-seen order; a
-    batch of one skips the dedupe dict."""
-    pks = [pk for pk, _ in entries]
-    return pks, list(dict.fromkeys(pks)) if len(pks) > 1 else pks
-
-
-def _per_entry(pks: list[bytes], distinct: list[bytes], digests: Sequence[bytes]):
-    """The digests of ``distinct``, one per entry of ``pks``: as they are
-    when no pk repeats, else looked up by pk."""
-    if len(distinct) == len(pks):
-        return digests
-    return map(dict(zip(distinct, digests)).__getitem__, pks)
-
-
 def _sig_digests(pks: Sequence[bytes], msg: bytes) -> tuple[list[bytes]]:
     """The signature value of each pk over ``msg``, as one column: what
     signing makes and verification recomputes."""
     return (tagged_hash_batch(b"sig", pks, msg),)
 
 
-def sign_batch(kps: Sequence[KeyPair], msg: bytes) -> list[Signature]:
-    """``[sign(kp, msg) for kp in kps]``; the batch becomes the ``b"sig"``
-    record."""
+def sign_batch(kps: Sequence[KeyPair], msg: bytes) -> list[bytes]:
+    """The signature value of each key pair over ``msg``, in one kernel
+    pass over each key pair's own pk: the one signing kernel.  The batch
+    becomes the ``b"sig"`` record."""
     pks = [kp.pk for kp in kps]
     columns = _sig_digests(pks, msg)
     _issue(b"sig", msg, pks, columns)
-    return new_records(Signature, columns[0], pks)
+    return columns[0]
 
 
 def sign(kp: KeyPair, msg: bytes) -> Signature:
-    return sign_batch((kp,), msg)[0]
+    """The :class:`Signature` a transaction input carries: a batch of one."""
+    return Signature(sign_batch((kp,), msg)[0], kp.pk)
+
+
+def sig_values(pks: Sequence[bytes], msg: bytes) -> Sequence[bytes]:
+    """The value a valid signature of each pk over ``msg`` holds, read from
+    the ``b"sig"`` record when it holds this message and that pk, and
+    otherwise hashed: the column verification compares against."""
+    return _expected(b"sig", pks, msg, _sig_digests)[0]
 
 
 def verify_sig_batch(
     signatures: Sequence[tuple[bytes, object]], msg: bytes
 ) -> list[bool]:
-    """``[verify_sig(pk, msg, sig) for pk, sig in signatures]``.  The
-    expected value of each distinct pk is read from the ``b"sig"`` record
-    when it holds this message and that pk, and is otherwise hashed once;
-    every entry is compared either way.  An all-valid batch of more than
-    one entry is accepted by whole-column comparisons (record types, signer
-    pks, value types, values); any other batch is judged entry by entry."""
-    pks, distinct = _distinct_pks(signatures)
-    (values,) = _expected(b"sig", distinct, msg, _sig_digests)
-    expected = _per_entry(pks, distinct, values)
-    if len(pks) > 1:
-        expected = list(expected)
-        sigs = list(map(_second, signatures))
-        if set(map(type, sigs)) <= {Signature} and list(map(_second, sigs)) == pks:
-            sig_values = list(map(_first, sigs))
-            if set(map(type, sig_values)) <= {bytes} and sig_values == expected:
-                return [True] * len(sigs)
+    """``[verify_sig(pk, msg, sig) for pk, sig in signatures]``: every
+    entry is compared with ``sig_values`` of its pk."""
+    expected = sig_values([pk for pk, _ in signatures], msg)
     return [
         type(sig) is Signature
         and isinstance(sig.value, bytes)
@@ -376,19 +357,16 @@ def vrf_verify_batch(
 ) -> list[bool]:
     """``[vrf_verify(pk, vrf_input, out) for pk, out in outputs]``: each
     value and proof is compared with the expected one, read from the
-    ``b"vrf"`` record as ``verify_sig_batch`` reads the ``b"sig"`` one, or
-    hashed once per distinct pk.  The proof is derived over the expected
-    value, so a value that is not bytes fails first."""
-    pks, distinct = _distinct_pks(outputs)
-    values, proofs = _expected(b"vrf", distinct, vrf_input, _vrf_digests)
+    ``b"vrf"`` record as ``sig_values`` reads the ``b"sig"`` one, or
+    hashed.  The proof is derived over the expected value, so a value that
+    is not bytes fails first."""
+    values, proofs = _expected(b"vrf", [pk for pk, _ in outputs], vrf_input, _vrf_digests)
     return [
         type(out) is VrfOutput
         and isinstance(out.value, bytes)
         and out.value == value
         and out.proof == proof
-        for (_, out), value, proof in zip(
-            outputs, _per_entry(pks, distinct, values), _per_entry(pks, distinct, proofs)
-        )
+        for (_, out), value, proof in zip(outputs, values, proofs)
     ]
 
 

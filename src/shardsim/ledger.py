@@ -37,6 +37,7 @@ from .crypto import (
     encode_parts,
     encode_str,
     new_records,
+    sig_values,
     sign_batch,
     tagged_hash,
     tagged_hash_framed,
@@ -80,6 +81,8 @@ class Transaction:
     tx_id: bytes = field(init=False)
     # ``tx_signing_digest(inputs, outputs)``, what each input owner signs.
     signing_digest: bytes = field(init=False, repr=False, compare=False)
+    # The signature verdict, None until first checked; it reads only the fields above.
+    signatures_valid: bool | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blob = _encode_io(self.inputs, self.outputs)
@@ -91,6 +94,15 @@ def _seal(tx: Transaction, blob: bytes, signing_digest: bytes) -> None:
     sig_blob = b"".join(encode_bytes(s.value) + encode_bytes(s.signer_pk) for s in tx.signatures)
     object.__setattr__(tx, "signing_digest", signing_digest)
     object.__setattr__(tx, "tx_id", tagged_hash(b"tx", blob, sig_blob))
+    object.__setattr__(tx, "signatures_valid", None)
+
+
+class Quorum(NamedTuple):
+    """Signatures over one message as two columns in signer order, the
+    signers' pks and their values; it holds ``len(quorum.pks)`` signers."""
+
+    pks: tuple[bytes, ...]
+    values: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
@@ -100,7 +112,7 @@ class ShardSignature:
 
     label: str
     view_height: int
-    member_sigs: tuple[tuple[bytes, Signature], ...]
+    member_sigs: Quorum
 
 
 @dataclass(frozen=True)
@@ -181,7 +193,8 @@ def make_transaction(
     blob = _encode_io(inputs, outputs)
     msg = tagged_hash(b"tx-sign", blob)
     tx = object.__new__(Transaction)
-    fields = (inputs, tuple(outputs), tuple(sign_batch(input_keys, msg)))
+    signatures = new_records(Signature, sign_batch(input_keys, msg), inputs)
+    fields = (inputs, tuple(outputs), tuple(signatures))
     for name, value in zip(("inputs", "outputs", "signatures"), fields):
         object.__setattr__(tx, name, value)
     _seal(tx, blob, msg)
@@ -201,13 +214,12 @@ def _vrf_blob(vrf_proofs: Sequence[tuple[bytes, VrfOutput]]) -> bytes:
 def _certificate_blob(certificate: Sequence[ShardSignature]) -> bytes:
     parts = [encode_int(len(certificate))]
     for ss in sorted(certificate, key=lambda s: s.label):
-        member_sigs = sorted(ss.member_sigs, key=lambda ps: ps[0])
+        # (pk, value, pk) per signer: the bytes of a (pk, Signature) pair.
+        entries = sorted(zip(*ss.member_sigs), key=lambda entry: entry[0])
         parts.append(encode_str(ss.label))
         parts.append(encode_int(ss.view_height))
-        parts.append(encode_int(len(member_sigs)))
-        parts.append(
-            encode_parts([p for pk, sig in member_sigs for p in (pk, sig.value, sig.signer_pk)])
-        )
+        parts.append(encode_int(len(entries)))
+        parts.append(encode_parts([p for pk, value in entries for p in (pk, value, pk)]))
     return b"".join(parts)
 
 
@@ -253,9 +265,12 @@ def validate_transaction(
             return Validity(False, "cap")
     if sum(state[pk].stake for pk in tx.inputs) < sum(o.stake for o in tx.outputs):
         return Validity(False, "imbalance")
-    if len(tx.signatures) != len(tx.inputs):
-        return Validity(False, "bad-signature")
-    if not all(verify_sig_batch(tuple(zip(tx.inputs, tx.signatures)), tx.signing_digest)):
+    if tx.signatures_valid is None:
+        valid = len(tx.signatures) == len(tx.inputs) and all(
+            verify_sig_batch(tuple(zip(tx.inputs, tx.signatures)), tx.signing_digest)
+        )
+        object.__setattr__(tx, "signatures_valid", valid)
+    if not tx.signatures_valid:
         return Validity(False, "bad-signature")
     return VALID
 
@@ -327,7 +342,7 @@ def sign_until_quorum(
     keys: Mapping[bytes, KeyPair],
     msg: bytes,
     quorum: int,
-) -> list[tuple[bytes, Signature]]:
+) -> Quorum:
     """The willing ``signers`` sign ``msg`` in their order until ``quorum``
     distinct signatures are collected.
 
@@ -335,7 +350,7 @@ def sign_until_quorum(
     Signers are read only until the quorum: the first ``quorum`` with a key
     are taken at once, and only if a pk repeats among them are the rest read
     one by one.  The chosen key pairs then sign in one ``sign_batch``.
-    Returns the (pk, signature) pairs in signer order, fewer than ``quorum``
+    Returns the :class:`Quorum` in signer order, short of ``quorum`` signers
     when the willing signers run out.  Every signer signs the same message,
     so a further signature could not change a quorum verdict.
     """
@@ -348,21 +363,28 @@ def sign_until_quorum(
                 break
             distinct[pk] = None
         chosen = list(distinct)
-    return list(zip(chosen, sign_batch(list(map(keys.__getitem__, chosen)), msg)))
+    return Quorum(tuple(chosen), tuple(sign_batch(list(map(keys.__getitem__, chosen)), msg)))
 
 
-def count_signers(
-    signatures: Iterable[tuple[bytes, Signature]], allowed_pks, msg: bytes
-) -> int:
-    """Distinct allowed pks with a valid signature over ``msg``; repeated
-    and outside signers count for nothing.
-
-    The allowed entries are checked in one ``verify_sig_batch``, which
-    hashes the expected value of each distinct pk once; a pk counts once
-    if any of its entries is valid."""
-    allowed = [(pk, sig) for pk, sig in signatures if pk in allowed_pks]
-    valid = verify_sig_batch(allowed, msg)
-    return len({pk for (pk, _), ok in zip(allowed, valid) if ok})
+def count_signers(quorum: Quorum, allowed_pks, msg: bytes) -> int:
+    """Distinct allowed pks of ``quorum`` whose value is their signature
+    over ``msg``.  A quorum of distinct allowed pks with ``bytes`` values
+    counts whole when its value column equals their ``sig_values``; any
+    other counts a pk once if any of its entries holds that value."""
+    pks, values = quorum
+    distinct = set(pks)
+    if (
+        len(distinct) == len(pks)
+        and distinct.issubset(allowed_pks)
+        and set(map(type, values)) <= {bytes}
+        and tuple(values) == tuple(sig_values(pks, msg))
+    ):
+        return len(pks)
+    allowed = [pk for pk in dict.fromkeys(pks) if pk in allowed_pks]
+    expected = dict(zip(allowed, sig_values(allowed, msg)))
+    return len(
+        {pk for pk, value in zip(pks, values) if type(value) is bytes and expected.get(pk) == value}
+    )
 
 
 def validate_certificate(

@@ -33,8 +33,8 @@ from operator import attrgetter
 from typing import AbstractSet, Callable, Iterable, Sequence
 
 from .credentials import Credential, framed_blobs
-from .crypto import Prg, Signature, encode_bytes, encode_int, encode_str, tagged_hash_framed
-from .ledger import count_signers, shard_quorum
+from .crypto import Prg, encode_bytes, encode_int, encode_str, tagged_hash_framed
+from .ledger import Quorum, count_signers, shard_quorum
 from .sampling import sample_without_replacement
 
 _value, _pk, _expiry = (attrgetter(name) for name in ("value", "pk", "expiry_height"))
@@ -227,7 +227,7 @@ def form_view(
 
 def install_and_diffuse(
     new_view: ShardView,
-    signatures: Iterable[tuple[bytes, Signature]],
+    signatures: Quorum,
     old_core_pks: AbstractSet[bytes],
     mu_core: Fraction,
     s_min: int,

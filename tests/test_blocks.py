@@ -194,8 +194,8 @@ class TestShardSignBlock:
             "0", self.view, self.block, self.keyring, signers, self.mu_core, s_min=3
         )
         assert ss is not None
-        assert len(ss.member_sigs) == 2  # int(1/3 * 3) + 1
-        assert [pk for pk, _ in ss.member_sigs] == [kp.pk for kp in self.keys[:2]]
+        assert len(ss.member_sigs.pks) == 2  # int(1/3 * 3) + 1
+        assert ss.member_sigs.pks == tuple(kp.pk for kp in self.keys[:2])
         assert ss.view_height == 4
 
     def test_unwilling_signers_yield_none(self):
@@ -215,7 +215,7 @@ class TestShardSignBlock:
         ss = shard_sign_block(
             "0", degraded, self.block, self.keyring, signers, self.mu_core, s_min=3
         )
-        assert ss is not None and len(ss.member_sigs) == 1
+        assert ss is not None and len(ss.member_sigs.pks) == 1
 
 
 def test_attach_certificate_sorts_by_label():

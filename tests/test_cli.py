@@ -13,6 +13,7 @@ import pytest
 
 from shardsim import agreement, cli
 from shardsim.cli import main
+from shardsim.ledger import Quorum
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -59,7 +60,9 @@ def test_internal_invariant_failure_exits_3(capsys, monkeypatch):
 
     def one_short(*args, **kwargs):
         ss = sign_block(*args, **kwargs)
-        return None if ss is None else replace(ss, member_sigs=ss.member_sigs[:-1])
+        if ss is None:
+            return None
+        return replace(ss, member_sigs=Quorum(*(column[:-1] for column in ss.member_sigs)))
 
     monkeypatch.setattr(agreement, "shard_sign_block", one_short)
     code, out, err = run_cli(capsys, "run", SMOKE)

@@ -32,7 +32,6 @@ from shardsim.crypto import (
     ZERO_DIGEST,
     KeyPair,
     Prg,
-    Signature,
     encode_bytes,
     encode_int,
     hash_digest,
@@ -44,6 +43,7 @@ from shardsim.harness import Simulation, message_scaling_report, run_scenario
 from shardsim.ledger import (
     Block,
     BlockHeader,
+    Quorum,
     Transaction,
     TxOutput,
     Utxo,
@@ -1348,7 +1348,9 @@ def test_short_certificate_trips_the_post_certification_check(monkeypatch):
 
     def one_short(*args, **kwargs):
         ss = sign_block(*args, **kwargs)
-        return None if ss is None else replace(ss, member_sigs=ss.member_sigs[:-1])
+        if ss is None:
+            return None
+        return replace(ss, member_sigs=Quorum(*(column[:-1] for column in ss.member_sigs)))
 
     monkeypatch.setattr(agreement, "shard_sign_block", one_short)
     with pytest.raises(RuntimeError, match="certificate"):
@@ -1356,17 +1358,16 @@ def test_short_certificate_trips_the_post_certification_check(monkeypatch):
 
 
 def flip_first_signature(sign_until_quorum, flipped: list):
-    """``sign_until_quorum`` whose first collection comes back with the
-    value of its first signature flipped; that call's quorum and the count
-    it collected are kept in ``flipped``."""
+    """``sign_until_quorum`` whose first collection comes back with its
+    first value flipped; that call's quorum and the count it collected are
+    kept in ``flipped``."""
 
     def flipping(signers, keys, msg, quorum):
         sigs = sign_until_quorum(signers, keys, msg, quorum)
-        if not flipped and sigs:
-            pk, sig = sigs[0]
-            value = bytes([sig.value[0] ^ 1]) + sig.value[1:]
-            sigs[0] = (pk, Signature(value, sig.signer_pk))
-            flipped.append((quorum, len(sigs)))
+        if not flipped and sigs.pks:
+            value, *rest = sigs.values
+            sigs = sigs._replace(values=(bytes([value[0] ^ 1]) + value[1:], *rest))
+            flipped.append((quorum, len(sigs.pks)))
         return sigs
 
     return flipping

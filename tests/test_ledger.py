@@ -1,11 +1,13 @@
 """Transaction and block validation over a hand-built micro-chain."""
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shardsim import ledger
 from shardsim.blocks import attach_certificate, build_proposal
 from shardsim.credentials import Credential
 from shardsim.crypto import (
@@ -17,8 +19,8 @@ from shardsim.crypto import (
     encode_str,
     keygen,
     sign,
+    sign_batch,
     tagged_hash,
-    verify_sig,
     verify_sig_batch,
     vrf_eval,
 )
@@ -26,6 +28,7 @@ from shardsim.ledger import (
     Block,
     BlockHeader,
     BlockRules,
+    Quorum,
     ShardSignature,
     Transaction,
     TxOutput,
@@ -55,6 +58,17 @@ from shardsim.membership import ShardView
 from shardsim.protocols import ParticipantSet
 
 KEYS = [keygen(b"ledger-user-%d" % i) for i in range(6)]
+KEY_OF = {kp.pk: kp for kp in KEYS}
+
+
+def _quorum(kps, msg):
+    """The quorum ``kps`` sign over ``msg``, a repeated key pair repeated."""
+    return Quorum(tuple(kp.pk for kp in kps), tuple(sign_batch(kps, msg)))
+
+
+def _as_quorum(entries):
+    """The quorum of (pk, value) ``entries``, in order."""
+    return Quorum(tuple(pk for pk, _ in entries), tuple(value for _, value in entries))
 
 
 def fresh_state(stake=1, count=4, height=0):
@@ -101,6 +115,30 @@ def test_a_transaction_keeps_its_signing_digest():
     moved = replace(tx, outputs=tx.outputs[:1])
     assert moved.signing_digest == tx_signing_digest(moved.inputs, moved.outputs)
     assert moved.signing_digest != tx.signing_digest
+
+
+def test_a_transaction_keeps_its_signature_verdict(monkeypatch):
+    # The signatures are verified once per transaction, whatever the state
+    # of each later check; a ``replace``d transaction is verified afresh.
+    checked = []
+    verify = ledger.verify_sig_batch
+    monkeypatch.setattr(
+        ledger, "verify_sig_batch", lambda entries, msg: checked.append(msg) or verify(entries, msg)
+    )
+    state = fresh_state(stake=1, count=2)
+    tx = make_transaction([KEYS[0]], [TxOutput(keygen(b"kept").pk, 1)])
+    size = sys.getsizeof(vars(tx))
+    assert tx.signatures_valid is None
+    assert validate_transaction(state, tx, 1) and validate_transaction(dict(state), tx, 1)
+    assert checked == [tx.signing_digest] and tx.signatures_valid is True
+    # Set in place: the instance dict keeps its shared-key form.
+    assert sys.getsizeof(vars(tx)) == size
+    assert validate_transaction({}, tx, 1).reason == "missing-input"
+    forged = replace(tx, signatures=(sign(KEYS[1], tx.signing_digest),))
+    assert forged.signatures_valid is None
+    for _ in range(2):
+        assert validate_transaction(state, forged, 1).reason == "bad-signature"
+    assert len(checked) == 2 and forged.signatures_valid is False
 
 
 def test_validate_transaction_happy_path_and_fee_burn():
@@ -248,7 +286,7 @@ def _micro_chain():
         ShardSignature(
             label="",
             view_height=1,
-            member_sigs=tuple((kp.pk, sign(kp, digest)) for kp in KEYS[:2]),
+            member_sigs=_quorum(KEYS[:2], digest),
         ),
     )
     certified = BlockHeader(
@@ -370,7 +408,7 @@ def test_certificate_threshold_and_dedup():
         ShardSignature(
             label="",
             view_height=1,
-            member_sigs=((KEYS[0].pk, sign(KEYS[0], digest)),),
+            member_sigs=_quorum(KEYS[:1], digest),
         ),
     )
     verdict = validate_block(
@@ -388,11 +426,7 @@ def test_certificate_threshold_and_dedup():
         ShardSignature(
             label="",
             view_height=1,
-            member_sigs=(
-                (KEYS[0].pk, sign(KEYS[0], digest)),
-                (KEYS[0].pk, sign(KEYS[0], digest)),
-                (KEYS[3].pk, sign(KEYS[3], digest)),
-            ),
+            member_sigs=_quorum([KEYS[0], KEYS[0], KEYS[3]], digest),
         ),
     )
     verdict = validate_block(
@@ -414,8 +448,7 @@ def test_validate_certificate_counts_distinct_registered_committee_shards():
 
     def endorsement(label):
         digest = shard_signature_digest(label, core_digest)
-        sigs = tuple((kp.pk, sign(kp, digest)) for kp in KEYS[:2])
-        return ShardSignature(label=label, view_height=1, member_sigs=sigs)
+        return ShardSignature(label=label, view_height=1, member_sigs=_quorum(KEYS[:2], digest))
 
     def verdict(labels):
         cert = tuple(endorsement(label) for label in labels)
@@ -437,15 +470,15 @@ def test_sign_until_quorum_signs_in_order_until_quorum():
     # KEYS[3] has no key to sign with; KEYS[2] is listed twice.
     order = [KEYS[2].pk, KEYS[3].pk, KEYS[2].pk, KEYS[0].pk, KEYS[1].pk]
     sigs = sign_until_quorum(order, keys, msg, 2)
-    assert [pk for pk, _ in sigs] == [KEYS[2].pk, KEYS[0].pk]
+    assert sigs == _quorum([KEYS[2], KEYS[0]], msg) and type(sigs) is Quorum
     assert count_signers(sigs, set(keys), msg) == 2
     # Short of the quorum, every willing member's signature comes back.
     short = sign_until_quorum(order, keys, msg, 4)
-    assert [pk for pk, _ in short] == [KEYS[2].pk, KEYS[0].pk, KEYS[1].pk]
+    assert short.pks == (KEYS[2].pk, KEYS[0].pk, KEYS[1].pk)
     # A pk that is not among the signers does not sign although its key is
     # at hand.
     held = sign_until_quorum([pk for pk in order if pk != KEYS[2].pk], keys, msg, 2)
-    assert [pk for pk, _ in held] == [KEYS[0].pk, KEYS[1].pk]
+    assert held.pks == (KEYS[0].pk, KEYS[1].pk)
 
 
 def sign_until_quorum_one_by_one(signers, keys, msg, quorum):
@@ -457,7 +490,7 @@ def sign_until_quorum_one_by_one(signers, keys, msg, quorum):
             break
         if pk not in chosen and pk in keys:
             chosen[pk] = keys[pk]
-    return [(pk, sign(kp, msg)) for pk, kp in chosen.items()]
+    return _as_quorum([(pk, sign(kp, msg).value) for pk, kp in chosen.items()])
 
 
 @settings(deadline=None)
@@ -474,6 +507,7 @@ def test_sign_until_quorum_equals_the_one_by_one_loop(signers, held, quorum, laz
     msg = b"payload"
     picked = sign_until_quorum(iter(signers) if lazy else signers, keys, msg, quorum)
     assert picked == sign_until_quorum_one_by_one(signers, keys, msg, quorum)
+    assert type(picked) is Quorum and {type(column) for column in picked} == {tuple}
 
 
 def test_sign_until_quorum_reads_a_lazy_signer_list_only_to_the_quorum():
@@ -481,7 +515,7 @@ def test_sign_until_quorum_reads_a_lazy_signer_list_only_to_the_quorum():
     for order in ([kp.pk for kp in KEYS], [KEYS[0].pk, KEYS[0].pk] + [kp.pk for kp in KEYS]):
         signers = iter(order)
         sigs = sign_until_quorum(signers, keys, b"payload", 3)
-        assert [pk for pk, _ in sigs] == [kp.pk for kp in KEYS[:3]]
+        assert sigs.pks == tuple(kp.pk for kp in KEYS[:3])
         assert next(signers) in (KEYS[3].pk, KEYS[4].pk)
 
 
@@ -498,23 +532,49 @@ def test_count_signers_counts_distinct_allowed_valid_signers():
     msg = b"payload"
     allowed = {KEYS[0].pk, KEYS[1].pk, KEYS[2].pk}
     sigs = [
-        (KEYS[0].pk, sign(KEYS[0], msg)),
-        (KEYS[0].pk, sign(KEYS[0], msg)),  # repeat
-        (KEYS[1].pk, sign(KEYS[1], b"other")),  # wrong payload
-        (KEYS[3].pk, sign(KEYS[3], msg)),  # outsider
-        (KEYS[2].pk, sign(KEYS[0], msg)),  # someone else's signature
+        (KEYS[0].pk, sign(KEYS[0], msg).value),
+        (KEYS[0].pk, sign(KEYS[0], msg).value),  # repeat
+        (KEYS[1].pk, sign(KEYS[1], b"other").value),  # wrong payload
+        (KEYS[3].pk, sign(KEYS[3], msg).value),  # outsider
+        (KEYS[2].pk, sign(KEYS[0], msg).value),  # someone else's signature
     ]
-    assert count_signers(sigs, allowed, msg) == 1
-    assert count_signers(sigs + [(KEYS[1].pk, sign(KEYS[1], msg))], allowed, msg) == 2
-    assert count_signers([], allowed, msg) == 0
+    assert count_signers(_as_quorum(sigs), allowed, msg) == 1
+    more = sigs + [(KEYS[1].pk, sign(KEYS[1], msg).value)]
+    assert count_signers(_as_quorum(more), allowed, msg) == 2
+    assert count_signers(Quorum((), ()), allowed, msg) == 0
 
 
-def count_signers_one_by_one(signatures, allowed_pks, msg):
-    """The reference ``count_signers``: one ``verify_sig`` per entry, in
-    order, skipping outsiders and pks already counted."""
+def test_one_bad_entry_in_a_full_quorum_counts_for_nothing():
+    # A quorum fresh from ``sign_until_quorum`` counts whole; a flipped
+    # value, a non-bytes value equal to the signature, an outside pk and a
+    # repeated pk each take the entry-by-entry count and add nothing.
+    msg = b"payload"
+    allowed = {kp.pk for kp in KEYS[:3]}
+    full = sign_until_quorum([kp.pk for kp in KEYS[:3]], KEY_OF, msg, 3)
+    assert count_signers(full, allowed, msg) == 3
+    entries = list(zip(*full))
+    pk, value = entries[1]
+    for bad in (_flipped(value), bytearray(value), type("Bytes", (bytes,), {})(value)):
+        swapped = entries[:1] + [(pk, bad)] + entries[2:]
+        assert count_signers(_as_quorum(swapped), allowed, msg) == 2
+    outsider = (KEYS[3].pk, sign(KEYS[3], msg).value)
+    for extra in (outsider, entries[0], (KEYS[0].pk, _flipped(entries[0][1]))):
+        assert count_signers(_as_quorum(entries + [extra]), allowed, msg) == 3
+    assert count_signers(full, allowed - {pk}, msg) == 2
+
+
+def count_signers_one_by_one(quorum, allowed_pks, msg):
+    """The reference ``count_signers``: one entry at a time, in order,
+    skipping outsiders and pks already counted; a value counts when it is
+    ``bytes`` and equals a freshly hashed signature."""
     signers = set()
-    for pk, sig in signatures:
-        if pk in allowed_pks and pk not in signers and verify_sig(pk, msg, sig):
+    for pk, value in zip(quorum.pks, quorum.values):
+        if (
+            pk in allowed_pks
+            and pk not in signers
+            and type(value) is bytes
+            and value == tagged_hash(b"sig", pk, msg)
+        ):
             signers.add(pk)
     return len(signers)
 
@@ -523,39 +583,55 @@ def _flipped(data):
     return bytes([data[0] ^ 1]) + data[1:]
 
 
-def _signer_entries(msg):
-    """Every kind of entry a certificate or an install may carry, per key:
-    a valid signature, one over another message, someone else's, one with
-    a flipped value, one naming the wrong signer, a non-bytes value, a bare
-    value and no signature at all."""
+def _signer_values(msg):
+    """Every kind of value a quorum may hold for a pk, per key: its
+    signature over ``msg``, one over another message, someone else's, a
+    flipped one, and values that are not ``bytes``: an equal bytearray, a
+    string and None."""
     entries = []
     for kp, other in zip(KEYS, KEYS[1:] + KEYS[:1]):
-        good = sign(kp, msg)
+        good = sign(kp, msg).value
         entries += [
             (kp.pk, good),
-            (kp.pk, sign(kp, b"other")),
-            (kp.pk, sign(other, msg)),
-            (kp.pk, Signature(_flipped(good.value), kp.pk)),
-            (kp.pk, Signature(good.value, other.pk)),
-            (kp.pk, Signature("not-bytes", kp.pk)),
-            (kp.pk, good.value),
+            (kp.pk, sign(kp, b"other").value),
+            (kp.pk, sign(other, msg).value),
+            (kp.pk, _flipped(good)),
+            (kp.pk, bytearray(good)),
+            (kp.pk, "not-bytes"),
             (kp.pk, None),
         ]
     return entries
 
 
-SIGNER_ENTRIES = _signer_entries(b"payload")
+SIGNER_VALUES = _signer_values(b"payload")
 
 
 @settings(deadline=None)
 @given(
-    st.lists(st.sampled_from(SIGNER_ENTRIES), max_size=24),
+    st.lists(st.sampled_from(SIGNER_VALUES), max_size=12),
+    st.lists(st.sampled_from(KEYS), max_size=8),
     st.sets(st.sampled_from([kp.pk for kp in KEYS])),
+    st.sampled_from(["exact", "subset", "other-message", "none"]),
 )
-def test_count_signers_equals_the_one_by_one_loop(entries, allowed):
-    assert count_signers(entries, allowed, b"payload") == count_signers_one_by_one(
-        entries, allowed, b"payload"
-    )
+def test_count_signers_equals_the_one_by_one_loop(entries, valid_signers, allowed, issued):
+    # Valid entries of distinct allowed pks alone are counted whole; a
+    # repeated or outside pk, or any other value, sends the quorum to the
+    # entry-by-entry count.  The expected values are read from the issued
+    # record when it holds this message and these pks (all, some), and
+    # hashed when it does not.
+    msg = b"payload"
+    valid = [(kp.pk, sign(kp, msg).value) for kp in valid_signers]
+    for quorum in map(_as_quorum, (valid, entries, valid + entries, [])):
+        if issued == "exact":
+            sign_batch([KEY_OF[pk] for pk in quorum.pks], msg)
+        elif issued == "subset":
+            sign_batch(KEYS[:3], msg)
+        elif issued == "other-message":
+            sign_batch([KEY_OF[pk] for pk in quorum.pks], b"other")
+        for allowed_pks in (allowed, set(quorum.pks)):
+            assert count_signers(quorum, allowed_pks, msg) == count_signers_one_by_one(
+                quorum, allowed_pks, msg
+            )
 
 
 def verify_sig_reference(pk, msg, sig):
@@ -568,20 +644,31 @@ def verify_sig_reference(pk, msg, sig):
     )
 
 
+# What a transaction input may carry: a Signature of each value above, one
+# naming another signer, a bare value and no signature at all.
+SIGNED_ENTRIES = [(pk, Signature(value, pk)) for pk, value in SIGNER_VALUES] + [
+    entry
+    for kp, other in zip(KEYS, KEYS[1:] + KEYS[:1])
+    for entry in (
+        (kp.pk, Signature(sign(kp, b"payload").value, other.pk)),
+        (kp.pk, sign(kp, b"payload").value),
+        (kp.pk, None),
+    )
+]
+
+
 @settings(deadline=None)
 @given(
-    st.lists(st.sampled_from(SIGNER_ENTRIES), max_size=12),
+    st.lists(st.sampled_from(SIGNED_ENTRIES), max_size=12),
     st.lists(st.sampled_from(KEYS), max_size=8),
     st.booleans(),
 )
 def test_verify_sig_batch_equals_the_per_entry_check(entries, valid_signers, issued_last):
-    # Valid entries alone take the whole-column path; any other entry
-    # sends the batch to the per-entry list.
     msg = b"payload"
     valid = [(kp.pk, sign(kp, msg)) for kp in valid_signers]
     for batch in (valid, entries, valid + entries):
         if issued_last:
-            sign_until_quorum([pk for pk, _ in batch], {kp.pk: kp for kp in KEYS}, msg, 99)
+            sign_until_quorum([pk for pk, _ in batch], KEY_OF, msg, 99)
         assert verify_sig_batch(batch, msg) == [
             verify_sig_reference(pk, msg, sig) for pk, sig in batch
         ]
@@ -589,12 +676,12 @@ def test_verify_sig_batch_equals_the_per_entry_check(entries, valid_signers, iss
 
 def test_count_signers_counts_a_repeated_pk_once_whatever_its_order():
     msg = b"payload"
-    good = sign(KEYS[0], msg)
-    bad = Signature(_flipped(good.value), KEYS[0].pk)
+    good = sign(KEYS[0], msg).value
+    bad = _flipped(good)
     allowed = {KEYS[0].pk}
-    for entries in ([(KEYS[0].pk, bad), (KEYS[0].pk, good)], [(KEYS[0].pk, good)] * 3):
-        assert count_signers(entries, allowed, msg) == 1
-    assert count_signers([(KEYS[0].pk, bad)] * 2, allowed, msg) == 0
+    for values in ((bad, good), (good,) * 3):
+        assert count_signers(Quorum((KEYS[0].pk,) * len(values), values), allowed, msg) == 1
+    assert count_signers(Quorum((KEYS[0].pk,) * 2, (bad,) * 2), allowed, msg) == 0
 
 
 @pytest.mark.parametrize("field", ["value", "proof"])
@@ -804,9 +891,9 @@ def reference_header_hash(header):
     """The field encoding ``header_hash`` had before it was cached."""
     cert = [encode_int(len(header.certificate))]
     for ss in sorted(header.certificate, key=lambda s: s.label):
-        cert += [encode_str(ss.label), encode_int(ss.view_height), encode_int(len(ss.member_sigs))]
-        for pk, sig in sorted(ss.member_sigs, key=lambda ps: ps[0]):
-            cert += [encode_bytes(pk), encode_bytes(sig.value), encode_bytes(sig.signer_pk)]
+        cert += [encode_str(ss.label), encode_int(ss.view_height), encode_int(len(ss.member_sigs.pks))]
+        for pk, value in sorted(zip(*ss.member_sigs), key=lambda entry: entry[0]):
+            cert += [encode_bytes(pk), encode_bytes(value), encode_bytes(pk)]
     return tagged_hash(b"block", reference_core_digest(header), b"".join(cert))
 
 
@@ -828,7 +915,7 @@ def frozen_header():
 def frozen_certificate(core_digest):
     def endorse(label, view_height, keys):
         msg = shard_signature_digest(label, core_digest)
-        return ShardSignature(label, view_height, tuple((kp.pk, sign(kp, msg)) for kp in keys))
+        return ShardSignature(label, view_height, _quorum(keys, msg))
 
     # Out of label order: the encoding sorts it.
     return (endorse("1", 6, HEADER_KEYS[1:]), endorse("01", 7, HEADER_KEYS[:1]))
@@ -891,10 +978,7 @@ shard_signatures = st.builds(
     ShardSignature,
     label=labels,
     view_height=heights,
-    member_sigs=st.lists(
-        st.tuples(digests, st.builds(Signature, value=digests, signer_pk=digests)),
-        max_size=3,
-    ).map(tuple),
+    member_sigs=st.lists(st.tuples(digests, digests), max_size=3).map(_as_quorum),
 )
 headers = st.builds(
     BlockHeader,
@@ -931,10 +1015,41 @@ def _certificate_blob_loop(certificate):
     ``_vrf_blob_loop``."""
     parts = [encode_int(len(certificate))]
     for ss in sorted(certificate, key=lambda s: s.label):
-        parts += [encode_str(ss.label), encode_int(ss.view_height), encode_int(len(ss.member_sigs))]
-        for pk, sig in sorted(ss.member_sigs, key=lambda ps: ps[0]):
+        parts += [encode_str(ss.label), encode_int(ss.view_height), encode_int(len(ss.member_sigs.pks))]
+        for pk, value in sorted(zip(*ss.member_sigs), key=lambda entry: entry[0]):
+            parts += [encode_bytes(pk), encode_bytes(value), encode_bytes(pk)]
+    return b"".join(parts)
+
+
+def _pair_certificate_blob(certificate):
+    """The certificate framing of endorsements kept as (pk, Signature)
+    pairs, one per signer: each pair framed as pk, value and signer pk."""
+    parts = [encode_int(len(certificate))]
+    for label, view_height, pairs in sorted(certificate, key=lambda s: s[0]):
+        parts += [encode_str(label), encode_int(view_height), encode_int(len(pairs))]
+        for pk, sig in sorted(pairs, key=lambda ps: ps[0]):
             parts += [encode_bytes(pk), encode_bytes(sig.value), encode_bytes(sig.signer_pk)]
     return b"".join(parts)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(labels, heights, st.lists(st.sampled_from(KEYS), max_size=8)),
+        max_size=3,
+    ),
+    st.integers(0, 8),
+)
+def test_a_signed_certificate_frames_as_its_signature_pairs(endorsements, quorum):
+    # Every signed quorum frames to the bytes its (pk, Signature) pairs
+    # framed to, so every header digest stays what it was.
+    certificate, pairs = [], []
+    for label, view_height, signers in endorsements:
+        msg = shard_signature_digest(label, b"core")
+        sigs = sign_until_quorum([kp.pk for kp in signers], KEY_OF, msg, quorum)
+        certificate.append(ShardSignature(label, view_height, sigs))
+        pairs.append((label, view_height, [(pk, sign(KEY_OF[pk], msg)) for pk in sigs.pks]))
+    assert _certificate_blob(certificate) == _pair_certificate_blob(pairs)
 
 
 # Digest-wide parts are packed; parts of every other width keep the framing
@@ -951,10 +1066,7 @@ framed_certificates = st.lists(
         ShardSignature,
         label=labels,
         view_height=heights,
-        member_sigs=st.lists(
-            st.tuples(framed_parts, st.builds(Signature, value=framed_parts, signer_pk=framed_parts)),
-            max_size=4,
-        ).map(tuple),
+        member_sigs=st.lists(st.tuples(framed_parts, framed_parts), max_size=4).map(_as_quorum),
     ),
     max_size=3,
 )

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shardsim.credentials import Credential, credential_blob
-from shardsim.crypto import Prg, encode_int, encode_str, keygen, sign, tagged_hash
-from shardsim.ledger import shard_quorum
+from shardsim.crypto import Prg, encode_int, encode_str, keygen, sign_batch, tagged_hash
+from shardsim.ledger import Quorum, shard_quorum
 from shardsim.membership import (
     ShardView,
     fill_core,
@@ -452,7 +452,7 @@ class TestInstallAndDiffuse:
 
     def _sigs(self, signers, view=None):
         view = view or self.view
-        return [(kp.pk, sign(kp, view_digest(view))) for kp in signers]
+        return Quorum(tuple(kp.pk for kp in signers), tuple(sign_batch(signers, view_digest(view))))
 
     def test_installs_at_threshold(self):
         ok = install_and_diffuse(

@@ -127,7 +127,9 @@ class TestVectorConsensus:
         byz = data.draw(st.lists(st.sampled_from(members), max_size=(n - 1) // 3, unique=True))
         ps = parts(n, byz=byz)
         chosen = data.draw(
-            st.dictionaries(st.sampled_from(members), st.none() | st.text(max_size=3))
+            st.dictionaries(
+                st.sampled_from(members), st.none() | st.text(alphabet="val-m0", max_size=3)
+            )
         )
         vec = vector_consensus(ps, inputs(ps), VectorDecision(byzantine_values=chosen))
         assert list(vec) == [chosen.get(m) if m in byz else "val-" + m for m in members]
